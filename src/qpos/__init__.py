@@ -26,10 +26,12 @@ from .errors import (
     NearSingularResolvent,
     NoCommonDirection,
     NoSpectralGap,
+    NotFinite,
     NotHermitian,
     NotPositiveDefinite,
     NotPositiveOnV,
     NotProjector,
+    ProjectorRoutesDisagree,
     QOutOfRange,
     QposError,
     SchemaError,

@@ -11,14 +11,13 @@ failure, 1 on input errors.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
 
 from . import metric_single, metric_subbundle, two_forms
-from .errors import CertificateFailed, QposError, SchemaError
-from .fields import FormField
+from .errors import CertificateFailed, QOutOfRange, QposError, SchemaError
+from .fields import certify
 from .geometry import (
     counterexample_build,
     counterexample_scan,
@@ -31,7 +30,6 @@ from .geometry import (
     zq_check,
     zq_metric_pipeline,
 )
-from .hermitian import pencil_eigvalsh
 from .riesz import Disc, riesz_projector
 from .serialize import (
     certificate_to_json,
@@ -40,6 +38,7 @@ from .serialize import (
     matrix_to_json,
     metrics_from_json,
     metrics_to_json,
+    read_json,
     write_report,
 )
 
@@ -47,19 +46,26 @@ INERTIA_THRESHOLDS = (1e-8, 1e-10, 1e-12)
 
 
 def _config_echo(args, **extra):
-    cfg = {"command": args.command, "seed": getattr(args, "seed", None),
-           "threads": getattr(args, "threads", None)}
+    cfg = {"command": args.command, "seed": getattr(args, "seed", None)}
     cfg.update(extra)
     return cfg
 
 
 def _load_domain(path):
-    with open(path) as fh:
-        try:
-            spec = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise SchemaError(str(path), f"invalid JSON: {e}") from e
-    return domain_from_spec(spec)
+    return domain_from_spec(read_json(path))
+
+
+def _load_metrics(path, field):
+    """The metric stack of a metrics file, in the order of the field's points."""
+    table = metrics_from_json(read_json(path), str(path))
+    shape = (field.dim, field.dim)
+    for p in field.points:
+        if p.id not in table:
+            raise SchemaError(f"{path}.metrics", f"no metric for point id {p.id!r}")
+        if table[p.id].shape != shape:
+            raise SchemaError(f"{path}.metrics",
+                              f"metric for point id {p.id!r} is not {shape[0]} x {shape[1]}")
+    return np.stack([table[p.id] for p in field.points])
 
 
 def _inertia_triple(M):
@@ -80,34 +86,19 @@ def _inertia_triple(M):
 
 def cmd_check(args):
     field = load_field(args.input)
-    S = field.form_stack(args.form)
-    if args.metric:
-        with open(args.metric) as fh:
-            table = metrics_from_json(json.load(fh), args.metric)
-        G = np.stack([table[p.id] for p in field.points])
-    else:
-        G = field.g0_stack()
-    lam = pencil_eigvalsh(S, G)
-    sums = np.sum(lam[:, : args.q], axis=1)
-    floors = 1e-9 * np.linalg.norm(S, axis=(1, 2))
-    entries = []
-    for i, p in enumerate(field.points):
-        entries.append({
-            "id": p.id,
-            "min_sum": float(sums[i]),
-            "margin": float(sums[i] - floors[i]),
-            "inertia": _inertia_triple(S[i]),
-        })
-    passed = bool(np.all(sums > floors))
+    G = _load_metrics(args.metric, field) if args.metric else field.g0_stack()
+    cert = certify(field, args.form, args.q, G, "check")
     if args.out:
         write_report(args.out, {
             "config": _config_echo(args, form=args.form, q=args.q),
-            "passed": passed,
-            "points": entries,
+            "passed": cert.passed,
+            "points": [{"id": e.point_id, "min_sum": e.min_sum, "margin": e.margin,
+                        "inertia": _inertia_triple(p.forms[args.form])}
+                       for e, p in zip(cert.entries, field.points)],
         })
-    print(f"check: {'PASS' if passed else 'FAIL'} "
-          f"({int(np.sum(sums <= floors))} of {len(field)} points below margin)")
-    return 0 if passed else 2
+    print(f"check: {'PASS' if cert.passed else 'FAIL'} "
+          f"({len(cert.failed_ids())} of {len(field)} points below margin)")
+    return 0 if cert.passed else 2
 
 
 def cmd_project(args):
@@ -130,27 +121,21 @@ def cmd_project(args):
     return 0
 
 
-def _write_cert_outputs(args, field: FormField, metrics, certs):
+def _write_outputs(args, ids, metrics, certs, **cert_extra):
+    """Write the metrics file (--out) and the certificates file (--cert)."""
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(_canonical_metrics(field, metrics))
+        write_report(args.out, metrics_to_json(ids, metrics))
     if args.cert:
-        payload = {"certificates": {name: certificate_to_json(c)
-                                    for name, c in certs.items()}}
-        write_report(args.cert, payload)
-
-
-def _canonical_metrics(field, metrics):
-    from .serialize import dumps_canonical
-
-    return dumps_canonical(metrics_to_json(field.ids, metrics))
+        write_report(args.cert, {
+            "certificates": {str(k): certificate_to_json(c) for k, c in certs.items()},
+            **cert_extra})
 
 
 def cmd_synthesize_single(args):
     field = load_field(args.input)
     metrics, cert = metric_single.synthesize_single(
         field, args.form, args.q, theta=args.margin)
-    _write_cert_outputs(args, field, metrics, {args.form: cert})
+    _write_outputs(args, field.ids, metrics, {args.form: cert})
     print(f"synthesize single: PASS (min margin {cert.min_margin():.3e})")
     return 0
 
@@ -160,7 +145,7 @@ def cmd_synthesize_subbundle(args):
     names = args.forms.split(",")
     metrics, certs, consts = metric_subbundle.synthesize_subbundle(
         field, names, args.q, safety=args.safety)
-    _write_cert_outputs(args, field, metrics, certs)
+    _write_outputs(args, field.ids, metrics, certs)
     if args.report:
         write_report(args.report, {
             "config": _config_echo(args, forms=names, q=args.q, safety=args.safety),
@@ -180,15 +165,10 @@ def cmd_synthesize_two_forms(args):
         raise SchemaError("--forms", "two-forms synthesis needs exactly two names")
     metrics, certs, gammas, cont = two_forms.field_metric_top_degree(
         field, names, n_angles=args.angles, seed=args.seed)
-    _write_cert_outputs(args, field, metrics, certs)
-    if args.cert:
-        payload = {
-            "certificates": {name: certificate_to_json(c) for name, c in certs.items()},
-            "gamma_points": [{"id": i, "gamma": g.tolist()}
-                             for i, g in zip(field.ids, gammas)],
-            "continuity": cont,
-        }
-        write_report(args.cert, payload)
+    _write_outputs(args, field.ids, metrics, certs,
+                   gamma_points=[{"id": i, "gamma": g.tolist()}
+                                 for i, g in zip(field.ids, gammas)],
+                   continuity=cont)
     print("synthesize two-forms: PASS "
           f"(max gamma jump {cont.get('max_gamma_jump', 0.0):.3e})")
     return 0
@@ -233,18 +213,8 @@ def cmd_geometry_pipeline(args):
     domain = _load_domain(args.domain)
     samples = sample_boundary(domain, args.samples, seed=args.seed)
     rep, metrics, certs = zq_metric_pipeline(domain, args.q, samples)
-    ids = list(range(len(samples)))
-    if args.out:
-        with open(args.out, "w") as fh:
-            from .serialize import dumps_canonical
-
-            fh.write(dumps_canonical(metrics_to_json(ids, metrics)))
-    if args.cert:
-        write_report(args.cert, {
-            "config": _config_echo(args, q=args.q, samples=args.samples),
-            "certificates": {str(c): certificate_to_json(cert)
-                             for c, cert in certs.items()},
-        })
+    _write_outputs(args, list(range(len(samples))), metrics, certs,
+                   config=_config_echo(args, q=args.q, samples=args.samples))
     print("geometry pipeline: PASS")
     return 0
 
@@ -303,8 +273,6 @@ def cmd_geometry_counterexample(args):
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="qpos", description=__doc__)
     p.add_argument("--seed", type=int, default=0, help="seed recorded in reports")
-    p.add_argument("--threads", type=int, default=1,
-                   help="recorded in reports; execution is numpy-vectorized")
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("check", help="verify strict q-positivity of a form field")
@@ -399,6 +367,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (SchemaError, FileNotFoundError, IsADirectoryError) as e:
         print(f"input error: {e}", file=sys.stderr)
+        return 1
+    except QOutOfRange as e:
+        print(f"input error: --q: {e}", file=sys.stderr)
         return 1
     except CertificateFailed as e:
         ids = ", ".join(str(i) for i in e.failed_ids[:10])

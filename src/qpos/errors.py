@@ -16,6 +16,10 @@ class DimensionMismatch(QposError):
     pass
 
 
+class NotFinite(QposError):
+    pass
+
+
 class NotHermitian(QposError):
     pass
 
@@ -69,6 +73,15 @@ class NoSpectralGap(QposError):
 
 class NotProjector(QposError):
     pass
+
+
+class ProjectorRoutesDisagree(QposError):
+    """The eigenvector and Riesz quadrature routes to a projector differ."""
+
+    def __init__(self, distance):
+        super().__init__(
+            f"eigenvector and Riesz projector routes disagree by {distance:.3e}")
+        self.distance = distance
 
 
 class NotPositiveOnV(QposError):

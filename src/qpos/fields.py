@@ -13,8 +13,10 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import DimensionMismatch, QposError
-from .hermitian import as_form, as_metric
+from .errors import CertificateFailed, DimensionMismatch, QOutOfRange, QposError
+from .hermitian import as_form, as_metric, pencil_eigvalsh
+
+MARGIN_FLOOR_SCALE = 1e-9
 
 
 @dataclass
@@ -84,12 +86,10 @@ class FormField:
         except KeyError as e:
             raise QposError(f"form {name!r} missing at some point") from e
 
-    def g0_stack(self, default=None) -> np.ndarray:
-        """Per-point g0 with ``default`` (identity if None) where absent."""
-        if default is None:
-            default = np.eye(self.dim, dtype=complex)
-        default = as_metric(default)
-        return np.stack([p.g0 if p.g0 is not None else default for p in self.points])
+    def g0_stack(self) -> np.ndarray:
+        """Per-point g0, the identity where absent."""
+        eye = np.eye(self.dim, dtype=complex)
+        return np.stack([p.g0 if p.g0 is not None else eye for p in self.points])
 
     def neighbor_indices(self) -> list[list[int]]:
         """Adjacency as index lists; empty lists where no neighbor data."""
@@ -140,9 +140,8 @@ class CertificateEntry:
 class PositivityCertificate:
     """Per-point q-smallest-eigenvalue sums attesting strict q-positivity.
 
-    ``margin = min_sum - margin_floor`` with ``margin_floor`` defaulting to
-    1e-9 * ||form|| at each point; the certificate passes iff every margin is
-    positive.
+    ``margin = min_sum - MARGIN_FLOOR_SCALE * ||form||_F`` at each point; the
+    certificate passes iff every margin is positive.
     """
 
     form: str
@@ -160,10 +159,32 @@ class PositivityCertificate:
         return min((e.margin for e in self.entries), default=float("inf"))
 
 
-def certificate_from_sums(form: str, q: int, ids, min_sums, floors, provenances) -> PositivityCertificate:
+def certify(field: FormField, form: str, q: int, metrics, provenance) -> PositivityCertificate:
+    """Certificate that ``metrics`` make the named form strictly q-positive.
+
+    At each point the sum of the q smallest eigenvalues of the form relative
+    to its metric (shape (N, d, d) stack) must exceed the floor
+    ``MARGIN_FLOOR_SCALE * ||form||_F``.  ``provenance`` is one string for
+    every point or one per point.  Raises QOutOfRange unless 1 <= q <= d.
+    """
+    if not 1 <= q <= field.dim:
+        raise QOutOfRange(f"q = {q} not in [1, {field.dim}]")
+    if isinstance(provenance, str):
+        provenance = [provenance] * len(field)
+    S = field.form_stack(form)
+    sums = np.sum(pencil_eigvalsh(S, metrics)[:, :q], axis=1)
+    floors = MARGIN_FLOOR_SCALE * np.linalg.norm(S, axis=(1, 2))
     entries = [
         CertificateEntry(point_id=i, form=form, q=q, min_sum=float(s),
                          margin=float(s - f), provenance=pv)
-        for i, s, f, pv in zip(ids, min_sums, floors, provenances)
+        for i, s, f, pv in zip(field.ids, sums, floors, provenance)
     ]
     return PositivityCertificate(form=form, q=q, entries=entries)
+
+
+def require_passed(certs: dict, what: str) -> None:
+    """Raise CertificateFailed, listing the failed point ids, unless all pass."""
+    failed = [i for cert in certs.values() for i in cert.failed_ids()]
+    if failed:
+        raise CertificateFailed(f"{len(failed)} entries failed {what}",
+                                certificate=certs, failed_ids=failed)

@@ -35,7 +35,7 @@ import numpy as np
 
 from ..errors import BoundNotFound, NoCommonDirection, QposError
 from ..fields import FieldPoint, FormField
-from ..hermitian import pencil_eigvalsh
+from ..hermitian import congruence, pencil_eigvalsh, reduce_form
 from ..metric_subbundle import synthesize_subbundle
 from ..synthetic import random_g_orthonormal_frames
 from ..two_forms import find_common_direction
@@ -255,15 +255,10 @@ def weight_bump(domain: Domain, q: int, samples: list[BoundarySample],
                    np.max(np.sum(-lam_rho[:, :q], axis=1))))
 
     # eta from the dual form, in g0-orthonormal coordinates
-    w_eig, U = np.linalg.eigh(G0)
-    G0_inv_half = np.einsum("...ik,...k,...jk->...ij", U, 1.0 / np.sqrt(w_eig), U.conj())
+    W0, _ = congruence(G0)
     A_form = Mphi + delta0 * Mrho
     Nrm_form = np.conj(ws)[:, :, None] * ws[:, None, :]
-    A_t = G0_inv_half @ A_form @ G0_inv_half
-    A_t = 0.5 * (A_t + np.conj(np.swapaxes(A_t, -1, -2)))
-    N_t = G0_inv_half @ Nrm_form @ G0_inv_half
-    N_t = 0.5 * (N_t + np.conj(np.swapaxes(N_t, -1, -2)))
-    eta = _eta_dual(A_t, N_t, q)
+    eta = _eta_dual(reduce_form(A_form, W0), reduce_form(Nrm_form, W0), q)
 
     chi2 = float(chi_double_prime(0.0))
     denom = B1 + delta0 * B2

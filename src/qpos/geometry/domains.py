@@ -155,6 +155,16 @@ class LogQuadRatioWeight(_Weight):
         return A.T
 
 
+def rank_split_weight(n: int, k: int, chart) -> LogQuadRatioWeight:
+    """-log(1 - |w|_+^2 / |w|_-^2) on CP^n in the affine chart w_chart = 1.
+
+    The plus block is the first ``k`` of the n + 1 homogeneous coordinates.
+    """
+    plus = (np.arange(n + 1) < k).astype(float)
+    rest = np.arange(n + 1) != chart
+    return LogQuadRatioWeight(plus[rest], plus[chart], 1.0 - plus[rest], 1.0 - plus[chart])
+
+
 # ---------------------------------------------------------------------------
 # domains
 # ---------------------------------------------------------------------------
@@ -300,24 +310,7 @@ class QuadricDomain(Domain):
 
     # weight ----------------------------------------------------------------
     def weight_fn(self, chart):
-        k = self.n - self.q + 1  # size of the plus block
-        a_plus = np.zeros(self.n)
-        a_minus = np.zeros(self.n)
-        pos = 0
-        c_plus = c_minus = 0.0
-        for j in range(self.n + 1):
-            if j == chart:
-                if j < k:
-                    c_plus = 1.0
-                else:
-                    c_minus = 1.0
-                continue
-            if j < k:
-                a_plus[pos] = 1.0
-            else:
-                a_minus[pos] = 1.0
-            pos += 1
-        return LogQuadRatioWeight(a_plus, c_plus, a_minus, c_minus)
+        return rank_split_weight(self.n, self.n - self.q + 1, chart)
 
     # sampling ---------------------------------------------------------------
     def seed_points(self, rng, count):
@@ -454,23 +447,7 @@ class MqnManifold:
         self.k = n - q + 1
 
     def weight_fn(self, chart):
-        a_plus = np.zeros(self.n)
-        a_minus = np.zeros(self.n)
-        pos = 0
-        c_plus = c_minus = 0.0
-        for j in range(self.n + 1):
-            if j == chart:
-                if j < self.k:
-                    c_plus = 1.0
-                else:
-                    c_minus = 1.0
-                continue
-            if j < self.k:
-                a_plus[pos] = 1.0
-            else:
-                a_minus[pos] = 1.0
-            pos += 1
-        return LogQuadRatioWeight(a_plus, c_plus, a_minus, c_minus)
+        return rank_split_weight(self.n, self.k, chart)
 
     def sample_chart_points(self, rng: np.random.Generator, count: int, on_S: bool = False):
         """(chart, z) samples; ``on_S`` restricts to the center submanifold."""

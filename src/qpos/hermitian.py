@@ -24,6 +24,7 @@ from .errors import (
     AmbientMismatch,
     BasisNotOrthonormal,
     DimensionMismatch,
+    NotFinite,
     NotHermitian,
     NotPositiveDefinite,
     QOutOfRange,
@@ -42,12 +43,14 @@ TAU_RES = 1e-9
 def as_form(M, tau_herm: float = TAU_HERM) -> np.ndarray:
     """Validate and return a Hermitian form matrix as a complex ndarray.
 
-    Hermiticity is checked relative to max(1, ||M||_F) with tolerance
-    ``tau_herm``.
+    Entries must be finite; hermiticity is checked relative to
+    max(1, ||M||_F) with tolerance ``tau_herm``.
     """
     A = np.asarray(M, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {A.shape}")
+    if not np.all(np.isfinite(A)):
+        raise NotFinite("matrix has non-finite entries")
     defect = np.linalg.norm(A - A.conj().T)
     if defect > tau_herm * max(1.0, np.linalg.norm(A)):
         raise NotHermitian(f"hermiticity defect {defect:.3e} exceeds tolerance")
@@ -83,43 +86,47 @@ def form_value(M, u, v=None):
 # batched pencil solver (shared by the field-level modules)
 # ---------------------------------------------------------------------------
 
-def _inv_sqrt_psd(G):
-    """Inverse square root of a stack of positive-definite Hermitian matrices."""
-    w, U = np.linalg.eigh(G)
-    if np.any(w <= 0):
-        raise NotPositiveDefinite("matrix in stack is not positive definite")
-    s = 1.0 / np.sqrt(w)
-    return np.einsum("...ik,...k,...jk->...ij", U, s, U.conj())
+def congruence(G):
+    """Congruence ``(W, W_inv)`` with ``W* G W = I`` for a stack of metrics.
+
+    From the Cholesky factor ``G = L L*``: ``W = L^{-*}`` and ``W_inv = L*``
+    (Golub & Van Loan, Matrix Computations, section 8.7; LAPACK ``*hegv``
+    reduces the same way).  Raises NotPositiveDefinite when the factorization
+    fails.
+    """
+    try:
+        L = np.linalg.cholesky(G)
+    except np.linalg.LinAlgError as e:
+        raise NotPositiveDefinite("matrix in stack is not positive definite") from e
+    W_inv = np.conj(np.swapaxes(L, -1, -2))
+    return np.linalg.inv(W_inv), W_inv
+
+
+def reduce_form(H, W):
+    """The form H in the frame W: the Hermitian part of ``W* H W``; supports stacks."""
+    T = np.conj(np.swapaxes(W, -1, -2)) @ H @ W
+    return 0.5 * (T + np.conj(np.swapaxes(T, -1, -2)))
 
 
 def pencil_eigh(H, G):
     """Eigenvalues and g-orthonormal eigenvectors of the pencil (H, G).
 
     Works on stacks: ``H`` and ``G`` may have shape (..., d, d).  Reduction is
-    by congruence with the inverse square root of ``G`` followed by a standard
-    Hermitian eigensolve, which is stable for the well-conditioned small
-    matrices this library targets.
+    by the Cholesky congruence of ``G`` followed by a standard Hermitian
+    eigensolve.
 
     Returns ``(lam, V)`` with ``lam`` ascending along the last axis and the
     columns of ``V`` satisfying ``V* G V = I``.
     """
-    H = np.asarray(H, dtype=complex)
-    G = np.asarray(G, dtype=complex)
-    W = _inv_sqrt_psd(G)
-    T = W @ H @ W
-    T = 0.5 * (T + np.conj(np.swapaxes(T, -1, -2)))
-    lam, Y = np.linalg.eigh(T)
+    W, _ = congruence(np.asarray(G, dtype=complex))
+    lam, Y = np.linalg.eigh(reduce_form(np.asarray(H, dtype=complex), W))
     return lam, W @ Y
 
 
 def pencil_eigvalsh(H, G):
     """Eigenvalues only of the pencil (H, G); supports stacks."""
-    H = np.asarray(H, dtype=complex)
-    G = np.asarray(G, dtype=complex)
-    W = _inv_sqrt_psd(G)
-    T = W @ H @ W
-    T = 0.5 * (T + np.conj(np.swapaxes(T, -1, -2)))
-    return np.linalg.eigvalsh(T)
+    W, _ = congruence(np.asarray(G, dtype=complex))
+    return np.linalg.eigvalsh(reduce_form(np.asarray(H, dtype=complex), W))
 
 
 # ---------------------------------------------------------------------------

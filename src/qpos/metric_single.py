@@ -21,19 +21,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    CertificateFailed,
     DenominatorNonpositive,
     HypothesisViolated,
     NoSpectralGap,
     NotPositiveDefinite,
     NotProjector,
+    ProjectorRoutesDisagree,
+    QOutOfRange,
 )
-from .fields import FormField, certificate_from_sums
-from .hermitian import as_form, as_metric, pencil_eigh, pencil_eigvalsh
+from .fields import FormField, certify, require_passed
+from .hermitian import (
+    as_form,
+    as_metric,
+    congruence,
+    pencil_eigh,
+    pencil_eigvalsh,
+    reduce_form,
+)
 from .riesz import Disc, riesz_projector
 
 DEFAULT_THETA = 0.1
-MARGIN_FLOOR_SCALE = 1e-9
+RIESZ_CHECK_COUNT = 4
 
 
 @dataclass
@@ -63,7 +71,7 @@ def stratify(field: FormField, form: str, q_tilde: int,
     """
     d = field.dim
     if not 1 <= q_tilde <= d:
-        raise ValueError(f"q_tilde = {q_tilde} not in [1, {d}]")
+        raise QOutOfRange(f"q_tilde = {q_tilde} not in [1, {d}]")
     S = field.form_stack(form)
     lam = np.linalg.eigvalsh(S)
     if zero_threshold is None:
@@ -129,11 +137,15 @@ def negative_projector(S, g, r: int, tau_gap: float | None = None,
     """g-orthogonal projector onto the span of the r negative eigenvectors.
 
     Computed from the pencil eigenvectors, and (by default) cross-checked
-    against a Riesz projector of the congruence-reduced operator over a disc
-    through alpha < lam_1 and lam_r < beta < 0; the two routes must agree to
-    1e-8.  With ``nodes=None`` the quadrature node count is chosen from the
-    trapezoid error law |u|^N so the comparison is meaningful at any
-    spectral separation.
+    against a Riesz projector of the congruence-reduced operator; the two
+    routes must agree to 1e-8, else ProjectorRoutesDisagree.  The disc is
+    centered at (lam_1 + lam_r) / 2; with a = (lam_r - lam_1) / 2 > 0 and
+    r < d its radius sqrt(a (a + lam_(r+1) - lam_r)) makes the largest inner
+    ratio |lam - center| / radius equal the largest outer ratio
+    radius / |lam - center|, otherwise it is -lam_1 / 2.  With
+    ``nodes=None`` the quadrature node count is chosen from the trapezoid
+    error law |u|^N so the comparison is meaningful at any spectral
+    separation.
     """
     M = as_form(S)
     G = as_metric(g)
@@ -154,24 +166,21 @@ def negative_projector(S, g, r: int, tau_gap: float | None = None,
     Vr = V[:, :r]
     P = Vr @ Vr.conj().T @ G
     if check_riesz:
-        beta = lam[r - 1] / 2.0
-        alpha = lam[0] + beta
-        disc = Disc(center=(alpha + beta) / 2.0, radius=(beta - alpha) / 2.0)
+        a = (lam[r - 1] - lam[0]) / 2.0
+        if r < d and a > 0:
+            radius = np.sqrt(a * (a + lam[r] - lam[r - 1]))
+        else:
+            radius = -lam[0] / 2.0
+        disc = Disc(center=(lam[0] + lam[r - 1]) / 2.0, radius=radius)
         if nodes is None:
             u = np.abs(lam - disc.center) / disc.radius
             rho = max(np.max(u[:r]), np.max(1.0 / u[r:], initial=0.0))
             nodes = int(min(max(32, np.ceil(np.log(1e-11) / np.log(rho))), 8192))
-        w, U = np.linalg.eigh(G)
-        Ghalf = (U * np.sqrt(w)) @ U.conj().T
-        Ginvhalf = (U / np.sqrt(w)) @ U.conj().T
-        T = Ginvhalf @ M @ Ginvhalf
-        T = 0.5 * (T + T.conj().T)
-        PT = riesz_projector(T, disc, nodes=nodes).matrix
-        P2 = Ginvhalf @ PT @ Ghalf
-        if np.linalg.norm(P2 - P, 2) > 1e-8:
-            raise RuntimeError(
-                f"eigenvector and Riesz projector routes disagree by "
-                f"{np.linalg.norm(P2 - P, 2):.3e}")
+        W, W_inv = congruence(G)
+        PT = riesz_projector(reduce_form(M, W), disc, nodes=nodes).matrix
+        distance = np.linalg.norm(W @ PT @ W_inv - P, 2)
+        if distance > 1e-8:
+            raise ProjectorRoutesDisagree(distance)
     return P
 
 
@@ -206,16 +215,15 @@ def _batched_negative_projectors(S, G, r: int) -> np.ndarray:
 
 
 def synthesize_single(field: FormField, form: str, q_tilde: int,
-                      theta: float = DEFAULT_THETA, g0_default=None,
-                      smooth: bool = False, riesz_check_count: int = 4,
-                      margin_floor_scale: float = MARGIN_FLOOR_SCALE):
+                      theta: float = DEFAULT_THETA, smooth: bool = False):
     """Build a per-point metric making the named form strictly q_tilde-positive.
 
-    Runs stages r = 1 .. q_tilde - 1 of stratified inflation.  Anchored
-    points (F and its 1-ring under adjacency) keep g0 exactly.  With
-    ``smooth=True`` and adjacency present, the inflation factors are averaged
-    once over each 1-ring and the stage inequality re-verified; points where
-    smoothing breaks it fall back to their pointwise value.
+    Runs stages r = 1 .. q_tilde - 1 of stratified inflation from g0
+    (identity where absent).  Anchored points (F and its 1-ring under
+    adjacency) keep g0 exactly.  With ``smooth=True`` and adjacency present,
+    the inflation factors are averaged once over each 1-ring and the stage
+    inequality re-verified; points where smoothing breaks it fall back to
+    their pointwise value.
 
     Returns ``(metrics, certificate)`` with ``metrics`` of shape (N, d, d).
     Raises CertificateFailed (with the certificate attached) if any point
@@ -223,8 +231,7 @@ def synthesize_single(field: FormField, form: str, q_tilde: int,
     """
     strat = stratify(field, form, q_tilde)
     S = field.form_stack(form)
-    n = len(field)
-    metrics = field.g0_stack(default=g0_default).copy()
+    metrics = field.g0_stack()
     provenance = np.array(
         ["g0_anchor" if a else "g0_default" for a in strat.anchored], dtype=object)
 
@@ -243,7 +250,7 @@ def synthesize_single(field: FormField, form: str, q_tilde: int,
         g_prev = metrics[idx].copy()
         # dual-route spot check (eigenvector vs Riesz) on a few stage points,
         # against the pre-update metric
-        for j in range(min(riesz_check_count, idx.size)):
+        for j in range(min(RIESZ_CHECK_COUNT, idx.size)):
             negative_projector(S[idx[j]], g_prev[j], r, check_riesz=True)
         P = _batched_negative_projectors(S[idx], g_prev, r)
         upd = g_prev + f[idx, None, None] * (
@@ -251,15 +258,8 @@ def synthesize_single(field: FormField, form: str, q_tilde: int,
         metrics[idx] = 0.5 * (upd + np.conj(np.swapaxes(upd, -1, -2)))
         provenance[idx] = f"inflated_stage_{r}"
 
-    # certificate
-    lam = pencil_eigvalsh(S, metrics)
-    sums = np.sum(lam[:, :q_tilde], axis=1)
-    floors = margin_floor_scale * np.linalg.norm(S, axis=(1, 2))
-    cert = certificate_from_sums(form, q_tilde, field.ids, sums, floors, provenance)
-    if not cert.passed:
-        raise CertificateFailed(
-            f"{len(cert.failed_ids())} points failed strict {q_tilde}-positivity",
-            certificate=cert, failed_ids=cert.failed_ids())
+    cert = certify(field, form, q_tilde, metrics, provenance)
+    require_passed({form: cert}, f"strict {q_tilde}-positivity")
     return metrics, cert
 
 

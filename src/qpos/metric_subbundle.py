@@ -27,12 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BasisNotOrthonormal, CertificateFailed, NotPositiveOnV, QposError
-from .fields import FormField, certificate_from_sums
-from .hermitian import pencil_eigvalsh
+from .errors import BasisNotOrthonormal, NotPositiveOnV, QposError
+from .fields import FormField, certify, require_passed
+from .hermitian import congruence, pencil_eigvalsh
 
 ETA_MARGIN = 0.05
-MARGIN_FLOOR_SCALE = 1e-9
 TAU_ORTH = 1e-8
 
 
@@ -77,13 +76,11 @@ def _adapted_frames(field: FormField, gamma: np.ndarray, q: int):
         raise BasisNotOrthonormal(
             f"subspace basis at {field.points[i].id!r} is not gamma-orthonormal "
             f"(defect {defect[i]:.3e})")
-    w, U = np.linalg.eigh(gamma)
-    Ghalf = np.einsum("...ik,...k,...jk->...ij", U, np.sqrt(w), U.conj())
-    Ginvhalf = np.einsum("...ik,...k,...jk->...ij", U, 1.0 / np.sqrt(w), U.conj())
-    Vt = Ghalf @ BV                      # orthonormal in standard coords
+    W, W_inv = congruence(gamma)         # W* gamma W = I
+    Vt = W_inv @ BV                      # orthonormal in standard coords
     Ufull, _, _ = np.linalg.svd(Vt)
     Wt = Ufull[:, :, k:]                 # orthocomplement of range(Vt)
-    BW = Ginvhalf @ Wt
+    BW = W @ Wt
     return BV, BW
 
 
@@ -169,8 +166,7 @@ def _gamma_stack(field: FormField, gamma) -> np.ndarray:
 
 def synthesize_subbundle(field: FormField, forms, q: int, gamma=None,
                          eta_margin: float = ETA_MARGIN, safety: float = 1.0,
-                         smooth: bool = False,
-                         margin_floor_scale: float = MARGIN_FLOOR_SCALE):
+                         smooth: bool = False):
     """Penalty metric making every named form strictly q-positive at once.
 
     kappa is the maximum of the per-form constants C (times ``safety``, an
@@ -200,19 +196,6 @@ def synthesize_subbundle(field: FormField, forms, q: int, gamma=None,
         neigh = field.neighbor_indices()
         h = np.stack([np.mean(h[neigh[i] + [i]], axis=0) for i in range(len(field))])
 
-    certificates = {}
-    failed = []
-    for name in forms:
-        H = field.form_stack(name)
-        lam = pencil_eigvalsh(H, h)
-        sums = np.sum(lam[:, :q], axis=1)
-        floors = margin_floor_scale * np.linalg.norm(H, axis=(1, 2))
-        cert = certificate_from_sums(name, q, field.ids, sums, floors,
-                                     ["penalty_metric"] * len(field))
-        certificates[name] = cert
-        failed.extend(cert.failed_ids())
-    if failed:
-        raise CertificateFailed(
-            f"{len(failed)} point/form pairs failed strict {q}-positivity",
-            certificate=certificates, failed_ids=failed)
+    certificates = {name: certify(field, name, q, h, "penalty_metric") for name in forms}
+    require_passed(certificates, f"strict {q}-positivity")
     return h, certificates, constants

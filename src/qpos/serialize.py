@@ -100,6 +100,8 @@ def matrix_from_json(obj, path="matrix") -> np.ndarray:
     im = np.asarray(obj.get("im", np.zeros_like(re)), dtype=float)
     if re.shape != (d, d) or im.shape != (d, d):
         raise SchemaError(path, f"matrix shape {re.shape} does not match dim {d}")
+    if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
+        raise SchemaError(path, "matrix has non-finite entries")
     return re + 1j * im
 
 
@@ -185,22 +187,21 @@ def field_from_json(obj, path="field") -> FormField:
         raise SchemaError(path, str(e)) from e
 
 
-def load_field(path) -> FormField:
+def read_json(path):
+    """Parse a JSON file; malformed JSON raises SchemaError naming the file."""
     with open(path) as fh:
         try:
-            obj = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as e:
             raise SchemaError(str(path), f"invalid JSON: {e}") from e
-    return field_from_json(obj, path=str(path))
+
+
+def load_field(path) -> FormField:
+    return field_from_json(read_json(path), path=str(path))
 
 
 def load_matrix(path) -> np.ndarray:
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise SchemaError(str(path), f"invalid JSON: {e}") from e
-    return matrix_from_json(obj, path=str(path))
+    return matrix_from_json(read_json(path), path=str(path))
 
 
 def metrics_to_json(ids, metrics) -> dict:
@@ -212,7 +213,8 @@ def metrics_to_json(ids, metrics) -> dict:
 
 def metrics_from_json(obj, path="metrics") -> dict:
     try:
-        return {e["id"]: matrix_from_json(e["matrix"], path) for e in obj["metrics"]}
+        return {e["id"]: matrix_from_json(e["matrix"], f"{path}.metrics[{k}].matrix")
+                for k, e in enumerate(obj["metrics"])}
     except (KeyError, TypeError) as e:
         raise SchemaError(path, f"bad metrics file: {e}") from e
 

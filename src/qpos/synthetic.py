@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import FieldPoint, FormField
+from .hermitian import congruence
 
 
 def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -39,8 +40,7 @@ def random_g_orthonormal_frames(rng: np.random.Generator, G, count: int, q: int)
     """Stack of ``count`` g-orthonormal q-frames, shape (count, d, q)."""
     G = np.asarray(G, dtype=complex)
     d = G.shape[0]
-    w, U = np.linalg.eigh(G)
-    W = (U / np.sqrt(w)) @ U.conj().T  # G^{-1/2}
+    W, _ = congruence(G)
     Z = rng.standard_normal((count, d, q)) + 1j * rng.standard_normal((count, d, q))
     Q, _ = np.linalg.qr(Z)
     return W @ Q
@@ -87,9 +87,10 @@ def planted_subbundle_field(rng: np.random.Generator, n_points: int, d: int, q: 
     gammas = np.empty((n_points, d, d), dtype=complex)
     for i in range(n_points):
         gamma = random_metric(rng, d, cond=4.0)
-        w, U = np.linalg.eigh(gamma)
-        Winv = (U / np.sqrt(w)) @ U.conj().T   # gamma^{-1/2}
-        frame = Winv @ random_unitary(rng, d)  # gamma-orthonormal full frame
+        W, W_inv = congruence(gamma)
+        U = random_unitary(rng, d)
+        frame = W @ U                          # gamma-orthonormal full frame
+        Finv = U.conj().T @ W_inv
         BV, BW = frame[:, :k], frame[:, k:]
         forms = {}
         for name in form_names:
@@ -99,7 +100,6 @@ def planted_subbundle_field(rng: np.random.Generator, n_points: int, d: int, q: 
             vw = 0.5 * (rng.standard_normal((k, q - 1)) + 1j * rng.standard_normal((k, q - 1)))
             QF = np.block([[vv, vw], [vw.conj().T, ww]]) if q > 1 else vv
             # form with prescribed blocks in the gamma-orthonormal frame
-            Finv = np.linalg.inv(frame)
             forms[name] = Finv.conj().T @ QF @ Finv
         gammas[i] = gamma
         points.append(FieldPoint(id=f"p{i}", forms=forms, subspace=BV))

@@ -34,8 +34,8 @@ from .errors import (
     LevelNotReached,
     NoCommonDirection,
 )
-from .fields import FormField, certificate_from_sums
-from .hermitian import as_form, as_metric
+from .fields import FormField, certify, require_passed
+from .hermitian import as_form, as_metric, congruence, reduce_form
 
 DEFAULT_ANGLES = 512
 TAU_LEVEL = 1e-10
@@ -89,12 +89,9 @@ class PairState:
         d = self.Q1.shape[0]
         self.dim = d
         self.base = np.eye(d, dtype=complex) if base is None else as_metric(base)
-        w, U = np.linalg.eigh(self.base)
-        self._W = (U / np.sqrt(w)) @ U.conj().T  # base^{-1/2}
-        self._Q1t = self._W.conj().T @ self.Q1 @ self._W
-        self._Q2t = self._W.conj().T @ self.Q2 @ self._W
-        self._Q1t = 0.5 * (self._Q1t + self._Q1t.conj().T)
-        self._Q2t = 0.5 * (self._Q2t + self._Q2t.conj().T)
+        self._W, _ = congruence(self.base)
+        self._Q1t = reduce_form(self.Q1, self._W)
+        self._Q2t = reduce_form(self.Q2, self._W)
         self.witness = None
         if witness is not None:
             v = np.asarray(witness, dtype=complex)
@@ -150,18 +147,14 @@ def xi_eval(pair: PairState, x) -> XiEvaluation:
     """
     x = np.asarray(x, dtype=float)
     G = pair.gram(x[None, :])[0]
-    w, U = np.linalg.eigh(G)
+    w = np.linalg.eigvalsh(G)
     if w[0] <= 0:
         return XiEvaluation(x=x, in_O=False, xi=None, grad=None, hessian=None)
     xi = float(-np.sum(np.log(w)))
-    Ginv = (U / w) @ U.conj().T
-    grad = np.array([
-        float(np.einsum("kj,jk->", Ginv, pair._Q1t).real),
-        float(np.einsum("kj,jk->", Ginv, pair._Q2t).real),
-    ])
-    X = (U / np.sqrt(w)) @ U.conj().T  # x-orthonormal frame columns
-    R1 = X.conj().T @ pair._Q1t @ X
-    R2 = X.conj().T @ pair._Q2t @ X
+    X, _ = congruence(G)  # x-orthonormal frame columns
+    R1 = reduce_form(pair._Q1t, X)
+    R2 = reduce_form(pair._Q2t, X)
+    grad = np.array([float(np.trace(R1).real), float(np.trace(R2).real)])
     h11 = float(np.vdot(R1, R1).real)
     h22 = float(np.vdot(R2, R2).real)
     h12 = float(np.vdot(R2, R1).real)
@@ -381,56 +374,33 @@ def pair_metric(pair: PairState, n_angles: int = DEFAULT_ANGLES,
 
 
 def field_metric_top_degree(field: FormField, names, n_angles: int = DEFAULT_ANGLES,
-                            trials: int = 64, seed: int = 0, smooth: bool = False):
+                            seed: int = 0):
     """Pointwise pair metrics over a field, with trace certificates.
 
-    ``names = (name1, name2)`` selects the two forms.  Raises
-    NoCommonDirection with the offending point id when the witness search
-    fails.  Returns ``(metrics, certificates, gamma_points, continuity)``;
-    ``continuity`` reports the largest jump of gamma across adjacent samples
-    when the field has adjacency.  With ``smooth=True`` the metrics are
-    averaged once over each 1-ring and the traces re-verified.
+    ``names = (name1, name2)`` selects the two forms; each certificate is the
+    q = d certificate, whose sum is the trace.  Raises NoCommonDirection
+    with the offending point id when the witness search fails.  Returns
+    ``(metrics, certificates, gamma_points, continuity)``; ``continuity``
+    reports the largest jump of gamma across adjacent samples when the
+    field has adjacency.
     """
     n1, n2 = names
     d = field.dim
     metrics = np.empty((len(field), d, d), dtype=complex)
     gamma_points = np.empty((len(field), 2))
-    traces = np.empty((len(field), 2))
     for i, p in enumerate(field.points):
         pair = PairState(p.forms[n1], p.forms[n2], base=p.g0)
-        w = find_common_direction(pair, None, trials=trials, seed=seed)
+        w = find_common_direction(pair, None, seed=seed)
         if w is None:
             raise NoCommonDirection(p.id)
         pair.witness = w
         res = pair_metric(pair, n_angles=n_angles)
         metrics[i] = res.metric
         gamma_points[i] = res.gamma_point
-        traces[i] = res.traces
 
-    if smooth and field.has_adjacency():
-        neigh = field.neighbor_indices()
-        smoothed = metrics.copy()
-        for i in range(len(field)):
-            ring = neigh[i] + [i]
-            smoothed[i] = np.mean(metrics[ring], axis=0)
-        metrics = smoothed
-        for i, p in enumerate(field.points):
-            for j, name in enumerate((n1, n2)):
-                M = p.forms[name]
-                traces[i, j] = float(np.trace(np.linalg.solve(metrics[i], M)).real)
-
-    certificates = {}
-    failed = []
-    for j, name in enumerate((n1, n2)):
-        H = field.form_stack(name)
-        floors = 1e-9 * np.linalg.norm(H, axis=(1, 2))
-        cert = certificate_from_sums(name, d, field.ids, traces[:, j], floors,
-                                     ["two_form_midpoint"] * len(field))
-        certificates[name] = cert
-        failed.extend(cert.failed_ids())
-    if failed:
-        raise CertificateFailed("trace certificate failed", certificate=certificates,
-                                failed_ids=failed)
+    certificates = {name: certify(field, name, d, metrics, "two_form_midpoint")
+                    for name in (n1, n2)}
+    require_passed(certificates, "the trace certificate")
 
     continuity = {}
     if field.has_adjacency():

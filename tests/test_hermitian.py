@@ -10,12 +10,15 @@ from numpy.testing import assert_allclose
 from qpos import (
     BasisNotOrthonormal,
     DimensionMismatch,
+    NotFinite,
     NotPositiveDefinite,
     QOutOfRange,
+    SpectrumWrt,
     Subspace,
     complement_sum_identity,
     inertia,
     max_subspace_trace,
+    pencil_eigh,
     projection_dim_sum,
     q_min_sum,
     restricted_trace,
@@ -56,6 +59,20 @@ def test_spectrum_random_pencil_against_cholesky_oracle(rng):
         # g-orthonormality of returned eigenvectors
         gram = s.eigenvectors.conj().T @ g @ s.eigenvectors
         assert np.linalg.norm(gram - np.eye(6)) < 1e-10
+    # stacked solve, also at cond(g) = 1e8: backward-stable residual and
+    # V* g V = I to within eps * cond(g)
+    eps = np.finfo(float).eps
+    for cond in (10.0, 1e8):
+        H = np.stack([random_hermitian(rng, 6) for _ in range(20)])
+        G = np.stack([random_metric(rng, 6, cond=cond) for _ in range(20)])
+        lam, V = pencil_eigh(H, G)
+        for h, g, l, v in zip(H, G, lam, V):
+            scale = np.linalg.norm(h, 2) + np.max(np.abs(l)) * np.linalg.norm(g, 2)
+            residual = SpectrumWrt(l, v).residual(h, g)
+            assert residual <= 100 * eps * scale * np.linalg.norm(v, 2)
+            assert np.linalg.norm(v.conj().T @ g @ v - np.eye(6)) <= 100 * eps * cond
+            assert_allclose(l, scipy.linalg.eigh(h, g, eigvals_only=True),
+                            rtol=1e-9, atol=1e-10)
 
 
 def test_spectrum_rejects_bad_inputs(rng):
@@ -63,6 +80,8 @@ def test_spectrum_rejects_bad_inputs(rng):
         spectrum_wrt(np.eye(3), np.eye(2))
     with pytest.raises(NotPositiveDefinite):
         spectrum_wrt(np.eye(2), np.diag([1.0, -1.0]))
+    with pytest.raises(NotFinite):
+        spectrum_wrt(np.diag([np.nan, 1.0]), np.eye(2))
 
 
 def test_rayleigh_bounds(rng):

@@ -11,6 +11,7 @@ from qpos import (
     FormField,
     HypothesisViolated,
     NotProjector,
+    ProjectorRoutesDisagree,
     choose_f,
     inertia,
     negative_projector,
@@ -134,6 +135,18 @@ def test_negative_projector_dual_route_random(rng):
 
 
 # ------------------------------------------------------------- update_metric
+
+def test_negative_projector_crowded_negative_spectrum():
+    # lam_r = -0.005 lies 0.1 % inside a disc of radius -lam_1 / 2, beyond what
+    # the 8192-node cap resolves; the balanced disc needs 150 nodes
+    S = np.diag([-5.0, -0.005, 1.0, 1.0, 1.0, 1.0]).astype(complex)
+    P = negative_projector(S, np.eye(6), 2)
+    assert_allclose(P, np.diag([1.0, 1.0, 0, 0, 0, 0]), atol=1e-12)
+    metrics, cert = synthesize_single(field_of([S]), "S", 4)
+    assert cert.passed
+    with pytest.raises(ProjectorRoutesDisagree):
+        negative_projector(S, np.eye(6), 2, nodes=32)
+
 
 def test_update_metric_f_zero_is_identity_map(rng):
     g = random_metric(rng, 4)

@@ -15,6 +15,7 @@ from qpos.serialize import (
     field_to_json,
     matrix_from_json,
     matrix_to_json,
+    metrics_to_json,
     spectrum_to_json,
 )
 from qpos.synthetic import planted_inertia_field, random_hermitian, random_metric
@@ -206,3 +207,38 @@ def test_cli_geometry_counterexample(tmp_path):
     report = json.loads(out.read_text())
     assert report["all_fields_negative"] is True
     assert len(report["scans"]) == 20
+
+
+@pytest.mark.parametrize("case", ["check_q_above_dim", "check_q_zero", "single_q_above_dim",
+                                  "metric_missing_id", "metric_malformed_json",
+                                  "nan_form_entry"])
+def test_cli_rejects_bad_input_with_exit_1(tmp_path, case):
+    # each case used to pass, fail with exit 2 or end in a traceback
+    S = np.diag([1.0, 2.0]).astype(complex)
+    path = tmp_path / "field.json"
+    path.write_text(dumps_canonical(field_to_json(
+        FormField(dim=2, points=[FieldPoint(id="p0", forms={"S": S}),
+                                 FieldPoint(id="p1", forms={"S": S})]))))
+    metric = tmp_path / "metric.json"
+    check = ("check", "--input", path, "--form", "S")
+    if case == "check_q_above_dim":
+        argv, named = check + ("--q", 5), "--q"
+    elif case == "check_q_zero":
+        argv, named = check + ("--q", 0), "--q"
+    elif case == "single_q_above_dim":
+        argv, named = ("synthesize", "single", "--input", path, "--q", 9), "--q"
+    elif case == "metric_missing_id":
+        metric.write_text(dumps_canonical(metrics_to_json(["p0"], [np.eye(2)])))
+        argv, named = check + ("--q", 1, "--metric", metric), f"{metric}.metrics"
+    elif case == "metric_malformed_json":
+        metric.write_text('{"metrics": [')
+        argv, named = check + ("--q", 1, "--metric", metric), str(metric)
+    else:
+        doc = json.loads(path.read_text())
+        doc["points"][1]["forms"]["S"]["re"][0][0] = float("nan")
+        path.write_text(json.dumps(doc))
+        argv, named = check + ("--q", 1), f"{path}.points[1].forms.S"
+    r = run_cli(*argv)
+    assert r.returncode == 1, r.stdout + r.stderr
+    assert named in r.stderr
+    assert "Traceback" not in r.stderr
