@@ -80,6 +80,7 @@ from .riesz import (
 )
 from .two_forms import (
     PairState,
+    common_direction,
     field_metric_top_degree,
     find_common_direction,
     pair_metric,

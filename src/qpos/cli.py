@@ -19,6 +19,7 @@ from . import metric_single, metric_subbundle, two_forms
 from .errors import CertificateFailed, QOutOfRange, QposError, SchemaError
 from .fields import certify
 from .geometry import (
+    Domain,
     counterexample_build,
     counterexample_scan,
     domain_from_spec,
@@ -52,7 +53,22 @@ def _config_echo(args, **extra):
 
 
 def _load_domain(path):
-    return domain_from_spec(read_json(path))
+    domain = domain_from_spec(read_json(path), str(path))
+    if not isinstance(domain, Domain):
+        raise SchemaError(f"{path}.type", f"{type(domain).__name__} is not a bounded domain")
+    return domain
+
+
+def _form_names(args, field, count=None):
+    """The --forms names, each present at every point of the field."""
+    names = args.forms.split(",")
+    if count is not None and len(names) != count:
+        raise SchemaError("--forms", f"needs exactly {count} comma-separated names")
+    for name in names:
+        for p in field.points:
+            if name not in p.forms:
+                raise SchemaError("--forms", f"form {name!r} missing at point {p.id!r}")
+    return names
 
 
 def _load_metrics(path, field):
@@ -142,7 +158,7 @@ def cmd_synthesize_single(args):
 
 def cmd_synthesize_subbundle(args):
     field = load_field(args.input)
-    names = args.forms.split(",")
+    names = _form_names(args, field)
     metrics, certs, consts = metric_subbundle.synthesize_subbundle(
         field, names, args.q, safety=args.safety)
     _write_outputs(args, field.ids, metrics, certs)
@@ -160,11 +176,11 @@ def cmd_synthesize_subbundle(args):
 
 def cmd_synthesize_two_forms(args):
     field = load_field(args.input)
-    names = tuple(args.forms.split(","))
-    if len(names) != 2:
-        raise SchemaError("--forms", "two-forms synthesis needs exactly two names")
+    names = _form_names(args, field, 2)
+    if args.angles < 1:
+        raise SchemaError("--angles", f"needs at least one ray, got {args.angles}")
     metrics, certs, gammas, cont = two_forms.field_metric_top_degree(
-        field, names, n_angles=args.angles, seed=args.seed)
+        field, names, n_angles=args.angles)
     _write_outputs(args, field.ids, metrics, certs,
                    gamma_points=[{"id": i, "gamma": g.tolist()}
                                  for i, g in zip(field.ids, gammas)],
@@ -246,6 +262,10 @@ def cmd_geometry_bump(args):
 
 
 def cmd_geometry_counterexample(args):
+    if not 0 < args.radius < np.inf:
+        raise SchemaError("--radius", f"must be positive and finite, got {args.radius}")
+    if args.grid < 8:
+        raise SchemaError("--grid", f"must be at least 8, got {args.grid}")
     field = counterexample_build(R=args.radius, grid_n=args.grid)
     residual = float(np.max(unit_eigenvector_residuals(field)))
     results = []

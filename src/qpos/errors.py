@@ -101,12 +101,23 @@ class CertificateFailed(QposError):
 
 
 class NoCommonDirection(QposError):
-    def __init__(self, point_id=None):
-        msg = "no common positive direction found"
+    """No unit vector makes both forms positive.
+
+    With ``t`` and ``lam_max`` given this is proved up to the stated floor:
+    lambda_max((1 - t) Q1 + t Q2) bounds min(Q1(v, v), Q2(v, v)) from above
+    on the unit sphere.
+    """
+
+    def __init__(self, point_id=None, t=None, lam_max=None):
+        msg = "no common positive direction"
         if point_id is not None:
             msg += f" at point {point_id!r}"
+        if t is not None:
+            msg += f": lambda_max((1 - t) Q1 + t Q2) = {lam_max:.3e} <= floor at t = {t:.6f}"
         super().__init__(msg)
         self.point_id = point_id
+        self.t = t
+        self.lam_max = lam_max
 
 
 class LevelNotReached(QposError):

@@ -33,12 +33,12 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from ..errors import BoundNotFound, NoCommonDirection, QposError
+from ..errors import BoundNotFound, QOutOfRange, QposError
 from ..fields import FieldPoint, FormField
 from ..hermitian import congruence, pencil_eigvalsh, reduce_form
 from ..metric_subbundle import synthesize_subbundle
 from ..synthetic import random_g_orthonormal_frames
-from ..two_forms import find_common_direction
+from ..two_forms import common_witnesses
 from .domains import Domain
 from .levi import BoundarySample, boundary_weight_hessian, levi_form
 
@@ -91,29 +91,21 @@ class WeightBumpReport:
                 and float(np.min(self.claim3_min)) > 0)
 
 
-def _common_positive_subbundle(Lv, Hv, rank: int, seed: int) -> np.ndarray:
+def _common_positive_subbundle(Lv, Hv, rank: int) -> np.ndarray:
     """Per-sample rank-``rank`` frames on which both forms are positive definite.
 
     Supported: full-rank (both forms PD on the whole kernel) and rank one
-    (common-direction search).  Intermediate ranks would need a genuine
-    subbundle optimizer and are rejected.
+    (one exact common-direction decision over all samples).  Intermediate
+    ranks would need a genuine subbundle optimizer and are rejected.
     """
     n_samples, d, _ = Lv.shape
     if rank == d:
-        for name, F in (("levi", Lv), ("hessian", Hv)):
-            lam = np.linalg.eigvalsh(F)
-            if np.min(lam[:, 0]) <= 0:
-                raise NoCommonDirection(
-                    f"boundary {name} form is not positive definite on the full tangent")
+        if min(np.linalg.eigvalsh(F)[:, 0].min() for F in (Lv, Hv)) <= 0:
+            raise QposError("boundary Levi form or weight Hessian is not positive definite "
+                            "on the full tangent")
         return np.broadcast_to(np.eye(d, dtype=complex), (n_samples, d, d)).copy()
     if rank == 1:
-        V = np.empty((n_samples, d, 1), dtype=complex)
-        for i in range(n_samples):
-            v = find_common_direction(Lv[i], Hv[i], seed=seed)
-            if v is None:
-                raise NoCommonDirection(i)
-            V[i, :, 0] = v
-        return V
+        return common_witnesses(Lv, Hv, range(n_samples))[:, :, None]
     raise QposError(f"common positive subbundle of rank {rank} (1 < rank < {d}) "
                     "is not constructed from raw forms")
 
@@ -213,7 +205,7 @@ def weight_bump(domain: Domain, q: int, samples: list[BoundarySample],
     """Compute (delta0, eta, eps) and verify the three claims at every sample."""
     n = domain.n
     if not 1 <= q <= n - 1:
-        raise QposError(f"q = {q} not in [1, {n - 1}]")
+        raise QOutOfRange(f"q = {q} not in [1, {n - 1}]")
     if eps0 is None:
         eps0 = 0.1 * domain.scale
     n_samp = len(samples)
@@ -229,7 +221,7 @@ def weight_bump(domain: Domain, q: int, samples: list[BoundarySample],
     Hv = 0.5 * (Hv + np.conj(np.swapaxes(Hv, -1, -2)))
 
     # boundary metric h from the common positive subbundle of both forms
-    V = _common_positive_subbundle(Lv, Hv, n - q, seed)
+    V = _common_positive_subbundle(Lv, Hv, n - q)
     pts = [FieldPoint(id=i, forms={"levi": Lv[i], "hess": Hv[i]}, subspace=V[i])
            for i in range(n_samp)]
     kernel_field = FormField(dim=d, points=pts)

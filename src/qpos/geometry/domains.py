@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import QposError
+from ..errors import QposError, SchemaError
 
 FD_STEP = 1e-5
 
@@ -468,22 +468,63 @@ class MqnManifold:
         return out
 
 
-def domain_from_spec(spec: dict) -> Domain | MqnManifold:
-    """Build a domain from its JSON description {"type": ..., params...}."""
+def domain_from_spec(spec, path: str = "domain") -> Domain | MqnManifold:
+    """Build a domain from its JSON description {"type": ..., params...}.
+
+    A malformed description raises SchemaError naming the JSON path below
+    ``path`` (for example ``quad.json.mu``): a missing or mistyped key, an
+    integer out of range (n >= 2, 1 <= q <= n, product q >= 2), a
+    nonpositive radius, a ``mu`` the quadric rejects, or an unknown type.
+    """
+    if not isinstance(spec, dict):
+        raise SchemaError(path, 'expected an object with a "type"')
+
+    def get(key, ok, want, default=None):
+        value = spec.get(key, default)
+        if value is None:
+            raise SchemaError(f"{path}.{key}", "missing")
+        if isinstance(value, bool) or not ok(value):
+            raise SchemaError(f"{path}.{key}", f"expected {want}, got {value!r}")
+        return value
+
+    def integer(key, low, high=None):
+        return get(key, lambda v: isinstance(v, int) and low <= v <= (high or v),
+                   f"an integer >= {low}" + (f" and <= {high}" if high else ""))
+
+    def radius():
+        return float(get("radius", lambda v: isinstance(v, (int, float)) and 0 < v < np.inf,
+                         "a positive number", 1.0))
+
     kind = spec.get("type")
     if kind == "ball":
-        return BallDomain(n=int(spec["n"]), radius=float(spec.get("radius", 1.0)))
+        return BallDomain(n=integer("n", 2), radius=radius())
     if kind == "quadric":
-        return QuadricDomain(mu=spec["mu"], n=int(spec["n"]), q=int(spec["q"]))
+        n = integer("n", 2)
+        mu = get("mu", lambda v: isinstance(v, list) and len(v) == n + 1 and all(
+            isinstance(m, (int, float)) and np.isfinite(m) for m in v), f"{n + 1} finite numbers")
+        q = integer("q", 1, n)
+        try:
+            return QuadricDomain(mu=mu, n=n, q=q)
+        except QposError as e:
+            raise SchemaError(f"{path}.mu", str(e)) from e
     if kind == "product":
-        return ProductDomain(n=int(spec["n"]), q=int(spec["q"]),
-                             radius=float(spec.get("radius", 1.0)))
+        n = integer("n", 2)
+        return ProductDomain(n=n, q=integer("q", 2, n), radius=radius())
     if kind == "mqn":
-        return MqnManifold(n=int(spec["n"]), q=int(spec["q"]))
+        n = integer("n", 2)
+        return MqnManifold(n=n, q=integer("q", 1, n))
     if kind == "custom":
         import importlib
 
-        module, _, attr = str(spec["target"]).partition(":")
-        factory = getattr(importlib.import_module(module), attr)
-        return factory(**spec.get("params", {}))
-    raise QposError(f"unknown domain type {kind!r}")
+        target = get("target", lambda v: isinstance(v, str), '"module:factory"')
+        module, _, attr = target.partition(":")
+        try:
+            factory = getattr(importlib.import_module(module), attr)
+        except (ImportError, AttributeError, ValueError) as e:
+            raise SchemaError(f"{path}.target", f"cannot load {target!r}: {e}") from e
+        try:
+            return factory(**get("params", lambda v: isinstance(v, dict), "an object", {}))
+        except TypeError as e:
+            raise SchemaError(f"{path}.params", str(e)) from e
+    raise SchemaError(f"{path}.type", f"unknown domain type {kind!r}; expected ball, "
+                      "quadric, product, mqn or custom")

@@ -20,7 +20,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
-from ..errors import BoundNotFound, FrameInvalid, ZqViolated
+from ..errors import BoundNotFound, FrameInvalid, QOutOfRange, ZqViolated
 from ..fields import FieldPoint, FormField
 from ..metric_single import synthesize_single
 from .domains import Domain
@@ -149,9 +149,12 @@ def zq_check(domain: Domain, q: int, samples: list[BoundarySample],
 
     Branch (i): at least n - q positive eigenvalues; branch (ii): at least
     q + 1 negative ones.  Samples meeting neither raise ZqViolated, as does a
-    component mixing the two branches.
+    component mixing the two branches.  Raises QOutOfRange unless
+    1 <= q <= n - 1.
     """
     n = domain.n
+    if not 1 <= q <= n - 1:
+        raise QOutOfRange(f"q = {q} not in [1, {n - 1}]")
     levis = np.stack([levi_form(domain, s) for s in samples])
     lam = np.linalg.eigvalsh(levis)
     if zero_threshold is None:

@@ -15,10 +15,11 @@ connected; its arclength midpoint gamma gives the metric <., .>_gamma with
 both traces positive.  Proportional pairs (Q1 = mu Q2, mu > 0) use the
 closed-form midpoint (c / 2 mu, c / 2) of the line segment xi = 1 instead.
 
-Level curves are traced by ray shooting: along each ray from the origin xi
-is convex and 0 at the origin and blows up at the boundary of O, so the
-upward crossing of any positive level is unique and bracket/bisect is
-robust.  All rays are processed as one numpy batch.
+Both searches are exact.  A common positive direction is found or proved
+absent by a convex search in one variable (``common_direction``).  Level
+curves are traced by ray shooting: along a ray the Gram matrix is I - t M,
+so one eigendecomposition of M gives xi and both traces in closed form and
+Newton's method finds the crossing.  All rays are processed as one batch.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .errors import (
     DimensionMismatch,
     LevelNotReached,
     NoCommonDirection,
+    QposError,
 )
 from .fields import FormField, certify, require_passed
 from .hermitian import as_form, as_metric, congruence, reduce_form
@@ -42,6 +44,8 @@ TAU_LEVEL = 1e-10
 TAU_PROP = 1e-10
 GRAD_FLOOR = 1e-12
 NEAR_PROP_WARN = 1e-6
+DIRECTION_FLOOR_SCALE = 1e-12
+GOLDEN_STEPS = 72  # 0.618**72 < 1e-15: the bracket in t reaches float resolution
 
 
 @dataclass(frozen=True)
@@ -95,10 +99,8 @@ class PairState:
         self.witness = None
         if witness is not None:
             v = np.asarray(witness, dtype=complex)
-            vals = (float(np.real(v.conj() @ self.Q1 @ v)),
-                    float(np.real(v.conj() @ self.Q2 @ v)))
-            if min(vals) <= 0:
-                raise NoCommonDirection()
+            if _worst(self.Q1[None], self.Q2[None], v[None])[0] <= 0:
+                raise QposError("the witness is not positive for both forms")
             self.witness = v / np.sqrt(float(np.real(v.conj() @ self.base @ v)))
 
     # -- deformed Gram matrices (batched over rows of X) ------------------
@@ -109,15 +111,6 @@ class PairState:
         return (I - X[:, 0, None, None] * self._Q1t
                 - X[:, 1, None, None] * self._Q2t)
 
-    def _xi_batch(self, X):
-        """(in_O, xi) for a batch of parameter points; xi = nan off O."""
-        w = np.linalg.eigvalsh(self.gram(X))
-        in_O = w[:, 0] > 0
-        xi = np.full(len(w), np.nan)
-        if in_O.any():
-            xi[in_O] = -np.sum(np.log(w[in_O]), axis=1)
-        return in_O, xi
-
     def metric_at(self, x) -> np.ndarray:
         """The deformed metric at x in the original coordinates."""
         x = np.asarray(x, dtype=float)
@@ -127,8 +120,8 @@ class PairState:
     def form_inner_ratio(self) -> float:
         """mu with Q1 ~ mu Q2 in the least-squares sense (form inner product)."""
         denom = float(np.vdot(self._Q2t, self._Q2t).real)
-        if denom == 0:
-            raise NoCommonDirection()
+        if denom == 0:  # Q2 = 0: lambda_max of the segment at t = 1 is 0
+            raise NoCommonDirection(t=1.0, lam_max=0.0)
         return float(np.vdot(self._Q2t, self._Q1t).real) / denom
 
     def proportionality_defect(self, mu: float) -> float:
@@ -136,6 +129,13 @@ class PairState:
         if n1 == 0:
             return 0.0
         return float(np.linalg.norm(self._Q1t - mu * self._Q2t) / n1)
+
+
+def _frame_forms(pair: PairState, U, w):
+    """Q1, Q2 in the frame U diag(w)^(-1/2), orthonormal for G = U diag(w) U*."""
+    s = 1.0 / np.sqrt(w)
+    return [s[..., :, None] * (np.conj(np.swapaxes(U, -1, -2)) @ Q @ U) * s[..., None, :]
+            for Q in (pair._Q1t, pair._Q2t)]
 
 
 def xi_eval(pair: PairState, x) -> XiEvaluation:
@@ -146,131 +146,159 @@ def xi_eval(pair: PairState, x) -> XiEvaluation:
     and Q_s in any x-orthonormal frame, hence positive semidefinite.
     """
     x = np.asarray(x, dtype=float)
-    G = pair.gram(x[None, :])[0]
-    w = np.linalg.eigvalsh(G)
+    w, U = np.linalg.eigh(pair.gram(x[None, :])[0])
     if w[0] <= 0:
         return XiEvaluation(x=x, in_O=False, xi=None, grad=None, hessian=None)
-    xi = float(-np.sum(np.log(w)))
-    X, _ = congruence(G)  # x-orthonormal frame columns
-    R1 = reduce_form(pair._Q1t, X)
-    R2 = reduce_form(pair._Q2t, X)
-    grad = np.array([float(np.trace(R1).real), float(np.trace(R2).real)])
-    h11 = float(np.vdot(R1, R1).real)
-    h22 = float(np.vdot(R2, R2).real)
-    h12 = float(np.vdot(R2, R1).real)
-    hess = np.array([[h11, h12], [h12, h22]])
-    return XiEvaluation(x=x, in_O=True, xi=xi, grad=grad, hessian=hess)
+    R = _frame_forms(pair, U, w)
+    return XiEvaluation(x=x, in_O=True, xi=float(-np.sum(np.log(w))),
+                        grad=np.array([float(np.trace(Rr).real) for Rr in R]),
+                        hessian=np.array([[float(np.vdot(Rs, Rr).real) for Rs in R]
+                                          for Rr in R]))
 
 
-def find_common_direction(Q1, Q2, trials: int = 64, iters: int = 200,
-                          seed: int = 0, base=None):
-    """Search for a unit vector where both forms are positive.
+def _worst(A, B, V):
+    """min(A(v, v), B(v, v)) for each row v of V and the matching matrices."""
+    return np.minimum(*(np.einsum("ni,nij,nj->n", V.conj(), F, V).real for F in (A, B)))
 
-    Multi-start maximization of min(Q1(v,v), Q2(v,v)) on the unit sphere: a
-    sweep of top eigenvectors of the segment (1-t) Q1 + t Q2 followed by
-    projected subgradient ascent from random starts.  Returns a witness
-    vector or None; absence of a witness is not a proof that none exists.
+
+def _plane_optimum(A, B, E):
+    """The unit v in the span of E's two columns maximising min(A(v, v), B(v, v)).
+
+    On the Bloch sphere of the plane each form reads p + x . n, so a
+    maximiser is the top of one form or the best point where the two agree.
     """
-    pair = Q1 if isinstance(Q1, PairState) else PairState(Q1, Q2, base=base)
-    A, B = pair._Q1t, pair._Q2t
-    d = pair.dim
-    if np.linalg.eigvalsh(A)[-1] <= 0 or np.linalg.eigvalsh(B)[-1] <= 0:
-        return None
+    def bloch(F):
+        P = np.conj(np.swapaxes(E, 1, 2)) @ F @ E
+        a, c, b = P[:, 0, 0].real, P[:, 1, 1].real, P[:, 0, 1]
+        return (a + c) / 2, np.stack([b.real, -b.imag, (a - c) / 2], axis=1)
 
-    def value(v):
-        return min(float(np.real(v.conj() @ A @ v)), float(np.real(v.conj() @ B @ v)))
+    def unit(x):
+        return x / np.maximum(np.linalg.norm(x, axis=1, keepdims=True), 1e-300)
 
-    def ascent(v):
-        v = v / np.linalg.norm(v)
-        best, vb = value(v), v
-        step = 0.5
-        for _ in range(iters):
-            qa = float(np.real(v.conj() @ A @ v))
-            qb = float(np.real(v.conj() @ B @ v))
-            if abs(qa - qb) < 1e-9 * max(1.0, abs(qa)):
-                g = (A + B) @ v
-            elif qa < qb:
-                g = A @ v
-            else:
-                g = B @ v
-            w = v + step * g
-            nw = np.linalg.norm(w)
-            if nw == 0:
-                break
-            w = w / nw
-            if value(w) > value(v):
-                v = w
-            else:
-                step *= 0.5
-                if step < 1e-12:
-                    break
-            if value(v) > best:
-                best, vb = value(v), v
-        return best, vb
-
-    candidates = []
-    for t in np.linspace(0.0, 1.0, 33):
-        M = (1.0 - t) * A + t * B
-        lam, V = np.linalg.eigh(M)
-        candidates.append(V[:, -1])
-    rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        candidates.append(z / np.linalg.norm(z))
-
-    best_val, best_v = -np.inf, None
-    for v0 in candidates:
-        val, v = ascent(v0)
-        if val > best_val:
-            best_val, best_v = val, v
-        if best_val > 1e-6:
-            break
-    scale = max(np.linalg.norm(A, 2), np.linalg.norm(B, 2), 1.0)
-    if best_val <= 1e-12 * scale:
-        return None
-    # report in original coordinates, base-unit length
-    w = pair._W @ best_v
-    return w / np.sqrt(float(np.real(w.conj() @ pair.base @ w)))
+    (p1, x1), (p2, x2) = bloch(A), bloch(B)
+    norm = np.maximum(np.linalg.norm(x1 - x2, axis=1, keepdims=True), 1e-300)
+    u, cos = (x1 - x2) / norm, np.clip((p2 - p1)[:, None] / norm, -1.0, 1.0)
+    a = unit(np.cross(u, np.eye(3)[np.argmin(np.abs(u), axis=1)]))  # a, b span u-perp
+    b = np.cross(u, a)
+    ang = np.arctan2(np.sum(x1 * b, axis=1), np.sum(x1 * a, axis=1))[:, None]
+    meet = cos * u + np.sqrt(1.0 - cos ** 2) * (np.cos(ang) * a + np.sin(ang) * b)
+    cands = []
+    for x, y, z in (unit(x1).T, unit(x2).T, meet.T):  # Bloch vector to C^2, nearer pole
+        c2 = np.where(z[:, None] >= 0, np.stack([1 + z, x + 1j * y], 1),
+                      np.stack([x - 1j * y, 1 - z], 1))
+        cands.append((E @ unit(c2)[:, :, None])[:, :, 0])
+    k = np.argmax([_worst(A, B, v) for v in cands], axis=0)
+    return np.stack(cands, axis=1)[np.arange(len(k)), k]
 
 
-def _ray_level_hits(pair: PairState, dirs: np.ndarray, level: float,
-                    max_expand: int = 20) -> np.ndarray:
-    """Radial parameters t with xi(t * dir) = level, batched over rays.
+def common_direction(Q1, Q2):
+    """Decide for each pair of a stack whether both forms are positive somewhere.
 
-    xi is convex along each ray with xi(0) = 0 < level and blows up at the
-    boundary of O, so the crossing is the unique point where the predicate
-    "outside O or xi > level" switches on; plain bisection on t converges.
+    By Toeplitz-Hausdorff, max_{|v|=1} min(Q1(v, v), Q2(v, v)) is the
+    minimum over t in [0, 1] of the convex f(t) = lambda_max((1 - t) Q1 + t Q2),
+    found by golden section and compared with t = 0 and t = 1.  The witness
+    is the top eigenvector at t* or, where that is not above the floor, the
+    best vector of a plane in the top eigenspace; it is verified directly.
+    Without one, f(t*) <= floor proves that none exists.
+
+    ``Q1``, ``Q2``: (n, d, d) Hermitian stacks in base-orthonormal
+    coordinates; floor = DIRECTION_FLOOR_SCALE * max(1, |Q1|_2, |Q2|_2).
+    Returns ``(value, t, V)``: f(t*), t* and the unit witness rows, NaN where
+    none exists.  Raises QposError for a pair that neither way decides.
     """
-    n = len(dirs)
-    norms = np.maximum(np.linalg.norm(pair._Q1t, 2), np.linalg.norm(pair._Q2t, 2))
-    t_hi = np.full(n, 0.5 / max(norms, 1e-8))
-    t_lo = np.zeros(n)
+    A = np.asarray(Q1, dtype=complex)
+    B = np.asarray(Q2, dtype=complex)
+    n, d, _ = A.shape
+    lam_a, lam_b = np.linalg.eigvalsh(A), np.linalg.eigvalsh(B)
+    floor = DIRECTION_FLOOR_SCALE * np.maximum.reduce(
+        [np.ones(n), np.abs(lam_a).max(axis=1), np.abs(lam_b).max(axis=1)])
 
-    def above(t):
-        in_O, xi = pair._xi_batch(t[:, None] * dirs)
-        return ~in_O | (np.nan_to_num(xi, nan=np.inf) > level)
+    def segment(t):
+        return (1.0 - t)[:, None, None] * A + t[:, None, None] * B
 
-    pending = ~above(t_hi)
-    expansions = 0
-    while pending.any():
-        if expansions >= max_expand:
-            i = int(np.argmax(pending))
-            theta = float(np.arctan2(dirs[i, 1], dirs[i, 0]))
-            raise LevelNotReached(theta, float(t_hi[i]))
-        t_lo[pending] = t_hi[pending]
-        t_hi[pending] *= 2.0
-        expansions += 1
-        pending = ~above(t_hi)
+    def top(t):
+        return np.linalg.eigvalsh(segment(t))[:, -1]
 
-    for _ in range(200):
-        mid = 0.5 * (t_lo + t_hi)
-        done = (mid <= t_lo) | (mid >= t_hi)
-        if done.all():
-            break
-        up = above(mid)
-        t_hi = np.where(up & ~done, mid, t_hi)
-        t_lo = np.where(~up & ~done, mid, t_lo)
-    return t_lo
+    g = (np.sqrt(5.0) - 1.0) / 2.0
+    lo, hi = np.zeros(n), np.ones(n)
+    c, e = np.full(n, 1.0 - g), np.full(n, g)
+    fc, fe = top(c), top(e)
+    for _ in range(GOLDEN_STEPS):
+        left = fc <= fe  # a minimiser lies in [lo, e]
+        lo, hi = np.where(left, lo, c), np.where(left, e, hi)
+        new = np.where(left, hi - g * (hi - lo), lo + g * (hi - lo))
+        f_new = top(new)
+        c, e, fc, fe = (np.where(left, new, e), np.where(left, c, new),
+                        np.where(left, f_new, fe), np.where(left, fc, f_new))
+    T = np.stack([np.zeros(n), np.ones(n), c, e], axis=1)
+    F = np.stack([lam_a[:, -1], lam_b[:, -1], fc, fe], axis=1)
+    t = T[np.arange(n), np.argmin(F, axis=1)]
+    lam, U = np.linalg.eigh(segment(t))
+    value, V = lam[:, -1], U[:, :, -1]
+    weak = _worst(A, B, V) <= floor
+    if weak.any() and d > 1:
+        # plane of the extreme Q2 - Q1 directions in the top eigenspace (>= 2 vectors)
+        U, near = U[weak], lam[weak] >= (value - floor)[weak, None]
+        near[:, -2:] = True
+        D = np.conj(np.swapaxes(U, 1, 2)) @ (B - A)[weak] @ U * near[:, None, :] * near[:, :, None]
+        mean = np.trace(D, axis1=1, axis2=2).real / near.sum(axis=1)  # never extreme
+        D += (~near * mean[:, None])[:, :, None] * np.eye(d)
+        V[weak] = _plane_optimum(A[weak], B[weak], U @ np.linalg.eigh(D)[1][:, :, [0, -1]])
+    found = _worst(A, B, V) > floor
+    if np.any(~found & (value > floor)):
+        i = int(np.argmax(~found & (value > floor)))
+        raise QposError(f"common positive direction undecided for pair {i}: no witness above "
+                        f"the floor {floor[i]:.3e}, lambda_max {value[i]:.3e} at t = {t[i]:.6f}")
+    V[~found] = np.nan
+    return value, t, V
+
+
+def common_witnesses(Q1, Q2, ids):
+    """Witness rows for every pair; else NoCommonDirection names ``ids[i]``."""
+    value, t, V = common_direction(Q1, Q2)
+    missing = np.flatnonzero(np.isnan(V[:, 0]))
+    if missing.size:
+        i = missing[0]
+        raise NoCommonDirection(ids[i], float(t[i]), float(value[i]))
+    return V
+
+
+def find_common_direction(Q1, Q2, base=None):
+    """Single-pair ``common_direction``: a base-unit witness, or None (proved up to the floor)."""
+    pair = PairState(Q1, Q2, base=base)
+    _, _, V = common_direction(pair._Q1t[None], pair._Q2t[None])
+    return None if np.isnan(V[0, 0]) else pair._W @ V[0]
+
+
+def _ensure_witness(pair: PairState) -> None:
+    if pair.witness is None:
+        pair.witness = pair._W @ common_witnesses(pair._Q1t[None], pair._Q2t[None], [None])[0]
+
+
+def _ray_level_hits(pair: PairState, dirs: np.ndarray, level: float):
+    """Crossings t of xi(t * dir) = level, batched over rays; returns ``(t, mu, U)``.
+
+    Along a ray the Gram matrix is I - t M with M = dir_1 Q1 + dir_2 Q2 =
+    U diag(mu) U*, so xi(t) = -sum_k log(1 - t mu_k) is convex, 0 at t = 0
+    and infinite at t = 1 / mu_max, the boundary of O, which exists iff
+    mu_max > 0.  Newton's method starts at t0 = -expm1(-(level + C)) / mu_max
+    with C = sum_{mu_k < 0} log1p(-mu_k / mu_max), where xi(t0) >= level,
+    decreases monotonically, and stops when a step no longer decreases t.
+    """
+    M = dirs[:, 0, None, None] * pair._Q1t + dirs[:, 1, None, None] * pair._Q2t
+    mu, U = np.linalg.eigh(M)
+    top = mu[:, -1]
+    if np.any(top <= 0):
+        i = int(np.argmax(top <= 0))
+        raise LevelNotReached(float(np.arctan2(dirs[i, 1], dirs[i, 0])), float("inf"))
+    C = np.sum(np.log1p(-np.minimum(mu, 0.0) / top[:, None]), axis=1)
+    t = -np.expm1(-(level + C)) / top
+    while True:
+        w = 1.0 - t[:, None] * mu
+        new = t - (-np.sum(np.log(w), axis=1) - level) / np.sum(mu / w, axis=1)
+        if not np.any(new < t):
+            return t, mu, U
+        t = np.minimum(t, new)
 
 
 def trace_level_curve(pair: PairState, n_angles: int = DEFAULT_ANGLES,
@@ -282,28 +310,21 @@ def trace_level_curve(pair: PairState, n_angles: int = DEFAULT_ANGLES,
     quadrant of O).  Marks the samples where both gradient components are
     strictly positive; those form a single contiguous arc in theta.
     """
-    if pair.witness is None:
-        w = find_common_direction(pair, None)
-        if w is None:
-            raise NoCommonDirection()
-        pair.witness = w
+    _ensure_witness(pair)
     thetas = (np.arange(n_angles) + 0.5) * (np.pi / 2.0) / n_angles
     dirs = np.column_stack([np.cos(thetas), np.sin(thetas)])
-    t = _ray_level_hits(pair, dirs, level)
+    t, mu, U = _ray_level_hits(pair, dirs, level)
     X = t[:, None] * dirs
-    G = pair.gram(X)
-    w, U = np.linalg.eigh(G)
+    w = 1.0 - t[:, None] * mu  # eigenvalues of the Gram matrix at X
     xi = -np.sum(np.log(w), axis=1)
     if np.max(np.abs(xi - level)) > tau_level:
         raise LevelNotReached(float(thetas[int(np.argmax(np.abs(xi - level)))]),
                               float(np.max(t)))
-    Ginv = np.einsum("...ik,...k,...jk->...ij", U, 1.0 / w, U.conj())
-    g1 = np.einsum("nkj,jk->n", Ginv, pair._Q1t).real
-    g2 = np.einsum("nkj,jk->n", Ginv, pair._Q2t).real
+    g1, g2 = (np.trace(R, axis1=1, axis2=2).real for R in _frame_forms(pair, U, w))
     member = (g1 > grad_floor) & (g2 > grad_floor)
     idx = np.where(member)[0]
     if idx.size and not np.all(np.diff(idx) == 1):
-        raise RuntimeError("positive-gradient arc is not contiguous; refine n_angles")
+        raise CertificateFailed("positive-gradient arc is not contiguous; refine n_angles")
     return [
         LevelCurveSample(theta=float(thetas[i]), t=float(t[i]), x=X[i].copy(),
                          xi=float(xi[i]), grad=np.array([g1[i], g2[i]]),
@@ -322,11 +343,7 @@ def pair_metric(pair: PairState, n_angles: int = DEFAULT_ANGLES,
     positive-gradient arc, re-projected radially onto the level curve.  The
     output traces of both forms are re-verified to be positive.
     """
-    if pair.witness is None:
-        w = find_common_direction(pair, None)
-        if w is None:
-            raise NoCommonDirection()
-        pair.witness = w
+    _ensure_witness(pair)
     mu = pair.form_inner_ratio()
     defect = pair.proportionality_defect(mu)
     samples = None
@@ -334,7 +351,7 @@ def pair_metric(pair: PairState, n_angles: int = DEFAULT_ANGLES,
         if mu <= 0:
             raise NoCommonDirection()
         u = np.array([[0.5 / mu, 0.5]])
-        t = _ray_level_hits(pair, u, level)
+        t, _, _ = _ray_level_hits(pair, u, level)
         gamma = t[0] * u[0]
         proportional = True
     else:
@@ -345,20 +362,12 @@ def pair_metric(pair: PairState, n_angles: int = DEFAULT_ANGLES,
         pts = np.array([s.x for s in samples if s.in_gamma_tilde])
         if len(pts) == 0:
             raise CertificateFailed("empty positive-gradient arc; n_angles too coarse")
-        if len(pts) == 1:
-            gamma = pts[0]
-        else:
-            seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-            cum = np.concatenate([[0.0], np.cumsum(seg)])
-            half = cum[-1] / 2.0
-            k = int(np.searchsorted(cum, half, side="right") - 1)
-            k = min(k, len(seg) - 1)
-            frac = (half - cum[k]) / seg[k] if seg[k] > 0 else 0.0
-            raw = pts[k] + frac * (pts[k + 1] - pts[k])
-            # re-project the polyline midpoint radially onto the level curve
-            u = raw / np.linalg.norm(raw)
-            t = _ray_level_hits(pair, u[None, :], level)
-            gamma = t[0] * u
+        cum = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(pts, axis=0), axis=1))])
+        raw = np.array([np.interp(cum[-1] / 2.0, cum, pts[:, k]) for k in range(2)])
+        # re-project the polyline midpoint radially onto the level curve
+        u = raw / np.linalg.norm(raw)
+        t, _, _ = _ray_level_hits(pair, u[None, :], level)
+        gamma = t[0] * u
         proportional = False
         mu = None
     ev = xi_eval(pair, gamma)
@@ -373,27 +382,24 @@ def pair_metric(pair: PairState, n_angles: int = DEFAULT_ANGLES,
                             proportional=proportional, mu=mu, samples=samples)
 
 
-def field_metric_top_degree(field: FormField, names, n_angles: int = DEFAULT_ANGLES,
-                            seed: int = 0):
+def field_metric_top_degree(field: FormField, names, n_angles: int = DEFAULT_ANGLES):
     """Pointwise pair metrics over a field, with trace certificates.
 
     ``names = (name1, name2)`` selects the two forms; each certificate is the
-    q = d certificate, whose sum is the trace.  Raises NoCommonDirection
-    with the offending point id when the witness search fails.  Returns
-    ``(metrics, certificates, gamma_points, continuity)``; ``continuity``
-    reports the largest jump of gamma across adjacent samples when the
-    field has adjacency.
+    q = d certificate, whose sum is the trace.  One ``common_direction`` call
+    decides all points; NoCommonDirection names the first without a witness.
+    Returns ``(metrics, certificates, gamma_points, continuity)``, the last
+    with the largest jump of gamma across adjacent samples, if any.
     """
     n1, n2 = names
     d = field.dim
+    W, _ = congruence(field.g0_stack())
+    V = common_witnesses(reduce_form(field.form_stack(n1), W),
+                         reduce_form(field.form_stack(n2), W), field.ids)
     metrics = np.empty((len(field), d, d), dtype=complex)
     gamma_points = np.empty((len(field), 2))
     for i, p in enumerate(field.points):
-        pair = PairState(p.forms[n1], p.forms[n2], base=p.g0)
-        w = find_common_direction(pair, None, seed=seed)
-        if w is None:
-            raise NoCommonDirection(p.id)
-        pair.witness = w
+        pair = PairState(p.forms[n1], p.forms[n2], base=p.g0, witness=W[i] @ V[i])
         res = pair_metric(pair, n_angles=n_angles)
         metrics[i] = res.metric
         gamma_points[i] = res.gamma_point

@@ -1,14 +1,21 @@
 """JSON schemas, canonical bytes, and the command-line interface."""
 
+import contextlib
+import copy
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from qpos import FieldPoint, FormField, SchemaError, spectrum_wrt
+from qpos import FieldPoint, FormField, SchemaError, cli, spectrum_wrt
 from qpos.serialize import (
     dumps_canonical,
     field_from_json,
@@ -209,18 +216,32 @@ def test_cli_geometry_counterexample(tmp_path):
     assert len(report["scans"]) == 20
 
 
-@pytest.mark.parametrize("case", ["check_q_above_dim", "check_q_zero", "single_q_above_dim",
-                                  "metric_missing_id", "metric_malformed_json",
-                                  "nan_form_entry"])
+BAD_INPUT_CASES = [
+    "check_q_above_dim", "check_q_zero", "single_q_above_dim", "metric_missing_id",
+    "metric_malformed_json", "nan_form_entry",
+    "zq_q_above_range", "zq_q_zero", "bump_q_above_range",
+    "domain_quadric_without_mu", "domain_not_an_object", "domain_unknown_type",
+    "domain_custom_bad_params",
+    "two_forms_unknown_form", "two_forms_zero_angles",
+    "counterexample_grid_1", "counterexample_negative_radius",
+]
+
+
+@pytest.mark.parametrize("case", BAD_INPUT_CASES)
 def test_cli_rejects_bad_input_with_exit_1(tmp_path, case):
     # each case used to pass, fail with exit 2 or end in a traceback
     S = np.diag([1.0, 2.0]).astype(complex)
     path = tmp_path / "field.json"
     path.write_text(dumps_canonical(field_to_json(
-        FormField(dim=2, points=[FieldPoint(id="p0", forms={"S": S}),
-                                 FieldPoint(id="p1", forms={"S": S})]))))
+        FormField(dim=2, points=[FieldPoint(id="p0", forms={"S": S, "Q1": S}),
+                                 FieldPoint(id="p1", forms={"S": S, "Q1": S})]))))
     metric = tmp_path / "metric.json"
+    quad = tmp_path / "quad.json"
+    quad.write_text(json.dumps({"type": "quadric", "n": 3, "q": 2,
+                                "mu": [2.0, 2.0, -0.5, -0.5]}))
     check = ("check", "--input", path, "--form", "S")
+    two = ("synthesize", "two-forms", "--input", path)
+    geo = ("geometry", "zq", "--domain", quad, "--samples", 20)
     if case == "check_q_above_dim":
         argv, named = check + ("--q", 5), "--q"
     elif case == "check_q_zero":
@@ -233,12 +254,77 @@ def test_cli_rejects_bad_input_with_exit_1(tmp_path, case):
     elif case == "metric_malformed_json":
         metric.write_text('{"metrics": [')
         argv, named = check + ("--q", 1, "--metric", metric), str(metric)
-    else:
+    elif case == "nan_form_entry":
         doc = json.loads(path.read_text())
         doc["points"][1]["forms"]["S"]["re"][0][0] = float("nan")
         path.write_text(json.dumps(doc))
         argv, named = check + ("--q", 1), f"{path}.points[1].forms.S"
+    elif case == "zq_q_above_range":
+        argv, named = geo + ("--q", 7), "--q"
+    elif case == "zq_q_zero":
+        argv, named = geo + ("--q", 0), "--q"
+    elif case == "bump_q_above_range":
+        argv, named = ("geometry", "bump", "--domain", quad, "--q", 5), "--q"
+    elif case.startswith("domain_"):
+        spec = {"domain_quadric_without_mu": {"type": "quadric", "n": 3},
+                "domain_not_an_object": [1, 2],
+                "domain_unknown_type": {"type": "torus", "n": 3},
+                "domain_custom_bad_params": {"type": "custom", "params": {"x": 1},
+                                             "target": "qpos.geometry:BallDomain"}}[case]
+        quad.write_text(json.dumps(spec))
+        named = {"domain_quadric_without_mu": f"{quad}.mu", "domain_not_an_object": str(quad),
+                 "domain_unknown_type": f"{quad}.type",
+                 "domain_custom_bad_params": f"{quad}.params"}[case]
+        argv = geo + ("--q", 1)
+    elif case == "two_forms_unknown_form":
+        argv, named = two + ("--forms", "Q1,Qx"), "--forms"
+    elif case == "two_forms_zero_angles":
+        argv, named = two + ("--forms", "S,Q1", "--angles", 0), "--angles"
+    elif case == "counterexample_grid_1":
+        argv, named = ("geometry", "counterexample", "--grid", 1), "--grid"
+    else:
+        argv, named = ("geometry", "counterexample", "--radius", -1), "--radius"
     r = run_cli(*argv)
     assert r.returncode == 1, r.stdout + r.stderr
     assert named in r.stderr
     assert "Traceback" not in r.stderr
+
+
+DOMAIN_TEMPLATES = [
+    {"type": "ball", "n": 2},
+    {"type": "quadric", "n": 3, "q": 2, "mu": [2.0, 2.0, -0.5, -0.5]},
+    {"type": "product", "n": 3, "q": 2, "radius": 1.5},
+    {"type": "mqn", "n": 3, "q": 2},
+]
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 5), st.floats(), st.text(max_size=4),
+    st.lists(st.floats(-3, 3), max_size=5),
+    st.sampled_from(["ball", "quadric", "product", "mqn", "custom"]))
+
+
+@st.composite
+def mutated_domain_specs(draw):
+    spec = copy.deepcopy(draw(st.sampled_from(DOMAIN_TEMPLATES)))
+    for _ in range(draw(st.integers(1, 3))):
+        key = draw(st.sampled_from(["type", "n", "q", "mu", "radius"]))
+        if draw(st.booleans()):
+            spec.pop(key, None)
+        else:
+            spec[key] = draw(JSON_VALUES)
+    return spec if draw(st.integers(0, 9)) else draw(JSON_VALUES)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutated_domain_specs(), st.sampled_from([("levi",), ("zq", "--q", "1")]))
+def test_cli_domain_spec_fuzz_exits_cleanly(spec, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        dom = Path(tmp) / "dom.json"
+        dom.write_text(json.dumps(spec))
+        argv = ["geometry", command[0], "--domain", str(dom), "--samples", "6", *command[1:]]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert str(dom) in err.getvalue()

@@ -2,13 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qpos import (
+    CertificateFailed,
     FieldPoint,
     FormField,
     NoCommonDirection,
     PairState,
+    common_direction,
     field_metric_top_degree,
     find_common_direction,
     pair_metric,
@@ -16,7 +20,9 @@ from qpos import (
     trace_wrt,
     xi_eval,
 )
+from qpos import two_forms
 from qpos.synthetic import random_hermitian, random_pair_with_common_direction
+from qpos.two_forms import DIRECTION_FLOOR_SCALE
 
 C_HALF = 1.0 - np.exp(-0.5)  # level-1 crossing of -2 log(1 - c)
 
@@ -111,13 +117,100 @@ def test_common_direction_crossed_pair():
 def test_common_direction_planted_random(rng):
     for _ in range(20):
         Q1, Q2, v0 = random_pair_with_common_direction(rng, 4)
-        v = find_common_direction(Q1, Q2, seed=3)
+        v = find_common_direction(Q1, Q2)
         assert v is not None
         assert float(np.real(v.conj() @ Q1 @ v)) > 0
         assert float(np.real(v.conj() @ Q2 @ v)) > 0
 
 
+def _herm(X):
+    return 0.5 * (X + np.conj(np.swapaxes(X, -1, -2)))
+
+
+def _values(A, B, v):
+    return (float(np.real(v.conj() @ A @ v)), float(np.real(v.conj() @ B @ v)))
+
+
+def test_common_direction_exact_on_small_margins():
+    # the former multi-start ascent returned None for 20 of these pairs (e.g. 5, 8, 9)
+    rng = np.random.default_rng(1)
+    A = _herm(rng.standard_normal((400, 3, 3)) + 1j * rng.standard_normal((400, 3, 3)))
+    B = _herm(rng.standard_normal((400, 3, 3)) + 1j * rng.standard_normal((400, 3, 3)))
+    c, _, _ = common_direction(A, B)  # the max-min value of each pair
+    shift = (c - 1e-4)[:, None, None] * np.eye(3)
+    A, B = (A - shift)[:150], (B - shift)[:150]
+    value, t, V = common_direction(A, B)
+    assert not np.isnan(V).any()
+    assert_allclose(value, 1e-4, atol=1e-12)
+    for a, b, v in zip(A, B, V):
+        assert min(_values(a, b, v)) > 0
+    for i in (5, 8, 9):
+        assert find_common_direction(A[i], B[i]) is not None
+
+
+@st.composite
+def hermitian_pairs(draw):
+    d = draw(st.integers(1, 3))
+    entries = st.lists(st.floats(-3, 3), min_size=2 * d * d, max_size=2 * d * d)
+    forms = []
+    for _ in range(2):
+        X = np.array(draw(entries)).reshape(2, d, d)
+        forms.append(_herm(X[0] + 1j * X[1]))
+    return forms
+
+
+@settings(max_examples=200, deadline=None)
+@given(hermitian_pairs())
+def test_common_direction_witness_or_certificate(pair):
+    A, B = pair
+    value, t, V = common_direction(A[None], B[None])
+    floor = DIRECTION_FLOOR_SCALE * max(1.0, np.linalg.norm(A, 2), np.linalg.norm(B, 2))
+    assert 0.0 <= t[0] <= 1.0
+    if np.isnan(V[0]).any():
+        # no witness: the stated segment point proves that none exists
+        assert np.linalg.eigvalsh((1 - t[0]) * A + t[0] * B)[-1] <= floor
+        assert find_common_direction(A, B) is None
+    else:
+        assert np.linalg.norm(V[0]) == pytest.approx(1.0, abs=1e-12)
+        assert min(_values(A, B, V[0])) > 0
+
+
+def test_no_common_direction_carries_certificate():
+    A, B = np.diag([1.0, -1.0]), np.diag([-1.0, 1.0])  # max-min is exactly 0
+    with pytest.raises(NoCommonDirection, match="lambda_max") as exc:
+        trace_level_curve(PairState(A, B))
+    t = exc.value.t
+    lam = np.linalg.eigvalsh((1 - t) * A + t * B)[-1]
+    assert lam == pytest.approx(exc.value.lam_max, abs=1e-15)
+    assert exc.value.lam_max <= DIRECTION_FLOOR_SCALE
+
+
 # ----------------------------------------------------------- level tracing
+
+def test_ray_level_hits_on_the_level_set(rng):
+    thetas = np.linspace(0.0, np.pi / 2, 64)
+    dirs = np.column_stack([np.cos(thetas), np.sin(thetas)])
+    for _ in range(24):
+        pair = PairState(*random_pair_with_common_direction(rng, 3)[:2])
+        t, _, _ = two_forms._ray_level_hits(pair, dirs, 1.0)
+        # independent path: eigenvalues of the Gram matrix at each crossing
+        w = np.linalg.eigvalsh(pair.gram(t[:, None] * dirs))
+        assert np.all(w[:, 0] > 0)
+        assert_allclose(-np.sum(np.log(w), axis=1), 1.0, atol=1e-12)
+
+
+def test_level_curve_noncontiguous_arc_is_certificate_failure(monkeypatch):
+    frame_forms = two_forms._frame_forms
+
+    def striped(pair, U, w):  # every other ray loses its positive Q1 trace
+        R1, R2 = frame_forms(pair, U, w)
+        R1[1::2] *= -1.0
+        return R1, R2
+
+    monkeypatch.setattr(two_forms, "_frame_forms", striped)
+    with pytest.raises(CertificateFailed, match="not contiguous"):
+        trace_level_curve(PairState(np.eye(2), np.eye(2)), n_angles=8)
+
 
 def test_level_curve_identity_pair_closed_form():
     pair = PairState(np.eye(2), np.eye(2), witness=np.array([1.0, 0.0]))
@@ -249,3 +342,4 @@ def test_field_flags_missing_common_direction():
     with pytest.raises(NoCommonDirection) as exc:
         field_metric_top_degree(field, ("Q1", "Q2"))
     assert exc.value.point_id == "bad"
+    assert exc.value.lam_max <= DIRECTION_FLOOR_SCALE
