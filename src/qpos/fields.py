@@ -70,9 +70,6 @@ class FormField:
     def ids(self):
         return [p.id for p in self.points]
 
-    def index_of(self, point_id):
-        return self._index[point_id]
-
     def form_names(self):
         names = set()
         for p in self.points:

@@ -5,10 +5,10 @@ Boundary points are produced by Newton projection of ambient seeds onto
 (1,0)-differential of rho is completed to a unitary frame; the Levi form is
 the complex Hessian of rho restricted to that kernel.  The Z(q) check
 classifies every sample by the Levi inertia and requires one branch per
-connected component (components from a k-nearest-neighbor graph on a
-chart-free embedding).  The metric pipeline then runs the single-form
-synthesis on the Levi field of each component, with the sign and the target
-q-sum dictated by the branch.
+connected component (components of a k-nearest-neighbor graph on a
+chart-free embedding, labelled by breadth-first search).  The metric
+pipeline then runs the single-form synthesis on the Levi field of each
+component, with the sign and the target q-sum dictated by the branch.
 """
 
 from __future__ import annotations
@@ -16,9 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
-from scipy.spatial import cKDTree
 
 from ..errors import BoundNotFound, FrameInvalid, QOutOfRange, ZqViolated
 from ..fields import FieldPoint, FormField
@@ -100,23 +97,35 @@ def sample_boundary(domain: Domain, count: int, seed: int = 0,
     return samples
 
 
-def adjacency_components(samples: list[BoundarySample], k: int = KNN):
-    """Symmetric kNN adjacency lists and connected-component labels."""
+def adjacency_components(samples: list[BoundarySample]):
+    """Connected components of the symmetric KNN-nearest-neighbor graph.
+
+    Returns ``(labels, n_components)``; components are numbered in order of
+    their lowest sample index.
+    """
     X = np.stack([s.embedding for s in samples])
     n = len(samples)
-    k_eff = min(k + 1, n)
-    _, nbr = cKDTree(X).query(X, k=k_eff)
-    rows, cols = [], []
-    for i in range(n):
-        for j in np.atleast_1d(nbr[i])[1:]:
-            rows.append(i)
-            cols.append(int(j))
-    data = np.ones(len(rows))
-    A = coo_matrix((data, (rows, cols)), shape=(n, n))
-    A = ((A + A.T) > 0).astype(int)
-    n_comp, labels = connected_components(A, directed=False)
-    neighbors = [sorted(set(A.getrow(i).indices) - {i}) for i in range(n)]
-    return neighbors, labels, int(n_comp)
+    sq = np.sum(X * X, axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
+    np.fill_diagonal(d2, np.inf)
+    k = min(KNN, n - 1)
+    A = np.zeros((n, n), dtype=bool)
+    if k > 0:
+        nbr = np.argpartition(d2, k - 1, axis=1)[:, :k]
+        A[np.arange(n)[:, None], nbr] = True
+    A |= A.T
+    labels = np.full(n, -1)
+    n_comp = 0
+    for start in range(n):
+        if labels[start] >= 0:
+            continue
+        frontier = np.zeros(n, dtype=bool)
+        frontier[start] = True
+        while frontier.any():
+            labels[frontier] = n_comp
+            frontier = A[frontier].any(axis=0) & (labels < 0)
+        n_comp += 1
+    return labels, n_comp
 
 
 def levi_form(domain: Domain, sample: BoundarySample) -> np.ndarray:
@@ -141,6 +150,7 @@ class ZqReport:
     branch: np.ndarray       # 'i' or 'ii' per sample
     component: np.ndarray    # component label per sample
     component_branch: dict   # label -> branch
+    levi: np.ndarray         # (n_samples, n-1, n-1) Levi forms
 
 
 def zq_check(domain: Domain, q: int, samples: list[BoundarySample],
@@ -171,7 +181,7 @@ def zq_check(domain: Domain, q: int, samples: list[BoundarySample],
             branch[i] = "ii"
         else:
             raise ZqViolated(i, f"Levi inertia ({n_plus[i]}, {n_minus[i]}) fits neither branch")
-    _, labels, n_comp = adjacency_components(samples)
+    labels, n_comp = adjacency_components(samples)
     component_branch = {}
     for c in range(n_comp):
         branches = set(branch[labels == c])
@@ -180,7 +190,7 @@ def zq_check(domain: Domain, q: int, samples: list[BoundarySample],
             raise ZqViolated(i, f"component {c} mixes branches {sorted(branches)}")
         component_branch[c] = branches.pop()
     return ZqReport(n=n, q=q, n_plus=n_plus, n_minus=n_minus, branch=branch,
-                    component=labels, component_branch=component_branch)
+                    component=labels, component_branch=component_branch, levi=levis)
 
 
 def zq_metric_pipeline(domain: Domain, q: int, samples: list[BoundarySample],
@@ -194,13 +204,12 @@ def zq_metric_pipeline(domain: Domain, q: int, samples: list[BoundarySample],
     """
     report = zq_check(domain, q, samples)
     d = domain.n - 1
-    levis = np.stack([levi_form(domain, s) for s in samples])
     metrics = np.empty((len(samples), d, d), dtype=complex)
     certificates = {}
     for c, br in report.component_branch.items():
         idx = np.where(report.component == c)[0]
         sign, q_tilde = (1.0, q) if br == "i" else (-1.0, domain.n - q - 1)
-        pts = [FieldPoint(id=int(i), forms={"S": sign * levis[i]}) for i in idx]
+        pts = [FieldPoint(id=int(i), forms={"S": sign * report.levi[i]}) for i in idx]
         field = FormField(dim=d, points=pts)
         mets, cert = synthesize_single(field, "S", q_tilde, theta=theta)
         metrics[idx] = mets

@@ -73,15 +73,6 @@ def _require_same_dim(*mats) -> int:
     return dims.pop()
 
 
-def form_value(M, u, v=None):
-    """H(u, v) = v* M u; with v omitted, the real quadratic value H(u, u)."""
-    M = np.asarray(M)
-    u = np.asarray(u)
-    if v is None:
-        return float(np.real(u.conj() @ M @ u))
-    return complex(np.asarray(v).conj() @ M @ u)
-
-
 # ---------------------------------------------------------------------------
 # batched pencil solver (shared by the field-level modules)
 # ---------------------------------------------------------------------------

@@ -215,15 +215,12 @@ def _batched_negative_projectors(S, G, r: int) -> np.ndarray:
 
 
 def synthesize_single(field: FormField, form: str, q_tilde: int,
-                      theta: float = DEFAULT_THETA, smooth: bool = False):
+                      theta: float = DEFAULT_THETA):
     """Build a per-point metric making the named form strictly q_tilde-positive.
 
     Runs stages r = 1 .. q_tilde - 1 of stratified inflation from g0
     (identity where absent).  Anchored points (F and its 1-ring under
-    adjacency) keep g0 exactly.  With ``smooth=True`` and adjacency present,
-    the inflation factors are averaged once over each 1-ring and the stage
-    inequality re-verified; points where smoothing breaks it fall back to
-    their pointwise value.
+    adjacency) keep g0 exactly.
 
     Returns ``(metrics, certificate)`` with ``metrics`` of shape (N, d, d).
     Raises CertificateFailed (with the certificate attached) if any point
@@ -235,15 +232,11 @@ def synthesize_single(field: FormField, form: str, q_tilde: int,
     provenance = np.array(
         ["g0_anchor" if a else "g0_default" for a in strat.anchored], dtype=object)
 
-    neighbor_idx = field.neighbor_indices() if smooth and field.has_adjacency() else None
-
     for r in range(1, q_tilde):
         mask = strat.stage_mask(r)
         if not mask.any():
             continue
         f = choose_f(field, r, metrics, q_tilde, theta=theta, strat=strat, form=form)
-        if neighbor_idx is not None:
-            f = _smoothed_factors(f, mask, neighbor_idx, S, metrics, r, q_tilde)
         idx = np.where(mask & (f > 0))[0]
         if idx.size == 0:
             continue
@@ -261,22 +254,3 @@ def synthesize_single(field: FormField, form: str, q_tilde: int,
     cert = certify(field, form, q_tilde, metrics, provenance)
     require_passed({form: cert}, f"strict {q_tilde}-positivity")
     return metrics, cert
-
-
-def _smoothed_factors(f, mask, neighbor_idx, S, metrics, r, q_tilde):
-    """One-pass neighbor averaging of f over the stage stratum, then re-verify.
-
-    The averaged factor is kept only where the stage inequality still holds;
-    re-verification, not the smoothing itself, is the contract.
-    """
-    f_s = f.copy()
-    idx = np.where(mask)[0]
-    for i in idx:
-        ring = [j for j in neighbor_idx[i] if mask[j]] + [i]
-        f_s[i] = float(np.mean(f[ring]))
-    lam = pencil_eigvalsh(S[idx], metrics[idx])
-    head = np.sum(lam[:, :r], axis=1)
-    den = np.sum(lam[:, r:q_tilde], axis=1)
-    ok = head + (1.0 + f_s[idx]) * den > 0
-    f_s[idx[~ok]] = f[idx[~ok]]
-    return f_s

@@ -165,15 +165,12 @@ def _gamma_stack(field: FormField, gamma) -> np.ndarray:
 
 
 def synthesize_subbundle(field: FormField, forms, q: int, gamma=None,
-                         eta_margin: float = ETA_MARGIN, safety: float = 1.0,
-                         smooth: bool = False):
+                         eta_margin: float = ETA_MARGIN, safety: float = 1.0):
     """Penalty metric making every named form strictly q-positive at once.
 
     kappa is the maximum of the per-form constants C (times ``safety``, an
     inflation factor for unseen points; the sampled constants are exact only
-    on the sample).  With ``smooth=True`` and adjacency present, the
-    per-point metrics are averaged once over each 1-ring before the
-    mandatory certificate verification.  Returns
+    on the sample).  Returns
     ``(metrics, certificates, constants)`` with the dicts keyed by form name.
     """
     if not forms:
@@ -191,10 +188,6 @@ def synthesize_subbundle(field: FormField, forms, q: int, gamma=None,
     P_perp = np.eye(d) - BV @ np.conj(np.swapaxes(BV, -1, -2)) @ gamma
     h = gamma + kappa * (np.conj(np.swapaxes(P_perp, -1, -2)) @ gamma @ P_perp)
     h = 0.5 * (h + np.conj(np.swapaxes(h, -1, -2)))
-
-    if smooth and field.has_adjacency():
-        neigh = field.neighbor_indices()
-        h = np.stack([np.mean(h[neigh[i] + [i]], axis=0) for i in range(len(field))])
 
     certificates = {name: certify(field, name, q, h, "penalty_metric") for name in forms}
     require_passed(certificates, f"strict {q}-positivity")

@@ -1,5 +1,7 @@
 """Domains, Levi forms, Z(q) pipeline, and the weight bump."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -11,6 +13,7 @@ from qpos.geometry import (
     MqnManifold,
     ProductDomain,
     QuadricDomain,
+    adjacency_components,
     chi,
     chi_double_prime,
     chi_prime,
@@ -23,6 +26,7 @@ from qpos.geometry import (
     zq_check,
     zq_metric_pipeline,
 )
+from qpos.geometry.levi import KNN
 
 MU = [2.0, 2.0, -0.5, -0.5]
 
@@ -147,6 +151,53 @@ def test_quadric_inclusion_in_model_manifold(quadric, rng):
         if val >= 0:
             continue
         assert np.sum(np.abs(w[:k]) ** 2) < np.sum(np.abs(w[k:]) ** 2)
+
+
+# ------------------------------------------------------------ adjacency
+
+def _scipy_components(X):
+    """Reference labelling with scipy: kd-tree kNN query, sparse graph, connected_components."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+    from scipy.spatial import cKDTree
+
+    n = len(X)
+    _, nbr = cKDTree(X).query(X, k=min(KNN + 1, n))
+    nbr = np.asarray(nbr).reshape(n, -1)[:, 1:]
+    rows = np.repeat(np.arange(n), nbr.shape[1])
+    A = coo_matrix((np.ones(rows.size), (rows, nbr.ravel())), shape=(n, n))
+    n_comp, labels = connected_components(A + A.T, directed=False)
+    return labels, n_comp
+
+
+def _assert_components_match_scipy(X):
+    labels, n_comp = adjacency_components([SimpleNamespace(embedding=x) for x in X])
+    labels_ref, n_ref = _scipy_components(X)
+    assert n_comp == n_ref
+    np.testing.assert_array_equal(labels, labels_ref)
+    return n_comp
+
+
+def test_adjacency_components_match_scipy_on_clusters(rng):
+    for _ in range(40):
+        centres = 10.0 * rng.standard_normal((rng.integers(1, 8), 6))
+        X = np.concatenate([c + 0.3 * rng.standard_normal((rng.integers(2, 40), 6))
+                            for c in centres])
+        _assert_components_match_scipy(X[rng.permutation(len(X))])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, KNN, KNN + 1])
+def test_adjacency_components_match_scipy_small(rng, n):
+    _assert_components_match_scipy(rng.standard_normal((n, 4)))
+
+
+def test_adjacency_components_match_scipy_on_chain(rng):
+    # 2000 points along a line, cut by four wide gaps into five components
+    t = np.cumsum(rng.uniform(0.5, 1.5, 2000))
+    for cut in (300, 900, 1000, 1700):
+        t[cut:] += 100.0
+    X = np.stack([t, np.sin(t), np.zeros_like(t)], axis=1)
+    assert _assert_components_match_scipy(X) == 5
 
 
 # ------------------------------------------------------------------- Z(q)

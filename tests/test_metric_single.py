@@ -256,13 +256,3 @@ def test_synthesize_certificate_failure_is_honest():
     with pytest.raises(CertificateFailed) as exc:
         synthesize_single(field, "S", 2)
     assert "bad" in exc.value.failed_ids
-
-
-def test_synthesize_smoothing_reverifies(rng):
-    field = planted_inertia_field(rng, 40, 6, 2)
-    # ring adjacency
-    ids = field.ids
-    for i, p in enumerate(field.points):
-        p.neighbors = [ids[(i - 1) % 40], ids[(i + 1) % 40]]
-    metrics, cert = synthesize_single(field, "S", 2, smooth=True)
-    assert cert.passed

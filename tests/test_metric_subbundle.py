@@ -5,7 +5,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qpos import (
-    CertificateFailed,
     FieldPoint,
     FormField,
     NotPositiveOnV,
@@ -190,33 +189,6 @@ def test_frame_trace_chain_inequality(rng):
             bound = c.A1 * mass - q * c.A2 / (1 + c.C) - 2 * q * c.A3 / np.sqrt(1 + c.C)
             assert tr >= bound - 1e-9
             assert mass >= 1.0 - 1e-9
-
-
-def test_synthesize_smoothing_reverifies(rng):
-    # slowly varying field: neighbor averaging keeps the certificates
-    d, q, n = 5, 2, 24
-    V = np.eye(d, dtype=complex)[:, : d - q + 1]
-    base1 = np.diag([1.0, 1.2, 0.9, 1.1, -6.0]).astype(complex)
-    base2 = np.diag([0.8, 1.0, 1.3, 0.7, -4.0]).astype(complex)
-    pts = []
-    for i, t in enumerate(np.linspace(0.0, 1.0, n)):
-        bump = 0.05 * np.sin(2 * np.pi * t)
-        pts.append(FieldPoint(
-            id=f"p{i}",
-            forms={"Q1": base1 + bump * np.eye(d), "Q2": base2 - bump * np.eye(d)},
-            subspace=V,
-            neighbors=[f"p{(i - 1) % n}", f"p{(i + 1) % n}"]))
-    field = FormField(dim=d, points=pts)
-    h, certs, _ = synthesize_subbundle(field, ["Q1", "Q2"], q, smooth=True)
-    assert all(c.passed for c in certs.values())
-
-    # incoherent field: averaging alien metrics must fail re-verification
-    wild, gamma = planted_subbundle_field(rng, n, d, q)
-    ids = wild.ids
-    for i, p in enumerate(wild.points):
-        p.neighbors = [ids[(i - 1) % n], ids[(i + 1) % n]]
-    with pytest.raises(CertificateFailed):
-        synthesize_subbundle(wild, ["Q1", "Q2", "Q3"], q, gamma=gamma, smooth=True)
 
 
 def test_certificate_survives_metric_perturbation(rng):

@@ -33,6 +33,15 @@ def run_cli(*argv, cwd=None):
                           capture_output=True, text=True, cwd=cwd)
 
 
+def test_cli_import_loads_no_scipy():
+    # the runtime depends on numpy only; scipy is a test oracle
+    code = ("import sys, qpos.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
+
+
 # ------------------------------------------------------------- serialization
 
 def test_matrix_round_trip(rng):
