@@ -18,12 +18,13 @@ import numpy as np
 from . import metric_single, metric_subbundle, two_forms
 from .errors import CertificateFailed, QOutOfRange, QposError, SchemaError
 from .fields import certify
+from .hermitian import invalid_metrics, sign_counts
 from .geometry import (
     Domain,
     counterexample_build,
     counterexample_scan,
     domain_from_spec,
-    levi_form,
+    levi_forms,
     sample_boundary,
     standard_test_fields,
     unit_eigenvector_residuals,
@@ -52,65 +53,70 @@ def _config_echo(args, **extra):
     return cfg
 
 
-def _load_domain(path):
-    domain = domain_from_spec(read_json(path), str(path))
+def _load_samples(args):
+    """The domain of --domain and its boundary samples (--samples, --seed)."""
+    domain = domain_from_spec(read_json(args.domain), str(args.domain))
     if not isinstance(domain, Domain):
-        raise SchemaError(f"{path}.type", f"{type(domain).__name__} is not a bounded domain")
-    return domain
+        raise SchemaError(f"{args.domain}.type",
+                          f"{type(domain).__name__} is not a bounded domain")
+    if args.samples < 1:
+        raise SchemaError("--samples", f"needs at least one sample, got {args.samples}")
+    return domain, sample_boundary(domain, args.samples, seed=args.seed)
 
 
-def _form_names(args, field, count=None):
-    """The --forms names, each present at every point of the field."""
-    names = args.forms.split(",")
+def _form_names(field, option, names, count=None):
+    """The form names given by ``option``, each present at every point of the field."""
     if count is not None and len(names) != count:
-        raise SchemaError("--forms", f"needs exactly {count} comma-separated names")
+        raise SchemaError(option, f"needs exactly {count} comma-separated names")
     for name in names:
         for p in field.points:
             if name not in p.forms:
-                raise SchemaError("--forms", f"form {name!r} missing at point {p.id!r}")
+                raise SchemaError(option, f"form {name!r} missing at point {p.id!r}")
     return names
 
 
 def _load_metrics(path, field):
     """The metric stack of a metrics file, in the order of the field's points."""
-    table = metrics_from_json(read_json(path), str(path))
-    shape = (field.dim, field.dim)
+    doc = read_json(path)
+    table = metrics_from_json(doc, str(path))
     for p in field.points:
-        if p.id not in table:
-            raise SchemaError(f"{path}.metrics", f"no metric for point id {p.id!r}")
-        if table[p.id].shape != shape:
-            raise SchemaError(f"{path}.metrics",
-                              f"metric for point id {p.id!r} is not {shape[0]} x {shape[1]}")
-    return np.stack([table[p.id] for p in field.points])
+        if p.id not in table or table[p.id].shape != (field.dim, field.dim):
+            raise SchemaError(f"{path}.metrics", f"no {field.dim} x {field.dim} metric "
+                              f"for point id {p.id!r}")
+    G = np.stack([table[p.id] for p in field.points])
+    bad = np.where(invalid_metrics(G))[0]
+    if bad.size:
+        p = field.points[bad[0]]
+        k = {e["id"]: k for k, e in enumerate(doc["metrics"])}[p.id]
+        raise SchemaError(f"{path}.metrics[{k}].matrix",
+                          f"metric for point id {p.id!r} is not Hermitian positive definite")
+    return G
 
 
-def _inertia_triple(M):
-    lam = np.linalg.eigvalsh(M)
-    scale = max(1.0, float(np.max(np.abs(lam), initial=0.0)))
-    out = {}
-    for thr in INERTIA_THRESHOLDS:
-        t = thr * scale
-        out[format(thr, ".0e")] = {
-            "n_plus": int(np.sum(lam > t)),
-            "n_minus": int(np.sum(lam < -t)),
-            "n_zero": int(np.sum(np.abs(lam) <= t)),
-        }
-    return out
+def _inertia_triples(lam):
+    """Per row of a spectrum stack, the sign counts at each INERTIA_THRESHOLDS level."""
+    d = lam.shape[-1]
+    counts = {format(t, ".0e"): sign_counts(lam, rel=t) for t in INERTIA_THRESHOLDS}
+    return [{key: {"n_plus": int(n_plus[i]), "n_minus": int(n_minus[i]),
+                   "n_zero": d - int(n_plus[i]) - int(n_minus[i])}
+             for key, (n_plus, n_minus) in counts.items()}
+            for i in range(len(lam))]
 
 
 # ---------------------------------------------------------------- commands
 
 def cmd_check(args):
     field = load_field(args.input)
+    _form_names(field, "--form", [args.form])
     G = _load_metrics(args.metric, field) if args.metric else field.g0_stack()
     cert = certify(field, args.form, args.q, G, "check")
     if args.out:
+        inertias = _inertia_triples(np.linalg.eigvalsh(field.form_stack(args.form)))
         write_report(args.out, {
             "config": _config_echo(args, form=args.form, q=args.q),
             "passed": cert.passed,
-            "points": [{"id": e.point_id, "min_sum": e.min_sum, "margin": e.margin,
-                        "inertia": _inertia_triple(p.forms[args.form])}
-                       for e, p in zip(cert.entries, field.points)],
+            "points": [{"id": e.point_id, "min_sum": e.min_sum, "margin": e.margin, "inertia": t}
+                       for e, t in zip(cert.entries, inertias)],
         })
     print(f"check: {'PASS' if cert.passed else 'FAIL'} "
           f"({len(cert.failed_ids())} of {len(field)} points below margin)")
@@ -149,6 +155,7 @@ def _write_outputs(args, ids, metrics, certs, **cert_extra):
 
 def cmd_synthesize_single(args):
     field = load_field(args.input)
+    _form_names(field, "--form", [args.form])
     metrics, cert = metric_single.synthesize_single(
         field, args.form, args.q, theta=args.margin)
     _write_outputs(args, field.ids, metrics, {args.form: cert})
@@ -158,7 +165,7 @@ def cmd_synthesize_single(args):
 
 def cmd_synthesize_subbundle(args):
     field = load_field(args.input)
-    names = _form_names(args, field)
+    names = _form_names(field, "--forms", args.forms.split(","))
     metrics, certs, consts = metric_subbundle.synthesize_subbundle(
         field, names, args.q, safety=args.safety)
     _write_outputs(args, field.ids, metrics, certs)
@@ -176,7 +183,7 @@ def cmd_synthesize_subbundle(args):
 
 def cmd_synthesize_two_forms(args):
     field = load_field(args.input)
-    names = _form_names(args, field, 2)
+    names = _form_names(field, "--forms", args.forms.split(","), 2)
     if args.angles < 1:
         raise SchemaError("--angles", f"needs at least one ray, got {args.angles}")
     metrics, certs, gammas, cont = two_forms.field_metric_top_degree(
@@ -191,17 +198,10 @@ def cmd_synthesize_two_forms(args):
 
 
 def cmd_geometry_levi(args):
-    domain = _load_domain(args.domain)
-    samples = sample_boundary(domain, args.samples, seed=args.seed)
-    entries = []
-    for i, s in enumerate(samples):
-        L = levi_form(domain, s)
-        entries.append({
-            "index": i,
-            "chart": s.chart,
-            "eigenvalues": np.linalg.eigvalsh(L).tolist(),
-            "inertia": _inertia_triple(L),
-        })
+    domain, samples = _load_samples(args)
+    lam = np.linalg.eigvalsh(levi_forms(domain, samples))
+    entries = [{"index": i, "chart": s.chart, "eigenvalues": w.tolist(), "inertia": inertia}
+               for i, (s, w, inertia) in enumerate(zip(samples, lam, _inertia_triples(lam)))]
     if args.out:
         write_report(args.out, {"config": _config_echo(args, samples=args.samples),
                                 "levi": entries})
@@ -210,8 +210,7 @@ def cmd_geometry_levi(args):
 
 
 def cmd_geometry_zq(args):
-    domain = _load_domain(args.domain)
-    samples = sample_boundary(domain, args.samples, seed=args.seed)
+    domain, samples = _load_samples(args)
     rep = zq_check(domain, args.q, samples)
     if args.out:
         write_report(args.out, {
@@ -226,8 +225,7 @@ def cmd_geometry_zq(args):
 
 
 def cmd_geometry_pipeline(args):
-    domain = _load_domain(args.domain)
-    samples = sample_boundary(domain, args.samples, seed=args.seed)
+    domain, samples = _load_samples(args)
     rep, metrics, certs = zq_metric_pipeline(domain, args.q, samples)
     _write_outputs(args, list(range(len(samples))), metrics, certs,
                    config=_config_echo(args, q=args.q, samples=args.samples))
@@ -236,8 +234,7 @@ def cmd_geometry_pipeline(args):
 
 
 def cmd_geometry_bump(args):
-    domain = _load_domain(args.domain)
-    samples = sample_boundary(domain, args.samples, seed=args.seed)
+    domain, samples = _load_samples(args)
     rep = weight_bump(domain, args.q, samples, seed=args.seed)
     if args.out:
         write_report(args.out, {

@@ -31,6 +31,7 @@ from .levi import (
     boundary_weight_hessian,
     kernel_frame,
     levi_form,
+    levi_forms,
     newton_project,
     sample_boundary,
     zq_check,

@@ -35,12 +35,12 @@ import numpy as np
 
 from ..errors import BoundNotFound, QOutOfRange, QposError
 from ..fields import FieldPoint, FormField
-from ..hermitian import congruence, pencil_eigvalsh, reduce_form
+from ..hermitian import congruence, pencil_eigvalsh, reduce_form, sign_counts
 from ..metric_subbundle import synthesize_subbundle
 from ..synthetic import random_g_orthonormal_frames
 from ..two_forms import common_witnesses
 from .domains import Domain
-from .levi import BoundarySample, boundary_weight_hessian, levi_form
+from .levi import BoundarySample, boundary_weight_hessian, levi_forms
 
 CHI_SECOND_DERIVATIVE = 2.0
 
@@ -110,12 +110,6 @@ def _common_positive_subbundle(Lv, Hv, rank: int) -> np.ndarray:
                     "is not constructed from raw forms")
 
 
-def _positive_count(forms: np.ndarray) -> np.ndarray:
-    lam = np.linalg.eigvalsh(forms)
-    thr = 1e-10 * np.maximum(1.0, np.max(np.abs(lam), axis=-1))
-    return np.sum(lam > thr[..., None], axis=-1)
-
-
 def _find_delta0(Mphi: np.ndarray, Mrho: np.ndarray, need: int,
                  floor: float = 1e-8) -> float:
     """Largest bisected delta0 with >= ``need`` positive eigenvalues kept.
@@ -127,7 +121,7 @@ def _find_delta0(Mphi: np.ndarray, Mrho: np.ndarray, need: int,
     fails any positive delta0 is admissible, so the cap itself is used.
     """
     def ok(delta):
-        return bool(np.all(_positive_count(Mphi + delta * Mrho) >= need))
+        return bool(np.all(sign_counts(np.linalg.eigvalsh(Mphi + delta * Mrho))[0] >= need))
 
     if not ok(0.0):
         raise BoundNotFound("weight Hessian lacks the required positive eigenvalues")
@@ -216,9 +210,8 @@ def weight_bump(domain: Domain, q: int, samples: list[BoundarySample],
     ws = np.stack([s.w for s in samples])
     Mrho = np.stack([domain.rho_hessian(s.z, s.chart) for s in samples])
     Mphi = np.stack([boundary_weight_hessian(domain, s) for s in samples])
-    Lv = np.stack([levi_form(domain, s) for s in samples])
-    Hv = np.conj(np.swapaxes(frames, -1, -2)) @ Mphi @ frames
-    Hv = 0.5 * (Hv + np.conj(np.swapaxes(Hv, -1, -2)))
+    Lv = levi_forms(domain, samples)
+    Hv = reduce_form(Mphi, frames)
 
     # boundary metric h from the common positive subbundle of both forms
     V = _common_positive_subbundle(Lv, Hv, n - q)
@@ -261,7 +254,7 @@ def weight_bump(domain: Domain, q: int, samples: list[BoundarySample],
         return A_form + (delta0 / eps) * chi2 * Nrm_form
 
     M_eps = bumped(epsilon)
-    claim1 = _positive_count(M_eps) >= n - q + 1
+    claim1 = sign_counts(np.linalg.eigvalsh(M_eps))[0] >= n - q + 1
     lam2 = pencil_eigvalsh(Hv + delta0 * Lv, h)
     claim2 = np.sum(lam2[:, :q], axis=1)
     lam3 = pencil_eigvalsh(M_eps, G0)

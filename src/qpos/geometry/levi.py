@@ -19,6 +19,7 @@ import numpy as np
 
 from ..errors import BoundNotFound, FrameInvalid, QOutOfRange, ZqViolated
 from ..fields import FieldPoint, FormField
+from ..hermitian import reduce_form, sign_counts
 from ..metric_single import synthesize_single
 from .domains import Domain
 
@@ -130,10 +131,12 @@ def adjacency_components(samples: list[BoundarySample]):
 
 def levi_form(domain: Domain, sample: BoundarySample) -> np.ndarray:
     """The complex Hessian of rho restricted to the holomorphic tangent frame."""
-    M = domain.rho_hessian(sample.z, sample.chart)
-    L = sample.frame
-    out = L.conj().T @ M @ L
-    return 0.5 * (out + out.conj().T)
+    return reduce_form(domain.rho_hessian(sample.z, sample.chart), sample.frame)
+
+
+def levi_forms(domain: Domain, samples: list[BoundarySample]) -> np.ndarray:
+    """The (n_samples, n-1, n-1) stack of Levi forms."""
+    return np.stack([levi_form(domain, s) for s in samples])
 
 
 def boundary_weight_hessian(domain: Domain, sample: BoundarySample) -> np.ndarray:
@@ -153,8 +156,7 @@ class ZqReport:
     levi: np.ndarray         # (n_samples, n-1, n-1) Levi forms
 
 
-def zq_check(domain: Domain, q: int, samples: list[BoundarySample],
-             zero_threshold: float | None = None) -> ZqReport:
+def zq_check(domain: Domain, q: int, samples: list[BoundarySample]) -> ZqReport:
     """Classify each boundary sample by the Levi inertia.
 
     Branch (i): at least n - q positive eigenvalues; branch (ii): at least
@@ -165,22 +167,13 @@ def zq_check(domain: Domain, q: int, samples: list[BoundarySample],
     n = domain.n
     if not 1 <= q <= n - 1:
         raise QOutOfRange(f"q = {q} not in [1, {n - 1}]")
-    levis = np.stack([levi_form(domain, s) for s in samples])
-    lam = np.linalg.eigvalsh(levis)
-    if zero_threshold is None:
-        thr = 1e-10 * np.maximum(1.0, np.max(np.abs(lam), axis=1))
-    else:
-        thr = np.full(len(samples), float(zero_threshold))
-    n_plus = np.sum(lam > thr[:, None], axis=1)
-    n_minus = np.sum(lam < -thr[:, None], axis=1)
-    branch = np.empty(len(samples), dtype=object)
-    for i in range(len(samples)):
-        if n_plus[i] >= n - q:
-            branch[i] = "i"
-        elif n_minus[i] >= q + 1:
-            branch[i] = "ii"
-        else:
-            raise ZqViolated(i, f"Levi inertia ({n_plus[i]}, {n_minus[i]}) fits neither branch")
+    levis = levi_forms(domain, samples)
+    n_plus, n_minus = sign_counts(np.linalg.eigvalsh(levis))
+    branch = np.where(n_plus >= n - q, "i", np.where(n_minus >= q + 1, "ii", "")).astype(object)
+    bad = np.where(branch == "")[0]
+    if bad.size:
+        i = int(bad[0])
+        raise ZqViolated(i, f"Levi inertia ({n_plus[i]}, {n_minus[i]}) fits neither branch")
     labels, n_comp = adjacency_components(samples)
     component_branch = {}
     for c in range(n_comp):

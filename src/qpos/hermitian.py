@@ -34,6 +34,7 @@ TAU_HERM = 1e-12
 TAU_PD = 1e-10
 TAU_ORTH = 1e-10
 TAU_RES = 1e-9
+ZERO_REL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -51,8 +52,8 @@ def as_form(M, tau_herm: float = TAU_HERM) -> np.ndarray:
         raise DimensionMismatch(f"expected a square matrix, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
         raise NotFinite("matrix has non-finite entries")
-    defect = np.linalg.norm(A - A.conj().T)
-    if defect > tau_herm * max(1.0, np.linalg.norm(A)):
+    defect, scale = _hermiticity(A)
+    if defect > tau_herm * scale:
         raise NotHermitian(f"hermiticity defect {defect:.3e} exceeds tolerance")
     return A
 
@@ -64,6 +65,31 @@ def as_metric(G, tau_herm: float = TAU_HERM, tau_pd: float = TAU_PD) -> np.ndarr
     if w[0] <= tau_pd:
         raise NotPositiveDefinite(f"smallest metric eigenvalue {w[0]:.3e} <= {tau_pd:.1e}")
     return A
+
+
+def invalid_metrics(G, tau_herm: float = TAU_HERM, tau_pd: float = TAU_PD) -> np.ndarray:
+    """Mask of the matrices of a finite (N, d, d) stack that ``as_metric`` rejects."""
+    defect, scale = _hermiticity(G)
+    return (defect > tau_herm * scale) | (np.linalg.eigvalsh(G)[:, 0] <= tau_pd)
+
+
+def _hermiticity(A):
+    """Per matrix of a stack: the defect ||A - A*||_F and its scale max(1, ||A||_F)."""
+    defect = np.linalg.norm(A - np.conj(np.swapaxes(A, -1, -2)), axis=(-2, -1))
+    return defect, np.maximum(1.0, np.linalg.norm(A, axis=(-2, -1)))
+
+
+def sign_counts(lam, rel: float = ZERO_REL):
+    """``(n_plus, n_minus)`` of spectra along the last axis; supports stacks.
+
+    An eigenvalue is zero within ``rel * max(1, max |lam|)`` of its spectrum.
+    """
+    thr = rel * _spectral_scale(lam)[..., None]
+    return np.sum(lam > thr, axis=-1), np.sum(lam < -thr, axis=-1)
+
+
+def _spectral_scale(lam):
+    return np.maximum(1.0, np.max(np.abs(lam), axis=-1, initial=0.0))
 
 
 def _require_same_dim(*mats) -> int:
@@ -217,17 +243,17 @@ def spectrum_wrt(H, g, tau_herm: float = TAU_HERM, tau_pd: float = TAU_PD) -> Sp
 def inertia(H, zero_threshold: float | None = None, tau_herm: float = TAU_HERM) -> Inertia:
     """Signature of H: eigenvalue counts above / below / within the threshold.
 
-    The default threshold is ``1e-10 * max(1, ||H||_2)``; the signature is
-    congruence-invariant, so no metric argument is needed.
+    The default threshold is ``1e-10 * max(1, ||H||_2)`` (``sign_counts``);
+    the signature is congruence-invariant, so no metric argument is needed.
     """
     M = as_form(H, tau_herm=tau_herm)
     w = np.linalg.eigvalsh(M)
+    scale = float(_spectral_scale(w))
     if zero_threshold is None:
-        zero_threshold = 1e-10 * max(1.0, float(np.max(np.abs(w), initial=0.0)))
+        zero_threshold = ZERO_REL * scale
     if zero_threshold < 0:
         raise ValueError("zero_threshold must be nonnegative")
-    n_plus = int(np.sum(w > zero_threshold))
-    n_minus = int(np.sum(w < -zero_threshold))
+    n_plus, n_minus = (int(n) for n in sign_counts(w, rel=zero_threshold / scale))
     return Inertia(n_plus, n_minus, len(w) - n_plus - n_minus, zero_threshold)
 
 

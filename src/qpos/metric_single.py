@@ -35,8 +35,8 @@ from .hermitian import (
     as_metric,
     congruence,
     pencil_eigh,
-    pencil_eigvalsh,
     reduce_form,
+    sign_counts,
 )
 from .riesz import Disc, riesz_projector
 
@@ -56,13 +56,8 @@ class Stratification:
         """Points updated at stage r: nu = r and not anchored."""
         return (self.nu_minus == r) & ~self.anchored
 
-    def v_mask(self, r: int) -> np.ndarray:
-        """The closed stratum after stage r: nu <= r, plus the anchor set."""
-        return (self.nu_minus <= r) | self.anchored
 
-
-def stratify(field: FormField, form: str, q_tilde: int,
-             zero_threshold: float | None = None) -> Stratification:
+def stratify(field: FormField, form: str, q_tilde: int) -> Stratification:
     """Count negative eigenvalues per point and check the synthesis hypothesis.
 
     Requires at least d - q_tilde + 1 strictly positive eigenvalues at every
@@ -72,15 +67,7 @@ def stratify(field: FormField, form: str, q_tilde: int,
     d = field.dim
     if not 1 <= q_tilde <= d:
         raise QOutOfRange(f"q_tilde = {q_tilde} not in [1, {d}]")
-    S = field.form_stack(form)
-    lam = np.linalg.eigvalsh(S)
-    if zero_threshold is None:
-        scale = np.maximum(1.0, np.max(np.abs(lam), axis=1))
-        thr = 1e-10 * scale
-    else:
-        thr = np.full(len(field), float(zero_threshold))
-    n_plus = np.sum(lam > thr[:, None], axis=1)
-    n_minus = np.sum(lam < -thr[:, None], axis=1)
+    n_plus, n_minus = sign_counts(np.linalg.eigvalsh(field.form_stack(form)))
     need = d - q_tilde + 1
     bad = np.where(n_plus < need)[0]
     if bad.size:
@@ -91,45 +78,56 @@ def stratify(field: FormField, form: str, q_tilde: int,
                           anchored=field.anchored_mask())
 
 
-def choose_f(field: FormField, r: int, g_prev: np.ndarray, q_tilde: int,
-             theta: float = DEFAULT_THETA, strat: Stratification | None = None,
-             form: str | None = None) -> np.ndarray:
-    """Inflation factors f >= 0 for stage r, zero off the stage's stratum.
+def choose_f(lam: np.ndarray, r: int, q_tilde: int, ids,
+             theta: float = DEFAULT_THETA) -> np.ndarray:
+    """Inflation factors f >= 0 for the stage-r points with ids ``ids``.
 
-    At each stage-r point, with eigenvalues lam relative to the current
-    metric, sets f = max(0, (1 + theta) * phi) where
+    ``lam`` holds each point's ascending eigenvalues relative to its current
+    metric, one row per point.  Sets f = max(0, (1 + theta) * phi) where
     phi = -(sum_{1..q} lam) / (sum_{r+1..q} lam); any phi < 0 means the point
     already has a positive q-sum and needs no inflation.  The returned f
     satisfies the stage inequality with margin theta * |sum lam| wherever
     inflation happens.
     """
-    if strat is None:
-        strat = stratify(field, form, q_tilde)
-    S = field.form_stack(form) if form is not None else None
-    if S is None:
-        raise ValueError("choose_f needs the form name to evaluate eigenvalues")
-    mask = strat.stage_mask(r)
-    f = np.zeros(len(field))
-    if not mask.any():
-        return f
-    lam = pencil_eigvalsh(S[mask], g_prev[mask])
     scale = np.maximum(1.0, np.max(np.abs(lam), axis=1))
     den = np.sum(lam[:, r:q_tilde], axis=1)
     bad = den <= 1e-12 * scale
     if bad.any():
-        i = int(np.where(mask)[0][np.argmax(bad)])
         raise DenominatorNonpositive(
-            f"nonpositive eigenvalue-tail sum at point {field.points[i].id!r}")
+            f"nonpositive eigenvalue-tail sum at point {ids[int(np.argmax(bad))]!r}")
     phi = -np.sum(lam[:, :q_tilde], axis=1) / den
-    f[mask] = np.maximum(0.0, (1.0 + theta) * phi)
+    f = np.maximum(0.0, (1.0 + theta) * phi)
     # stage inequality, checked rather than assumed
-    head = np.sum(lam[:, :r], axis=1)
-    value = head + (1.0 + f[mask]) * den
+    value = np.sum(lam[:, :r], axis=1) + (1.0 + f) * den
     if not np.all(value > 0):
-        i = int(np.where(mask)[0][np.argmin(value)])
         raise DenominatorNonpositive(
-            f"stage inequality failed at point {field.points[i].id!r}")
+            f"stage inequality failed at point {ids[int(np.argmin(value))]!r}")
     return f
+
+
+def inflate_stage(S, metrics, strat: Stratification, r: int, ids,
+                  theta: float = DEFAULT_THETA) -> np.ndarray:
+    """Stage r of stratified inflation, in place; returns the updated indices.
+
+    One pencil eigendecomposition of the stage points gives f (``choose_f``)
+    and P = V_r V_r* G.  The first RIESZ_CHECK_COUNT applied P must agree
+    with ``negative_projector`` to 1e-8, else ProjectorRoutesDisagree.
+    """
+    stage = np.where(strat.stage_mask(r))[0]
+    lam, V = pencil_eigh(S[stage], metrics[stage])
+    f = choose_f(lam, r, strat.q_tilde, [ids[i] for i in stage], theta=theta)
+    grow = f > 0
+    idx = stage[grow]
+    g_prev = metrics[idx]
+    Vr = V[grow, :, :r]
+    P = Vr @ np.conj(np.swapaxes(Vr, -1, -2)) @ g_prev
+    for j in range(min(RIESZ_CHECK_COUNT, idx.size)):
+        distance = np.linalg.norm(negative_projector(S[idx[j]], g_prev[j], r) - P[j], 2)
+        if distance > 1e-8:
+            raise ProjectorRoutesDisagree(distance)
+    upd = g_prev + f[grow, None, None] * (np.conj(np.swapaxes(P, -1, -2)) @ g_prev @ P)
+    metrics[idx] = 0.5 * (upd + np.conj(np.swapaxes(upd, -1, -2)))
+    return idx
 
 
 def negative_projector(S, g, r: int, tau_gap: float | None = None,
@@ -207,13 +205,6 @@ def update_metric(g_prev, P, f: float, tau_proj: float = 1e-8) -> np.ndarray:
     return Gn
 
 
-def _batched_negative_projectors(S, G, r: int) -> np.ndarray:
-    """Eigenvector-route projectors for a stack of stage-r points."""
-    lam, V = pencil_eigh(S, G)
-    Vr = V[:, :, :r]
-    return Vr @ np.conj(np.swapaxes(Vr, -1, -2)) @ G
-
-
 def synthesize_single(field: FormField, form: str, q_tilde: int,
                       theta: float = DEFAULT_THETA):
     """Build a per-point metric making the named form strictly q_tilde-positive.
@@ -231,25 +222,9 @@ def synthesize_single(field: FormField, form: str, q_tilde: int,
     metrics = field.g0_stack()
     provenance = np.array(
         ["g0_anchor" if a else "g0_default" for a in strat.anchored], dtype=object)
-
     for r in range(1, q_tilde):
-        mask = strat.stage_mask(r)
-        if not mask.any():
-            continue
-        f = choose_f(field, r, metrics, q_tilde, theta=theta, strat=strat, form=form)
-        idx = np.where(mask & (f > 0))[0]
-        if idx.size == 0:
-            continue
-        g_prev = metrics[idx].copy()
-        # dual-route spot check (eigenvector vs Riesz) on a few stage points,
-        # against the pre-update metric
-        for j in range(min(RIESZ_CHECK_COUNT, idx.size)):
-            negative_projector(S[idx[j]], g_prev[j], r, check_riesz=True)
-        P = _batched_negative_projectors(S[idx], g_prev, r)
-        upd = g_prev + f[idx, None, None] * (
-            np.conj(np.swapaxes(P, -1, -2)) @ g_prev @ P)
-        metrics[idx] = 0.5 * (upd + np.conj(np.swapaxes(upd, -1, -2)))
-        provenance[idx] = f"inflated_stage_{r}"
+        provenance[inflate_stage(S, metrics, strat, r, field.ids, theta=theta)] = \
+            f"inflated_stage_{r}"
 
     cert = certify(field, form, q_tilde, metrics, provenance)
     require_passed({form: cert}, f"strict {q_tilde}-positivity")

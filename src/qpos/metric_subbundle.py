@@ -23,7 +23,7 @@ full form is computed alongside as a cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -84,38 +84,39 @@ def _adapted_frames(field: FormField, gamma: np.ndarray, q: int):
     return BV, BW
 
 
-def compute_constants(field: FormField, form: str, gamma, q: int,
-                      eta_margin: float = ETA_MARGIN) -> PenaltyConstants:
-    """A1, A2, A3 over the field for one named form, plus the closed-form C.
+def compute_constants(field: FormField, forms, gamma, q: int) -> dict:
+    """``{name: PenaltyConstants}`` (kappa = C) over the field, from one adapted frame.
 
     A3 from the off-diagonal block is checked per point against the coarser
     bound max(|lam_1|, |lam_max|) of the full form relative to gamma.
     """
     gamma = _gamma_stack(field, gamma)
-    H = field.form_stack(form)
     BV, BW = _adapted_frames(field, gamma, q)
-    HVV = np.conj(np.swapaxes(BV, -1, -2)) @ H @ BV
-    A1_pts = np.linalg.eigvalsh(HVV)[:, 0]
-    A1 = float(np.min(A1_pts))
-    if A1 <= 0:
-        i = int(np.argmin(A1_pts))
-        raise NotPositiveOnV(
-            f"form {form!r} is not positive definite on V at {field.points[i].id!r} "
-            f"(smallest restricted eigenvalue {A1:.3e})")
-    if BW.shape[-1] == 0:
-        A2 = A3 = 0.0
-    else:
-        HWW = np.conj(np.swapaxes(BW, -1, -2)) @ H @ BW
-        A2 = float(np.max(np.abs(np.linalg.eigvalsh(HWW))))
-        HWV = np.conj(np.swapaxes(BW, -1, -2)) @ H @ BV
-        off = np.linalg.svd(HWV, compute_uv=False)[:, 0]
-        lam_full = pencil_eigvalsh(H, gamma)
-        coarse = np.maximum(np.abs(lam_full[:, 0]), np.abs(lam_full[:, -1]))
-        if np.any(off > coarse + 1e-8 * np.maximum(1.0, coarse)):
-            raise QposError("off-diagonal block norm exceeded its coarse bound")
-        A3 = float(np.max(off))
-    C = choose_C(A1, A2, A3, q, eta_margin=eta_margin)
-    return PenaltyConstants(A1=A1, A2=A2, A3=A3, C=C, kappa=C, q=q)
+    BVh = np.conj(np.swapaxes(BV, -1, -2))
+    BWh = np.conj(np.swapaxes(BW, -1, -2))
+    constants = {}
+    for form in forms:
+        H = field.form_stack(form)
+        A1_pts = np.linalg.eigvalsh(BVh @ H @ BV)[:, 0]
+        A1 = float(np.min(A1_pts))
+        if A1 <= 0:
+            i = int(np.argmin(A1_pts))
+            raise NotPositiveOnV(
+                f"form {form!r} is not positive definite on V at {field.points[i].id!r} "
+                f"(smallest restricted eigenvalue {A1:.3e})")
+        if BW.shape[-1] == 0:
+            A2 = A3 = 0.0
+        else:
+            A2 = float(np.max(np.abs(np.linalg.eigvalsh(BWh @ H @ BW))))
+            off = np.linalg.svd(BWh @ H @ BV, compute_uv=False)[:, 0]
+            lam_full = pencil_eigvalsh(H, gamma)
+            coarse = np.maximum(np.abs(lam_full[:, 0]), np.abs(lam_full[:, -1]))
+            if np.any(off > coarse + 1e-8 * np.maximum(1.0, coarse)):
+                raise QposError("off-diagonal block norm exceeded its coarse bound")
+            A3 = float(np.max(off))
+        C = choose_C(A1, A2, A3, q)
+        constants[form] = PenaltyConstants(A1=A1, A2=A2, A3=A3, C=C, kappa=C, q=q)
+    return constants
 
 
 def choose_C(A1: float, A2: float, A3: float, q: int,
@@ -141,7 +142,7 @@ def choose_C(A1: float, A2: float, A3: float, q: int,
 
 
 def build_penalty_metric(gamma, V_basis, kappa: float) -> np.ndarray:
-    """h = gamma + kappa * gamma(P_perp ., P_perp .) for one point.
+    """h = gamma + kappa * gamma(P_perp ., P_perp .); supports (N, d, d) stacks.
 
     ``V_basis`` columns must be gamma-orthonormal.  h agrees with gamma on
     V x V and is (1 + kappa) gamma on the complement.
@@ -150,9 +151,9 @@ def build_penalty_metric(gamma, V_basis, kappa: float) -> np.ndarray:
         raise ValueError("kappa must be nonnegative")
     G = np.asarray(gamma, dtype=complex)
     B = np.asarray(V_basis, dtype=complex)
-    P_perp = np.eye(G.shape[0]) - B @ B.conj().T @ G
-    H = G + kappa * (P_perp.conj().T @ G @ P_perp)
-    return 0.5 * (H + H.conj().T)
+    P_perp = np.eye(G.shape[-1]) - B @ np.conj(np.swapaxes(B, -1, -2)) @ G
+    H = G + kappa * (np.conj(np.swapaxes(P_perp, -1, -2)) @ G @ P_perp)
+    return 0.5 * (H + np.conj(np.swapaxes(H, -1, -2)))
 
 
 def _gamma_stack(field: FormField, gamma) -> np.ndarray:
@@ -165,7 +166,7 @@ def _gamma_stack(field: FormField, gamma) -> np.ndarray:
 
 
 def synthesize_subbundle(field: FormField, forms, q: int, gamma=None,
-                         eta_margin: float = ETA_MARGIN, safety: float = 1.0):
+                         safety: float = 1.0):
     """Penalty metric making every named form strictly q-positive at once.
 
     kappa is the maximum of the per-form constants C (times ``safety``, an
@@ -176,19 +177,10 @@ def synthesize_subbundle(field: FormField, forms, q: int, gamma=None,
     if not forms:
         raise ValueError("need at least one form name")
     gamma = _gamma_stack(field, gamma)
-    constants = {}
-    for name in forms:
-        constants[name] = compute_constants(field, name, gamma, q, eta_margin=eta_margin)
+    constants = compute_constants(field, forms, gamma, q)
     kappa = safety * max(c.C for c in constants.values())
-    constants = {name: PenaltyConstants(c.A1, c.A2, c.A3, c.C, kappa, q)
-                 for name, c in constants.items()}
-
-    BV, BW = _adapted_frames(field, gamma, q)
-    d = field.dim
-    P_perp = np.eye(d) - BV @ np.conj(np.swapaxes(BV, -1, -2)) @ gamma
-    h = gamma + kappa * (np.conj(np.swapaxes(P_perp, -1, -2)) @ gamma @ P_perp)
-    h = 0.5 * (h + np.conj(np.swapaxes(h, -1, -2)))
-
+    constants = {name: replace(c, kappa=kappa) for name, c in constants.items()}
+    h = build_penalty_metric(gamma, np.stack([p.subspace for p in field.points]), kappa)
     certificates = {name: certify(field, name, q, h, "penalty_metric") for name in forms}
     require_passed(certificates, f"strict {q}-positivity")
     return h, certificates, constants

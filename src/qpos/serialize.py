@@ -17,6 +17,8 @@ from .errors import SchemaError
 from .fields import FieldPoint, FormField, PositivityCertificate
 
 SCHEMA_VERSION = 1
+# what a JSON value of the wrong type or size raises when read as a number
+BAD_VALUE = (KeyError, TypeError, ValueError, OverflowError)
 
 
 # ---------------------------------------------------------------------------
@@ -95,9 +97,9 @@ def matrix_from_json(obj, path="matrix") -> np.ndarray:
     try:
         d = int(obj["dim"])
         re = np.asarray(obj["re"], dtype=float)
-    except (KeyError, TypeError, ValueError) as e:
+        im = np.asarray(obj.get("im", np.zeros_like(re)), dtype=float)
+    except BAD_VALUE as e:
         raise SchemaError(path, f"bad matrix fields: {e}") from e
-    im = np.asarray(obj.get("im", np.zeros_like(re)), dtype=float)
     if re.shape != (d, d) or im.shape != (d, d):
         raise SchemaError(path, f"matrix shape {re.shape} does not match dim {d}")
     if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
@@ -124,11 +126,13 @@ def basis_to_json(B) -> dict:
 def basis_from_json(obj, path="subspace") -> np.ndarray:
     try:
         re = np.asarray(obj["basis_re"], dtype=float)
-    except (KeyError, TypeError, ValueError) as e:
+        im = np.asarray(obj.get("basis_im", np.zeros_like(re)), dtype=float)
+    except BAD_VALUE as e:
         raise SchemaError(path, f"bad basis fields: {e}") from e
-    im = np.asarray(obj.get("basis_im", np.zeros_like(re)), dtype=float)
     if re.ndim != 2 or re.shape != im.shape:
         raise SchemaError(path, "basis arrays must be 2-d and congruent")
+    if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
+        raise SchemaError(path, "basis has non-finite entries")
     return (re + 1j * im).T
 
 
@@ -160,21 +164,30 @@ def field_from_json(obj, path="field") -> FormField:
     try:
         dim = int(obj["dim"])
         raw_points = obj["points"]
-    except (KeyError, TypeError, ValueError) as e:
+    except BAD_VALUE as e:
         raise SchemaError(path, f"missing field keys: {e}") from e
+    if dim < 1:
+        raise SchemaError(f"{path}.dim", f"must be at least 1, got {dim}")
     if not isinstance(raw_points, list) or not raw_points:
         raise SchemaError(f"{path}.points", "need a nonempty list of points")
     points = []
     for i, rp in enumerate(raw_points):
         ppath = f"{path}.points[{i}]"
-        if "id" not in rp or "forms" not in rp:
+        if not isinstance(rp, dict) or "id" not in rp or "forms" not in rp:
             raise SchemaError(ppath, "every point needs id and forms")
+        for key, kind, name in (("forms", dict, "object"), ("neighbors", list, "array")):
+            if not isinstance(rp.get(key, kind()), kind):
+                raise SchemaError(f"{ppath}.{key}", f"expected a JSON {name}")
+        try:
+            coords = np.asarray(rp["coords"], dtype=float) if "coords" in rp else None
+        except BAD_VALUE as e:
+            raise SchemaError(f"{ppath}.coords", f"expected numbers: {e}") from e
         forms = {name: matrix_from_json(m, f"{ppath}.forms.{name}")
                  for name, m in rp["forms"].items()}
         points.append(FieldPoint(
             id=rp["id"],
             forms=forms,
-            coords=np.asarray(rp["coords"], dtype=float) if "coords" in rp else None,
+            coords=coords,
             neighbors=list(rp["neighbors"]) if rp.get("neighbors") else None,
             g0=matrix_from_json(rp["g0"], f"{ppath}.g0") if "g0" in rp else None,
             subspace=basis_from_json(rp["subspace"], f"{ppath}.subspace")

@@ -387,7 +387,8 @@ def field_metric_top_degree(field: FormField, names, n_angles: int = DEFAULT_ANG
 
     ``names = (name1, name2)`` selects the two forms; each certificate is the
     q = d certificate, whose sum is the trace.  One ``common_direction`` call
-    decides all points; NoCommonDirection names the first without a witness.
+    decides all points; NoCommonDirection names the first without a witness,
+    and a CertificateFailed from a point's midpoint carries that point's id.
     Returns ``(metrics, certificates, gamma_points, continuity)``, the last
     with the largest jump of gamma across adjacent samples, if any.
     """
@@ -400,7 +401,11 @@ def field_metric_top_degree(field: FormField, names, n_angles: int = DEFAULT_ANG
     gamma_points = np.empty((len(field), 2))
     for i, p in enumerate(field.points):
         pair = PairState(p.forms[n1], p.forms[n2], base=p.g0, witness=W[i] @ V[i])
-        res = pair_metric(pair, n_angles=n_angles)
+        try:
+            res = pair_metric(pair, n_angles=n_angles)
+        except CertificateFailed as e:
+            e.failed_ids = [p.id]
+            raise
         metrics[i] = res.metric
         gamma_points[i] = res.gamma_point
 

@@ -20,7 +20,8 @@ from qpos import (
     synthesize_single,
     update_metric,
 )
-from qpos.hermitian import pencil_eigvalsh
+from qpos.hermitian import pencil_eigh, pencil_eigvalsh
+from qpos.metric_single import inflate_stage
 from qpos.synthetic import hermitian_with_eigs, planted_inertia_field, random_metric
 
 
@@ -56,58 +57,60 @@ def test_stratify_hypothesis_violated():
 # ------------------------------------------------------------------ choose_f
 
 def test_choose_f_worked_example():
-    f = field_of([np.diag([-5.0, 1.0, 2.0])])
-    g = np.stack([np.eye(3, dtype=complex)])
-    vals = choose_f(f, 1, g, 2, theta=0.1, form="S")
+    vals = choose_f(np.array([[-5.0, 1.0, 2.0]]), 1, 2, [0], theta=0.1)
     # phi = -(-5 + 1) / 1 = 4, f = 1.1 * 4 = 4.4, and -5 + 5.4 * 1 = 0.4 > 0
     assert_allclose(vals, [4.4], rtol=1e-12)
     assert -5.0 + (1.0 + vals[0]) * 1.0 > 0
 
 
 def test_choose_f_zero_when_already_positive():
-    f = field_of([np.diag([-0.5, 1.0, 2.0])])  # sum of two smallest = 0.5 > 0
-    g = np.stack([np.eye(3, dtype=complex)])
-    vals = choose_f(f, 1, g, 2, theta=0.1, form="S")
+    # sum of two smallest = 0.5 > 0
+    vals = choose_f(np.array([[-0.5, 1.0, 2.0]]), 1, 2, [0], theta=0.1)
     assert vals[0] == 0.0
 
 
 def test_choose_f_degenerate_denominator():
     f = field_of([np.diag([-1.0, 0.0, 0.0])])
-    g = np.stack([np.eye(3, dtype=complex)])
     with pytest.raises((DenominatorNonpositive, HypothesisViolated)):
         stratify(f, "S", 2)
-        choose_f(f, 1, g, 2, theta=0.1, form="S")
+        choose_f(np.array([[-1.0, 0.0, 0.0]]), 1, 2, [0], theta=0.1)
     # reachable directly when the eigenvalue tail collapses to zero
-    from qpos import Stratification
-
-    f2 = field_of([np.diag([-1.0, 1e-13, 1.0])])
-    strat = Stratification(q_tilde=2, nu_minus=np.array([1]),
-                           anchored=np.array([False]))
-    with pytest.raises(DenominatorNonpositive):
-        choose_f(f2, 1, g, 2, theta=0.1, strat=strat, form="S")
+    with pytest.raises(DenominatorNonpositive, match="'p7'"):
+        choose_f(np.array([[-1.0, 1e-13, 1.0]]), 1, 2, ["p7"], theta=0.1)
 
 
 def test_stagewise_inductive_invariant(rng):
     # after stage r, the q-smallest sum is positive on every point with
     # negative count <= r
-    from qpos.metric_single import _batched_negative_projectors
-
     q_tilde = 3
     field = planted_inertia_field(rng, 120, 6, q_tilde)
     strat = stratify(field, "S", q_tilde)
     S = field.form_stack("S")
     metrics = field.g0_stack()
     for r in range(1, q_tilde):
-        f = choose_f(field, r, metrics, q_tilde, theta=0.1, strat=strat, form="S")
-        idx = np.where(strat.stage_mask(r) & (f > 0))[0]
-        if idx.size:
-            P = _batched_negative_projectors(S[idx], metrics[idx], r)
-            upd = metrics[idx] + f[idx, None, None] * (
-                np.conj(np.swapaxes(P, -1, -2)) @ metrics[idx] @ P)
-            metrics[idx] = 0.5 * (upd + np.conj(np.swapaxes(upd, -1, -2)))
-        on_stratum = strat.v_mask(r)
+        idx = inflate_stage(S, metrics, strat, r, field.ids, theta=0.1)
+        assert np.all(strat.nu_minus[idx] == r)
+        on_stratum = (strat.nu_minus <= r) | strat.anchored
         lam = pencil_eigvalsh(S[on_stratum], metrics[on_stratum])
         assert np.all(np.sum(lam[:, :q_tilde], axis=1) > 0)
+
+
+def test_synthesize_checks_applied_projectors(rng, monkeypatch):
+    # stage eigenvectors with a negative and a positive column swapped give
+    # projectors that the Riesz spot check must reject
+    import qpos.metric_single as ms
+
+    def corrupted(H, G):
+        lam, V = pencil_eigh(H, G)
+        if np.ndim(H) == 3:
+            V = V[..., [1, 0, 2, 3, 4, 5]]
+        return lam, V
+
+    field = planted_inertia_field(rng, 40, 6, 3)
+    synthesize_single(field, "S", 3)
+    monkeypatch.setattr(ms, "pencil_eigh", corrupted)
+    with pytest.raises(ProjectorRoutesDisagree):
+        synthesize_single(field, "S", 3)
 
 
 # ---------------------------------------------------------- negative projector

@@ -35,7 +35,7 @@ def test_constants_identity_form():
     d, q = 3, 2
     V = np.eye(d, dtype=complex)[:, : d - q + 1]
     field = one_point_field(np.eye(d, dtype=complex), V)
-    c = compute_constants(field, "Q", None, q)
+    c = compute_constants(field, ["Q"], None, q)["Q"]
     assert_allclose([c.A1, c.A2, c.A3], [1.0, 1.0, 0.0], atol=1e-12)
 
 
@@ -43,7 +43,7 @@ def test_constants_block_diagonal():
     d, q = 3, 2
     V = np.eye(d, dtype=complex)[:, :2]
     field = one_point_field(np.diag([2.0, 3.0, -1.0]).astype(complex), V)
-    c = compute_constants(field, "Q", None, q)
+    c = compute_constants(field, ["Q"], None, q)["Q"]
     assert_allclose([c.A1, c.A2, c.A3], [2.0, 1.0, 0.0], atol=1e-12)
 
 
@@ -52,12 +52,12 @@ def test_constants_not_positive_on_v():
     V = np.eye(d, dtype=complex)[:, :2]
     field = one_point_field(np.diag([-2.0, 3.0, 1.0]).astype(complex), V)
     with pytest.raises(NotPositiveOnV):
-        compute_constants(field, "Q", None, q)
+        compute_constants(field, ["Q"], None, q)["Q"]
 
 
 def test_constants_a3_sampling_oracle(rng):
     field, gamma = planted_subbundle_field(rng, 6, 5, 2, form_names=("Q",))
-    c = compute_constants(field, "Q", gamma, 2)
+    c = compute_constants(field, ["Q"], gamma, 2)["Q"]
     worst = -np.inf
     for i, p in enumerate(field.points):
         H = p.forms["Q"]
@@ -106,6 +106,22 @@ def test_build_penalty_metric_trivial(rng):
     V = np.eye(2, dtype=complex)[:, :1]
     assert_allclose(build_penalty_metric(np.eye(2), V, 0.0), np.eye(2))
     assert_allclose(build_penalty_metric(np.eye(2), V, 3.0), np.diag([1.0, 4.0]))
+
+
+def test_build_penalty_metric_stack_matches_points(rng):
+    field, gamma = planted_subbundle_field(rng, 6, 5, 2, form_names=("Q",))
+    BV = np.stack([p.subspace for p in field.points])
+    h = build_penalty_metric(gamma, BV, 2.5)
+    for i in range(len(field)):
+        assert_allclose(h[i], build_penalty_metric(gamma[i], BV[i], 2.5), atol=1e-13)
+
+
+def test_constants_of_several_forms_match_one_at_a_time(rng):
+    field, gamma = planted_subbundle_field(rng, 8, 5, 2)
+    both = compute_constants(field, ["Q1", "Q3"], gamma, 2)
+    assert list(both) == ["Q1", "Q3"]
+    for name, c in both.items():
+        assert c == compute_constants(field, [name], gamma, 2)[name]
 
 
 def test_penalty_metric_unit_vector_decomposition(rng):

@@ -233,7 +233,21 @@ BAD_INPUT_CASES = [
     "domain_custom_bad_params",
     "two_forms_unknown_form", "two_forms_zero_angles",
     "counterexample_grid_1", "counterexample_negative_radius",
+    "field_point_not_object", "field_forms_not_object", "field_coords_not_numbers",
+    "field_neighbors_not_list", "field_dim_zero", "check_form_missing_at_a_point",
+    "single_form_missing_at_a_point", "metric_not_hermitian", "metric_not_positive_definite",
+    "levi_zero_samples",
 ]
+FIELD_DEFECTS = {
+    "field_point_not_object": (lambda doc: doc["points"].__setitem__(0, 5), ".points[0]"),
+    "field_forms_not_object": (lambda doc: doc["points"][0].__setitem__("forms", [1]),
+                               ".points[0].forms"),
+    "field_coords_not_numbers": (lambda doc: doc["points"][1].__setitem__("coords", ["x"]),
+                                 ".points[1].coords"),
+    "field_neighbors_not_list": (lambda doc: doc["points"][0].__setitem__("neighbors", 5),
+                                 ".points[0].neighbors"),
+    "field_dim_zero": (lambda doc: doc.__setitem__("dim", 0), ".dim"),
+}
 
 
 @pytest.mark.parametrize("case", BAD_INPUT_CASES)
@@ -291,6 +305,27 @@ def test_cli_rejects_bad_input_with_exit_1(tmp_path, case):
         argv, named = two + ("--forms", "S,Q1", "--angles", 0), "--angles"
     elif case == "counterexample_grid_1":
         argv, named = ("geometry", "counterexample", "--grid", 1), "--grid"
+    elif case in FIELD_DEFECTS:
+        doc = json.loads(path.read_text())
+        mutate, suffix = FIELD_DEFECTS[case]
+        mutate(doc)
+        path.write_text(json.dumps(doc))
+        argv, named = check + ("--q", 1), f"{path}{suffix}"
+    elif case.endswith("form_missing_at_a_point"):
+        doc = json.loads(path.read_text())
+        del doc["points"][1]["forms"]["Q1"]
+        path.write_text(json.dumps(doc))
+        argv = (("check", "--input", path, "--q", 1) if case.startswith("check")
+                else ("synthesize", "single", "--input", path, "--q", 1))
+        argv, named = argv + ("--form", "Q1"), "--form"
+    elif case.startswith("metric_not"):
+        # cholesky reads only the lower triangle, so the first used to pass as I
+        bad = (np.array([[1.0, 50.0], [0.0, 1.0]]) if case == "metric_not_hermitian"
+               else np.diag([1.0, -0.5]))
+        metric.write_text(dumps_canonical(metrics_to_json(["p0", "p1"], [np.eye(2), bad])))
+        argv, named = check + ("--q", 2, "--metric", metric), f"{metric}.metrics[1].matrix"
+    elif case == "levi_zero_samples":
+        argv, named = ("geometry", "levi", "--domain", quad, "--samples", 0), "--samples"
     else:
         argv, named = ("geometry", "counterexample", "--radius", -1), "--radius"
     r = run_cli(*argv)
@@ -337,3 +372,103 @@ def test_cli_domain_spec_fuzz_exits_cleanly(spec, command):
     assert "Traceback" not in err.getvalue()
     if code == 1:
         assert str(dom) in err.getvalue()
+
+
+FIELD_TEMPLATE = {"dim": 2, "points": [
+    {"id": "p0", "forms": {"S": {"dim": 2, "re": [[1.0, 0.0], [0.0, 2.0]],
+                                 "im": [[0.0, 0.5], [-0.5, 0.0]]}},
+     "coords": [0.0, 1.0], "neighbors": ["p1"], "in_F": True,
+     "g0": {"dim": 2, "re": [[2.0, 0.5], [0.5, 1.0]]}},
+    {"id": "p1", "forms": {"S": {"dim": 2, "re": [[1.0, 0.5], [0.5, -0.2]]}},
+     "neighbors": ["p0"]},
+]}
+METRIC_TEMPLATE = {"metrics": [
+    {"id": "p0", "matrix": {"dim": 2, "re": [[2.0, 0.5], [0.5, 1.0]]}},
+    {"id": "p1", "matrix": {"dim": 2, "re": [[1.0, 0.0], [0.0, 3.0]],
+                            "im": [[0.0, 0.1], [-0.1, 0.0]]}},
+]}
+
+
+def _json_paths(obj, prefix=()):
+    """Every key or index path inside a JSON document."""
+    items = obj.items() if isinstance(obj, dict) else \
+        enumerate(obj) if isinstance(obj, list) else ()
+    for k, v in items:
+        yield prefix + (k,)
+        yield from _json_paths(v, prefix + (k,))
+
+
+@st.composite
+def mutated_documents(draw, template):
+    doc = copy.deepcopy(template)
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_json_paths(doc))
+        if not paths:
+            break
+        *head, last = draw(st.sampled_from(paths))
+        parent = doc
+        for k in head:
+            parent = parent[k]
+        if draw(st.booleans()):
+            del parent[last]
+        else:
+            parent[last] = draw(JSON_VALUES)
+    return doc
+
+
+@settings(max_examples=80, deadline=None)
+@given(mutated_documents(FIELD_TEMPLATE), st.none() | mutated_documents(METRIC_TEMPLATE),
+       st.sampled_from([("check", "--q", "1"), ("check", "--q", "2"),
+                        ("synthesize", "single", "--q", "2")]))
+def test_cli_field_and_metric_fuzz_exits_cleanly(field_doc, metric_doc, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        field = Path(tmp) / "field.json"
+        field.write_text(json.dumps(field_doc))
+        argv = [*command, "--input", str(field), "--form", "S"]
+        metric = Path(tmp) / "metric.json"
+        if metric_doc is not None and command[0] == "check":
+            metric.write_text(json.dumps(metric_doc))
+            argv += ["--metric", str(metric)]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        # a damaged file is named by its path; a form deleted at one point by --form
+        assert any(s in err.getvalue() for s in (str(field), str(metric), "--form"))
+
+
+def _eigvalsh_calls(monkeypatch, argv):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    with monkeypatch.context() as m, contextlib.redirect_stdout(io.StringIO()):
+        m.setattr(np.linalg, "eigvalsh", counted)
+        assert cli.main([str(a) for a in argv]) == 0
+    return len(calls)
+
+
+def test_cli_eigensolve_count_does_not_grow_with_points(tmp_path, rng, monkeypatch):
+    # batched over points: a per-point eigvalsh loop in check or levi fails here
+    counts = {}
+    for n in (30, 300):
+        field, metric = tmp_path / f"field{n}.json", tmp_path / f"metric{n}.json"
+        points = planted_inertia_field(rng, n, 4, 2, nu_choices=[0])
+        field.write_text(dumps_canonical(field_to_json(points)))
+        metric.write_text(dumps_canonical(metrics_to_json(points.ids, [np.eye(4)] * n)))
+        counts["check", n] = _eigvalsh_calls(monkeypatch, [
+            "check", "--input", field, "--form", "S", "--q", 2, "--metric", metric,
+            "--out", tmp_path / "check.json"])
+    dom = tmp_path / "dom.json"
+    dom.write_text(json.dumps({"type": "ball", "n": 3}))
+    for n in (10, 100):
+        counts["levi", n] = _eigvalsh_calls(monkeypatch, [
+            "geometry", "levi", "--domain", dom, "--samples", n,
+            "--out", tmp_path / "levi.json"])
+    assert counts["check", 30] == counts["check", 300] <= 3, counts
+    assert counts["levi", 10] == counts["levi", 100] == 1, counts

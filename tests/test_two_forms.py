@@ -343,3 +343,14 @@ def test_field_flags_missing_common_direction():
         field_metric_top_degree(field, ("Q1", "Q2"))
     assert exc.value.point_id == "bad"
     assert exc.value.lam_max <= DIRECTION_FLOOR_SCALE
+
+
+def test_field_certificate_failure_names_the_point():
+    # one ray at theta = pi/4 misses the positive-gradient arc of "coarse"
+    pts = [FieldPoint(id="ok", forms={"Q1": np.eye(2, dtype=complex),
+                                      "Q2": np.eye(2, dtype=complex)}),
+           FieldPoint(id="coarse", forms={"Q1": np.diag([1.0, -3.0]).astype(complex),
+                                          "Q2": np.diag([-0.1, 1.0]).astype(complex)})]
+    with pytest.raises(CertificateFailed, match="empty positive-gradient arc") as exc:
+        field_metric_top_degree(FormField(dim=2, points=pts), ("Q1", "Q2"), n_angles=1)
+    assert exc.value.failed_ids == ["coarse"]
