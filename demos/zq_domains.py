@@ -12,7 +12,7 @@ from qpos.geometry import (
     MqnManifold,
     ProductDomain,
     QuadricDomain,
-    levi_form,
+    levi_forms,
     sample_boundary,
     zq_check,
     zq_metric_pipeline,
@@ -29,7 +29,7 @@ CASES = [
 for name, domain, q in CASES:
     print(f"== {name}, q = {q} ==")
     samples = sample_boundary(domain, 300, seed=11)
-    levis = np.stack([levi_form(domain, s) for s in samples])
+    levis = levi_forms(domain, samples)
     lam = np.linalg.eigvalsh(levis)
     print(f"   Levi eigenvalue range: [{lam.min():+.3f}, {lam.max():+.3f}]")
     report = zq_check(domain, q, samples)

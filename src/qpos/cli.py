@@ -48,9 +48,7 @@ INERTIA_THRESHOLDS = (1e-8, 1e-10, 1e-12)
 
 
 def _config_echo(args, **extra):
-    cfg = {"command": args.command, "seed": getattr(args, "seed", None)}
-    cfg.update(extra)
-    return cfg
+    return {"command": args.command, "seed": getattr(args, "seed", None), **extra}
 
 
 def _load_samples(args):

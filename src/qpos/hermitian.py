@@ -52,8 +52,8 @@ def as_form(M, tau_herm: float = TAU_HERM) -> np.ndarray:
         raise DimensionMismatch(f"expected a square matrix, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
         raise NotFinite("matrix has non-finite entries")
-    defect, scale = _hermiticity(A)
-    if defect > tau_herm * scale:
+    defect, bad = _not_hermitian(A, tau_herm)
+    if bad:
         raise NotHermitian(f"hermiticity defect {defect:.3e} exceeds tolerance")
     return A
 
@@ -61,22 +61,27 @@ def as_form(M, tau_herm: float = TAU_HERM) -> np.ndarray:
 def as_metric(G, tau_herm: float = TAU_HERM, tau_pd: float = TAU_PD) -> np.ndarray:
     """Validate a metric: Hermitian with all eigenvalues > tau_pd."""
     A = as_form(G, tau_herm=tau_herm)
-    w = np.linalg.eigvalsh(A)
-    if w[0] <= tau_pd:
-        raise NotPositiveDefinite(f"smallest metric eigenvalue {w[0]:.3e} <= {tau_pd:.1e}")
+    w0, bad = _not_positive_definite(A, tau_pd)
+    if bad:
+        raise NotPositiveDefinite(f"smallest metric eigenvalue {w0:.3e} <= {tau_pd:.1e}")
     return A
 
 
-def invalid_metrics(G, tau_herm: float = TAU_HERM, tau_pd: float = TAU_PD) -> np.ndarray:
+def invalid_metrics(G) -> np.ndarray:
     """Mask of the matrices of a finite (N, d, d) stack that ``as_metric`` rejects."""
-    defect, scale = _hermiticity(G)
-    return (defect > tau_herm * scale) | (np.linalg.eigvalsh(G)[:, 0] <= tau_pd)
+    return _not_hermitian(G, TAU_HERM)[1] | _not_positive_definite(G, TAU_PD)[1]
 
 
-def _hermiticity(A):
-    """Per matrix of a stack: the defect ||A - A*||_F and its scale max(1, ||A||_F)."""
+def _not_hermitian(A, tau_herm):
+    """Per matrix of a stack: the defect ||A - A*||_F; is it > tau_herm * max(1, ||A||_F)?"""
     defect = np.linalg.norm(A - np.conj(np.swapaxes(A, -1, -2)), axis=(-2, -1))
-    return defect, np.maximum(1.0, np.linalg.norm(A, axis=(-2, -1)))
+    return defect, defect > tau_herm * np.maximum(1.0, np.linalg.norm(A, axis=(-2, -1)))
+
+
+def _not_positive_definite(A, tau_pd):
+    """Per matrix of a Hermitian stack: the smallest eigenvalue and whether it is <= tau_pd."""
+    w0 = np.linalg.eigvalsh(A)[..., 0]
+    return w0, w0 <= tau_pd
 
 
 def sign_counts(lam, rel: float = ZERO_REL):
@@ -84,7 +89,10 @@ def sign_counts(lam, rel: float = ZERO_REL):
 
     An eigenvalue is zero within ``rel * max(1, max |lam|)`` of its spectrum.
     """
-    thr = rel * _spectral_scale(lam)[..., None]
+    return _counts_beyond(lam, rel * _spectral_scale(lam)[..., None])
+
+
+def _counts_beyond(lam, thr):
     return np.sum(lam > thr, axis=-1), np.sum(lam < -thr, axis=-1)
 
 
@@ -248,12 +256,11 @@ def inertia(H, zero_threshold: float | None = None, tau_herm: float = TAU_HERM) 
     """
     M = as_form(H, tau_herm=tau_herm)
     w = np.linalg.eigvalsh(M)
-    scale = float(_spectral_scale(w))
     if zero_threshold is None:
-        zero_threshold = ZERO_REL * scale
+        zero_threshold = ZERO_REL * float(_spectral_scale(w))
     if zero_threshold < 0:
         raise ValueError("zero_threshold must be nonnegative")
-    n_plus, n_minus = (int(n) for n in sign_counts(w, rel=zero_threshold / scale))
+    n_plus, n_minus = (int(n) for n in _counts_beyond(w, zero_threshold))
     return Inertia(n_plus, n_minus, len(w) - n_plus - n_minus, zero_threshold)
 
 

@@ -27,12 +27,8 @@ BAD_VALUE = (KeyError, TypeError, ValueError, OverflowError)
 
 def _canon(obj, out, indent):
     pad = " " * indent
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
+    if obj is None or isinstance(obj, bool):
+        out.append(json.dumps(obj))
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
@@ -76,8 +72,7 @@ def dumps_canonical(obj) -> str:
 
 
 def write_report(path, obj) -> None:
-    payload = {"qpos_schema": SCHEMA_VERSION}
-    payload.update(obj)
+    payload = {"qpos_schema": SCHEMA_VERSION, **obj}
     with open(path, "w") as fh:
         fh.write(dumps_canonical(payload))
 
@@ -178,6 +173,8 @@ def field_from_json(obj, path="field") -> FormField:
         for key, kind, name in (("forms", dict, "object"), ("neighbors", list, "array")):
             if not isinstance(rp.get(key, kind()), kind):
                 raise SchemaError(f"{ppath}.{key}", f"expected a JSON {name}")
+        if not all(isinstance(n, (str, int, float)) for n in rp.get("neighbors", [])):
+            raise SchemaError(f"{ppath}.neighbors", "entries must be string or number ids")
         try:
             coords = np.asarray(rp["coords"], dtype=float) if "coords" in rp else None
         except BAD_VALUE as e:

@@ -21,6 +21,7 @@ from qpos.geometry import (
     domain_from_spec,
     fd_complex_hessian,
     levi_form,
+    levi_forms,
     sample_boundary,
     weight_bump,
     zq_check,
@@ -254,7 +255,7 @@ def test_pipeline_quadric(quadric, quadric_samples):
     # the synthesized metric certifies the Levi field pointwise
     from qpos.hermitian import pencil_eigvalsh
 
-    levis = np.stack([levi_form(quadric, s) for s in quadric_samples])
+    levis = levi_forms(quadric, quadric_samples)
     lam = pencil_eigvalsh(levis, metrics)
     assert np.all(np.sum(lam[:, :2], axis=1) > 0)
 

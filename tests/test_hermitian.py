@@ -113,6 +113,11 @@ def test_inertia_trivial_cases():
     assert inertia(np.eye(4)).as_tuple() == (4, 0, 0)
 
 
+def test_inertia_explicit_threshold_is_absolute():
+    # an eigenvalue equal to the threshold is zero; (1 / 49) * 49 rounds below 1
+    assert inertia(np.diag([49.0, 1.0, -1.0]), zero_threshold=1.0).as_tuple() == (1, 0, 2)
+
+
 def test_inertia_sylvester_congruence(rng):
     # A* diag(1,1,-1) A keeps signature (2,1,0) for any invertible A
     D = np.diag([1.0, 1.0, -1.0])

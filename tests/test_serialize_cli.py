@@ -236,7 +236,7 @@ BAD_INPUT_CASES = [
     "field_point_not_object", "field_forms_not_object", "field_coords_not_numbers",
     "field_neighbors_not_list", "field_dim_zero", "check_form_missing_at_a_point",
     "single_form_missing_at_a_point", "metric_not_hermitian", "metric_not_positive_definite",
-    "levi_zero_samples",
+    "levi_zero_samples", "field_neighbor_not_scalar",
 ]
 FIELD_DEFECTS = {
     "field_point_not_object": (lambda doc: doc["points"].__setitem__(0, 5), ".points[0]"),
@@ -311,6 +311,13 @@ def test_cli_rejects_bad_input_with_exit_1(tmp_path, case):
         mutate(doc)
         path.write_text(json.dumps(doc))
         argv, named = check + ("--q", 1), f"{path}{suffix}"
+    elif case == "field_neighbor_not_scalar":
+        # an unhashable neighbor id used to reach FormField.anchored_mask
+        doc = json.loads(path.read_text())
+        doc["points"][0].update(in_F=True, g0=matrix_to_json(np.eye(2)), neighbors=[[0.5]])
+        path.write_text(json.dumps(doc))
+        argv = ("synthesize", "single", "--input", path, "--q", 1, "--form", "S")
+        named = f"{path}.points[0].neighbors"
     elif case.endswith("form_missing_at_a_point"):
         doc = json.loads(path.read_text())
         del doc["points"][1]["forms"]["Q1"]
