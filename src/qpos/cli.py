@@ -198,8 +198,9 @@ def cmd_synthesize_two_forms(args):
 def cmd_geometry_levi(args):
     domain, samples = _load_samples(args)
     lam = np.linalg.eigvalsh(levi_forms(domain, samples))
-    entries = [{"index": i, "chart": s.chart, "eigenvalues": w.tolist(), "inertia": inertia}
-               for i, (s, w, inertia) in enumerate(zip(samples, lam, _inertia_triples(lam)))]
+    entries = [{"index": i, "chart": domain.charts[c], "eigenvalues": w, "inertia": inertia}
+               for i, (c, w, inertia) in enumerate(zip(samples.chart, lam.tolist(),
+                                                       _inertia_triples(lam)))]
     if args.out:
         write_report(args.out, {"config": _config_echo(args, samples=args.samples),
                                 "levi": entries})
@@ -339,33 +340,19 @@ def build_parser() -> argparse.ArgumentParser:
     geo = sub.add_parser("geometry", help="domain computations").add_subparsers(
         dest="mode", required=True)
 
-    c = geo.add_parser("levi")
-    c.add_argument("--domain", required=True)
-    c.add_argument("--samples", type=int, default=200)
-    c.add_argument("--out")
-    c.set_defaults(fn=cmd_geometry_levi)
-
-    c = geo.add_parser("zq")
-    c.add_argument("--domain", required=True)
-    c.add_argument("--q", type=int, required=True)
-    c.add_argument("--samples", type=int, default=200)
-    c.add_argument("--out")
-    c.set_defaults(fn=cmd_geometry_zq)
-
-    c = geo.add_parser("pipeline")
-    c.add_argument("--domain", required=True)
-    c.add_argument("--q", type=int, required=True)
-    c.add_argument("--samples", type=int, default=200)
-    c.add_argument("--out")
-    c.add_argument("--cert")
-    c.set_defaults(fn=cmd_geometry_pipeline)
-
-    c = geo.add_parser("bump")
-    c.add_argument("--domain", required=True)
-    c.add_argument("--q", type=int, required=True)
-    c.add_argument("--samples", type=int, default=200)
-    c.add_argument("--out")
-    c.set_defaults(fn=cmd_geometry_bump)
+    for name, fn, extra in (("levi", cmd_geometry_levi, ()),
+                            ("zq", cmd_geometry_zq, ("--q",)),
+                            ("pipeline", cmd_geometry_pipeline, ("--q", "--cert")),
+                            ("bump", cmd_geometry_bump, ("--q",))):
+        c = geo.add_parser(name)
+        c.add_argument("--domain", required=True)
+        if "--q" in extra:
+            c.add_argument("--q", type=int, required=True)
+        c.add_argument("--samples", type=int, default=200)
+        c.add_argument("--out")
+        if "--cert" in extra:
+            c.add_argument("--cert")
+        c.set_defaults(fn=fn)
 
     c = geo.add_parser("counterexample")
     c.add_argument("--radius", type=float, default=2.0)

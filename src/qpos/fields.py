@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import CertificateFailed, DimensionMismatch, QOutOfRange, QposError
-from .hermitian import as_form, as_metric, pencil_eigvalsh
+from .hermitian import as_form, pencil_eigvalsh, require_metrics
 
 MARGIN_FLOOR_SCALE = 1e-9
 
@@ -50,8 +50,8 @@ class FormField:
                     raise DimensionMismatch(f"form {name!r} at {p.id!r} has dim {A.shape[0]} != {d}")
                 p.forms[name] = A
             if p.g0 is not None:
-                p.g0 = as_metric(p.g0)
-                if p.g0.shape[0] != d:
+                p.g0 = np.asarray(p.g0, dtype=complex)
+                if p.g0.shape != (d, d):
                     raise DimensionMismatch(f"g0 at {p.id!r} has wrong dim")
             if p.in_F and p.g0 is None:
                 raise QposError(f"point {p.id!r} is in F but has no g0")
@@ -62,6 +62,18 @@ class FormField:
                 p.subspace = B
             if p.coords is not None:
                 p.coords = np.asarray(p.coords, dtype=float)
+        with_g0 = [p for p in self.points if p.g0 is not None]
+        if with_g0:  # every g0 in one stacked check
+            require_metrics([p.g0 for p in with_g0], [p.id for p in with_g0])
+
+    @classmethod
+    def from_stacks(cls, ids, forms: dict, subspace=None) -> "FormField":
+        """One point per id from (N, d, d) stacks of named forms and (N, d, k) subspaces."""
+        dim = next(iter(forms.values())).shape[-1]
+        return cls(dim=dim, points=[
+            FieldPoint(id=i, forms={name: F[j] for name, F in forms.items()},
+                       subspace=None if subspace is None else subspace[j])
+            for j, i in enumerate(ids)])
 
     def __len__(self):
         return len(self.points)

@@ -25,12 +25,10 @@ from .domains import (
     fd_complex_hessian,
 )
 from .levi import (
-    BoundarySample,
+    BoundarySamples,
     ZqReport,
     adjacency_components,
-    boundary_weight_hessian,
     kernel_frame,
-    levi_form,
     levi_forms,
     newton_project,
     sample_boundary,

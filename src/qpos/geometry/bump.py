@@ -34,15 +34,19 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from ..errors import BoundNotFound, QOutOfRange, QposError
-from ..fields import FieldPoint, FormField
+from ..fields import FormField
 from ..hermitian import congruence, pencil_eigvalsh, reduce_form, sign_counts
 from ..metric_subbundle import synthesize_subbundle
 from ..synthetic import random_g_orthonormal_frames
 from ..two_forms import common_witnesses
 from .domains import Domain
-from .levi import BoundarySample, boundary_weight_hessian, levi_forms
+from .levi import BoundarySamples
 
 CHI_SECOND_DERIVATIVE = 2.0
+EPS0_SCALE = 0.1             # eps never exceeds EPS0_SCALE * domain.scale ...
+THETA_SAFETY = 0.9           # ... and is THETA_SAFETY times the smaller bound
+TRACE_CHECK_SAMPLES = 100    # samples and random q-frames per sample on which
+TRACE_CHECK_FRAMES = 100     # the restricted-trace decomposition is checked
 
 
 def chi(t):
@@ -159,65 +163,50 @@ def _eta_dual(A: np.ndarray, Nrm: np.ndarray, q: int, floor: float = 1e-8) -> fl
 
     A and N are stacks in g0-orthonormal coordinates, N PSD of rank one.
     Samples whose trace form is already strictly q-positive impose no
-    constraint (eta infinite there).
+    constraint (eta infinite there); the others are searched together.
     """
-    def phi(i, mu):
-        lam = np.linalg.eigvalsh(A[i] + mu * Nrm[i])
-        return float(np.sum(lam[:q]))
+    def ratio(idx, mu):
+        lam = np.linalg.eigvalsh(A[idx] + mu[..., None, None] * Nrm[idx])
+        return np.sum(lam[..., :q], axis=-1) / mu
 
-    etas = []
-    scale = max(1.0, float(np.max(np.abs(np.linalg.eigvalsh(A)))))
-    for i in range(len(A)):
-        if phi(i, 0.0) > 0:
-            continue
-        mus = np.geomspace(1e-6 * scale, 1e9 * scale, 160)
-        vals = np.array([phi(i, m) / m for m in mus])
-        j = int(np.argmax(vals))
-        lo = mus[max(j - 1, 0)]
-        hi = mus[min(j + 1, len(mus) - 1)]
-        for _ in range(80):  # golden-section refinement of the unimodal ratio
-            m1 = lo + 0.381966 * (hi - lo)
-            m2 = hi - 0.381966 * (hi - lo)
-            if phi(i, m1) / m1 < phi(i, m2) / m2:
-                lo = m1
-            else:
-                hi = m2
-        mu_star = 0.5 * (lo + hi)
-        etas.append(phi(i, mu_star) / mu_star)
-    if not etas:
+    lam0 = np.linalg.eigvalsh(A)
+    idx = np.flatnonzero(np.sum(lam0[:, :q], axis=1) <= 0)
+    if not idx.size:
         return float("inf")
-    eta = 0.95 * float(np.min(etas))
+    scale = max(1.0, float(np.max(np.abs(lam0))))
+    mus = np.geomspace(1e-6 * scale, 1e9 * scale, 160)
+    j = np.argmax(ratio(idx[:, None], mus), axis=1)
+    lo = mus[np.maximum(j - 1, 0)]
+    hi = mus[np.minimum(j + 1, len(mus) - 1)]
+    for _ in range(80):
+        m1 = lo + 0.381966 * (hi - lo)
+        m2 = hi - 0.381966 * (hi - lo)
+        left = ratio(idx, m1) < ratio(idx, m2)
+        lo = np.where(left, m1, lo)
+        hi = np.where(left, hi, m2)
+    eta = 0.95 * float(np.min(ratio(idx, 0.5 * (lo + hi))))
     if eta < floor:
         raise BoundNotFound(f"eta = {eta:.3e} below the 1e-8 floor")
     return eta
 
 
-def weight_bump(domain: Domain, q: int, samples: list[BoundarySample],
-                eps0: float | None = None, seed: int = 0,
-                trace_check_samples: int = 100, trace_check_frames: int = 100,
-                theta_safety: float = 0.9) -> WeightBumpReport:
+def weight_bump(domain: Domain, q: int, samples: BoundarySamples,
+                seed: int = 0) -> WeightBumpReport:
     """Compute (delta0, eta, eps) and verify the three claims at every sample."""
     n = domain.n
     if not 1 <= q <= n - 1:
         raise QOutOfRange(f"q = {q} not in [1, {n - 1}]")
-    if eps0 is None:
-        eps0 = 0.1 * domain.scale
     n_samp = len(samples)
     d = n - 1
 
-    frames = np.stack([s.frame for s in samples])
-    normals = np.stack([s.normal for s in samples])
-    ws = np.stack([s.w for s in samples])
-    Mrho = np.stack([domain.rho_hessian(s.z, s.chart) for s in samples])
-    Mphi = np.stack([boundary_weight_hessian(domain, s) for s in samples])
-    Lv = levi_forms(domain, samples)
-    Hv = reduce_form(Mphi, frames)
+    frames, normals, ws = samples.frame, samples.normal, samples.w
+    Mrho = domain.rho_hessian(samples.z, samples.chart)
+    Mphi = domain.weight_hessian(samples.z, samples.chart)
+    Lv, Hv = reduce_form(Mrho, frames), reduce_form(Mphi, frames)
 
     # boundary metric h from the common positive subbundle of both forms
     V = _common_positive_subbundle(Lv, Hv, n - q)
-    pts = [FieldPoint(id=i, forms={"levi": Lv[i], "hess": Hv[i]}, subspace=V[i])
-           for i in range(n_samp)]
-    kernel_field = FormField(dim=d, points=pts)
+    kernel_field = FormField.from_stacks(range(n_samp), {"levi": Lv, "hess": Hv}, subspace=V)
     h, certs, consts = synthesize_subbundle(kernel_field, ["levi", "hess"], q)
     kappa = consts["levi"].kappa
 
@@ -231,13 +220,12 @@ def weight_bump(domain: Domain, q: int, samples: list[BoundarySample],
 
     delta0 = _find_delta0(Mphi, Mrho, n - q + 1)
 
+    def q_sums(M, G, part=slice(None, q)):
+        return np.sum(pencil_eigvalsh(M, G)[:, part], axis=1)
+
     # two-sided trace bounds over q-planes, relative to g0
-    lam_phi = pencil_eigvalsh(Mphi, G0)
-    lam_rho = pencil_eigvalsh(Mrho, G0)
-    B1 = float(max(np.max(np.sum(lam_phi[:, -q:], axis=1)),
-                   np.max(np.sum(-lam_phi[:, :q], axis=1))))
-    B2 = float(max(np.max(np.sum(lam_rho[:, -q:], axis=1)),
-                   np.max(np.sum(-lam_rho[:, :q], axis=1))))
+    B1, B2 = (float(max(np.max(q_sums(M, G0, slice(-q, None))), np.max(-q_sums(M, G0))))
+              for M in (Mphi, Mrho))
 
     # eta from the dual form, in g0-orthonormal coordinates
     W0, _ = congruence(G0)
@@ -248,38 +236,32 @@ def weight_bump(domain: Domain, q: int, samples: list[BoundarySample],
     chi2 = float(chi_double_prime(0.0))
     denom = B1 + delta0 * B2
     eps_bound = float("inf") if denom <= 0 else delta0 * chi2 * eta / denom
-    epsilon = theta_safety * min(eps_bound, eps0)
+    epsilon = THETA_SAFETY * min(eps_bound, EPS0_SCALE * domain.scale)
 
     def bumped(eps):
         return A_form + (delta0 / eps) * chi2 * Nrm_form
 
     M_eps = bumped(epsilon)
     claim1 = sign_counts(np.linalg.eigvalsh(M_eps))[0] >= n - q + 1
-    lam2 = pencil_eigvalsh(Hv + delta0 * Lv, h)
-    claim2 = np.sum(lam2[:, :q], axis=1)
-    lam3 = pencil_eigvalsh(M_eps, G0)
-    claim3 = np.sum(lam3[:, :q], axis=1)
+    claim2 = q_sums(Hv + delta0 * Lv, h)
+    claim3 = q_sums(M_eps, G0)
 
     # restricted-trace decomposition on random g0-orthonormal frames
-    rng = np.random.default_rng(seed)
-    sel = np.linspace(0, n_samp - 1, min(trace_check_samples, n_samp)).astype(int)
-    max_err = 0.0
-    for i in sel:
-        T = random_g_orthonormal_frames(rng, G0[i], trace_check_frames, q)
-        direct = np.einsum("nki,kl,nli->n", T.conj(), M_eps[i], T).real
-        t_phi = np.einsum("nki,kl,nli->n", T.conj(), Mphi[i], T).real
-        t_rho = np.einsum("nki,kl,nli->n", T.conj(), Mrho[i], T).real
-        mass = np.sum(np.abs(np.einsum("k,nkj->nj", ws[i], T)) ** 2, axis=1)
-        recomposed = t_phi + delta0 * t_rho + (delta0 / epsilon) * chi2 * mass
-        err = np.max(np.abs(direct - recomposed) / np.maximum(1.0, np.abs(direct)))
-        max_err = max(max_err, float(err))
+    sel = np.linspace(0, n_samp - 1, min(TRACE_CHECK_SAMPLES, n_samp)).astype(int)
+    T = random_g_orthonormal_frames(np.random.default_rng(seed), G0[sel],
+                                    TRACE_CHECK_FRAMES, q)
+
+    def trace(M):
+        return np.einsum("snki,skl,snli->sn", T.conj(), M[sel], T).real
+
+    direct = trace(M_eps)
+    mass = np.sum(np.abs(np.einsum("sk,snkj->snj", ws[sel], T)) ** 2, axis=-1)
+    recomposed = trace(Mphi) + delta0 * trace(Mrho) + (delta0 / epsilon) * chi2 * mass
+    max_err = float(np.max(np.abs(direct - recomposed) / np.maximum(1.0, np.abs(direct))))
 
     # observational negative control at 10x the bound
-    if np.isfinite(eps_bound):
-        lam_large = pencil_eigvalsh(bumped(10.0 * eps_bound), G0)
-        large_fail = int(np.sum(np.sum(lam_large[:, :q], axis=1) <= 0))
-    else:
-        large_fail = 0
+    large_fail = (int(np.sum(q_sums(bumped(10.0 * eps_bound), G0) <= 0))
+                  if np.isfinite(eps_bound) else 0)
 
     return WeightBumpReport(
         n=n, q=q, delta0=delta0, eta=eta, epsilon=float(epsilon),

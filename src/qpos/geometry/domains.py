@@ -16,6 +16,8 @@ homogeneous representative, which is what boundary adjacency is built on.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from ..errors import QposError, SchemaError
@@ -80,36 +82,71 @@ def complex_hessian(phi, p, mode: str = "auto", step: float = FD_STEP) -> np.nda
 
 
 # ---------------------------------------------------------------------------
-# diagonal-quadratic building blocks (all built-in functions reduce to these)
+# stacks of chart points and weights: everything below works over leading axes
 # ---------------------------------------------------------------------------
 
+def row_norm(x) -> np.ndarray:
+    """Euclidean norms along the last axis, rounded as ``np.linalg.norm`` rounds one vector."""
+    x = np.asarray(x, dtype=complex)
+    return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
+
+
+def _diag(a) -> np.ndarray:
+    """Diagonal matrices with the entries of ``a`` along its last axis."""
+    return np.where(np.eye(a.shape[-1], dtype=bool), a[..., None], 0.0)
+
+
+def _outer(x, y) -> np.ndarray:
+    return x[..., :, None] * y[..., None, :]
+
+
+def _other_slots(n1: int) -> np.ndarray:
+    """Row c lists the n1 - 1 homogeneous slots other than slot c."""
+    return np.array([np.delete(np.arange(n1), c) for c in range(n1)])
+
+
+def _split_chart(v, chart):
+    """Entries of ``v`` off the chart slot and at it, for chart indices of any shape."""
+    chart = np.asarray(chart)
+    return v[_other_slots(v.shape[-1])[chart]], v[chart]
+
+
+def _homogeneous(zeta, chart) -> np.ndarray:
+    """Homogeneous coordinates of affine chart points: a 1 inserted at the chart slot."""
+    zeta = np.asarray(zeta, dtype=complex)
+    w = np.ones(zeta.shape[:-1] + (zeta.shape[-1] + 1,), dtype=complex)
+    slots = _other_slots(w.shape[-1])[np.asarray(chart)]
+    np.put_along_axis(w, np.broadcast_to(slots, zeta.shape), zeta, axis=-1)
+    return w
+
+
+def _to_chart(w, chart=None):
+    """(chart, affine coordinates) of homogeneous points; default chart: the largest entry."""
+    if chart is None:
+        chart = np.argmax(np.abs(w), axis=-1)
+    zeta = np.take_along_axis(w, _other_slots(w.shape[-1])[chart], axis=-1)
+    return chart, zeta / np.take_along_axis(w, chart[..., None], axis=-1)
+
+
+def _embed_projective(w) -> np.ndarray:
+    """Flattened w w* / |w|^2: a chart-free embedding of [w]."""
+    w = np.asarray(w, dtype=complex)
+    P = _outer(w, np.conj(w)) / np.sum(np.abs(w) ** 2, axis=-1)[..., None, None]
+    flat = P.shape[:-2] + (-1,)
+    return np.concatenate([P.real.reshape(flat), P.imag.reshape(flat)], axis=-1)
+
+
 def _quad_value(a, c0, z):
-    return float(c0 + np.sum(a * np.abs(z) ** 2))
-
-
-def _quad_dz(a, z):
-    return a * np.conj(z)
+    return c0 + np.sum(a * np.abs(z) ** 2, axis=-1)
 
 
 def _log_quad_A(a, c0, z):
     """Raw derivative array of log(c0 + sum a_j |z_j|^2)."""
-    Q = _quad_value(a, c0, z)
-    qj = a * np.conj(z)
-    qk = a * z
-    return np.diag(a) / Q - np.outer(qj, qk) / (Q * Q)
+    Q = _quad_value(a, c0, z)[..., None, None]
+    return _diag(a) / Q - _outer(a * np.conj(z), a * z) / (Q * Q)
 
 
-class _Weight:
-    """Scalar function with analytic gradient/Hessian; callable for FD checks."""
-
-    def __call__(self, z):  # pragma: no cover - overridden
-        raise NotImplementedError
-
-    def hessian(self, z):  # pragma: no cover - overridden
-        raise NotImplementedError
-
-
-class QuadExhaustion(_Weight):
+class QuadExhaustion:
     """|z_1|^2 + ... + |z_m|^2 on C^n (zeros beyond the first m slots)."""
 
     def __init__(self, n: int, m: int | None = None):
@@ -118,33 +155,34 @@ class QuadExhaustion(_Weight):
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
-        return float(np.sum(np.abs(z[: self.m]) ** 2))
+        return np.sum(np.abs(z[..., : self.m]) ** 2, axis=-1)
 
     def hessian(self, z):
-        M = np.zeros((self.n, self.n), dtype=complex)
-        M[: self.m, : self.m] = np.eye(self.m)
+        M = np.zeros(np.shape(z)[:-1] + (self.n, self.n), dtype=complex)
+        M[..., : self.m, : self.m] = np.eye(self.m)
         return M
 
 
-class LogQuadRatioWeight(_Weight):
+class LogQuadRatioWeight:
     """-log(1 - N+ / N-) in a chart, for diagonal-quadratic N+ and N-.
 
     ``a_plus``/``a_minus`` are coefficient vectors over the chart
     coordinates, ``c_plus``/``c_minus`` the constants (1 in the block that
-    contains the chart slot, 0 in the other).
+    contains the chart slot, 0 in the other); with leading axes they hold
+    one chart per point of a stack.
     """
 
     def __init__(self, a_plus, c_plus, a_minus, c_minus):
         self.a_plus = np.asarray(a_plus, dtype=float)
-        self.c_plus = float(c_plus)
+        self.c_plus = np.asarray(c_plus, dtype=float)
         self.a_minus = np.asarray(a_minus, dtype=float)
-        self.c_minus = float(c_minus)
+        self.c_minus = np.asarray(c_minus, dtype=float)
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
         npl = _quad_value(self.a_plus, self.c_plus, z)
         nmi = _quad_value(self.a_minus, self.c_minus, z)
-        return float(-np.log(nmi - npl) + np.log(nmi))
+        return -np.log(nmi - npl) + np.log(nmi)
 
     def hessian(self, z):
         z = np.asarray(z, dtype=complex)
@@ -152,17 +190,17 @@ class LogQuadRatioWeight(_Weight):
         a_w = self.a_minus - self.a_plus
         c_w = self.c_minus - self.c_plus
         A = -_log_quad_A(a_w, c_w, z) + _log_quad_A(self.a_minus, self.c_minus, z)
-        return A.T
+        return np.swapaxes(A, -1, -2)
 
 
 def rank_split_weight(n: int, k: int, chart) -> LogQuadRatioWeight:
     """-log(1 - |w|_+^2 / |w|_-^2) on CP^n in the affine chart w_chart = 1.
 
-    The plus block is the first ``k`` of the n + 1 homogeneous coordinates.
+    The plus block is the first ``k`` of the n + 1 homogeneous coordinates;
+    ``chart`` is one chart slot or an array of them.
     """
     plus = (np.arange(n + 1) < k).astype(float)
-    rest = np.arange(n + 1) != chart
-    return LogQuadRatioWeight(plus[rest], plus[chart], 1.0 - plus[rest], 1.0 - plus[chart])
+    return LogQuadRatioWeight(*_split_chart(plus, chart), *_split_chart(1.0 - plus, chart))
 
 
 # ---------------------------------------------------------------------------
@@ -170,34 +208,23 @@ def rank_split_weight(n: int, k: int, chart) -> LogQuadRatioWeight:
 # ---------------------------------------------------------------------------
 
 class Domain:
-    """Base class: chart-aware defining function, weight, and samplers."""
+    """Base class: chart-aware defining function, weight, and samplers.
+
+    Subclasses define ``rho``, ``rho_dz`` (the covector d rho / dz),
+    ``rho_hessian``, ``weight_fn(chart)``, ``embed`` (a chart-independent
+    real embedding used for adjacency) and ``seed_points(rng, count)``
+    (``(chart, z)`` stacks of points near the boundary for Newton
+    projection).  The methods take chart coordinates ``z`` of shape
+    (..., n), one point or a stack, with ``chart`` indices into ``charts``
+    that broadcast against the leading axes; values keep the leading axes.
+    """
 
     n: int
     charts: tuple
     scale: float = 1.0
 
-    def rho(self, z, chart) -> float:
-        raise NotImplementedError
-
-    def rho_dz(self, z, chart) -> np.ndarray:
-        raise NotImplementedError
-
-    def rho_hessian(self, z, chart) -> np.ndarray:
-        raise NotImplementedError
-
-    def weight_fn(self, chart):
-        raise NotImplementedError
-
-    def weight_hessian(self, z, chart) -> np.ndarray:
+    def weight_hessian(self, z, chart):
         return np.asarray(self.weight_fn(chart).hessian(z), dtype=complex)
-
-    def seed_points(self, rng: np.random.Generator, count: int):
-        """(chart, z) pairs near the boundary for Newton projection."""
-        raise NotImplementedError
-
-    def embed(self, z, chart) -> np.ndarray:
-        """Chart-independent real embedding used for adjacency."""
-        raise NotImplementedError
 
 
 class BallDomain(Domain):
@@ -209,35 +236,28 @@ class BallDomain(Domain):
         self.charts = ("affine",)
         self.scale = self.radius
 
-    def rho(self, z, chart="affine"):
+    def rho(self, z, chart=0):
         z = np.asarray(z, dtype=complex)
-        return float(np.sum(np.abs(z) ** 2) - self.radius ** 2)
+        return np.sum(np.abs(z) ** 2, axis=-1) - self.radius ** 2
 
-    def rho_dz(self, z, chart="affine"):
+    def rho_dz(self, z, chart=0):
         return np.conj(np.asarray(z, dtype=complex))
 
-    def rho_hessian(self, z, chart="affine"):
-        return np.eye(self.n, dtype=complex)
+    def rho_hessian(self, z, chart=0):
+        return self.weight_fn(chart).hessian(z)  # rho is the weight minus a constant
 
-    def weight_fn(self, chart="affine"):
+    def weight_fn(self, chart=0):
         return QuadExhaustion(self.n)
 
     def seed_points(self, rng, count):
         Z = rng.standard_normal((count, self.n)) + 1j * rng.standard_normal((count, self.n))
         Z *= (self.radius * (1.0 + 0.1 * rng.standard_normal((count, 1)))
               / np.linalg.norm(Z, axis=1, keepdims=True))
-        return [("affine", z) for z in Z]
+        return np.zeros(count, dtype=int), Z
 
-    def embed(self, z, chart="affine"):
+    def embed(self, z, chart=0):
         z = np.asarray(z, dtype=complex)
-        return np.concatenate([z.real, z.imag])
-
-
-def _embed_projective(w) -> np.ndarray:
-    """Flattened w w* / |w|^2: a chart-free embedding of [w]."""
-    w = np.asarray(w, dtype=complex)
-    P = np.outer(w, w.conj()) / float(np.vdot(w, w).real)
-    return np.concatenate([P.real.ravel(), P.imag.ravel()])
+        return np.concatenate([z.real, z.imag], axis=-1)
 
 
 class QuadricDomain(Domain):
@@ -246,7 +266,8 @@ class QuadricDomain(Domain):
     ``mu`` has n + 1 entries, positive on the first n - q + 1 slots (each
     > 1) and > -1 on the rest with at least one negative; then the domain
     sits inside the region |w|_+ < |w|_- where the weight
-    -log(1 - |w|_+^2 / |w|_-^2) is defined.
+    -log(1 - |w|_+^2 / |w|_-^2) is defined.  Chart c is the affine chart
+    w_c = 1, and rho = (sum mu_j |w_j|^2) / |w|^2 there.
     """
 
     def __init__(self, mu, n: int, q: int):
@@ -263,76 +284,50 @@ class QuadricDomain(Domain):
         self.charts = tuple(range(n + 1))
         self.scale = 1.0
 
-    # chart helpers -------------------------------------------------------
-    def _chart_mu(self, chart):
-        """(coefficients over chart coords, constant) for sum mu_j |w_j|^2."""
-        idx = [j for j in range(self.n + 1) if j != chart]
-        return self.mu[idx], float(self.mu[chart])
-
     def homogeneous(self, z, chart) -> np.ndarray:
-        w = np.empty(self.n + 1, dtype=complex)
-        idx = [j for j in range(self.n + 1) if j != chart]
-        w[idx] = np.asarray(z, dtype=complex)
-        w[chart] = 1.0
-        return w
+        return _homogeneous(z, chart)
 
-    def chart_of(self, w) -> tuple[int, np.ndarray]:
-        w = np.asarray(w, dtype=complex)
-        c = int(np.argmax(np.abs(w)))
-        idx = [j for j in range(self.n + 1) if j != c]
-        return c, w[idx] / w[c]
-
-    # defining function ---------------------------------------------------
-    def rho(self, z, chart):
-        a, c0 = self._chart_mu(chart)
+    def _parts(self, z, chart):
+        """z, the chart coefficients a, and rho = N / D as N, D with a unit last axis."""
+        a, c0 = _split_chart(self.mu, chart)
         z = np.asarray(z, dtype=complex)
-        return _quad_value(a, c0, z) / _quad_value(np.ones(self.n), 1.0, z)
+        return z, a, _quad_value(a, c0, z)[..., None], _quad_value(1.0, 1.0, z)[..., None]
+
+    def rho(self, z, chart):
+        z, a, N, D = self._parts(z, chart)
+        return (N / D)[..., 0]
 
     def rho_dz(self, z, chart):
-        a, c0 = self._chart_mu(chart)
-        z = np.asarray(z, dtype=complex)
-        N = _quad_value(a, c0, z)
-        D = _quad_value(np.ones(self.n), 1.0, z)
-        return (_quad_dz(a, z) * D - N * _quad_dz(np.ones(self.n), z)) / (D * D)
+        z, a, N, D = self._parts(z, chart)
+        return (a * np.conj(z) * D - N * np.conj(z)) / (D * D)
 
     def rho_hessian(self, z, chart):
-        a, c0 = self._chart_mu(chart)
-        z = np.asarray(z, dtype=complex)
-        ones = np.ones(self.n)
-        N = _quad_value(a, c0, z)
-        D = _quad_value(ones, 1.0, z)
+        z, a, N, D = self._parts(z, chart)
         Nj, Nk = a * np.conj(z), a * z
         Dj, Dk = np.conj(z), z
-        A = (np.diag(a) * D - N * np.eye(self.n)
-             + np.outer(Dj, Nk) - np.outer(Nj, Dk)) / (D * D) \
-            - 2.0 * np.outer(Dj, Nk * D - N * Dk) / (D ** 3)
-        return A.T
+        # float_power is libm pow; numpy's vectorized power may round D^3 differently
+        A = (_diag(a) * D[..., None] - N[..., None] * np.eye(self.n)
+             + _outer(Dj, Nk) - _outer(Nj, Dk)) / (D * D)[..., None] \
+            - 2.0 * _outer(Dj, Nk * D - N * Dk) / np.float_power(D, 3)[..., None]
+        return np.swapaxes(A, -1, -2)
 
-    # weight ----------------------------------------------------------------
     def weight_fn(self, chart):
         return rank_split_weight(self.n, self.n - self.q + 1, chart)
 
-    # sampling ---------------------------------------------------------------
     def seed_points(self, rng, count):
-        out = []
         k = self.n - self.q + 1
-        for _ in range(count):
-            w = rng.standard_normal(self.n + 1) + 1j * rng.standard_normal(self.n + 1)
-            wp, wm = w[:k], w[k:]
-            np_, nm_ = float(np.vdot(wp, wp).real), float(np.vdot(wm, wm).real)
-            if np_ < 1e-12 or nm_ < 1e-12:
-                continue
-            # scale the plus block so the point lands on the zero set
-            A = float(self.mu[:k] @ (np.abs(wp) ** 2))
-            B = float(self.mu[k:] @ (np.abs(wm) ** 2))
-            if B >= 0:
-                continue
-            w = np.concatenate([wp * np.sqrt(-B / A), wm])
-            out.append(self.chart_of(w))
-        return out
+        R = rng.standard_normal((count, 2, self.n + 1))
+        w = R[:, 0] + 1j * R[:, 1]
+        wp, wm = np.abs(w[:, :k]) ** 2, np.abs(w[:, k:]) ** 2
+        A, B = np.vecdot(wp, self.mu[:k]), np.vecdot(wm, self.mu[k:])
+        keep = (np.sum(wp, axis=1) >= 1e-12) & (np.sum(wm, axis=1) >= 1e-12) & (B < 0)
+        # scale the plus block so the point lands on the zero set
+        w = w[keep]
+        w[:, :k] *= np.sqrt(-B[keep] / A[keep])[:, None]
+        return _to_chart(w)
 
     def embed(self, z, chart):
-        return _embed_projective(self.homogeneous(z, chart))
+        return _embed_projective(_homogeneous(z, chart))
 
 
 class ProductDomain(Domain):
@@ -354,43 +349,42 @@ class ProductDomain(Domain):
         self.scale = self.radius
 
     def rho(self, z, chart):
-        z = np.asarray(z, dtype=complex)
-        return float(np.sum(np.abs(z[: self.m]) ** 2) - self.radius ** 2)
+        return self.weight_fn(chart)(z) - self.radius ** 2
 
     def rho_dz(self, z, chart):
         z = np.asarray(z, dtype=complex)
-        out = np.zeros(self.n, dtype=complex)
-        out[: self.m] = np.conj(z[: self.m])
+        out = np.zeros(z.shape, dtype=complex)
+        out[..., : self.m] = np.conj(z[..., : self.m])
         return out
 
     def rho_hessian(self, z, chart):
-        M = np.zeros((self.n, self.n), dtype=complex)
-        M[: self.m, : self.m] = np.eye(self.m)
-        return M
+        return self.weight_fn(chart).hessian(z)  # rho is the weight minus a constant
 
     def weight_fn(self, chart):
         return QuadExhaustion(self.n, self.m)
 
     def seed_points(self, rng, count):
-        out = []
-        for _ in range(count):
-            z = rng.standard_normal(self.m) + 1j * rng.standard_normal(self.m)
-            z *= self.radius * (1.0 + 0.1 * rng.standard_normal()) / np.linalg.norm(z)
-            w = rng.standard_normal(self.q) + 1j * rng.standard_normal(self.q)
-            c = int(np.argmax(np.abs(w)))
-            zeta = np.delete(w, c) / w[c]
-            out.append((c, np.concatenate([z, zeta])))
-        return out
+        m, q = self.m, self.q
+        R = rng.standard_normal((count, 2 * m + 1 + 2 * q))
+        z = R[:, :m] + 1j * R[:, m:2 * m]
+        z *= (self.radius * (1.0 + 0.1 * R[:, 2 * m]) / row_norm(z))[:, None]
+        chart, zeta = _to_chart(R[:, 2 * m + 1:2 * m + 1 + q] + 1j * R[:, 2 * m + 1 + q:])
+        return chart, np.concatenate([z, zeta], axis=1)
 
     def embed(self, z, chart):
         z = np.asarray(z, dtype=complex)
-        flat = z[: self.m]
-        w = np.insert(z[self.m:], chart, 1.0)
-        return np.concatenate([flat.real, flat.imag, _embed_projective(w)])
+        flat = z[..., : self.m]
+        return np.concatenate([flat.real, flat.imag,
+                               _embed_projective(_homogeneous(z[..., self.m:], chart))],
+                              axis=-1)
 
 
 class CustomDomain(Domain):
-    """Domain from plain callbacks; all derivatives by finite differences."""
+    """Domain from plain one-point callbacks; all derivatives by finite differences.
+
+    ``rho`` and ``weight`` (which may carry an analytic ``hessian``) take
+    one point of C^n; ``_rows`` applies them to every point of a stack.
+    """
 
     def __init__(self, n: int, rho, weight=None, seed_box: float = 1.5,
                  scale: float = 1.0, fd_step: float = FD_STEP):
@@ -402,34 +396,43 @@ class CustomDomain(Domain):
         self.scale = scale
         self.fd_step = fd_step
 
-    def rho(self, z, chart="affine"):
-        return float(self._rho(np.asarray(z, dtype=complex)))
+    @staticmethod
+    def _rows(fn, z, shape=(), dtype=complex) -> np.ndarray:
+        """``fn`` applied to each point of the stack z: the one per-point loop."""
+        z = np.asarray(z, dtype=complex)
+        out = np.empty(z.shape[:-1] + shape, dtype=dtype)
+        for i in np.ndindex(z.shape[:-1]):
+            out[i] = fn(z[i])
+        return out
 
-    def rho_dz(self, z, chart="affine"):
-        return fd_complex_gradient(self._rho, z, step=self.fd_step)
+    def rho(self, z, chart=0):
+        return self._rows(self._rho, z, dtype=float)
 
-    def rho_hessian(self, z, chart="affine"):
-        return fd_complex_hessian(self._rho, z, step=self.fd_step)
+    def rho_dz(self, z, chart=0):
+        return self._rows(partial(fd_complex_gradient, self._rho, step=self.fd_step), z, (self.n,))
 
-    def weight_fn(self, chart="affine"):
+    def rho_hessian(self, z, chart=0):
+        return self._rows(partial(fd_complex_hessian, self._rho, step=self.fd_step), z,
+                          (self.n, self.n))
+
+    def weight_fn(self, chart=0):
         if self._weight is None:
             raise QposError("custom domain has no weight function")
         return self._weight
 
-    def weight_hessian(self, z, chart="affine"):
+    def weight_hessian(self, z, chart=0):
         w = self.weight_fn(chart)
-        if hasattr(w, "hessian"):
-            return np.asarray(w.hessian(z), dtype=complex)
-        return fd_complex_hessian(w, z, step=self.fd_step)
+        return self._rows(lambda x: complex_hessian(w, x, step=self.fd_step),
+                          z, (self.n, self.n))
 
     def seed_points(self, rng, count):
         Z = self.seed_box * (rng.standard_normal((count, self.n))
                              + 1j * rng.standard_normal((count, self.n)))
-        return [("affine", z) for z in Z]
+        return np.zeros(count, dtype=int), Z
 
-    def embed(self, z, chart="affine"):
+    def embed(self, z, chart=0):
         z = np.asarray(z, dtype=complex)
-        return np.concatenate([z.real, z.imag])
+        return np.concatenate([z.real, z.imag], axis=-1)
 
 
 class MqnManifold:
@@ -450,22 +453,24 @@ class MqnManifold:
         return rank_split_weight(self.n, self.k, chart)
 
     def sample_chart_points(self, rng: np.random.Generator, count: int, on_S: bool = False):
-        """(chart, z) samples; ``on_S`` restricts to the center submanifold."""
-        out = []
-        while len(out) < count:
-            w = rng.standard_normal(self.n + 1) + 1j * rng.standard_normal(self.n + 1)
+        """(chart, z) samples; ``on_S`` restricts to the center submanifold.
+
+        Candidates are drawn ``count`` at a time and kept in draw order.
+        """
+        k = self.k
+        kept = np.empty((0, self.n + 1), dtype=complex)
+        while len(kept) < count:
+            R = rng.standard_normal((count, 2, self.n + 1))
+            w = R[:, 0] + 1j * R[:, 1]
             if on_S:
-                w[: self.k] = 0.0
-            npl = float(np.sum(np.abs(w[: self.k]) ** 2))
-            nmi = float(np.sum(np.abs(w[self.k:]) ** 2))
-            if nmi <= npl or nmi < 1e-12:
-                continue
-            if not on_S and npl < 1e-3 * nmi:
-                continue
-            c = self.k + int(np.argmax(np.abs(w[self.k:])))  # chart in the minus block
-            idx = [j for j in range(self.n + 1) if j != c]
-            out.append((c, w[idx] / w[c]))
-        return out
+                w[:, :k] = 0.0
+            npl = np.sum(np.abs(w[:, :k]) ** 2, axis=1)
+            nmi = np.sum(np.abs(w[:, k:]) ** 2, axis=1)
+            ok = (nmi > npl) & (nmi >= 1e-12) & (on_S | (npl >= 1e-3 * nmi))
+            kept = np.concatenate([kept, w[ok]])
+        w = kept[:count]
+        chart, z = _to_chart(w, k + np.argmax(np.abs(w[:, k:]), axis=1))  # a minus-block chart
+        return list(zip(chart.tolist(), z))
 
 
 def domain_from_spec(spec, path: str = "domain") -> Domain | MqnManifold:
@@ -475,6 +480,7 @@ def domain_from_spec(spec, path: str = "domain") -> Domain | MqnManifold:
     ``path`` (for example ``quad.json.mu``): a missing or mistyped key, an
     integer out of range (n >= 2, 1 <= q <= n, product q >= 2), a
     nonpositive radius, a ``mu`` the quadric rejects, or an unknown type.
+    There is no custom type: a data file never names code to run.
     """
     if not isinstance(spec, dict):
         raise SchemaError(path, 'expected an object with a "type"')
@@ -513,18 +519,5 @@ def domain_from_spec(spec, path: str = "domain") -> Domain | MqnManifold:
     if kind == "mqn":
         n = integer("n", 2)
         return MqnManifold(n=n, q=integer("q", 1, n))
-    if kind == "custom":
-        import importlib
-
-        target = get("target", lambda v: isinstance(v, str), '"module:factory"')
-        module, _, attr = target.partition(":")
-        try:
-            factory = getattr(importlib.import_module(module), attr)
-        except (ImportError, AttributeError, ValueError) as e:
-            raise SchemaError(f"{path}.target", f"cannot load {target!r}: {e}") from e
-        try:
-            return factory(**get("params", lambda v: isinstance(v, dict), "an object", {}))
-        except TypeError as e:
-            raise SchemaError(f"{path}.params", str(e)) from e
     raise SchemaError(f"{path}.type", f"unknown domain type {kind!r}; expected ball, "
-                      "quadric, product, mqn or custom")
+                      "quadric, product or mqn")

@@ -18,94 +18,113 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import BoundNotFound, FrameInvalid, QOutOfRange, ZqViolated
-from ..fields import FieldPoint, FormField
+from ..fields import FormField
 from ..hermitian import reduce_form, sign_counts
 from ..metric_single import synthesize_single
-from .domains import Domain
+from .domains import Domain, row_norm
 
 MIN_GRADIENT = 1e-6
 NEWTON_TOL = 1e-12
+NEWTON_MAX_ITER = 40
+MAX_ROUNDS = 60
 KNN = 8
 
 
-@dataclass
-class BoundarySample:
-    chart: object
-    z: np.ndarray            # chart coordinates
-    w: np.ndarray            # d rho / d z covector
-    frame: np.ndarray        # (n, n-1) kernel basis, Euclidean-orthonormal
-    normal: np.ndarray       # unit vector transverse to the kernel
-    embedding: np.ndarray    # chart-free real embedding for adjacency
+@dataclass(frozen=True)
+class BoundarySamples:
+    """Boundary samples as stacks: row i of every array belongs to sample i."""
 
+    chart: np.ndarray        # (m,) index into domain.charts
+    z: np.ndarray            # (m, n) chart coordinates
+    w: np.ndarray            # (m, n) d rho / d z covectors
+    frame: np.ndarray        # (m, n, n-1) kernel bases, Euclidean-orthonormal
+    normal: np.ndarray       # (m, n) unit vectors transverse to the kernels
+    embedding: np.ndarray    # (m, e) chart-free real embeddings for adjacency
 
-def newton_project(domain: Domain, z, chart, max_iter: int = 40):
-    """Project a seed onto {rho = 0} along the gradient; None on failure."""
-    z = np.asarray(z, dtype=complex)
-    for _ in range(max_iter):
-        r = domain.rho(z, chart)
-        if abs(r) <= NEWTON_TOL * max(1.0, domain.scale ** 2):
-            w = domain.rho_dz(z, chart)
-            if np.linalg.norm(w) < MIN_GRADIENT:
-                return None
-            return z
+    @classmethod
+    def at(cls, domain: Domain, z, chart) -> "BoundarySamples":
+        """Covectors, frames and embeddings of boundary points ``z`` in charts ``chart``."""
         w = domain.rho_dz(z, chart)
-        g2 = float(np.sum(np.abs(w) ** 2))
-        if g2 < MIN_GRADIENT ** 2:
-            return None
-        z = z - r * np.conj(w) / (2.0 * g2)
-    return None
+        frame, normal = kernel_frame(w)
+        return cls(chart=chart, z=z, w=w, frame=frame, normal=normal,
+                   embedding=domain.embed(z, chart))
+
+    def __len__(self):
+        return len(self.z)
+
+
+def newton_project(domain: Domain, z, chart):
+    """Project a stack of seeds onto {rho = 0} along the gradient, all moving seeds at once.
+
+    Returns ``(z, ok)``: the iterates after at most NEWTON_MAX_ITER steps and
+    the mask of seeds that converged with |d rho| >= MIN_GRADIENT.
+    """
+    z = np.array(z, dtype=complex)
+    chart = np.asarray(chart)
+    ok = np.zeros(len(z), dtype=bool)
+    active = np.arange(len(z))
+    tol = NEWTON_TOL * max(1.0, domain.scale ** 2)
+    for _ in range(NEWTON_MAX_ITER):
+        if not active.size:
+            break
+        za, ca = z[active], chart[active]
+        r = domain.rho(za, ca)
+        w = domain.rho_dz(za, ca)
+        g2 = np.sum(np.abs(w) ** 2, axis=-1)
+        steep = g2 >= MIN_GRADIENT ** 2
+        done = np.abs(r) <= tol
+        ok[active[done & steep]] = True
+        move = ~done & steep
+        z[active[move]] = za[move] - r[move, None] * np.conj(w[move]) / (2.0 * g2[move, None])
+        active = active[move]
+    return z, ok
 
 
 def kernel_frame(w) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal basis of {X : sum w_j X_j = 0} plus the unit transverse.
+    """Orthonormal bases of {X : sum w_j X_j = 0} plus the unit transverses.
 
     The kernel of the (1,0)-differential is the Euclidean orthocomplement of
-    conj(w); the transverse vector is conj(w)/|w|.
+    conj(w); the transverse vector is conj(w)/|w|.  ``w`` is one covector or
+    a stack; the frames come from one stacked SVD.
     """
     w = np.asarray(w, dtype=complex)
-    nu = np.conj(w) / np.linalg.norm(w)
-    U, _, _ = np.linalg.svd(nu[:, None])
-    L = U[:, 1:]
-    if np.max(np.abs(w @ L)) > 1e-10 * np.linalg.norm(w):
+    size = row_norm(w)
+    nu = np.conj(w) / size[..., None]
+    L = np.linalg.svd(nu[..., None])[0][..., 1:]
+    if np.any(np.max(np.abs(np.einsum("...j,...jk->...k", w, L)), axis=-1) > 1e-10 * size):
         raise FrameInvalid("kernel frame does not annihilate d rho")
     return L, nu
 
 
-def sample_boundary(domain: Domain, count: int, seed: int = 0,
-                    max_rounds: int = 60) -> list[BoundarySample]:
+def sample_boundary(domain: Domain, count: int, seed: int = 0) -> BoundarySamples:
     """Newton-projected boundary samples with valid frames.
 
-    Draws seed points in rounds until ``count`` samples converged with
+    Draws ``count`` seed points per round, for at most MAX_ROUNDS rounds,
+    and keeps the converged ones in seed order until ``count`` samples have
     |d rho| >= 1e-6.
     """
     rng = np.random.default_rng(seed)
-    samples: list[BoundarySample] = []
-    rounds = 0
-    while len(samples) < count and rounds < max_rounds:
-        rounds += 1
-        for chart, z0 in domain.seed_points(rng, count):
-            z = newton_project(domain, z0, chart)
-            if z is None:
-                continue
-            w = domain.rho_dz(z, chart)
-            L, nu = kernel_frame(w)
-            samples.append(BoundarySample(chart=chart, z=z, w=w, frame=L, normal=nu,
-                                          embedding=domain.embed(z, chart)))
-            if len(samples) == count:
-                break
-    if len(samples) < count:
-        raise BoundNotFound(f"only {len(samples)} of {count} boundary samples converged")
-    return samples
+    chart, z = np.zeros(0, dtype=int), np.zeros((0, domain.n), dtype=complex)
+    for _ in range(MAX_ROUNDS):
+        if len(z) == count:
+            break
+        seed_chart, seed_z = domain.seed_points(rng, count)
+        projected, ok = newton_project(domain, seed_z, seed_chart)
+        keep = np.flatnonzero(ok)[: count - len(z)]
+        chart, z = np.append(chart, seed_chart[keep]), np.concatenate([z, projected[keep]])
+    if len(z) < count:
+        raise BoundNotFound(f"only {len(z)} of {count} boundary samples converged")
+    return BoundarySamples.at(domain, z, chart)
 
 
-def adjacency_components(samples: list[BoundarySample]):
+def adjacency_components(X):
     """Connected components of the symmetric KNN-nearest-neighbor graph.
 
-    Returns ``(labels, n_components)``; components are numbered in order of
-    their lowest sample index.
+    ``X`` holds one embedding per row.  Returns ``(labels, n_components)``;
+    components are numbered in order of their lowest sample index.
     """
-    X = np.stack([s.embedding for s in samples])
-    n = len(samples)
+    X = np.asarray(X, dtype=float)
+    n = len(X)
     sq = np.sum(X * X, axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
     np.fill_diagonal(d2, np.inf)
@@ -117,11 +136,8 @@ def adjacency_components(samples: list[BoundarySample]):
     A |= A.T
     labels = np.full(n, -1)
     n_comp = 0
-    for start in range(n):
-        if labels[start] >= 0:
-            continue
-        frontier = np.zeros(n, dtype=bool)
-        frontier[start] = True
+    while np.any(labels < 0):  # breadth-first search from the lowest unlabelled sample
+        frontier = np.arange(n) == np.argmax(labels < 0)
         while frontier.any():
             labels[frontier] = n_comp
             frontier = A[frontier].any(axis=0) & (labels < 0)
@@ -129,19 +145,10 @@ def adjacency_components(samples: list[BoundarySample]):
     return labels, n_comp
 
 
-def levi_form(domain: Domain, sample: BoundarySample) -> np.ndarray:
-    """The complex Hessian of rho restricted to the holomorphic tangent frame."""
-    return reduce_form(domain.rho_hessian(sample.z, sample.chart), sample.frame)
-
-
-def levi_forms(domain: Domain, samples: list[BoundarySample]) -> np.ndarray:
-    """The (n_samples, n-1, n-1) stack of Levi forms."""
-    return np.stack([levi_form(domain, s) for s in samples])
-
-
-def boundary_weight_hessian(domain: Domain, sample: BoundarySample) -> np.ndarray:
-    """Full-space complex Hessian of the weight at a boundary sample."""
-    return domain.weight_hessian(sample.z, sample.chart)
+def levi_forms(domain: Domain, samples: BoundarySamples) -> np.ndarray:
+    """The (n_samples, n-1, n-1) stack of Levi forms: the complex Hessian of rho
+    restricted to each sample's holomorphic tangent frame."""
+    return reduce_form(domain.rho_hessian(samples.z, samples.chart), samples.frame)
 
 
 @dataclass
@@ -156,7 +163,7 @@ class ZqReport:
     levi: np.ndarray         # (n_samples, n-1, n-1) Levi forms
 
 
-def zq_check(domain: Domain, q: int, samples: list[BoundarySample]) -> ZqReport:
+def zq_check(domain: Domain, q: int, samples: BoundarySamples) -> ZqReport:
     """Classify each boundary sample by the Levi inertia.
 
     Branch (i): at least n - q positive eigenvalues; branch (ii): at least
@@ -174,7 +181,7 @@ def zq_check(domain: Domain, q: int, samples: list[BoundarySample]) -> ZqReport:
     if bad.size:
         i = int(bad[0])
         raise ZqViolated(i, f"Levi inertia ({n_plus[i]}, {n_minus[i]}) fits neither branch")
-    labels, n_comp = adjacency_components(samples)
+    labels, n_comp = adjacency_components(samples.embedding)
     component_branch = {}
     for c in range(n_comp):
         branches = set(branch[labels == c])
@@ -186,7 +193,7 @@ def zq_check(domain: Domain, q: int, samples: list[BoundarySample]) -> ZqReport:
                     component=labels, component_branch=component_branch, levi=levis)
 
 
-def zq_metric_pipeline(domain: Domain, q: int, samples: list[BoundarySample],
+def zq_metric_pipeline(domain: Domain, q: int, samples: BoundarySamples,
                        theta: float = 0.1):
     """Synthesize boundary metrics making the (signed) Levi field q-sum positive.
 
@@ -202,8 +209,7 @@ def zq_metric_pipeline(domain: Domain, q: int, samples: list[BoundarySample],
     for c, br in report.component_branch.items():
         idx = np.where(report.component == c)[0]
         sign, q_tilde = (1.0, q) if br == "i" else (-1.0, domain.n - q - 1)
-        pts = [FieldPoint(id=int(i), forms={"S": sign * report.levi[i]}) for i in idx]
-        field = FormField(dim=d, points=pts)
+        field = FormField.from_stacks(idx.tolist(), {"S": sign * report.levi[idx]})
         mets, cert = synthesize_single(field, "S", q_tilde, theta=theta)
         metrics[idx] = mets
         certificates[c] = cert

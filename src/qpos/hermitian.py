@@ -28,6 +28,7 @@ from .errors import (
     NotHermitian,
     NotPositiveDefinite,
     QOutOfRange,
+    QposError,
 )
 
 TAU_HERM = 1e-12
@@ -65,6 +66,19 @@ def as_metric(G, tau_herm: float = TAU_HERM, tau_pd: float = TAU_PD) -> np.ndarr
     if bad:
         raise NotPositiveDefinite(f"smallest metric eigenvalue {w0:.3e} <= {tau_pd:.1e}")
     return A
+
+
+def require_metrics(G, ids) -> None:
+    """Check an (N, d, d) stack of metrics at once: the first bad one raises
+    what ``as_metric`` raises for it, naming its id from ``ids``."""
+    G = np.asarray(G, dtype=complex)
+    finite = np.all(np.isfinite(G), axis=(-2, -1))
+    bad = np.flatnonzero(~finite | invalid_metrics(np.where(finite[:, None, None], G, 1.0)))
+    if bad.size:
+        try:
+            as_metric(G[bad[0]])
+        except QposError as e:
+            raise type(e)(f"metric at {ids[bad[0]]!r}: {e}") from None
 
 
 def invalid_metrics(G) -> np.ndarray:

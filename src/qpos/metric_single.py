@@ -152,7 +152,10 @@ def negative_projector(S, g, r: int, tau_gap: float | None = None,
         raise ValueError(f"r = {r} not in [0, {d}]")
     if r == 0:
         return np.zeros((d, d), dtype=complex)
-    lam, V = pencil_eigh(M, G)
+    # one factorization of G serves the eigenvector route and the Riesz route
+    W, W_inv = congruence(G)
+    T = reduce_form(M, W)
+    lam, Y = np.linalg.eigh(T)
     if tau_gap is None:
         tau_gap = 1e-10 * max(1.0, float(np.max(np.abs(lam))))
     if abs(lam[r - 1]) <= tau_gap and (r >= d or abs(lam[r]) <= tau_gap):
@@ -161,7 +164,7 @@ def negative_projector(S, g, r: int, tau_gap: float | None = None,
         raise NoSpectralGap(f"lam_r = {lam[r - 1]:.3e} is not negative")
     if r < d and lam[r] < -tau_gap:
         raise NoSpectralGap(f"lam_(r+1) = {lam[r]:.3e} is negative; r does not split the spectrum")
-    Vr = V[:, :r]
+    Vr = (W @ Y)[:, :r]
     P = Vr @ Vr.conj().T @ G
     if check_riesz:
         a = (lam[r - 1] - lam[0]) / 2.0
@@ -174,8 +177,7 @@ def negative_projector(S, g, r: int, tau_gap: float | None = None,
             u = np.abs(lam - disc.center) / disc.radius
             rho = max(np.max(u[:r]), np.max(1.0 / u[r:], initial=0.0))
             nodes = int(min(max(32, np.ceil(np.log(1e-11) / np.log(rho))), 8192))
-        W, W_inv = congruence(G)
-        PT = riesz_projector(reduce_form(M, W), disc, nodes=nodes).matrix
+        PT = riesz_projector(T, disc, nodes=nodes).matrix
         distance = np.linalg.norm(W @ PT @ W_inv - P, 2)
         if distance > 1e-8:
             raise ProjectorRoutesDisagree(distance)

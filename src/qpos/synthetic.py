@@ -37,13 +37,16 @@ def random_metric(rng: np.random.Generator, d: int, cond: float = 10.0) -> np.nd
 
 
 def random_g_orthonormal_frames(rng: np.random.Generator, G, count: int, q: int) -> np.ndarray:
-    """Stack of ``count`` g-orthonormal q-frames, shape (count, d, q)."""
+    """Stack of ``count`` g-orthonormal q-frames, shape (count, d, q).
+
+    A stack of metrics (..., d, d) gives (..., count, d, q) from the same
+    random numbers as one call per metric in turn.
+    """
     G = np.asarray(G, dtype=complex)
-    d = G.shape[0]
     W, _ = congruence(G)
-    Z = rng.standard_normal((count, d, q)) + 1j * rng.standard_normal((count, d, q))
-    Q, _ = np.linalg.qr(Z)
-    return W @ Q
+    R = rng.standard_normal(G.shape[:-2] + (2, count, G.shape[-1], q))
+    Q, _ = np.linalg.qr(R[..., 0, :, :, :] + 1j * R[..., 1, :, :, :])
+    return W[..., None, :, :] @ Q
 
 
 def planted_inertia_field(rng: np.random.Generator, n_points: int, d: int, q_tilde: int,

@@ -236,8 +236,7 @@ def test_08_weight_bump():
     with budget("8 weight-bump", 120):
         domain = QuadricDomain(mu=MU, n=3, q=2)
         samples = sample_boundary(domain, 1000, seed=8)
-        rep = weight_bump(domain, 2, samples,
-                          trace_check_samples=100, trace_check_frames=100)
+        rep = weight_bump(domain, 2, samples)
         assert bool(np.all(rep.claim1_pass))
         assert float(np.min(rep.claim2_min)) > 0
         assert float(np.min(rep.claim3_min)) > 0

@@ -1,14 +1,17 @@
 """Domains, Levi forms, Z(q) pipeline, and the weight bump."""
 
-from types import SimpleNamespace
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_allclose, assert_array_equal
 
 from qpos import ZqViolated, inertia
 from qpos.geometry import (
     BallDomain,
+    BoundarySamples,
     CustomDomain,
     MqnManifold,
     ProductDomain,
@@ -19,15 +22,17 @@ from qpos.geometry import (
     chi_prime,
     complex_hessian,
     domain_from_spec,
+    fd_complex_gradient,
     fd_complex_hessian,
-    levi_form,
     levi_forms,
     sample_boundary,
     weight_bump,
     zq_check,
     zq_metric_pipeline,
 )
-from qpos.geometry.levi import KNN
+from qpos.geometry.bump import _eta_dual
+from qpos.geometry.levi import KNN, MIN_GRADIENT, NEWTON_MAX_ITER, NEWTON_TOL, newton_project
+from qpos.synthetic import random_unitary
 
 MU = [2.0, 2.0, -0.5, -0.5]
 
@@ -67,10 +72,10 @@ def test_quadric_analytic_hessians_match_fd(quadric, rng):
         an = quadric.rho_hessian(z, chart)
         assert np.max(np.abs(fd - an)) <= 1e-6 * max(1.0, np.max(np.abs(an)))
     # weight in a chart where the point lies in the model manifold
-    s = sample_boundary(quadric, 3, seed=9)[0]
-    wfn = quadric.weight_fn(s.chart)
-    fd = fd_complex_hessian(wfn, s.z)
-    an = wfn.hessian(s.z)
+    s = sample_boundary(quadric, 3, seed=9)
+    wfn = quadric.weight_fn(s.chart[0])
+    fd = fd_complex_hessian(wfn, s.z[0])
+    an = wfn.hessian(s.z[0])
     assert np.max(np.abs(fd - an)) <= 1e-6 * max(1.0, np.max(np.abs(an)))
 
 
@@ -88,10 +93,9 @@ def test_mqn_inertia_profile(rng):
 
 def test_ball_levi_is_positive():
     dom = BallDomain(n=2)
-    for s in sample_boundary(dom, 25, seed=1):
-        L = levi_form(dom, s)
-        assert L.shape == (1, 1)
-        assert L[0, 0].real > 0.9
+    L = levi_forms(dom, sample_boundary(dom, 25, seed=1))
+    assert L.shape == (25, 1, 1)
+    assert np.all(L[:, 0, 0].real > 0.9)
 
 
 def test_levi_scaling_by_defining_function():
@@ -100,47 +104,116 @@ def test_levi_scaling_by_defining_function():
     fancy = CustomDomain(
         n=2, rho=lambda z: (1.0 + float(np.sum(np.abs(z) ** 2)))
         * (float(np.sum(np.abs(z) ** 2)) - 1.0))
-    for s in sample_boundary(base, 10, seed=2):
-        L0 = levi_form(base, s)
-        s2 = type(s)(chart=s.chart, z=s.z, w=doubled.rho_dz(s.z, s.chart),
-                     frame=s.frame, normal=s.normal, embedding=s.embedding)
-        L2 = levi_form(doubled, s2)
-        assert_allclose(L2, 2.0 * L0, rtol=1e-4)
-        f = 1.0 + float(np.sum(np.abs(s.z) ** 2))  # = 2 on the unit sphere
-        Lf = levi_form(fancy, s)
-        assert_allclose(Lf, f * L0, rtol=1e-4)
-        assert inertia(Lf).as_tuple() == inertia(L0).as_tuple()
+    s = sample_boundary(base, 10, seed=2)
+    L0 = levi_forms(base, s)
+    L2 = levi_forms(doubled, replace(s, w=doubled.rho_dz(s.z, s.chart)))
+    assert_allclose(L2, 2.0 * L0, rtol=1e-4)
+    f = 1.0 + np.sum(np.abs(s.z) ** 2, axis=1)  # = 2 on the unit sphere
+    Lf = levi_forms(fancy, s)
+    assert_allclose(Lf, f[:, None, None] * L0, rtol=1e-4)
+    for i in range(len(s)):
+        assert inertia(Lf[i]).as_tuple() == inertia(L0[i]).as_tuple()
 
 
 def test_boundary_samples_satisfy_invariants(quadric, quadric_samples):
-    for s in quadric_samples[:40]:
-        assert abs(quadric.rho(s.z, s.chart)) < 1e-10
-        assert np.linalg.norm(s.w) >= 1e-6
-        assert np.max(np.abs(s.w @ s.frame)) < 1e-10  # frame annihilates d rho
-        gram = s.frame.conj().T @ s.frame
-        assert np.linalg.norm(gram - np.eye(2)) < 1e-10
+    s = quadric_samples
+    z, chart, w, frame = s.z[:40], s.chart[:40], s.w[:40], s.frame[:40]
+    assert np.all(np.abs(quadric.rho(z, chart)) < 1e-10)
+    assert np.all(np.linalg.norm(w, axis=1) >= 1e-6)
+    # frames annihilate d rho
+    assert np.max(np.abs(np.einsum("mj,mjk->mk", w, frame))) < 1e-10
+    gram = np.conj(np.swapaxes(frame, 1, 2)) @ frame
+    assert np.all(np.linalg.norm(gram - np.eye(2), axis=(1, 2)) < 1e-10)
 
 
 def test_quadric_chart_overlap_consistency(quadric, quadric_samples):
     # rho and the weight are genuine functions on projective space; the Levi
     # inertia is frame-independent: all agree across charts
-    from qpos.geometry.levi import BoundarySample, kernel_frame
+    s = quadric_samples
+    z, chart = s.z[:10], s.chart[:10]
+    w_hom = quadric.homogeneous(z, chart)
+    order = np.argsort(np.abs(w_hom), axis=1)
+    other = np.where(order[:, -1] == chart, order[:, -2], order[:, -1])
+    assert np.all(other != chart)
+    idx = np.array([[j for j in range(4) if j != c] for c in other])
+    z2 = np.take_along_axis(w_hom, idx, axis=1) / w_hom[np.arange(10), other][:, None]
+    assert np.all(np.abs(quadric.rho(z2, other) - quadric.rho(z, chart)) < 1e-8)
+    assert np.all(np.abs(quadric.weight_fn(other)(z2) - quadric.weight_fn(chart)(z)) < 1e-8)
+    L2 = levi_forms(quadric, BoundarySamples.at(quadric, z2, other))
+    L = levi_forms(quadric, s)[:10]
+    for i in range(10):
+        assert inertia(L2[i]).as_tuple() == inertia(L[i]).as_tuple()
 
-    for s in quadric_samples[:10]:
-        w_hom = quadric.homogeneous(s.z, s.chart)
-        order = np.argsort(np.abs(w_hom))
-        other = int(order[-2]) if int(order[-1]) == s.chart else int(order[-1])
-        assert other != s.chart
-        idx = [j for j in range(4) if j != other]
-        z2 = w_hom[idx] / w_hom[other]
-        assert abs(quadric.rho(z2, other) - quadric.rho(s.z, s.chart)) < 1e-8
-        assert abs(quadric.weight_fn(other)(z2) - quadric.weight_fn(s.chart)(s.z)) < 1e-8
-        w2 = quadric.rho_dz(z2, other)
-        L2, nu2 = kernel_frame(w2)
-        s2 = BoundarySample(chart=other, z=z2, w=w2, frame=L2, normal=nu2,
-                            embedding=quadric.embed(z2, other))
-        assert inertia(levi_form(quadric, s2)).as_tuple() == \
-            inertia(levi_form(quadric, s)).as_tuple()
+
+def _chart_points(domain, rng, count):
+    """Random points of the domain's weight region, each in a random chart.
+
+    The charts are mixed: any slot holding at least half the largest
+    homogeneous entry, not only the largest.
+    """
+    if isinstance(domain, QuadricDomain):
+        k = domain.n - domain.q + 1
+        w = rng.standard_normal((count, domain.n + 1)) + 1j * rng.standard_normal(
+            (count, domain.n + 1))
+        # |w|_+ = |w|_- / 2: inside the region where the weight is defined
+        w[:, :k] *= (0.5 * np.linalg.norm(w[:, k:], axis=1)
+                     / np.linalg.norm(w[:, :k], axis=1))[:, None]
+        size = np.abs(w)
+        chart = np.argmax(rng.random(w.shape) * (size >= 0.5 * size.max(axis=1, keepdims=True)),
+                          axis=1)
+        z = np.stack([np.delete(wi, c) / wi[c] for wi, c in zip(w, chart)])
+        return z, chart
+    chart = rng.integers(0, len(domain.charts), count)
+    z = rng.standard_normal((count, domain.n)) + 1j * rng.standard_normal((count, domain.n))
+    return z, chart
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([QuadricDomain(mu=MU, n=3, q=2),
+                        QuadricDomain(mu=[2.0, 2.0, 2.0, -0.5, -0.5], n=4, q=2),
+                        ProductDomain(n=3, q=2), ProductDomain(n=4, q=3, radius=1.5)]),
+       st.integers(0, 2 ** 32 - 1))
+def test_batched_domain_matches_rows_and_fd(domain, seed):
+    # stacks with mixed charts: the batched methods equal one-point
+    # evaluation row by row, and the Wirtinger derivatives by finite differences
+    z, chart = _chart_points(domain, np.random.default_rng(seed), 6)
+    batched = {"rho": domain.rho(z, chart), "rho_dz": domain.rho_dz(z, chart),
+               "rho_hessian": domain.rho_hessian(z, chart),
+               "weight_hessian": domain.weight_hessian(z, chart)}
+    for name, value in batched.items():
+        rows = np.stack([getattr(domain, name)(z[i], chart[i]) for i in range(len(z))])
+        assert_array_equal(value, rows, err_msg=name)
+    for i in range(len(z)):
+        def rho(x, c=chart[i]):
+            return domain.rho(x, c)
+
+        weight = domain.weight_fn(chart[i])
+        for f, fd, an in ((rho, fd_complex_gradient, batched["rho_dz"][i]),
+                          (rho, fd_complex_hessian, batched["rho_hessian"][i]),
+                          (weight, fd_complex_hessian, batched["weight_hessian"][i])):
+            # second differences at step 1e-5 round to about |f| eps / 1e-10 = 2e-6 |f|
+            scale = max(1.0, abs(float(f(z[i]))), np.max(np.abs(an)))
+            assert np.max(np.abs(fd(f, z[i]) - an)) <= 1e-5 * scale
+
+
+def test_custom_domain_rows_match_callbacks(rng):
+    def rho(z):
+        return float(np.sum(np.abs(z) ** 2) - 1.0 + 0.3 * np.real(z[0] * np.conj(z[1])))
+
+    def weight(z):
+        return float(np.sum(np.abs(z) ** 2) ** 2)
+
+    dom = CustomDomain(n=3, rho=rho, weight=weight)
+    z = rng.standard_normal((2, 4, 3)) + 1j * rng.standard_normal((2, 4, 3))
+    values = (dom.rho(z), dom.rho_dz(z), dom.rho_hessian(z), dom.weight_hessian(z))
+    assert [v.shape for v in values] == [(2, 4), (2, 4, 3), (2, 4, 3, 3), (2, 4, 3, 3)]
+    for i in np.ndindex(2, 4):
+        assert values[0][i] == rho(z[i])
+        assert_array_equal(values[1][i], fd_complex_gradient(rho, z[i]))
+        assert_array_equal(values[2][i], fd_complex_hessian(rho, z[i]))
+        assert_array_equal(values[3][i], fd_complex_hessian(weight, z[i]))
+    assert dom.rho(z[0, 0]) == rho(z[0, 0])  # one point stays one point
+    assert_array_equal(dom.rho_hessian(z[0, 0]), fd_complex_hessian(rho, z[0, 0]))
 
 
 def test_quadric_inclusion_in_model_manifold(quadric, rng):
@@ -172,7 +245,7 @@ def _scipy_components(X):
 
 
 def _assert_components_match_scipy(X):
-    labels, n_comp = adjacency_components([SimpleNamespace(embedding=x) for x in X])
+    labels, n_comp = adjacency_components(X)
     labels_ref, n_ref = _scipy_components(X)
     assert n_comp == n_ref
     np.testing.assert_array_equal(labels, labels_ref)
@@ -233,7 +306,7 @@ def test_zq_fails_on_levi_flat():
         Z = rng.standard_normal((count, 2)) + 1j * rng.standard_normal((count, 2))
         Z[:, 0] /= np.abs(Z[:, 0])
         Z[:, 1] *= 0.3
-        return [("affine", z) for z in Z]
+        return np.zeros(count, dtype=int), Z
 
     dom.seed_points = seeds
     samples = sample_boundary(dom, 20, seed=5)
@@ -331,19 +404,73 @@ def test_weight_bump_finite_eta_regime():
     from qpos.synthetic import random_g_orthonormal_frames
 
     rng = np.random.default_rng(11)
-    Mrho = np.stack([dom.rho_hessian(s.z, s.chart) for s in samples])
-    Mphi = np.stack([dom.weight_hessian(s.z, s.chart) for s in samples])
+    Mrho = dom.rho_hessian(samples.z, samples.chart)
+    Mphi = dom.weight_hessian(samples.z, samples.chart)
     A = Mphi + rep.delta0 * Mrho
     checked = 0
     for i in (0, 7, 19):
         T = random_g_orthonormal_frames(rng, rep.g0[i], 400, 2)
-        w = samples[i].w
+        w = samples.w[i]
         mass = np.sum(np.abs(np.einsum("k,nkj->nj", w, T)) ** 2, axis=1)
         tr = np.einsum("nki,kl,nli->n", T.conj(), A[i], T).real
         below = mass < rep.eta
         checked += int(below.sum())
         assert np.all(tr[below] > 0)
     assert checked > 0
+
+
+def _newton_one(domain, z, chart):
+    """Reference: one seed's Newton projection, point by point."""
+    for _ in range(NEWTON_MAX_ITER):
+        r = domain.rho(z, chart)
+        w = domain.rho_dz(z, chart)
+        g2 = np.sum(np.abs(w) ** 2)
+        if g2 < MIN_GRADIENT ** 2:
+            return None
+        if abs(r) <= NEWTON_TOL * max(1.0, domain.scale ** 2):
+            return z
+        z = z - r * np.conj(w) / (2.0 * g2)
+    return None
+
+
+def _eta_one(A, N, q):
+    """Reference: eta of one sample by grid and golden section, point by point."""
+    def ratio(mu):
+        return np.sum(np.linalg.eigvalsh(A + mu * N)[:q]) / mu
+
+    scale = max(1.0, float(np.max(np.abs(np.linalg.eigvalsh(A)))))
+    mus = np.geomspace(1e-6 * scale, 1e9 * scale, 160)
+    j = int(np.argmax([ratio(m) for m in mus]))
+    lo, hi = mus[max(j - 1, 0)], mus[min(j + 1, len(mus) - 1)]
+    for _ in range(80):
+        m1, m2 = lo + 0.381966 * (hi - lo), hi - 0.381966 * (hi - lo)
+        if ratio(m1) < ratio(m2):
+            lo = m1
+        else:
+            hi = m2
+    return ratio(0.5 * (lo + hi))
+
+
+def test_batched_newton_and_eta_match_per_sample_loops(quadric, rng):
+    # same arithmetic per sample: the batched searches equal the loops exactly
+    for domain in (quadric, ProductDomain(n=3, q=2)):
+        chart, z0 = domain.seed_points(rng, 50)
+        z, ok = newton_project(domain, z0, chart)
+        for i in range(len(z0)):
+            ref = _newton_one(domain, z0[i], chart[i])
+            assert ok[i] == (ref is not None)
+            if ok[i]:
+                assert_array_equal(z[i], ref)
+    # trace forms with a negative 2-sum that enough normal mass makes positive
+    # (the normal leans on the negative eigenvector), and some already positive
+    U = np.stack([random_unitary(rng, 3) for _ in range(12)])
+    lam = np.where(np.arange(12)[:, None] < 8, [-3.0, 1.0, 2.0], [0.5, 1.0, 2.0])
+    A = (U * lam[:, None, :]) @ np.conj(np.swapaxes(U, 1, 2))
+    w = np.conj(U[:, :, 0] + 0.3 * rng.standard_normal((12, 3)))
+    N = np.conj(w)[:, :, None] * w[:, None, :]
+    expect = 0.95 * min(_eta_one(A[i], N[i], 2) for i in range(8))
+    assert expect > 1e-8
+    assert _eta_dual(A, N, 2) == expect
 
 
 def test_weight_bump_negative_control_probes_larger_eps():

@@ -25,7 +25,13 @@ from qpos.serialize import (
     metrics_to_json,
     spectrum_to_json,
 )
-from qpos.synthetic import planted_inertia_field, random_hermitian, random_metric
+from qpos.geometry import QuadricDomain
+from qpos.synthetic import (
+    planted_inertia_field,
+    planted_subbundle_field,
+    random_hermitian,
+    random_metric,
+)
 
 
 def run_cli(*argv, cwd=None):
@@ -297,7 +303,7 @@ def test_cli_rejects_bad_input_with_exit_1(tmp_path, case):
         quad.write_text(json.dumps(spec))
         named = {"domain_quadric_without_mu": f"{quad}.mu", "domain_not_an_object": str(quad),
                  "domain_unknown_type": f"{quad}.type",
-                 "domain_custom_bad_params": f"{quad}.params"}[case]
+                 "domain_custom_bad_params": f"{quad}.type"}[case]
         argv = geo + ("--q", 1)
     elif case == "two_forms_unknown_form":
         argv, named = two + ("--forms", "Q1,Qx"), "--forms"
@@ -446,18 +452,25 @@ def test_cli_field_and_metric_fuzz_exits_cleanly(field_doc, metric_doc, command)
         assert any(s in err.getvalue() for s in (str(field), str(metric), "--form"))
 
 
-def _eigvalsh_calls(monkeypatch, argv):
-    calls = []
-    eigvalsh = np.linalg.eigvalsh
+def _calls(monkeypatch, argv, targets):
+    """Run the CLI with each ``(owner, name)`` function wrapped; the calls of each name."""
+    calls = {name: 0 for _, name in targets}
 
-    def counted(a, *args, **kwargs):
-        calls.append(np.shape(a))
-        return eigvalsh(a, *args, **kwargs)
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
 
     with monkeypatch.context() as m, contextlib.redirect_stdout(io.StringIO()):
-        m.setattr(np.linalg, "eigvalsh", counted)
+        for owner, name in targets:
+            m.setattr(owner, name, counting(name, getattr(owner, name)))
         assert cli.main([str(a) for a in argv]) == 0
-    return len(calls)
+    return calls
+
+
+def _eigvalsh_calls(monkeypatch, argv):
+    return _calls(monkeypatch, argv, [(np.linalg, "eigvalsh")])["eigvalsh"]
 
 
 def test_cli_eigensolve_count_does_not_grow_with_points(tmp_path, rng, monkeypatch):
@@ -471,6 +484,15 @@ def test_cli_eigensolve_count_does_not_grow_with_points(tmp_path, rng, monkeypat
         counts["check", n] = _eigvalsh_calls(monkeypatch, [
             "check", "--input", field, "--form", "S", "--q", 2, "--metric", metric,
             "--out", tmp_path / "check.json"])
+    for n in (30, 300):
+        # every point carries its g0, which FormField validates
+        field, gamma = planted_subbundle_field(rng, n, 4, 2)
+        for p, g in zip(field.points, gamma):
+            p.g0 = g
+        path = tmp_path / f"sub{n}.json"
+        path.write_text(dumps_canonical(field_to_json(field)))
+        counts["subbundle", n] = _eigvalsh_calls(monkeypatch, [
+            "synthesize", "subbundle", "--input", path, "--forms", "Q1,Q2,Q3", "--q", 2])
     dom = tmp_path / "dom.json"
     dom.write_text(json.dumps({"type": "ball", "n": 3}))
     for n in (10, 100):
@@ -478,4 +500,20 @@ def test_cli_eigensolve_count_does_not_grow_with_points(tmp_path, rng, monkeypat
             "geometry", "levi", "--domain", dom, "--samples", n,
             "--out", tmp_path / "levi.json"])
     assert counts["check", 30] == counts["check", 300] <= 3, counts
+    assert counts["subbundle", 30] == counts["subbundle", 300], counts
     assert counts["levi", 10] == counts["levi", 100] == 1, counts
+
+
+def test_cli_geometry_decompositions_do_not_grow_with_samples(tmp_path, monkeypatch):
+    # boundary samples are stacks: one SVD for all kernel frames and one
+    # rho_hessian call for all Levi forms, whatever the sample count
+    dom = tmp_path / "quadric.json"
+    dom.write_text(json.dumps({"type": "quadric", "n": 3, "q": 2,
+                               "mu": [2.0, 2.0, -0.5, -0.5]}))
+    targets = [(np.linalg, "svd"), (QuadricDomain, "rho_hessian")]
+    for command in (["levi"], ["zq", "--q", 2], ["bump", "--q", 2]):
+        counts = [_calls(monkeypatch, ["geometry", *command, "--domain", dom,
+                                       "--samples", n, "--out", tmp_path / "out.json"],
+                         targets) for n in (10, 100)]
+        assert counts[0] == counts[1], (command, counts)
+        assert counts[0]["svd"] >= 1 and counts[0]["rho_hessian"] >= 1, (command, counts)
