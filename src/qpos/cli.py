@@ -32,12 +32,12 @@ from .geometry import (
     zq_check,
     zq_metric_pipeline,
 )
-from .riesz import Disc, riesz_projector
+from .riesz import MIN_NODES, Disc, riesz_projector
 from .serialize import (
     certificate_to_json,
     load_field,
     load_matrix,
-    matrix_to_json,
+    matrix_arrays,
     metrics_from_json,
     metrics_to_json,
     read_json,
@@ -75,19 +75,19 @@ def _form_names(field, option, names, count=None):
 
 def _load_metrics(path, field):
     """The metric stack of a metrics file, in the order of the field's points."""
-    doc = read_json(path)
-    table = metrics_from_json(doc, str(path))
-    for p in field.points:
-        if p.id not in table or table[p.id].shape != (field.dim, field.dim):
-            raise SchemaError(f"{path}.metrics", f"no {field.dim} x {field.dim} metric "
-                              f"for point id {p.id!r}")
-    G = np.stack([table[p.id] for p in field.points])
-    bad = np.where(invalid_metrics(G))[0]
+    rows, G = metrics_from_json(read_json(path), field.dim, str(path))
+    ids = field.ids
+    missing = [i for i in ids if i not in rows]
+    if missing:
+        raise SchemaError(f"{path}.metrics", f"no {field.dim} x {field.dim} metric "
+                          f"for point id {missing[0]!r}")
+    k = np.array([rows[i] for i in ids])
+    G = G[k]
+    bad = np.flatnonzero(invalid_metrics(G))
     if bad.size:
-        p = field.points[bad[0]]
-        k = {e["id"]: k for k, e in enumerate(doc["metrics"])}[p.id]
-        raise SchemaError(f"{path}.metrics[{k}].matrix",
-                          f"metric for point id {p.id!r} is not Hermitian positive definite")
+        raise SchemaError(f"{path}.metrics[{k[bad[0]]}].matrix",
+                          f"metric for point id {ids[bad[0]]!r} is not Hermitian "
+                          "positive definite")
     return G
 
 
@@ -122,13 +122,19 @@ def cmd_check(args):
 
 
 def cmd_project(args):
+    if not np.isfinite(args.center):
+        raise SchemaError("--center", f"must be finite, got {args.center}")
+    if not 0 < args.radius < np.inf:
+        raise SchemaError("--radius", f"must be positive and finite, got {args.radius}")
+    if args.nodes < MIN_NODES:
+        raise SchemaError("--nodes", f"must be at least {MIN_NODES}, got {args.nodes}")
     T = load_matrix(args.input)
     res = riesz_projector(T, Disc(center=args.center, radius=args.radius),
                           nodes=args.nodes)
     report = {
         "config": _config_echo(args, center=args.center, radius=args.radius,
                                nodes=args.nodes),
-        "projector": matrix_to_json(res.matrix),
+        "projector": matrix_arrays(res.matrix),
         "quad_nodes": res.quad_nodes,
         "separation": res.separation,
         "idempotency_defect": res.idempotency_defect,
@@ -187,7 +193,7 @@ def cmd_synthesize_two_forms(args):
     metrics, certs, gammas, cont = two_forms.field_metric_top_degree(
         field, names, n_angles=args.angles)
     _write_outputs(args, field.ids, metrics, certs,
-                   gamma_points=[{"id": i, "gamma": g.tolist()}
+                   gamma_points=[{"id": i, "gamma": g}
                                  for i, g in zip(field.ids, gammas)],
                    continuity=cont)
     print("synthesize two-forms: PASS "
@@ -199,7 +205,7 @@ def cmd_geometry_levi(args):
     domain, samples = _load_samples(args)
     lam = np.linalg.eigvalsh(levi_forms(domain, samples))
     entries = [{"index": i, "chart": domain.charts[c], "eigenvalues": w, "inertia": inertia}
-               for i, (c, w, inertia) in enumerate(zip(samples.chart, lam.tolist(),
+               for i, (c, w, inertia) in enumerate(zip(samples.chart, lam,
                                                        _inertia_triples(lam)))]
     if args.out:
         write_report(args.out, {"config": _config_echo(args, samples=args.samples),
@@ -245,8 +251,8 @@ def cmd_geometry_bump(args):
             "B1": rep.B1, "B2": rep.B2, "kappa": rep.kappa,
             "subbundle_constants": rep.subbundle_constants,
             "claim1_pass": rep.claim1_pass.tolist(),
-            "claim2_min_sums": rep.claim2_min.tolist(),
-            "claim3_min_sums": rep.claim3_min.tolist(),
+            "claim2_min_sums": rep.claim2_min,
+            "claim3_min_sums": rep.claim3_min,
             "trace_identity_max_err": rep.trace_identity_max_err,
             "large_eps_claim3_failures": rep.large_eps_claim3_failures,
             "all_claims_pass": rep.all_claims_pass,

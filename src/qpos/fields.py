@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import CertificateFailed, DimensionMismatch, QOutOfRange, QposError
-from .hermitian import as_form, pencil_eigvalsh, require_metrics
+from .hermitian import pencil_eigvalsh, require_forms, require_metrics
 
 MARGIN_FLOOR_SCALE = 1e-9
 
@@ -31,7 +31,13 @@ class FieldPoint:
 
 
 class FormField:
-    """A finite sample set with per-point forms; all points share one dim."""
+    """A finite sample set with per-point forms; all points share one dim.
+
+    Construction validates each form name's matrices as one (N, d, d) stack
+    and keeps it: ``form_stack`` returns that stack (read-only), and each
+    point's ``forms`` hold views of its rows.  Rebinding a point's form
+    afterwards is not seen by ``form_stack``; build a new field instead.
+    """
 
     def __init__(self, dim: int, points: list[FieldPoint]):
         self.dim = int(dim)
@@ -39,20 +45,22 @@ class FormField:
         self._index = {p.id: i for i, p in enumerate(self.points)}
         if len(self._index) != len(self.points):
             raise QposError("duplicate point ids in field")
+        self._forms = {}
         self._validate()
 
     def _validate(self):
         d = self.dim
-        for p in self.points:
-            for name, M in p.forms.items():
-                A = as_form(M)
-                if A.shape[0] != d:
-                    raise DimensionMismatch(f"form {name!r} at {p.id!r} has dim {A.shape[0]} != {d}")
+        for name in self.form_names():
+            at = [p for p in self.points if name in p.forms]
+            ids = [p.id for p in at]
+            S = _stack([p.forms[name] for p in at], (d, d), f"form {name!r}", ids)
+            require_forms(S, ids, f"form {name!r}")
+            S.flags.writeable = False
+            for p, A in zip(at, S):
                 p.forms[name] = A
-            if p.g0 is not None:
-                p.g0 = np.asarray(p.g0, dtype=complex)
-                if p.g0.shape != (d, d):
-                    raise DimensionMismatch(f"g0 at {p.id!r} has wrong dim")
+            if len(at) == len(self.points):
+                self._forms[name] = S
+        for p in self.points:
             if p.in_F and p.g0 is None:
                 raise QposError(f"point {p.id!r} is in F but has no g0")
             if p.subspace is not None:
@@ -64,7 +72,11 @@ class FormField:
                 p.coords = np.asarray(p.coords, dtype=float)
         with_g0 = [p for p in self.points if p.g0 is not None]
         if with_g0:  # every g0 in one stacked check
-            require_metrics([p.g0 for p in with_g0], [p.id for p in with_g0])
+            ids = [p.id for p in with_g0]
+            G = _stack([p.g0 for p in with_g0], (d, d), "g0", ids)
+            require_metrics(G, ids)
+            for p, g in zip(with_g0, G):
+                p.g0 = g
 
     @classmethod
     def from_stacks(cls, ids, forms: dict, subspace=None) -> "FormField":
@@ -89,9 +101,9 @@ class FormField:
         return sorted(names, key=str)
 
     def form_stack(self, name: str) -> np.ndarray:
-        """All points' matrices for one named form, shape (N, d, d)."""
+        """All points' matrices for one named form, shape (N, d, d), read-only."""
         try:
-            return np.stack([p.forms[name] for p in self.points])
+            return self._forms[name]
         except KeyError as e:
             raise QposError(f"form {name!r} missing at some point") from e
 
@@ -129,6 +141,14 @@ class FormField:
                             extra[self._index[n]] = True
             mask |= extra
         return mask
+
+
+def _stack(mats, shape, what, ids) -> np.ndarray:
+    """The matrices as one complex stack; DimensionMismatch names the first of another shape."""
+    for M, i in zip(mats, ids):
+        if np.shape(M) != shape:
+            raise DimensionMismatch(f"{what} at {i!r} has shape {np.shape(M)}, not {shape}")
+    return np.array(mats, dtype=complex)
 
 
 @dataclass(frozen=True)

@@ -68,22 +68,37 @@ def as_metric(G, tau_herm: float = TAU_HERM, tau_pd: float = TAU_PD) -> np.ndarr
     return A
 
 
+def require_forms(A, ids, what="form") -> None:
+    """Check an (N, d, d) stack of forms at once: the first bad one raises
+    what ``as_form`` raises for it, naming it as ``what`` at its id from ``ids``."""
+    _require(A, ids, what, invalid_forms, as_form)
+
+
 def require_metrics(G, ids) -> None:
     """Check an (N, d, d) stack of metrics at once: the first bad one raises
     what ``as_metric`` raises for it, naming its id from ``ids``."""
-    G = np.asarray(G, dtype=complex)
-    finite = np.all(np.isfinite(G), axis=(-2, -1))
-    bad = np.flatnonzero(~finite | invalid_metrics(np.where(finite[:, None, None], G, 1.0)))
+    _require(G, ids, "metric", invalid_metrics, as_metric)
+
+
+def _require(A, ids, what, invalid, check):
+    A = np.asarray(A, dtype=complex)
+    finite = np.all(np.isfinite(A), axis=(-2, -1))
+    bad = np.flatnonzero(~finite | invalid(np.where(finite[:, None, None], A, 1.0)))
     if bad.size:
         try:
-            as_metric(G[bad[0]])
+            check(A[bad[0]])
         except QposError as e:
-            raise type(e)(f"metric at {ids[bad[0]]!r}: {e}") from None
+            raise type(e)(f"{what} at {ids[bad[0]]!r}: {e}") from None
+
+
+def invalid_forms(A) -> np.ndarray:
+    """Mask of the matrices of a finite (N, d, d) stack that ``as_form`` rejects."""
+    return _not_hermitian(A, TAU_HERM)[1]
 
 
 def invalid_metrics(G) -> np.ndarray:
     """Mask of the matrices of a finite (N, d, d) stack that ``as_metric`` rejects."""
-    return _not_hermitian(G, TAU_HERM)[1] | _not_positive_definite(G, TAU_PD)[1]
+    return invalid_forms(G) | _not_positive_definite(G, TAU_PD)[1]
 
 
 def _not_hermitian(A, tau_herm):

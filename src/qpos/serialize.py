@@ -5,16 +5,29 @@ Matrices travel as {"dim": d, "re": [[...]], "im": [[...]]}, spectra as
 every file this package writes carries "qpos_schema": 1.  The writer sorts
 object keys and prints floats with 17 significant digits, so identical data
 always serializes to identical bytes.
+
+Both directions work on whole arrays.  A float ndarray in a report is
+written in one pass: one finite check, then one printf-style ``%`` over all
+its entries, with a template per (shape, indent) that reproduces the
+nested-list layout of writing it entry by entry.  A field is read as one
+(N, d, d) stack per form name, one for g0 and one for subspaces, and a
+metrics file as one stack; each stack is converted and checked at once, and
+only when a check fails are its entries visited one by one, to name the JSON
+path of the first bad one.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import math
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import QposError, SchemaError
 from .fields import FieldPoint, FormField, PositivityCertificate
+from .hermitian import invalid_forms
 
 SCHEMA_VERSION = 1
 # what a JSON value of the wrong type or size raises when read as a number
@@ -27,17 +40,24 @@ BAD_VALUE = (KeyError, TypeError, ValueError, OverflowError)
 
 def _canon(obj, out, indent):
     pad = " " * indent
-    if obj is None or isinstance(obj, bool):
-        out.append(json.dumps(obj))
+    if isinstance(obj, np.ndarray) and obj.dtype.kind == "f":
+        flat = obj.ravel()
+        finite = np.isfinite(flat)
+        if not finite.all():
+            bad = float(flat[np.argmin(finite)])
+            raise SchemaError("<write>", f"non-finite float {bad!r} in report")
+        out.append(_array_template(obj.shape, indent) % tuple(flat.tolist()))
+    elif obj is None or isinstance(obj, bool):
+        out.append("null" if obj is None else "true" if obj else "false")
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
         x = float(obj)
-        if not np.isfinite(x):
+        if not math.isfinite(x):
             raise SchemaError("<write>", f"non-finite float {x!r} in report")
         out.append(format(x, ".17g"))
     elif isinstance(obj, str):
-        out.append(json.dumps(obj, ensure_ascii=True))
+        out.append(encode_basestring_ascii(obj))
     elif isinstance(obj, dict):
         if not obj:
             out.append("{}")
@@ -45,12 +65,14 @@ def _canon(obj, out, indent):
         out.append("{\n")
         keys = sorted(obj, key=str)
         for i, k in enumerate(keys):
-            out.append(pad + "  " + json.dumps(str(k), ensure_ascii=True) + ": ")
+            out.append(pad + "  " + encode_basestring_ascii(str(k)) + ": ")
             _canon(obj[k], out, indent + 2)
             out.append(",\n" if i < len(keys) - 1 else "\n")
         out.append(pad + "}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        seq = obj.tolist() if isinstance(obj, np.ndarray) else list(obj)
+    elif isinstance(obj, np.ndarray):  # element by element; a 0-d array is its scalar
+        _canon(obj.tolist(), out, indent)
+    elif isinstance(obj, (list, tuple)):
+        seq = list(obj)
         if not seq:
             out.append("[]")
             return
@@ -62,6 +84,19 @@ def _canon(obj, out, indent):
         out.append(pad + "]")
     else:
         raise SchemaError("<write>", f"cannot serialize {type(obj).__name__}")
+
+
+@functools.lru_cache(maxsize=256)
+def _array_template(shape, indent):
+    """The canonical text of a float array of this shape written at this indent,
+    with one ``%.17g`` per entry in C order: the nested-list layout above."""
+    if not shape:
+        return "%.17g"
+    if shape[0] == 0:
+        return "[]"
+    pad = " " * indent
+    item = _array_template(shape[1:], indent + 2)
+    return "[\n" + pad + "  " + (",\n" + pad + "  ").join([item] * shape[0]) + "\n" + pad + "]"
 
 
 def dumps_canonical(obj) -> str:
@@ -81,25 +116,80 @@ def write_report(path, obj) -> None:
 # matrices, spectra, subspaces
 # ---------------------------------------------------------------------------
 
-def matrix_to_json(M) -> dict:
+def _integer(value, path) -> int:
+    """A JSON integer: an int, or a float with an integral value; never a bool or string."""
+    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) or (
+            isinstance(value, float) and value.is_integer())):
+        raise SchemaError(path, f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _complex_stack(objs, paths, keys, shape, what) -> np.ndarray:
+    """``o[re] + 1j * o[im]`` over the JSON objects ``objs`` as one (N, *shape) stack.
+
+    ``keys = (re, im)``; an absent ``im`` reads as zero.  One conversion and
+    one finite check serve the whole stack.  A defect raises SchemaError
+    naming the path of the first bad object; the objects are checked one at
+    a time only after the stacked check has failed.
+    """
+    if not objs:
+        return np.zeros((0, *shape), dtype=complex)
+    re_key, im_key = keys
+    try:
+        zero = np.zeros(shape)
+        re = np.array([o[re_key] for o in objs], dtype=float)
+        im = np.array([o[im_key] if im_key in o else zero for o in objs], dtype=float)
+        problem = None if re.shape == im.shape == (len(objs), *shape) else \
+            f"{what} shape {re.shape[1:]} (imaginary part {im.shape[1:]}) is not {shape}"
+    except BAD_VALUE as e:
+        problem = f"bad {what} fields: {e}"
+    if problem is None:
+        A = re + 1j * im
+        finite = np.isfinite(A).all(axis=(-2, -1))
+        if finite.all():
+            return A
+        raise SchemaError(paths[int(np.argmin(finite))], f"{what} has non-finite entries")
+    if len(objs) == 1:
+        raise SchemaError(paths[0], problem)
+    for o, path in zip(objs, paths):  # locate the first bad object
+        _complex_stack([o], [path], keys, shape, what)
+    raise SchemaError(paths[0], problem)
+
+
+def matrices_from_json(objs, paths, dim=None) -> np.ndarray:
+    """JSON matrices as one complex (N, dim, dim) stack, with ``paths`` naming them.
+
+    ``dim`` defaults to the first matrix's own ``"dim"``; every matrix must
+    declare it.
+    """
+    dims = []
+    for o, path in zip(objs, paths):
+        if not isinstance(o, dict):
+            raise SchemaError(path, "expected an object with dim/re/im")
+        dims.append(_integer(o.get("dim"), f"{path}.dim"))
+    if dims and dim is None:
+        dim = dims[0]
+    for d, path in zip(dims, paths):
+        if d != dim:
+            raise SchemaError(f"{path}.dim", f"matrix dim {d} does not match {dim}")
+    return _complex_stack(objs, paths, ("re", "im"), (dim, dim), "matrix")
+
+
+def matrix_arrays(M) -> dict:
+    """The matrix schema with float ndarrays, which ``dumps_canonical`` formats
+    in one pass each; reports are built from it."""
     M = np.asarray(M, dtype=complex)
-    return {"dim": int(M.shape[0]), "re": M.real.tolist(), "im": M.imag.tolist()}
+    return {"dim": int(M.shape[0]), "re": M.real, "im": M.imag}
+
+
+def matrix_to_json(M) -> dict:
+    """The matrix schema with nested lists, for any JSON encoder."""
+    doc = matrix_arrays(M)
+    return {**doc, "re": doc["re"].tolist(), "im": doc["im"].tolist()}
 
 
 def matrix_from_json(obj, path="matrix") -> np.ndarray:
-    if not isinstance(obj, dict):
-        raise SchemaError(path, "expected an object with dim/re/im")
-    try:
-        d = int(obj["dim"])
-        re = np.asarray(obj["re"], dtype=float)
-        im = np.asarray(obj.get("im", np.zeros_like(re)), dtype=float)
-    except BAD_VALUE as e:
-        raise SchemaError(path, f"bad matrix fields: {e}") from e
-    if re.shape != (d, d) or im.shape != (d, d):
-        raise SchemaError(path, f"matrix shape {re.shape} does not match dim {d}")
-    if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
-        raise SchemaError(path, "matrix has non-finite entries")
-    return re + 1j * im
+    return matrices_from_json([obj], [path])[0]
 
 
 def spectrum_to_json(spectrum) -> dict:
@@ -118,17 +208,14 @@ def basis_to_json(B) -> dict:
             "basis_im": B.T.imag.tolist()}
 
 
-def basis_from_json(obj, path="subspace") -> np.ndarray:
-    try:
-        re = np.asarray(obj["basis_re"], dtype=float)
-        im = np.asarray(obj.get("basis_im", np.zeros_like(re)), dtype=float)
-    except BAD_VALUE as e:
-        raise SchemaError(path, f"bad basis fields: {e}") from e
-    if re.ndim != 2 or re.shape != im.shape:
-        raise SchemaError(path, "basis arrays must be 2-d and congruent")
-    if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
-        raise SchemaError(path, "basis has non-finite entries")
-    return (re + 1j * im).T
+def _bases_from_json(objs, paths, dim) -> np.ndarray:
+    """Subspace bases as one (N, dim, k) stack of columns; k is the first basis's rank."""
+    for o, path in zip(objs, paths):
+        if not isinstance(o, dict) or not isinstance(o.get("basis_re"), list):
+            raise SchemaError(path, "expected an object with a basis_re list of rows")
+    k = len(objs[0]["basis_re"]) if objs else 0
+    B = _complex_stack(objs, paths, ("basis_re", "basis_im"), (k, dim), "basis")
+    return np.swapaxes(B, -1, -2)
 
 
 # ---------------------------------------------------------------------------
@@ -154,23 +241,31 @@ def field_to_json(field: FormField) -> dict:
 
 
 def field_from_json(obj, path="field") -> FormField:
+    """A field document as a FormField.
+
+    The points' matrices are read as one stack per form name, one for g0 and
+    one for subspaces, each converted and validated at once; every form stack
+    must be Hermitian.
+    """
     if not isinstance(obj, dict):
         raise SchemaError(path, "expected a top-level object")
     try:
-        dim = int(obj["dim"])
-        raw_points = obj["points"]
-    except BAD_VALUE as e:
+        dim, raw_points = obj["dim"], obj["points"]
+    except KeyError as e:
         raise SchemaError(path, f"missing field keys: {e}") from e
+    dim = _integer(dim, f"{path}.dim")
     if dim < 1:
         raise SchemaError(f"{path}.dim", f"must be at least 1, got {dim}")
     if not isinstance(raw_points, list) or not raw_points:
         raise SchemaError(f"{path}.points", "need a nonempty list of points")
     points = []
+    forms, g0, subspace = {}, ([], []), ([], [])  # (point indices, JSON objects)
     for i, rp in enumerate(raw_points):
         ppath = f"{path}.points[{i}]"
         if not isinstance(rp, dict) or "id" not in rp or "forms" not in rp:
             raise SchemaError(ppath, "every point needs id and forms")
-        for key, kind, name in (("forms", dict, "object"), ("neighbors", list, "array")):
+        for key, kind, name in (("forms", dict, "object"), ("neighbors", list, "array"),
+                                ("in_F", bool, "boolean")):
             if not isinstance(rp.get(key, kind()), kind):
                 raise SchemaError(f"{ppath}.{key}", f"expected a JSON {name}")
         if not all(isinstance(n, (str, int, float)) for n in rp.get("neighbors", [])):
@@ -179,21 +274,37 @@ def field_from_json(obj, path="field") -> FormField:
             coords = np.asarray(rp["coords"], dtype=float) if "coords" in rp else None
         except BAD_VALUE as e:
             raise SchemaError(f"{ppath}.coords", f"expected numbers: {e}") from e
-        forms = {name: matrix_from_json(m, f"{ppath}.forms.{name}")
-                 for name, m in rp["forms"].items()}
-        points.append(FieldPoint(
-            id=rp["id"],
-            forms=forms,
-            coords=coords,
-            neighbors=list(rp["neighbors"]) if rp.get("neighbors") else None,
-            g0=matrix_from_json(rp["g0"], f"{ppath}.g0") if "g0" in rp else None,
-            subspace=basis_from_json(rp["subspace"], f"{ppath}.subspace")
-            if "subspace" in rp else None,
-            in_F=bool(rp.get("in_F", False)),
-        ))
+        for name, m in rp["forms"].items():
+            at, objs = forms.setdefault(name, ([], []))
+            at.append(i)
+            objs.append(m)
+        for key, (at, objs) in (("g0", g0), ("subspace", subspace)):
+            if key in rp:
+                at.append(i)
+                objs.append(rp[key])
+        points.append(FieldPoint(id=rp["id"], forms={}, coords=coords,
+                                 neighbors=list(rp["neighbors"]) if rp.get("neighbors") else None,
+                                 in_F=rp.get("in_F", False)))
+
+    def paths(at, part):
+        return [f"{path}.points[{i}].{part}" for i in at]
+
+    for name, (at, objs) in forms.items():
+        where = paths(at, f"forms.{name}")
+        S = matrices_from_json(objs, where, dim)
+        bad = np.flatnonzero(invalid_forms(S))
+        if bad.size:
+            raise SchemaError(where[bad[0]], "matrix is not Hermitian")
+        for i, A in zip(at, S):
+            points[i].forms[name] = A
+    for i, G in zip(g0[0], matrices_from_json(g0[1], paths(g0[0], "g0"), dim)):
+        points[i].g0 = G
+    for i, B in zip(subspace[0], _bases_from_json(subspace[1], paths(subspace[0], "subspace"),
+                                                  dim)):
+        points[i].subspace = B
     try:
         return FormField(dim=dim, points=points)
-    except Exception as e:
+    except (QposError, TypeError) as e:
         raise SchemaError(path, str(e)) from e
 
 
@@ -217,16 +328,21 @@ def load_matrix(path) -> np.ndarray:
 def metrics_to_json(ids, metrics) -> dict:
     return {
         "qpos_schema": SCHEMA_VERSION,
-        "metrics": [{"id": i, "matrix": matrix_to_json(m)} for i, m in zip(ids, metrics)],
+        "metrics": [{"id": i, "matrix": matrix_arrays(m)} for i, m in zip(ids, metrics)],
     }
 
 
-def metrics_from_json(obj, path="metrics") -> dict:
+def metrics_from_json(obj, dim, path="metrics"):
+    """A metrics file as ``(rows, G)``: its matrices as one (N, dim, dim) stack and
+    the row of each id in it (the last, where an id repeats)."""
     try:
-        return {e["id"]: matrix_from_json(e["matrix"], f"{path}.metrics[{k}].matrix")
-                for k, e in enumerate(obj["metrics"])}
+        entries = obj["metrics"]
+        rows = {e["id"]: k for k, e in enumerate(entries)}
+        mats = [e["matrix"] for e in entries]
     except (KeyError, TypeError) as e:
         raise SchemaError(path, f"bad metrics file: {e}") from e
+    where = [f"{path}.metrics[{k}].matrix" for k in range(len(mats))]
+    return rows, matrices_from_json(mats, where, dim)
 
 
 def certificate_to_json(cert: PositivityCertificate) -> dict:

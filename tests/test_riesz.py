@@ -14,6 +14,7 @@ from qpos import (
     resolvent,
     riesz_projector,
 )
+from qpos import riesz
 from qpos.synthetic import hermitian_with_eigs, random_hermitian
 
 
@@ -72,6 +73,43 @@ def test_projector_matches_oracle_random(rng):
         assert np.linalg.norm(res.matrix - P0, 2) <= 1e-8
         assert np.linalg.norm(P0 @ P0 - P0, 2) <= 1e-12
         assert np.linalg.norm(P0 - P0.conj().T, 2) <= 1e-12
+
+
+@pytest.mark.parametrize("nodes", [8, 9, 24, 31, 64, 65])
+def test_projector_half_nodes_match_full_rule(rng, nodes):
+    # nodes N - k are the conjugates of nodes k, whose resolvents are adjoint:
+    # solving k = 0 .. N // 2 gives the N-node trapezoid rule
+    eigs = np.concatenate([rng.uniform(-3.0, -1.2, 3), rng.uniform(1.2, 3.0, 4)])
+    T = hermitian_with_eigs(rng, eigs)
+    disc = Disc(center=-2.1, radius=1.5)
+    phase = np.exp(2j * np.pi * np.arange(nodes) / nodes)
+    R = [np.linalg.inv(z * np.eye(7) - T) for z in disc.center + disc.radius * phase]
+    on_axis = [0, nodes // 2] if nodes % 2 == 0 else [0]
+    full_real = sum(phase[k] * R[k] for k in on_axis)
+    full_paired = sum(phase[k] * R[k] for k in range(nodes) if k not in on_axis)
+    real, paired = riesz._quadrature_sums(T, disc, nodes)
+    assert np.array_equal(paired, paired.conj().T)  # Hermitian exactly, not to rounding
+    assert_allclose(real, full_real, rtol=0, atol=1e-13 * nodes)
+    assert_allclose(paired, full_paired, rtol=0, atol=1e-13 * nodes)
+    res = riesz_projector(T, disc, nodes=nodes)
+    assert res.quad_nodes == nodes
+    assert np.array_equal(res.matrix, (disc.radius / nodes) * (real + paired))
+    # the exact 1 / (1 - u^N) law of the N-node rule
+    u = (eigs - disc.center) / disc.radius
+    lam, V = np.linalg.eigh(T)
+    order = np.argsort(eigs)
+    diag = np.diag(V.conj().T @ res.matrix @ V).real
+    assert_allclose(diag, (1.0 / (1.0 - u ** nodes))[order], rtol=1e-10, atol=1e-12)
+    if nodes >= 64:
+        assert np.linalg.norm(res.matrix - oracle_projector(T, disc), 2) <= 1e-8
+
+
+def test_disc_needs_real_center_and_finite_positive_radius():
+    assert Disc(center=-1 + 0j, radius=1.0).center == -1.0
+    for center, radius in ((1j, 1.0), (np.nan, 1.0), (np.inf, 1.0), (0.0, 0.0),
+                           (0.0, -1.0), (0.0, np.nan), (0.0, np.inf)):
+        with pytest.raises(ValueError):
+            Disc(center=center, radius=radius)
 
 
 def test_projector_error_law(rng):

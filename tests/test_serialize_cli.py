@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
-from qpos import FieldPoint, FormField, SchemaError, cli, spectrum_wrt
+from qpos import FieldPoint, FormField, SchemaError, cli, hermitian, serialize, spectrum_wrt
 from qpos.serialize import (
     dumps_canonical,
     field_from_json,
@@ -67,6 +68,11 @@ def test_matrix_schema_errors():
         matrix_from_json({"dim": 3, "re": [[1.0]]})
     with pytest.raises(SchemaError):
         matrix_from_json([1, 2, 3])
+    # dim used to go through int(): 2.9 read as 2, true as 1
+    for dim in (2.9, True, "2", None):
+        with pytest.raises(SchemaError, match=r"m\.dim"):
+            matrix_from_json({"dim": dim, "re": [[1.0, 0.0], [0.0, 1.0]]}, "m")
+    assert matrix_from_json({"dim": 2.0, "re": [[1.0, 0.0], [0.0, 1.0]]}).shape == (2, 2)
 
 
 def test_spectrum_serialization(rng):
@@ -90,6 +96,105 @@ def test_canonical_bytes_are_stable():
     s2 = dumps_canonical(json.loads(json.dumps(obj)))
     assert s1 == s2
     assert "0.10000000000000001" in s1  # 17 significant digits
+
+
+def _reference_canon(obj, out, indent):
+    """The recursive writer the canonical bytes were defined by: one call per scalar."""
+    pad = " " * indent
+    if obj is None or isinstance(obj, bool):
+        out.append(json.dumps(obj))
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        if not np.isfinite(x):
+            raise SchemaError("<write>", f"non-finite float {x!r} in report")
+        out.append(format(x, ".17g"))
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj, ensure_ascii=True))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        out.append("{\n")
+        keys = sorted(obj, key=str)
+        for i, k in enumerate(keys):
+            out.append(pad + "  " + json.dumps(str(k), ensure_ascii=True) + ": ")
+            _reference_canon(obj[k], out, indent + 2)
+            out.append(",\n" if i < len(keys) - 1 else "\n")
+        out.append(pad + "}")
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        seq = obj.tolist() if isinstance(obj, np.ndarray) else list(obj)
+        if not seq:
+            out.append("[]")
+            return
+        out.append("[\n")
+        for i, item in enumerate(seq):
+            out.append(pad + "  ")
+            _reference_canon(item, out, indent + 2)
+            out.append(",\n" if i < len(seq) - 1 else "\n")
+        out.append(pad + "]")
+    else:
+        raise SchemaError("<write>", f"cannot serialize {type(obj).__name__}")
+
+
+def _reference_dumps(obj):
+    # the recursive writer wrote a 0-d array holding 0.0 as [] and raised on any
+    # other; the array writer writes its scalar, which is what it is compared with
+    def scalars(o):
+        if isinstance(o, np.ndarray) and o.ndim == 0:
+            return o.item()
+        if isinstance(o, dict):
+            return {k: scalars(v) for k, v in o.items()}
+        return [scalars(v) for v in o] if isinstance(o, list) else o
+
+    out = []
+    _reference_canon(scalars(obj), out, 0)
+    return "".join(out) + "\n"
+
+
+EXTREME_FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                                  -1.7976931348623157e308, 2.2250738585072014e-308, 0.1])
+FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | EXTREME_FLOATS
+SHAPES = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4)
+
+
+@st.composite
+def report_arrays(draw):
+    kind = draw(st.sampled_from(["float", "float", "float32", "int", "bool"]))
+    if kind == "float":
+        a = draw(hnp.arrays(np.float64, SHAPES, elements=FINITE_FLOATS))
+    elif kind == "float32":
+        a = draw(hnp.arrays(np.float32, SHAPES, elements=st.floats(allow_nan=False, allow_infinity=False, width=32)))
+    elif kind == "int":
+        a = draw(hnp.arrays(np.int64, SHAPES, elements=st.integers(-2**62, 2**62)))
+    else:
+        a = draw(hnp.arrays(np.bool_, SHAPES))
+    # strided views, as the real and imaginary parts of a complex matrix are
+    return a.T if draw(st.booleans()) else a
+
+
+REPORT_VALUES = st.recursive(
+    report_arrays() | FINITE_FLOATS | st.integers(-10**20, 10**20) | st.booleans()
+    | st.none() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(REPORT_VALUES)
+def test_writer_matches_recursive_reference(obj):
+    assert dumps_canonical(obj) == _reference_dumps(obj)
+
+
+@settings(max_examples=50, deadline=None)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3), elements=FINITE_FLOATS),
+       st.sampled_from([np.nan, np.inf, -np.inf]), st.integers(0, 10**6))
+def test_writer_rejects_non_finite_in_arrays(a, bad, where):
+    a.flat[where % a.size] = bad
+    with pytest.raises(SchemaError, match="non-finite"):
+        dumps_canonical({"x": [1, a]})
 
 
 # ----------------------------------------------------------------------- CLI
@@ -243,6 +348,10 @@ BAD_INPUT_CASES = [
     "field_neighbors_not_list", "field_dim_zero", "check_form_missing_at_a_point",
     "single_form_missing_at_a_point", "metric_not_hermitian", "metric_not_positive_definite",
     "levi_zero_samples", "field_neighbor_not_scalar",
+    "field_in_F_string", "field_dim_fractional", "field_dim_bool", "field_dim_string",
+    "field_form_dim_fractional", "field_form_dim_bool",
+    "project_nodes_4", "project_nodes_0", "project_radius_0", "project_radius_negative",
+    "project_radius_nan", "project_radius_inf", "project_center_nan",
 ]
 FIELD_DEFECTS = {
     "field_point_not_object": (lambda doc: doc["points"].__setitem__(0, 5), ".points[0]"),
@@ -253,6 +362,23 @@ FIELD_DEFECTS = {
     "field_neighbors_not_list": (lambda doc: doc["points"][0].__setitem__("neighbors", 5),
                                  ".points[0].neighbors"),
     "field_dim_zero": (lambda doc: doc.__setitem__("dim", 0), ".dim"),
+    # bool("false") is True, int(2.9) is 2 and int(True) is 1: each used to be read
+    "field_in_F_string": (lambda doc: doc["points"][0].__setitem__("in_F", "false"),
+                          ".points[0].in_F"),
+    "field_dim_fractional": (lambda doc: doc.__setitem__("dim", 2.9), ".dim"),
+    "field_dim_bool": (lambda doc: doc.__setitem__("dim", True), ".dim"),
+    "field_dim_string": (lambda doc: doc.__setitem__("dim", "2"), ".dim"),
+    "field_form_dim_fractional": (
+        lambda doc: doc["points"][1]["forms"]["S"].__setitem__("dim", 2.9), ".points[1].forms.S"),
+    "field_form_dim_bool": (
+        lambda doc: doc["points"][0]["forms"]["Q1"].__setitem__("dim", True),
+        ".points[0].forms.Q1"),
+}
+PROJECT_OPTIONS = {
+    "project_nodes_4": ("--nodes", 4), "project_nodes_0": ("--nodes", 0),
+    "project_radius_0": ("--radius", 0), "project_radius_negative": ("--radius", -1),
+    "project_radius_nan": ("--radius", "nan"), "project_radius_inf": ("--radius", "inf"),
+    "project_center_nan": ("--center", "nan"),
 }
 
 
@@ -337,6 +463,13 @@ def test_cli_rejects_bad_input_with_exit_1(tmp_path, case):
                else np.diag([1.0, -0.5]))
         metric.write_text(dumps_canonical(metrics_to_json(["p0", "p1"], [np.eye(2), bad])))
         argv, named = check + ("--q", 2, "--metric", metric), f"{metric}.metrics[1].matrix"
+    elif case in PROJECT_OPTIONS:
+        matrix = tmp_path / "T.json"
+        matrix.write_text(dumps_canonical(matrix_to_json(np.diag([-2.0, 1.0]))))
+        option = dict([("--center", -2.0), ("--radius", 1.5), ("--nodes", 16),
+                       PROJECT_OPTIONS[case]])
+        argv = ("project", "--input", matrix, *(x for kv in option.items() for x in kv))
+        named = PROJECT_OPTIONS[case][0]
     elif case == "levi_zero_samples":
         argv, named = ("geometry", "levi", "--domain", quad, "--samples", 0), "--samples"
     else:
@@ -502,6 +635,28 @@ def test_cli_eigensolve_count_does_not_grow_with_points(tmp_path, rng, monkeypat
     assert counts["check", 30] == counts["check", 300] <= 3, counts
     assert counts["subbundle", 30] == counts["subbundle", 300], counts
     assert counts["levi", 10] == counts["levi", 100] == 1, counts
+
+
+def test_cli_io_call_counts_do_not_grow_with_size(tmp_path, rng, monkeypatch):
+    # whole-array I/O: one writer call per array, not per entry, and one
+    # stacked read per form name, not one matrix read and check per point
+    writes = {}
+    for d in (4, 16):
+        field = tmp_path / f"field{d}.json"
+        field.write_text(dumps_canonical(field_to_json(
+            planted_inertia_field(rng, 30, d, 2, nu_choices=[0]))))
+        writes[d] = _calls(monkeypatch, ["synthesize", "single", "--input", field, "--q", 2,
+                                         "--out", tmp_path / "metric.json"],
+                           [(serialize, "_canon")])
+    reads = {}
+    for n in (30, 300):
+        field = tmp_path / f"points{n}.json"
+        field.write_text(dumps_canonical(field_to_json(
+            planted_inertia_field(rng, n, 4, 2, nu_choices=[0]))))
+        reads[n] = _calls(monkeypatch, ["check", "--input", field, "--form", "S", "--q", 2],
+                          [(hermitian, "as_form"), (serialize, "matrix_from_json")])
+    assert writes[4] == writes[16], writes
+    assert reads[30] == reads[300], reads
 
 
 def test_cli_geometry_decompositions_do_not_grow_with_samples(tmp_path, monkeypatch):
