@@ -121,12 +121,15 @@ class NoCommonDirection(QposError):
 
 
 class LevelNotReached(QposError):
-    def __init__(self, theta, radius):
+    def __init__(self, theta, radius, point_id=None):
+        where = "" if point_id is None else f" at point {point_id!r}"
         super().__init__(
-            f"level set not reached along the ray at angle {theta:.6f} within radius {radius:.3e}"
+            f"level set not reached{where} along the ray at angle {theta:.6f} "
+            f"within radius {radius:.3e}"
         )
         self.theta = theta
         self.radius = radius
+        self.point_id = point_id
 
 
 class VanishingField(QposError):

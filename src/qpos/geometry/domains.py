@@ -21,6 +21,7 @@ from functools import partial
 import numpy as np
 
 from ..errors import QposError, SchemaError
+from ..hermitian import row_norm
 
 FD_STEP = 1e-5
 
@@ -84,12 +85,6 @@ def complex_hessian(phi, p, mode: str = "auto", step: float = FD_STEP) -> np.nda
 # ---------------------------------------------------------------------------
 # stacks of chart points and weights: everything below works over leading axes
 # ---------------------------------------------------------------------------
-
-def row_norm(x) -> np.ndarray:
-    """Euclidean norms along the last axis, rounded as ``np.linalg.norm`` rounds one vector."""
-    x = np.asarray(x, dtype=complex)
-    return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
-
 
 def _diag(a) -> np.ndarray:
     """Diagonal matrices with the entries of ``a`` along its last axis."""

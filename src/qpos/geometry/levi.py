@@ -19,9 +19,9 @@ import numpy as np
 
 from ..errors import BoundNotFound, FrameInvalid, QOutOfRange, ZqViolated
 from ..fields import FormField
-from ..hermitian import reduce_form, sign_counts
+from ..hermitian import reduce_form, row_norm, sign_counts
 from ..metric_single import synthesize_single
-from .domains import Domain, row_norm
+from .domains import Domain
 
 MIN_GRADIENT = 1e-6
 NEWTON_TOL = 1e-12

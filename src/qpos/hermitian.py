@@ -113,6 +113,12 @@ def _not_positive_definite(A, tau_pd):
     return w0, w0 <= tau_pd
 
 
+def row_norm(x) -> np.ndarray:
+    """Euclidean norms along the last axis, rounded as ``np.linalg.norm`` rounds one vector."""
+    x = np.asarray(x, dtype=complex)
+    return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
+
+
 def sign_counts(lam, rel: float = ZERO_REL):
     """``(n_plus, n_minus)`` of spectra along the last axis; supports stacks.
 

@@ -19,7 +19,9 @@ Both searches are exact.  A common positive direction is found or proved
 absent by a convex search in one variable (``common_direction``).  Level
 curves are traced by ray shooting: along a ray the Gram matrix is I - t M,
 so one eigendecomposition of M gives xi and both traces in closed form and
-Newton's method finds the crossing.  All rays are processed as one batch.
+Newton's method finds the crossing.  The rays of all points of a field form
+one stack, RAY_CHUNK rays per eigensolve, and the arcs are decided point by
+point with array operations; a single pair is the one-point case.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .errors import (
     QposError,
 )
 from .fields import FormField, certify, require_passed
-from .hermitian import as_form, as_metric, congruence, reduce_form
+from .hermitian import as_form, as_metric, congruence, reduce_form, row_norm
 
 DEFAULT_ANGLES = 512
 TAU_LEVEL = 1e-10
@@ -46,6 +48,7 @@ GRAD_FLOOR = 1e-12
 NEAR_PROP_WARN = 1e-6
 DIRECTION_FLOOR_SCALE = 1e-12
 GOLDEN_STEPS = 72  # 0.618**72 < 1e-15: the bracket in t reaches float resolution
+RAY_CHUNK = 16384  # rays per eigensolve; a (RAY_CHUNK, d, d) complex stack: 2.4 MB at d = 3
 
 
 @dataclass(frozen=True)
@@ -74,7 +77,6 @@ class PairMetricResult:
     traces: tuple[float, float]
     proportional: bool
     mu: float | None
-    samples: list[LevelCurveSample] | None
 
 
 class PairState:
@@ -103,39 +105,42 @@ class PairState:
                 raise QposError("the witness is not positive for both forms")
             self.witness = v / np.sqrt(float(np.real(v.conj() @ self.base @ v)))
 
-    # -- deformed Gram matrices (batched over rows of X) ------------------
-
     def gram(self, X) -> np.ndarray:
+        """Deformed Gram matrices I - x1 Q1 - x2 Q2 at the rows of X (base-orthonormal)."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        I = np.eye(self.dim, dtype=complex)
-        return (I - X[:, 0, None, None] * self._Q1t
-                - X[:, 1, None, None] * self._Q2t)
+        return _gram(self._Q1t, self._Q2t, X)
 
     def metric_at(self, x) -> np.ndarray:
         """The deformed metric at x in the original coordinates."""
         x = np.asarray(x, dtype=float)
-        G = self.base - x[0] * self.Q1 - x[1] * self.Q2
-        return 0.5 * (G + G.conj().T)
-
-    def form_inner_ratio(self) -> float:
-        """mu with Q1 ~ mu Q2 in the least-squares sense (form inner product)."""
-        denom = float(np.vdot(self._Q2t, self._Q2t).real)
-        if denom == 0:  # Q2 = 0: lambda_max of the segment at t = 1 is 0
-            raise NoCommonDirection(t=1.0, lam_max=0.0)
-        return float(np.vdot(self._Q2t, self._Q1t).real) / denom
-
-    def proportionality_defect(self, mu: float) -> float:
-        n1 = np.linalg.norm(self._Q1t)
-        if n1 == 0:
-            return 0.0
-        return float(np.linalg.norm(self._Q1t - mu * self._Q2t) / n1)
+        return _deformed_metrics(self.base, self.Q1, self.Q2, x[None])[0]
 
 
-def _frame_forms(pair: PairState, U, w):
-    """Q1, Q2 in the frame U diag(w)^(-1/2), orthonormal for G = U diag(w) U*."""
-    s = 1.0 / np.sqrt(w)
-    return [s[..., :, None] * (np.conj(np.swapaxes(U, -1, -2)) @ Q @ U) * s[..., None, :]
-            for Q in (pair._Q1t, pair._Q2t)]
+def _gram(Q1t, Q2t, X):
+    """I - x1 Q1 - x2 Q2 for each row x of X; the forms broadcast against the rows."""
+    I = np.eye(Q1t.shape[-1], dtype=complex)
+    return I - X[:, 0, None, None] * Q1t - X[:, 1, None, None] * Q2t
+
+
+def _deformed_metrics(base, Q1, Q2, X):
+    """The Hermitian part of base - x1 Q1 - x2 Q2 for each row x of X."""
+    G = base - X[:, 0, None, None] * Q1 - X[:, 1, None, None] * Q2
+    return 0.5 * (G + np.conj(np.swapaxes(G, -1, -2)))
+
+
+def _traces(Q1t, Q2t, U, w):
+    """Traces of Q1, Q2 relative to U diag(w) U*, sums of u_i* Q u_i / w_i; shape (..., 2)."""
+    return np.stack([np.sum(np.vecdot(U, Q @ U, axis=-2).real / w, axis=-1)
+                     for Q in (Q1t, Q2t)], axis=-1)
+
+
+def _gram_spectra(Q1t, Q2t, X):
+    """``(w, U, traces)`` of the Gram matrices at the rows of X; traces are NaN outside O."""
+    w, U = np.linalg.eigh(_gram(Q1t, Q2t, X))
+    inside = w[:, 0] > 0
+    traces = np.full((len(X), 2), np.nan)
+    traces[inside] = _traces(Q1t[inside], Q2t[inside], U[inside], w[inside])
+    return w, U, traces
 
 
 def xi_eval(pair: PairState, x) -> XiEvaluation:
@@ -146,12 +151,13 @@ def xi_eval(pair: PairState, x) -> XiEvaluation:
     and Q_s in any x-orthonormal frame, hence positive semidefinite.
     """
     x = np.asarray(x, dtype=float)
-    w, U = np.linalg.eigh(pair.gram(x[None, :])[0])
+    w, U, traces = _gram_spectra(pair._Q1t[None], pair._Q2t[None], x[None])
+    w, U = w[0], U[0]
     if w[0] <= 0:
         return XiEvaluation(x=x, in_O=False, xi=None, grad=None, hessian=None)
-    R = _frame_forms(pair, U, w)
-    return XiEvaluation(x=x, in_O=True, xi=float(-np.sum(np.log(w))),
-                        grad=np.array([float(np.trace(Rr).real) for Rr in R]),
+    s = 1.0 / np.sqrt(w)  # the frame U diag(s) is x-orthonormal
+    R = [s[:, None] * (np.conj(U.T) @ Q @ U) * s[None, :] for Q in (pair._Q1t, pair._Q2t)]
+    return XiEvaluation(x=x, in_O=True, xi=float(-np.sum(np.log(w))), grad=traces[0],
                         hessian=np.array([[float(np.vdot(Rs, Rr).real) for Rs in R]
                                           for Rr in R]))
 
@@ -275,30 +281,184 @@ def _ensure_witness(pair: PairState) -> None:
         pair.witness = pair._W @ common_witnesses(pair._Q1t[None], pair._Q2t[None], [None])[0]
 
 
-def _ray_level_hits(pair: PairState, dirs: np.ndarray, level: float):
-    """Crossings t of xi(t * dir) = level, batched over rays; returns ``(t, mu, U)``.
+def _ray_level_hits(Q1t, Q2t, dirs, level):
+    """Crossings t of xi(t * dir) = level for k rays of each of n pairs.
 
-    Along a ray the Gram matrix is I - t M with M = dir_1 Q1 + dir_2 Q2 =
-    U diag(mu) U*, so xi(t) = -sum_k log(1 - t mu_k) is convex, 0 at t = 0
-    and infinite at t = 1 / mu_max, the boundary of O, which exists iff
-    mu_max > 0.  Newton's method starts at t0 = -expm1(-(level + C)) / mu_max
-    with C = sum_{mu_k < 0} log1p(-mu_k / mu_max), where xi(t0) >= level,
-    decreases monotonically, and stops when a step no longer decreases t.
+    ``Q1t``, ``Q2t``: (n, d, d) stacks in base-orthonormal coordinates;
+    ``dirs``: (n, k, 2).  Along a ray the Gram matrix is I - t M with
+    M = dir_1 Q1 + dir_2 Q2 = U diag(mu) U*, so xi(t) = -sum_k log(1 - t mu_k)
+    and both traces follow from one eigendecomposition.  The pairs are
+    taken in order, as many per eigensolve as fit in RAY_CHUNK rays (one
+    pair's rays at least).
+
+    Returns ``(t, xi, traces)``, shaped (n, k), (n, k) and (n, k, 2): the
+    crossing, xi there and the traces of Q1, Q2 relative to the Gram matrix
+    there; all NaN on a ray with mu_max <= 0, which never leaves O.
     """
-    M = dirs[:, 0, None, None] * pair._Q1t + dirs[:, 1, None, None] * pair._Q2t
-    mu, U = np.linalg.eigh(M)
+    n, k = dirs.shape[:2]
+    t, xi, traces = np.empty((n, k)), np.empty((n, k)), np.empty((n, k, 2))
+    per = max(1, RAY_CHUNK // k)
+    for start in range(0, n, per):
+        p = slice(start, start + per)
+        A, B, u = Q1t[p, None], Q2t[p, None], dirs[p]
+        M = u[..., 0, None, None] * A
+        M += u[..., 1, None, None] * B
+        mu, U = np.linalg.eigh(M)
+        del M
+        tc = _newton(mu.reshape(-1, mu.shape[-1]), level).reshape(mu.shape[:-1])
+        w = 1.0 - tc[..., None] * mu  # eigenvalues of the Gram matrix at the crossing
+        t[p], xi[p], traces[p] = tc, -np.sum(np.log(w), axis=-1), _traces(A, B, U, w)
+    return t, xi, traces
+
+
+def _newton(mu, level):
+    """The crossing t of xi(t) = -sum_k log(1 - t mu_k) = level per row of mu.
+
+    xi is convex, 0 at t = 0 and infinite at t = 1 / mu_max, the boundary of
+    O, which exists iff mu_max > 0 (else NaN).  Newton's method starts at
+    t0 = -expm1(-(level + C)) / mu_max with C = sum_{mu_k < 0} log1p(-mu_k / mu_max),
+    where xi(t0) >= level, and decreases monotonically; a row whose step no
+    longer decreases t stays where it is, so no row depends on the others.
+    """
     top = mu[:, -1]
-    if np.any(top <= 0):
-        i = int(np.argmax(top <= 0))
-        raise LevelNotReached(float(np.arctan2(dirs[i, 1], dirs[i, 0])), float("inf"))
-    C = np.sum(np.log1p(-np.minimum(mu, 0.0) / top[:, None]), axis=1)
-    t = -np.expm1(-(level + C)) / top
-    while True:
-        w = 1.0 - t[:, None] * mu
-        new = t - (-np.sum(np.log(w), axis=1) - level) / np.sum(mu / w, axis=1)
-        if not np.any(new < t):
-            return t, mu, U
-        t = np.minimum(t, new)
+    t = np.full(len(mu), np.nan)
+    live = np.flatnonzero(top > 0)
+    C = np.sum(np.log1p(-np.minimum(mu[live], 0.0) / top[live, None]), axis=1)
+    t[live] = -np.expm1(-(level + C)) / top[live]
+    while live.size:
+        m, tl = mu[live], t[live]
+        w = 1.0 - tl[:, None] * m
+        new = tl - (-np.sum(np.log(w), axis=1) - level) / np.sum(m / w, axis=1)
+        down = new < tl
+        live = live[down]
+        t[live] = new[down]
+    return t
+
+
+def _failed(message, point_id):
+    return CertificateFailed(message, failed_ids=[] if point_id is None else [point_id])
+
+
+def _level_sweep(Q1t, Q2t, ids, n_angles, level, tau_level=TAU_LEVEL, grad_floor=GRAD_FLOOR):
+    """Every pair's level curve xi = level on n_angles rays of the open first quadrant.
+
+    Returns ``(thetas, t, X, xi, traces, member, errors)``: per pair and ray
+    the crossing t, the point X = t * dir, xi there and both traces;
+    ``member`` marks the rays where both traces exceed ``grad_floor``, which
+    must form one contiguous arc; ``errors`` maps the index of each pair
+    whose rays miss the level or whose arc is split to its error.
+    """
+    thetas = (np.arange(n_angles) + 0.5) * (np.pi / 2.0) / n_angles
+    dirs = np.column_stack([np.cos(thetas), np.sin(thetas)])
+    t, xi, traces = _ray_level_hits(Q1t, Q2t, np.broadcast_to(dirs, (len(Q1t), n_angles, 2)),
+                                    level)
+    missed, off = np.isnan(t), np.abs(xi - level)
+    member = (traces[..., 0] > grad_floor) & (traces[..., 1] > grad_floor)
+    first, last = _arc_ends(member)
+    split = member.any(axis=1) & (last - first + 1 != member.sum(axis=1))
+    errors = {}
+    for i in np.flatnonzero(missed.any(axis=1) | (off.max(axis=1) > tau_level) | split):
+        if missed[i].any():
+            errors[i] = LevelNotReached(float(thetas[np.argmax(missed[i])]), float("inf"), ids[i])
+        elif off[i].max() > tau_level:
+            errors[i] = LevelNotReached(float(thetas[np.argmax(off[i])]), float(np.max(t[i])),
+                                        ids[i])
+        else:
+            errors[i] = _failed("positive-gradient arc is not contiguous; refine n_angles", ids[i])
+    return thetas, t, t[..., None] * dirs, xi, traces, member, errors
+
+
+def _arc_ends(member):
+    """First and last marked ray of each row (0 and n - 1 for a row without one)."""
+    return np.argmax(member, axis=1), member.shape[1] - 1 - np.argmax(member[:, ::-1], axis=1)
+
+
+def _arc_midpoints(X, member):
+    """Arclength midpoints of the polylines X[i, member[i]], each a nonempty contiguous run.
+
+    Row by row this is ``np.interp(L / 2, cum, pts[:, k])`` with cum the
+    cumulative arclength of the run and L its total, rounded as np.interp
+    rounds: cum is accumulated from the first member (zero-length segments
+    before it), and the result is slope * (L / 2 - cum[j]) + pts[j], or the
+    last point where L / 2 reaches it.
+    """
+    n, A, _ = X.shape
+    rows = np.arange(n)
+    _, last = _arc_ends(member)
+    seg = np.linalg.norm(np.diff(X, axis=1), axis=2)
+    cum = np.concatenate([np.zeros((n, 1)),
+                          np.cumsum(np.where(member[:, :-1] & member[:, 1:], seg, 0.0), axis=1)],
+                         axis=1)
+    half = cum[:, -1] / 2.0
+    j = np.minimum(np.sum(cum <= half[:, None], axis=1) - 1, last)  # cum[j] <= half < cum[j + 1]
+    j1 = np.minimum(j + 1, A - 1)
+    with np.errstate(divide="ignore", invalid="ignore"):  # only where j is last, which takes X[j]
+        slope = (X[rows, j1] - X[rows, j]) / (cum[rows, j1] - cum[rows, j])[:, None]
+        between = slope * (half - cum[rows, j])[:, None] + X[rows, j]
+    return np.where((j == last)[:, None], X[rows, j], between)
+
+
+def _proportionality(Q1t, Q2t):
+    """Per pair of nonzero forms: mu with Q1 ~ mu Q2 in the form inner product
+    and the relative defect |Q1 - mu Q2| / |Q1|."""
+    a, b = (np.reshape(Q, (len(Q), -1)) for Q in (Q1t, Q2t))
+    mu = np.vecdot(b, a).real / np.vecdot(b, b).real
+    return mu, row_norm(a - mu[:, None] * b) / row_norm(a)
+
+
+def _midpoints(Q1t, Q2t, ids, n_angles, level=1.0, tau_prop=TAU_PROP):
+    """The midpoint gamma of every pair's positive-gradient arc on xi = level.
+
+    Proportional pairs (Q1 = mu Q2 within ``tau_prop`` relative) take the
+    closed-form point (c / 2 mu, c / 2) with xi = level on the segment
+    mu x1 + x2 = c, the crossing of the ray (1 / 2 mu, 1 / 2); the others the
+    arclength midpoint of the traced arc, re-projected radially onto the level
+    curve.  Both rays go through one ``_ray_level_hits`` call, and both
+    traces at gamma are re-verified to be positive.
+
+    Every pair must have a common positive direction, so neither form is 0.
+    Returns ``(gamma, traces, mu, proportional)`` per pair (mu NaN where not
+    proportional).  A failing pair raises; of several, the first in order,
+    with its id from ``ids``.
+    """
+    n = len(Q1t)
+    mu, defect = _proportionality(Q1t, Q2t)
+    prop = defect <= tau_prop
+    errors = {i: NoCommonDirection(ids[i]) for i in np.flatnonzero(prop & (mu <= 0))}
+    swept = np.flatnonzero(~prop)
+    if np.any(defect[swept] <= NEAR_PROP_WARN):
+        warnings.warn("forms are nearly proportional; the positive-gradient arc "
+                      "is numerically flat", stacklevel=3)
+    _, _, X, _, _, member, failed = _level_sweep(Q1t[swept], Q2t[swept],
+                                                 [ids[i] for i in swept], n_angles, level)
+    for i in np.flatnonzero(~member.any(axis=1)):
+        failed.setdefault(i, _failed("empty positive-gradient arc; n_angles too coarse",
+                                     ids[swept[i]]))
+    arcs = np.ones(len(swept), dtype=bool)
+    arcs[list(failed)] = False
+    errors.update((int(swept[i]), e) for i, e in failed.items())
+
+    dirs = np.zeros((n, 2))
+    dirs[prop, 0], dirs[prop, 1] = 0.5 / mu[prop], 0.5
+    raw = _arc_midpoints(X[arcs], member[arcs])
+    dirs[swept[arcs]] = raw / row_norm(raw)[:, None]
+    live = np.setdiff1d(np.arange(n), list(errors))
+    t, _, _ = _ray_level_hits(Q1t[live], Q2t[live], dirs[live, None], level)
+    gamma = np.full((n, 2), np.nan)
+    gamma[live] = t * dirs[live]
+    for i in live[np.isnan(t[:, 0])]:
+        errors[i] = LevelNotReached(float(np.arctan2(dirs[i, 1], dirs[i, 0])), float("inf"),
+                                    ids[i])
+    live = np.setdiff1d(live, list(errors))
+    traces = np.full((n, 2), np.nan)
+    w, _, traces[live] = _gram_spectra(Q1t[live], Q2t[live], gamma[live])
+    for i in live[(w[:, 0] <= 0) | np.any(traces[live] <= 0, axis=1)]:
+        errors[i] = _failed("midpoint left the positive-definite region" if np.isnan(traces[i, 0])
+                            else f"output traces not positive ({traces[i, 0]:.3e}, "
+                            f"{traces[i, 1]:.3e}); n_angles too coarse", ids[i])
+    if errors:
+        raise errors[min(errors)]
+    return gamma, traces, np.where(prop, mu, np.nan), prop
 
 
 def trace_level_curve(pair: PairState, n_angles: int = DEFAULT_ANGLES,
@@ -311,24 +471,14 @@ def trace_level_curve(pair: PairState, n_angles: int = DEFAULT_ANGLES,
     strictly positive; those form a single contiguous arc in theta.
     """
     _ensure_witness(pair)
-    thetas = (np.arange(n_angles) + 0.5) * (np.pi / 2.0) / n_angles
-    dirs = np.column_stack([np.cos(thetas), np.sin(thetas)])
-    t, mu, U = _ray_level_hits(pair, dirs, level)
-    X = t[:, None] * dirs
-    w = 1.0 - t[:, None] * mu  # eigenvalues of the Gram matrix at X
-    xi = -np.sum(np.log(w), axis=1)
-    if np.max(np.abs(xi - level)) > tau_level:
-        raise LevelNotReached(float(thetas[int(np.argmax(np.abs(xi - level)))]),
-                              float(np.max(t)))
-    g1, g2 = (np.trace(R, axis1=1, axis2=2).real for R in _frame_forms(pair, U, w))
-    member = (g1 > grad_floor) & (g2 > grad_floor)
-    idx = np.where(member)[0]
-    if idx.size and not np.all(np.diff(idx) == 1):
-        raise CertificateFailed("positive-gradient arc is not contiguous; refine n_angles")
+    thetas, t, X, xi, traces, member, errors = _level_sweep(
+        pair._Q1t[None], pair._Q2t[None], [None], n_angles, level, tau_level, grad_floor)
+    if errors:
+        raise errors[0]
     return [
-        LevelCurveSample(theta=float(thetas[i]), t=float(t[i]), x=X[i].copy(),
-                         xi=float(xi[i]), grad=np.array([g1[i], g2[i]]),
-                         in_gamma_tilde=bool(member[i]))
+        LevelCurveSample(theta=float(thetas[i]), t=float(t[0, i]), x=X[0, i].copy(),
+                         xi=float(xi[0, i]), grad=traces[0, i].copy(),
+                         in_gamma_tilde=bool(member[0, i]))
         for i in range(n_angles)
     ]
 
@@ -344,79 +494,43 @@ def pair_metric(pair: PairState, n_angles: int = DEFAULT_ANGLES,
     output traces of both forms are re-verified to be positive.
     """
     _ensure_witness(pair)
-    mu = pair.form_inner_ratio()
-    defect = pair.proportionality_defect(mu)
-    samples = None
-    if defect <= tau_prop:
-        if mu <= 0:
-            raise NoCommonDirection()
-        u = np.array([[0.5 / mu, 0.5]])
-        t, _, _ = _ray_level_hits(pair, u, level)
-        gamma = t[0] * u[0]
-        proportional = True
-    else:
-        if defect <= NEAR_PROP_WARN:
-            warnings.warn("forms are nearly proportional; the positive-gradient arc "
-                          "is numerically flat", stacklevel=2)
-        samples = trace_level_curve(pair, n_angles=n_angles, level=level)
-        pts = np.array([s.x for s in samples if s.in_gamma_tilde])
-        if len(pts) == 0:
-            raise CertificateFailed("empty positive-gradient arc; n_angles too coarse")
-        cum = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(pts, axis=0), axis=1))])
-        raw = np.array([np.interp(cum[-1] / 2.0, cum, pts[:, k]) for k in range(2)])
-        # re-project the polyline midpoint radially onto the level curve
-        u = raw / np.linalg.norm(raw)
-        t, _, _ = _ray_level_hits(pair, u[None, :], level)
-        gamma = t[0] * u
-        proportional = False
-        mu = None
-    ev = xi_eval(pair, gamma)
-    if not ev.in_O:
-        raise CertificateFailed("midpoint left the positive-definite region")
-    tr1, tr2 = float(ev.grad[0]), float(ev.grad[1])
-    if tr1 <= 0 or tr2 <= 0:
-        raise CertificateFailed(
-            f"output traces not positive ({tr1:.3e}, {tr2:.3e}); n_angles too coarse")
-    return PairMetricResult(gamma_point=np.asarray(gamma, dtype=float),
-                            metric=pair.metric_at(gamma), traces=(tr1, tr2),
-                            proportional=proportional, mu=mu, samples=samples)
+    gamma, traces, mu, prop = _midpoints(pair._Q1t[None], pair._Q2t[None], [None],
+                                         n_angles, level, tau_prop)
+    return PairMetricResult(gamma_point=gamma[0], metric=pair.metric_at(gamma[0]),
+                            traces=(float(traces[0, 0]), float(traces[0, 1])),
+                            proportional=bool(prop[0]),
+                            mu=float(mu[0]) if prop[0] else None)
 
 
 def field_metric_top_degree(field: FormField, names, n_angles: int = DEFAULT_ANGLES):
-    """Pointwise pair metrics over a field, with trace certificates.
+    """Pair metrics at every point of a field, with trace certificates.
 
     ``names = (name1, name2)`` selects the two forms; each certificate is the
-    q = d certificate, whose sum is the trace.  One ``common_direction`` call
-    decides all points; NoCommonDirection names the first without a witness,
-    and a CertificateFailed from a point's midpoint carries that point's id.
+    q = d certificate, whose sum is the trace.  Both form stacks are reduced
+    once; one ``common_direction`` call decides all points, and the level
+    curves and midpoints of all points are stacked computations.
+    NoCommonDirection names the first point without a witness; otherwise the
+    first point whose level curve or midpoint fails raises, with its id.
     Returns ``(metrics, certificates, gamma_points, continuity)``, the last
     with the largest jump of gamma across adjacent samples, if any.
     """
     n1, n2 = names
-    d = field.dim
-    W, _ = congruence(field.g0_stack())
-    V = common_witnesses(reduce_form(field.form_stack(n1), W),
-                         reduce_form(field.form_stack(n2), W), field.ids)
-    metrics = np.empty((len(field), d, d), dtype=complex)
-    gamma_points = np.empty((len(field), 2))
-    for i, p in enumerate(field.points):
-        pair = PairState(p.forms[n1], p.forms[n2], base=p.g0, witness=W[i] @ V[i])
-        try:
-            res = pair_metric(pair, n_angles=n_angles)
-        except CertificateFailed as e:
-            e.failed_ids = [p.id]
-            raise
-        metrics[i] = res.metric
-        gamma_points[i] = res.gamma_point
+    Q1, Q2, g0 = field.form_stack(n1), field.form_stack(n2), field.g0_stack()
+    W, _ = congruence(g0)
+    Q1t, Q2t = reduce_form(Q1, W), reduce_form(Q2, W)
+    common_witnesses(Q1t, Q2t, field.ids)
+    gamma_points, _, _, _ = _midpoints(Q1t, Q2t, field.ids, n_angles)
+    metrics = _deformed_metrics(g0, Q1, Q2, gamma_points)
 
-    certificates = {name: certify(field, name, d, metrics, "two_form_midpoint")
+    certificates = {name: certify(field, name, field.dim, metrics, "two_form_midpoint")
                     for name in (n1, n2)}
     require_passed(certificates, "the trace certificate")
 
     continuity = {}
     if field.has_adjacency():
         neigh = field.neighbor_indices()
-        jumps = [np.linalg.norm(gamma_points[i] - gamma_points[j])
-                 for i in range(len(field)) for j in neigh[i]]
-        continuity["max_gamma_jump"] = float(max(jumps)) if jumps else 0.0
+        src = np.repeat(np.arange(len(field)), [len(js) for js in neigh])
+        dst = np.array([j for js in neigh for j in js], dtype=int)
+        jumps = row_norm(gamma_points[src] - gamma_points[dst])
+        continuity["max_gamma_jump"] = float(jumps.max()) if jumps.size else 0.0
     return metrics, certificates, gamma_points, continuity

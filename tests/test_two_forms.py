@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from qpos import (
     CertificateFailed,
     FieldPoint,
     FormField,
+    LevelNotReached,
     NoCommonDirection,
     PairState,
     common_direction,
@@ -190,24 +191,41 @@ def test_no_common_direction_carries_certificate():
 def test_ray_level_hits_on_the_level_set(rng):
     thetas = np.linspace(0.0, np.pi / 2, 64)
     dirs = np.column_stack([np.cos(thetas), np.sin(thetas)])
-    for _ in range(24):
-        pair = PairState(*random_pair_with_common_direction(rng, 3)[:2])
-        t, _, _ = two_forms._ray_level_hits(pair, dirs, 1.0)
+    pairs = [PairState(*random_pair_with_common_direction(rng, 3)[:2]) for _ in range(24)]
+    Q1t, Q2t = (np.stack([getattr(p, name) for p in pairs]) for name in ("_Q1t", "_Q2t"))
+    T, _, _ = two_forms._ray_level_hits(Q1t, Q2t, np.broadcast_to(dirs, (24, 64, 2)), 1.0)
+    for pair, t in zip(pairs, T):
         # independent path: eigenvalues of the Gram matrix at each crossing
         w = np.linalg.eigvalsh(pair.gram(t[:, None] * dirs))
         assert np.all(w[:, 0] > 0)
         assert_allclose(-np.sum(np.log(w), axis=1), 1.0, atol=1e-12)
 
 
+def test_arc_midpoints_equal_per_arc_interp(rng):
+    # reference: the polyline of the member rays and np.interp at half its length
+    X = rng.uniform(0.0, 1.0, size=(300, 12, 2))
+    X[::7, 3:9] = X[::7, 3:4]  # runs of repeated points: zero-length segments
+    X[2::11] = np.stack([0.25 * np.arange(12), np.zeros(12)], axis=1)  # half often a node
+    first = rng.integers(0, 12, 300)
+    last = np.minimum(first + rng.integers(0, 12, 300), 11)
+    member = (np.arange(12) >= first[:, None]) & (np.arange(12) <= last[:, None])
+    mid = two_forms._arc_midpoints(X, member)
+    for x, m, got in zip(X, member, mid):
+        pts = x[m]
+        cum = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(pts, axis=0), axis=1))])
+        want = [np.interp(cum[-1] / 2.0, cum, pts[:, k]) for k in range(2)]
+        assert_array_equal(got, want)
+
+
 def test_level_curve_noncontiguous_arc_is_certificate_failure(monkeypatch):
-    frame_forms = two_forms._frame_forms
+    traces = two_forms._traces
 
-    def striped(pair, U, w):  # every other ray loses its positive Q1 trace
-        R1, R2 = frame_forms(pair, U, w)
-        R1[1::2] *= -1.0
-        return R1, R2
+    def striped(Q1t, Q2t, U, w):  # every other ray loses its positive Q1 trace
+        g = traces(Q1t, Q2t, U, w)
+        g[..., 1::2, 0] *= -1.0
+        return g
 
-    monkeypatch.setattr(two_forms, "_frame_forms", striped)
+    monkeypatch.setattr(two_forms, "_traces", striped)
     with pytest.raises(CertificateFailed, match="not contiguous"):
         trace_level_curve(PairState(np.eye(2), np.eye(2)), n_angles=8)
 
@@ -326,6 +344,9 @@ def test_field_varying_pair_with_adjacency(rng):
         metrics, certs, gammas, cont = field_metric_top_degree(field, ("Q1", "Q2"),
                                                                n_angles=128)
         assert certs["Q1"].passed and certs["Q2"].passed
+        neigh = field.neighbor_indices()  # the per-neighbour comprehension, exactly
+        assert cont["max_gamma_jump"] == float(max(
+            np.linalg.norm(gammas[i] - gammas[j]) for i in range(n) for j in neigh[i]))
         if n == 8:
             jump8 = cont["max_gamma_jump"]
     assert cont["max_gamma_jump"] < jump8  # refinement shrinks adjacent jumps
@@ -354,3 +375,109 @@ def test_field_certificate_failure_names_the_point():
     with pytest.raises(CertificateFailed, match="empty positive-gradient arc") as exc:
         field_metric_top_degree(FormField(dim=2, points=pts), ("Q1", "Q2"), n_angles=1)
     assert exc.value.failed_ids == ["coarse"]
+
+
+def _crossed(a):
+    return np.diag([1.0, -a]).astype(complex), np.diag([-a, 1.0]).astype(complex)
+
+
+COARSE = (np.diag([1.0, -3.0]).astype(complex), np.diag([-0.1, 1.0]).astype(complex))
+
+
+def _crossed_field(special=()):
+    """Five crossed pairs p0 ... p4; ``special`` maps a point index to its own pair."""
+    special = dict(special)
+    return FormField(dim=2, points=[
+        FieldPoint(id=f"p{i}", forms=dict(zip(("Q1", "Q2"), special.get(i, _crossed(a)))))
+        for i, a in enumerate(np.linspace(0.1, 0.5, 5))])
+
+
+def _crossing_off_level(monkeypatch, row):
+    """Shift xi at the last ray of pair ``row`` in the level-curve sweep off the level."""
+    hits, calls = two_forms._ray_level_hits, []
+
+    def off(Q1t, Q2t, dirs, level):
+        t, xi, traces = hits(Q1t, Q2t, dirs, level)
+        if not calls:  # the first call is the sweep, the second the midpoint rays
+            xi[row, -1] += 1e-6
+        calls.append(len(dirs))
+        return t, xi, traces
+
+    monkeypatch.setattr(two_forms, "_ray_level_hits", off)
+
+
+def test_field_level_not_reached_names_the_point(monkeypatch):
+    _crossing_off_level(monkeypatch, 2)
+    with pytest.raises(LevelNotReached, match="at point 'p2'") as exc:
+        field_metric_top_degree(_crossed_field(), ("Q1", "Q2"), n_angles=16)
+    assert exc.value.point_id == "p2"
+    assert exc.value.theta == pytest.approx(15.5 * np.pi / 32)
+
+
+def test_field_certificate_failure_in_the_middle_names_the_point():
+    with pytest.raises(CertificateFailed, match="empty positive-gradient arc") as exc:
+        field_metric_top_degree(_crossed_field({2: COARSE}), ("Q1", "Q2"), n_angles=1)
+    assert exc.value.failed_ids == ["p2"]
+
+
+def test_field_raises_for_the_first_failing_point(monkeypatch):
+    # p3 fails early (level missed in the sweep), p1 late (trace at gamma): p1 is raised
+    spectra = two_forms._gram_spectra
+
+    def negated(Q1t, Q2t, X):
+        w, U, traces = spectra(Q1t, Q2t, X)
+        traces[1] *= -1.0  # row 1 of the points still alive (p0, p1, p2, p4) is p1
+        return w, U, traces
+
+    monkeypatch.setattr(two_forms, "_gram_spectra", negated)
+    _crossing_off_level(monkeypatch, 3)
+    with pytest.raises(CertificateFailed, match="output traces not positive") as exc:
+        field_metric_top_degree(_crossed_field(), ("Q1", "Q2"), n_angles=16)
+    assert exc.value.failed_ids == ["p1"]
+
+
+def _mixed_field(rng, n, d=3):
+    """General, proportional (Q1 = mu Q2) and near-proportional pairs, each with its own g0."""
+    pts = []
+    for i in range(n):
+        Q1, Q2, _ = random_pair_with_common_direction(rng, d)
+        if i % 4 == 1:
+            Q1 = rng.uniform(0.5, 2.0) * Q2
+        elif i % 4 == 2:
+            Q1 = 0.8 * Q2 + 1e-8 * random_hermitian(rng, d)
+        A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        pts.append(FieldPoint(id=f"p{i}", forms={"Q1": Q1, "Q2": Q2},
+                              g0=A @ A.conj().T + d * np.eye(d)))
+    return FormField(dim=d, points=pts)
+
+
+@pytest.mark.filterwarnings("ignore:forms are nearly proportional")
+def test_field_equals_per_point_pair_metrics_bit_for_bit(rng, monkeypatch):
+    field = _mixed_field(rng, 40)
+    metrics, _, gammas, _ = field_metric_top_degree(field, ("Q1", "Q2"), n_angles=64)
+    single = [pair_metric(PairState(p.forms["Q1"], p.forms["Q2"], base=p.g0), n_angles=64)
+              for p in field.points]
+    assert sum(r.proportional for r in single) == 10
+    assert_array_equal(gammas, np.stack([r.gamma_point for r in single]))
+    assert_array_equal(metrics, np.stack([r.metric for r in single]))
+    monkeypatch.setattr(two_forms, "RAY_CHUNK", 7)  # chunks split points and pairs of points
+    chunked, _, chunked_gammas, _ = field_metric_top_degree(field, ("Q1", "Q2"), n_angles=64)
+    assert_array_equal(chunked_gammas, gammas)
+    assert_array_equal(chunked, metrics)
+
+
+@pytest.mark.filterwarnings("ignore:forms are nearly proportional")
+def test_field_eigensolve_count_does_not_grow_with_points(rng, monkeypatch):
+    counts = []
+    for n in (3, 30):
+        field = _mixed_field(rng, n)
+        calls = {"eigh": 0, "eigvalsh": 0}
+        with monkeypatch.context() as m:
+            for name in calls:
+                def counted(*args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
+                    calls[_name] += 1
+                    return _fn(*args, **kwargs)
+                m.setattr(np.linalg, name, counted)
+            field_metric_top_degree(field, ("Q1", "Q2"))
+        counts.append(calls)
+    assert counts[0] == counts[1], counts
