@@ -18,7 +18,7 @@ import numpy as np
 from . import metric_single, metric_subbundle, two_forms
 from .errors import CertificateFailed, QOutOfRange, QposError, SchemaError
 from .fields import certify
-from .hermitian import invalid_metrics, sign_counts
+from .hermitian import TAU_PD, first_invalid, sign_counts
 from .geometry import (
     Domain,
     counterexample_build,
@@ -67,9 +67,10 @@ def _form_names(field, option, names, count=None):
     if count is not None and len(names) != count:
         raise SchemaError(option, f"needs exactly {count} comma-separated names")
     for name in names:
-        for p in field.points:
-            if name not in p.forms:
-                raise SchemaError(option, f"form {name!r} missing at point {p.id!r}")
+        try:
+            field.form_stack(name)
+        except QposError as e:
+            raise SchemaError(option, str(e)) from None
     return names
 
 
@@ -83,11 +84,10 @@ def _load_metrics(path, field):
                           f"for point id {missing[0]!r}")
     k = np.array([rows[i] for i in ids])
     G = G[k]
-    bad = np.flatnonzero(invalid_metrics(G))
-    if bad.size:
-        raise SchemaError(f"{path}.metrics[{k[bad[0]]}].matrix",
-                          f"metric for point id {ids[bad[0]]!r} is not Hermitian "
-                          "positive definite")
+    found = first_invalid(G, tau_pd=TAU_PD)
+    if found:
+        raise SchemaError(f"{path}.metrics[{k[found[0]]}].matrix",
+                          f"metric for point id {ids[found[0]]!r}: {found[1]}")
     return G
 
 

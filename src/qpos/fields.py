@@ -1,10 +1,12 @@
 """Sampled form fields: finite point sets carrying forms, metrics, subspaces.
 
 A :class:`FormField` is the discrete stand-in for a Hermitian form on a
-vector bundle over a manifold: a list of sample points, each with named
-d x d Hermitian forms and optionally coordinates, neighbor ids, a reference
-metric ``g0``, a subbundle fiber, and a flag marking membership in the
-anchor set F where the output metric must coincide with g0.
+vector bundle over a manifold: N sample points of one dimension d, kept as
+stacks over the points: an (N, d, d) stack per named Hermitian form, the
+reference metrics ``g0``, optionally (N, d, k) subbundle fibers, the mask of
+the anchor set F where the output metric must coincide with g0, adjacency
+as index arrays, and coordinates as given.  Each stack is validated once,
+when the field is built; ``points`` are read-only per-point views of it.
 """
 
 from __future__ import annotations
@@ -14,13 +16,15 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import CertificateFailed, DimensionMismatch, QOutOfRange, QposError
-from .hermitian import pencil_eigvalsh, require_forms, require_metrics
+from .hermitian import TAU_PD, first_invalid, pencil_eigvalsh
 
 MARGIN_FLOOR_SCALE = 1e-9
 
 
-@dataclass
+@dataclass(frozen=True)
 class FieldPoint:
+    """One sample point: what ``FormField(dim, points)`` gathers and ``points`` gives back."""
+
     id: object
     forms: dict
     coords: np.ndarray | None = None
@@ -31,99 +35,113 @@ class FieldPoint:
 
 
 class FormField:
-    """A finite sample set with per-point forms; all points share one dim.
+    """A finite sample set with per-point forms, held as validated read-only stacks.
 
-    Construction validates each form name's matrices as one (N, d, d) stack
-    and keeps it: ``form_stack`` returns that stack (read-only), and each
-    point's ``forms`` hold views of its rows.  Rebinding a point's form
-    afterwards is not seen by ``form_stack``; build a new field instead.
+    ``form_stack(name)`` serves a form named at every point (one some point
+    lacks is validated, then dropped); ``g0`` is the identity where
+    ``has_g0`` is False; ``subspace`` is None or (N, d, k); ``in_F`` is the
+    anchor mask; ``edges = (src, dst)`` holds one index pair per neighbor, in
+    point order; ``coords`` is one array (or None) per point, as given.
     """
 
     def __init__(self, dim: int, points: list[FieldPoint]):
-        self.dim = int(dim)
-        self.points = list(points)
-        self._index = {p.id: i for i, p in enumerate(self.points)}
-        if len(self._index) != len(self.points):
-            raise QposError("duplicate point ids in field")
-        self._forms = {}
-        self._validate()
-
-    def _validate(self):
-        d = self.dim
-        for name in self.form_names():
-            at = [p for p in self.points if name in p.forms]
-            ids = [p.id for p in at]
-            S = _stack([p.forms[name] for p in at], (d, d), f"form {name!r}", ids)
-            require_forms(S, ids, f"form {name!r}")
-            S.flags.writeable = False
-            for p, A in zip(at, S):
-                p.forms[name] = A
-            if len(at) == len(self.points):
-                self._forms[name] = S
-        for p in self.points:
-            if p.in_F and p.g0 is None:
-                raise QposError(f"point {p.id!r} is in F but has no g0")
-            if p.subspace is not None:
-                B = np.asarray(p.subspace, dtype=complex)
-                if B.ndim != 2 or B.shape[0] != d:
-                    raise DimensionMismatch(f"subspace at {p.id!r} must be (d, k)")
-                p.subspace = B
-            if p.coords is not None:
-                p.coords = np.asarray(p.coords, dtype=float)
-        with_g0 = [p for p in self.points if p.g0 is not None]
-        if with_g0:  # every g0 in one stacked check
-            ids = [p.id for p in with_g0]
-            G = _stack([p.g0 for p in with_g0], (d, d), "g0", ids)
-            require_metrics(G, ids)
-            for p, g in zip(with_g0, G):
-                p.g0 = g
+        points = list(points)
+        d, ids = int(dim), [p.id for p in points]
+        forms, absent = {}, {}
+        for name in {name for p in points for name in p.forms}:
+            forms[name], absent[f"forms.{name}"] = _gathered(
+                [p.forms.get(name) for p in points], (d, d), ids, f"forms.{name}")
+        g0, absent["g0"] = _gathered([p.g0 for p in points], (d, d), ids, "g0")
+        bases = [p.subspace for p in points]
+        k = fiber_rank([None if B is None else np.ndim(B) and np.shape(B)[-1] for B in bases],
+                       ids)
+        self._hold(d, ids, forms, absent, g0,
+                   None if k is None else _gathered(bases, (d, k), ids, "subspace")[0],
+                   [p.in_F for p in points], [p.neighbors for p in points],
+                   [None if p.coords is None else np.asarray(p.coords, float) for p in points])
 
     @classmethod
-    def from_stacks(cls, ids, forms: dict, subspace=None) -> "FormField":
-        """One point per id from (N, d, d) stacks of named forms and (N, d, k) subspaces."""
-        dim = next(iter(forms.values())).shape[-1]
-        return cls(dim=dim, points=[
-            FieldPoint(id=i, forms={name: F[j] for name, F in forms.items()},
-                       subspace=None if subspace is None else subspace[j])
-            for j, i in enumerate(ids)])
+    def from_stacks(cls, ids, forms: dict, subspace=None, g0=None, in_F=None,
+                    neighbors=None, coords=None, absent=None, dim=None) -> "FormField":
+        """A field from (N, d, d) form stacks by name (``dim``: their last axis by default)
+        and, optionally, (N, d, k) ``subspace``, (N, d, d) ``g0``, an (N,) ``in_F`` mask and
+        per point a neighbor id list and a coordinate array; ``absent`` maps a part
+        (``"g0"``, ``"forms.<name>"``) to the mask of the points lacking it."""
+        field = cls.__new__(cls)
+        field._hold(next(iter(forms.values())).shape[-1] if dim is None else dim,
+                    list(ids), forms, absent or {}, g0, subspace, in_F, neighbors, coords)
+        return field
+
+    def _hold(self, dim, ids, forms, absent, g0, subspace, in_F, neighbors, coords):
+        """Copy, validate and keep the stacks; a defect at a point raises a ``_defect``."""
+        n, d = len(ids), int(dim)
+        self.dim, self.ids, self.coords = d, ids, coords
+        index = dict(zip(ids, range(n)))
+        if len(index) < n:
+            row = next(r for r, i in enumerate(ids) if index[i] != r)
+            raise _defect(QposError, "duplicate point id", ids, row, "id")
+        self.forms, self._missing = {}, {}
+        for name in sorted(forms, key=str):
+            lacks = absent.get(f"forms.{name}", np.zeros(n, bool))
+            S = _validated(forms[name], (n, d, d), lacks, 0.0, ids, f"forms.{name}")
+            if lacks.any():
+                self._missing[name] = int(np.argmax(lacks))
+            else:
+                self.forms[name] = S
+        lacks = absent.get("g0", np.zeros(n, bool)) if g0 is not None else np.ones(n, bool)
+        self.has_g0 = ~lacks
+        self.g0 = np.broadcast_to(np.eye(d, dtype=complex), (n, d, d)) if lacks.all() else \
+            _validated(g0, (n, d, d), lacks, np.eye(d), ids, "g0", TAU_PD)
+        self.in_F = np.zeros(n, bool) if in_F is None else np.array(in_F, dtype=bool)
+        if (self.in_F & lacks).any():
+            row = int(np.argmax(self.in_F & lacks))
+            raise _defect(QposError, "in F but has no g0", ids, row, "in_F")
+        self.subspace = None if subspace is None else np.array(subspace, dtype=complex)
+        if subspace is not None:
+            if self.subspace.ndim != 3 or self.subspace.shape[:2] != (n, d):
+                raise DimensionMismatch(f"subspace stack of shape {self.subspace.shape}")
+            self.subspace.flags.writeable = False
+        src, dst = [], []
+        for row, nbrs in enumerate(neighbors or ()):
+            for i in nbrs or ():
+                if i not in index:
+                    raise _defect(QposError, f"neighbor {i!r} names no point", ids, row,
+                                  "neighbors")
+                src.append(row)
+                dst.append(index[i])
+        self.edges = (np.array(src, dtype=int), np.array(dst, dtype=int))
 
     def __len__(self):
-        return len(self.points)
+        return len(self.ids)
 
     @property
-    def ids(self):
-        return [p.id for p in self.points]
-
-    def form_names(self):
-        names = set()
-        for p in self.points:
-            names.update(p.forms)
-        return sorted(names, key=str)
+    def points(self) -> list[FieldPoint]:
+        """Per-point views, built on each access: their arrays are read-only rows of the stacks."""
+        nbrs = self.neighbor_indices()
+        return [FieldPoint(id=i, forms={name: S[r] for name, S in self.forms.items()},
+                           coords=None if self.coords is None else self.coords[r],
+                           neighbors=[self.ids[j] for j in nbrs[r]] or None,
+                           g0=self.g0[r] if self.has_g0[r] else None,
+                           subspace=None if self.subspace is None else self.subspace[r],
+                           in_F=bool(self.in_F[r]))
+                for r, i in enumerate(self.ids)]
 
     def form_stack(self, name: str) -> np.ndarray:
         """All points' matrices for one named form, shape (N, d, d), read-only."""
-        try:
-            return self._forms[name]
-        except KeyError as e:
-            raise QposError(f"form {name!r} missing at some point") from e
+        if name not in self.forms:
+            row = self._missing.get(name, 0)
+            raise QposError(f"form {name!r} missing at point {self.ids[row]!r}")
+        return self.forms[name]
 
     def g0_stack(self) -> np.ndarray:
-        """Per-point g0, the identity where absent."""
-        eye = np.eye(self.dim, dtype=complex)
-        return np.stack([p.g0 if p.g0 is not None else eye for p in self.points])
+        """Per-point g0, the identity where absent, as a writable copy."""
+        return np.array(self.g0)
 
     def neighbor_indices(self) -> list[list[int]]:
         """Adjacency as index lists; empty lists where no neighbor data."""
-        out = []
-        for p in self.points:
-            if p.neighbors:
-                out.append([self._index[n] for n in p.neighbors if n in self._index])
-            else:
-                out.append([])
-        return out
-
-    def has_adjacency(self) -> bool:
-        return any(p.neighbors for p in self.points)
+        src, dst = self.edges
+        cuts, dst = np.searchsorted(src, range(len(self) + 1)).tolist(), dst.tolist()
+        return [dst[a:b] for a, b in zip(cuts, cuts[1:])]
 
     def anchored_mask(self) -> np.ndarray:
         """in_F points plus their 1-ring when adjacency is present.
@@ -131,24 +149,54 @@ class FormField:
         This is the finite-sample reading of "a neighborhood of F": the
         output metric is pinned to g0 on exactly this set.
         """
-        mask = np.array([p.in_F for p in self.points], dtype=bool)
-        if mask.any() and self.has_adjacency():
-            extra = np.zeros_like(mask)
-            for i, p in enumerate(self.points):
-                if mask[i] and p.neighbors:
-                    for n in p.neighbors:
-                        if n in self._index:
-                            extra[self._index[n]] = True
-            mask |= extra
+        src, dst = self.edges
+        mask = self.in_F.copy()
+        mask[dst[self.in_F[src]]] = True
         return mask
 
 
-def _stack(mats, shape, what, ids) -> np.ndarray:
-    """The matrices as one complex stack; DimensionMismatch names the first of another shape."""
-    for M, i in zip(mats, ids):
-        if np.shape(M) != shape:
-            raise DimensionMismatch(f"{what} at {i!r} has shape {np.shape(M)}, not {shape}")
-    return np.array(mats, dtype=complex)
+def fiber_rank(ranks, ids):
+    """The subspace rank all points share, from each point's rank or None;
+    a point unlike the first raises a ``_defect``."""
+    for row, k in enumerate(ranks):
+        if k != ranks[0]:
+            a, b = ("no subspace" if r is None else f"a rank-{r} subspace" for r in (k, ranks[0]))
+            raise _defect(DimensionMismatch, f"{a} where point {ids[0]!r} has {b}", ids, row,
+                          "subspace")
+    return ranks[0] if ranks else None
+
+
+def _gathered(mats, shape, ids, part):
+    """Per-point matrices (None where absent) as one complex stack, zero there,
+    and the mask of the points without one."""
+    for row, M in enumerate(mats):
+        if M is not None and np.shape(M) != shape:
+            raise _defect(DimensionMismatch, f"shape {np.shape(M)} is not {shape}", ids, row, part)
+    stack = np.array([np.zeros(shape) if M is None else M for M in mats], dtype=complex)
+    return stack.reshape(-1, *shape), np.array([M is None for M in mats], dtype=bool)
+
+
+def _validated(A, shape, lacks, fill, ids, part, tau_pd=None):
+    """A read-only copy of a stack, ``fill`` at the rows ``lacks`` marks; one
+    ``first_invalid`` (as metrics when ``tau_pd`` is given) checks the others."""
+    A = np.array(A, dtype=complex)
+    if A.shape != shape:
+        raise DimensionMismatch(f"{part} stack has shape {A.shape}, not {shape}")
+    rows = np.flatnonzero(~lacks)
+    found = first_invalid(A[rows] if lacks.any() else A, tau_pd=tau_pd)
+    if found:
+        raise _defect(type(found[1]), found[1], ids, int(rows[found[0]]), part)
+    A[lacks] = fill
+    A.flags.writeable = False
+    return A
+
+
+def _defect(error_type, detail, ids, row, part):
+    """An error at one point that names its id and carries its ``row`` and
+    ``part`` (``forms.S``, ``g0``, ``subspace``, ...) for the JSON reader."""
+    error = error_type(f"{part} at {ids[row]!r}: {detail}")
+    error.row, error.part = row, part
+    return error
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,6 @@ from .errors import (
     NotHermitian,
     NotPositiveDefinite,
     QOutOfRange,
-    QposError,
 )
 
 TAU_HERM = 1e-12
@@ -48,69 +47,48 @@ def as_form(M, tau_herm: float = TAU_HERM) -> np.ndarray:
     Entries must be finite; hermiticity is checked relative to
     max(1, ||M||_F) with tolerance ``tau_herm``.
     """
-    A = np.asarray(M, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
-        raise NotFinite("matrix has non-finite entries")
-    defect, bad = _not_hermitian(A, tau_herm)
-    if bad:
-        raise NotHermitian(f"hermiticity defect {defect:.3e} exceeds tolerance")
-    return A
+    return _checked(M, tau_herm, None)
 
 
 def as_metric(G, tau_herm: float = TAU_HERM, tau_pd: float = TAU_PD) -> np.ndarray:
     """Validate a metric: Hermitian with all eigenvalues > tau_pd."""
-    A = as_form(G, tau_herm=tau_herm)
-    w0, bad = _not_positive_definite(A, tau_pd)
-    if bad:
-        raise NotPositiveDefinite(f"smallest metric eigenvalue {w0:.3e} <= {tau_pd:.1e}")
+    return _checked(G, tau_herm, tau_pd)
+
+
+def _checked(M, tau_herm, tau_pd):
+    """One matrix through ``first_invalid``: the matrix, or the error it finds."""
+    A = np.asarray(M, dtype=complex)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise DimensionMismatch(f"expected a square matrix, got shape {A.shape}")
+    found = first_invalid(A[None], tau_herm, tau_pd)
+    if found:
+        raise found[1]
     return A
 
 
-def require_forms(A, ids, what="form") -> None:
-    """Check an (N, d, d) stack of forms at once: the first bad one raises
-    what ``as_form`` raises for it, naming it as ``what`` at its id from ``ids``."""
-    _require(A, ids, what, invalid_forms, as_form)
-
-
-def require_metrics(G, ids) -> None:
-    """Check an (N, d, d) stack of metrics at once: the first bad one raises
-    what ``as_metric`` raises for it, naming its id from ``ids``."""
-    _require(G, ids, "metric", invalid_metrics, as_metric)
-
-
-def _require(A, ids, what, invalid, check):
-    A = np.asarray(A, dtype=complex)
+def first_invalid(A, tau_herm: float = TAU_HERM, tau_pd: float | None = None):
+    """``(row, error)`` for the first matrix of a complex (N, d, d) stack that
+    ``as_form`` (``as_metric`` when ``tau_pd`` is given) rejects, with the
+    error it raises; None if all pass.  One test of each kind serves the stack.
+    """
     finite = np.all(np.isfinite(A), axis=(-2, -1))
-    bad = np.flatnonzero(~finite | invalid(np.where(finite[:, None, None], A, 1.0)))
-    if bad.size:
-        try:
-            check(A[bad[0]])
-        except QposError as e:
-            raise type(e)(f"{what} at {ids[bad[0]]!r}: {e}") from None
-
-
-def invalid_forms(A) -> np.ndarray:
-    """Mask of the matrices of a finite (N, d, d) stack that ``as_form`` rejects."""
-    return _not_hermitian(A, TAU_HERM)[1]
-
-
-def invalid_metrics(G) -> np.ndarray:
-    """Mask of the matrices of a finite (N, d, d) stack that ``as_metric`` rejects."""
-    return invalid_forms(G) | _not_positive_definite(G, TAU_PD)[1]
-
-
-def _not_hermitian(A, tau_herm):
-    """Per matrix of a stack: the defect ||A - A*||_F; is it > tau_herm * max(1, ||A||_F)?"""
+    if not finite.all():
+        A = np.where(finite[:, None, None], A, 0.0)
+    # the defect ||A - A*||_F, against tau_herm * max(1, ||A||_F)
     defect = np.linalg.norm(A - np.conj(np.swapaxes(A, -1, -2)), axis=(-2, -1))
-    return defect, defect > tau_herm * np.maximum(1.0, np.linalg.norm(A, axis=(-2, -1)))
-
-
-def _not_positive_definite(A, tau_pd):
-    """Per matrix of a Hermitian stack: the smallest eigenvalue and whether it is <= tau_pd."""
-    w0 = np.linalg.eigvalsh(A)[..., 0]
-    return w0, w0 <= tau_pd
+    not_hermitian = defect > tau_herm * np.maximum(1.0, np.linalg.norm(A, axis=(-2, -1)))
+    bad = ~finite | not_hermitian
+    if tau_pd is not None:
+        w0 = np.linalg.eigvalsh(A)[:, 0]
+        bad |= w0 <= tau_pd
+    if not bad.any():
+        return None
+    row = int(np.argmax(bad))
+    if not finite[row]:
+        return row, NotFinite("matrix has non-finite entries")
+    if not_hermitian[row]:
+        return row, NotHermitian(f"hermiticity defect {defect[row]:.3e} exceeds tolerance")
+    return row, NotPositiveDefinite(f"smallest metric eigenvalue {w0[row]:.3e} <= {tau_pd:.1e}")
 
 
 def row_norm(x) -> np.ndarray:
@@ -135,11 +113,14 @@ def _spectral_scale(lam):
     return np.maximum(1.0, np.max(np.abs(lam), axis=-1, initial=0.0))
 
 
-def _require_same_dim(*mats) -> int:
-    dims = {m.shape[-1] for m in mats}
-    if len(dims) != 1:
-        raise DimensionMismatch(f"dimension mismatch: {sorted(dims)}")
-    return dims.pop()
+def _pencil(H, g, tau_herm, tau_pd, q=None):
+    """The validated form and metric of one pencil; with ``q``, also check 1 <= q <= d."""
+    M, G = as_form(H, tau_herm=tau_herm), as_metric(g, tau_herm=tau_herm, tau_pd=tau_pd)
+    if M.shape != G.shape:
+        raise DimensionMismatch(f"dimension mismatch: {sorted({len(M), len(G)})}")
+    if q is not None and not 1 <= q <= len(M):
+        raise QOutOfRange(f"q = {q} not in [1, {len(M)}]")
+    return M, G
 
 
 # ---------------------------------------------------------------------------
@@ -276,9 +257,7 @@ def spectrum_wrt(H, g, tau_herm: float = TAU_HERM, tau_pd: float = TAU_PD) -> Sp
     Solves ``H v = lam g v`` with real eigenvalues in ascending order and
     g-orthonormal eigenvectors.
     """
-    M = as_form(H, tau_herm=tau_herm)
-    G = as_metric(g, tau_herm=tau_herm, tau_pd=tau_pd)
-    _require_same_dim(M, G)
+    M, G = _pencil(H, g, tau_herm, tau_pd)
     lam, V = pencil_eigh(M, G)
     return SpectrumWrt(eigenvalues=lam, eigenvectors=V)
 
@@ -305,9 +284,7 @@ def trace_wrt(H, g, tau_herm: float = TAU_HERM, tau_pd: float = TAU_PD) -> float
     Computed as tr(G^-1 M), which equals the eigenvalue sum and the value of
     sum_k H(t_k, t_k) over any g-orthonormal basis {t_k}.
     """
-    M = as_form(H, tau_herm=tau_herm)
-    G = as_metric(g, tau_herm=tau_herm, tau_pd=tau_pd)
-    _require_same_dim(M, G)
+    M, G = _pencil(H, g, tau_herm, tau_pd)
     return float(np.trace(np.linalg.solve(G, M)).real)
 
 
@@ -317,11 +294,7 @@ def q_min_sum(H, g, q: int, tau_herm: float = TAU_HERM, tau_pd: float = TAU_PD) 
     Strict q-positivity of H with respect to g is equivalent to this value
     being positive.
     """
-    M = as_form(H, tau_herm=tau_herm)
-    G = as_metric(g, tau_herm=tau_herm, tau_pd=tau_pd)
-    d = _require_same_dim(M, G)
-    if not 1 <= q <= d:
-        raise QOutOfRange(f"q = {q} not in [1, {d}]")
+    M, G = _pencil(H, g, tau_herm, tau_pd, q)
     lam = pencil_eigvalsh(M, G)
     return float(np.sum(lam[:q]))
 
@@ -332,13 +305,9 @@ def max_subspace_trace(H, g, q: int, tau_herm: float = TAU_HERM, tau_pd: float =
     By the extremal characterization this is the sum of the q largest
     eigenvalues of H relative to g.
     """
-    M = as_form(H, tau_herm=tau_herm)
-    G = as_metric(g, tau_herm=tau_herm, tau_pd=tau_pd)
-    d = _require_same_dim(M, G)
-    if not 1 <= q <= d:
-        raise QOutOfRange(f"q = {q} not in [1, {d}]")
+    M, G = _pencil(H, g, tau_herm, tau_pd, q)
     lam = pencil_eigvalsh(M, G)
-    return float(np.sum(lam[d - q:]))
+    return float(np.sum(lam[len(M) - q:]))
 
 
 def restricted_trace(H, g, W: Subspace, tau_orth: float = TAU_ORTH,

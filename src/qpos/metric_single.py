@@ -73,7 +73,7 @@ def stratify(field: FormField, form: str, q_tilde: int) -> Stratification:
     if bad.size:
         i = int(bad[0])
         tup = (int(n_plus[i]), int(n_minus[i]), d - int(n_plus[i]) - int(n_minus[i]))
-        raise HypothesisViolated(field.points[i].id, tup)
+        raise HypothesisViolated(field.ids[i], tup)
     return Stratification(q_tilde=q_tilde, nu_minus=n_minus.astype(int),
                           anchored=field.anchored_mask())
 

@@ -58,23 +58,16 @@ def _adapted_frames(field: FormField, gamma: np.ndarray, q: int):
     Validates that the stored subspace bases are gamma-orthonormal of rank
     d - q + 1 and completes them with the gamma-orthogonal complement.
     """
-    d = field.dim
-    k = d - q + 1
-    BV = []
-    for p in field.points:
-        if p.subspace is None:
-            raise QposError(f"point {p.id!r} carries no subbundle fiber")
-        if p.subspace.shape[1] != k:
-            raise QposError(
-                f"subbundle rank must be {k}, got {p.subspace.shape[1]} at {p.id!r}")
-        BV.append(p.subspace)
-    BV = np.stack(BV)
+    k = field.dim - q + 1
+    BV = field.subspace
+    if BV is None or BV.shape[-1] != k:
+        raise QposError(f"the field carries no subbundle fibers of rank {k}")
     gram = np.conj(np.swapaxes(BV, -1, -2)) @ gamma @ BV
     defect = np.linalg.norm(gram - np.eye(k), axis=(1, 2))
     if np.any(defect > TAU_ORTH):
         i = int(np.argmax(defect))
         raise BasisNotOrthonormal(
-            f"subspace basis at {field.points[i].id!r} is not gamma-orthonormal "
+            f"subspace basis at {field.ids[i]!r} is not gamma-orthonormal "
             f"(defect {defect[i]:.3e})")
     W, W_inv = congruence(gamma)         # W* gamma W = I
     Vt = W_inv @ BV                      # orthonormal in standard coords
@@ -102,7 +95,7 @@ def compute_constants(field: FormField, forms, gamma, q: int) -> dict:
         if A1 <= 0:
             i = int(np.argmin(A1_pts))
             raise NotPositiveOnV(
-                f"form {form!r} is not positive definite on V at {field.points[i].id!r} "
+                f"form {form!r} is not positive definite on V at {field.ids[i]!r} "
                 f"(smallest restricted eigenvalue {A1:.3e})")
         if BW.shape[-1] == 0:
             A2 = A3 = 0.0
@@ -157,12 +150,9 @@ def build_penalty_metric(gamma, V_basis, kappa: float) -> np.ndarray:
 
 
 def _gamma_stack(field: FormField, gamma) -> np.ndarray:
-    if gamma is None:
-        return field.g0_stack()
-    gamma = np.asarray(gamma, dtype=complex)
-    if gamma.ndim == 2:
-        return np.broadcast_to(gamma, (len(field),) + gamma.shape).copy()
-    return gamma
+    """The (N, d, d) base metrics: ``gamma`` (one or per point), else g0; read-only."""
+    return field.g0 if gamma is None else \
+        np.broadcast_to(np.asarray(gamma, dtype=complex), field.g0.shape)
 
 
 def synthesize_subbundle(field: FormField, forms, q: int, gamma=None,
@@ -180,7 +170,7 @@ def synthesize_subbundle(field: FormField, forms, q: int, gamma=None,
     constants = compute_constants(field, forms, gamma, q)
     kappa = safety * max(c.C for c in constants.values())
     constants = {name: replace(c, kappa=kappa) for name, c in constants.items()}
-    h = build_penalty_metric(gamma, np.stack([p.subspace for p in field.points]), kappa)
+    h = build_penalty_metric(gamma, field.subspace, kappa)
     certificates = {name: certify(field, name, q, h, "penalty_metric") for name in forms}
     require_passed(certificates, f"strict {q}-positivity")
     return h, certificates, constants

@@ -26,8 +26,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .errors import QposError, SchemaError
-from .fields import FieldPoint, FormField, PositivityCertificate
-from .hermitian import invalid_forms
+from .fields import FormField, PositivityCertificate, fiber_rank
 
 SCHEMA_VERSION = 1
 # what a JSON value of the wrong type or size raises when read as a number
@@ -208,44 +207,36 @@ def basis_to_json(B) -> dict:
             "basis_im": B.T.imag.tolist()}
 
 
-def _bases_from_json(objs, paths, dim) -> np.ndarray:
-    """Subspace bases as one (N, dim, k) stack of columns; k is the first basis's rank."""
-    for o, path in zip(objs, paths):
-        if not isinstance(o, dict) or not isinstance(o.get("basis_re"), list):
-            raise SchemaError(path, "expected an object with a basis_re list of rows")
-    k = len(objs[0]["basis_re"]) if objs else 0
-    B = _complex_stack(objs, paths, ("basis_re", "basis_im"), (k, dim), "basis")
-    return np.swapaxes(B, -1, -2)
-
-
 # ---------------------------------------------------------------------------
 # fields and certificates
 # ---------------------------------------------------------------------------
 
 def field_to_json(field: FormField) -> dict:
+    nbrs = field.neighbor_indices()
     points = []
-    for p in field.points:
-        entry = {"id": p.id, "forms": {k: matrix_to_json(v) for k, v in p.forms.items()}}
-        if p.coords is not None:
-            entry["coords"] = np.asarray(p.coords).tolist()
-        if p.neighbors:
-            entry["neighbors"] = list(p.neighbors)
-        if p.g0 is not None:
-            entry["g0"] = matrix_to_json(p.g0)
-        if p.subspace is not None:
-            entry["subspace"] = basis_to_json(p.subspace)
-        if p.in_F:
+    for r, i in enumerate(field.ids):
+        entry = {"id": i, "forms": {k: matrix_to_json(S[r]) for k, S in field.forms.items()}}
+        if field.coords is not None and field.coords[r] is not None:
+            entry["coords"] = np.asarray(field.coords[r]).tolist()
+        if nbrs[r]:
+            entry["neighbors"] = [field.ids[j] for j in nbrs[r]]
+        if field.has_g0[r]:
+            entry["g0"] = matrix_to_json(field.g0[r])
+        if field.subspace is not None:
+            entry["subspace"] = basis_to_json(field.subspace[r])
+        if field.in_F[r]:
             entry["in_F"] = True
         points.append(entry)
     return {"qpos_schema": SCHEMA_VERSION, "dim": field.dim, "points": points}
 
 
 def field_from_json(obj, path="field") -> FormField:
-    """A field document as a FormField.
+    """A field document as a FormField, read as whole stacks.
 
     The points' matrices are read as one stack per form name, one for g0 and
-    one for subspaces, each converted and validated at once; every form stack
-    must be Hermitian.
+    one for subspaces, each converted at once, and ``FormField.from_stacks``
+    checks each stack once; a defect it finds at one point is reported at
+    that point's JSON path.
     """
     if not isinstance(obj, dict):
         raise SchemaError(path, "expected a top-level object")
@@ -258,7 +249,8 @@ def field_from_json(obj, path="field") -> FormField:
         raise SchemaError(f"{path}.dim", f"must be at least 1, got {dim}")
     if not isinstance(raw_points, list) or not raw_points:
         raise SchemaError(f"{path}.points", "need a nonempty list of points")
-    points = []
+    n_points = len(raw_points)
+    ids, coords, neighbors, in_F, ranks = [], [], [], [], []
     forms, g0, subspace = {}, ([], []), ([], [])  # (point indices, JSON objects)
     for i, rp in enumerate(raw_points):
         ppath = f"{path}.points[{i}]"
@@ -270,10 +262,17 @@ def field_from_json(obj, path="field") -> FormField:
                 raise SchemaError(f"{ppath}.{key}", f"expected a JSON {name}")
         if not all(isinstance(n, (str, int, float)) for n in rp.get("neighbors", [])):
             raise SchemaError(f"{ppath}.neighbors", "entries must be string or number ids")
+        sub = rp.get("subspace", {"basis_re": []})
+        if not (isinstance(sub, dict) and isinstance(sub.get("basis_re"), list)):
+            raise SchemaError(f"{ppath}.subspace", "expected an object with a basis_re list")
         try:
-            coords = np.asarray(rp["coords"], dtype=float) if "coords" in rp else None
+            coords.append(np.asarray(rp["coords"], dtype=float) if "coords" in rp else None)
         except BAD_VALUE as e:
             raise SchemaError(f"{ppath}.coords", f"expected numbers: {e}") from e
+        ids.append(rp["id"])
+        neighbors.append(rp.get("neighbors"))
+        in_F.append(rp.get("in_F", False))
+        ranks.append(len(sub["basis_re"]) if "subspace" in rp else None)
         for name, m in rp["forms"].items():
             at, objs = forms.setdefault(name, ([], []))
             at.append(i)
@@ -282,30 +281,32 @@ def field_from_json(obj, path="field") -> FormField:
             if key in rp:
                 at.append(i)
                 objs.append(rp[key])
-        points.append(FieldPoint(id=rp["id"], forms={}, coords=coords,
-                                 neighbors=list(rp["neighbors"]) if rp.get("neighbors") else None,
-                                 in_F=rp.get("in_F", False)))
+    absent = {}
 
-    def paths(at, part):
-        return [f"{path}.points[{i}].{part}" for i in at]
+    def stack(part, at, objs):
+        A = matrices_from_json(objs, [f"{path}.points[{i}].{part}" for i in at], dim)
+        if len(at) == n_points:
+            return A
+        absent[part] = np.isin(np.arange(n_points), at, invert=True)
+        full = np.zeros((n_points, dim, dim), dtype=complex)
+        full[at] = A
+        return full
 
-    for name, (at, objs) in forms.items():
-        where = paths(at, f"forms.{name}")
-        S = matrices_from_json(objs, where, dim)
-        bad = np.flatnonzero(invalid_forms(S))
-        if bad.size:
-            raise SchemaError(where[bad[0]], "matrix is not Hermitian")
-        for i, A in zip(at, S):
-            points[i].forms[name] = A
-    for i, G in zip(g0[0], matrices_from_json(g0[1], paths(g0[0], "g0"), dim)):
-        points[i].g0 = G
-    for i, B in zip(subspace[0], _bases_from_json(subspace[1], paths(subspace[0], "subspace"),
-                                                  dim)):
-        points[i].subspace = B
     try:
-        return FormField(dim=dim, points=points)
-    except (QposError, TypeError) as e:
-        raise SchemaError(path, str(e)) from e
+        k = fiber_rank(ranks, ids)
+        B = None if k is None else np.swapaxes(_complex_stack(
+            subspace[1], [f"{path}.points[{i}].subspace" for i in subspace[0]],
+            ("basis_re", "basis_im"), (k, dim), "basis"), -1, -2)
+        return FormField.from_stacks(
+            ids, {name: stack(f"forms.{name}", *f) for name, f in forms.items()}, subspace=B,
+            g0=stack("g0", *g0) if g0[0] else None, in_F=in_F, neighbors=neighbors,
+            coords=coords, absent=absent, dim=dim)
+    except SchemaError:
+        raise
+    except (QposError, TypeError) as e:  # a defect at one point names its path
+        part = getattr(e, "part", None)
+        where = path if part is None else f"{path}.points[{e.row}].{part}"
+        raise SchemaError(where, str(e)) from e
 
 
 def read_json(path):

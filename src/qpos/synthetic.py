@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import FieldPoint, FormField
+from .fields import FormField
 from .hermitian import congruence
 
 
@@ -62,20 +62,16 @@ def planted_inertia_field(rng: np.random.Generator, n_points: int, d: int, q_til
     """
     if nu_choices is None:
         nu_choices = list(range(q_tilde))
-    points = []
+    S = np.empty((n_points, d, d), dtype=complex)
     for i in range(n_points):
-        in_f = i < n_anchor
-        nu = 0 if in_f else int(rng.choice(nu_choices))
+        nu = 0 if i < n_anchor else int(rng.choice(nu_choices))
         pos = rng.uniform(0.5, 2.0, size=d - nu)
         neg = -rng.uniform(0.5, neg_scale, size=nu)
-        S = hermitian_with_eigs(rng, np.concatenate([neg, pos]))
-        points.append(FieldPoint(
-            id=f"p{i}",
-            forms={form_name: S},
-            g0=np.eye(d, dtype=complex) if in_f else None,
-            in_F=in_f,
-        ))
-    return FormField(dim=d, points=points)
+        S[i] = hermitian_with_eigs(rng, np.concatenate([neg, pos]))
+    in_F = np.arange(n_points) < n_anchor
+    return FormField.from_stacks([f"p{i}" for i in range(n_points)], {form_name: S},
+                                 g0=np.broadcast_to(np.eye(d), S.shape), in_F=in_F,
+                                 absent={"g0": ~in_F})
 
 
 def planted_subbundle_field(rng: np.random.Generator, n_points: int, d: int, q: int,
@@ -86,16 +82,15 @@ def planted_subbundle_field(rng: np.random.Generator, n_points: int, d: int, q: 
     the subspace bases are orthonormal against.
     """
     k = d - q + 1
-    points = []
+    forms = {name: np.empty((n_points, d, d), dtype=complex) for name in form_names}
     gammas = np.empty((n_points, d, d), dtype=complex)
+    BV = np.empty((n_points, d, k), dtype=complex)
     for i in range(n_points):
         gamma = random_metric(rng, d, cond=4.0)
         W, W_inv = congruence(gamma)
         U = random_unitary(rng, d)
         frame = W @ U                          # gamma-orthonormal full frame
         Finv = U.conj().T @ W_inv
-        BV, BW = frame[:, :k], frame[:, k:]
-        forms = {}
         for name in form_names:
             vv = hermitian_with_eigs(rng, rng.uniform(0.4, 2.0, size=k))
             ww = hermitian_with_eigs(rng, rng.uniform(-neg_scale, 1.0, size=q - 1)) \
@@ -103,10 +98,9 @@ def planted_subbundle_field(rng: np.random.Generator, n_points: int, d: int, q: 
             vw = 0.5 * (rng.standard_normal((k, q - 1)) + 1j * rng.standard_normal((k, q - 1)))
             QF = np.block([[vv, vw], [vw.conj().T, ww]]) if q > 1 else vv
             # form with prescribed blocks in the gamma-orthonormal frame
-            forms[name] = Finv.conj().T @ QF @ Finv
-        gammas[i] = gamma
-        points.append(FieldPoint(id=f"p{i}", forms=forms, subspace=BV))
-    return FormField(dim=d, points=points), gammas
+            forms[name][i] = Finv.conj().T @ QF @ Finv
+        gammas[i], BV[i] = gamma, frame[:, :k]
+    return FormField.from_stacks([f"p{i}" for i in range(n_points)], forms, subspace=BV), gammas
 
 
 def random_pair_with_common_direction(rng: np.random.Generator, d: int,

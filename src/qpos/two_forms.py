@@ -20,7 +20,7 @@ absent by a convex search in one variable (``common_direction``).  Level
 curves are traced by ray shooting: along a ray the Gram matrix is I - t M,
 so one eigendecomposition of M gives xi and both traces in closed form and
 Newton's method finds the crossing.  The rays of all points of a field form
-one stack, RAY_CHUNK rays per eigensolve, and the arcs are decided point by
+one stack, RAY_CHUNK entries per eigensolve, and the arcs are decided point by
 point with array operations; a single pair is the one-point case.
 """
 
@@ -48,7 +48,7 @@ GRAD_FLOOR = 1e-12
 NEAR_PROP_WARN = 1e-6
 DIRECTION_FLOOR_SCALE = 1e-12
 GOLDEN_STEPS = 72  # 0.618**72 < 1e-15: the bracket in t reaches float resolution
-RAY_CHUNK = 16384  # rays per eigensolve; a (RAY_CHUNK, d, d) complex stack: 2.4 MB at d = 3
+RAY_CHUNK = 16384 * 9  # matrix entries per eigensolve (16,384 rays at d = 3): 2.4 MB stacks
 
 
 @dataclass(frozen=True)
@@ -288,8 +288,8 @@ def _ray_level_hits(Q1t, Q2t, dirs, level):
     ``dirs``: (n, k, 2).  Along a ray the Gram matrix is I - t M with
     M = dir_1 Q1 + dir_2 Q2 = U diag(mu) U*, so xi(t) = -sum_k log(1 - t mu_k)
     and both traces follow from one eigendecomposition.  The pairs are
-    taken in order, as many per eigensolve as fit in RAY_CHUNK rays (one
-    pair's rays at least).
+    taken in order, as many per eigensolve as fit their k (d, d) matrices in
+    RAY_CHUNK entries (one pair's rays at least).
 
     Returns ``(t, xi, traces)``, shaped (n, k), (n, k) and (n, k, 2): the
     crossing, xi there and the traces of Q1, Q2 relative to the Gram matrix
@@ -297,7 +297,7 @@ def _ray_level_hits(Q1t, Q2t, dirs, level):
     """
     n, k = dirs.shape[:2]
     t, xi, traces = np.empty((n, k)), np.empty((n, k)), np.empty((n, k, 2))
-    per = max(1, RAY_CHUNK // k)
+    per = max(1, RAY_CHUNK // (k * Q1t.shape[-1] ** 2))
     for start in range(0, n, per):
         p = slice(start, start + per)
         A, B, u = Q1t[p, None], Q2t[p, None], dirs[p]
@@ -527,10 +527,7 @@ def field_metric_top_degree(field: FormField, names, n_angles: int = DEFAULT_ANG
     require_passed(certificates, "the trace certificate")
 
     continuity = {}
-    if field.has_adjacency():
-        neigh = field.neighbor_indices()
-        src = np.repeat(np.arange(len(field)), [len(js) for js in neigh])
-        dst = np.array([j for js in neigh for j in js], dtype=int)
-        jumps = row_norm(gamma_points[src] - gamma_points[dst])
-        continuity["max_gamma_jump"] = float(jumps.max()) if jumps.size else 0.0
+    src, dst = field.edges
+    if src.size:
+        continuity["max_gamma_jump"] = float(row_norm(gamma_points[src] - gamma_points[dst]).max())
     return metrics, certificates, gamma_points, continuity

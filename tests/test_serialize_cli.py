@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
-from qpos import FieldPoint, FormField, SchemaError, cli, hermitian, serialize, spectrum_wrt
+from qpos import (FieldPoint, FormField, QposError, SchemaError, cli, fields, hermitian,
+                  serialize, spectrum_wrt)
 from qpos.serialize import (
     dumps_canonical,
     field_from_json,
@@ -300,8 +301,8 @@ def test_cli_synthesize_subbundle_and_two_forms(tmp_path, rng):
     from qpos.synthetic import planted_subbundle_field
 
     field, gamma = planted_subbundle_field(rng, 10, 5, 2)
-    for i, p in enumerate(field.points):
-        p.g0 = gamma[i]  # gamma travels as the per-point g0 in the file
+    # gamma travels as the per-point g0 in the file
+    field = FormField.from_stacks(field.ids, field.forms, subspace=field.subspace, g0=gamma)
     fpath = tmp_path / "sub.json"
     fpath.write_text(dumps_canonical(field_to_json(field)))
     rep = tmp_path / "constants.json"
@@ -352,6 +353,8 @@ BAD_INPUT_CASES = [
     "field_form_dim_fractional", "field_form_dim_bool",
     "project_nodes_4", "project_nodes_0", "project_radius_0", "project_radius_negative",
     "project_radius_nan", "project_radius_inf", "project_center_nan",
+    "field_g0_not_positive_definite", "field_g0_not_hermitian", "field_subspace_rank_mismatch",
+    "field_subspace_at_some_points", "field_neighbor_names_no_point",
 ]
 FIELD_DEFECTS = {
     "field_point_not_object": (lambda doc: doc["points"].__setitem__(0, 5), ".points[0]"),
@@ -373,6 +376,23 @@ FIELD_DEFECTS = {
     "field_form_dim_bool": (
         lambda doc: doc["points"][0]["forms"]["Q1"].__setitem__("dim", True),
         ".points[0].forms.Q1"),
+    # these used to pass, or to name only the file or the wrong defect
+    "field_g0_not_positive_definite": (
+        lambda doc: doc["points"][1].__setitem__("g0", matrix_to_json(np.diag([1.0, -0.5]))),
+        ".points[1].g0"),
+    "field_g0_not_hermitian": (
+        lambda doc: doc["points"][1].__setitem__(
+            "g0", matrix_to_json(np.array([[1.0, 50.0], [0.0, 1.0]]))), ".points[1].g0"),
+    "field_subspace_rank_mismatch": (
+        lambda doc: [p.__setitem__("subspace", {"dim": 2, "basis_re": rows})
+                     for p, rows in zip(doc["points"], ([[1, 0], [0, 1]], [[1, 0]]))],
+        ".points[1].subspace"),
+    "field_subspace_at_some_points": (
+        lambda doc: doc["points"][1].__setitem__("subspace", {"dim": 2, "basis_re": [[1, 0]]}),
+        ".points[1].subspace"),
+    "field_neighbor_names_no_point": (
+        lambda doc: doc["points"][1].__setitem__("neighbors", ["p0", "px"]),
+        ".points[1].neighbors"),
 }
 PROJECT_OPTIONS = {
     "project_nodes_4": ("--nodes", 4), "project_nodes_0": ("--nodes", 0),
@@ -620,8 +640,7 @@ def test_cli_eigensolve_count_does_not_grow_with_points(tmp_path, rng, monkeypat
     for n in (30, 300):
         # every point carries its g0, which FormField validates
         field, gamma = planted_subbundle_field(rng, n, 4, 2)
-        for p, g in zip(field.points, gamma):
-            p.g0 = g
+        field = FormField.from_stacks(field.ids, field.forms, subspace=field.subspace, g0=gamma)
         path = tmp_path / f"sub{n}.json"
         path.write_text(dumps_canonical(field_to_json(field)))
         counts["subbundle", n] = _eigvalsh_calls(monkeypatch, [
@@ -648,15 +667,54 @@ def test_cli_io_call_counts_do_not_grow_with_size(tmp_path, rng, monkeypatch):
         writes[d] = _calls(monkeypatch, ["synthesize", "single", "--input", field, "--q", 2,
                                          "--out", tmp_path / "metric.json"],
                            [(serialize, "_canon")])
-    reads = {}
+    reads, subs = {}, {}
+    targets = [(hermitian, "as_form"), (serialize, "matrix_from_json"),
+               (np.linalg, "eigvalsh"), (fields, "first_invalid")]
     for n in (30, 300):
         field = tmp_path / f"points{n}.json"
         field.write_text(dumps_canonical(field_to_json(
             planted_inertia_field(rng, n, 4, 2, nu_choices=[0]))))
         reads[n] = _calls(monkeypatch, ["check", "--input", field, "--form", "S", "--q", 2],
-                          [(hermitian, "as_form"), (serialize, "matrix_from_json")])
+                          targets)
+        # g0 and a subspace at every point, as the benchmark's subbundle file
+        sub, gamma = planted_subbundle_field(rng, n, 4, 2)
+        field = tmp_path / f"sub{n}.json"
+        field.write_text(dumps_canonical(field_to_json(FormField.from_stacks(
+            sub.ids, sub.forms, subspace=sub.subspace, g0=gamma))))
+        subs[n] = _calls(monkeypatch, ["synthesize", "subbundle", "--input", field,
+                                       "--forms", "Q1,Q2,Q3", "--q", 2], targets)
     assert writes[4] == writes[16], writes
     assert reads[30] == reads[300], reads
+    assert subs[30] == subs[300], subs
+    # one check per stack read: S; then Q1, Q2, Q3 and g0
+    assert reads[30]["first_invalid"] == 1 and subs[30]["first_invalid"] == 4, (reads, subs)
+
+
+def test_field_rejects_neighbor_ids_that_name_no_point():
+    # a mistyped id used to drop out of the 1-ring of F, where the metric is pinned
+    S = np.eye(2, dtype=complex)
+    with pytest.raises(QposError, match="'p1'.*'px'"):
+        FormField(dim=2, points=[FieldPoint(id="p0", forms={"S": S}, in_F=True, g0=S),
+                                 FieldPoint(id="p1", forms={"S": S}, neighbors=["p0", "px"])])
+
+
+def test_field_rejects_subspaces_of_mixed_rank_or_presence():
+    S, B = np.eye(3, dtype=complex), np.eye(3, dtype=complex)
+    for second, said in ((B[:, :1], "rank-1"), (None, "no subspace")):
+        with pytest.raises(QposError, match=f"'p1'.*{said}.*'p0'.*rank-2"):
+            FormField(dim=3, points=[FieldPoint(id="p0", forms={"S": S}, subspace=B[:, :2]),
+                                     FieldPoint(id="p1", forms={"S": S}, subspace=second)])
+
+
+def test_field_points_are_read_only_views(rng):
+    field = planted_inertia_field(rng, 5, 3, 2, n_anchor=2)
+    p = field.points[0]
+    assert p.forms["S"].base is field.form_stack("S") and p.g0.base is field.g0
+    assert field.points[4].g0 is None and p.in_F and not field.points[4].in_F
+    with pytest.raises(ValueError):
+        p.forms["S"][0, 0] = 1.0
+    with pytest.raises(AttributeError):
+        p.g0 = np.eye(3)
 
 
 def test_cli_geometry_decompositions_do_not_grow_with_samples(tmp_path, monkeypatch):

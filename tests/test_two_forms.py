@@ -481,3 +481,23 @@ def test_field_eigensolve_count_does_not_grow_with_points(rng, monkeypatch):
             field_metric_top_degree(field, ("Q1", "Q2"))
         counts.append(calls)
     assert counts[0] == counts[1], counts
+
+
+def test_field_level_curve_working_set_does_not_grow_with_d():
+    # RAY_CHUNK budgets matrix entries, not rays: at d = 8 a chunk of 16,384
+    # rays held about 58 MB of numpy allocations; budgeted, it stays near d = 3's
+    import tracemalloc
+
+    rng = np.random.default_rng(8)
+    pts = []
+    for i in range(200):
+        Q1, Q2, _ = random_pair_with_common_direction(rng, 8)
+        pts.append(FieldPoint(id=i, forms={"Q1": Q1, "Q2": Q2}))
+    field = FormField(dim=8, points=pts)
+    tracemalloc.start()
+    try:
+        field_metric_top_degree(field, ("Q1", "Q2"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6, peak
