@@ -11,6 +11,7 @@ when the field is built; ``points`` are read-only per-point views of it.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -47,60 +48,58 @@ class FormField:
     def __init__(self, dim: int, points: list[FieldPoint]):
         points = list(points)
         d, ids = int(dim), [p.id for p in points]
-        forms, absent = {}, {}
+        forms, has_forms = {}, {}
         for name in {name for p in points for name in p.forms}:
-            forms[name], absent[f"forms.{name}"] = _gathered(
+            forms[name], has_forms[name] = _gathered(
                 [p.forms.get(name) for p in points], (d, d), ids, f"forms.{name}")
-        g0, absent["g0"] = _gathered([p.g0 for p in points], (d, d), ids, "g0")
+        g0, has_g0 = _gathered([p.g0 for p in points], (d, d), ids, "g0")
         bases = [p.subspace for p in points]
         k = fiber_rank([None if B is None else np.ndim(B) and np.shape(B)[-1] for B in bases],
                        ids)
-        self._hold(d, ids, forms, absent, g0,
-                   None if k is None else _gathered(bases, (d, k), ids, "subspace")[0],
-                   [p.in_F for p in points], [p.neighbors for p in points],
-                   [None if p.coords is None else np.asarray(p.coords, float) for p in points])
+        vars(self).update(vars(type(self).from_stacks(  # become the field it builds
+            ids, forms, g0=g0, has_g0=has_g0, has_forms=has_forms, dim=d,
+            subspace=None if k is None else _gathered(bases, (d, k), ids, "subspace")[0],
+            in_F=[p.in_F for p in points], neighbors=[p.neighbors for p in points],
+            coords=[None if p.coords is None else np.asarray(p.coords, float) for p in points])))
 
     @classmethod
     def from_stacks(cls, ids, forms: dict, subspace=None, g0=None, in_F=None,
-                    neighbors=None, coords=None, absent=None, dim=None) -> "FormField":
+                    neighbors=None, coords=None, has_g0=None, has_forms=None,
+                    dim=None) -> "FormField":
         """A field from (N, d, d) form stacks by name (``dim``: their last axis by default)
-        and, optionally, (N, d, k) ``subspace``, (N, d, d) ``g0``, an (N,) ``in_F`` mask and
-        per point a neighbor id list and a coordinate array; ``absent`` maps a part
-        (``"g0"``, ``"forms.<name>"``) to the mask of the points lacking it."""
-        field = cls.__new__(cls)
-        field._hold(next(iter(forms.values())).shape[-1] if dim is None else dim,
-                    list(ids), forms, absent or {}, g0, subspace, in_F, neighbors, coords)
-        return field
-
-    def _hold(self, dim, ids, forms, absent, g0, subspace, in_F, neighbors, coords):
-        """Copy, validate and keep the stacks; a defect at a point raises a ``_defect``."""
-        n, d = len(ids), int(dim)
-        self.dim, self.ids, self.coords = d, ids, coords
+        and, optionally, (N, d, k) ``subspace``, ``g0`` matrices, an (N,) ``in_F`` mask and
+        per point a neighbor id list and a coordinate array.  ``has_g0`` (an (N,) mask, all
+        points by default) marks the points whose matrices ``g0`` stacks, and ``has_forms``
+        by name those of a form some point lacks.  Each stack is copied and validated
+        once; a defect at a point raises a ``_defect``."""
+        field, ids = cls.__new__(cls), list(ids)
+        n, d = len(ids), int(next(iter(forms.values())).shape[-1] if dim is None else dim)
+        field.dim, field.ids, field.coords = d, ids, coords
         index = dict(zip(ids, range(n)))
         if len(index) < n:
             row = next(r for r, i in enumerate(ids) if index[i] != r)
             raise _defect(QposError, "duplicate point id", ids, row, "id")
-        self.forms, self._missing = {}, {}
+        field.forms, field._missing = {}, {}
         for name in sorted(forms, key=str):
-            lacks = absent.get(f"forms.{name}", np.zeros(n, bool))
-            S = _validated(forms[name], (n, d, d), lacks, 0.0, ids, f"forms.{name}")
-            if lacks.any():
-                self._missing[name] = int(np.argmax(lacks))
+            given = (has_forms or {}).get(name, np.ones(n, bool))
+            S = _validated(forms[name], d, given, ids, f"forms.{name}")
+            if given.all():
+                field.forms[name] = S
             else:
-                self.forms[name] = S
-        lacks = absent.get("g0", np.zeros(n, bool)) if g0 is not None else np.ones(n, bool)
-        self.has_g0 = ~lacks
-        self.g0 = np.broadcast_to(np.eye(d, dtype=complex), (n, d, d)) if lacks.all() else \
-            _validated(g0, (n, d, d), lacks, np.eye(d), ids, "g0", TAU_PD)
-        self.in_F = np.zeros(n, bool) if in_F is None else np.array(in_F, dtype=bool)
-        if (self.in_F & lacks).any():
-            row = int(np.argmax(self.in_F & lacks))
+                field._missing[name] = int(np.argmin(given))
+        field.has_g0 = _frozen(np.zeros(n, bool) if g0 is None else
+                               np.ones(n, bool) if has_g0 is None else np.array(has_g0, bool))
+        field.g0 = np.array(np.broadcast_to(np.eye(d, dtype=complex), (n, d, d)))
+        if field.has_g0.any():
+            field.g0[field.has_g0] = _validated(g0, d, field.has_g0, ids, "g0", TAU_PD)
+        _frozen(field.g0)
+        field.in_F = _frozen(np.zeros(n, bool) if in_F is None else np.array(in_F, dtype=bool))
+        if (field.in_F & ~field.has_g0).any():
+            row = int(np.argmax(field.in_F & ~field.has_g0))
             raise _defect(QposError, "in F but has no g0", ids, row, "in_F")
-        self.subspace = None if subspace is None else np.array(subspace, dtype=complex)
-        if subspace is not None:
-            if self.subspace.ndim != 3 or self.subspace.shape[:2] != (n, d):
-                raise DimensionMismatch(f"subspace stack of shape {self.subspace.shape}")
-            self.subspace.flags.writeable = False
+        field.subspace = None if subspace is None else _frozen(np.array(subspace, dtype=complex))
+        if subspace is not None and field.subspace.shape != (n, d, field.subspace.shape[-1]):
+            raise DimensionMismatch(f"subspace stack of shape {field.subspace.shape}")
         src, dst = [], []
         for row, nbrs in enumerate(neighbors or ()):
             for i in nbrs or ():
@@ -109,14 +108,15 @@ class FormField:
                                   "neighbors")
                 src.append(row)
                 dst.append(index[i])
-        self.edges = (np.array(src, dtype=int), np.array(dst, dtype=int))
+        field.edges = (_frozen(np.array(src, dtype=int)), _frozen(np.array(dst, dtype=int)))
+        return field
 
     def __len__(self):
         return len(self.ids)
 
-    @property
+    @functools.cached_property
     def points(self) -> list[FieldPoint]:
-        """Per-point views, built on each access: their arrays are read-only rows of the stacks."""
+        """Per-point views, built once: their arrays are read-only rows of the stacks."""
         nbrs = self.neighbor_indices()
         return [FieldPoint(id=i, forms={name: S[r] for name, S in self.forms.items()},
                            coords=None if self.coords is None else self.coords[r],
@@ -167,28 +167,31 @@ def fiber_rank(ranks, ids):
 
 
 def _gathered(mats, shape, ids, part):
-    """Per-point matrices (None where absent) as one complex stack, zero there,
-    and the mask of the points without one."""
-    for row, M in enumerate(mats):
-        if M is not None and np.shape(M) != shape:
-            raise _defect(DimensionMismatch, f"shape {np.shape(M)} is not {shape}", ids, row, part)
-    stack = np.array([np.zeros(shape) if M is None else M for M in mats], dtype=complex)
-    return stack.reshape(-1, *shape), np.array([M is None for M in mats], dtype=bool)
+    """Per-point matrices, None where absent: those given as one complex stack,
+    and the (N,) mask of the points that give one."""
+    given = np.array([M is not None for M in mats], dtype=bool)
+    for r in np.flatnonzero(given):
+        if np.shape(mats[r]) != shape:
+            raise _defect(DimensionMismatch, f"shape {np.shape(mats[r])} is not {shape}", ids,
+                          r, part)
+    return np.array([M for M in mats if M is not None], dtype=complex).reshape(-1, *shape), given
 
 
-def _validated(A, shape, lacks, fill, ids, part, tau_pd=None):
-    """A read-only copy of a stack, ``fill`` at the rows ``lacks`` marks; one
-    ``first_invalid`` (as metrics when ``tau_pd`` is given) checks the others."""
-    A = np.array(A, dtype=complex)
-    if A.shape != shape:
-        raise DimensionMismatch(f"{part} stack has shape {A.shape}, not {shape}")
-    rows = np.flatnonzero(~lacks)
-    found = first_invalid(A[rows] if lacks.any() else A, tau_pd=tau_pd)
+def _validated(A, d, given, ids, part, tau_pd=None):
+    """A read-only copy of the (d, d) matrices of the points ``given`` marks,
+    checked by one ``first_invalid`` (as metrics when ``tau_pd`` is given)."""
+    A, rows = np.array(A, dtype=complex), np.flatnonzero(given)
+    if A.shape != (len(rows), d, d):
+        raise DimensionMismatch(f"{part} stack has shape {A.shape}, not {(len(rows), d, d)}")
+    found = first_invalid(A, tau_pd=tau_pd)
     if found:
         raise _defect(type(found[1]), found[1], ids, int(rows[found[0]]), part)
-    A[lacks] = fill
-    A.flags.writeable = False
-    return A
+    return _frozen(A)
+
+
+def _frozen(a):
+    a.flags.writeable = False
+    return a
 
 
 def _defect(error_type, detail, ids, row, part):

@@ -61,7 +61,8 @@ def _adapted_frames(field: FormField, gamma: np.ndarray, q: int):
     k = field.dim - q + 1
     BV = field.subspace
     if BV is None or BV.shape[-1] != k:
-        raise QposError(f"the field carries no subbundle fibers of rank {k}")
+        raise QposError(f"the field carries no subbundle fibers of rank {k}" + (
+            "" if BV is None else f"; its fibers have rank {BV.shape[-1]}"))
     gram = np.conj(np.swapaxes(BV, -1, -2)) @ gamma @ BV
     defect = np.linalg.norm(gram - np.eye(k), axis=(1, 2))
     if np.any(defect > TAU_ORTH):

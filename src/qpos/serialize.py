@@ -281,26 +281,22 @@ def field_from_json(obj, path="field") -> FormField:
             if key in rp:
                 at.append(i)
                 objs.append(rp[key])
-    absent = {}
 
     def stack(part, at, objs):
         A = matrices_from_json(objs, [f"{path}.points[{i}].{part}" for i in at], dim)
-        if len(at) == n_points:
-            return A
-        absent[part] = np.isin(np.arange(n_points), at, invert=True)
-        full = np.zeros((n_points, dim, dim), dtype=complex)
-        full[at] = A
-        return full
+        return A, np.isin(np.arange(n_points), at)
 
     try:
         k = fiber_rank(ranks, ids)
         B = None if k is None else np.swapaxes(_complex_stack(
             subspace[1], [f"{path}.points[{i}].subspace" for i in subspace[0]],
             ("basis_re", "basis_im"), (k, dim), "basis"), -1, -2)
+        stacks = {name: stack(f"forms.{name}", *f) for name, f in forms.items()}
+        G, has_g0 = stack("g0", *g0)
         return FormField.from_stacks(
-            ids, {name: stack(f"forms.{name}", *f) for name, f in forms.items()}, subspace=B,
-            g0=stack("g0", *g0) if g0[0] else None, in_F=in_F, neighbors=neighbors,
-            coords=coords, absent=absent, dim=dim)
+            ids, {name: S for name, (S, _) in stacks.items()}, subspace=B, g0=G, in_F=in_F,
+            neighbors=neighbors, coords=coords, has_g0=has_g0,
+            has_forms={name: given for name, (_, given) in stacks.items()}, dim=dim)
     except SchemaError:
         raise
     except (QposError, TypeError) as e:  # a defect at one point names its path

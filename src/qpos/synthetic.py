@@ -70,8 +70,8 @@ def planted_inertia_field(rng: np.random.Generator, n_points: int, d: int, q_til
         S[i] = hermitian_with_eigs(rng, np.concatenate([neg, pos]))
     in_F = np.arange(n_points) < n_anchor
     return FormField.from_stacks([f"p{i}" for i in range(n_points)], {form_name: S},
-                                 g0=np.broadcast_to(np.eye(d), S.shape), in_F=in_F,
-                                 absent={"g0": ~in_F})
+                                 g0=np.broadcast_to(np.eye(d), (n_anchor, d, d)),
+                                 in_F=in_F, has_g0=in_F)
 
 
 def planted_subbundle_field(rng: np.random.Generator, n_points: int, d: int, q: int,

@@ -327,6 +327,18 @@ def test_cli_synthesize_subbundle_and_two_forms(tmp_path, rng):
     assert payload["certificates"]["Q1"]["passed"] is True
 
 
+def test_cli_synthesize_subbundle_names_the_fiber_rank_it_found(tmp_path, rng):
+    from qpos.synthetic import planted_subbundle_field
+
+    field, gamma = planted_subbundle_field(rng, 6, 5, 2)  # fibers of rank 5 - 2 + 1 = 4
+    field = FormField.from_stacks(field.ids, field.forms, subspace=field.subspace, g0=gamma)
+    fpath = tmp_path / "sub.json"
+    fpath.write_text(dumps_canonical(field_to_json(field)))
+    r = run_cli("synthesize", "subbundle", "--input", fpath, "--forms", "Q1,Q2,Q3", "--q", 3)
+    assert r.returncode == 2
+    assert "no subbundle fibers of rank 3; its fibers have rank 4" in r.stderr, r.stderr
+
+
 def test_cli_geometry_counterexample(tmp_path):
     out = tmp_path / "ce.json"
     r = run_cli("geometry", "counterexample", "--radius", 2, "--grid", 16,
@@ -711,8 +723,10 @@ def test_field_points_are_read_only_views(rng):
     p = field.points[0]
     assert p.forms["S"].base is field.form_stack("S") and p.g0.base is field.g0
     assert field.points[4].g0 is None and p.in_F and not field.points[4].in_F
-    with pytest.raises(ValueError):
-        p.forms["S"][0, 0] = 1.0
+    assert field.points is field.points  # built once, from stacks that cannot change
+    for stack in (p.forms["S"], field.in_F, field.has_g0, *field.edges):
+        with pytest.raises(ValueError):
+            stack[...] = 1
     with pytest.raises(AttributeError):
         p.g0 = np.eye(3)
 

@@ -460,7 +460,8 @@ def test_field_equals_per_point_pair_metrics_bit_for_bit(rng, monkeypatch):
     assert sum(r.proportional for r in single) == 10
     assert_array_equal(gammas, np.stack([r.gamma_point for r in single]))
     assert_array_equal(metrics, np.stack([r.metric for r in single]))
-    monkeypatch.setattr(two_forms, "RAY_CHUNK", 7)  # chunks split points and pairs of points
+    # chunks split points and pairs of points: 7 (3, 3) matrices per chunk
+    monkeypatch.setattr(two_forms, "RAY_CHUNK", 7 * 9)
     chunked, _, chunked_gammas, _ = field_metric_top_degree(field, ("Q1", "Q2"), n_angles=64)
     assert_array_equal(chunked_gammas, gammas)
     assert_array_equal(chunked, metrics)
