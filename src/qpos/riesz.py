@@ -10,7 +10,12 @@ is governed entirely by the separation of the spectrum from the contour.
 
 Only discs centered on the real axis are supported.  For Hermitian T the
 nodes then come in conjugate pairs with R(conj(zeta)) = R(zeta)*, so a
-projector takes floor(N/2) + 1 resolvent solves rather than N.
+projector needs the resolvents of the nodes k = 0 .. floor(N/2) only.  T is
+reduced once to real symmetric tridiagonal form, T = Q J Q* (Householder,
+O(d^3)); the off-axis nodes are then summed as one d x d matrix by a
+pivot-free tridiagonal recurrence in O(N d^2) time and O(N d + d^2) memory,
+and only the at most two real shifts (k = 0 and k = N/2) take a dense
+pivoted solve.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ from .hermitian import as_form
 
 DEFAULT_NODES = 64
 MIN_NODES = 8
-NODE_BLOCK = 16  # resolvents per batched solve: the working set is O(NODE_BLOCK d^2)
 TAU_SEP_RESOLVENT = 1e-8
 TAU_SEP_CONTOUR = 1e-6  # times radius
 
@@ -107,28 +111,87 @@ def _quadrature_sums(M, disc: Disc, nodes: int):
     """The trapezoid sum of phase_k R(zeta_k) over the N nodes, in two parts.
 
     ``real`` sums the self-paired nodes on the real axis (k = 0, and k = N/2
-    for even N); ``paired`` = H + H* with H the sum over 0 < k < N/2, which
-    stands for the pairs k and N - k and is Hermitian exactly.
+    for even N) by a dense pivoted solve; ``paired`` = H + H* with H the sum
+    over 0 < k < N/2, which stands for the pairs k and N - k and is
+    Hermitian exactly.  H = Q X Q* with X the same sum for the tridiagonal J.
     """
     k = np.arange(nodes // 2 + 1)
     phase = np.exp(2j * np.pi * k / nodes)
     zeta = disc.center + disc.radius * phase
     on_axis = (k == 0) | (2 * k == nodes)
-    H = _weighted_resolvents(M, zeta[~on_axis], phase[~on_axis])
-    return _weighted_resolvents(M, zeta[on_axis], phase[on_axis]), H + H.conj().T
-
-
-def _weighted_resolvents(M, zeta, weights) -> np.ndarray:
-    """sum_k weights[k] (zeta[k] I - M)^{-1}, NODE_BLOCK nodes per batched solve,
-    summed in node order."""
     d = M.shape[0]
     eye = np.eye(d, dtype=complex)
-    out = np.zeros((d, d), dtype=complex)
-    for s in range(0, len(zeta), NODE_BLOCK):
-        z = zeta[s:s + NODE_BLOCK]
-        R = np.linalg.solve(z[:, None, None] * eye - M, np.broadcast_to(eye, (len(z), d, d)))
-        out += np.einsum("k,kij->ij", weights[s:s + NODE_BLOCK], R)
-    return out
+    z = zeta[on_axis]
+    R = np.linalg.solve(z[:, None, None] * eye - M, np.broadcast_to(eye, (len(z), d, d)))
+    real = np.einsum("k,kij->ij", phase[on_axis], R)
+    Q, a, b = _tridiagonalize(M)
+    H = Q @ _tridiagonal_resolvent_sum(a, b, zeta[~on_axis], phase[~on_axis]) @ Q.conj().T
+    return real, H + H.conj().T
+
+
+def _tridiagonalize(M):
+    """(Q, a, b) with (M + M*)/2 = Q J Q*, Q unitary and J real symmetric
+    tridiagonal with diagonal a and off-diagonal b >= 0.
+
+    Householder reduction (Golub & Van Loan, Matrix Computations, 8.3.1);
+    a diagonal phase scaling, folded into Q, makes the off-diagonal real.
+    """
+    A = 0.5 * (M + M.conj().T)
+    d = A.shape[0]
+    reflectors = []
+    for j in range(d - 2):
+        x = A[j + 1:, j]
+        tail = np.vdot(x[1:], x[1:]).real
+        if tail == 0:
+            continue  # the column is already tridiagonal
+        x0 = complex(x[0])
+        norm = np.sqrt(tail + abs(x0) ** 2)
+        s = x0 / abs(x0) if x0 != 0 else 1.0
+        v = x.copy()
+        v[0] += s * norm  # (I - tau v v*) x = -s |x| e_1, without cancellation
+        tau = 1.0 / (norm * (norm + abs(x0)))  # 2 / |v|^2
+        B = A[j + 1:, j + 1:]
+        p = tau * (B @ v)
+        w = p - (0.5 * tau * np.vdot(v, p).real) * v
+        B -= v[:, None] * w.conj() + w[:, None] * v.conj()
+        A[j + 1, j] = -s * norm
+        reflectors.append((j, v, tau))
+    Q = np.eye(d, dtype=complex)
+    for j, v, tau in reversed(reflectors):
+        Qj = Q[j + 1:, j + 1:]
+        Qj -= (tau * v)[:, None] * (v.conj() @ Qj)
+    e = A.diagonal(-1)
+    b = np.abs(e)
+    unit = np.ones(d, dtype=complex)
+    unit[1:] = np.divide(e, b, out=np.ones_like(e), where=b > 0)
+    return Q * np.cumprod(unit), A.diagonal().real.copy(), b
+
+
+def _tridiagonal_resolvent_sum(a, b, zeta, weights) -> np.ndarray:
+    """sum_k weights[k] (zeta[k] I - J)^{-1} for the real symmetric
+    tridiagonal J = tridiag(b, a, b) and shifts with Im zeta > 0.
+
+    Factor zeta I - J = L D L^T without pivoting: the pivots
+    delta_i = (zeta - a_i) - b_(i-1)^2 / delta_(i-1) have
+    Im delta_i >= Im zeta > 0, so none vanishes.  Then L^T G = D^{-1} L^{-1}
+    gives the rows of G = (zeta I - J)^{-1} from the last one up:
+    G_ij = (b_i / delta_i) G_(i+1)j for j > i, and G_ii follows from the
+    symmetry of G.  Each row is added to the sum as it is made.
+    """
+    d = a.size
+    delta = np.empty((d, zeta.size), dtype=complex)
+    delta[0] = zeta - a[0]
+    for i in range(1, d):
+        delta[i] = (zeta - a[i]) - b[i - 1] ** 2 / delta[i - 1]
+    ratio = np.zeros_like(delta)  # b_i / delta_i, and 0 past the last row
+    ratio[:-1] = b[:, None] / delta[:-1]
+    G = np.zeros((d + 1, zeta.size), dtype=complex)  # G[j] = G_ij over the nodes, j >= i
+    X = np.zeros((d, d), dtype=complex)
+    for i in range(d - 1, -1, -1):
+        G[i + 1:] *= ratio[i]
+        G[i] = 1.0 / delta[i] + ratio[i] * G[i + 1]
+        X[i, i:] = G[i:d] @ weights
+    return X + np.triu(X, 1).T
 
 
 def oracle_projector(T, disc: Disc, tau_sep: float = TAU_SEP_CONTOUR) -> np.ndarray:

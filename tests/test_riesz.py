@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qpos import (
@@ -14,8 +16,8 @@ from qpos import (
     resolvent,
     riesz_projector,
 )
-from qpos import riesz
-from qpos.synthetic import hermitian_with_eigs, random_hermitian
+from qpos import metric_single, negative_projector, riesz
+from qpos.synthetic import hermitian_with_eigs, random_hermitian, random_unitary
 
 
 def test_resolvent_diagonal():
@@ -168,3 +170,120 @@ def test_projector_continuity_under_perturbation(rng):
         P1 = oracle_projector(T + delta * E, disc)
         ratios.append(np.linalg.norm(P1 - P0, 2) / delta)
     assert max(ratios) < 1e3  # finite empirical Lipschitz constant
+
+
+def _dense_rule(T, disc, nodes):
+    """The N-node trapezoid sums of _quadrature_sums, one dense inverse per node."""
+    d = T.shape[0]
+    k = np.arange(nodes)
+    phase = np.exp(2j * np.pi * k / nodes)
+    R = np.linalg.inv((disc.center + disc.radius * phase)[:, None, None] * np.eye(d) - T)
+    weighted = phase[:, None, None] * R
+    on_axis = (k == 0) | (2 * k == nodes)
+    return weighted[on_axis].sum(axis=0), weighted[~on_axis].sum(axis=0)
+
+
+def _structured_form(r, kind, d):
+    if kind == "diagonal":  # every off-diagonal b of the reduction is 0
+        return np.diag(r.uniform(-3.0, 3.0, d)).astype(complex)
+    if kind == "reducible":  # block diagonal: a zero subdiagonal entry in the middle
+        m = d // 2
+        T = np.zeros((d, d), dtype=complex)
+        T[:m, :m] = random_hermitian(r, m)
+        T[m:, m:] = random_hermitian(r, d - m)
+        return T
+    if kind == "real":
+        return random_hermitian(r, d).real.astype(complex)
+    if kind == "cluster":  # an eigenvalue cluster 1e-6 wide
+        eigs = r.uniform(-3.0, 3.0, d)
+        eigs[: max(1, d // 2)] = eigs[0] + 1e-6 * r.uniform(0.0, 1.0, max(1, d // 2))
+        return hermitian_with_eigs(r, eigs)
+    return random_hermitian(r, d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["random", "diagonal", "reducible", "real", "cluster"]),
+       st.integers(1, 12), st.integers(8, 80), st.integers(0, 10**6))
+@example("random", 1, 8, 0)
+@example("random", 2, 9, 1)
+@example("reducible", 6, 80, 2)
+@example("diagonal", 5, 31, 3)
+def test_quadrature_sums_match_dense_rule_property(kind, d, nodes, seed):
+    r = np.random.default_rng(seed)
+    T = _structured_form(r, kind, d)
+    lam = np.linalg.eigvalsh(T)
+    center = float(r.uniform(lam[0] - 1.0, lam[-1] + 1.0))
+    # the circle runs through the middle of a gap of at least 0.05 in |lam - c|
+    dist = np.concatenate([[0.0], np.sort(np.abs(lam - center)), [np.abs(lam - center).max() + 1.0]])
+    gaps = [(lo, hi) for lo, hi in zip(dist[:-1], dist[1:]) if hi - lo >= 0.05]
+    lo, hi = gaps[r.integers(len(gaps))]
+    disc = Disc(center=center, radius=(lo + hi) / 2)
+    sep = float(np.min(disc.boundary_distance(lam)))
+    real, paired = riesz._quadrature_sums(T, disc, nodes)
+    full_real, full_paired = _dense_rule(T, disc, nodes)
+    assert np.array_equal(paired, paired.conj().T)
+    assert_allclose(real, full_real, rtol=0, atol=1e-12 * nodes / sep)
+    assert_allclose(paired, full_paired, rtol=0, atol=1e-12 * nodes / sep)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 64])
+def test_tridiagonalize_reduces_hermitian_part(rng, d):
+    H = random_hermitian(rng, d)
+    zero_column = H.copy()
+    zero_column[1:, 0] = zero_column[0, 1:] = 0  # nothing to reflect in the first column
+    for M in (H, zero_column, H + 1e-9j * random_hermitian(rng, d)):
+        Q, a, b = riesz._tridiagonalize(M)
+        assert a.shape == (d,) and b.shape == (max(d - 1, 0),)
+        assert np.isrealobj(a) and np.isrealobj(b) and np.all(b >= 0)
+        assert np.linalg.norm(Q.conj().T @ Q - np.eye(d), 2) <= 1e-13 * d
+        J = np.diag(a) + np.diag(b, 1) + np.diag(b, -1)
+        assert np.linalg.norm(Q @ J @ Q.conj().T - 0.5 * (M + M.conj().T), 2) \
+            <= 1e-13 * np.linalg.norm(M, 2)
+
+
+def test_near_contour_spot_check_at_the_node_cap(rng, monkeypatch):
+    # lam_(r+1) - lam_r = 0.006 against a half-width a = 0.9975 puts the
+    # largest ratio at rho = sqrt(a / (a + 0.006)) ~ 0.997: the node count
+    # log(1e-11) / log(rho) exceeds the cap, and the off-axis nodes come
+    # within r sin(2 pi / 8192) of the real axis
+    eigs = np.array([-2.0, -1.5, -1.0, -0.005, 0.001, 1.0, 2.0, 3.0])
+    A = random_unitary(rng, 8) * np.linspace(1.0, 2.0, 8)
+    S, g = A.conj().T @ np.diag(eigs) @ A, A.conj().T @ A
+    calls = []
+
+    def recorded(T, disc, nodes):
+        calls.append((T, disc, nodes))
+        return riesz.riesz_projector(T, disc, nodes=nodes)
+
+    monkeypatch.setattr(metric_single, "riesz_projector", recorded)
+    P = negative_projector(S, g, 4)  # raises ProjectorRoutesDisagree past 1e-8
+    assert np.linalg.norm(P @ P - P, 2) <= 1e-10
+    [(T, disc, nodes)] = calls
+    assert nodes == 8192
+    sep = float(np.min(disc.boundary_distance(np.linalg.eigvalsh(T))))
+    real, paired = riesz._quadrature_sums(T, disc, nodes)
+    full_real, full_paired = _dense_rule(T, disc, nodes)
+    assert_allclose(real, full_real, rtol=0, atol=1e-12 * nodes / sep)
+    assert_allclose(paired, full_paired, rtol=0, atol=1e-12 * nodes / sep)
+
+
+def test_projector_takes_at_most_two_dense_solves(rng, monkeypatch):
+    # the off-axis nodes go through the tridiagonal recurrence; only the
+    # real shifts k = 0 and k = N/2 are dense d x d solves, for every N
+    solve = np.linalg.solve
+    systems = []
+
+    def counted(a, b):
+        systems.append(int(np.prod(np.shape(a)[:-2], dtype=int)))
+        return solve(a, b)
+
+    monkeypatch.setattr(riesz.np.linalg, "solve", counted)
+    T = hermitian_with_eigs(rng, np.concatenate([rng.uniform(-3.0, -1.0, 12),
+                                                 rng.uniform(1.0, 3.0, 36)]))
+    per_projector = []
+    for nodes in (64, 128, 256):
+        systems.clear()
+        riesz_projector(T, Disc(center=-2.0, radius=1.5), nodes=nodes)
+        per_projector.append(sum(systems))
+    assert per_projector[0] <= 2
+    assert per_projector == [per_projector[0]] * 3
