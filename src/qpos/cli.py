@@ -113,8 +113,8 @@ def cmd_check(args):
         write_report(args.out, {
             "config": _config_echo(args, form=args.form, q=args.q),
             "passed": cert.passed,
-            "points": [{"id": e.point_id, "min_sum": e.min_sum, "margin": e.margin, "inertia": t}
-                       for e, t in zip(cert.entries, inertias)],
+            "points": [{"id": i, "min_sum": s, "margin": m, "inertia": t} for i, s, m, t in
+                       zip(cert.ids, cert.min_sum.tolist(), cert.margin.tolist(), inertias)],
         })
     print(f"check: {'PASS' if cert.passed else 'FAIL'} "
           f"({len(cert.failed_ids())} of {len(field)} points below margin)")

@@ -12,7 +12,7 @@ when the field is built; ``points`` are read-only per-point views of it.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -211,55 +211,63 @@ class CertificateEntry:
     margin: float
     provenance: str
 
-    @property
-    def passed(self) -> bool:
-        return self.margin > 0
 
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class PositivityCertificate:
-    """Per-point q-smallest-eigenvalue sums attesting strict q-positivity.
+    """Per-point q-smallest-eigenvalue sums attesting strict q-positivity, as columns.
 
-    ``margin = min_sum - MARGIN_FLOOR_SCALE * ||form||_F`` at each point; the
-    certificate passes iff every margin is positive.
+    ``min_sum``, ``margin`` and ``provenance`` (one string for every point or
+    one per point) become read-only (N,) arrays in the order of ``ids``, with
+    ``margin = min_sum - MARGIN_FLOOR_SCALE * ||form||_F``; a point fails iff
+    ``not margin > 0``.  ``entries`` are per-point ``CertificateEntry`` views, built once.
     """
 
     form: str
     q: int
-    entries: list[CertificateEntry] = dc_field(default_factory=list)
+    ids: list
+    min_sum: np.ndarray
+    margin: np.ndarray
+    provenance: np.ndarray
+
+    def __post_init__(self):
+        n = len(self.ids)
+        for name, dtype in (("min_sum", float), ("margin", float), ("provenance", object)):
+            column = getattr(self, name)
+            column = np.array([column] * n if isinstance(column, str) else column, dtype=dtype)
+            if column.shape != (n,):
+                raise DimensionMismatch(f"{name} of shape {column.shape} for {n} points")
+            object.__setattr__(self, name, _frozen(column))
+
+    @functools.cached_property
+    def entries(self) -> list[CertificateEntry]:
+        return [CertificateEntry(i, self.form, self.q, s, m, pv) for i, s, m, pv in zip(
+            self.ids, self.min_sum.tolist(), self.margin.tolist(), self.provenance.tolist())]
 
     @property
     def passed(self) -> bool:
-        return all(e.passed for e in self.entries)
+        return bool((self.margin > 0).all())
 
     def failed_ids(self):
-        return [e.point_id for e in self.entries if not e.passed]
+        return [self.ids[r] for r in np.flatnonzero(~(self.margin > 0))]
 
     def min_margin(self) -> float:
-        return min((e.margin for e in self.entries), default=float("inf"))
+        return float(self.margin.min(initial=np.inf))
 
 
 def certify(field: FormField, form: str, q: int, metrics, provenance) -> PositivityCertificate:
-    """Certificate that ``metrics`` make the named form strictly q-positive.
-
-    At each point the sum of the q smallest eigenvalues of the form relative
-    to its metric (shape (N, d, d) stack) must exceed the floor
-    ``MARGIN_FLOOR_SCALE * ||form||_F``.  ``provenance`` is one string for
-    every point or one per point.  Raises QOutOfRange unless 1 <= q <= d.
+    """Certificate that ``metrics`` make the named form strictly q-positive: at each
+    point the sum of the q smallest eigenvalues of the form relative to its metric
+    (one (d, d) matrix or an (N, d, d) stack, else DimensionMismatch) must exceed
+    the floor ``MARGIN_FLOOR_SCALE * ||form||_F``.  QOutOfRange unless 1 <= q <= d.
     """
     if not 1 <= q <= field.dim:
         raise QOutOfRange(f"q = {q} not in [1, {field.dim}]")
-    if isinstance(provenance, str):
-        provenance = [provenance] * len(field)
     S = field.form_stack(form)
+    if np.shape(metrics) not in (S.shape, S.shape[1:]):
+        raise DimensionMismatch(f"metrics of shape {np.shape(metrics)} for forms {S.shape}")
     sums = np.sum(pencil_eigvalsh(S, metrics)[:, :q], axis=1)
-    floors = MARGIN_FLOOR_SCALE * np.linalg.norm(S, axis=(1, 2))
-    entries = [
-        CertificateEntry(point_id=i, form=form, q=q, min_sum=float(s),
-                         margin=float(s - f), provenance=pv)
-        for i, s, f, pv in zip(field.ids, sums, floors, provenance)
-    ]
-    return PositivityCertificate(form=form, q=q, entries=entries)
+    margins = sums - MARGIN_FLOOR_SCALE * np.linalg.norm(S, axis=(1, 2))
+    return PositivityCertificate(form, q, field.ids, sums, margins, provenance)
 
 
 def require_passed(certs: dict, what: str) -> None:

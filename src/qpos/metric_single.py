@@ -220,10 +220,8 @@ def synthesize_single(field: FormField, form: str, q_tilde: int,
     ends up non-positive.
     """
     strat = stratify(field, form, q_tilde)
-    S = field.form_stack(form)
-    metrics = field.g0_stack()
-    provenance = np.array(
-        ["g0_anchor" if a else "g0_default" for a in strat.anchored], dtype=object)
+    S, metrics = field.form_stack(form), field.g0_stack()
+    provenance = np.where(strat.anchored, "g0_anchor", "g0_default").astype(object)
     for r in range(1, q_tilde):
         provenance[inflate_stage(S, metrics, strat, r, field.ids, theta=theta)] = \
             f"inflated_stage_{r}"

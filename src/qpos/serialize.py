@@ -343,13 +343,7 @@ def metrics_from_json(obj, dim, path="metrics"):
 
 
 def certificate_to_json(cert: PositivityCertificate) -> dict:
-    return {
-        "form": cert.form,
-        "q": cert.q,
-        "passed": cert.passed,
-        "entries": [
-            {"id": e.point_id, "form": e.form, "q": e.q, "min_sum": e.min_sum,
-             "margin": e.margin, "provenance": e.provenance}
-            for e in cert.entries
-        ],
-    }
+    rows = zip(cert.ids, cert.min_sum.tolist(), cert.margin.tolist(), cert.provenance.tolist())
+    return {"form": cert.form, "q": cert.q, "passed": cert.passed,
+            "entries": [{"id": i, "form": cert.form, "q": cert.q, "min_sum": s, "margin": m,
+                         "provenance": pv} for i, s, m, pv in rows]}

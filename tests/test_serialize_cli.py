@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import subprocess
@@ -16,9 +17,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
-from qpos import (FieldPoint, FormField, QposError, SchemaError, cli, fields, hermitian,
-                  serialize, spectrum_wrt)
+from qpos import (DimensionMismatch, FieldPoint, FormField, PositivityCertificate, QposError,
+                  SchemaError, cli, fields, hermitian, serialize, spectrum_wrt)
+from qpos.fields import MARGIN_FLOOR_SCALE, CertificateEntry, certify
 from qpos.serialize import (
+    certificate_to_json,
     dumps_canonical,
     field_from_json,
     field_to_json,
@@ -744,3 +747,130 @@ def test_cli_geometry_decompositions_do_not_grow_with_samples(tmp_path, monkeypa
                          targets) for n in (10, 100)]
         assert counts[0] == counts[1], (command, counts)
         assert counts[0]["svd"] >= 1 and counts[0]["rho_hessian"] >= 1, (command, counts)
+
+
+# --------------------------------------------------------------- certificates
+
+def test_certify_rejects_provenance_and_metrics_of_another_length():
+    S = np.stack([np.eye(3)] * 2 + [np.diag([-5.0, 1.0, 2.0])] * 3).astype(complex)
+    field = FormField.from_stacks([f"p{i}" for i in range(5)], {"S": S})
+    G = field.g0_stack()
+    # zip() over ids and a one-entry provenance list used to cut this 5-point
+    # certificate to its first point, which passes: a passing certificate that
+    # covered 1 of 5 points while 3 of them fail
+    with pytest.raises(DimensionMismatch, match=r"provenance of shape \(1,\) for 5 points"):
+        certify(field, "S", 2, G, ["x"])
+    # a metric stack of another length used to end in numpy's broadcast ValueError
+    with pytest.raises(DimensionMismatch, match=r"\(2, 3, 3\).*\(5, 3, 3\)"):
+        certify(field, "S", 2, G[:2], "x")
+    assert certify(field, "S", 2, G, "x").failed_ids() == ["p2", "p3", "p4"]
+    assert certify(field, "S", 2, G, list("abcde")).provenance.tolist() == list("abcde")
+    # one (d, d) metric still serves every point
+    assert certify(field, "S", 2, np.eye(3), "x").failed_ids() == ["p2", "p3", "p4"]
+
+
+MARGINS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+                    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(MARGINS, max_size=12), st.data())
+def test_certificate_columns_match_per_entry_semantics(margins, data):
+    n = len(margins)
+    ids = data.draw(st.permutations([f"p{i}" for i in range(n - n // 2)] + list(range(n // 2))))
+    min_sum = data.draw(st.lists(st.floats(allow_nan=False), min_size=n, max_size=n))
+    provenance = [("g0_anchor", "g0_default", "inflated_stage_1")[i % 3] for i in range(n)]
+    cert = PositivityCertificate("S", 2, ids, min_sum, margins, provenance)
+    entries = cert.entries
+    assert entries is cert.entries  # built once
+    assert cert.passed is all(e.margin > 0 for e in entries)
+    assert cert.failed_ids() == [e.point_id for e in entries if not e.margin > 0]
+    assert cert.failed_ids() == [i for i, m in zip(ids, margins) if not m > 0]
+    assert cert.min_margin() == min(margins, default=float("inf"))
+    assert len(entries) == n
+    for i, e in enumerate(entries):
+        assert e == CertificateEntry(ids[i], "S", 2, min_sum[i], margins[i], provenance[i])
+        assert repr((e.min_sum, e.margin)) == repr((min_sum[i], margins[i]))  # sign, subnormals
+    for column in (cert.min_sum, cert.margin, cert.provenance):
+        assert column.shape == (n,)
+        with pytest.raises(ValueError):
+            column[...] = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cert.margin = np.ones(n)
+
+
+# three points with exact sums: diagonal forms against the identity metric
+LAYOUT_DIAGS = {"a": [1.0, 2.0, 4.0], 7: [-5.0, 1.0, 2.0], "c": [0.0, 3.0, 4.0]}
+LAYOUT_ROWS = [("a", 3.0, 3.0 - MARGIN_FLOOR_SCALE * np.sqrt(21.0)),
+               (7, -4.0, -4.0 - MARGIN_FLOOR_SCALE * np.sqrt(30.0)),
+               ("c", 3.0, 3.0 - MARGIN_FLOOR_SCALE * 5.0)]
+
+
+def _layout_field():
+    return FormField(dim=3, points=[FieldPoint(id=i, forms={"S": np.diag(w).astype(complex)})
+                                    for i, w in LAYOUT_DIAGS.items()])
+
+
+def test_certificate_json_layout():
+    # the layout perfbench/verify.py reads: top-level form/q/passed, one row per point
+    provenance = ["g0_anchor", "inflated_stage_1", "g0_default"]
+    doc = certificate_to_json(certify(_layout_field(), "S", 2, np.eye(3), provenance))
+    expected = {"form": "S", "q": 2, "passed": False, "entries": [
+        {"id": i, "form": "S", "q": 2, "min_sum": s, "margin": m, "provenance": pv}
+        for (i, s, m), pv in zip(LAYOUT_ROWS, provenance)]}
+    assert doc == expected
+    assert dumps_canonical(doc) == dumps_canonical(expected)
+    assert all(type(e[k]) is float for e in doc["entries"] for k in ("min_sum", "margin"))
+
+
+def test_cli_check_points_layout(tmp_path):
+    field = tmp_path / "field.json"
+    field.write_text(dumps_canonical(field_to_json(_layout_field())))
+    out = tmp_path / "check.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["check", "--input", str(field), "--form", "S", "--q", "2",
+                         "--out", str(out)]) == 2
+
+    def inertia(n_plus, n_minus):
+        return {key: {"n_plus": n_plus, "n_minus": n_minus, "n_zero": 3 - n_plus - n_minus}
+                for key in ("1e-08", "1e-10", "1e-12")}
+
+    assert json.loads(out.read_text()) == {
+        "qpos_schema": 1, "config": {"command": "check", "seed": 0, "form": "S", "q": 2},
+        "passed": False, "points": [
+            {"id": i, "min_sum": s, "margin": m, "inertia": inertia(*counts)}
+            for (i, s, m), counts in zip(LAYOUT_ROWS, [(3, 0), (2, 1), (2, 0)])]}
+
+
+def test_cli_builds_no_per_point_certificate_entries(tmp_path, rng, monkeypatch):
+    # certificates are columns: no CLI command builds a CertificateEntry per point
+    single, check = tmp_path / "single.json", tmp_path / "check.json"
+    single.write_text(dumps_canonical(field_to_json(planted_inertia_field(rng, 20, 4, 2))))
+    check.write_text(dumps_canonical(field_to_json(
+        planted_inertia_field(rng, 20, 4, 2, nu_choices=[0]))))
+    sub, gamma = planted_subbundle_field(rng, 20, 4, 2)
+    subbundle = tmp_path / "sub.json"
+    subbundle.write_text(dumps_canonical(field_to_json(FormField.from_stacks(
+        sub.ids, sub.forms, subspace=sub.subspace, g0=gamma))))
+    pairs = tmp_path / "pairs.json"
+    pairs.write_text(dumps_canonical(field_to_json(FormField(dim=2, points=[
+        FieldPoint(id=i, forms={"Q1": np.eye(2, dtype=complex),
+                                "Q2": np.diag([2.0, 1.0]).astype(complex)})
+        for i in range(3)]))))
+    quad = tmp_path / "quadric.json"
+    quad.write_text(json.dumps({"type": "quadric", "n": 3, "q": 2,
+                                "mu": [2.0, 2.0, -0.5, -0.5]}))
+    cert, out = tmp_path / "cert.json", tmp_path / "out.json"
+    commands = {
+        "check": ["check", "--input", check, "--form", "S", "--q", 2, "--out", out],
+        "single": ["synthesize", "single", "--input", single, "--q", 2, "--cert", cert],
+        "subbundle": ["synthesize", "subbundle", "--input", subbundle, "--forms", "Q1,Q2,Q3",
+                      "--q", 2, "--cert", cert],
+        "two-forms": ["synthesize", "two-forms", "--input", pairs, "--forms", "Q1,Q2",
+                      "--angles", 64, "--cert", cert],
+        "pipeline": ["geometry", "pipeline", "--domain", quad, "--q", 2, "--samples", 30,
+                     "--cert", cert],
+    }
+    built = {name: _calls(monkeypatch, argv, [(CertificateEntry, "__init__")])["__init__"]
+             for name, argv in commands.items()}
+    assert built == dict.fromkeys(commands, 0), built
