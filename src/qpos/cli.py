@@ -34,7 +34,9 @@ from .geometry import (
 )
 from .riesz import MIN_NODES, Disc, riesz_projector
 from .serialize import (
-    certificate_to_json,
+    RowTable,
+    certificate_arrays,
+    object_column,
     load_field,
     load_matrix,
     matrix_arrays,
@@ -91,14 +93,13 @@ def _load_metrics(path, field):
     return G
 
 
-def _inertia_triples(lam):
-    """Per row of a spectrum stack, the sign counts at each INERTIA_THRESHOLDS level."""
+def _inertia_columns(lam):
+    """The sign counts of a spectrum stack's rows at each INERTIA_THRESHOLDS level,
+    as (N,) count columns by level."""
     d = lam.shape[-1]
     counts = {format(t, ".0e"): sign_counts(lam, rel=t) for t in INERTIA_THRESHOLDS}
-    return [{key: {"n_plus": int(n_plus[i]), "n_minus": int(n_minus[i]),
-                   "n_zero": d - int(n_plus[i]) - int(n_minus[i])}
-             for key, (n_plus, n_minus) in counts.items()}
-            for i in range(len(lam))]
+    return {key: {"n_plus": n_plus, "n_minus": n_minus, "n_zero": d - n_plus - n_minus}
+            for key, (n_plus, n_minus) in counts.items()}
 
 
 # ---------------------------------------------------------------- commands
@@ -109,12 +110,12 @@ def cmd_check(args):
     G = _load_metrics(args.metric, field) if args.metric else field.g0_stack()
     cert = certify(field, args.form, args.q, G, "check")
     if args.out:
-        inertias = _inertia_triples(np.linalg.eigvalsh(field.form_stack(args.form)))
+        inertia = _inertia_columns(np.linalg.eigvalsh(field.form_stack(args.form)))
         write_report(args.out, {
             "config": _config_echo(args, form=args.form, q=args.q),
             "passed": cert.passed,
-            "points": [{"id": i, "min_sum": s, "margin": m, "inertia": t} for i, s, m, t in
-                       zip(cert.ids, cert.min_sum.tolist(), cert.margin.tolist(), inertias)],
+            "points": RowTable({"id": object_column(cert.ids), "min_sum": cert.min_sum,
+                                "margin": cert.margin, "inertia": inertia}),
         })
     print(f"check: {'PASS' if cert.passed else 'FAIL'} "
           f"({len(cert.failed_ids())} of {len(field)} points below margin)")
@@ -153,7 +154,7 @@ def _write_outputs(args, ids, metrics, certs, **cert_extra):
         write_report(args.out, metrics_to_json(ids, metrics))
     if args.cert:
         write_report(args.cert, {
-            "certificates": {str(k): certificate_to_json(c) for k, c in certs.items()},
+            "certificates": {str(k): certificate_arrays(c) for k, c in certs.items()},
             **cert_extra})
 
 
@@ -193,8 +194,7 @@ def cmd_synthesize_two_forms(args):
     metrics, certs, gammas, cont = two_forms.field_metric_top_degree(
         field, names, n_angles=args.angles)
     _write_outputs(args, field.ids, metrics, certs,
-                   gamma_points=[{"id": i, "gamma": g}
-                                 for i, g in zip(field.ids, gammas)],
+                   gamma_points=RowTable({"id": object_column(field.ids), "gamma": gammas}),
                    continuity=cont)
     print("synthesize two-forms: PASS "
           f"(max gamma jump {cont.get('max_gamma_jump', 0.0):.3e})")
@@ -204,12 +204,12 @@ def cmd_synthesize_two_forms(args):
 def cmd_geometry_levi(args):
     domain, samples = _load_samples(args)
     lam = np.linalg.eigvalsh(levi_forms(domain, samples))
-    entries = [{"index": i, "chart": domain.charts[c], "eigenvalues": w, "inertia": inertia}
-               for i, (c, w, inertia) in enumerate(zip(samples.chart, lam,
-                                                       _inertia_triples(lam)))]
     if args.out:
+        charts = object_column(domain.charts)[samples.chart]
         write_report(args.out, {"config": _config_echo(args, samples=args.samples),
-                                "levi": entries})
+                                "levi": RowTable({"index": np.arange(len(lam)), "chart": charts,
+                                                  "eigenvalues": lam,
+                                                  "inertia": _inertia_columns(lam)})})
     print(f"geometry levi: {len(samples)} samples")
     return 0
 

@@ -9,23 +9,29 @@ always serializes to identical bytes.
 Both directions work on whole arrays.  A float ndarray in a report is
 written in one pass: one finite check, then one printf-style ``%`` over all
 its entries, with a template per (shape, indent) that reproduces the
-nested-list layout of writing it entry by entry.  A field is read as one
-(N, d, d) stack per form name, one for g0 and one for subspaces, and a
-metrics file as one stack; each stack is converted and checked at once, and
-only when a check fails are its entries visited one by one, to name the JSON
-path of the first bad one.
+nested-list layout of writing it entry by entry.  A per-point list of
+objects of one layout (certificate entries, metrics, check points) is a
+``RowTable`` of columns: the writer renders its prototype row through the
+same code, with each column's place marked, to get the row template, and
+formats all rows with one ``%`` over the columns interleaved row by row.
+A field is read as one (N, d, d) stack per form name, one for g0 and one
+for subspaces, and a metrics file as one stack; each stack is converted and
+checked at once, and only when a check fails are its entries visited one by
+one, to name the JSON path of the first bad one.  The cyclic garbage
+collector is paused while ``json.load`` builds a document.
 """
 
 from __future__ import annotations
 
 import functools
+import gc
 import json
 import math
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .errors import QposError, SchemaError
+from .errors import DimensionMismatch, QposError, SchemaError
 from .fields import FormField, PositivityCertificate, fiber_rank
 
 SCHEMA_VERSION = 1
@@ -37,26 +43,101 @@ BAD_VALUE = (KeyError, TypeError, ValueError, OverflowError)
 # canonical writer
 # ---------------------------------------------------------------------------
 
-def _canon(obj, out, indent):
-    pad = " " * indent
-    if isinstance(obj, np.ndarray) and obj.dtype.kind == "f":
-        flat = obj.ravel()
-        finite = np.isfinite(flat)
-        if not finite.all():
-            bad = float(flat[np.argmin(finite)])
-            raise SchemaError("<write>", f"non-finite float {bad!r} in report")
-        out.append(_array_template(obj.shape, indent) % tuple(flat.tolist()))
-    elif obj is None or isinstance(obj, bool):
-        out.append("null" if obj is None else "true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
+class RowTable:
+    """A JSON list of objects that share one layout, held as columns.
+
+    ``row`` is the prototype row: a JSON object in which every ndarray is a
+    column, whose entry r (a scalar, or a subarray written as nested lists)
+    is what row r holds in that place, and every other value is the same in
+    all rows.  ``rows()`` is the list of objects the table stands for, and
+    ``dumps_canonical`` writes the table and ``rows()`` to the same bytes.
+    """
+
+    def __init__(self, row: dict):
+        self.columns: list[np.ndarray] = []
+        self.layout = _slotted(row, self.columns)
+        lengths = {len(c) for c in self.columns}
+        if len(lengths) != 1:
+            raise DimensionMismatch(f"a row table needs columns of one length, not {lengths}")
+        self.n = lengths.pop()
+
+    def rows(self) -> list[dict]:
+        values = [c.tolist() for c in self.columns]
+        return [_filled(self.layout, iter([v[r] for v in values])) for r in range(self.n)]
+
+
+class _Slot:
+    """Where a column's entry goes in a row: ``mark`` stands for each of its
+    scalars, ``shape`` is the entry's shape."""
+
+    def __init__(self, mark: str, shape: tuple):
+        self.mark, self.shape = mark, shape
+
+
+# stand-ins in a row's canonical text for a %.17g float and a %s scalar text;
+# the writer escapes both characters, so no other text contains them
+_FLOAT_MARK, _TEXT_MARK = "\x00", "\x01"
+
+
+def _slotted(obj, columns):
+    """``obj`` with each ndarray replaced by its slot, the arrays appended to
+    ``columns`` in the order ``_canon`` writes them (keys sorted by str)."""
+    if isinstance(obj, np.ndarray):
+        columns.append(obj)
+        return _Slot(_FLOAT_MARK if obj.dtype.kind == "f" else _TEXT_MARK, obj.shape[1:])
+    if isinstance(obj, dict):
+        return {k: _slotted(obj[k], columns) for k in sorted(obj, key=str)}
+    if isinstance(obj, (list, tuple)):
+        return [_slotted(item, columns) for item in obj]
+    return obj
+
+
+def _filled(obj, values):
+    """The slotted ``obj`` with each slot replaced by the next of ``values``."""
+    if isinstance(obj, _Slot):
+        return next(values)
+    if isinstance(obj, dict):
+        return {k: _filled(v, values) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_filled(item, values) for item in obj]
+    return obj
+
+
+def _scalar(obj):
+    """The canonical text of a JSON scalar (None, bool, int, float or str), else None."""
+    if obj is None or isinstance(obj, bool):
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
         x = float(obj)
         if not math.isfinite(x):
             raise SchemaError("<write>", f"non-finite float {x!r} in report")
-        out.append(format(x, ".17g"))
-    elif isinstance(obj, str):
-        out.append(encode_basestring_ascii(obj))
+        return format(x, ".17g")
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    return None
+
+
+def _non_finite(flat):
+    bad = float(flat[np.argmin(np.isfinite(flat))])
+    return SchemaError("<write>", f"non-finite float {bad!r} in report")
+
+
+def _canon(obj, out, indent):
+    pad = " " * indent
+    text = _scalar(obj)
+    if text is not None:
+        out.append(text)
+    elif isinstance(obj, np.ndarray) and obj.dtype.kind == "f":
+        flat = obj.ravel()
+        if not np.isfinite(flat).all():
+            raise _non_finite(flat)
+        out.append(_array_template(obj.shape, indent) % tuple(flat.tolist()))
+    elif isinstance(obj, RowTable):
+        out.append(_table_text(obj, indent))
+    elif isinstance(obj, _Slot):
+        out.append(_array_template(obj.shape, indent).replace("%.17g", obj.mark))
     elif isinstance(obj, dict):
         if not obj:
             out.append("{}")
@@ -83,6 +164,47 @@ def _canon(obj, out, indent):
         out.append(pad + "]")
     else:
         raise SchemaError("<write>", f"cannot serialize {type(obj).__name__}")
+
+
+def _table_text(table: RowTable, indent) -> str:
+    """The canonical text of ``table.rows()``: one ``%`` of the row template,
+    repeated, over the columns' scalars interleaved row by row.  The template
+    is the layout's own canonical text with ``%`` escaped and the slots'
+    marks made formats."""
+    n, out = table.n, []
+    if n == 0:
+        return "[]"
+    values = _table_values(table)
+    if values is None:  # an entry that is not a scalar
+        _canon(table.rows(), out, indent)
+        return "".join(out)
+    _canon(table.layout, out, indent + 2)
+    row = "".join(out).replace("%", "%%").replace(_FLOAT_MARK, "%.17g").replace(_TEXT_MARK, "%s")
+    pad = " " * indent
+    template = "[\n" + pad + "  " + (",\n" + pad + "  ").join([row] * n) + "\n" + pad + "]"
+    return template % values
+
+
+def _table_values(table: RowTable):
+    """The scalars of a nonempty table's rows, row by row, as the row template
+    takes them: floats (after one finite check), integers, and the text of
+    any other scalar; None if an entry is not a scalar.  Its own function, so
+    that its copies are freed before the ``%``."""
+    flats = [c.reshape(table.n, -1) for c in table.columns]
+    cells = np.empty((table.n, sum(f.shape[1] for f in flats)), dtype=object)
+    at = 0
+    for c, f in zip(table.columns, flats):
+        if c.dtype.kind == "f" and not np.isfinite(f).all():
+            raise _non_finite(np.concatenate([g for g in flats if g.dtype.kind == "f"],
+                                             axis=1).ravel())
+        if c.dtype.kind not in "fiu":  # integers print as %s does; the rest by _scalar
+            texts = [_scalar(x) for x in f.ravel().tolist()]
+            if None in texts:
+                return None
+            f = np.array(texts, dtype=object).reshape(f.shape)
+        cells[:, at:at + f.shape[1]] = f
+        at += f.shape[1]
+    return tuple(cells.ravel().tolist())
 
 
 @functools.lru_cache(maxsize=256)
@@ -306,12 +428,24 @@ def field_from_json(obj, path="field") -> FormField:
 
 
 def read_json(path):
-    """Parse a JSON file; malformed JSON raises SchemaError naming the file."""
-    with open(path) as fh:
+    """Parse a JSON file as UTF-8; text that is not JSON or not UTF-8, or nests
+    too deeply to parse, raises SchemaError naming the file.
+
+    The cyclic garbage collector is paused while the document is built (and
+    its previous state restored): the decoder makes only acyclic containers,
+    so a collection could free nothing, yet each one walks the growing tree.
+    """
+    with open(path, encoding="utf-8") as fh:
+        enabled = gc.isenabled()
+        gc.disable()
         try:
             return json.load(fh)
-        except json.JSONDecodeError as e:
-            raise SchemaError(str(path), f"invalid JSON: {e}") from e
+        except (ValueError, RecursionError) as e:  # JSONDecodeError, UnicodeDecodeError
+            what = "not UTF-8 text" if isinstance(e, UnicodeDecodeError) else "invalid JSON"
+            raise SchemaError(str(path), f"{what}: {e}") from e
+        finally:
+            if enabled:
+                gc.enable()
 
 
 def load_field(path) -> FormField:
@@ -322,10 +456,18 @@ def load_matrix(path) -> np.ndarray:
     return matrix_from_json(read_json(path), path=str(path))
 
 
+def object_column(values) -> np.ndarray:
+    """Values such as point ids as an object column of a RowTable, one entry
+    per value (a tuple too)."""
+    return np.fromiter(values, dtype=object, count=len(values))
+
+
 def metrics_to_json(ids, metrics) -> dict:
+    G = np.asarray(metrics, dtype=complex)
     return {
         "qpos_schema": SCHEMA_VERSION,
-        "metrics": [{"id": i, "matrix": matrix_arrays(m)} for i, m in zip(ids, metrics)],
+        "metrics": RowTable({"id": object_column(ids),
+                             "matrix": {"dim": int(G.shape[-1]), "re": G.real, "im": G.imag}}),
     }
 
 
@@ -342,8 +484,15 @@ def metrics_from_json(obj, dim, path="metrics"):
     return rows, matrices_from_json(mats, where, dim)
 
 
-def certificate_to_json(cert: PositivityCertificate) -> dict:
-    rows = zip(cert.ids, cert.min_sum.tolist(), cert.margin.tolist(), cert.provenance.tolist())
+def certificate_arrays(cert: PositivityCertificate) -> dict:
+    """The certificate schema with its ``entries`` as one RowTable of the columns."""
     return {"form": cert.form, "q": cert.q, "passed": cert.passed,
-            "entries": [{"id": i, "form": cert.form, "q": cert.q, "min_sum": s, "margin": m,
-                         "provenance": pv} for i, s, m, pv in rows]}
+            "entries": RowTable({"id": object_column(cert.ids), "form": cert.form, "q": cert.q,
+                                 "min_sum": cert.min_sum, "margin": cert.margin,
+                                 "provenance": cert.provenance})}
+
+
+def certificate_to_json(cert: PositivityCertificate) -> dict:
+    """The certificate schema with one plain object per entry, for any JSON encoder."""
+    doc = certificate_arrays(cert)
+    return {**doc, "entries": doc["entries"].rows()}

@@ -3,6 +3,7 @@
 import contextlib
 import copy
 import dataclasses
+import gc
 import io
 import json
 import subprocess
@@ -199,6 +200,120 @@ def test_writer_rejects_non_finite_in_arrays(a, bad, where):
     a.flat[where % a.size] = bad
     with pytest.raises(SchemaError, match="non-finite"):
         dumps_canonical({"x": [1, a]})
+
+
+# ids and form names with quotes, non-ASCII, control characters and printf's %
+TABLE_TEXT = st.text(alphabet=st.sampled_from('a%"\\é€\n\x00\x01'), max_size=4)
+TABLE_FLOATS = EXTREME_FLOATS | st.sampled_from([1e308, -1e308, 1.0, -3.0, 2.0**53]) \
+    | FINITE_FLOATS
+
+
+def _same_message(a, b):
+    """Whether writing ``a`` and writing ``b`` raise SchemaError with one message."""
+    messages = []
+    for doc in (a, b):
+        with pytest.raises(SchemaError) as e:
+            dumps_canonical(doc)
+        messages.append(str(e.value))
+    return messages[0] == messages[1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_row_table_writes_as_its_rows(data):
+    n = data.draw(st.sampled_from([0, 1, 2, 9]), label="n")
+    d = data.draw(st.integers(1, 7), label="d")
+    scalar_ids = TABLE_TEXT | st.integers(-10**20, 10**20)
+    # a tuple id is no scalar: a table holding one is written through its rows
+    ids = data.draw(st.lists(data.draw(st.sampled_from(
+        [scalar_ids, scalar_ids | st.tuples(st.integers(), TABLE_TEXT)])),
+        min_size=n, max_size=n), label="ids")
+    form = data.draw(TABLE_TEXT, label="form")
+
+    def floats(*shape):
+        return data.draw(hnp.arrays(np.float64, (n, *shape), elements=TABLE_FLOATS))
+
+    table = serialize.RowTable({
+        "id": serialize.object_column(ids), "form": form, "q": d, "%s key": floats(d, 2),
+        "counts": {"n_plus": np.arange(n) * 10**12, "flag": np.arange(n) % 2 == 0},
+        "vector": floats(d), "x": floats(), "const": [None, True, 0.5, {}]})
+    cert = PositivityCertificate(form, d, ids, floats(), floats(),
+                                 data.draw(st.lists(TABLE_TEXT, min_size=n, max_size=n)))
+    G = floats(d, d) + 1j * floats(d, d)
+    docs = [(table, table.rows()),
+            (serialize.certificate_arrays(cert), certificate_to_json(cert)),
+            (metrics_to_json(ids, G),
+             {"qpos_schema": 1, "metrics": [{"id": i, "matrix": matrix_to_json(M)}
+                                            for i, M in zip(ids, G)]})]
+    for doc, rows in docs:
+        assert dumps_canonical({"rows": doc}) == dumps_canonical({"rows": rows}) \
+            == _reference_dumps({"rows": rows})
+    assert certificate_to_json(cert)["entries"] == [
+        {"id": i, "form": form, "q": d, "min_sum": s, "margin": m, "provenance": pv}
+        for i, s, m, pv in zip(ids, cert.min_sum, cert.margin, cert.provenance)]
+    if n:  # a non-finite entry raises the message writing the rows raises
+        vector, x = floats(d), floats()
+        for _ in range(data.draw(st.integers(1, 3))):
+            column = data.draw(st.sampled_from([vector, x]))
+            column.flat[data.draw(st.integers(0, column.size - 1))] = data.draw(
+                st.sampled_from([np.nan, np.inf, -np.inf]))
+        table = serialize.RowTable({"id": serialize.object_column(ids), "vector": vector, "x": x})
+        assert _same_message(table, table.rows())
+
+
+def test_row_table_needs_columns_of_one_length():
+    with pytest.raises(DimensionMismatch):
+        serialize.RowTable({"a": np.zeros(2), "b": np.zeros(3)})
+    with pytest.raises(DimensionMismatch):
+        serialize.RowTable({"a": 1.0})
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_read_json_restores_gc_state(tmp_path, monkeypatch, enabled):
+    # the collector is paused while a document is built, then left as the caller had it
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text('{"a": [1, {"b": null}]}')
+    bad.write_text('{"a": [')
+    during = []
+
+    def load(fh):
+        during.append(gc.isenabled())
+        return json_load(fh)
+
+    json_load = json.load
+    monkeypatch.setattr(json, "load", load)
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert serialize.read_json(good) == {"a": [1, {"b": None}]}
+        assert gc.isenabled() is enabled
+        with pytest.raises(SchemaError, match="invalid JSON"):
+            serialize.read_json(bad)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert during == [False, False]
+
+
+@pytest.mark.parametrize("route", ["check_input", "check_metric", "levi_domain",
+                                   "project_input"])
+@pytest.mark.parametrize("defect", ["not_utf8", "nested_too_deeply"])
+def test_cli_rejects_unreadable_json_with_exit_1(tmp_path, route, defect):
+    # both used to end in a UnicodeDecodeError or RecursionError traceback
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{" if defect == "not_utf8" else b"[" * 100_000 + b"]" * 100_000)
+    field = tmp_path / "field.json"
+    field.write_text(dumps_canonical(field_to_json(_layout_field())))
+    argv = {"check_input": ("check", "--input", bad, "--form", "S", "--q", 1),
+            "check_metric": ("check", "--input", field, "--form", "S", "--q", 1,
+                             "--metric", bad),
+            "levi_domain": ("geometry", "levi", "--domain", bad),
+            "project_input": ("project", "--input", bad, "--center", -2, "--radius", 1.5)}
+    r = run_cli(*argv[route])
+    assert r.returncode == 1, r.stdout + r.stderr
+    assert str(bad) in r.stderr
+    assert ("not UTF-8" if defect == "not_utf8" else "recursion") in r.stderr
+    assert "Traceback" not in r.stderr
 
 
 # ----------------------------------------------------------------------- CLI
