@@ -10,82 +10,60 @@ penalty relative to a subbundle of common positive directions, and the
 level-curve midpoint for a pair of forms.  A geometry layer supplies Levi
 forms, complex Hessians, and the example domains and counterexample family
 the constructions are validated on.
+
+The names below are exported lazily (PEP 562): ``from qpos import X`` loads
+only the submodule that defines ``X``, so a command-line process pays for
+the layers its command runs and no others.
 """
 
-from .errors import (
-    AmbientMismatch,
-    BasisNotOrthonormal,
-    BoundNotFound,
-    CertificateFailed,
-    DenominatorNonpositive,
-    DimensionMismatch,
-    EigenvalueOnContour,
-    FrameInvalid,
-    HypothesisViolated,
-    LevelNotReached,
-    NearSingularResolvent,
-    NoCommonDirection,
-    NoSpectralGap,
-    NotFinite,
-    NotHermitian,
-    NotPositiveDefinite,
-    NotPositiveOnV,
-    NotProjector,
-    ProjectorRoutesDisagree,
-    QOutOfRange,
-    QposError,
-    SchemaError,
-    VanishingField,
-    ZeroRepresentative,
-    ZqViolated,
-)
-from .fields import FieldPoint, FormField, PositivityCertificate
-from .hermitian import (
-    Inertia,
-    SpectrumWrt,
-    Subspace,
-    complement_sum_identity,
-    inertia,
-    max_subspace_trace,
-    pencil_eigh,
-    pencil_eigvalsh,
-    projection_dim_sum,
-    q_min_sum,
-    restricted_trace,
-    spectrum_wrt,
-    trace_wrt,
-)
-from .metric_single import (
-    Stratification,
-    choose_f,
-    negative_projector,
-    stratify,
-    synthesize_single,
-    update_metric,
-)
-from .metric_subbundle import (
-    PenaltyConstants,
-    build_penalty_metric,
-    choose_C,
-    compute_constants,
-    synthesize_subbundle,
-)
-from .riesz import (
-    Disc,
-    ProjectorResult,
-    oracle_projector,
-    quadrature_convergence,
-    resolvent,
-    riesz_projector,
-)
-from .two_forms import (
-    PairState,
-    common_direction,
-    field_metric_top_degree,
-    find_common_direction,
-    pair_metric,
-    trace_level_curve,
-    xi_eval,
-)
+import importlib
 
+_EXPORTS = {name: module for module, names in {
+    "errors": ("AmbientMismatch", "BasisNotOrthonormal", "BoundNotFound", "CertificateFailed",
+               "DenominatorNonpositive", "DimensionMismatch", "EigenvalueOnContour",
+               "FrameInvalid", "HypothesisViolated", "LevelNotReached", "NearSingularResolvent",
+               "NoCommonDirection", "NoSpectralGap", "NotFinite", "NotHermitian",
+               "NotPositiveDefinite", "NotPositiveOnV", "NotProjector",
+               "ProjectorRoutesDisagree", "QOutOfRange", "QposError", "SchemaError",
+               "VanishingField", "ZeroRepresentative", "ZqViolated"),
+    "fields": ("FieldPoint", "FormField", "PositivityCertificate"),
+    "hermitian": ("Inertia", "SpectrumWrt", "Subspace", "complement_sum_identity", "inertia",
+                  "max_subspace_trace", "pencil_eigh", "pencil_eigvalsh", "projection_dim_sum",
+                  "q_min_sum", "restricted_trace", "spectrum_wrt", "trace_wrt"),
+    "metric_single": ("Stratification", "choose_f", "negative_projector", "stratify",
+                      "synthesize_single", "update_metric"),
+    "metric_subbundle": ("PenaltyConstants", "build_penalty_metric", "choose_C",
+                         "compute_constants", "synthesize_subbundle"),
+    "riesz": ("Disc", "ProjectorResult", "oracle_projector", "quadrature_convergence",
+              "resolvent", "riesz_projector"),
+    "two_forms": ("PairState", "common_direction", "field_metric_top_degree",
+                  "find_common_direction", "pair_metric", "trace_level_curve", "xi_eval"),
+}.items() for name in names}
+
+__all__ = sorted(_EXPORTS)
 __version__ = "0.1.0"
+
+
+def _lazy(namespace, exports):
+    """The PEP 562 ``__getattr__`` and ``__dir__`` of a package whose ``exports``
+    maps each name to the submodule defining it.  A name is imported on first
+    access and then bound in the package; each submodule named in ``exports``
+    is an attribute as well."""
+    package = namespace["__name__"]
+
+    def __getattr__(name):
+        if name in exports.values():
+            return importlib.import_module(f"{package}.{name}")
+        if name not in exports:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module(f"{package}.{exports[name]}"), name)
+        namespace[name] = value
+        return value
+
+    def __dir__():
+        return sorted({*namespace, *exports})
+
+    return __getattr__, __dir__
+
+
+__getattr__, __dir__ = _lazy(globals(), _EXPORTS)

@@ -6,33 +6,26 @@ JSON; reports are written canonically (sorted keys, 17-significant-digit
 floats) so a fixed seed yields byte-identical bytes run over run.  Exit
 codes: 0 when every certificate/check passes, 2 on a certificate or check
 failure, 1 on input errors.
+
+A process loads only the layers its command runs: each command imports them
+from their defining submodules when it runs, and this module imports at
+load time only what every command shares.  The console entry point `run`
+freezes the import-time heap (`gc.freeze`) before the command, and the heap
+the command left after it, so that the collections made at interpreter exit
+skip both.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 
 import numpy as np
 
-from . import metric_single, metric_subbundle, two_forms
 from .errors import CertificateFailed, QOutOfRange, QposError, SchemaError
 from .fields import certify
 from .hermitian import TAU_PD, first_invalid, sign_counts
-from .geometry import (
-    Domain,
-    counterexample_build,
-    counterexample_scan,
-    domain_from_spec,
-    levi_forms,
-    sample_boundary,
-    standard_test_fields,
-    unit_eigenvector_residuals,
-    weight_bump,
-    zq_check,
-    zq_metric_pipeline,
-)
-from .riesz import MIN_NODES, Disc, riesz_projector
 from .serialize import (
     RowTable,
     certificate_arrays,
@@ -55,12 +48,17 @@ def _config_echo(args, **extra):
 
 def _load_samples(args):
     """The domain of --domain and its boundary samples (--samples, --seed)."""
+    from .geometry.domains import Domain, domain_from_spec
+    from .geometry.levi import sample_boundary
+
     domain = domain_from_spec(read_json(args.domain), str(args.domain))
     if not isinstance(domain, Domain):
         raise SchemaError(f"{args.domain}.type",
                           f"{type(domain).__name__} is not a bounded domain")
     if args.samples < 1:
         raise SchemaError("--samples", f"needs at least one sample, got {args.samples}")
+    if args.seed < 0:
+        raise SchemaError("--seed", f"must be non-negative, got {args.seed}")
     return domain, sample_boundary(domain, args.samples, seed=args.seed)
 
 
@@ -123,6 +121,8 @@ def cmd_check(args):
 
 
 def cmd_project(args):
+    from .riesz import MIN_NODES, Disc, riesz_projector
+
     if not np.isfinite(args.center):
         raise SchemaError("--center", f"must be finite, got {args.center}")
     if not 0 < args.radius < np.inf:
@@ -159,20 +159,22 @@ def _write_outputs(args, ids, metrics, certs, **cert_extra):
 
 
 def cmd_synthesize_single(args):
+    from .metric_single import synthesize_single
+
     field = load_field(args.input)
     _form_names(field, "--form", [args.form])
-    metrics, cert = metric_single.synthesize_single(
-        field, args.form, args.q, theta=args.margin)
+    metrics, cert = synthesize_single(field, args.form, args.q, theta=args.margin)
     _write_outputs(args, field.ids, metrics, {args.form: cert})
     print(f"synthesize single: PASS (min margin {cert.min_margin():.3e})")
     return 0
 
 
 def cmd_synthesize_subbundle(args):
+    from .metric_subbundle import synthesize_subbundle
+
     field = load_field(args.input)
     names = _form_names(field, "--forms", args.forms.split(","))
-    metrics, certs, consts = metric_subbundle.synthesize_subbundle(
-        field, names, args.q, safety=args.safety)
+    metrics, certs, consts = synthesize_subbundle(field, names, args.q, safety=args.safety)
     _write_outputs(args, field.ids, metrics, certs)
     if args.report:
         write_report(args.report, {
@@ -187,12 +189,13 @@ def cmd_synthesize_subbundle(args):
 
 
 def cmd_synthesize_two_forms(args):
+    from .two_forms import field_metric_top_degree
+
     field = load_field(args.input)
     names = _form_names(field, "--forms", args.forms.split(","), 2)
     if args.angles < 1:
         raise SchemaError("--angles", f"needs at least one ray, got {args.angles}")
-    metrics, certs, gammas, cont = two_forms.field_metric_top_degree(
-        field, names, n_angles=args.angles)
+    metrics, certs, gammas, cont = field_metric_top_degree(field, names, n_angles=args.angles)
     _write_outputs(args, field.ids, metrics, certs,
                    gamma_points=RowTable({"id": object_column(field.ids), "gamma": gammas}),
                    continuity=cont)
@@ -202,6 +205,8 @@ def cmd_synthesize_two_forms(args):
 
 
 def cmd_geometry_levi(args):
+    from .geometry.levi import levi_forms
+
     domain, samples = _load_samples(args)
     lam = np.linalg.eigvalsh(levi_forms(domain, samples))
     if args.out:
@@ -215,6 +220,8 @@ def cmd_geometry_levi(args):
 
 
 def cmd_geometry_zq(args):
+    from .geometry.levi import zq_check
+
     domain, samples = _load_samples(args)
     rep = zq_check(domain, args.q, samples)
     if args.out:
@@ -230,6 +237,8 @@ def cmd_geometry_zq(args):
 
 
 def cmd_geometry_pipeline(args):
+    from .geometry.levi import zq_metric_pipeline
+
     domain, samples = _load_samples(args)
     rep, metrics, certs = zq_metric_pipeline(domain, args.q, samples)
     _write_outputs(args, list(range(len(samples))), metrics, certs,
@@ -239,6 +248,8 @@ def cmd_geometry_pipeline(args):
 
 
 def cmd_geometry_bump(args):
+    from .geometry.bump import weight_bump
+
     domain, samples = _load_samples(args)
     rep = weight_bump(domain, args.q, samples, seed=args.seed)
     if args.out:
@@ -264,6 +275,9 @@ def cmd_geometry_bump(args):
 
 
 def cmd_geometry_counterexample(args):
+    from .geometry.counterexample import (counterexample_build, counterexample_scan,
+                                          standard_test_fields, unit_eigenvector_residuals)
+
     if not 0 < args.radius < np.inf:
         raise SchemaError("--radius", f"must be positive and finite, got {args.radius}")
     if args.grid < 8:
@@ -388,5 +402,21 @@ def main(argv=None) -> int:
         return 2
 
 
+def run():
+    """Console entry point: run the command of ``sys.argv`` and exit with its code.
+
+    What is loaded before the command (the interpreter, numpy and the core
+    modules) is moved to the collector's permanent generation, so that the
+    command's collections do not traverse it; what the command left (the
+    layers it imported, its results) is moved there after it, so that the
+    collections at interpreter exit traverse neither.  ``main`` itself
+    changes no process-wide state, because tests call it in-process.
+    """
+    gc.freeze()
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -20,7 +20,6 @@ import numpy as np
 from ..errors import BoundNotFound, FrameInvalid, QOutOfRange, ZqViolated
 from ..fields import FormField
 from ..hermitian import reduce_form, row_norm, sign_counts
-from ..metric_single import synthesize_single
 from .domains import Domain
 
 MIN_GRADIENT = 1e-6
@@ -202,6 +201,10 @@ def zq_metric_pipeline(domain: Domain, q: int, samples: BoundarySamples,
     n - q - 1.  Returns ``(report, metrics, certificates)`` with ``metrics``
     of shape (n_samples, n-1, n-1) and one certificate per component.
     """
+    # imported here, so that a process computing Levi forms or Z(q) alone
+    # does not load the synthesis layer
+    from ..metric_single import synthesize_single
+
     report = zq_check(domain, q, samples)
     d = domain.n - 1
     metrics = np.empty((len(samples), d, d), dtype=complex)

@@ -4,6 +4,7 @@ import contextlib
 import copy
 import dataclasses
 import gc
+import importlib
 import io
 import json
 import subprocess
@@ -45,13 +46,124 @@ def run_cli(*argv, cwd=None):
                           capture_output=True, text=True, cwd=cwd)
 
 
+# Layers that a command imports only when it runs them.
+COMMAND_LAYERS = ("qpos.riesz", "qpos.metric_single", "qpos.metric_subbundle", "qpos.two_forms",
+                  "qpos.synthetic", "qpos.geometry.domains", "qpos.geometry.levi",
+                  "qpos.geometry.bump", "qpos.geometry.counterexample")
+
+
 def test_cli_import_loads_no_scipy():
-    # the runtime depends on numpy only; scipy is a test oracle
+    # the runtime depends on numpy only, and scipy is a test oracle; nor does
+    # loading the CLI load a layer that only some commands run
     code = ("import sys, qpos.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
+            f" or m in {COMMAND_LAYERS!r}))")
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "[]"
+
+
+# the names `qpos/__init__.py` and `qpos/geometry/__init__.py` imported eagerly
+# from each submodule before they were exported lazily
+PACKAGE_EXPORTS = {
+    "qpos": {
+        "errors": ["AmbientMismatch", "BasisNotOrthonormal", "BoundNotFound",
+                   "CertificateFailed", "DenominatorNonpositive", "DimensionMismatch",
+                   "EigenvalueOnContour", "FrameInvalid", "HypothesisViolated", "LevelNotReached",
+                   "NearSingularResolvent", "NoCommonDirection", "NoSpectralGap", "NotFinite",
+                   "NotHermitian", "NotPositiveDefinite", "NotPositiveOnV", "NotProjector",
+                   "ProjectorRoutesDisagree", "QOutOfRange", "QposError", "SchemaError",
+                   "VanishingField", "ZeroRepresentative", "ZqViolated"],
+        "fields": ["FieldPoint", "FormField", "PositivityCertificate"],
+        "hermitian": ["Inertia", "SpectrumWrt", "Subspace", "complement_sum_identity", "inertia",
+                      "max_subspace_trace", "pencil_eigh", "pencil_eigvalsh",
+                      "projection_dim_sum", "q_min_sum", "restricted_trace", "spectrum_wrt",
+                      "trace_wrt"],
+        "metric_single": ["Stratification", "choose_f", "negative_projector", "stratify",
+                          "synthesize_single", "update_metric"],
+        "metric_subbundle": ["PenaltyConstants", "build_penalty_metric", "choose_C",
+                             "compute_constants", "synthesize_subbundle"],
+        "riesz": ["Disc", "ProjectorResult", "oracle_projector", "quadrature_convergence",
+                  "resolvent", "riesz_projector"],
+        "two_forms": ["PairState", "common_direction", "field_metric_top_degree",
+                      "find_common_direction", "pair_metric", "trace_level_curve", "xi_eval"],
+    },
+    "qpos.geometry": {
+        "bump": ["WeightBumpReport", "chi", "chi_double_prime", "chi_prime", "weight_bump"],
+        "counterexample": ["CounterexampleField", "counterexample_build", "counterexample_scan",
+                           "form_entries", "sphere_eigenvalue_residuals",
+                           "standard_test_fields", "stereographic", "stereographic_inverse",
+                           "unit_eigenvector_residuals"],
+        "domains": ["BallDomain", "CustomDomain", "Domain", "MqnManifold", "ProductDomain",
+                    "QuadricDomain", "complex_hessian", "domain_from_spec",
+                    "fd_complex_gradient", "fd_complex_hessian"],
+        "levi": ["BoundarySamples", "ZqReport", "adjacency_components", "kernel_frame",
+                 "levi_forms", "newton_project", "sample_boundary", "zq_check",
+                 "zq_metric_pipeline"],
+    },
+}
+
+
+@pytest.mark.parametrize("package", sorted(PACKAGE_EXPORTS))
+def test_package_exports_resolve_to_their_defining_modules(package):
+    pkg = importlib.import_module(package)
+    table = PACKAGE_EXPORTS[package]
+    assert sorted(pkg.__all__) == sorted(n for names in table.values() for n in names)
+    listed = dir(pkg)
+    for module, names in table.items():
+        defining = importlib.import_module(f"{package}.{module}")
+        assert getattr(pkg, module) is defining
+        for name in names:
+            assert getattr(pkg, name) is getattr(defining, name), name
+            assert name in listed, name
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        pkg.no_such_name
+
+
+def test_package_exports_load_on_first_access():
+    code = ("import sys, qpos; assert 'qpos.two_forms' not in sys.modules; "
+            "qpos.two_forms.pair_metric; from qpos.geometry import QuadricDomain, zq_check; "
+            "print(sorted(m for m in sys.modules if m.startswith('qpos.')))")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    loaded = r.stdout.strip()
+    assert "'qpos.two_forms'" in loaded and "'qpos.geometry.levi'" in loaded, loaded
+    # each name loads its own submodule and what that imports, not the rest of
+    # the package: the Z(q) check runs no metric synthesis
+    for other in ("qpos.geometry.bump", "qpos.geometry.counterexample", "qpos.metric_single",
+                  "qpos.riesz"):
+        assert repr(other) not in loaded, loaded
+
+
+@pytest.mark.parametrize("command", ["single", "check"])
+def test_cli_process_writes_what_main_writes(tmp_path, command):
+    # `python -m qpos.cli` exits through `run`, which freezes the import-time
+    # heap; the process must write the same bytes and code as `main(argv)`
+    pts = [FieldPoint(id="good", forms={"S": np.eye(3, dtype=complex)}),
+           FieldPoint(id="viol", forms={"S": np.diag([-5.0, 1.0, 2.0]).astype(complex)})]
+    field = tmp_path / "field.json"
+    field.write_text(dumps_canonical(field_to_json(FormField(dim=3, points=pts))))
+    outputs = {}
+    for route in ("process", "main"):
+        d = tmp_path / route
+        d.mkdir()
+        if command == "single":
+            argv = ["synthesize", "single", "--input", field, "--q", 2,
+                    "--out", d / "metric.json", "--cert", d / "cert.json"]
+        else:
+            argv = ["check", "--input", field, "--form", "S", "--q", 2, "--out", d / "check.json"]
+        argv = [str(a) for a in argv]
+        if route == "process":
+            r = run_cli(*argv)
+            code, stdout = r.returncode, r.stdout
+        else:
+            with contextlib.redirect_stdout(io.StringIO()) as buf:
+                code = cli.main(argv)
+            stdout = buf.getvalue()
+        outputs[route] = code, stdout, {p.name: p.read_bytes() for p in sorted(d.iterdir())}
+    assert outputs["process"] == outputs["main"]
+    assert outputs["main"][0] == {"single": 0, "check": 2}[command]
+    assert len(outputs["main"][2]) == {"single": 2, "check": 1}[command]
 
 
 # ------------------------------------------------------------- serialization
@@ -485,6 +597,7 @@ BAD_INPUT_CASES = [
     "project_radius_nan", "project_radius_inf", "project_center_nan",
     "field_g0_not_positive_definite", "field_g0_not_hermitian", "field_subspace_rank_mismatch",
     "field_subspace_at_some_points", "field_neighbor_names_no_point",
+    "levi_seed_negative", "bump_seed_negative",
 ]
 FIELD_DEFECTS = {
     "field_point_not_object": (lambda doc: doc["points"].__setitem__(0, 5), ".points[0]"),
@@ -622,6 +735,10 @@ def test_cli_rejects_bad_input_with_exit_1(tmp_path, case):
         named = PROJECT_OPTIONS[case][0]
     elif case == "levi_zero_samples":
         argv, named = ("geometry", "levi", "--domain", quad, "--samples", 0), "--samples"
+    elif case == "levi_seed_negative":
+        argv, named = ("--seed", -1, "geometry", "levi", "--domain", quad), "--seed"
+    elif case == "bump_seed_negative":
+        argv, named = ("--seed", -1, "geometry", "bump", "--domain", quad, "--q", 2), "--seed"
     else:
         argv, named = ("geometry", "counterexample", "--radius", -1), "--radius"
     r = run_cli(*argv)
