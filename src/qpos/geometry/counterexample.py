@@ -11,15 +11,26 @@ must somewhere evaluate to 1 - 2 exp(-R^-2) R < 0 times its squared length.
 The scan below certifies that failure numerically on a grid.  The
 construction and its test fields use the standard homeomorphism between the
 projective line and the 2-sphere.
+
+Every product with the family is taken in closed form from the entries
+a = H00 and b = H11 (real) and c = H01, stacked as columns over the points:
+for v = (v0, v1),
+
+    |v|^2   = Re(v0)^2 + Im(v0)^2 + Re(v1)^2 + Im(v1)^2,
+    H(v, v) = a |v0|^2 + b |v1|^2 + 2 Re(conj(v0) c v1),
+    H v     = (a v0 + c v1, conj(c) v0 + b v1).
+
+One kernel, ``_form_kernel``, computes them for the scan and for both
+eigenvector residuals, with no 2x2 matrix product.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from ..errors import VanishingField, ZeroRepresentative
+from ..errors import DimensionMismatch, NotFinite, VanishingField, ZeroRepresentative
 
 
 def form_entries(x: np.ndarray) -> np.ndarray:
@@ -38,13 +49,51 @@ def form_entries(x: np.ndarray) -> np.ndarray:
     return H
 
 
+def _entry_columns(forms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(a, b, c) = (H00, H11, H01) of a (K, 2, 2) stack, as contiguous read-only columns."""
+    columns = tuple(np.array(col, order="C") for col in
+                    (forms[:, 0, 0].real, forms[:, 1, 1].real, forms[:, 0, 1]))
+    for col in columns:
+        col.flags.writeable = False
+    return columns
+
+
+def _form_kernel(a, b, c, v0, v1, lam=None):
+    """The family's 2x2 kernel on rows v = (v0, v1) of H = [[a, c], [conj(c), b]].
+
+    Returns (|v|^2, H(v, v)), or given an eigenvalue ``lam``
+    (|v|^2, H v - lam v) with H v - lam v as its two columns.
+    """
+    n0 = v0.real ** 2 + v0.imag ** 2
+    n1 = v1.real ** 2 + v1.imag ** 2
+    if lam is None:
+        return n0 + n1, a * n0 + b * n1 + 2.0 * (v0.conj() * c * v1).real
+    return n0 + n1, (a * v0 + c * v1 - lam * v0, c.conj() * v0 + b * v1 - lam * v1)
+
+
+def _residuals(n2, w, keep):
+    """|w| / |v| on the kept rows, for w = H v - lam v given as two columns."""
+    w0, w1 = w[0][keep], w[1][keep]
+    # each component's |w_i|^2 first, the order np.linalg.norm sums in
+    w2 = (w0.real ** 2 + w0.imag ** 2) + (w1.real ** 2 + w1.imag ** 2)
+    return np.sqrt(w2) / np.sqrt(n2[keep])
+
+
 @dataclass
 class CounterexampleField:
-    """Grid sample of the form family over the closed ball of radius R."""
+    """Grid sample of the form family over the closed ball of radius R.
+
+    The entries of ``forms`` are copied once, at construction, into the
+    kernel's columns.
+    """
 
     radius: float
     points: np.ndarray   # (K, 3)
     forms: np.ndarray    # (K, 2, 2)
+    _columns: tuple = dataclass_field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._columns = _entry_columns(self.forms)
 
     def __len__(self):
         return len(self.points)
@@ -52,8 +101,8 @@ class CounterexampleField:
 
 def counterexample_build(R: float = 2.0, grid_n: int = 64) -> CounterexampleField:
     """Uniform grid over [-R, R]^3 restricted to |x| <= R, with exact entries."""
-    if R <= 0:
-        raise ValueError("R must be positive")
+    if not 0 < R < np.inf:
+        raise ValueError(f"R must be positive and finite, got {R!r}")
     if grid_n < 8:
         raise ValueError("grid_n must be at least 8")
     axis = np.linspace(-R, R, grid_n)
@@ -70,11 +119,8 @@ def unit_eigenvector_residuals(field: CounterexampleField) -> np.ndarray:
     """
     x = field.points
     r = np.linalg.norm(x, axis=1)
-    v = np.stack([r + x[:, 2], -x[:, 0] + 1j * x[:, 1]], axis=-1)
-    norms = np.linalg.norm(v, axis=1)
-    keep = norms > 1e-8 * np.maximum(1.0, r)
-    Hv = np.einsum("kij,kj->ki", field.forms[keep], v[keep])
-    return np.linalg.norm(Hv - v[keep], axis=1) / norms[keep]
+    n2, w = _form_kernel(*field._columns, r + x[:, 2], -x[:, 0] + 1j * x[:, 1], lam=1.0)
+    return _residuals(n2, w, np.sqrt(n2) > 1e-8 * np.maximum(1.0, r))
 
 
 def sphere_eigenvalue_residuals(R: float, count: int = 2000, seed: int = 0) -> np.ndarray:
@@ -83,34 +129,41 @@ def sphere_eigenvalue_residuals(R: float, count: int = 2000, seed: int = 0) -> n
     x = rng.standard_normal((count, 3))
     x *= R / np.linalg.norm(x, axis=1, keepdims=True)
     lam = 1.0 - 2.0 * np.exp(-1.0 / (R * R)) * R
-    v = np.stack([x[:, 0] + 1j * x[:, 1], R + x[:, 2]], axis=-1)
-    norms = np.linalg.norm(v, axis=1)
-    keep = norms > 1e-8 * R
-    H = form_entries(x[keep])
-    Hv = np.einsum("kij,kj->ki", H, v[keep])
-    return np.linalg.norm(Hv - lam * v[keep], axis=1) / norms[keep]
+    n2, w = _form_kernel(*_entry_columns(form_entries(x)), x[:, 0] + 1j * x[:, 1], R + x[:, 2],
+                         lam=lam)
+    return _residuals(n2, w, np.sqrt(n2) > 1e-8 * R)
 
 
 def counterexample_scan(field: CounterexampleField, v) -> tuple[np.ndarray, float]:
     """Worst normalized value of H_x(v(x), v(x)) over the grid.
 
     ``v`` maps a stack of points (K, 3) to vectors (K, 2) (a per-point
-    callable is also accepted).  The field must be nonvanishing on the grid:
-    min |v| >= 1e-8, else VanishingField.  Returns (worst point, min of
-    H_x(v,v) / |v|^2); the family is built so this minimum is negative for
-    every continuous nonvanishing field once R >= 2.
+    callable is also accepted: it is called point by point when the stacked
+    call raises TypeError, ValueError or IndexError, or returns another
+    shape).  The field must be finite on the grid, else NotFinite, and
+    nonvanishing: min |v| >= 1e-8, else VanishingField.  Returns (worst
+    point, min of H_x(v,v) / |v|^2); the family is built so this minimum is
+    negative for every continuous nonvanishing field once R >= 2.
     """
     try:
         V = np.asarray(v(field.points), dtype=complex)
         if V.shape != (len(field), 2):
             raise TypeError
-    except TypeError:
+    except (TypeError, ValueError, IndexError):
         V = np.stack([np.asarray(v(x), dtype=complex) for x in field.points])
-    norms2 = np.sum(np.abs(V) ** 2, axis=1)
+        if V.shape != (len(field), 2):
+            raise DimensionMismatch(f"field values have shape {V.shape[1:]}, expected (2,)")
+    with np.errstate(invalid="ignore", over="ignore"):  # non-finite rows raise below
+        norms2, vals = _form_kernel(*field._columns, V[:, 0], V[:, 1])
+    finite = np.isfinite(norms2)
+    if not finite.all():
+        i_bad = int(np.argmin(finite))
+        raise NotFinite(f"vector field is not finite at {field.points[i_bad]} "
+                        f"(|v|^2 = {norms2[i_bad]})")
     i_bad = int(np.argmin(norms2))
     if norms2[i_bad] < 1e-16:
         raise VanishingField(field.points[i_bad], float(np.sqrt(norms2[i_bad])))
-    vals = np.real(np.einsum("ki,kij,kj->k", V.conj(), field.forms, V)) / norms2
+    vals /= norms2
     i = int(np.argmin(vals))
     return field.points[i], float(vals[i])
 

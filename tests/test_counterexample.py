@@ -1,10 +1,14 @@
 """The discontinuous-subbundle counterexample family and its scan."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from qpos import VanishingField, ZeroRepresentative
+from qpos import DimensionMismatch, NotFinite, VanishingField, ZeroRepresentative
 from qpos.geometry import (
     counterexample_build,
     counterexample_scan,
@@ -15,6 +19,7 @@ from qpos.geometry import (
     stereographic_inverse,
     unit_eigenvector_residuals,
 )
+from qpos.geometry.counterexample import _form_kernel
 
 R = 2.0
 FLOOR = 1.0 - 4.0 * np.exp(-0.25)  # sphere eigenvalue at R = 2, about -2.1152
@@ -89,6 +94,134 @@ def test_scan_accepts_per_point_callable():
     field = counterexample_build(R=R, grid_n=12)
     point, value = counterexample_scan(field, lambda x: np.array([1.0, 0.0]))
     assert value < 0
+
+
+def test_scan_falls_back_to_per_point_when_stacked_call_raises_value_error():
+    # on a stack, stereographic_inverse's `abs(1.0 + x[2]) < 1e-15` is an
+    # array whose truth value is ambiguous
+    field = counterexample_build(R=R, grid_n=12)
+
+    def v(x):
+        return np.array(stereographic_inverse(x))
+
+    point, value = counterexample_scan(field, v)
+    stacked = counterexample_scan(field, lambda X: np.stack([v(x) for x in X]))
+    assert np.array_equal(point, stacked[0]) and value == stacked[1]
+    assert value < 0
+
+
+@pytest.mark.parametrize("error", [ValueError, IndexError])
+def test_scan_falls_back_to_per_point_on_error(error):
+    field = counterexample_build(R=R, grid_n=12)
+
+    def v(x):
+        if np.ndim(x) != 1:
+            raise error("one point at a time")
+        return np.array([1.0, 0.0])
+
+    assert counterexample_scan(field, v)[1] < 0
+
+    def fails_per_point(x):
+        raise error("fails everywhere")
+
+    with pytest.raises(error, match="fails everywhere"):
+        counterexample_scan(field, fails_per_point)
+
+
+def test_scan_rejects_per_point_values_of_wrong_length():
+    field = counterexample_build(R=R, grid_n=8)
+    with pytest.raises(DimensionMismatch):
+        counterexample_scan(field, lambda x: np.array([1.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_scan_rejects_non_finite_field_naming_first_point(bad):
+    field = counterexample_build(R=R, grid_n=12)
+    first = 100
+
+    def v(X):
+        V = np.tile([1.0 + 0j, 0.0], (len(X), 1))
+        V[first, 1] = bad
+        V[first + 7, 0] = np.nan
+        return V
+
+    with pytest.raises(NotFinite, match=re.escape(str(field.points[first]))):
+        counterexample_scan(field, v)
+
+
+@pytest.mark.parametrize("radius", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+def test_build_rejects_radius_outside_zero_to_infinity(radius):
+    with pytest.raises(ValueError, match="R must be positive and finite"):
+        counterexample_build(R=radius, grid_n=8)
+
+
+# ------------------------------------------------------- the closed-form kernel
+
+EPS = np.finfo(float).eps
+
+
+def _reference_scan(field, v):
+    """The 2x2 matrix-product scan the kernel replaces."""
+    V = np.asarray(v(field.points), dtype=complex)
+    vals = np.real(np.einsum("ki,kij,kj->k", V.conj(), field.forms, V))
+    vals /= np.sum(np.abs(V) ** 2, axis=1)
+    i = int(np.argmin(vals))
+    return field.points[i], float(vals[i])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.floats(-3.0, 8.0), st.floats(-3.0, 8.0))
+def test_kernel_matches_matrix_products(seed, k, log_h, log_v):
+    rng = np.random.default_rng(seed)
+    A = 10.0 ** log_h * (rng.uniform(-1, 1, (k, 2, 2)) + 1j * rng.uniform(-1, 1, (k, 2, 2)))
+    H = 0.5 * (A + np.conj(np.swapaxes(A, 1, 2)))
+    H[0] = np.eye(2)
+    V = 10.0 ** log_v * (rng.uniform(-1, 1, (k, 2)) + 1j * rng.uniform(-1, 1, (k, 2)))
+    V[rng.random(k) < 0.2] = 0.0
+    a, b, c = H[:, 0, 0].real, H[:, 1, 1].real, H[:, 0, 1]
+
+    n2, form = _form_kernel(a, b, c, V[:, 0], V[:, 1])
+    _, (w0, w1) = _form_kernel(a, b, c, V[:, 0], V[:, 1], lam=0.0)
+
+    ref_n2 = np.sum(np.abs(V) ** 2, axis=1)
+    ref_form = np.real(np.einsum("ki,kij,kj->k", V.conj(), H, V))
+    ref_Hv = np.einsum("kij,kj->ki", H, V)
+    # rounding bounds: 8 eps ||H|| |v|^2 for the form, 8 eps ||H|| |v| for the vector H v
+    scale = 8.0 * EPS * np.linalg.norm(H, ord=2, axis=(1, 2))
+    assert np.all(np.abs(n2 - ref_n2) <= 4.0 * EPS * ref_n2)
+    assert np.all(np.abs(form - ref_form) <= scale * ref_n2)
+    err = np.linalg.norm(np.stack([w0, w1], axis=1) - ref_Hv, axis=1)
+    assert np.all(err <= scale * np.sqrt(ref_n2))
+
+
+def test_scan_worst_points_match_matrix_product_scan():
+    field = counterexample_build(R=R, grid_n=24)
+    for name, v in standard_test_fields(R):
+        point, value = counterexample_scan(field, v)
+        ref_point, ref_value = _reference_scan(field, v)
+        assert np.array_equal(point, ref_point), name
+        assert value == pytest.approx(ref_value, rel=8 * EPS), name
+
+
+def test_field_entries_are_read_only_contiguous_columns():
+    field = counterexample_build(R=R, grid_n=8)
+    a, b, c = field._columns
+    assert_allclose(a, field.forms[:, 0, 0].real)
+    assert_allclose(b, field.forms[:, 1, 1].real)
+    assert_allclose(c, field.forms[:, 0, 1])
+    for col in (a, b, c):
+        assert col.flags.c_contiguous and not col.flags.writeable
+
+
+def test_family_functions_make_no_matrix_product_call(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("np.einsum called")
+
+    monkeypatch.setattr(np, "einsum", forbidden)
+    field = counterexample_build(R=R, grid_n=12)
+    counterexample_scan(field, standard_test_fields(R)[6][1])
+    unit_eigenvector_residuals(field)
+    sphere_eigenvalue_residuals(R, count=50)
 
 
 # ------------------------------------------------------------- stereographic
