@@ -27,17 +27,18 @@ _EXPORTS = {name: module for module, names in {
                "ProjectorRoutesDisagree", "QOutOfRange", "QposError", "SchemaError",
                "VanishingField", "ZeroRepresentative", "ZqViolated"),
     "fields": ("FieldPoint", "FormField", "PositivityCertificate"),
-    "hermitian": ("Inertia", "SpectrumWrt", "Subspace", "complement_sum_identity", "inertia",
-                  "max_subspace_trace", "pencil_eigh", "pencil_eigvalsh", "projection_dim_sum",
-                  "q_min_sum", "restricted_trace", "spectrum_wrt", "trace_wrt"),
+    "hermitian": ("pencil_eigh", "pencil_eigvalsh"),
     "metric_single": ("Stratification", "choose_f", "negative_projector", "stratify",
                       "synthesize_single", "update_metric"),
     "metric_subbundle": ("PenaltyConstants", "build_penalty_metric", "choose_C",
                          "compute_constants", "synthesize_subbundle"),
+    "pair": ("PairState", "find_common_direction", "pair_metric", "trace_level_curve", "xi_eval"),
+    "qpositivity": ("Inertia", "SpectrumWrt", "Subspace", "complement_sum_identity", "inertia",
+                    "max_subspace_trace", "projection_dim_sum", "q_min_sum", "restricted_trace",
+                    "spectrum_wrt", "trace_wrt"),
     "riesz": ("Disc", "ProjectorResult", "oracle_projector", "quadrature_convergence",
               "resolvent", "riesz_projector"),
-    "two_forms": ("PairState", "common_direction", "field_metric_top_degree",
-                  "find_common_direction", "pair_metric", "trace_level_curve", "xi_eval"),
+    "two_forms": ("common_direction", "field_metric_top_degree"),
 }.items() for name in names}
 
 __all__ = sorted(_EXPORTS)

@@ -10,15 +10,18 @@ failure, 1 on input errors.
 A process loads only the layers its command runs: each command imports them
 from their defining submodules when it runs, and this module imports at
 load time only what every command shares.  The console entry point `run`
-freezes the import-time heap (`gc.freeze`) before the command, and the heap
-the command left after it, so that the collections made at interpreter exit
-skip both.
+freezes the import-time heap (`gc.freeze`) before the command, and after it
+flushes the standard streams and ends the process with `os._exit`, skipping
+the interpreter's teardown (module cleanup and its collections), which
+frees nothing a finished command needs.  Under a profiler, tracer or
+coverage tool it exits through `sys.exit`, so that their exit hooks run.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import os
 import sys
 
 import numpy as np
@@ -51,7 +54,7 @@ def _load_samples(args):
     from .geometry.domains import Domain, domain_from_spec
     from .geometry.levi import sample_boundary
 
-    domain = domain_from_spec(read_json(args.domain), str(args.domain))
+    domain = read_json(args.domain, lambda doc: domain_from_spec(doc, str(args.domain)))
     if not isinstance(domain, Domain):
         raise SchemaError(f"{args.domain}.type",
                           f"{type(domain).__name__} is not a bounded domain")
@@ -76,7 +79,8 @@ def _form_names(field, option, names, count=None):
 
 def _load_metrics(path, field):
     """The metric stack of a metrics file, in the order of the field's points."""
-    rows, G = metrics_from_json(read_json(path), field.dim, str(path))
+    # metrics_from_json is looked up at call time, so that a layer trace can wrap it
+    rows, G = read_json(path, lambda doc: metrics_from_json(doc, field.dim, str(path)))
     ids = field.ids
     missing = [i for i in ids if i not in rows]
     if missing:
@@ -407,15 +411,30 @@ def run():
 
     What is loaded before the command (the interpreter, numpy and the core
     modules) is moved to the collector's permanent generation, so that the
-    command's collections do not traverse it; what the command left (the
-    layers it imported, its results) is moved there after it, so that the
-    collections at interpreter exit traverse neither.  ``main`` itself
-    changes no process-wide state, because tests call it in-process.
+    command's collections do not traverse it.  After the command the
+    standard streams are flushed and the process ends at once (``os._exit``):
+    the reports are closed files by then, and the interpreter's teardown
+    would spend milliseconds freeing the heap.  When a profiler, tracer or
+    coverage tool is installed (``python -m cProfile``, ``coverage run``),
+    the process exits through ``sys.exit`` instead, so that its exit hooks
+    run.  ``main`` itself changes no process-wide state, because tests call
+    it in-process.
     """
     gc.freeze()
     code = main()
-    gc.freeze()
-    sys.exit(code)
+    if _observed():
+        sys.exit(code)
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
+def _observed() -> bool:
+    """Whether a profiler, tracer or coverage tool is installed in this process."""
+    if sys.getprofile() is not None or sys.gettrace() is not None:
+        return True
+    monitoring = getattr(sys, "monitoring", None)  # Python 3.12+: cProfile, coverage
+    return monitoring is not None and any(monitoring.get_tool(i) is not None for i in range(6))
 
 
 if __name__ == "__main__":

@@ -32,6 +32,8 @@ import numpy as np
 
 from ..errors import DimensionMismatch, NotFinite, VanishingField, ZeroRepresentative
 
+TIE_ULPS = 4  # scan values this close to the minimum tie; the first in grid order is worst
+
 
 def form_entries(x: np.ndarray) -> np.ndarray:
     """H_x for a stack of points x of shape (..., 3); exact at x = 0."""
@@ -143,7 +145,11 @@ def counterexample_scan(field: CounterexampleField, v) -> tuple[np.ndarray, floa
     shape).  The field must be finite on the grid, else NotFinite, and
     nonvanishing: min |v| >= 1e-8, else VanishingField.  Returns (worst
     point, min of H_x(v,v) / |v|^2); the family is built so this minimum is
-    negative for every continuous nonvanishing field once R >= 2.
+    negative for every continuous nonvanishing field once R >= 2.  The worst
+    point is the first point in grid order whose value is within TIE_ULPS
+    units in the last place of the minimum, so that of points the family
+    makes equal (mirror images) the same one is reported whichever rounds
+    lower.
     """
     try:
         V = np.asarray(v(field.points), dtype=complex)
@@ -164,8 +170,9 @@ def counterexample_scan(field: CounterexampleField, v) -> tuple[np.ndarray, floa
     if norms2[i_bad] < 1e-16:
         raise VanishingField(field.points[i_bad], float(np.sqrt(norms2[i_bad])))
     vals /= norms2
-    i = int(np.argmin(vals))
-    return field.points[i], float(vals[i])
+    low = vals.min()
+    i = int(np.argmax(vals <= low + TIE_ULPS * np.spacing(abs(low))))
+    return field.points[i], float(low)
 
 
 def stereographic(z1: complex, z2: complex) -> np.ndarray:

@@ -18,7 +18,8 @@ A field is read as one (N, d, d) stack per form name, one for g0 and one
 for subspaces, and a metrics file as one stack; each stack is converted and
 checked at once, and only when a check fails are its entries visited one by
 one, to name the JSON path of the first bad one.  The cyclic garbage
-collector is paused while ``json.load`` builds a document.
+collector is paused while ``json.load`` builds a document and until the
+document has been converted and dropped (``read_json``).
 """
 
 from __future__ import annotations
@@ -406,7 +407,9 @@ def field_from_json(obj, path="field") -> FormField:
 
     def stack(part, at, objs):
         A = matrices_from_json(objs, [f"{path}.points[{i}].{part}" for i in at], dim)
-        return A, np.isin(np.arange(n_points), at)
+        given = np.zeros(n_points, dtype=bool)
+        given[at] = True
+        return A, given
 
     try:
         k = fiber_rank(ranks, ids)
@@ -427,33 +430,41 @@ def field_from_json(obj, path="field") -> FormField:
         raise SchemaError(where, str(e)) from e
 
 
-def read_json(path):
-    """Parse a JSON file as UTF-8; text that is not JSON or not UTF-8, or nests
-    too deeply to parse, raises SchemaError naming the file.
+def read_json(path, convert):
+    """``convert`` of the JSON file at ``path``, parsed as UTF-8.  Text that is
+    not JSON or not UTF-8, or nests too deeply to parse, raises SchemaError
+    naming the file; an error that ``convert`` raises propagates unchanged.
 
-    The cyclic garbage collector is paused while the document is built (and
-    its previous state restored): the decoder makes only acyclic containers,
-    so a collection could free nothing, yet each one walks the growing tree.
+    The cyclic garbage collector is paused (and its previous state restored)
+    from the start of the parse until ``convert`` has returned and the
+    document is dropped: the decoder makes only acyclic containers, so a
+    collection could free nothing, yet the first one after the pause would
+    walk every container of a document still alive.
     """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return convert(_parsed(path))  # no name holds the document past the call
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _parsed(path):
     with open(path, encoding="utf-8") as fh:
-        enabled = gc.isenabled()
-        gc.disable()
         try:
             return json.load(fh)
         except (ValueError, RecursionError) as e:  # JSONDecodeError, UnicodeDecodeError
             what = "not UTF-8 text" if isinstance(e, UnicodeDecodeError) else "invalid JSON"
             raise SchemaError(str(path), f"{what}: {e}") from e
-        finally:
-            if enabled:
-                gc.enable()
 
 
 def load_field(path) -> FormField:
-    return field_from_json(read_json(path), path=str(path))
+    return read_json(path, lambda doc: field_from_json(doc, path=str(path)))
 
 
 def load_matrix(path) -> np.ndarray:
-    return matrix_from_json(read_json(path), path=str(path))
+    return read_json(path, lambda doc: matrix_from_json(doc, path=str(path)))
 
 
 def object_column(values) -> np.ndarray:

@@ -21,25 +21,20 @@ curves are traced by ray shooting: along a ray the Gram matrix is I - t M,
 so one eigendecomposition of M gives xi and both traces in closed form and
 Newton's method finds the crossing.  The rays of all points of a field form
 one stack, RAY_CHUNK entries per eigensolve, and the arcs are decided point by
-point with array operations; a single pair is the one-point case.
+point with array operations.  The single-pair API (``PairState``, ``xi_eval``,
+``pair_metric`` ...) runs these kernels on a one-point stack; it is
+``qpos.pair``, which no command imports.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CertificateFailed,
-    DimensionMismatch,
-    LevelNotReached,
-    NoCommonDirection,
-    QposError,
-)
+from .errors import CertificateFailed, LevelNotReached, NoCommonDirection, QposError
 from .fields import FormField, certify, require_passed
-from .hermitian import as_form, as_metric, congruence, reduce_form, row_norm
+from .hermitian import congruence, reduce_form, row_norm
 
 DEFAULT_ANGLES = 512
 TAU_LEVEL = 1e-10
@@ -49,71 +44,6 @@ NEAR_PROP_WARN = 1e-6
 DIRECTION_FLOOR_SCALE = 1e-12
 GOLDEN_STEPS = 72  # 0.618**72 < 1e-15: the bracket in t reaches float resolution
 RAY_CHUNK = 16384 * 9  # matrix entries per eigensolve (16,384 rays at d = 3): 2.4 MB stacks
-
-
-@dataclass(frozen=True)
-class XiEvaluation:
-    x: np.ndarray
-    in_O: bool
-    xi: float | None
-    grad: np.ndarray | None
-    hessian: np.ndarray | None
-
-
-@dataclass(frozen=True)
-class LevelCurveSample:
-    theta: float
-    t: float
-    x: np.ndarray
-    xi: float
-    grad: np.ndarray
-    in_gamma_tilde: bool
-
-
-@dataclass(frozen=True)
-class PairMetricResult:
-    gamma_point: np.ndarray
-    metric: np.ndarray
-    traces: tuple[float, float]
-    proportional: bool
-    mu: float | None
-
-
-class PairState:
-    """A pair of Hermitian forms with a base metric (default identity).
-
-    Internally the forms are expressed in a base-orthonormal frame, so the
-    Gram matrix of the deformed product is I - x1 Q1 - x2 Q2.  Metrics are
-    reported back in the original coordinates.
-    """
-
-    def __init__(self, Q1, Q2, base=None, witness=None):
-        self.Q1 = as_form(Q1)
-        self.Q2 = as_form(Q2)
-        if self.Q1.shape != self.Q2.shape:
-            raise DimensionMismatch("Q1 and Q2 must have the same dimension")
-        d = self.Q1.shape[0]
-        self.dim = d
-        self.base = np.eye(d, dtype=complex) if base is None else as_metric(base)
-        self._W, _ = congruence(self.base)
-        self._Q1t = reduce_form(self.Q1, self._W)
-        self._Q2t = reduce_form(self.Q2, self._W)
-        self.witness = None
-        if witness is not None:
-            v = np.asarray(witness, dtype=complex)
-            if _worst(self.Q1[None], self.Q2[None], v[None])[0] <= 0:
-                raise QposError("the witness is not positive for both forms")
-            self.witness = v / np.sqrt(float(np.real(v.conj() @ self.base @ v)))
-
-    def gram(self, X) -> np.ndarray:
-        """Deformed Gram matrices I - x1 Q1 - x2 Q2 at the rows of X (base-orthonormal)."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return _gram(self._Q1t, self._Q2t, X)
-
-    def metric_at(self, x) -> np.ndarray:
-        """The deformed metric at x in the original coordinates."""
-        x = np.asarray(x, dtype=float)
-        return _deformed_metrics(self.base, self.Q1, self.Q2, x[None])[0]
 
 
 def _gram(Q1t, Q2t, X):
@@ -141,25 +71,6 @@ def _gram_spectra(Q1t, Q2t, X):
     traces = np.full((len(X), 2), np.nan)
     traces[inside] = _traces(Q1t[inside], Q2t[inside], U[inside], w[inside])
     return w, U, traces
-
-
-def xi_eval(pair: PairState, x) -> XiEvaluation:
-    """xi, gradient, and Hessian of the log-determinant deformation at x.
-
-    The gradient components are the traces of Q1, Q2 relative to the
-    deformed metric; the Hessian entry (r, s) is the inner product of Q_r
-    and Q_s in any x-orthonormal frame, hence positive semidefinite.
-    """
-    x = np.asarray(x, dtype=float)
-    w, U, traces = _gram_spectra(pair._Q1t[None], pair._Q2t[None], x[None])
-    w, U = w[0], U[0]
-    if w[0] <= 0:
-        return XiEvaluation(x=x, in_O=False, xi=None, grad=None, hessian=None)
-    s = 1.0 / np.sqrt(w)  # the frame U diag(s) is x-orthonormal
-    R = [s[:, None] * (np.conj(U.T) @ Q @ U) * s[None, :] for Q in (pair._Q1t, pair._Q2t)]
-    return XiEvaluation(x=x, in_O=True, xi=float(-np.sum(np.log(w))), grad=traces[0],
-                        hessian=np.array([[float(np.vdot(Rs, Rr).real) for Rs in R]
-                                          for Rr in R]))
 
 
 def _worst(A, B, V):
@@ -267,18 +178,6 @@ def common_witnesses(Q1, Q2, ids):
         i = missing[0]
         raise NoCommonDirection(ids[i], float(t[i]), float(value[i]))
     return V
-
-
-def find_common_direction(Q1, Q2, base=None):
-    """Single-pair ``common_direction``: a base-unit witness, or None (proved up to the floor)."""
-    pair = PairState(Q1, Q2, base=base)
-    _, _, V = common_direction(pair._Q1t[None], pair._Q2t[None])
-    return None if np.isnan(V[0, 0]) else pair._W @ V[0]
-
-
-def _ensure_witness(pair: PairState) -> None:
-    if pair.witness is None:
-        pair.witness = pair._W @ common_witnesses(pair._Q1t[None], pair._Q2t[None], [None])[0]
 
 
 def _ray_level_hits(Q1t, Q2t, dirs, level):
@@ -442,14 +341,17 @@ def _midpoints(Q1t, Q2t, ids, n_angles, level=1.0, tau_prop=TAU_PROP):
     dirs[prop, 0], dirs[prop, 1] = 0.5 / mu[prop], 0.5
     raw = _arc_midpoints(X[arcs], member[arcs])
     dirs[swept[arcs]] = raw / row_norm(raw)[:, None]
-    live = np.setdiff1d(np.arange(n), list(errors))
+    failing = np.zeros(n, dtype=bool)  # a mask, not np.setdiff1d, which loads numpy.ma
+    failing[list(errors)] = True
+    live = np.flatnonzero(~failing)
     t, _, _ = _ray_level_hits(Q1t[live], Q2t[live], dirs[live, None], level)
     gamma = np.full((n, 2), np.nan)
     gamma[live] = t * dirs[live]
     for i in live[np.isnan(t[:, 0])]:
         errors[i] = LevelNotReached(float(np.arctan2(dirs[i, 1], dirs[i, 0])), float("inf"),
                                     ids[i])
-    live = np.setdiff1d(live, list(errors))
+    failing[list(errors)] = True
+    live = np.flatnonzero(~failing)
     traces = np.full((n, 2), np.nan)
     w, _, traces[live] = _gram_spectra(Q1t[live], Q2t[live], gamma[live])
     for i in live[(w[:, 0] <= 0) | np.any(traces[live] <= 0, axis=1)]:
@@ -459,47 +361,6 @@ def _midpoints(Q1t, Q2t, ids, n_angles, level=1.0, tau_prop=TAU_PROP):
     if errors:
         raise errors[min(errors)]
     return gamma, traces, np.where(prop, mu, np.nan), prop
-
-
-def trace_level_curve(pair: PairState, n_angles: int = DEFAULT_ANGLES,
-                      level: float = 1.0, tau_level: float = TAU_LEVEL,
-                      grad_floor: float = GRAD_FLOOR) -> list[LevelCurveSample]:
-    """Sample the level curve xi = level along rays in the open first quadrant.
-
-    Requires a verified common positive direction (which bounds the positive
-    quadrant of O).  Marks the samples where both gradient components are
-    strictly positive; those form a single contiguous arc in theta.
-    """
-    _ensure_witness(pair)
-    thetas, t, X, xi, traces, member, errors = _level_sweep(
-        pair._Q1t[None], pair._Q2t[None], [None], n_angles, level, tau_level, grad_floor)
-    if errors:
-        raise errors[0]
-    return [
-        LevelCurveSample(theta=float(thetas[i]), t=float(t[0, i]), x=X[0, i].copy(),
-                         xi=float(xi[0, i]), grad=traces[0, i].copy(),
-                         in_gamma_tilde=bool(member[0, i]))
-        for i in range(n_angles)
-    ]
-
-
-def pair_metric(pair: PairState, n_angles: int = DEFAULT_ANGLES,
-                level: float = 1.0, tau_prop: float = TAU_PROP) -> PairMetricResult:
-    """The midpoint metric for a pair sharing a positive direction.
-
-    Proportional pairs (Q1 = mu Q2 within ``tau_prop`` relative) take the
-    closed-form point (c / 2 mu, c / 2) with xi = level on the segment
-    mu x1 + x2 = c; otherwise the arclength midpoint of the traced
-    positive-gradient arc, re-projected radially onto the level curve.  The
-    output traces of both forms are re-verified to be positive.
-    """
-    _ensure_witness(pair)
-    gamma, traces, mu, prop = _midpoints(pair._Q1t[None], pair._Q2t[None], [None],
-                                         n_angles, level, tau_prop)
-    return PairMetricResult(gamma_point=gamma[0], metric=pair.metric_at(gamma[0]),
-                            traces=(float(traces[0, 0]), float(traces[0, 1])),
-                            proportional=bool(prop[0]),
-                            mu=float(mu[0]) if prop[0] else None)
 
 
 def field_metric_top_degree(field: FormField, names, n_angles: int = DEFAULT_ANGLES):

@@ -7,6 +7,7 @@ import gc
 import importlib
 import io
 import json
+import re
 import subprocess
 import sys
 import tempfile
@@ -50,6 +51,8 @@ def run_cli(*argv, cwd=None):
 COMMAND_LAYERS = ("qpos.riesz", "qpos.metric_single", "qpos.metric_subbundle", "qpos.two_forms",
                   "qpos.synthetic", "qpos.geometry.domains", "qpos.geometry.levi",
                   "qpos.geometry.bump", "qpos.geometry.counterexample")
+# Library APIs that no command imports, and a numpy module that no command needs.
+NEVER_LOADED = ("qpos.pair", "qpos.qpositivity", "numpy.ma")
 
 
 def test_cli_import_loads_no_scipy():
@@ -57,14 +60,61 @@ def test_cli_import_loads_no_scipy():
     # loading the CLI load a layer that only some commands run
     code = ("import sys, qpos.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
-            f" or m in {COMMAND_LAYERS!r}))")
+            f" or m in {COMMAND_LAYERS + NEVER_LOADED!r}))")
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "[]"
 
 
+def _command_argvs(tmp_path):
+    """One small run of each of the ten command kinds, by kind."""
+    rng = np.random.default_rng(5)
+    single, pairs, sub, matrix, quad = (tmp_path / f"{name}.json" for name in (
+        "single", "pairs", "sub", "matrix", "quadric"))
+    single.write_text(dumps_canonical(field_to_json(planted_inertia_field(rng, 6, 4, 2))))
+    pairs.write_text(dumps_canonical(field_to_json(FormField(dim=2, points=[
+        FieldPoint(id=i, forms={"Q1": np.eye(2, dtype=complex),
+                                "Q2": np.diag([2.0, 1.0]).astype(complex)})
+        for i in range(3)]))))
+    field, gamma = planted_subbundle_field(rng, 6, 4, 2)
+    sub.write_text(dumps_canonical(field_to_json(FormField.from_stacks(
+        field.ids, field.forms, subspace=field.subspace, g0=gamma))))
+    matrix.write_text(dumps_canonical(matrix_to_json(np.diag([-2.0, -1.0, 3.0]))))
+    quad.write_text(json.dumps({"type": "quadric", "n": 3, "q": 2,
+                                "mu": [2.0, 2.0, -0.5, -0.5]}))
+    geo = ["--domain", quad, "--samples", 30]
+    return {
+        "check": ["check", "--input", single, "--form", "S", "--q", 3],
+        "project": ["project", "--input", matrix, "--center", -1.75, "--radius", 1.25],
+        "single": ["synthesize", "single", "--input", single, "--q", 2],
+        "subbundle": ["synthesize", "subbundle", "--input", sub, "--forms", "Q1,Q2,Q3",
+                      "--q", 2],
+        "two-forms": ["synthesize", "two-forms", "--input", pairs, "--forms", "Q1,Q2",
+                      "--angles", 64],
+        "levi": ["geometry", "levi", *geo],
+        "zq": ["geometry", "zq", *geo, "--q", 2],
+        "pipeline": ["geometry", "pipeline", *geo, "--q", 2],
+        "bump": ["geometry", "bump", *geo, "--q", 2],
+        "counterexample": ["geometry", "counterexample", "--grid", 8],
+    }
+
+
+@pytest.mark.parametrize("kind", ["check", "project", "single", "subbundle", "two-forms",
+                                  "levi", "zq", "pipeline", "bump", "counterexample"])
+def test_cli_commands_load_no_library_only_module(tmp_path, kind):
+    # each command in a fresh interpreter: numpy.ma (which np.setdiff1d and
+    # np.unique import) and the single-matrix and single-pair APIs stay unloaded
+    argv = [str(a) for a in _command_argvs(tmp_path)[kind]]
+    code = ("import sys, qpos.cli; code = qpos.cli.main(sys.argv[1:]); "
+            f"print(code, sorted(m for m in {NEVER_LOADED!r} if m in sys.modules))")
+    r = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-1] == f"{2 if kind == 'check' else 0} []", r.stdout
+
+
 # the names `qpos/__init__.py` and `qpos/geometry/__init__.py` imported eagerly
-# from each submodule before they were exported lazily
+# before they were exported lazily, by the submodule that now defines each (the
+# single-matrix and single-pair APIs moved to `qpositivity` and `pair`)
 PACKAGE_EXPORTS = {
     "qpos": {
         "errors": ["AmbientMismatch", "BasisNotOrthonormal", "BoundNotFound",
@@ -75,18 +125,19 @@ PACKAGE_EXPORTS = {
                    "ProjectorRoutesDisagree", "QOutOfRange", "QposError", "SchemaError",
                    "VanishingField", "ZeroRepresentative", "ZqViolated"],
         "fields": ["FieldPoint", "FormField", "PositivityCertificate"],
-        "hermitian": ["Inertia", "SpectrumWrt", "Subspace", "complement_sum_identity", "inertia",
-                      "max_subspace_trace", "pencil_eigh", "pencil_eigvalsh",
-                      "projection_dim_sum", "q_min_sum", "restricted_trace", "spectrum_wrt",
-                      "trace_wrt"],
+        "hermitian": ["pencil_eigh", "pencil_eigvalsh"],
         "metric_single": ["Stratification", "choose_f", "negative_projector", "stratify",
                           "synthesize_single", "update_metric"],
         "metric_subbundle": ["PenaltyConstants", "build_penalty_metric", "choose_C",
                              "compute_constants", "synthesize_subbundle"],
+        "pair": ["PairState", "find_common_direction", "pair_metric", "trace_level_curve",
+                 "xi_eval"],
+        "qpositivity": ["Inertia", "SpectrumWrt", "Subspace", "complement_sum_identity",
+                        "inertia", "max_subspace_trace", "projection_dim_sum", "q_min_sum",
+                        "restricted_trace", "spectrum_wrt", "trace_wrt"],
         "riesz": ["Disc", "ProjectorResult", "oracle_projector", "quadrature_convergence",
                   "resolvent", "riesz_projector"],
-        "two_forms": ["PairState", "common_direction", "field_metric_top_degree",
-                      "find_common_direction", "pair_metric", "trace_level_curve", "xi_eval"],
+        "two_forms": ["common_direction", "field_metric_top_degree"],
     },
     "qpos.geometry": {
         "bump": ["WeightBumpReport", "chi", "chi_double_prime", "chi_prime", "weight_bump"],
@@ -122,12 +173,13 @@ def test_package_exports_resolve_to_their_defining_modules(package):
 
 def test_package_exports_load_on_first_access():
     code = ("import sys, qpos; assert 'qpos.two_forms' not in sys.modules; "
-            "qpos.two_forms.pair_metric; from qpos.geometry import QuadricDomain, zq_check; "
+            "qpos.pair.pair_metric; from qpos.geometry import QuadricDomain, zq_check; "
             "print(sorted(m for m in sys.modules if m.startswith('qpos.')))")
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     loaded = r.stdout.strip()
-    assert "'qpos.two_forms'" in loaded and "'qpos.geometry.levi'" in loaded, loaded
+    for name in ("qpos.pair", "qpos.two_forms", "qpos.geometry.levi"):
+        assert repr(name) in loaded, loaded
     # each name loads its own submodule and what that imports, not the rest of
     # the package: the Z(q) check runs no metric synthesis
     for other in ("qpos.geometry.bump", "qpos.geometry.counterexample", "qpos.metric_single",
@@ -135,35 +187,62 @@ def test_package_exports_load_on_first_access():
         assert repr(other) not in loaded, loaded
 
 
-@pytest.mark.parametrize("command", ["single", "check"])
+@pytest.mark.parametrize("command", ["single", "check", "two-forms", "input_error", "profiled"])
 def test_cli_process_writes_what_main_writes(tmp_path, command):
     # `python -m qpos.cli` exits through `run`, which freezes the import-time
-    # heap; the process must write the same bytes and code as `main(argv)`
-    pts = [FieldPoint(id="good", forms={"S": np.eye(3, dtype=complex)}),
-           FieldPoint(id="viol", forms={"S": np.diag([-5.0, 1.0, 2.0]).astype(complex)})]
+    # heap and ends the process with os._exit after flushing the streams; the
+    # process must write the same bytes, streams and code as `main(argv)`.
+    # Under cProfile it exits through sys.exit, so the profiler's table follows.
+    pts = [FieldPoint(id="good", forms={"S": np.eye(3, dtype=complex),
+                                        "Q1": np.eye(3, dtype=complex),
+                                        "Q2": np.diag([2.0, 1.0, 0.5]).astype(complex)}),
+           FieldPoint(id="viol", forms={"S": np.diag([-5.0, 1.0, 2.0]).astype(complex),
+                                        "Q1": np.diag([1.0, -0.5, 1.0]).astype(complex),
+                                        "Q2": np.diag([-0.5, 1.0, 1.0]).astype(complex)})]
     field = tmp_path / "field.json"
     field.write_text(dumps_canonical(field_to_json(FormField(dim=3, points=pts))))
     outputs = {}
     for route in ("process", "main"):
         d = tmp_path / route
         d.mkdir()
-        if command == "single":
-            argv = ["synthesize", "single", "--input", field, "--q", 2,
-                    "--out", d / "metric.json", "--cert", d / "cert.json"]
-        else:
-            argv = ["check", "--input", field, "--form", "S", "--q", 2, "--out", d / "check.json"]
+        argv = {
+            "single": ["synthesize", "single", "--input", field, "--q", 2,
+                       "--out", d / "metric.json", "--cert", d / "cert.json"],
+            "check": ["check", "--input", field, "--form", "S", "--q", 2,
+                      "--out", d / "check.json"],
+            "two-forms": ["synthesize", "two-forms", "--input", field, "--forms", "Q1,Q2",
+                          "--angles", 64, "--out", d / "metric.json", "--cert", d / "cert.json"],
+            "input_error": ["check", "--input", field, "--form", "S", "--q", 4],
+            "profiled": ["synthesize", "single", "--input", field, "--q", 2,
+                         "--cert", d / "cert.json"],
+        }[command]
         argv = [str(a) for a in argv]
         if route == "process":
-            r = run_cli(*argv)
-            code, stdout = r.returncode, r.stdout
+            profiler = ["-m", "cProfile"] if command == "profiled" else []
+            r = subprocess.run([sys.executable, *profiler, "-m", "qpos.cli", *argv],
+                               capture_output=True, text=True)
+            code, stdout, stderr = r.returncode, r.stdout, r.stderr
+            if command == "profiled":
+                stats = re.search(r"^ *\d+ function calls", stdout, re.M)
+                assert stats and "Ordered by:" in stdout[stats.start():], stdout
+                stdout = stdout[:stats.start()]
         else:
-            with contextlib.redirect_stdout(io.StringIO()) as buf:
+            with contextlib.redirect_stdout(io.StringIO()) as buf, \
+                    contextlib.redirect_stderr(io.StringIO()) as err:
                 code = cli.main(argv)
-            stdout = buf.getvalue()
-        outputs[route] = code, stdout, {p.name: p.read_bytes() for p in sorted(d.iterdir())}
+            stdout, stderr = buf.getvalue(), err.getvalue()
+        outputs[route] = code, stdout, stderr, {p.name: p.read_bytes()
+                                                for p in sorted(d.iterdir())}
     assert outputs["process"] == outputs["main"]
-    assert outputs["main"][0] == {"single": 0, "check": 2}[command]
-    assert len(outputs["main"][2]) == {"single": 2, "check": 1}[command]
+    code, stdout, stderr, files = outputs["main"]
+    assert code == {"single": 0, "check": 2, "two-forms": 0, "input_error": 1,
+                    "profiled": 0}[command]
+    assert len(files) == {"single": 2, "check": 1, "two-forms": 2, "input_error": 0,
+                          "profiled": 1}[command]
+    if command == "input_error":
+        assert not stdout and stderr.startswith("input error: --q"), stderr
+    else:
+        assert stdout and not stderr, stderr
 
 
 # ------------------------------------------------------------- serialization
@@ -394,17 +473,64 @@ def test_read_json_restores_gc_state(tmp_path, monkeypatch, enabled):
 
     json_load = json.load
     monkeypatch.setattr(json, "load", load)
+    converting = []
+
+    def converted(doc):
+        converting.append(gc.isenabled())
+        return doc["a"][0]
+
+    def rejected(doc):
+        converting.append(gc.isenabled())
+        raise SchemaError("good.json.a[1]", "expected a matrix object")
+
+    def too_deep(doc):
+        converting.append(gc.isenabled())
+        raise RecursionError("too deep")
+
     was = gc.isenabled()
     try:
         (gc.enable if enabled else gc.disable)()
-        assert serialize.read_json(good) == {"a": [1, {"b": None}]}
+        assert serialize.read_json(good, lambda doc: doc) == {"a": [1, {"b": None}]}
         assert gc.isenabled() is enabled
         with pytest.raises(SchemaError, match="invalid JSON"):
-            serialize.read_json(bad)
+            serialize.read_json(bad, converted)
+        assert gc.isenabled() is enabled
+        # the collector stays paused through the conversion, and is restored
+        # after it returns or raises; a conversion's error keeps its own path
+        assert serialize.read_json(good, converted) == 1
+        assert gc.isenabled() is enabled
+        with pytest.raises(SchemaError) as exc:
+            serialize.read_json(good, rejected)
+        assert exc.value.path == "good.json.a[1]" and "invalid JSON" not in str(exc.value)
+        assert gc.isenabled() is enabled
+        with pytest.raises(RecursionError, match="deep"):
+            serialize.read_json(good, too_deep)
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was else gc.disable)()
-    assert during == [False, False]
+    assert during == [False] * 5
+    assert converting == [False] * 3  # not called for the malformed file
+
+
+def test_read_json_drops_the_document_before_the_collector_resumes(tmp_path, monkeypatch):
+    # the first collection after the pause must not walk a document still alive
+    path = tmp_path / "doc.json"
+    path.write_text('{"read_json marker": [[1.0]]}')
+    alive, enable = [], gc.enable
+
+    def resume():
+        alive.append(any(isinstance(o, dict) and "read_json marker" in o
+                         for o in gc.get_objects()))
+        enable()
+
+    monkeypatch.setattr(gc, "enable", resume)
+    was = gc.isenabled()
+    enable()
+    try:
+        assert serialize.read_json(path, len) == 1
+    finally:
+        (enable if was else gc.disable)()
+    assert alive == [False]
 
 
 @pytest.mark.parametrize("route", ["check_input", "check_metric", "levi_domain",
