@@ -5,7 +5,8 @@ its q smallest eigenvalues is positive (equivalently: every q-dimensional
 restriction has positive trace).  This package tests that property, computes
 Riesz spectral projectors by contour quadrature, and synthesizes metrics
 that make prescribed form fields strictly q-positive via three
-constructions: stratified inflation along negative eigenspaces, transverse
+constructions: inflation by a spectral function that grows the metric along
+negative eigenvectors (continuous across eigenvalue crossings), transverse
 penalty relative to a subbundle of common positive directions, and the
 level-curve midpoint for a pair of forms.  A geometry layer supplies Levi
 forms, complex Hessians, and the example domains and counterexample family
@@ -28,8 +29,7 @@ _EXPORTS = {name: module for module, names in {
                "VanishingField", "ZeroRepresentative", "ZqViolated"),
     "fields": ("FieldPoint", "FormField", "PositivityCertificate"),
     "hermitian": ("pencil_eigh", "pencil_eigvalsh"),
-    "metric_single": ("Stratification", "choose_f", "negative_projector", "stratify",
-                      "synthesize_single", "update_metric"),
+    "metric_single": ("negative_projector", "synthesize_single", "update_metric"),
     "metric_subbundle": ("PenaltyConstants", "build_penalty_metric", "choose_C",
                          "compute_constants", "synthesize_subbundle"),
     "pair": ("PairState", "find_common_direction", "pair_metric", "trace_level_curve", "xi_eval"),

@@ -42,8 +42,6 @@ from .serialize import (
     write_report,
 )
 
-INERTIA_THRESHOLDS = (1e-8, 1e-10, 1e-12)
-
 
 def _config_echo(args, **extra):
     return {"command": args.command, "seed": getattr(args, "seed", None), **extra}
@@ -96,12 +94,11 @@ def _load_metrics(path, field):
 
 
 def _inertia_columns(lam):
-    """The sign counts of a spectrum stack's rows at each INERTIA_THRESHOLDS level,
-    as (N,) count columns by level."""
-    d = lam.shape[-1]
-    counts = {format(t, ".0e"): sign_counts(lam, rel=t) for t in INERTIA_THRESHOLDS}
-    return {key: {"n_plus": n_plus, "n_minus": n_minus, "n_zero": d - n_plus - n_minus}
-            for key, (n_plus, n_minus) in counts.items()}
+    """The sign counts of a spectrum stack's rows, as (N,) count columns; an
+    eigenvalue is zero within ``ZERO_REL`` of its row's scale, the threshold
+    that decides the synthesis hypothesis and the Z(q) branches."""
+    n_plus, n_minus = sign_counts(lam)
+    return {"n_plus": n_plus, "n_minus": n_minus, "n_zero": lam.shape[-1] - n_plus - n_minus}
 
 
 # ---------------------------------------------------------------- commands
@@ -165,6 +162,8 @@ def _write_outputs(args, ids, metrics, certs, **cert_extra):
 def cmd_synthesize_single(args):
     from .metric_single import synthesize_single
 
+    if not 0 < args.margin < np.inf:
+        raise SchemaError("--margin", f"must be positive and finite, got {args.margin}")
     field = load_field(args.input)
     _form_names(field, "--form", [args.form])
     metrics, cert = synthesize_single(field, args.form, args.q, theta=args.margin)
@@ -176,6 +175,8 @@ def cmd_synthesize_single(args):
 def cmd_synthesize_subbundle(args):
     from .metric_subbundle import synthesize_subbundle
 
+    if not 0 <= args.safety < np.inf:
+        raise SchemaError("--safety", f"must be nonnegative and finite, got {args.safety}")
     field = load_field(args.input)
     names = _form_names(field, "--forms", args.forms.split(","))
     metrics, certs, consts = synthesize_subbundle(field, names, args.q, safety=args.safety)

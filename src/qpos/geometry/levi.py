@@ -192,8 +192,7 @@ def zq_check(domain: Domain, q: int, samples: BoundarySamples) -> ZqReport:
                     component=labels, component_branch=component_branch, levi=levis)
 
 
-def zq_metric_pipeline(domain: Domain, q: int, samples: BoundarySamples,
-                       theta: float = 0.1):
+def zq_metric_pipeline(domain: Domain, q: int, samples: BoundarySamples):
     """Synthesize boundary metrics making the (signed) Levi field q-sum positive.
 
     Per component: branch (i) runs the single-form synthesis on the Levi
@@ -213,7 +212,7 @@ def zq_metric_pipeline(domain: Domain, q: int, samples: BoundarySamples,
         idx = np.where(report.component == c)[0]
         sign, q_tilde = (1.0, q) if br == "i" else (-1.0, domain.n - q - 1)
         field = FormField.from_stacks(idx.tolist(), {"S": sign * report.levi[idx]})
-        mets, cert = synthesize_single(field, "S", q_tilde, theta=theta)
+        mets, cert = synthesize_single(field, "S", q_tilde)
         metrics[idx] = mets
         certificates[c] = cert
     return report, metrics, certificates

@@ -1,22 +1,40 @@
-"""Metric synthesis for a single Hermitian form field by stratified inflation.
+"""Metric synthesis for a single Hermitian form field by spectral inflation.
 
 Given a form field where every point has at least d - q + 1 strictly
 positive eigenvalues, a metric making the form strictly q-positive is built
-stage by stage: points are stratified by their count of negative eigenvalues
-nu, and at stage r every point with nu = r gets its metric inflated along
-the span of the negative eigenvectors by a factor 1 + f chosen so that
+point by point from one eigendecomposition.  Reduce by the congruence
+W* g0 W = I to A = W* S W = Y diag(lam) Y*, lam ascending, and over j <= q
+take
 
-    sum_{j<=r} lam_j  +  (1 + f) * sum_{r<j<=q} lam_j  >  0.
+    N = -sum min(lam_j, 0),    P = sum max(lam_j, 0)  >=  lam_q  >  0.
 
-Dividing by 1 + f shows the new q-smallest-eigenvalue sum is positive: the
-inflation rescales exactly the negative eigenvalues to lam_j / (1 + f) and
-leaves the rest unchanged.  Points flagged as anchored (the set F and, when
-adjacency is present, its 1-ring) keep their prescribed metric g0 bitwise.
+Where N > P the point is not yet q-positive, and the metric becomes
+
+    G = g0 + W^{-*} Y diag(f w(lam)) Y* W^{-1},    f = (1 + theta) (N - P) / P,
+    w(lam) = clip(-lam / delta, 0, 1),             delta = m / (2 (q - 1)),
+    m = theta P (N - P) / (N + theta (N - P)).
+
+Relative to G the eigenvalues are lam_j / (1 + f w(lam_j)): the negative
+ones shrink and the rest stay.  Where every negative eigenvalue is
+<= -delta, w is 1 on them and G is the classical inflation along the
+negative eigenspace by 1 + f, with q-sum P - N / (1 + f) = m exactly.  An
+eigenvalue in (-delta, 0) maps into (-delta, 0) instead of to lam / (1 + f),
+and at most q - 1 eigenvalues are negative, so every q-sum is
+>= m - (q - 1) delta = m / 2 > 0.
+
+The metric is continuous in (S, g0): N, P, f and delta are continuous in
+the spectrum, f -> 0 as N - P -> 0, and f w has slope at most
+
+    f / delta = 2 (q - 1) (1 + theta) (N + theta (N - P)) / (theta P^2)
+
+in lam, so the matrix function moves Lipschitz-continuously with A
+(Bhatia, Matrix Analysis, ch. V and VII).  A hard projector onto the
+negative eigenvectors would jump where an eigenvalue crosses zero.  Points
+flagged as anchored (the set F and, when adjacency is present, its 1-ring)
+keep their prescribed metric g0 bitwise.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,92 +60,6 @@ from .riesz import Disc, riesz_projector
 
 DEFAULT_THETA = 0.1
 RIESZ_CHECK_COUNT = 4
-
-
-@dataclass
-class Stratification:
-    """Per-point negative-eigenvalue counts and anchor flags."""
-
-    q_tilde: int
-    nu_minus: np.ndarray         # (N,) int
-    anchored: np.ndarray         # (N,) bool; these points keep g0
-
-    def stage_mask(self, r: int) -> np.ndarray:
-        """Points updated at stage r: nu = r and not anchored."""
-        return (self.nu_minus == r) & ~self.anchored
-
-
-def stratify(field: FormField, form: str, q_tilde: int) -> Stratification:
-    """Count negative eigenvalues per point and check the synthesis hypothesis.
-
-    Requires at least d - q_tilde + 1 strictly positive eigenvalues at every
-    point (counts are metric-independent, so they are taken against the
-    identity).  Raises HypothesisViolated with the offending point id.
-    """
-    d = field.dim
-    if not 1 <= q_tilde <= d:
-        raise QOutOfRange(f"q_tilde = {q_tilde} not in [1, {d}]")
-    n_plus, n_minus = sign_counts(np.linalg.eigvalsh(field.form_stack(form)))
-    need = d - q_tilde + 1
-    bad = np.where(n_plus < need)[0]
-    if bad.size:
-        i = int(bad[0])
-        tup = (int(n_plus[i]), int(n_minus[i]), d - int(n_plus[i]) - int(n_minus[i]))
-        raise HypothesisViolated(field.ids[i], tup)
-    return Stratification(q_tilde=q_tilde, nu_minus=n_minus.astype(int),
-                          anchored=field.anchored_mask())
-
-
-def choose_f(lam: np.ndarray, r: int, q_tilde: int, ids,
-             theta: float = DEFAULT_THETA) -> np.ndarray:
-    """Inflation factors f >= 0 for the stage-r points with ids ``ids``.
-
-    ``lam`` holds each point's ascending eigenvalues relative to its current
-    metric, one row per point.  Sets f = max(0, (1 + theta) * phi) where
-    phi = -(sum_{1..q} lam) / (sum_{r+1..q} lam); any phi < 0 means the point
-    already has a positive q-sum and needs no inflation.  The returned f
-    satisfies the stage inequality with margin theta * |sum lam| wherever
-    inflation happens.
-    """
-    scale = np.maximum(1.0, np.max(np.abs(lam), axis=1))
-    den = np.sum(lam[:, r:q_tilde], axis=1)
-    bad = den <= 1e-12 * scale
-    if bad.any():
-        raise DenominatorNonpositive(
-            f"nonpositive eigenvalue-tail sum at point {ids[int(np.argmax(bad))]!r}")
-    phi = -np.sum(lam[:, :q_tilde], axis=1) / den
-    f = np.maximum(0.0, (1.0 + theta) * phi)
-    # stage inequality, checked rather than assumed
-    value = np.sum(lam[:, :r], axis=1) + (1.0 + f) * den
-    if not np.all(value > 0):
-        raise DenominatorNonpositive(
-            f"stage inequality failed at point {ids[int(np.argmin(value))]!r}")
-    return f
-
-
-def inflate_stage(S, metrics, strat: Stratification, r: int, ids,
-                  theta: float = DEFAULT_THETA) -> np.ndarray:
-    """Stage r of stratified inflation, in place; returns the updated indices.
-
-    One pencil eigendecomposition of the stage points gives f (``choose_f``)
-    and P = V_r V_r* G.  The first RIESZ_CHECK_COUNT applied P must agree
-    with ``negative_projector`` to 1e-8, else ProjectorRoutesDisagree.
-    """
-    stage = np.where(strat.stage_mask(r))[0]
-    lam, V = pencil_eigh(S[stage], metrics[stage])
-    f = choose_f(lam, r, strat.q_tilde, [ids[i] for i in stage], theta=theta)
-    grow = f > 0
-    idx = stage[grow]
-    g_prev = metrics[idx]
-    Vr = V[grow, :, :r]
-    P = Vr @ np.conj(np.swapaxes(Vr, -1, -2)) @ g_prev
-    for j in range(min(RIESZ_CHECK_COUNT, idx.size)):
-        distance = np.linalg.norm(negative_projector(S[idx[j]], g_prev[j], r) - P[j], 2)
-        if distance > 1e-8:
-            raise ProjectorRoutesDisagree(distance)
-    upd = g_prev + f[grow, None, None] * (np.conj(np.swapaxes(P, -1, -2)) @ g_prev @ P)
-    metrics[idx] = 0.5 * (upd + np.conj(np.swapaxes(upd, -1, -2)))
-    return idx
 
 
 def negative_projector(S, g, r: int, tau_gap: float | None = None,
@@ -211,21 +143,67 @@ def synthesize_single(field: FormField, form: str, q_tilde: int,
                       theta: float = DEFAULT_THETA):
     """Build a per-point metric making the named form strictly q_tilde-positive.
 
-    Runs stages r = 1 .. q_tilde - 1 of stratified inflation from g0
-    (identity where absent).  Anchored points (F and its 1-ring under
-    adjacency) keep g0 exactly.
+    Every point needs at least d - q_tilde + 1 strictly positive eigenvalues
+    (counts are metric-independent, so they are taken against the identity),
+    else HypothesisViolated names the first point that has fewer.  Each point
+    that is not anchored (F and its 1-ring under adjacency keep g0 exactly)
+    gets the spectral inflation of the module docstring, with margin factor
+    ``theta`` (finite and positive, else ValueError), from one pencil
+    eigendecomposition.  The first RIESZ_CHECK_COUNT inflated points with no
+    eigenvalue in (-delta, 0) apply f times the projector onto their
+    eigenvalues <= -delta, which must agree with ``negative_projector`` to
+    1e-8, else ProjectorRoutesDisagree.
 
     Returns ``(metrics, certificate)`` with ``metrics`` of shape (N, d, d).
     Raises CertificateFailed (with the certificate attached) if any point
     ends up non-positive.
     """
-    strat = stratify(field, form, q_tilde)
-    S, metrics = field.form_stack(form), field.g0_stack()
-    provenance = np.where(strat.anchored, "g0_anchor", "g0_default").astype(object)
-    for r in range(1, q_tilde):
-        provenance[inflate_stage(S, metrics, strat, r, field.ids, theta=theta)] = \
-            f"inflated_stage_{r}"
+    if not 0 < theta < np.inf:
+        raise ValueError(f"theta must be finite and positive, got {theta}")
+    d, ids = field.dim, field.ids
+    if not 1 <= q_tilde <= d:
+        raise QOutOfRange(f"q_tilde = {q_tilde} not in [1, {d}]")
+    S = field.form_stack(form)
+    n_plus, n_minus = sign_counts(np.linalg.eigvalsh(S))
+    bad = np.where(n_plus < d - q_tilde + 1)[0]
+    if bad.size:
+        i = int(bad[0])
+        tup = (int(n_plus[i]), int(n_minus[i]), d - int(n_plus[i]) - int(n_minus[i]))
+        raise HypothesisViolated(ids[i], tup)
 
+    anchored = field.anchored_mask()
+    metrics = field.g0_stack()
+    free = np.where(~anchored)[0]
+    lam, V = pencil_eigh(S[free], metrics[free])
+    head = lam[:, :q_tilde]
+    N = -np.sum(np.minimum(head, 0.0), axis=1)
+    P = np.sum(np.maximum(head, 0.0), axis=1)
+    tiny = (N > 0) & (P <= 1e-12 * np.maximum(1.0, np.max(np.abs(lam), axis=1)))
+    if tiny.any():
+        raise DenominatorNonpositive(
+            f"nonpositive eigenvalue-tail sum at point {ids[free[np.argmax(tiny)]]!r}")
+    grow = N > P
+    idx, lam, V, N, P = free[grow], lam[grow], V[grow], N[grow], P[grow]
+    G = metrics[idx]
+    f = (1.0 + theta) * (N - P) / P
+    # at q_tilde = 1 no point grows: N > 0 there means P = 0, rejected above
+    delta = theta * P * (N - P) / (N + theta * (N - P)) / (2 * (q_tilde - 1))
+
+    clean = ~np.any((lam > -delta[:, None]) & (lam < 0), axis=1)
+    for i in np.where(clean)[0][:RIESZ_CHECK_COUNT]:
+        Vr = V[i, :, :int(np.sum(lam[i] <= -delta[i]))]
+        distance = np.linalg.norm(
+            negative_projector(S[idx[i]], G[i], Vr.shape[1]) - Vr @ Vr.conj().T @ G[i], 2)
+        if distance > 1e-8:
+            raise ProjectorRoutesDisagree(distance)
+
+    Z = G @ V  # W^{-*} Y, as G W = W^{-*}
+    fw = f[:, None] * np.clip(-lam / delta[:, None], 0.0, 1.0)
+    upd = G + (Z * fw[:, None, :]) @ np.conj(np.swapaxes(Z, -1, -2))
+    metrics[idx] = 0.5 * (upd + np.conj(np.swapaxes(upd, -1, -2)))
+
+    provenance = np.where(anchored, "g0_anchor", "g0_default").astype(object)
+    provenance[idx] = "inflated"
     cert = certify(field, form, q_tilde, metrics, provenance)
     require_passed({form: cert}, f"strict {q_tilde}-positivity")
     return metrics, cert

@@ -1,7 +1,9 @@
-"""Stratified single-form metric synthesis: stages, projectors, certificates."""
+"""Single-form metric synthesis: spectral inflation, projectors, certificates."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qpos import (
@@ -12,17 +14,19 @@ from qpos import (
     HypothesisViolated,
     NotProjector,
     ProjectorRoutesDisagree,
-    choose_f,
     inertia,
     negative_projector,
     spectrum_wrt,
-    stratify,
     synthesize_single,
     update_metric,
 )
-from qpos.hermitian import pencil_eigh, pencil_eigvalsh
-from qpos.metric_single import inflate_stage
-from qpos.synthetic import hermitian_with_eigs, planted_inertia_field, random_metric
+from qpos.hermitian import pencil_eigh, pencil_eigvalsh, sign_counts
+from qpos.synthetic import (
+    hermitian_with_eigs,
+    planted_inertia_field,
+    random_metric,
+    random_unitary,
+)
 
 
 def field_of(mats, **kw):
@@ -32,79 +36,175 @@ def field_of(mats, **kw):
     return FormField(dim=d, points=pts)
 
 
-# ------------------------------------------------------------------ stratify
-
-def test_stratify_positive_definite_everywhere():
-    f = field_of([np.eye(3), 2 * np.eye(3)])
-    s = stratify(f, "S", 2)
-    assert list(s.nu_minus) == [0, 0]
-    assert s.stage_mask(1).sum() == 0
-
-
-def test_stratify_counts_negatives():
-    f = field_of([np.diag([-5.0, 1.0, 2.0])])
-    s = stratify(f, "S", 2)
-    assert list(s.nu_minus) == [1]
-    assert s.stage_mask(1).tolist() == [True]
+def spectral_terms(S, g0, q, theta=0.1):
+    """``(lam, N, P, m, delta)`` of the module docstring at one point."""
+    lam = pencil_eigvalsh(S, g0)
+    N = -np.sum(np.minimum(lam[:q], 0.0))
+    P = np.sum(np.maximum(lam[:q], 0.0))
+    m = theta * P * (N - P) / (N + theta * (N - P))
+    return lam, N, P, m, m / (2 * (q - 1))
 
 
-def test_stratify_hypothesis_violated():
-    f = field_of([np.diag([-1.0, -1.0, 3.0])])
+def staged_reference(field, q, theta=0.1):
+    """The stratified inflation that the spectral function replaced: at stage r,
+    points with r negative eigenvalues grow by 1 + f along their negative
+    eigenvectors.  The two agree where no eigenvalue lies in (-delta, 0)."""
+    S, metrics = field.form_stack("S"), field.g0_stack()
+    nu = sign_counts(np.linalg.eigvalsh(S))[1]
+    for r in range(1, q):
+        stage = np.where((nu == r) & ~field.anchored_mask())[0]
+        lam, V = pencil_eigh(S[stage], metrics[stage])
+        f = (1.0 + theta) * -np.sum(lam[:, :q], axis=1) / np.sum(lam[:, r:q], axis=1)
+        grow = f > 0
+        idx, g, Vr = stage[grow], metrics[stage[grow]], V[grow, :, :r]
+        P = Vr @ np.conj(np.swapaxes(Vr, -1, -2)) @ g
+        upd = g + f[grow, None, None] * (np.conj(np.swapaxes(P, -1, -2)) @ g @ P)
+        metrics[idx] = 0.5 * (upd + np.conj(np.swapaxes(upd, -1, -2)))
+    return metrics
+
+
+# ------------------------------------- hypothesis, and the factor f = (1 + theta) (N - P) / P
+
+def test_synthesize_inflates_a_point_with_a_negative_eigenvalue():
+    _, cert = synthesize_single(field_of([np.diag([-5.0, 1.0, 2.0])]), "S", 2)
+    assert list(cert.provenance) == ["inflated"]
+
+
+def test_synthesize_hypothesis_violated():
+    f = field_of([np.eye(3), np.diag([-1.0, -1.0, 3.0])])
+    with pytest.raises(HypothesisViolated, match="point 1"):
+        synthesize_single(f, "S", 2)  # needs >= d - q + 1 = 2 positive eigenvalues
     with pytest.raises(HypothesisViolated):
-        stratify(f, "S", 2)  # needs >= d - q + 1 = 2 positive eigenvalues
+        synthesize_single(field_of([np.diag([-1.0, 0.0, 0.0])]), "S", 2)
 
-
-# ------------------------------------------------------------------ choose_f
 
 def test_choose_f_worked_example():
-    vals = choose_f(np.array([[-5.0, 1.0, 2.0]]), 1, 2, [0], theta=0.1)
-    # phi = -(-5 + 1) / 1 = 4, f = 1.1 * 4 = 4.4, and -5 + 5.4 * 1 = 0.4 > 0
-    assert_allclose(vals, [4.4], rtol=1e-12)
-    assert -5.0 + (1.0 + vals[0]) * 1.0 > 0
+    metrics, _ = synthesize_single(field_of([np.diag([-5.0, 1.0, 2.0])]), "S", 2, theta=0.1)
+    # f = 1.1 * (5 - 1) / 1 = 4.4 along the negative eigenvector, and -5 / 5.4 + 1 > 0
+    assert_allclose(metrics[0], np.diag([5.4, 1.0, 1.0]), rtol=1e-12, atol=1e-14)
 
 
-def test_choose_f_zero_when_already_positive():
-    # sum of two smallest = 0.5 > 0
-    vals = choose_f(np.array([[-0.5, 1.0, 2.0]]), 1, 2, [0], theta=0.1)
-    assert vals[0] == 0.0
+def test_choose_f_zero_when_already_positive(rng):
+    # against g0 the eigenvalues are -0.5, 1 and 2: the 2-sum 0.5 > 0 needs no inflation
+    g0 = random_metric(rng, 3)
+    L = np.linalg.cholesky(g0)
+    S = (L * np.array([-0.5, 1.0, 2.0])) @ L.conj().T
+    field = FormField(dim=3, points=[FieldPoint(id="x", forms={"S": S}, g0=g0)])
+    metrics, cert = synthesize_single(field, "S", 2)
+    assert metrics[0].tobytes() == field.g0_stack()[0].tobytes()
+    assert list(cert.provenance) == ["g0_default"]
 
 
 def test_choose_f_degenerate_denominator():
-    f = field_of([np.diag([-1.0, 0.0, 0.0])])
-    with pytest.raises((DenominatorNonpositive, HypothesisViolated)):
-        stratify(f, "S", 2)
-        choose_f(np.array([[-1.0, 0.0, 0.0]]), 1, 2, [0], theta=0.1)
-    # reachable directly when the eigenvalue tail collapses to zero
+    # against g0 the eigenvalues are -1, 1e-12 and 1e3: the tail sum P = 1e-12
+    # is within 1e-12 * max|lam| of zero, so f = 1.1 * (N - P) / P is unusable
+    pts = [FieldPoint(id="p7", forms={"S": np.diag([-1.0, 1e-9, 1.0]).astype(complex)},
+                      g0=np.diag([1.0, 1e3, 1e-3]).astype(complex))]
     with pytest.raises(DenominatorNonpositive, match="'p7'"):
-        choose_f(np.array([[-1.0, 1e-13, 1.0]]), 1, 2, ["p7"], theta=0.1)
+        synthesize_single(FormField(dim=3, points=pts), "S", 2)
 
 
-def test_stagewise_inductive_invariant(rng):
-    # after stage r, the q-smallest sum is positive on every point with
-    # negative count <= r
-    q_tilde = 3
-    field = planted_inertia_field(rng, 120, 6, q_tilde)
-    strat = stratify(field, "S", q_tilde)
-    S = field.form_stack("S")
-    metrics = field.g0_stack()
-    for r in range(1, q_tilde):
-        idx = inflate_stage(S, metrics, strat, r, field.ids, theta=0.1)
-        assert np.all(strat.nu_minus[idx] == r)
-        on_stratum = (strat.nu_minus <= r) | strat.anchored
-        lam = pencil_eigvalsh(S[on_stratum], metrics[on_stratum])
-        assert np.all(np.sum(lam[:, :q_tilde], axis=1) > 0)
+@pytest.mark.parametrize("theta", [0.0, -1.0, np.nan, np.inf])
+def test_synthesize_rejects_unusable_theta(theta):
+    with pytest.raises(ValueError, match="theta"):
+        synthesize_single(field_of([np.diag([-5.0, 1.0, 2.0])]), "S", 2, theta=theta)
+
+
+# ------------------------------------------------------------ spectral inflation
+
+def test_synthesize_equals_staged_inflation_off_the_ramp(rng):
+    # where every negative eigenvalue is <= -delta the spectral function is the
+    # indicator of the negative ones, and the metric is the staged one
+    for q in (2, 3, 4):
+        field = planted_inertia_field(rng, 150, 6, q, n_anchor=5)
+        g0 = np.array([random_metric(rng, 6) for _ in range(150)])
+        field = FormField.from_stacks(field.ids, {"S": field.form_stack("S")}, g0=g0,
+                                      in_F=field.in_F)
+        metrics, _ = synthesize_single(field, "S", q)
+        ref = staged_reference(field, q)
+        S = field.form_stack("S")
+        off_ramp = [not np.any((lam > -delta) & (lam < 0))
+                    for lam, *_, delta in (spectral_terms(S[i], g0[i], q) for i in range(150))]
+        assert sum(off_ramp) > 100
+        err = np.max(np.abs(metrics - ref), axis=(1, 2))
+        assert np.all(err[off_ramp] <= 1e-13 * np.max(np.abs(ref), axis=(1, 2))[off_ramp])
+
+
+def test_synthesize_crossing_family_is_continuous():
+    # S = diag(-2, s, 1), q = 3: a hard projector grows G[1, 1] to 2.1 for s < 0
+    # and leaves it at 1 for s > 0
+    G = [synthesize_single(field_of([np.diag([-2.0, s, 1.0])]), "S", 3)[0][0]
+         for s in (-1e-6, 1e-6)]
+    assert abs(G[0][1, 1] - G[1][1, 1]) < 1e-3
+    assert_allclose(G[1], np.diag([G[1][0, 0].real, 1.0, 1.0]), atol=1e-14)
+
+
+@st.composite
+def crossing_families(draw):
+    """A g0, and S(s) = U diag(neg, s, pos) U* whose eigenvalue s crosses zero
+    with at least one negative eigenvalue and enough positive ones for the
+    hypothesis to hold at every s; the negatives outweigh the positive tail."""
+    d = draw(st.integers(3, 6))
+    q = draw(st.integers(3, d))
+    nu = draw(st.integers(1, q - 2))
+    pos = sorted(draw(st.lists(st.floats(0.2, 3.0), min_size=d - nu - 1, max_size=d - nu - 1)))
+    neg = draw(st.lists(st.floats(0.5, 5.0), min_size=nu, max_size=nu))
+    neg[0] += sum(pos[:q - nu - 1])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return q, random_unitary(rng, d), random_metric(rng, d), -np.array(neg), np.array(pos)
+
+
+def family_metric(U, g0, neg, pos, q, s):
+    S = (U * np.concatenate([neg, [s], pos])) @ U.conj().T
+    pts = [FieldPoint(id="x", forms={"S": S}, g0=g0)]
+    return synthesize_single(FormField(dim=len(g0), points=pts), "S", q)[0][0], S
+
+
+@settings(max_examples=40, deadline=None)
+@given(crossing_families())
+def test_metric_change_vanishes_across_an_eigenvalue_crossing(family):
+    # |dG|_F <= L |dA|_F |W^{-1}|^2 with |dA|_F <= |W|^2 |dS|_F, so the jump over
+    # [-h, h] is at most (a small multiple of) f / delta * cond(g0) * 2h
+    q, U, g0, neg, pos = family
+    _, S0 = family_metric(U, g0, neg, pos, q, 0.0)
+    lam, N, P, m, delta = spectral_terms(S0, g0, q)
+    theta = 0.1
+    slope = 2 * (q - 1) * (1 + theta) * (N + theta * (N - P)) / (theta * P**2)
+    cond = np.linalg.cond(g0)
+    for h in (1e-3, 1e-6, 1e-9):
+        G_minus, _ = family_metric(U, g0, neg, pos, q, -h)
+        G_plus, _ = family_metric(U, g0, neg, pos, q, h)
+        assert np.linalg.norm(G_plus - G_minus) <= 10 * len(g0) * slope * cond * 2 * h + 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 6).flatmap(lambda d: st.tuples(
+    st.just(d), st.integers(2, d), st.integers(0, 2**32 - 1),
+    st.lists(st.floats(-6.0, 0.85), min_size=1, max_size=d - 1))))
+def test_every_inflated_q_sum_is_at_least_half_the_margin(case):
+    # negatives of every scale from -1e-6 to -7, so that some fall on the ramp (-delta, 0)
+    d, q, seed, exponents = case
+    nu = min(len(exponents), q - 1)
+    rng = np.random.default_rng(seed)
+    eigs = np.concatenate([-10.0 ** np.array(exponents[:nu]), rng.uniform(0.1, 2.0, size=d - nu)])
+    S, g0 = hermitian_with_eigs(rng, eigs), random_metric(rng, d)
+    field = FormField(dim=d, points=[FieldPoint(id="x", forms={"S": S}, g0=g0)])
+    lam, N, P, m, delta = spectral_terms(S, g0, q)
+    if N <= P:
+        return
+    _, cert = synthesize_single(field, "S", q)
+    assert cert.provenance[0] == "inflated"
+    assert cert.min_sum[0] >= m / 2 - 1e-12 * max(1.0, np.max(np.abs(lam)))
 
 
 def test_synthesize_checks_applied_projectors(rng, monkeypatch):
-    # stage eigenvectors with a negative and a positive column swapped give
-    # projectors that the Riesz spot check must reject
+    # eigenvectors with the most negative and the most positive column swapped
+    # apply projectors that the Riesz spot check must reject
     import qpos.metric_single as ms
 
     def corrupted(H, G):
         lam, V = pencil_eigh(H, G)
-        if np.ndim(H) == 3:
-            V = V[..., [1, 0, 2, 3, 4, 5]]
-        return lam, V
+        return lam, V[..., [5, 1, 2, 3, 4, 0]]
 
     field = planted_inertia_field(rng, 40, 6, 3)
     synthesize_single(field, "S", 3)
@@ -191,6 +291,7 @@ def test_synthesize_positive_definite_field_keeps_g0():
     metrics, cert = synthesize_single(f, "S", 2)
     assert cert.passed
     assert_allclose(metrics, np.broadcast_to(np.eye(3), (2, 3, 3)))
+    assert list(cert.provenance) == ["g0_default", "g0_default"]
 
 
 def test_synthesize_worked_example():
@@ -243,7 +344,7 @@ def test_synthesize_anchor_ring_with_adjacency(rng):
     assert cert.passed
     assert_allclose(metrics[0], np.eye(d))
     assert_allclose(metrics[1], np.eye(d))  # anchored by the 1-ring
-    assert cert.entries[2].provenance == "inflated_stage_1"
+    assert cert.entries[2].provenance == "inflated"
 
 
 def test_synthesize_certificate_failure_is_honest():

@@ -126,8 +126,7 @@ PACKAGE_EXPORTS = {
                    "VanishingField", "ZeroRepresentative", "ZqViolated"],
         "fields": ["FieldPoint", "FormField", "PositivityCertificate"],
         "hermitian": ["pencil_eigh", "pencil_eigvalsh"],
-        "metric_single": ["Stratification", "choose_f", "negative_projector", "stratify",
-                          "synthesize_single", "update_metric"],
+        "metric_single": ["negative_projector", "synthesize_single", "update_metric"],
         "metric_subbundle": ["PenaltyConstants", "build_penalty_metric", "choose_C",
                              "compute_constants", "synthesize_subbundle"],
         "pair": ["PairState", "find_common_direction", "pair_metric", "trace_level_curve",
@@ -574,7 +573,7 @@ def test_cli_check_passes_on_positive_field(tmp_path, rng):
     report = json.loads(out.read_text())
     assert report["passed"] is True
     assert report["qpos_schema"] == 1
-    assert "1e-10" in report["points"][0]["inertia"]
+    assert report["points"][0]["inertia"] == {"n_plus": 4, "n_minus": 0, "n_zero": 0}
 
 
 def test_cli_check_flags_violation(tmp_path):
@@ -724,6 +723,8 @@ BAD_INPUT_CASES = [
     "field_g0_not_positive_definite", "field_g0_not_hermitian", "field_subspace_rank_mismatch",
     "field_subspace_at_some_points", "field_neighbor_names_no_point",
     "levi_seed_negative", "bump_seed_negative",
+    "single_margin_inf", "single_margin_nan", "single_margin_0", "single_margin_negative",
+    "subbundle_safety_nan", "subbundle_safety_inf", "subbundle_safety_negative",
 ]
 FIELD_DEFECTS = {
     "field_point_not_object": (lambda doc: doc["points"].__setitem__(0, 5), ".points[0]"),
@@ -768,6 +769,17 @@ PROJECT_OPTIONS = {
     "project_radius_0": ("--radius", 0), "project_radius_negative": ("--radius", -1),
     "project_radius_nan": ("--radius", "nan"), "project_radius_inf": ("--radius", "inf"),
     "project_center_nan": ("--center", "nan"),
+}
+# values the syntheses cannot use; on fields that need them they used to end in
+# a traceback, or to exit 2 as a failed stage inequality
+SYNTHESIS_OPTIONS = {
+    "single_margin_inf": ("single", "--margin", "inf"),
+    "single_margin_nan": ("single", "--margin", "nan"),
+    "single_margin_0": ("single", "--margin", 0),
+    "single_margin_negative": ("single", "--margin", -1),
+    "subbundle_safety_nan": ("subbundle", "--safety", "nan"),
+    "subbundle_safety_inf": ("subbundle", "--safety", "inf"),
+    "subbundle_safety_negative": ("subbundle", "--safety", -1),
 }
 
 
@@ -859,6 +871,11 @@ def test_cli_rejects_bad_input_with_exit_1(tmp_path, case):
                        PROJECT_OPTIONS[case]])
         argv = ("project", "--input", matrix, *(x for kv in option.items() for x in kv))
         named = PROJECT_OPTIONS[case][0]
+    elif case in SYNTHESIS_OPTIONS:
+        mode, option, value = SYNTHESIS_OPTIONS[case]
+        forms = ("--form", "S") if mode == "single" else ("--forms", "S,Q1")
+        argv = ("synthesize", mode, "--input", path, "--q", 1, *forms, option, value)
+        named = option
     elif case == "levi_zero_samples":
         argv, named = ("geometry", "levi", "--domain", quad, "--samples", 0), "--samples"
     elif case == "levi_seed_negative":
@@ -1190,8 +1207,7 @@ def test_cli_check_points_layout(tmp_path):
                          "--out", str(out)]) == 2
 
     def inertia(n_plus, n_minus):
-        return {key: {"n_plus": n_plus, "n_minus": n_minus, "n_zero": 3 - n_plus - n_minus}
-                for key in ("1e-08", "1e-10", "1e-12")}
+        return {"n_plus": n_plus, "n_minus": n_minus, "n_zero": 3 - n_plus - n_minus}
 
     assert json.loads(out.read_text()) == {
         "qpos_schema": 1, "config": {"command": "check", "seed": 0, "form": "S", "q": 2},
