@@ -65,6 +65,14 @@ def staged_reference(field, q, theta=0.1):
 
 # ------------------------------------- hypothesis, and the factor f = (1 + theta) (N - P) / P
 
+def test_stratify_positive_definite_everywhere():
+    f = field_of([np.eye(3), 2 * np.eye(3)])
+    assert list(sign_counts(np.linalg.eigvalsh(f.form_stack("S")))[1]) == [0, 0]
+    metrics, cert = synthesize_single(f, "S", 2)
+    assert "inflated" not in list(cert.provenance)
+    assert_allclose(metrics, f.g0_stack())
+
+
 def test_synthesize_inflates_a_point_with_a_negative_eigenvalue():
     _, cert = synthesize_single(field_of([np.diag([-5.0, 1.0, 2.0])]), "S", 2)
     assert list(cert.provenance) == ["inflated"]
