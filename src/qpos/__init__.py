@@ -24,12 +24,12 @@ _EXPORTS = {name: module for module, names in {
                "DenominatorNonpositive", "DimensionMismatch", "EigenvalueOnContour",
                "FrameInvalid", "HypothesisViolated", "LevelNotReached", "NearSingularResolvent",
                "NoCommonDirection", "NoSpectralGap", "NotFinite", "NotHermitian",
-               "NotPositiveDefinite", "NotPositiveOnV", "NotProjector",
-               "ProjectorRoutesDisagree", "QOutOfRange", "QposError", "SchemaError",
-               "VanishingField", "ZeroRepresentative", "ZqViolated"),
+               "NotPositiveDefinite", "NotPositiveOnV", "ProjectorRoutesDisagree",
+               "QOutOfRange", "QposError", "SchemaError", "VanishingField",
+               "ZeroRepresentative", "ZqViolated"),
     "fields": ("FieldPoint", "FormField", "PositivityCertificate"),
     "hermitian": ("pencil_eigh", "pencil_eigvalsh"),
-    "metric_single": ("negative_projector", "synthesize_single", "update_metric"),
+    "metric_single": ("negative_projector", "synthesize_single"),
     "metric_subbundle": ("PenaltyConstants", "build_penalty_metric", "choose_C",
                          "compute_constants", "synthesize_subbundle"),
     "pair": ("PairState", "find_common_direction", "pair_metric", "trace_level_curve", "xi_eval"),

@@ -71,10 +71,6 @@ class NoSpectralGap(QposError):
     pass
 
 
-class NotProjector(QposError):
-    pass
-
-
 class ProjectorRoutesDisagree(QposError):
     """The eigenvector and Riesz quadrature routes to a projector differ."""
 

@@ -18,13 +18,33 @@ claims hold at every boundary sample:
 
 B1 and B2 bound |restricted trace| of the weight and rho Hessians over
 q-planes (computed from extreme eigenvalue sums of both signs, so they are
-valid two-sided bounds); eta is the largest mass of the normal component
-below which q-frames still have positive trace, computed per sample from
-the exact dual form  eta = sup_{mu > 0} (q-smallest eigenvalue sum of
-A + mu * N) / mu  with A the boundary trace form and N the rank-one normal
-form.  That dual value is the conservative limit of scanning frames by
-candidate thresholds: any frame with normal mass below it has positive
-trace.
+valid two-sided bounds).  The two remaining numbers come from exact rules.
+
+delta0.  Let V hold the top ``need = n - q + 1`` eigenvectors of H_phi and D
+their (positive) eigenvalues, and R = D^{-1/2} V* H_rho V D^{-1/2}.  Then
+V* (H_phi + delta H_rho) V = D^{1/2} (I + delta R) D^{1/2}, which is positive
+definite while delta * lambda_max(-R) < 1, and by the Courant-Fischer min-max
+theorem a form positive definite on a ``need``-dimensional subspace has at
+least ``need`` positive eigenvalues.  With r the largest lambda_max(-R) over
+the samples, every delta in [0, 1/r) keeps the count (all delta >= 0 when
+r <= 0); delta0 is half the smaller of 1/r and the norm ratio
+max ||H_phi|| / max ||H_rho||.  The condition is sufficient, not necessary:
+the count may survive past 1/r.
+
+eta.  In g0-orthonormal coordinates the trace form is A = H_phi + delta0 H_rho
+and the normal form is u u* (u the normal covector).  A q-frame with normal
+mass m has trace >= phi(mu) - mu m for every mu > 0, where
+phi(mu) = sum_{j <= q} lambda_j(A + mu u u*), so it has positive trace once
+m < sup_mu phi(mu) / mu.  phi is a minimum of affine functions of mu, hence
+concave, and by Hellmann-Feynman phi'(mu) = sum_{j <= q} |y_j* u|^2 over the
+q lowest eigenvectors y_j.  So g(mu) = phi - mu phi' is nondecreasing
+(g' = -mu phi'' >= 0), and phi / mu, whose derivative is -g / mu^2, rises
+exactly while g < 0 (the quasiconcave ratio of Dinkelbach, 1967).  The
+supremum is therefore found by bisecting the sign of g in
+t = mu / (s + mu) in (0, 1), s = max(1, max |lambda(A)|), to float
+resolution; eta is ETA_FACTOR times the largest ratio met, minimized over
+the samples whose trace form is not already strictly q-positive (the others
+impose no constraint).
 """
 
 from __future__ import annotations
@@ -47,6 +67,9 @@ EPS0_SCALE = 0.1             # eps never exceeds EPS0_SCALE * domain.scale ...
 THETA_SAFETY = 0.9           # ... and is THETA_SAFETY times the smaller bound
 TRACE_CHECK_SAMPLES = 100    # samples and random q-frames per sample on which
 TRACE_CHECK_FRAMES = 100     # the restricted-trace decomposition is checked
+BOUND_FLOOR = 1e-8           # delta0 or eta below it: BoundNotFound
+ETA_FACTOR = 0.95            # eta is this fraction of the exact dual value
+ETA_STEPS = 53               # bisection steps in t: float resolution
 
 
 def chi(t):
@@ -114,78 +137,57 @@ def _common_positive_subbundle(Lv, Hv, rank: int) -> np.ndarray:
                     "is not constructed from raw forms")
 
 
-def _find_delta0(Mphi: np.ndarray, Mrho: np.ndarray, need: int,
-                 floor: float = 1e-8) -> float:
-    """Largest bisected delta0 with >= ``need`` positive eigenvalues kept.
+def _find_delta0(Mphi: np.ndarray, Mrho: np.ndarray, need: int) -> float:
+    """delta0 = min(cap, 1 / r) / 2 from one eigensolve of the weight Hessians.
 
-    The count must hold for the whole range [0, delta0]; the bisected
-    threshold is halved for safety and re-verified on a grid.  The search is
-    capped at the norm ratio of the two Hessians: past that point the rho
-    term is no longer subordinate to the weight, and when the count never
-    fails any positive delta0 is admissible, so the cap itself is used.
+    r is the largest lambda_max(-R) of the compressions
+    R = D^{-1/2} V* Mrho V D^{-1/2} to the top ``need`` eigenvectors V (with
+    eigenvalues D) of Mphi, and cap the norm ratio of the two Hessians: past
+    it the rho term is no longer subordinate to the weight.  Every delta in
+    [0, delta0] keeps >= ``need`` positive eigenvalues (module docstring);
+    the condition is sufficient, not necessary.
     """
-    def ok(delta):
-        return bool(np.all(sign_counts(np.linalg.eigvalsh(Mphi + delta * Mrho))[0] >= need))
-
-    if not ok(0.0):
+    lam, Y = np.linalg.eigh(Mphi)
+    if not np.all(sign_counts(lam)[0] >= need):
         raise BoundNotFound("weight Hessian lacks the required positive eigenvalues")
+    R = reduce_form(Mrho, Y[:, :, -need:] / np.sqrt(lam[:, None, -need:]))
+    r = float(np.max(-np.linalg.eigvalsh(R)[:, 0]))
     cap = float(np.max(np.linalg.norm(Mphi, axis=(1, 2)))
                 / max(np.max(np.linalg.norm(Mrho, axis=(1, 2))), 1e-30))
-    if ok(cap):
-        delta0 = 0.5 * cap
-        if all(ok(d) for d in np.linspace(0.0, delta0, 9)[1:]):
-            return float(delta0)
-    hi = cap
-    while not ok(hi) and hi > floor:
-        hi *= 0.5
-    if hi <= floor:
+    delta0 = 0.5 * min(cap, 1.0 / r if r > 0 else np.inf)
+    if delta0 < BOUND_FLOOR:
         raise BoundNotFound("delta0 collapsed below 1e-8")
-    lo = hi
-    hi = 2.0 * hi
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            lo = mid
-        else:
-            hi = mid
-    delta0 = 0.5 * lo
-    for _ in range(10):
-        if delta0 < floor:
-            raise BoundNotFound("delta0 collapsed below 1e-8")
-        if all(ok(d) for d in np.linspace(0.0, delta0, 9)[1:]):
-            return float(delta0)
-        delta0 *= 0.5
-    raise BoundNotFound("delta0 verification failed on the subdivision grid")
+    return float(delta0)
 
 
-def _eta_dual(A: np.ndarray, Nrm: np.ndarray, q: int, floor: float = 1e-8) -> float:
-    """Per-sample sup over mu of (q-smallest eigenvalue sum of A + mu N) / mu.
+def _eta_dual(A: np.ndarray, u: np.ndarray, q: int) -> float:
+    """ETA_FACTOR times the smallest per-sample sup over mu of phi(mu) / mu.
 
-    A and N are stacks in g0-orthonormal coordinates, N PSD of rank one.
-    Samples whose trace form is already strictly q-positive impose no
-    constraint (eta infinite there); the others are searched together.
+    phi(mu) is the q-smallest eigenvalue sum of A + mu u u*, with A and u a
+    stack of forms and vectors in g0-orthonormal coordinates.  Samples whose
+    trace form is already strictly q-positive impose no constraint (eta
+    infinite there); the others bisect the sign of phi - mu phi' together,
+    one stacked eigensolve per step (module docstring).
     """
-    def ratio(idx, mu):
-        lam = np.linalg.eigvalsh(A[idx] + mu[..., None, None] * Nrm[idx])
-        return np.sum(lam[..., :q], axis=-1) / mu
-
     lam0 = np.linalg.eigvalsh(A)
     idx = np.flatnonzero(np.sum(lam0[:, :q], axis=1) <= 0)
     if not idx.size:
         return float("inf")
-    scale = max(1.0, float(np.max(np.abs(lam0))))
-    mus = np.geomspace(1e-6 * scale, 1e9 * scale, 160)
-    j = np.argmax(ratio(idx[:, None], mus), axis=1)
-    lo = mus[np.maximum(j - 1, 0)]
-    hi = mus[np.minimum(j + 1, len(mus) - 1)]
-    for _ in range(80):
-        m1 = lo + 0.381966 * (hi - lo)
-        m2 = hi - 0.381966 * (hi - lo)
-        left = ratio(idx, m1) < ratio(idx, m2)
-        lo = np.where(left, m1, lo)
-        hi = np.where(left, hi, m2)
-    eta = 0.95 * float(np.min(ratio(idx, 0.5 * (lo + hi))))
-    if eta < floor:
+    A, u = A[idx], u[idx]
+    N = u[:, :, None] * np.conj(u)[:, None, :]
+    s = np.maximum(1.0, np.max(np.abs(lam0[idx]), axis=1))
+    lo, hi, best = np.zeros(idx.size), np.ones(idx.size), np.full(idx.size, -np.inf)
+    for _ in range(ETA_STEPS):
+        t = 0.5 * (lo + hi)
+        mu = s * t / (1.0 - t)
+        lam, Y = np.linalg.eigh(A + mu[:, None, None] * N)
+        phi = np.sum(lam[:, :q], axis=1)
+        dphi = np.sum(np.abs(np.sum(np.conj(Y[:, :, :q]) * u[:, :, None], axis=1)) ** 2, axis=1)
+        best = np.maximum(best, phi / mu)
+        rising = phi - mu * dphi < 0
+        lo, hi = np.where(rising, t, lo), np.where(rising, hi, t)
+    eta = ETA_FACTOR * float(np.min(best))
+    if eta < BOUND_FLOOR:
         raise BoundNotFound(f"eta = {eta:.3e} below the 1e-8 floor")
     return eta
 
@@ -231,7 +233,8 @@ def weight_bump(domain: Domain, q: int, samples: BoundarySamples,
     W0, _ = congruence(G0)
     A_form = Mphi + delta0 * Mrho
     Nrm_form = np.conj(ws)[:, :, None] * ws[:, None, :]
-    eta = _eta_dual(reduce_form(A_form, W0), reduce_form(Nrm_form, W0), q)
+    u = np.conj(np.swapaxes(W0, 1, 2) @ ws[:, :, None])[:, :, 0]   # W0* conj(w)
+    eta = _eta_dual(reduce_form(A_form, W0), u, q)
 
     chi2 = float(chi_double_prime(0.0))
     denom = B1 + delta0 * B2

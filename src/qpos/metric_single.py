@@ -43,7 +43,6 @@ from .errors import (
     HypothesisViolated,
     NoSpectralGap,
     NotPositiveDefinite,
-    NotProjector,
     ProjectorRoutesDisagree,
     QOutOfRange,
 )
@@ -114,29 +113,6 @@ def negative_projector(S, g, r: int, tau_gap: float | None = None,
         if distance > 1e-8:
             raise ProjectorRoutesDisagree(distance)
     return P
-
-
-def update_metric(g_prev, P, f: float, tau_proj: float = 1e-8) -> np.ndarray:
-    """g_new(X, Y) = g_prev(X, Y) + f * g_prev(P X, P Y).
-
-    P must be a g_prev-orthogonal projector (idempotent and g-self-adjoint).
-    The form's eigenvalues relative to g_new are lam_j / (1 + f) on range(P)
-    and unchanged on the complement.
-    """
-    G = as_metric(g_prev)
-    P = np.asarray(P, dtype=complex)
-    if f < 0:
-        raise ValueError("f must be nonnegative")
-    scale = max(1.0, float(np.linalg.norm(P, 2)))
-    if np.linalg.norm(P @ P - P, 2) > tau_proj * scale:
-        raise NotProjector(f"||P^2 - P|| = {np.linalg.norm(P @ P - P, 2):.3e}")
-    if np.linalg.norm(G @ P - P.conj().T @ G, 2) > tau_proj * scale * np.linalg.norm(G, 2):
-        raise NotProjector("P is not g-self-adjoint")
-    Gn = G + f * (P.conj().T @ G @ P)
-    Gn = 0.5 * (Gn + Gn.conj().T)
-    if np.linalg.eigvalsh(Gn)[0] <= 0:
-        raise NotPositiveDefinite("updated metric lost positive definiteness")
-    return Gn
 
 
 def synthesize_single(field: FormField, form: str, q_tilde: int,

@@ -161,12 +161,14 @@ def synthesize_subbundle(field: FormField, forms, q: int, gamma=None,
     """Penalty metric making every named form strictly q-positive at once.
 
     kappa is the maximum of the per-form constants C (times ``safety``, an
-    inflation factor for unseen points; the sampled constants are exact only
-    on the sample).  Returns
+    inflation factor for unseen points, finite and nonnegative, else
+    ValueError; the sampled constants are exact only on the sample).  Returns
     ``(metrics, certificates, constants)`` with the dicts keyed by form name.
     """
     if not forms:
         raise ValueError("need at least one form name")
+    if not 0 <= safety < np.inf:
+        raise ValueError(f"safety must be nonnegative and finite, got {safety}")
     gamma = _gamma_stack(field, gamma)
     constants = compute_constants(field, forms, gamma, q)
     kappa = safety * max(c.C for c in constants.values())

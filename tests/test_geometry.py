@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from qpos import ZqViolated, inertia
+from qpos import BoundNotFound, ZqViolated, inertia
 from qpos.geometry import (
     BallDomain,
     BoundarySamples,
@@ -30,8 +30,9 @@ from qpos.geometry import (
     zq_check,
     zq_metric_pipeline,
 )
-from qpos.geometry.bump import _eta_dual
+from qpos.geometry.bump import ETA_FACTOR, ETA_STEPS, _eta_dual, _find_delta0
 from qpos.geometry.levi import KNN, MIN_GRADIENT, NEWTON_MAX_ITER, NEWTON_TOL, newton_project
+from qpos.hermitian import sign_counts
 from qpos.synthetic import random_unitary
 
 MU = [2.0, 2.0, -0.5, -0.5]
@@ -440,8 +441,10 @@ def _newton_one(domain, z, chart):
     return None
 
 
-def _eta_one(A, N, q):
-    """Reference: eta of one sample by grid and golden section, point by point."""
+def _eta_one(A, u, q):
+    """Oracle: one sample's sup of phi(mu) / mu by grid and golden section."""
+    N = np.outer(u, np.conj(u))
+
     def ratio(mu):
         return np.sum(np.linalg.eigvalsh(A + mu * N)[:q]) / mu
 
@@ -458,6 +461,36 @@ def _eta_one(A, N, q):
     return ratio(0.5 * (lo + hi))
 
 
+def _eta_bisect_one(A, u, q):
+    """Reference: one sample's bisection on the sign of phi - mu phi', step by step."""
+    N = np.outer(u, np.conj(u))
+    s = max(1.0, float(np.max(np.abs(np.linalg.eigvalsh(A)))))
+    lo, hi, best = 0.0, 1.0, -np.inf
+    for _ in range(ETA_STEPS):
+        t = 0.5 * (lo + hi)
+        mu = s * t / (1.0 - t)
+        lam, Y = np.linalg.eigh(A + mu * N)
+        phi = np.sum(lam[:q])
+        dphi = np.sum(np.abs(np.sum(np.conj(Y[:, :q]) * u[:, None], axis=0)) ** 2)
+        best = max(best, phi / mu)
+        if phi - mu * dphi < 0:
+            lo = t
+        else:
+            hi = t
+    return best
+
+
+def _leaning_trace_forms(rng, count, positive=0):
+    """Trace forms with 2-sum -2 that enough normal mass makes positive (the
+    normal u leans on the negative eigenvector); the last ``positive`` are
+    already strictly 2-positive."""
+    U = np.stack([random_unitary(rng, 3) for _ in range(count)])
+    lam = np.where(np.arange(count)[:, None] < count - positive, [-3.0, 1.0, 2.0],
+                   [0.5, 1.0, 2.0])
+    A = (U * lam[:, None, :]) @ np.conj(np.swapaxes(U, 1, 2))
+    return A, U[:, :, 0] + 0.3 * rng.standard_normal((count, 3))
+
+
 def test_batched_newton_and_eta_match_per_sample_loops(quadric, rng):
     # same arithmetic per sample: the batched searches equal the loops exactly
     for domain in (quadric, ProductDomain(n=3, q=2)):
@@ -468,16 +501,57 @@ def test_batched_newton_and_eta_match_per_sample_loops(quadric, rng):
             assert ok[i] == (ref is not None)
             if ok[i]:
                 assert_array_equal(z[i], ref)
-    # trace forms with a negative 2-sum that enough normal mass makes positive
-    # (the normal leans on the negative eigenvector), and some already positive
-    U = np.stack([random_unitary(rng, 3) for _ in range(12)])
-    lam = np.where(np.arange(12)[:, None] < 8, [-3.0, 1.0, 2.0], [0.5, 1.0, 2.0])
-    A = (U * lam[:, None, :]) @ np.conj(np.swapaxes(U, 1, 2))
-    w = np.conj(U[:, :, 0] + 0.3 * rng.standard_normal((12, 3)))
-    N = np.conj(w)[:, :, None] * w[:, None, :]
-    expect = 0.95 * min(_eta_one(A[i], N[i], 2) for i in range(8))
-    assert expect > 1e-8
-    assert _eta_dual(A, N, 2) == expect
+    A, u = _leaning_trace_forms(rng, 12, positive=4)
+    eta = _eta_dual(A, u, 2)
+    assert eta == ETA_FACTOR * min(_eta_bisect_one(A[i], u[i], 2) for i in range(8))
+    # and the bisection reaches the supremum that an independent search finds
+    oracle = ETA_FACTOR * min(_eta_one(A[i], u[i], 2) for i in range(8))
+    assert oracle > 1e-8
+    assert abs(eta - oracle) <= 1e-12 * oracle
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.floats(-0.9, 0.9), st.floats(-0.9, 0.9),
+       st.floats(-6.0, 6.0))
+def test_eta_bounds_every_ratio(seed, x, y, log_mu):
+    # eta / ETA_FACTOR is the supremum of phi(mu) / mu, so no mu exceeds it.
+    # In the eigenbasis of A = diag(-3, 1, 2), u = (1, x, y) with
+    # x^2 + 2 y^2 < 3 leaves a positive 2-sum on u's complement: eta > 0.
+    U = random_unitary(np.random.default_rng(seed), 3)
+    A = (U * [-3.0, 1.0, 2.0]) @ np.conj(U.T)
+    u = U @ np.array([1.0, x, y])
+    eta = _eta_dual(A[None], u[None], 2)
+    mu = 10.0 ** log_mu
+    phi = np.sum(np.linalg.eigvalsh(A + mu * np.outer(u, np.conj(u)))[:2])
+    assert phi / mu <= eta / ETA_FACTOR * (1 + 1e-12)
+
+
+def _positive_counts_on(Mphi, Mrho, deltas):
+    M = Mphi[None] + deltas[:, None, None, None] * Mrho[None]
+    return sign_counts(np.linalg.eigvalsh(M))[0]
+
+
+def test_delta0_keeps_the_count_across_a_narrow_window():
+    # sample 0 keeps 2 positive eigenvalues except on [1, 1.01], which a grid
+    # over [0, norm ratio / 2] = [0, 6.12] steps over; the compression rule
+    # stops at 1 / r / 2 = 0.5 (r = 1 from R = diag(-1, 0))
+    Mphi = np.array([np.diag([1.0, 1.0, -1.01]), 10.0 * np.diag([1.0, 1.0, -1.0])])
+    Mrho = np.array([np.diag([-1.0, 0.0, 1.0]), 0.01 * np.eye(3)])
+    assert np.min(_positive_counts_on(Mphi, Mrho, np.array([1.005]))) == 1
+    delta0 = _find_delta0(Mphi, Mrho, 2)
+    assert delta0 == 0.5
+    assert np.min(_positive_counts_on(Mphi, Mrho, np.linspace(0.0, delta0, 10 ** 5))) >= 2
+
+
+def test_delta0_needs_no_fallback_for_singular_weight_hessian():
+    # a zero eigenvalue of Mphi outside the top `need` ones does not enter R
+    Mphi = np.diag([1.0, 1.0, 0.0])[None]
+    Mrho = np.diag([-1.0, 0.0, 1.0])[None]
+    delta0 = _find_delta0(Mphi, Mrho, 2)
+    assert delta0 == 0.5
+    assert np.min(_positive_counts_on(Mphi, Mrho, np.linspace(0.0, delta0, 10 ** 4))) >= 2
+    with pytest.raises(BoundNotFound, match="lacks"):
+        _find_delta0(Mphi, Mrho, 3)
 
 
 def test_weight_bump_negative_control_probes_larger_eps():

@@ -12,13 +12,10 @@ from qpos import (
     FieldPoint,
     FormField,
     HypothesisViolated,
-    NotProjector,
     ProjectorRoutesDisagree,
     inertia,
     negative_projector,
-    spectrum_wrt,
     synthesize_single,
-    update_metric,
 )
 from qpos.hermitian import pencil_eigh, pencil_eigvalsh, sign_counts
 from qpos.synthetic import (
@@ -245,8 +242,6 @@ def test_negative_projector_dual_route_random(rng):
         assert abs(np.trace(P).real - 2.0) < 1e-9
 
 
-# ------------------------------------------------------------- update_metric
-
 def test_negative_projector_crowded_negative_spectrum():
     # lam_r = -0.005 lies 0.1 % inside a disc of radius -lam_1 / 2, beyond what
     # the 8192-node cap resolves; the balanced disc needs 150 nodes
@@ -257,39 +252,6 @@ def test_negative_projector_crowded_negative_spectrum():
     assert cert.passed
     with pytest.raises(ProjectorRoutesDisagree):
         negative_projector(S, np.eye(6), 2, nodes=32)
-
-
-def test_update_metric_f_zero_is_identity_map(rng):
-    g = random_metric(rng, 4)
-    P = negative_projector(hermitian_with_eigs(rng, [-1.0, 1.0, 2.0, 3.0]), g, 1)
-    assert_allclose(update_metric(g, P, 0.0), g, atol=1e-14)
-
-
-def test_update_metric_worked_example():
-    S = np.diag([-5.0, 1.0, 2.0])
-    P = np.diag([1.0, 0.0, 0.0])
-    g1 = update_metric(np.eye(3), P, 4.4)
-    lam = spectrum_wrt(S, g1).eigenvalues
-    assert_allclose(lam, [-5.0 / 5.4, 1.0, 2.0], rtol=1e-12)
-    assert_allclose(lam[0] + lam[1], 2.0 / 27.0, rtol=1e-9)
-
-
-def test_update_metric_spectral_rescaling_random(rng):
-    S = hermitian_with_eigs(rng, [-2.0, -1.0, 0.5, 3.0])
-    g = random_metric(rng, 4)
-    lam0 = spectrum_wrt(S, g).eigenvalues
-    P = negative_projector(S, g, 2)
-    f = 1.7
-    g1 = update_metric(g, P, f)
-    lam1 = spectrum_wrt(S, g1).eigenvalues
-    expect = np.sort(np.concatenate([lam0[:2] / (1 + f), lam0[2:]]))
-    assert_allclose(lam1, expect, rtol=1e-9, atol=1e-9)
-
-
-def test_update_metric_rejects_non_projector(rng):
-    g = random_metric(rng, 3)
-    with pytest.raises(NotProjector):
-        update_metric(g, 0.5 * np.eye(3), 1.0)
 
 
 # ------------------------------------------------------------- synthesize

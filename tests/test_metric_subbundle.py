@@ -173,6 +173,14 @@ def test_synthesize_multiform_field(rng):
         assert c.margin() >= ETA * c.A1 - 1e-12
 
 
+@pytest.mark.parametrize("safety", [np.nan, np.inf, -1.0])
+def test_synthesize_rejects_unusable_safety(rng, safety):
+    # rejected at the argument, not deep in the metric build
+    field, gamma = planted_subbundle_field(rng, 20, 5, 2)
+    with pytest.raises(ValueError, match="safety"):
+        synthesize_subbundle(field, ["Q1", "Q2", "Q3"], 2, gamma=gamma, safety=safety)
+
+
 def test_synthesize_monotone_in_kappa(rng):
     field, gamma = planted_subbundle_field(rng, 10, 5, 2)
     _, _, consts = synthesize_subbundle(field, ["Q1", "Q2", "Q3"], 2, gamma=gamma)
