@@ -29,7 +29,7 @@ samples = trace_level_curve(pair, n_angles=64)
 members = [s for s in samples if s.in_gamma_tilde]
 print(f"level-curve samples: {len(samples)}, positive-gradient arc: {len(members)}")
 
-res = pair_metric(pair, n_angles=512)
+res = pair_metric(pair)
 print("gamma point:", np.round(res.gamma_point, 6))
 ev = xi_eval(pair, res.gamma_point)
 print(f"xi at gamma : {ev.xi:.9f} (level 1)")

@@ -200,7 +200,7 @@ def cmd_synthesize_two_forms(args):
     names = _form_names(field, "--forms", args.forms.split(","), 2)
     if args.angles < 1:
         raise SchemaError("--angles", f"needs at least one ray, got {args.angles}")
-    metrics, certs, gammas, cont = field_metric_top_degree(field, names, n_angles=args.angles)
+    metrics, certs, gammas, cont = field_metric_top_degree(field, names)
     _write_outputs(args, field.ids, metrics, certs,
                    gamma_points=RowTable({"id": object_column(field.ids), "gamma": gammas}),
                    continuity=cont)
@@ -357,7 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
     c = syn.add_parser("two-forms")
     c.add_argument("--input", required=True)
     c.add_argument("--forms", required=True)
-    c.add_argument("--angles", type=int, default=512)
+    c.add_argument("--angles", type=int, default=512,
+                   help="ignored: the arc ends and midpoint are exact (must be at least 1)")
     c.add_argument("--out")
     c.add_argument("--cert")
     c.set_defaults(fn=cmd_synthesize_two_forms)

@@ -62,7 +62,6 @@ from ..two_forms import common_witnesses
 from .domains import Domain
 from .levi import BoundarySamples
 
-CHI_SECOND_DERIVATIVE = 2.0
 EPS0_SCALE = 0.1             # eps never exceeds EPS0_SCALE * domain.scale ...
 THETA_SAFETY = 0.9           # ... and is THETA_SAFETY times the smaller bound
 TRACE_CHECK_SAMPLES = 100    # samples and random q-frames per sample on which

@@ -59,18 +59,19 @@ from .riesz import Disc, riesz_projector
 
 DEFAULT_THETA = 0.1
 RIESZ_CHECK_COUNT = 4
+TAU_GAP = 1e-10  # relative to max(1, |lam|_max): a smaller eigenvalue counts as zero
 
 
-def negative_projector(S, g, r: int, tau_gap: float | None = None,
-                       check_riesz: bool = True, nodes: int | None = None) -> np.ndarray:
+def negative_projector(S, g, r: int, nodes: int | None = None) -> np.ndarray:
     """g-orthogonal projector onto the span of the r negative eigenvectors.
 
-    Computed from the pencil eigenvectors, and (by default) cross-checked
-    against a Riesz projector of the congruence-reduced operator; the two
-    routes must agree to 1e-8, else ProjectorRoutesDisagree.  The disc is
-    centered at (lam_1 + lam_r) / 2; with a = (lam_r - lam_1) / 2 > 0 and
-    r < d its radius sqrt(a (a + lam_(r+1) - lam_r)) makes the largest inner
-    ratio |lam - center| / radius equal the largest outer ratio
+    Computed from the pencil eigenvectors, and cross-checked against a Riesz
+    projector of the congruence-reduced operator; the two routes must agree
+    to 1e-8, else ProjectorRoutesDisagree.  An eigenvalue within
+    TAU_GAP * max(1, |lam|_max) of 0 counts as zero.  The disc is centered at
+    (lam_1 + lam_r) / 2; with a = (lam_r - lam_1) / 2 > 0 and r < d its radius
+    sqrt(a (a + lam_(r+1) - lam_r)) makes the largest inner ratio
+    |lam - center| / radius equal the largest outer ratio
     radius / |lam - center|, otherwise it is -lam_1 / 2.  With
     ``nodes=None`` the quadrature node count is chosen from the trapezoid
     error law |u|^N so the comparison is meaningful at any spectral
@@ -87,8 +88,7 @@ def negative_projector(S, g, r: int, tau_gap: float | None = None,
     W, W_inv = congruence(G)
     T = reduce_form(M, W)
     lam, Y = np.linalg.eigh(T)
-    if tau_gap is None:
-        tau_gap = 1e-10 * max(1.0, float(np.max(np.abs(lam))))
+    tau_gap = TAU_GAP * max(1.0, float(np.max(np.abs(lam))))
     if abs(lam[r - 1]) <= tau_gap and (r >= d or abs(lam[r]) <= tau_gap):
         raise NoSpectralGap(f"lam_r = {lam[r - 1]:.3e} and lam_(r+1) both near zero")
     if lam[r - 1] >= 0:
@@ -97,21 +97,20 @@ def negative_projector(S, g, r: int, tau_gap: float | None = None,
         raise NoSpectralGap(f"lam_(r+1) = {lam[r]:.3e} is negative; r does not split the spectrum")
     Vr = (W @ Y)[:, :r]
     P = Vr @ Vr.conj().T @ G
-    if check_riesz:
-        a = (lam[r - 1] - lam[0]) / 2.0
-        if r < d and a > 0:
-            radius = np.sqrt(a * (a + lam[r] - lam[r - 1]))
-        else:
-            radius = -lam[0] / 2.0
-        disc = Disc(center=(lam[0] + lam[r - 1]) / 2.0, radius=radius)
-        if nodes is None:
-            u = np.abs(lam - disc.center) / disc.radius
-            rho = max(np.max(u[:r]), np.max(1.0 / u[r:], initial=0.0))
-            nodes = int(min(max(32, np.ceil(np.log(1e-11) / np.log(rho))), 8192))
-        PT = riesz_projector(T, disc, nodes=nodes).matrix
-        distance = np.linalg.norm(W @ PT @ W_inv - P, 2)
-        if distance > 1e-8:
-            raise ProjectorRoutesDisagree(distance)
+    a = (lam[r - 1] - lam[0]) / 2.0
+    if r < d and a > 0:
+        radius = np.sqrt(a * (a + lam[r] - lam[r - 1]))
+    else:
+        radius = -lam[0] / 2.0
+    disc = Disc(center=(lam[0] + lam[r - 1]) / 2.0, radius=radius)
+    if nodes is None:
+        u = np.abs(lam - disc.center) / disc.radius
+        rho = max(np.max(u[:r]), np.max(1.0 / u[r:], initial=0.0))
+        nodes = int(min(max(32, np.ceil(np.log(1e-11) / np.log(rho))), 8192))
+    PT = riesz_projector(T, disc, nodes=nodes).matrix
+    distance = np.linalg.norm(W @ PT @ W_inv - P, 2)
+    if distance > 1e-8:
+        raise ProjectorRoutesDisagree(distance)
     return P
 
 

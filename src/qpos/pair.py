@@ -4,9 +4,10 @@
 log-determinant potential xi with its gradient (the two traces) and Hessian;
 ``find_common_direction``, ``trace_level_curve`` and ``pair_metric`` run the
 stacked kernels of ``qpos.two_forms`` on the pair as a one-point stack, so a
-pair's results equal its point's in a field bit for bit.  No command imports
-this module: the command-line path works on whole fields through
-``two_forms.field_metric_top_degree``.
+pair's results equal its point's in a field bit for bit: the arc's ends and
+its arclength midpoint are exact, and ``trace_level_curve`` marks the samples
+between the ends.  No command imports this module: the command-line path
+works on whole fields through ``two_forms.field_metric_top_degree``.
 """
 
 from __future__ import annotations
@@ -17,9 +18,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, QposError
 from .hermitian import as_form, as_metric, congruence, reduce_form
-from .two_forms import (DEFAULT_ANGLES, GRAD_FLOOR, TAU_LEVEL, TAU_PROP, _deformed_metrics, _gram,
-                        _gram_spectra, _level_sweep, _midpoints, _worst, common_direction,
-                        common_witnesses)
+from .two_forms import (TAU_PROP, _arc_bounds, _deformed_metrics, _gram, _gram_spectra, _midpoints,
+                        _ray_level_hits, _unit, _worst, common_direction, common_witnesses)
 
 
 @dataclass(frozen=True)
@@ -118,41 +118,36 @@ def _ensure_witness(pair: PairState) -> None:
         pair.witness = pair._W @ common_witnesses(pair._Q1t[None], pair._Q2t[None], [None])[0]
 
 
-def trace_level_curve(pair: PairState, n_angles: int = DEFAULT_ANGLES,
-                      level: float = 1.0, tau_level: float = TAU_LEVEL,
-                      grad_floor: float = GRAD_FLOOR) -> list[LevelCurveSample]:
-    """Sample the level curve xi = level along rays in the open first quadrant.
-
-    Requires a verified common positive direction (which bounds the positive
-    quadrant of O).  Marks the samples where both gradient components are
-    strictly positive; those form a single contiguous arc in theta.
-    """
+def trace_level_curve(pair: PairState, n_angles: int = 512,
+                      level: float = 1.0) -> list[LevelCurveSample]:
+    """Sample the level curve xi = level on n_angles rays of the open first quadrant,
+    marking the samples in the positive-gradient arc [theta_a, theta_b].  Requires a
+    verified common positive direction (which bounds the positive quadrant of O)."""
     _ensure_witness(pair)
-    thetas, t, X, xi, traces, member, errors = _level_sweep(
-        pair._Q1t[None], pair._Q2t[None], [None], n_angles, level, tau_level, grad_floor)
-    if errors:
-        raise errors[0]
+    thetas = (np.arange(n_angles) + 0.5) * (np.pi / 2.0) / n_angles
+    Q1t, Q2t, dirs = pair._Q1t[None], pair._Q2t[None], _unit(thetas)
+    t, xi, traces = _ray_level_hits(Q1t, Q2t, dirs[None], level)
+    (lo, hi), = _arc_bounds(Q1t, Q2t, level)
     return [
-        LevelCurveSample(theta=float(thetas[i]), t=float(t[0, i]), x=X[0, i].copy(),
+        LevelCurveSample(theta=float(thetas[i]), t=float(t[0, i]), x=t[0, i] * dirs[i],
                          xi=float(xi[0, i]), grad=traces[0, i].copy(),
-                         in_gamma_tilde=bool(member[0, i]))
+                         in_gamma_tilde=bool(lo <= thetas[i] <= hi))
         for i in range(n_angles)
     ]
 
 
-def pair_metric(pair: PairState, n_angles: int = DEFAULT_ANGLES,
-                level: float = 1.0, tau_prop: float = TAU_PROP) -> PairMetricResult:
+def pair_metric(pair: PairState, level: float = 1.0,
+                tau_prop: float = TAU_PROP) -> PairMetricResult:
     """The midpoint metric for a pair sharing a positive direction.
 
     Proportional pairs (Q1 = mu Q2 within ``tau_prop`` relative) take the
     closed-form point (c / 2 mu, c / 2) with xi = level on the segment
-    mu x1 + x2 = c; otherwise the arclength midpoint of the traced
-    positive-gradient arc, re-projected radially onto the level curve.  The
-    output traces of both forms are re-verified to be positive.
+    mu x1 + x2 = c; the others the arclength midpoint of the positive-gradient
+    arc.  xi there and both output traces are re-verified.
     """
     _ensure_witness(pair)
-    gamma, traces, mu, prop = _midpoints(pair._Q1t[None], pair._Q2t[None], [None],
-                                         n_angles, level, tau_prop)
+    gamma, traces, mu, prop = _midpoints(pair._Q1t[None], pair._Q2t[None], [None], level,
+                                         tau_prop)
     return PairMetricResult(gamma_point=gamma[0], metric=pair.metric_at(gamma[0]),
                             traces=(float(traces[0, 0]), float(traces[0, 1])),
                             proportional=bool(prop[0]),

@@ -64,12 +64,12 @@ class ProjectorResult:
     hermiticity_defect: float
 
 
-def resolvent(T, zeta: complex, tau_sep: float = TAU_SEP_RESOLVENT) -> np.ndarray:
+def resolvent(T, zeta: complex) -> np.ndarray:
     """(zeta I - T)^{-1} for Hermitian T; rejects zeta too close to the spectrum."""
     M = as_form(T)
     lam = np.linalg.eigvalsh(M)
     dist = float(np.min(np.abs(lam - zeta)))
-    if dist < tau_sep:
+    if dist < TAU_SEP_RESOLVENT:
         raise NearSingularResolvent(zeta, dist)
     d = M.shape[0]
     return np.linalg.solve(zeta * np.eye(d) - M, np.eye(d))
@@ -79,8 +79,7 @@ def _separation(lam, disc: Disc) -> float:
     return float(np.min(disc.boundary_distance(lam)))
 
 
-def riesz_projector(T, disc: Disc, nodes: int = DEFAULT_NODES,
-                    tau_sep: float = TAU_SEP_CONTOUR) -> ProjectorResult:
+def riesz_projector(T, disc: Disc, nodes: int = DEFAULT_NODES) -> ProjectorResult:
     """Spectral projector for eigenvalues of T inside the disc, by quadrature.
 
     Uses the N-point trapezoid rule on the circle (N = ``nodes``) but solves
@@ -88,7 +87,7 @@ def riesz_projector(T, disc: Disc, nodes: int = DEFAULT_NODES,
     conjugate of node k and R(conj(zeta)) = R(zeta)*, so each such pair adds
     term + term*.  Results are deterministic for a fixed BLAS thread count.
     Raises EigenvalueOnContour when the spectrum comes within
-    ``tau_sep * radius`` of the boundary circle; the achieved separation is
+    ``TAU_SEP_CONTOUR * radius`` of the boundary circle; the achieved separation is
     reported either way.
     """
     M = as_form(T)
@@ -96,7 +95,7 @@ def riesz_projector(T, disc: Disc, nodes: int = DEFAULT_NODES,
         raise ValueError(f"need at least {MIN_NODES} quadrature nodes")
     lam = np.linalg.eigvalsh(M)
     sep = _separation(lam, disc)
-    threshold = tau_sep * disc.radius
+    threshold = TAU_SEP_CONTOUR * disc.radius
     if sep < threshold:
         raise EigenvalueOnContour(sep, threshold)
     real, paired = _quadrature_sums(M, disc, nodes)
@@ -194,12 +193,12 @@ def _tridiagonal_resolvent_sum(a, b, zeta, weights) -> np.ndarray:
     return X + np.triu(X, 1).T
 
 
-def oracle_projector(T, disc: Disc, tau_sep: float = TAU_SEP_CONTOUR) -> np.ndarray:
+def oracle_projector(T, disc: Disc) -> np.ndarray:
     """Projector by eigendecomposition: sum of v v* over eigenvalues in the disc."""
     M = as_form(T)
     lam, V = np.linalg.eigh(M)
     sep = _separation(lam, disc)
-    threshold = tau_sep * disc.radius
+    threshold = TAU_SEP_CONTOUR * disc.radius
     if sep < threshold:
         raise EigenvalueOnContour(sep, threshold)
     inside = disc.contains(lam)

@@ -229,9 +229,10 @@ def dumps_canonical(obj) -> str:
 
 
 def write_report(path, obj) -> None:
-    payload = {"qpos_schema": SCHEMA_VERSION, **obj}
+    """Write ``obj`` canonically; a report that cannot be formatted leaves no file behind."""
+    text = dumps_canonical({"qpos_schema": SCHEMA_VERSION, **obj})
     with open(path, "w") as fh:
-        fh.write(dumps_canonical(payload))
+        fh.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +380,9 @@ def field_from_json(obj, path="field") -> FormField:
         ppath = f"{path}.points[{i}]"
         if not isinstance(rp, dict) or "id" not in rp or "forms" not in rp:
             raise SchemaError(ppath, "every point needs id and forms")
+        pid = rp["id"]
+        if isinstance(pid, (list, dict)) or (isinstance(pid, float) and not math.isfinite(pid)):
+            raise SchemaError(f"{ppath}.id", f"expected a string or finite number, got {pid!r}")
         for key, kind, name in (("forms", dict, "object"), ("neighbors", list, "array"),
                                 ("in_F", bool, "boolean")):
             if not isinstance(rp.get(key, kind()), kind):
@@ -392,7 +396,7 @@ def field_from_json(obj, path="field") -> FormField:
             coords.append(np.asarray(rp["coords"], dtype=float) if "coords" in rp else None)
         except BAD_VALUE as e:
             raise SchemaError(f"{ppath}.coords", f"expected numbers: {e}") from e
-        ids.append(rp["id"])
+        ids.append(pid)
         neighbors.append(rp.get("neighbors"))
         in_F.append(rp.get("in_F", False))
         ranks.append(len(sub["basis_re"]) if "subspace" in rp else None)

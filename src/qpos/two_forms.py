@@ -15,13 +15,20 @@ connected; its arclength midpoint gamma gives the metric <., .>_gamma with
 both traces positive.  Proportional pairs (Q1 = mu Q2, mu > 0) use the
 closed-form midpoint (c / 2 mu, c / 2) of the line segment xi = 1 instead.
 
-Both searches are exact.  A common positive direction is found or proved
+Every search is exact.  A common positive direction is found or proved
 absent by a convex search in one variable (``common_direction``).  Level
 curves are traced by ray shooting: along a ray the Gram matrix is I - t M,
 so one eigendecomposition of M gives xi and both traces in closed form and
-Newton's method finds the crossing.  The rays of all points of a field form
-one stack, RAY_CHUNK entries per eigensolve, and the arcs are decided point by
-point with array operations.  The single-pair API (``PairState``, ``xi_eval``,
+Newton's method finds the crossing.  As {xi <= 1} is convex and holds 0,
+the normal angle atan2(Tr Q2, Tr Q1) of the level curve is nondecreasing in
+the polar angle theta and within pi / 2 of it, so on [0, pi / 2] Tr Q2 > 0
+exactly past one end theta_a of the arc and Tr Q1 > 0 exactly before the
+other, theta_b: each end is 0, pi / 2 or one bracketed root.  Along the arc
+ds / dtheta = sqrt(t^2 + t'^2) is smooth, so L is a GL_NODES-node
+Gauss-Legendre sum (nodes by Golub & Welsch, Math. Comp. 23, 1969), and
+Newton's method solves s(theta_m) = L / 2.  The rays of all points of a
+field form one stack, RAY_CHUNK entries per eigensolve, one call per step of
+each search.  The single-pair API (``PairState``, ``xi_eval``,
 ``pair_metric`` ...) runs these kernels on a one-point stack; it is
 ``qpos.pair``, which no command imports.
 """
@@ -36,14 +43,16 @@ from .errors import CertificateFailed, LevelNotReached, NoCommonDirection, QposE
 from .fields import FormField, certify, require_passed
 from .hermitian import congruence, reduce_form, row_norm
 
-DEFAULT_ANGLES = 512
 TAU_LEVEL = 1e-10
 TAU_PROP = 1e-10
-GRAD_FLOOR = 1e-12
 NEAR_PROP_WARN = 1e-6
 DIRECTION_FLOOR_SCALE = 1e-12
 GOLDEN_STEPS = 72  # 0.618**72 < 1e-15: the bracket in t reaches float resolution
 RAY_CHUNK = 16384 * 9  # matrix entries per eigensolve (16,384 rays at d = 3): 2.4 MB stacks
+GL_NODES = 48  # arclength rule: within 2e-14 of a 200-node rule on 2,000 random arcs, d = 2 ... 5
+END_TOL = 1e-13  # an end is found once its bracket or its function value is this small
+MAX_STEPS = 64  # cap on the regula falsi and Newton steps of the arc searches
+MID_TOL = 1e-8  # relative Newton step below which the midpoint angle is converged
 
 
 def _gram(Q1t, Q2t, X):
@@ -234,67 +243,75 @@ def _newton(mu, level):
     return t
 
 
-def _failed(message, point_id):
-    return CertificateFailed(message, failed_ids=[] if point_id is None else [point_id])
+def _gauss_legendre(m):
+    """The m-node Gauss-Legendre rule on [-1, 1]: the eigenvalues of the Jacobi matrix
+    and twice the squared first entries of its unit eigenvectors (Golub & Welsch)."""
+    k = np.arange(1.0, m)
+    x, V = np.linalg.eigh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), -1))  # lower triangle
+    return x, 2.0 * V[0] ** 2
 
 
-def _level_sweep(Q1t, Q2t, ids, n_angles, level, tau_level=TAU_LEVEL, grad_floor=GRAD_FLOOR):
-    """Every pair's level curve xi = level on n_angles rays of the open first quadrant.
-
-    Returns ``(thetas, t, X, xi, traces, member, errors)``: per pair and ray
-    the crossing t, the point X = t * dir, xi there and both traces;
-    ``member`` marks the rays where both traces exceed ``grad_floor``, which
-    must form one contiguous arc; ``errors`` maps the index of each pair
-    whose rays miss the level or whose arc is split to its error.
-    """
-    thetas = (np.arange(n_angles) + 0.5) * (np.pi / 2.0) / n_angles
-    dirs = np.column_stack([np.cos(thetas), np.sin(thetas)])
-    t, xi, traces = _ray_level_hits(Q1t, Q2t, np.broadcast_to(dirs, (len(Q1t), n_angles, 2)),
-                                    level)
-    missed, off = np.isnan(t), np.abs(xi - level)
-    member = (traces[..., 0] > grad_floor) & (traces[..., 1] > grad_floor)
-    first, last = _arc_ends(member)
-    split = member.any(axis=1) & (last - first + 1 != member.sum(axis=1))
-    errors = {}
-    for i in np.flatnonzero(missed.any(axis=1) | (off.max(axis=1) > tau_level) | split):
-        if missed[i].any():
-            errors[i] = LevelNotReached(float(thetas[np.argmax(missed[i])]), float("inf"), ids[i])
-        elif off[i].max() > tau_level:
-            errors[i] = LevelNotReached(float(thetas[np.argmax(off[i])]), float(np.max(t[i])),
-                                        ids[i])
-        else:
-            errors[i] = _failed("positive-gradient arc is not contiguous; refine n_angles", ids[i])
-    return thetas, t, t[..., None] * dirs, xi, traces, member, errors
+GL_X, GL_W = _gauss_legendre(GL_NODES)
 
 
-def _arc_ends(member):
-    """First and last marked ray of each row (0 and n - 1 for a row without one)."""
-    return np.argmax(member, axis=1), member.shape[1] - 1 - np.argmax(member[:, ::-1], axis=1)
+def _unit(theta):
+    return np.stack([np.cos(theta), np.sin(theta)], axis=-1)
 
 
-def _arc_midpoints(X, member):
-    """Arclength midpoints of the polylines X[i, member[i]], each a nonempty contiguous run.
+def _arc_bounds(Q1t, Q2t, level):
+    """The ends (theta_a, theta_b) of each pair's arc: where f_a = Tr Q2 / |g| and
+    f_b = -Tr Q1 / |g| turn nonnegative.  Each end is 0 or pi / 2, or its bracket
+    [0, pi / 2] is closed by regula falsi with the Illinois modification (halve the value
+    at a bracket end kept twice in a row), one call per step for the pairs still open."""
+    n = len(Q1t)
 
-    Row by row this is ``np.interp(L / 2, cum, pts[:, k])`` with cum the
-    cumulative arclength of the run and L its total, rounded as np.interp
-    rounds: cum is accumulated from the first member (zero-length segments
-    before it), and the result is slope * (L / 2 - cum[j]) + pts[j], or the
-    last point where L / 2 reaches it.
-    """
-    n, A, _ = X.shape
-    rows = np.arange(n)
-    _, last = _arc_ends(member)
-    seg = np.linalg.norm(np.diff(X, axis=1), axis=2)
-    cum = np.concatenate([np.zeros((n, 1)),
-                          np.cumsum(np.where(member[:, :-1] & member[:, 1:], seg, 0.0), axis=1)],
-                         axis=1)
-    half = cum[:, -1] / 2.0
-    j = np.minimum(np.sum(cum <= half[:, None], axis=1) - 1, last)  # cum[j] <= half < cum[j + 1]
-    j1 = np.minimum(j + 1, A - 1)
-    with np.errstate(divide="ignore", invalid="ignore"):  # only where j is last, which takes X[j]
-        slope = (X[rows, j1] - X[rows, j]) / (cum[rows, j1] - cum[rows, j])[:, None]
-        between = slope * (half - cum[rows, j])[:, None] + X[rows, j]
-    return np.where((j == last)[:, None], X[rows, j], between)
+    def values(rows, theta):  # (f_a, f_b) at the angles theta[:, 0] and theta[:, 1]
+        _, _, g = _ray_level_hits(Q1t[rows], Q2t[rows], _unit(theta), level)
+        return g[..., ::-1] * [1.0, -1.0] / np.linalg.norm(g, axis=-1, keepdims=True)
+
+    a, b, moved = np.zeros((n, 2)), np.full((n, 2), np.pi / 2.0), np.zeros((n, 2))
+    fa, fb = values(np.arange(n), b * [0.0, 1.0]).transpose(1, 0, 2)  # at 0 and pi / 2
+    x, live = np.where(fa >= 0, a, b), (fa < 0) & (fb > 0)
+    for _ in range(MAX_STEPS):
+        rows = np.flatnonzero(live.any(axis=1))
+        if not rows.size:
+            break
+        with np.errstate(divide="ignore", invalid="ignore"):  # closed ends keep x
+            x[rows] = np.where(live[rows], ((a * fb - b * fa) / (fb - fa))[rows], x[rows])
+        fx = np.zeros((n, 2))
+        fx[rows] = values(rows, x[rows])[:, [0, 1], [0, 1]]
+        low, high = live & (fx < 0), live & (fx >= 0)  # the root is above x, or at or below it
+        fa, fb = np.where(high & (moved < 0), fa / 2, fa), np.where(low & (moved > 0), fb / 2, fb)
+        a, fa, b, fb = (np.where(low, x, a), np.where(low, fx, fa),
+                        np.where(high, x, b), np.where(high, fx, fb))
+        moved = np.where(low, 1.0, np.where(high, -1.0, moved))
+        live &= (b - a > END_TOL) & (np.abs(fx) > END_TOL)
+    return x
+
+
+def _midpoint_angles(Q1t, Q2t, ends, level):
+    """The polar angle theta_m of each arc's arclength midpoint, s(theta_m) = L / 2, by
+    Newton's method from the middle in theta; a pair stops once its step is within
+    MID_TOL of the arc's width (then its error is at rounding level)."""
+    lo, hi = ends[:, 0], ends[:, 1]
+
+    def length(rows, to):  # the arclength from lo to ``to`` and ds / dtheta at ``to``
+        half = (to - lo[rows]) / 2.0
+        u = _unit(np.column_stack([lo[rows, None] + half[:, None] * (GL_X + 1.0), to]))
+        t, _, g = _ray_level_hits(Q1t[rows], Q2t[rows], u, level)
+        v = t * np.hypot(1.0, (g[..., 1] * u[..., 0] - g[..., 0] * u[..., 1]) / np.vecdot(g, u))
+        return half * np.sum(v[:, :-1] * GL_W, axis=1), v[:, -1]
+
+    live, theta = np.arange(len(ends)), (lo + hi) / 2.0
+    total, _ = length(live, hi)
+    for _ in range(MAX_STEPS):
+        s, v = length(live, theta[live])
+        step = (s - total[live] / 2.0) / v
+        theta[live] = np.clip(theta[live] - step, lo[live], hi[live])
+        live = live[np.abs(step) > MID_TOL * (hi - lo)[live]]
+        if not live.size:
+            break
+    return theta
 
 
 def _proportionality(Q1t, Q2t):
@@ -305,22 +322,18 @@ def _proportionality(Q1t, Q2t):
     return mu, row_norm(a - mu[:, None] * b) / row_norm(a)
 
 
-def _midpoints(Q1t, Q2t, ids, n_angles, level=1.0, tau_prop=TAU_PROP):
+def _midpoints(Q1t, Q2t, ids, level=1.0, tau_prop=TAU_PROP):
     """The midpoint gamma of every pair's positive-gradient arc on xi = level.
 
     Proportional pairs (Q1 = mu Q2 within ``tau_prop`` relative) take the
     closed-form point (c / 2 mu, c / 2) with xi = level on the segment
     mu x1 + x2 = c, the crossing of the ray (1 / 2 mu, 1 / 2); the others the
-    arclength midpoint of the traced arc, re-projected radially onto the level
-    curve.  Both rays go through one ``_ray_level_hits`` call, and both
-    traces at gamma are re-verified to be positive.
-
-    Every pair must have a common positive direction, so neither form is 0.
-    Returns ``(gamma, traces, mu, proportional)`` per pair (mu NaN where not
-    proportional).  A failing pair raises; of several, the first in order,
-    with its id from ``ids``.
+    crossing of the ray at their arclength midpoint angle.  At gamma, xi must
+    be within TAU_LEVEL of the level and both traces positive, else the first
+    failing pair raises with its id from ``ids``.  Every pair must have a common
+    positive direction.  Returns ``(gamma, traces, mu, proportional)`` per
+    pair (mu NaN where not proportional).
     """
-    n = len(Q1t)
     mu, defect = _proportionality(Q1t, Q2t)
     prop = defect <= tau_prop
     errors = {i: NoCommonDirection(ids[i]) for i in np.flatnonzero(prop & (mu <= 0))}
@@ -328,59 +341,45 @@ def _midpoints(Q1t, Q2t, ids, n_angles, level=1.0, tau_prop=TAU_PROP):
     if np.any(defect[swept] <= NEAR_PROP_WARN):
         warnings.warn("forms are nearly proportional; the positive-gradient arc "
                       "is numerically flat", stacklevel=3)
-    _, _, X, _, _, member, failed = _level_sweep(Q1t[swept], Q2t[swept],
-                                                 [ids[i] for i in swept], n_angles, level)
-    for i in np.flatnonzero(~member.any(axis=1)):
-        failed.setdefault(i, _failed("empty positive-gradient arc; n_angles too coarse",
-                                     ids[swept[i]]))
-    arcs = np.ones(len(swept), dtype=bool)
-    arcs[list(failed)] = False
-    errors.update((int(swept[i]), e) for i, e in failed.items())
-
-    dirs = np.zeros((n, 2))
+    dirs = np.zeros((len(mu), 2))
     dirs[prop, 0], dirs[prop, 1] = 0.5 / mu[prop], 0.5
-    raw = _arc_midpoints(X[arcs], member[arcs])
-    dirs[swept[arcs]] = raw / row_norm(raw)[:, None]
-    failing = np.zeros(n, dtype=bool)  # a mask, not np.setdiff1d, which loads numpy.ma
-    failing[list(errors)] = True
-    live = np.flatnonzero(~failing)
-    t, _, _ = _ray_level_hits(Q1t[live], Q2t[live], dirs[live, None], level)
-    gamma = np.full((n, 2), np.nan)
-    gamma[live] = t * dirs[live]
-    for i in live[np.isnan(t[:, 0])]:
-        errors[i] = LevelNotReached(float(np.arctan2(dirs[i, 1], dirs[i, 0])), float("inf"),
-                                    ids[i])
-    failing[list(errors)] = True
-    live = np.flatnonzero(~failing)
-    traces = np.full((n, 2), np.nan)
-    w, _, traces[live] = _gram_spectra(Q1t[live], Q2t[live], gamma[live])
-    for i in live[(w[:, 0] <= 0) | np.any(traces[live] <= 0, axis=1)]:
-        errors[i] = _failed("midpoint left the positive-definite region" if np.isnan(traces[i, 0])
-                            else f"output traces not positive ({traces[i, 0]:.3e}, "
-                            f"{traces[i, 1]:.3e}); n_angles too coarse", ids[i])
+    A, B = Q1t[swept], Q2t[swept]
+    dirs[swept] = _unit(_midpoint_angles(A, B, _arc_bounds(A, B, level), level))
+    t, _, _ = _ray_level_hits(Q1t, Q2t, dirs[:, None], level)
+    gamma, hit = t * dirs, ~np.isnan(t[:, 0])  # a ray misses only without a common direction
+    xi, traces, radius = np.full(len(t), np.inf), np.full((len(t), 2), np.nan), row_norm(gamma)
+    w, _, traces[hit] = _gram_spectra(Q1t[hit], Q2t[hit], gamma[hit])
+    with np.errstate(invalid="ignore", divide="ignore"):  # log w outside O
+        xi[hit] = -np.sum(np.log(w), axis=1)
+    for i in np.flatnonzero(~(np.abs(xi - level) <= TAU_LEVEL)):
+        errors.setdefault(i, LevelNotReached(float(np.arctan2(dirs[i, 1], dirs[i, 0])),
+                                             float(radius[i] if hit[i] else np.inf), ids[i]))
+    for i in np.flatnonzero(~np.all(traces > 0, axis=1)):
+        errors.setdefault(i, CertificateFailed(
+            f"output traces not positive ({traces[i, 0]:.3e}, {traces[i, 1]:.3e})",
+            failed_ids=[] if ids[i] is None else [ids[i]]))
     if errors:
         raise errors[min(errors)]
     return gamma, traces, np.where(prop, mu, np.nan), prop
 
 
-def field_metric_top_degree(field: FormField, names, n_angles: int = DEFAULT_ANGLES):
+def field_metric_top_degree(field: FormField, names):
     """Pair metrics at every point of a field, with trace certificates.
 
     ``names = (name1, name2)`` selects the two forms; each certificate is the
     q = d certificate, whose sum is the trace.  Both form stacks are reduced
-    once; one ``common_direction`` call decides all points, and the level
-    curves and midpoints of all points are stacked computations.
-    NoCommonDirection names the first point without a witness; otherwise the
-    first point whose level curve or midpoint fails raises, with its id.
-    Returns ``(metrics, certificates, gamma_points, continuity)``, the last
-    with the largest jump of gamma across adjacent samples, if any.
+    once and every search is stacked over the points.  NoCommonDirection
+    names the first point without a witness; otherwise the first point whose
+    midpoint fails raises.  Returns ``(metrics, certificates, gamma_points,
+    continuity)``, the last with the largest jump of gamma across adjacent
+    samples, if any.
     """
     n1, n2 = names
     Q1, Q2, g0 = field.form_stack(n1), field.form_stack(n2), field.g0_stack()
     W, _ = congruence(g0)
     Q1t, Q2t = reduce_form(Q1, W), reduce_form(Q2, W)
     common_witnesses(Q1t, Q2t, field.ids)
-    gamma_points, _, _, _ = _midpoints(Q1t, Q2t, field.ids, n_angles)
+    gamma_points, _, _, _ = _midpoints(Q1t, Q2t, field.ids)
     metrics = _deformed_metrics(g0, Q1, Q2, gamma_points)
 
     certificates = {name: certify(field, name, field.dim, metrics, "two_form_midpoint")

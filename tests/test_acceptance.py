@@ -169,13 +169,13 @@ def test_04_subbundle_synthesis():
 def test_05_two_form_construction():
     rng = np.random.default_rng(505)
     with budget("5 two-forms", 60):
-        res = pair_metric(PairState(np.eye(2), np.eye(2)), n_angles=512)
+        res = pair_metric(PairState(np.eye(2), np.eye(2)))
         c = 1.0 - np.exp(-0.5)
         assert np.max(np.abs(res.gamma_point - np.array([c / 2, c / 2]))) <= 1e-6
         for _ in range(100):
             d = int(rng.integers(2, 5))
             Q1, Q2, _ = random_pair_with_common_direction(rng, d)
-            out = pair_metric(PairState(Q1, Q2), n_angles=128)
+            out = pair_metric(PairState(Q1, Q2))
             assert out.traces[0] > 0 and out.traces[1] > 0
         checked = 0
         h = 1e-6

@@ -51,8 +51,8 @@ def run_cli(*argv, cwd=None):
 COMMAND_LAYERS = ("qpos.riesz", "qpos.metric_single", "qpos.metric_subbundle", "qpos.two_forms",
                   "qpos.synthetic", "qpos.geometry.domains", "qpos.geometry.levi",
                   "qpos.geometry.bump", "qpos.geometry.counterexample")
-# Library APIs that no command imports, and a numpy module that no command needs.
-NEVER_LOADED = ("qpos.pair", "qpos.qpositivity", "numpy.ma")
+# Library APIs that no command imports, and numpy modules that no command needs.
+NEVER_LOADED = ("qpos.pair", "qpos.qpositivity", "numpy.ma", "numpy.polynomial")
 
 
 def test_cli_import_loads_no_scipy():
@@ -682,6 +682,35 @@ def test_cli_synthesize_subbundle_and_two_forms(tmp_path, rng):
     assert payload["certificates"]["Q1"]["passed"] is True
 
 
+def test_cli_two_forms_ignores_angles(tmp_path, rng):
+    # the arc ends and midpoint are exact, so --angles changes no byte; below 1 it still
+    # exits 1 (two_forms_zero_angles)
+    from qpos.synthetic import random_pair_with_common_direction
+
+    pts = [FieldPoint(id=f"p{i}", forms=dict(zip(("Q1", "Q2"),
+                                                 random_pair_with_common_direction(rng, 3))))
+           for i in range(4)]
+    path = tmp_path / "pairs.json"
+    path.write_text(dumps_canonical(field_to_json(FormField(dim=3, points=pts))))
+    reports = []
+    for k, angles in enumerate(((), ("--angles", 64), ("--angles", 512))):
+        out, cert = tmp_path / f"metric{k}.json", tmp_path / f"cert{k}.json"
+        r = run_cli("synthesize", "two-forms", "--input", path, "--forms", "Q1,Q2", *angles,
+                    "--out", out, "--cert", cert)
+        assert r.returncode == 0, r.stderr
+        reports.append((out.read_bytes(), cert.read_bytes()))
+    assert reports[0] == reports[1] == reports[2]
+    assert "ignored" in run_cli("synthesize", "two-forms", "--help").stdout
+
+
+def test_write_report_formats_before_opening(tmp_path):
+    # a report that cannot be formatted used to leave an empty file
+    out = tmp_path / "report.json"
+    with pytest.raises(SchemaError, match="non-finite"):
+        serialize.write_report(out, {"x": float("nan")})
+    assert not out.exists()
+
+
 def test_cli_synthesize_subbundle_names_the_fiber_rank_it_found(tmp_path, rng):
     from qpos.synthetic import planted_subbundle_field
 
@@ -722,6 +751,7 @@ BAD_INPUT_CASES = [
     "project_radius_nan", "project_radius_inf", "project_center_nan",
     "field_g0_not_positive_definite", "field_g0_not_hermitian", "field_subspace_rank_mismatch",
     "field_subspace_at_some_points", "field_neighbor_names_no_point",
+    "field_id_nan", "field_id_array", "field_id_object",
     "levi_seed_negative", "bump_seed_negative",
     "single_margin_inf", "single_margin_nan", "single_margin_0", "single_margin_negative",
     "subbundle_safety_nan", "subbundle_safety_inf", "subbundle_safety_negative",
@@ -763,6 +793,12 @@ FIELD_DEFECTS = {
     "field_neighbor_names_no_point": (
         lambda doc: doc["points"][1].__setitem__("neighbors", ["p0", "px"]),
         ".points[1].neighbors"),
+    # a NaN id used to be read, and writing the report then failed and left an empty file
+    "field_id_nan": (lambda doc: doc["points"][1].__setitem__("id", float("nan")),
+                     ".points[1].id"),
+    "field_id_array": (lambda doc: doc["points"][0].__setitem__("id", [1]), ".points[0].id"),
+    "field_id_object": (lambda doc: doc["points"][1].__setitem__("id", {"a": 1}),
+                        ".points[1].id"),
 }
 PROJECT_OPTIONS = {
     "project_nodes_4": ("--nodes", 4), "project_nodes_0": ("--nodes", 0),

@@ -201,33 +201,78 @@ def test_ray_level_hits_on_the_level_set(rng):
         assert_allclose(-np.sum(np.log(w), axis=1), 1.0, atol=1e-12)
 
 
-def test_arc_midpoints_equal_per_arc_interp(rng):
-    # reference: the polyline of the member rays and np.interp at half its length
-    X = rng.uniform(0.0, 1.0, size=(300, 12, 2))
-    X[::7, 3:9] = X[::7, 3:4]  # runs of repeated points: zero-length segments
-    X[2::11] = np.stack([0.25 * np.arange(12), np.zeros(12)], axis=1)  # half often a node
-    first = rng.integers(0, 12, 300)
-    last = np.minimum(first + rng.integers(0, 12, 300), 11)
-    member = (np.arange(12) >= first[:, None]) & (np.arange(12) <= last[:, None])
-    mid = two_forms._arc_midpoints(X, member)
-    for x, m, got in zip(X, member, mid):
-        pts = x[m]
+def _speed(Q1t, Q2t, theta):
+    """ds / dtheta of xi = 1 at the angles theta (n, k): on x = t u, t' = -t g.u_perp / g.u."""
+    u = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    t, _, g = two_forms._ray_level_hits(Q1t, Q2t, u, 1.0)
+    return np.hypot(t, t * (g[..., 1] * u[..., 0] - g[..., 0] * u[..., 1]) / np.sum(g * u, -1))
+
+
+def test_midpoint_agrees_with_a_fine_polyline(rng):
+    # reference: the arclength midpoint of the polyline through the 2^14 rays inside the
+    # arc; the polyline's own first-order error is about 1e-4
+    pairs = [PairState(*random_pair_with_common_direction(rng, d)[:2])
+             for d in range(2, 6) for _ in range(5)]
+    thetas = (np.arange(2 ** 14) + 0.5) * (np.pi / 2) / 2 ** 14
+    dirs = np.column_stack([np.cos(thetas), np.sin(thetas)])
+    for pair in pairs:
+        t, _, g = two_forms._ray_level_hits(pair._Q1t[None], pair._Q2t[None], dirs[None], 1.0)
+        pts = (t[0, :, None] * dirs)[(g[0, :, 0] > 0) & (g[0, :, 1] > 0)]
         cum = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(pts, axis=0), axis=1))])
-        want = [np.interp(cum[-1] / 2.0, cum, pts[:, k]) for k in range(2)]
-        assert_array_equal(got, want)
+        want = np.array([np.interp(cum[-1] / 2.0, cum, pts[:, k]) for k in range(2)])
+        got = pair_metric(pair).gamma_point
+        assert np.linalg.norm(got - want) <= 2e-4 * np.linalg.norm(want)
 
 
-def test_level_curve_noncontiguous_arc_is_certificate_failure(monkeypatch):
-    traces = two_forms._traces
+def test_midpoint_halves_the_arclength(rng):
+    # each half taken with a 96-node rule, from the ends to the angle of gamma
+    x96, w96 = np.polynomial.legendre.leggauss(96)
+    for d in range(2, 6):
+        pairs = [PairState(*random_pair_with_common_direction(rng, d)[:2]) for _ in range(10)]
+        Q1t, Q2t = np.stack([p._Q1t for p in pairs]), np.stack([p._Q2t for p in pairs])
+        ends = two_forms._arc_bounds(Q1t, Q2t, 1.0)
+        gamma = np.stack([pair_metric(p).gamma_point for p in pairs])
+        mid = np.arctan2(gamma[:, 1], gamma[:, 0])
 
-    def striped(Q1t, Q2t, U, w):  # every other ray loses its positive Q1 trace
-        g = traces(Q1t, Q2t, U, w)
-        g[..., 1::2, 0] *= -1.0
-        return g
+        def length(lo, hi):
+            half = (hi - lo) / 2.0
+            return half * (_speed(Q1t, Q2t, lo[:, None] + half[:, None] * (x96 + 1.0)) @ w96)
 
-    monkeypatch.setattr(two_forms, "_traces", striped)
-    with pytest.raises(CertificateFailed, match="not contiguous"):
-        trace_level_curve(PairState(np.eye(2), np.eye(2)), n_angles=8)
+        assert np.all((ends[:, 0] < mid) & (mid < ends[:, 1]))
+        assert_allclose(length(ends[:, 0], mid), length(mid, ends[:, 1]), rtol=1e-12)
+
+
+def test_narrow_arc_is_found(rng):
+    # Tr Q1 > 0 and Tr Q2 > 0 need the Gram eigenvalues in a ratio within (a, 1 / a): at
+    # a = 0.99 an arc 7.8e-5 wide about pi / 4, between two of the rays (k + 1/2) pi / 1024
+    a = 0.99
+    U = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
+    pair = PairState(*(U @ np.diag(v) @ U.conj().T for v in ([1.0, -a], [-a, 1.0])))
+    (lo, hi), = two_forms._arc_bounds(pair._Q1t[None], pair._Q2t[None], 1.0)
+    assert 0.0 < hi - lo < np.pi / 1024
+    rays = (np.arange(512) + 0.5) * np.pi / 1024
+    assert not np.any((lo <= rays) & (rays <= hi))
+    res = pair_metric(pair)
+    assert lo < np.arctan2(res.gamma_point[1], res.gamma_point[0]) < hi
+    assert min(res.traces) > 0
+    assert abs(xi_eval(pair, res.gamma_point).xi - 1.0) <= 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 5), st.integers(0, 2 ** 32 - 1))
+def test_trace_signs_are_monotone_along_the_level_curve(d, seed):
+    Q1, Q2, _ = random_pair_with_common_direction(np.random.default_rng(seed), d)
+    pair = PairState(Q1, Q2)
+    thetas = np.linspace(0.0, np.pi / 2, 257)
+    dirs = np.column_stack([np.cos(thetas), np.sin(thetas)])
+    _, _, g = two_forms._ray_level_hits(pair._Q1t[None], pair._Q2t[None], dirs[None], 1.0)
+    pos1, pos2 = g[0, :, 0] > 0, g[0, :, 1] > 0
+    assert not np.any(pos1[1:] & ~pos1[:-1])  # Tr Q1 > 0 on [0, theta_b)
+    assert not np.any(pos2[:-1] & ~pos2[1:])  # Tr Q2 > 0 on (theta_a, pi / 2]
+    (lo, hi), = two_forms._arc_bounds(pair._Q1t[None], pair._Q2t[None], 1.0)
+    far = 1e-9
+    assert np.all(pos2[thetas > lo + far]) and not np.any(pos2[thetas < lo - far])
+    assert np.all(pos1[thetas < hi - far]) and not np.any(pos1[thetas > hi + far])
 
 
 def test_level_curve_identity_pair_closed_form():
@@ -261,7 +306,7 @@ def test_level_curve_requires_common_direction():
 # ------------------------------------------------------------- pair_metric
 
 def test_pair_metric_identity_closed_form():
-    res = pair_metric(PairState(np.eye(2), np.eye(2)), n_angles=512)
+    res = pair_metric(PairState(np.eye(2), np.eye(2)))
     assert res.proportional and res.mu == pytest.approx(1.0)
     assert_allclose(res.gamma_point, [C_HALF / 2, C_HALF / 2], atol=1e-6)
     assert_allclose(res.metric, np.exp(-0.5) * np.eye(2), atol=1e-9)
@@ -278,13 +323,13 @@ def test_pair_metric_warns_near_proportional():
     Q2 = np.diag([1.0, 2.0])
     Q1 = 1.5 * Q2 + 1e-8 * np.diag([1.0, -1.0])
     with pytest.warns(UserWarning, match="nearly proportional"):
-        res = pair_metric(PairState(Q1, Q2), n_angles=256)
+        res = pair_metric(PairState(Q1, Q2))
     assert res.traces[0] > 0 and res.traces[1] > 0
 
 
 def test_pair_metric_nonproportional_traces_positive():
     Q1, Q2 = np.diag([1.0, -0.5]), np.diag([-0.5, 1.0])
-    res = pair_metric(PairState(Q1, Q2), n_angles=256)
+    res = pair_metric(PairState(Q1, Q2))
     assert not res.proportional
     assert res.traces[0] > 0 and res.traces[1] > 0
     ev = xi_eval(PairState(Q1, Q2), res.gamma_point)
@@ -296,7 +341,7 @@ def test_pair_metric_level_point_and_quadrant_random(rng):
     for _ in range(15):
         Q1, Q2, _ = random_pair_with_common_direction(rng, 3)
         pair = PairState(Q1, Q2)
-        res = pair_metric(pair, n_angles=128)
+        res = pair_metric(pair)
         assert res.gamma_point[0] > 0 and res.gamma_point[1] > 0
         assert abs(xi_eval(pair, res.gamma_point).xi - 1.0) <= 1e-6
         assert trace_wrt(Q1, res.metric) > 0
@@ -307,13 +352,13 @@ def test_pair_metric_empirical_continuity(rng):
     ratios = []
     for _ in range(30):
         Q1, Q2, _ = random_pair_with_common_direction(rng, 3)
-        base = pair_metric(PairState(Q1, Q2), n_angles=256)
+        base = pair_metric(PairState(Q1, Q2))
         delta = 1e-4
         E1 = random_hermitian(rng, 3)
         E2 = random_hermitian(rng, 3)
         E1 *= delta / np.linalg.norm(E1, 2)
         E2 *= delta / np.linalg.norm(E2, 2)
-        pert = pair_metric(PairState(Q1 + E1, Q2 + E2), n_angles=256)
+        pert = pair_metric(PairState(Q1 + E1, Q2 + E2))
         ratios.append(np.linalg.norm(pert.gamma_point - base.gamma_point) / delta)
     assert np.isfinite(ratios).all()
     assert max(ratios) < 1e4
@@ -341,8 +386,7 @@ def test_field_varying_pair_with_adjacency(rng):
             nbrs = [f"p{i-1}"] if i else []
             pts.append(FieldPoint(id=f"p{i}", forms={"Q1": Q1, "Q2": Q2}, neighbors=nbrs))
         field = FormField(dim=2, points=pts)
-        metrics, certs, gammas, cont = field_metric_top_degree(field, ("Q1", "Q2"),
-                                                               n_angles=128)
+        metrics, certs, gammas, cont = field_metric_top_degree(field, ("Q1", "Q2"))
         assert certs["Q1"].passed and certs["Q2"].passed
         neigh = field.neighbor_indices()  # the per-neighbour comprehension, exactly
         assert cont["max_gamma_jump"] == float(max(
@@ -366,14 +410,27 @@ def test_field_flags_missing_common_direction():
     assert exc.value.lam_max <= DIRECTION_FLOOR_SCALE
 
 
-def test_field_certificate_failure_names_the_point():
-    # one ray at theta = pi/4 misses the positive-gradient arc of "coarse"
+def _midpoint_at_zero(monkeypatch, row):
+    """Move the midpoint angle of the ``row``-th non-proportional pair to theta = 0."""
+    angles = two_forms._midpoint_angles
+
+    def planted(*args):
+        theta = angles(*args)
+        theta[row] = 0.0
+        return theta
+
+    monkeypatch.setattr(two_forms, "_midpoint_angles", planted)
+
+
+def test_field_certificate_failure_names_the_point(monkeypatch):
+    # theta = 0 lies before the arc of "coarse" (theta_a > 0), where Tr Q2 < 0
     pts = [FieldPoint(id="ok", forms={"Q1": np.eye(2, dtype=complex),
                                       "Q2": np.eye(2, dtype=complex)}),
            FieldPoint(id="coarse", forms={"Q1": np.diag([1.0, -3.0]).astype(complex),
                                           "Q2": np.diag([-0.1, 1.0]).astype(complex)})]
-    with pytest.raises(CertificateFailed, match="empty positive-gradient arc") as exc:
-        field_metric_top_degree(FormField(dim=2, points=pts), ("Q1", "Q2"), n_angles=1)
+    _midpoint_at_zero(monkeypatch, 0)  # "ok" is proportional: "coarse" is the only row
+    with pytest.raises(CertificateFailed, match="output traces not positive") as exc:
+        field_metric_top_degree(FormField(dim=2, points=pts), ("Q1", "Q2"))
     assert exc.value.failed_ids == ["coarse"]
 
 
@@ -384,6 +441,17 @@ def _crossed(a):
 COARSE = (np.diag([1.0, -3.0]).astype(complex), np.diag([-0.1, 1.0]).astype(complex))
 
 
+def test_coarse_pair_passes_with_interior_arc_ends():
+    # one ray at theta = pi / 4 missed this arc, and the pair failed as "n_angles too coarse"
+    pair = PairState(*COARSE)
+    (lo, hi), = two_forms._arc_bounds(pair._Q1t[None], pair._Q2t[None], 1.0)
+    assert 0.0 < lo < hi < np.pi / 2
+    assert not lo <= np.pi / 4 <= hi
+    res = pair_metric(pair)
+    assert lo < np.arctan2(res.gamma_point[1], res.gamma_point[0]) < hi
+    assert min(res.traces) > 0
+
+
 def _crossed_field(special=()):
     """Five crossed pairs p0 ... p4; ``special`` maps a point index to its own pair."""
     special = dict(special)
@@ -392,48 +460,48 @@ def _crossed_field(special=()):
         for i, a in enumerate(np.linspace(0.1, 0.5, 5))])
 
 
-def _crossing_off_level(monkeypatch, row):
-    """Shift xi at the last ray of pair ``row`` in the level-curve sweep off the level."""
-    hits, calls = two_forms._ray_level_hits, []
+def _planted_at_gamma(monkeypatch, off_level=(), negated=()):
+    """In the recheck at gamma, move xi off the level at the rows ``off_level`` and
+    negate both traces at the rows ``negated``."""
+    spectra = two_forms._gram_spectra
 
-    def off(Q1t, Q2t, dirs, level):
-        t, xi, traces = hits(Q1t, Q2t, dirs, level)
-        if not calls:  # the first call is the sweep, the second the midpoint rays
-            xi[row, -1] += 1e-6
-        calls.append(len(dirs))
-        return t, xi, traces
+    def planted(Q1t, Q2t, X):
+        w, U, traces = spectra(Q1t, Q2t, X)
+        w[list(off_level)] *= np.exp(-1e-6)  # xi rises by d * 1e-6
+        traces[list(negated)] *= -1.0
+        return w, U, traces
 
-    monkeypatch.setattr(two_forms, "_ray_level_hits", off)
+    monkeypatch.setattr(two_forms, "_gram_spectra", planted)
 
 
 def test_field_level_not_reached_names_the_point(monkeypatch):
-    _crossing_off_level(monkeypatch, 2)
+    _, _, gammas, _ = field_metric_top_degree(_crossed_field(), ("Q1", "Q2"))
+    _planted_at_gamma(monkeypatch, off_level=[2])
     with pytest.raises(LevelNotReached, match="at point 'p2'") as exc:
-        field_metric_top_degree(_crossed_field(), ("Q1", "Q2"), n_angles=16)
+        field_metric_top_degree(_crossed_field(), ("Q1", "Q2"))
     assert exc.value.point_id == "p2"
-    assert exc.value.theta == pytest.approx(15.5 * np.pi / 32)
+    assert exc.value.theta == pytest.approx(np.arctan2(gammas[2, 1], gammas[2, 0]))
+    assert exc.value.radius == pytest.approx(np.linalg.norm(gammas[2]))
 
 
-def test_field_certificate_failure_in_the_middle_names_the_point():
-    with pytest.raises(CertificateFailed, match="empty positive-gradient arc") as exc:
-        field_metric_top_degree(_crossed_field({2: COARSE}), ("Q1", "Q2"), n_angles=1)
+def test_field_certificate_failure_in_the_middle_names_the_point(monkeypatch):
+    _midpoint_at_zero(monkeypatch, 2)
+    with pytest.raises(CertificateFailed, match="output traces not positive") as exc:
+        field_metric_top_degree(_crossed_field({2: COARSE}), ("Q1", "Q2"))
     assert exc.value.failed_ids == ["p2"]
 
 
 def test_field_raises_for_the_first_failing_point(monkeypatch):
-    # p3 fails early (level missed in the sweep), p1 late (trace at gamma): p1 is raised
-    spectra = two_forms._gram_spectra
-
-    def negated(Q1t, Q2t, X):
-        w, U, traces = spectra(Q1t, Q2t, X)
-        traces[1] *= -1.0  # row 1 of the points still alive (p0, p1, p2, p4) is p1
-        return w, U, traces
-
-    monkeypatch.setattr(two_forms, "_gram_spectra", negated)
-    _crossing_off_level(monkeypatch, 3)
-    with pytest.raises(CertificateFailed, match="output traces not positive") as exc:
-        field_metric_top_degree(_crossed_field(), ("Q1", "Q2"), n_angles=16)
-    assert exc.value.failed_ids == ["p1"]
+    # p3 leaves the level and p1 has negative traces at gamma: p1 is raised, whichever
+    # failure comes first in the recheck
+    with monkeypatch.context() as m:
+        _planted_at_gamma(m, off_level=[3], negated=[1])
+        with pytest.raises(CertificateFailed, match="output traces not positive") as exc:
+            field_metric_top_degree(_crossed_field(), ("Q1", "Q2"))
+        assert exc.value.failed_ids == ["p1"]
+    _planted_at_gamma(monkeypatch, off_level=[1], negated=[3])
+    with pytest.raises(LevelNotReached, match="at point 'p1'"):
+        field_metric_top_degree(_crossed_field(), ("Q1", "Q2"))
 
 
 def _mixed_field(rng, n, d=3):
@@ -454,24 +522,29 @@ def _mixed_field(rng, n, d=3):
 @pytest.mark.filterwarnings("ignore:forms are nearly proportional")
 def test_field_equals_per_point_pair_metrics_bit_for_bit(rng, monkeypatch):
     field = _mixed_field(rng, 40)
-    metrics, _, gammas, _ = field_metric_top_degree(field, ("Q1", "Q2"), n_angles=64)
-    single = [pair_metric(PairState(p.forms["Q1"], p.forms["Q2"], base=p.g0), n_angles=64)
+    metrics, _, gammas, _ = field_metric_top_degree(field, ("Q1", "Q2"))
+    single = [pair_metric(PairState(p.forms["Q1"], p.forms["Q2"], base=p.g0))
               for p in field.points]
     assert sum(r.proportional for r in single) == 10
     assert_array_equal(gammas, np.stack([r.gamma_point for r in single]))
     assert_array_equal(metrics, np.stack([r.metric for r in single]))
     # chunks split points and pairs of points: 7 (3, 3) matrices per chunk
     monkeypatch.setattr(two_forms, "RAY_CHUNK", 7 * 9)
-    chunked, _, chunked_gammas, _ = field_metric_top_degree(field, ("Q1", "Q2"), n_angles=64)
+    chunked, _, chunked_gammas, _ = field_metric_top_degree(field, ("Q1", "Q2"))
     assert_array_equal(chunked_gammas, gammas)
     assert_array_equal(chunked, metrics)
 
 
 @pytest.mark.filterwarnings("ignore:forms are nearly proportional")
 def test_field_eigensolve_count_does_not_grow_with_points(rng, monkeypatch):
+    # the arc ends and midpoints iterate until each point has converged, so a count is a
+    # maximum over points: 30 points that repeat 3 take the 3 points' count, and any
+    # field stays within the step caps
+    few = _mixed_field(rng, 3)
+    repeated = FormField(dim=3, points=[FieldPoint(id=f"{p.id}.{k}", forms=p.forms, g0=p.g0)
+                                        for k in range(10) for p in few.points])
     counts = []
-    for n in (3, 30):
-        field = _mixed_field(rng, n)
+    for field in (few, repeated, _mixed_field(rng, 30)):
         calls = {"eigh": 0, "eigvalsh": 0}
         with monkeypatch.context() as m:
             for name in calls:
@@ -482,6 +555,9 @@ def test_field_eigensolve_count_does_not_grow_with_points(rng, monkeypatch):
             field_metric_top_degree(field, ("Q1", "Q2"))
         counts.append(calls)
     assert counts[0] == counts[1], counts
+    assert counts[2]["eigvalsh"] == counts[0]["eigvalsh"], counts
+    # the end grid, the bracket steps, L, the Newton steps, gamma's ray and its recheck
+    assert counts[2]["eigh"] <= 1 + two_forms.MAX_STEPS + 1 + two_forms.MAX_STEPS + 2, counts
 
 
 def test_field_level_curve_working_set_does_not_grow_with_d():
