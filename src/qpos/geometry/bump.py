@@ -45,6 +45,12 @@ t = mu / (s + mu) in (0, 1), s = max(1, max |lambda(A)|), to float
 resolution; eta is ETA_FACTOR times the largest ratio met, minimized over
 the samples whose trace form is not already strictly q-positive (the others
 impose no constraint).
+
+The report's trace_identity_max_err checks the decomposition of the bumped
+trace, Tr_T H_eps = Tr_T H_phi + delta0 Tr_T H_rho + (delta0 / eps) chi''(0) m,
+on TRACE_CHECK_FRAMES random g0-orthonormal q-frames T (Haar, drawn from
+--seed) at each of TRACE_CHECK_SAMPLES samples: the four forms are stacked
+and multiplied with the columns of all frames of a sample in one product.
 """
 
 from __future__ import annotations
@@ -248,17 +254,16 @@ def weight_bump(domain: Domain, q: int, samples: BoundarySamples,
     claim2 = q_sums(Hv + delta0 * Lv, h)
     claim3 = q_sums(M_eps, G0)
 
-    # restricted-trace decomposition on random g0-orthonormal frames
+    # restricted-trace decomposition on random g0-orthonormal frames: the traces of
+    # M_eps, Mphi, Mrho and the normal mass (the trace of Nrm_form) from one product
     sel = np.linspace(0, n_samp - 1, min(TRACE_CHECK_SAMPLES, n_samp)).astype(int)
     T = random_g_orthonormal_frames(np.random.default_rng(seed), G0[sel],
                                     TRACE_CHECK_FRAMES, q)
-
-    def trace(M):
-        return np.einsum("snki,skl,snli->sn", T.conj(), M[sel], T).real
-
-    direct = trace(M_eps)
-    mass = np.sum(np.abs(np.einsum("sk,snkj->snj", ws[sel], T)) ** 2, axis=-1)
-    recomposed = trace(Mphi) + delta0 * trace(Mrho) + (delta0 / epsilon) * chi2 * mass
+    cols = np.moveaxis(T, -3, -1).reshape(len(sel), 1, n, -1)  # (s, 1, n, q * frames)
+    forms = np.stack([M[sel] for M in (M_eps, Mphi, Mrho, Nrm_form)], axis=1)
+    traces = np.sum((np.conj(cols) * (forms @ cols)).real, axis=-2).reshape(len(sel), 4, q, -1)
+    direct, phi, rho, mass = np.moveaxis(np.sum(traces, axis=-2), 1, 0)
+    recomposed = phi + delta0 * rho + (delta0 / epsilon) * chi2 * mass
     max_err = float(np.max(np.abs(direct - recomposed) / np.maximum(1.0, np.abs(direct))))
 
     # observational negative control at 10x the bound

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, QposError
+from .errors import DimensionMismatch, NotFinite, QposError
 from .hermitian import as_form, as_metric, congruence, reduce_form
 from .two_forms import (TAU_PROP, _arc_bounds, _deformed_metrics, _gram, _gram_spectra, _midpoints,
                         _ray_level_hits, _unit, _worst, common_direction, common_witnesses)
@@ -92,9 +92,12 @@ def xi_eval(pair: PairState, x) -> XiEvaluation:
 
     The gradient components are the traces of Q1, Q2 relative to the
     deformed metric; the Hessian entry (r, s) is the inner product of Q_r
-    and Q_s in any x-orthonormal frame, hence positive semidefinite.
+    and Q_s in any x-orthonormal frame, hence positive semidefinite.  A point
+    with a non-finite coordinate raises NotFinite.
     """
     x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise NotFinite(f"xi_eval at the non-finite point {x.tolist()}")
     w, U, traces = _gram_spectra(pair._Q1t[None], pair._Q2t[None], x[None])
     w, U = w[0], U[0]
     if w[0] <= 0:

@@ -39,14 +39,25 @@ def random_metric(rng: np.random.Generator, d: int, cond: float = 10.0) -> np.nd
 def random_g_orthonormal_frames(rng: np.random.Generator, G, count: int, q: int) -> np.ndarray:
     """Stack of ``count`` g-orthonormal q-frames, shape (count, d, q).
 
-    A stack of metrics (..., d, d) gives (..., count, d, q) from the same
-    random numbers as one call per metric in turn.
+    Each frame is W Q with W* G W = I and Q Haar distributed: the Gram-Schmidt
+    orthonormalisation (projections taken twice) of a complex Gaussian d x q.
+    All columns are held as one (..., d, q, count) array, which W multiplies in
+    one product; the result is a view of it.  A stack of metrics (..., d, d)
+    gives (..., count, d, q) from the same random numbers as one call per
+    metric in turn.
     """
     G = np.asarray(G, dtype=complex)
     W, _ = congruence(G)
-    R = rng.standard_normal(G.shape[:-2] + (2, count, G.shape[-1], q))
-    Q, _ = np.linalg.qr(R[..., 0, :, :, :] + 1j * R[..., 1, :, :, :])
-    return W[..., None, :, :] @ Q
+    Z = rng.standard_normal(G.shape[:-2] + (G.shape[-1], q, count, 2)).view(complex)[..., 0]
+    Q = np.empty(Z.shape, dtype=complex)
+    for j in range(q):
+        v = Z[..., j, :]
+        for _ in range(2):
+            for i in range(j):
+                v = v - Q[..., i, :] * np.sum(np.conj(Q[..., i, :]) * v, axis=-2, keepdims=True)
+        Q[..., j, :] = v / np.sqrt(np.sum(v.real ** 2 + v.imag ** 2, axis=-2, keepdims=True))
+    T = W @ Q.reshape(Q.shape[:-2] + (q * count,))
+    return np.moveaxis(T.reshape(Q.shape), -1, -3)
 
 
 def planted_inertia_field(rng: np.random.Generator, n_points: int, d: int, q_tilde: int,

@@ -16,7 +16,8 @@ both traces positive.  Proportional pairs (Q1 = mu Q2, mu > 0) use the
 closed-form midpoint (c / 2 mu, c / 2) of the line segment xi = 1 instead.
 
 Every search is exact.  A common positive direction is found or proved
-absent by a convex search in one variable (``common_direction``).  Level
+absent by a convex search in one variable (``common_direction``), which
+the slopes at its ends settle for most pairs without a search.  Level
 curves are traced by ray shooting: along a ray the Gram matrix is I - t M,
 so one eigendecomposition of M gives xi and both traces in closed form and
 Newton's method finds the crossing.  As {xi <= 1} is convex and holds 0,
@@ -26,7 +27,8 @@ exactly past one end theta_a of the arc and Tr Q1 > 0 exactly before the
 other, theta_b: each end is 0, pi / 2 or one bracketed root.  Along the arc
 ds / dtheta = sqrt(t^2 + t'^2) is smooth, so L is a GL_NODES-node
 Gauss-Legendre sum (nodes by Golub & Welsch, Math. Comp. 23, 1969), and
-Newton's method solves s(theta_m) = L / 2.  The rays of all points of a
+Newton's method solves s(theta_m) = L / 2, from where the antiderivative of
+the Legendre interpolant of L's nodes halves.  The rays of all points of a
 field form one stack, RAY_CHUNK entries per eigensolve, one call per step of
 each search.  The single-pair API (``PairState``, ``xi_eval``,
 ``pair_metric`` ...) runs these kernels on a one-point stack; it is
@@ -117,33 +119,13 @@ def _plane_optimum(A, B, E):
     return np.stack(cands, axis=1)[np.arange(len(k)), k]
 
 
-def common_direction(Q1, Q2):
-    """Decide for each pair of a stack whether both forms are positive somewhere.
-
-    By Toeplitz-Hausdorff, max_{|v|=1} min(Q1(v, v), Q2(v, v)) is the
-    minimum over t in [0, 1] of the convex f(t) = lambda_max((1 - t) Q1 + t Q2),
-    found by golden section and compared with t = 0 and t = 1.  The witness
-    is the top eigenvector at t* or, where that is not above the floor, the
-    best vector of a plane in the top eigenspace; it is verified directly.
-    Without one, f(t*) <= floor proves that none exists.
-
-    ``Q1``, ``Q2``: (n, d, d) Hermitian stacks in base-orthonormal
-    coordinates; floor = DIRECTION_FLOOR_SCALE * max(1, |Q1|_2, |Q2|_2).
-    Returns ``(value, t, V)``: f(t*), t* and the unit witness rows, NaN where
-    none exists.  Raises QposError for a pair that neither way decides.
-    """
-    A = np.asarray(Q1, dtype=complex)
-    B = np.asarray(Q2, dtype=complex)
-    n, d, _ = A.shape
-    lam_a, lam_b = np.linalg.eigvalsh(A), np.linalg.eigvalsh(B)
-    floor = DIRECTION_FLOOR_SCALE * np.maximum.reduce(
-        [np.ones(n), np.abs(lam_a).max(axis=1), np.abs(lam_b).max(axis=1)])
-
-    def segment(t):
-        return (1.0 - t)[:, None, None] * A + t[:, None, None] * B
+def _golden_argmin(A, B, f0, f1):
+    """The t in [0, 1] minimising the convex f(t) = lambda_max((1 - t) A + t B) per pair,
+    by GOLDEN_STEPS steps of golden section compared with the ends' values f0 and f1."""
+    n = len(A)
 
     def top(t):
-        return np.linalg.eigvalsh(segment(t))[:, -1]
+        return np.linalg.eigvalsh((1.0 - t)[:, None, None] * A + t[:, None, None] * B)[:, -1]
 
     g = (np.sqrt(5.0) - 1.0) / 2.0
     lo, hi = np.zeros(n), np.ones(n)
@@ -157,9 +139,51 @@ def common_direction(Q1, Q2):
         c, e, fc, fe = (np.where(left, new, e), np.where(left, c, new),
                         np.where(left, f_new, fe), np.where(left, fc, f_new))
     T = np.stack([np.zeros(n), np.ones(n), c, e], axis=1)
-    F = np.stack([lam_a[:, -1], lam_b[:, -1], fc, fe], axis=1)
-    t = T[np.arange(n), np.argmin(F, axis=1)]
-    lam, U = np.linalg.eigh(segment(t))
+    F = np.stack([f0, f1, fc, fe], axis=1)
+    return T[np.arange(n), np.argmin(F, axis=1)]
+
+
+def common_direction(Q1, Q2):
+    """Decide for each pair of a stack whether both forms are positive somewhere.
+
+    By Toeplitz-Hausdorff, max_{|v|=1} min(Q1(v, v), Q2(v, v)) is the
+    minimum over t in [0, 1] of the convex f(t) = lambda_max((1 - t) Q1 + t Q2).
+    Where the top eigenvalue at an end is simple (gap above the floor), f'
+    there is u*(Q2 - Q1)u for its eigenvector u (Hellmann-Feynman), and by
+    convexity t* = 0 when f'(0) >= 0 and t* = 1 when f'(1) <= 0.  Only the
+    other pairs run golden section (``_golden_argmin``).  The witness is the top
+    eigenvector at t* or, where that is not above the floor, the best vector
+    of a plane in the top eigenspace; it is verified directly.  Without one,
+    f(t*) <= floor proves that none exists, as f at any t bounds the maximum
+    from above: a misjudged end can leave a pair undecided, never wrong.
+
+    ``Q1``, ``Q2``: (n, d, d) Hermitian stacks in base-orthonormal
+    coordinates; floor = DIRECTION_FLOOR_SCALE * max(1, |Q1|_2, |Q2|_2).
+    Returns ``(value, t, V)``: f(t*), t* and the unit witness rows, NaN where
+    none exists.  Raises QposError for a pair that neither way decides.
+    """
+    A = np.asarray(Q1, dtype=complex)
+    B = np.asarray(Q2, dtype=complex)
+    n, d, _ = A.shape
+    (lam_a, U_a), (lam_b, U_b) = np.linalg.eigh(A), np.linalg.eigh(B)
+    floor = DIRECTION_FLOOR_SCALE * np.maximum.reduce(
+        [np.ones(n), np.abs(lam_a).max(axis=1), np.abs(lam_b).max(axis=1)])
+
+    def slope(lam, U):  # f' at an end; NaN where its top eigenvalue is not simple
+        u = U[:, :, -1]
+        du = np.vecdot(u, np.sum((B - A) * u[:, None, :], axis=-1)).real
+        return du if d == 1 else np.where(lam[:, -1] - lam[:, -2] > floor, du, np.nan)
+
+    at0 = slope(lam_a, U_a) >= 0
+    at1 = ~at0 & (slope(lam_b, U_b) <= 0)
+    t = np.where(at1, 1.0, 0.0)
+    lam, U = np.where(at1[:, None], lam_b, lam_a), np.where(at1[:, None, None], U_b, U_a)
+    inner = np.flatnonzero(~(at0 | at1))
+    if inner.size:
+        Ai, Bi = A[inner], B[inner]
+        t[inner] = ti = _golden_argmin(Ai, Bi, lam_a[inner, -1], lam_b[inner, -1])
+        lam[inner], U[inner] = np.linalg.eigh((1.0 - ti)[:, None, None] * Ai
+                                              + ti[:, None, None] * Bi)
     value, V = lam[:, -1], U[:, :, -1]
     weak = _worst(A, B, V) <= floor
     if weak.any() and d > 1:
@@ -226,21 +250,22 @@ def _newton(mu, level):
     O, which exists iff mu_max > 0 (else NaN).  Newton's method starts at
     t0 = -expm1(-(level + C)) / mu_max with C = sum_{mu_k < 0} log1p(-mu_k / mu_max),
     where xi(t0) >= level, and decreases monotonically; a row whose step no
-    longer decreases t stays where it is, so no row depends on the others.
+    longer decreases t stays where it is, so no row depends on the others.  Each
+    pass steps every row (one that stopped repeats its step, which again does
+    not decrease t) until no row decreases.
     """
     top = mu[:, -1]
-    t = np.full(len(mu), np.nan)
-    live = np.flatnonzero(top > 0)
-    C = np.sum(np.log1p(-np.minimum(mu[live], 0.0) / top[live, None]), axis=1)
-    t[live] = -np.expm1(-(level + C)) / top[live]
-    while live.size:
-        m, tl = mu[live], t[live]
-        w = 1.0 - tl[:, None] * m
-        new = tl - (-np.sum(np.log(w), axis=1) - level) / np.sum(m / w, axis=1)
-        down = new < tl
-        live = live[down]
-        t[live] = new[down]
-    return t
+    leaves = top > 0
+    top = np.where(leaves, top, 1.0)
+    C = np.sum(np.log1p(-np.minimum(mu, 0.0) / top[:, None]), axis=1)
+    t = np.where(leaves, -np.expm1(-(level + C)) / top, np.nan)
+    while True:
+        w = 1.0 - t[:, None] * mu
+        new = t - (-np.sum(np.log(w), axis=1) - level) / np.sum(mu / w, axis=1)
+        down = new < t
+        if not down.any():
+            return t
+        t = np.where(down, new, t)
 
 
 def _gauss_legendre(m):
@@ -251,7 +276,19 @@ def _gauss_legendre(m):
     return x, 2.0 * V[0] ** 2
 
 
+def _legendre(x, m):
+    """P_-1 = -1, P_0, ..., P_m at x, on a new last axis (Bonnet's recurrence).  With
+    P_-1 = -1, int_{-1}^y P_k = (P_{k + 1} - P_{k - 1})(y) / (2k + 1) for every k >= 0."""
+    P = [-np.ones_like(x), np.ones_like(x), x]
+    for k in range(1, m):
+        P.append(((2 * k + 1) * x * P[-1] - k * P[-2]) / (k + 1))
+    return np.stack(P, axis=-1)
+
+
 GL_X, GL_W = _gauss_legendre(GL_NODES)
+# values at the nodes to the Legendre coefficients of their interpolant p: the rule is
+# exact for P_k p, so c_k = (k + 1/2) sum_j w_j P_k(x_j) p(x_j)
+GL_COEF = (np.arange(GL_NODES) + 0.5)[:, None] * GL_W * _legendre(GL_X, GL_NODES)[:, 1:-1].T
 
 
 def _unit(theta):
@@ -289,23 +326,48 @@ def _arc_bounds(Q1t, Q2t, level):
     return x
 
 
+def _interpolant_midpoint(v):
+    """The y in [-1, 1] where S(y) = int_{-1}^y p = S(1) / 2 = c_0 for the Legendre
+    interpolant p of each row of v, values at the GL_NODES nodes, by Newton's method
+    from 0; a row stops once its step is within 2 MID_TOL.  Only elementwise products
+    and row sums, so a row's result does not depend on the rows stacked with it."""
+    c = np.sum(v[:, None, :] * GL_COEF, axis=-1)
+    odd = 2.0 * np.arange(GL_NODES) + 1.0
+    y, live = np.zeros(len(v)), np.ones(len(v), dtype=bool)
+    for _ in range(MAX_STEPS):
+        P = _legendre(y, GL_NODES)
+        S = np.sum(c * (P[:, 2:] - P[:, :-2]) / odd, axis=-1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = (S - c[:, 0]) / np.sum(c * P[:, 1:-1], axis=-1)
+        y = np.where(live & np.isfinite(step), np.clip(y - step, -1.0, 1.0), y)
+        live &= np.abs(step) > 2.0 * MID_TOL
+        if not live.any():
+            break
+    return y
+
+
 def _midpoint_angles(Q1t, Q2t, ends, level):
-    """The polar angle theta_m of each arc's arclength midpoint, s(theta_m) = L / 2, by
-    Newton's method from the middle in theta; a pair stops once its step is within
-    MID_TOL of the arc's width (then its error is at rounding level)."""
+    """The polar angle theta_m of each arc's arclength midpoint, s(theta_m) = L / 2.
+
+    L's call gives ds / dtheta at the GL_NODES nodes; Newton's method starts where the
+    antiderivative of their Legendre interpolant halves (``_interpolant_midpoint``), and
+    a pair stops once its step is within MID_TOL of the arc's width (then its error is
+    at rounding level): one call for L and usually one Newton step.
+    """
     lo, hi = ends[:, 0], ends[:, 1]
 
-    def length(rows, to):  # the arclength from lo to ``to`` and ds / dtheta at ``to``
+    def length(rows, to):  # the arclength from lo to ``to``, ds / dtheta at its nodes and at ``to``
         half = (to - lo[rows]) / 2.0
         u = _unit(np.column_stack([lo[rows, None] + half[:, None] * (GL_X + 1.0), to]))
         t, _, g = _ray_level_hits(Q1t[rows], Q2t[rows], u, level)
         v = t * np.hypot(1.0, (g[..., 1] * u[..., 0] - g[..., 0] * u[..., 1]) / np.vecdot(g, u))
-        return half * np.sum(v[:, :-1] * GL_W, axis=1), v[:, -1]
+        return half * np.sum(v[:, :-1] * GL_W, axis=1), v[:, :-1], v[:, -1]
 
-    live, theta = np.arange(len(ends)), (lo + hi) / 2.0
-    total, _ = length(live, hi)
+    live = np.arange(len(ends))
+    total, nodes, _ = length(live, hi)
+    theta = lo + (hi - lo) / 2.0 * (_interpolant_midpoint(nodes) + 1.0)
     for _ in range(MAX_STEPS):
-        s, v = length(live, theta[live])
+        s, _, v = length(live, theta[live])
         step = (s - total[live] / 2.0) / v
         theta[live] = np.clip(theta[live] - step, lo[live], hi[live])
         live = live[np.abs(step) > MID_TOL * (hi - lo)[live]]

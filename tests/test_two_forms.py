@@ -12,7 +12,9 @@ from qpos import (
     FormField,
     LevelNotReached,
     NoCommonDirection,
+    NotFinite,
     PairState,
+    QposError,
     common_direction,
     field_metric_top_degree,
     find_common_direction,
@@ -22,6 +24,8 @@ from qpos import (
     xi_eval,
 )
 from qpos import two_forms
+from qpos.geometry import QuadricDomain, sample_boundary
+from qpos.hermitian import reduce_form
 from qpos.synthetic import random_hermitian, random_pair_with_common_direction
 from qpos.two_forms import DIRECTION_FLOOR_SCALE
 
@@ -83,6 +87,17 @@ def test_xi_hessian_psd_and_proportional_kernel(rng):
     assert w[0] == pytest.approx(0.0, abs=1e-10)
     kernel = np.array([1.0, -mu]) / np.hypot(1.0, mu)
     assert abs(abs(V[:, 0] @ kernel) - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_xi_eval_rejects_a_non_finite_point(d):
+    # eigh returns NaN for a NaN 2 x 2 but raises LinAlgError from 3 x 3 up; both now
+    # raise NotFinite naming the point
+    pair = PairState(np.eye(d), np.diag([1.0, -1.0, 2.0][:d]))
+    for x in ([np.nan, 0.0], [0.1, np.inf], [-np.inf, np.nan]):
+        with pytest.raises(NotFinite, match=r"non-finite point \[") as exc:
+            xi_eval(pair, x)
+        assert str(np.asarray(x, dtype=float).tolist()) in str(exc.value)
 
 
 def test_O_is_starlike(rng):
@@ -186,6 +201,81 @@ def test_no_common_direction_carries_certificate():
     assert exc.value.lam_max <= DIRECTION_FLOOR_SCALE
 
 
+def _endpoint_pairs(rng, n, d, margin=20.0):
+    """n pairs whose f(t) = lambda_max((1 - t) A + t B) is least at t = 0 (even rows) or
+    t = 1 (odd rows): the other form exceeds the top eigenvalue by ``margin`` on its
+    top eigenvector, so f' has that size and sign at the end; a shift of both by a
+    multiple of I makes that least value 1, so every pair has a witness.  With slopes
+    this large no golden-section point within float resolution of an end rounds to a
+    value below the end's, so the golden path lands on the end itself."""
+    A = _herm(rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d)))
+    K = _herm(rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d)))
+    u = np.linalg.eigh(A)[1][:, :, -1]
+    uu = u[:, :, None] * np.conj(u)[:, None, :]
+    other = A + K + (margin - np.einsum("ni,nij,nj->n", np.conj(u), K, u).real)[:, None, None] * uu
+    odd = (np.arange(n) % 2 == 1)[:, None, None]
+    A, B = np.where(odd, other, A), np.where(odd, A, other)
+    shift = (1.0 - np.linalg.eigvalsh(np.where(odd, B, A))[:, -1])[:, None, None] * np.eye(d)
+    return A + shift, B + shift
+
+
+def test_common_direction_ends_equal_the_golden_path(rng, monkeypatch):
+    for d in (1, 2, 3, 5):
+        A, B = _endpoint_pairs(rng, 40, d)
+        lam_a, lam_b = np.linalg.eigvalsh(A)[:, -1], np.linalg.eigvalsh(B)[:, -1]
+        t_ref = two_forms._golden_argmin(A, B, lam_a, lam_b)
+        assert_array_equal(t_ref, np.arange(40) % 2)
+        lam, U = np.linalg.eigh((1.0 - t_ref)[:, None, None] * A + t_ref[:, None, None] * B)
+        with monkeypatch.context() as m:
+            m.setattr(two_forms, "_golden_argmin", None)  # every pair is settled at an end
+            value, t, V = common_direction(A, B)
+        assert_array_equal(t, t_ref)
+        assert_array_equal(value, lam[:, -1])
+        assert_array_equal(V, U[:, :, -1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=st.integers(2, 4), seed=st.integers(0, 2 ** 32 - 1),
+       shift=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)))
+def test_common_direction_agrees_with_a_t_grid(d, seed, shift):
+    # oracle: f on 2,001 points of [0, 1]; f is convex with |f'| <= |B - A|_2, so the
+    # grid minimum m is within |B - A|_2 / 4000 above the max-min value
+    rng = np.random.default_rng(seed)
+    A = random_hermitian(rng, d) + shift[0] * np.eye(d)
+    B = random_hermitian(rng, d) + shift[1] * np.eye(d)
+    grid = np.linspace(0.0, 1.0, 2001)
+    f = np.linalg.eigvalsh((1.0 - grid)[:, None, None] * A + grid[:, None, None] * B)[:, -1]
+    m, slack = f.min(), np.linalg.norm(B - A, 2) / 4000.0
+    clear = 1e-6 * max(1.0, np.linalg.norm(A, 2), np.linalg.norm(B, 2))
+    try:
+        value, t, V = common_direction(A[None], B[None])
+    except QposError:  # undecided: only where the margin is not clear
+        assert abs(m) <= slack + clear
+        return
+    assert m - slack - 1e-12 <= value[0] <= m + 1e-9
+    if m - slack > clear:
+        assert not np.isnan(V[0]).any() and min(_values(A, B, V[0])) > 0
+    if m < -clear:
+        assert np.isnan(V[0]).all()
+
+
+def test_common_direction_settles_the_bump_samples_at_the_ends(monkeypatch):
+    # the 250 samples of `geometry bump` on the quadric at --seed 1: Levi form and weight
+    # Hessian on the kernel; each pair's f is least at t = 0 or t = 1
+    dom = QuadricDomain(mu=[2.0, 2.0, -0.5, -0.5], n=3, q=2)
+    s = sample_boundary(dom, 250, seed=1)
+    L, H = (reduce_form(M, s.frame) for M in (dom.rho_hessian(s.z, s.chart),
+                                               dom.weight_hessian(s.z, s.chart)))
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, lambda *a, _fn=getattr(np.linalg, name), **k:
+                            calls.append(1) or _fn(*a, **k))
+    value, t, V = common_direction(L, H)
+    assert len(calls) <= 4, len(calls)
+    assert np.all((t == 0.0) | (t == 1.0))
+    assert not np.isnan(V).any() and np.all(value > 0)
+
+
 # ----------------------------------------------------------- level tracing
 
 def test_ray_level_hits_on_the_level_set(rng):
@@ -199,6 +289,33 @@ def test_ray_level_hits_on_the_level_set(rng):
         w = np.linalg.eigvalsh(pair.gram(t[:, None] * dirs))
         assert np.all(w[:, 0] > 0)
         assert_allclose(-np.sum(np.log(w), axis=1), 1.0, atol=1e-12)
+
+
+def _newton_shrinking(mu, level):
+    """Reference: the crossing Newton loop on a shrinking index set of unfinished rows."""
+    top, t = mu[:, -1], np.full(len(mu), np.nan)
+    live = np.flatnonzero(top > 0)
+    C = np.sum(np.log1p(-np.minimum(mu[live], 0.0) / top[live, None]), axis=1)
+    t[live] = -np.expm1(-(level + C)) / top[live]
+    while live.size:
+        m, tl = mu[live], t[live]
+        w = 1.0 - tl[:, None] * m
+        new = tl - (-np.sum(np.log(w), axis=1) - level) / np.sum(m / w, axis=1)
+        down = new < tl
+        live = live[down]
+        t[live] = new[down]
+    return t
+
+
+def test_newton_rows_equal_the_shrinking_loop(rng):
+    for d in (1, 2, 3, 6):
+        mu = np.sort(rng.standard_normal((500, d)) * rng.uniform(0.1, 10.0, (500, 1)), axis=1)
+        mu[::5] = -np.abs(mu[::5])  # rows that never leave O
+        for level in (0.2, 1.0, 4.0):
+            t = two_forms._newton(mu, level)
+            assert_array_equal(t, _newton_shrinking(mu, level))
+            assert np.isnan(t[mu[:, -1] <= 0]).all()
+            assert_array_equal(two_forms._newton(mu[7:8], level), t[7:8])
 
 
 def _speed(Q1t, Q2t, theta):
@@ -240,6 +357,48 @@ def test_midpoint_halves_the_arclength(rng):
 
         assert np.all((ends[:, 0] < mid) & (mid < ends[:, 1]))
         assert_allclose(length(ends[:, 0], mid), length(mid, ends[:, 1]), rtol=1e-12)
+
+
+def _searches_pairs(seed=1, n=24, d=3, margin=0.3):
+    """The pairs of the benchmark's `searches` workload for a seed (its numpy generator):
+    indefinite forms both >= margin on a random unit vector, identity base metric."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(4)[2])
+    v = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    vv = v[:, :, None] * np.conj(v)[:, None, :]
+    forms = []
+    for _ in range(2):
+        Q = _herm(rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d)))
+        val = np.real(np.einsum("ni,nij,nj->n", np.conj(v), Q, v))
+        forms.append(_herm(Q + (rng.uniform(margin, 1.0, size=n) - val)[:, None, None] * vv))
+    return forms
+
+
+def test_midpoint_starts_at_the_interpolant_root(monkeypatch):
+    # L's call and one Newton step: the interpolant's root is already within MID_TOL
+    x96, w96 = np.polynomial.legendre.leggauss(96)
+    Q1t, Q2t = _searches_pairs()
+    ends = two_forms._arc_bounds(Q1t, Q2t, 1.0)
+    calls = []
+    hits = two_forms._ray_level_hits
+    monkeypatch.setattr(two_forms, "_ray_level_hits", lambda *a: calls.append(1) or hits(*a))
+    mid = two_forms._midpoint_angles(Q1t, Q2t, ends, 1.0)
+    assert len(calls) <= 3, len(calls)
+
+    def length(lo, hi):
+        half = (hi - lo) / 2.0
+        return half * np.sum(_speed(Q1t, Q2t, lo[:, None] + half[:, None] * (x96 + 1.0)) * w96, -1)
+
+    assert_allclose(length(ends[:, 0], mid), length(mid, ends[:, 1]), rtol=1e-12)
+
+
+def test_interpolant_midpoint_halves_a_polynomial_integral():
+    # v = 1 + y + y^47 / 2 is its own interpolant; S(y) = y + 1 + (y^2 - 1) / 2 + (y^48 - 1) / 96
+    v = 1.0 + two_forms.GL_X + two_forms.GL_X ** 47 / 2.0
+    y = two_forms._interpolant_midpoint(np.stack([v, np.full_like(v, 3.0)]))
+    S = y[0] + 1.0 + (y[0] ** 2 - 1.0) / 2.0 + (y[0] ** 48 - 1.0) / 96.0
+    assert S == pytest.approx(1.0, abs=1e-14)  # half of S(1) = 2
+    assert y[1] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_narrow_arc_is_found(rng):
