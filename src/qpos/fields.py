@@ -260,14 +260,22 @@ def certify(field: FormField, form: str, q: int, metrics, provenance) -> Positiv
     (one (d, d) matrix or an (N, d, d) stack, else DimensionMismatch) must exceed
     the floor ``MARGIN_FLOOR_SCALE * ||form||_F``.  QOutOfRange unless 1 <= q <= d.
     """
+    return certify_forms(field, [form], q, metrics, provenance)[form]
+
+
+def certify_forms(field: FormField, forms, q: int, metrics, provenance) -> dict:
+    """``{name: certify(field, name, q, metrics, provenance)}`` over the named forms,
+    bit for bit, from one pencil solve: every form stack is reduced by the one
+    factorization of ``metrics``."""
     if not 1 <= q <= field.dim:
         raise QOutOfRange(f"q = {q} not in [1, {field.dim}]")
-    S = field.form_stack(form)
-    if np.shape(metrics) not in (S.shape, S.shape[1:]):
-        raise DimensionMismatch(f"metrics of shape {np.shape(metrics)} for forms {S.shape}")
-    sums = np.sum(pencil_eigvalsh(S, metrics)[:, :q], axis=1)
-    margins = sums - MARGIN_FLOOR_SCALE * np.linalg.norm(S, axis=(1, 2))
-    return PositivityCertificate(form, q, field.ids, sums, margins, provenance)
+    S = np.stack([field.form_stack(form) for form in forms])
+    if np.shape(metrics) not in (S.shape[1:], S.shape[2:]):
+        raise DimensionMismatch(f"metrics of shape {np.shape(metrics)} for forms {S.shape[1:]}")
+    sums = np.sum(pencil_eigvalsh(S, metrics)[..., :q], axis=-1)
+    margins = sums - MARGIN_FLOOR_SCALE * np.linalg.norm(S, axis=(-2, -1))
+    return {form: PositivityCertificate(form, q, field.ids, sums[f], margins[f], provenance)
+            for f, form in enumerate(forms)}
 
 
 def require_passed(certs: dict, what: str) -> None:

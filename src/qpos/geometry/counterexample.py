@@ -33,6 +33,7 @@ import numpy as np
 from ..errors import DimensionMismatch, NotFinite, VanishingField, ZeroRepresentative
 
 TIE_ULPS = 4  # scan values this close to the minimum tie; the first in grid order is worst
+SCAN_CHUNK = 8192  # grid points per slice of the scan
 
 
 def form_entries(x: np.ndarray) -> np.ndarray:
@@ -149,30 +150,44 @@ def counterexample_scan(field: CounterexampleField, v) -> tuple[np.ndarray, floa
     point is the first point in grid order whose value is within TIE_ULPS
     units in the last place of the minimum, so that of points the family
     makes equal (mirror images) the same one is reported whichever rounds
-    lower.
+    lower.  ``v`` and the kernel run on slices of SCAN_CHUNK points, so the
+    temporaries stay small whatever the grid.
     """
+    X, (a, b, c) = field.points, field._columns
+    values = np.empty(len(field))
+    low_n2, i_low = np.inf, 0
+    for start in range(0, len(field), SCAN_CHUNK):
+        part = slice(start, start + SCAN_CHUNK)
+        V = _field_values(v, X[part])
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):  # raised below
+            norms2, vals = _form_kernel(a[part], b[part], c[part], V[:, 0], V[:, 1])
+            np.divide(vals, norms2, out=values[part])
+        finite = np.isfinite(norms2)
+        if not finite.all():
+            i_bad = start + int(np.argmin(finite))
+            raise NotFinite(f"vector field is not finite at {X[i_bad]} "
+                            f"(|v|^2 = {norms2[i_bad - start]})")
+        i = int(np.argmin(norms2))
+        if norms2[i] < low_n2:
+            low_n2, i_low = norms2[i], start + i
+    if low_n2 < 1e-16:  # after every slice: a non-finite value anywhere is named first
+        raise VanishingField(X[i_low], float(np.sqrt(low_n2)))
+    low = values.min()
+    i = int(np.argmax(values <= low + TIE_ULPS * np.spacing(abs(low))))
+    return X[i], float(low)
+
+
+def _field_values(v, X):
+    """v on the points X as a (len(X), 2) complex array, stacked or point by point."""
     try:
-        V = np.asarray(v(field.points), dtype=complex)
-        if V.shape != (len(field), 2):
+        V = np.asarray(v(X), dtype=complex)
+        if V.shape != (len(X), 2):
             raise TypeError
     except (TypeError, ValueError, IndexError):
-        V = np.stack([np.asarray(v(x), dtype=complex) for x in field.points])
-        if V.shape != (len(field), 2):
+        V = np.stack([np.asarray(v(x), dtype=complex) for x in X])
+        if V.shape != (len(X), 2):
             raise DimensionMismatch(f"field values have shape {V.shape[1:]}, expected (2,)")
-    with np.errstate(invalid="ignore", over="ignore"):  # non-finite rows raise below
-        norms2, vals = _form_kernel(*field._columns, V[:, 0], V[:, 1])
-    finite = np.isfinite(norms2)
-    if not finite.all():
-        i_bad = int(np.argmin(finite))
-        raise NotFinite(f"vector field is not finite at {field.points[i_bad]} "
-                        f"(|v|^2 = {norms2[i_bad]})")
-    i_bad = int(np.argmin(norms2))
-    if norms2[i_bad] < 1e-16:
-        raise VanishingField(field.points[i_bad], float(np.sqrt(norms2[i_bad])))
-    vals /= norms2
-    low = vals.min()
-    i = int(np.argmax(vals <= low + TIE_ULPS * np.spacing(abs(low))))
-    return field.points[i], float(low)
+    return V
 
 
 def stereographic(z1: complex, z2: complex) -> np.ndarray:

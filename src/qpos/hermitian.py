@@ -63,6 +63,12 @@ def first_invalid(A, tau_herm: float = TAU_HERM, tau_pd: float | None = None):
     """``(row, error)`` for the first matrix of a complex (N, d, d) stack that
     ``as_form`` (``as_metric`` when ``tau_pd`` is given) rejects, with the
     error it raises; None if all pass.  One test of each kind serves the stack.
+
+    Positive definiteness is screened by one Cholesky factorization of the
+    stack A - tau_pd I, so it decides lambda_min > tau_pd up to Cholesky's
+    backward error (a few units in the last place of ||A||).  Only when a
+    factorization fails are the smallest eigenvalues computed, which then
+    decide, name the first row at or below tau_pd and give its eigenvalue.
     """
     finite = np.all(np.isfinite(A), axis=(-2, -1))
     if not finite.all():
@@ -72,8 +78,11 @@ def first_invalid(A, tau_herm: float = TAU_HERM, tau_pd: float | None = None):
     not_hermitian = defect > tau_herm * np.maximum(1.0, np.linalg.norm(A, axis=(-2, -1)))
     bad = ~finite | not_hermitian
     if tau_pd is not None:
-        w0 = np.linalg.eigvalsh(A)[:, 0]
-        bad |= w0 <= tau_pd
+        try:
+            np.linalg.cholesky(A - tau_pd * np.eye(A.shape[-1]))
+        except np.linalg.LinAlgError:
+            w0 = np.linalg.eigvalsh(A)[:, 0]
+            bad |= w0 <= tau_pd
     if not bad.any():
         return None
     row = int(np.argmax(bad))
@@ -148,7 +157,15 @@ def pencil_eigh(H, G):
     return lam, W @ Y
 
 
-def pencil_eigvalsh(H, G):
-    """Eigenvalues only of the pencil (H, G); supports stacks."""
-    W, _ = congruence(np.asarray(G, dtype=complex))
+def pencil_eigvalsh(H, G, W=None):
+    """Eigenvalues only of the pencil (H, G); supports stacks.
+
+    ``H`` may carry more leading axes than ``G``, such as one per form of a
+    field against the field's metric stack: the axes broadcast, and every
+    form is reduced by the one factorization of G.  ``W`` is that
+    factorization's congruence (``congruence(G)[0]``) when the caller has
+    already made it, and G is then not factored again.
+    """
+    if W is None:
+        W, _ = congruence(np.asarray(G, dtype=complex))
     return np.linalg.eigvalsh(reduce_form(np.asarray(H, dtype=complex), W))

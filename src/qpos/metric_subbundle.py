@@ -28,10 +28,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BasisNotOrthonormal, NotPositiveOnV, QposError
-from .fields import FormField, certify, require_passed
+from .fields import FormField, certify_forms, require_passed
 from .hermitian import congruence, pencil_eigvalsh
 
 ETA_MARGIN = 0.05
+# Looser than qpositivity.TAU_ORTH (1e-10): here the basis only shapes the
+# penalty metric h, whose certificates are then computed from h itself, so a
+# Gram defect moves A1-A3 by about its size times ||H||, far inside ETA_MARGIN,
+# and cannot pass a failing point; qpositivity's traces use the basis as
+# orthonormal, so its defect enters their values directly.
 TAU_ORTH = 1e-8
 
 
@@ -53,7 +58,8 @@ class PenaltyConstants:
 
 
 def _adapted_frames(field: FormField, gamma: np.ndarray, q: int):
-    """Per-point gamma-orthonormal frames [B_V | B_W], batched.
+    """Per-point gamma-orthonormal frames [B_V | B_W], batched, and the
+    congruence W of gamma (W* gamma W = I) that completes them.
 
     Validates that the stored subspace bases are gamma-orthonormal of rank
     d - q + 1 and completes them with the gamma-orthogonal complement.
@@ -75,39 +81,44 @@ def _adapted_frames(field: FormField, gamma: np.ndarray, q: int):
     Ufull, _, _ = np.linalg.svd(Vt)
     Wt = Ufull[:, :, k:]                 # orthocomplement of range(Vt)
     BW = W @ Wt
-    return BV, BW
+    return BV, BW, W
 
 
 def compute_constants(field: FormField, forms, gamma, q: int) -> dict:
     """``{name: PenaltyConstants}`` (kappa = C) over the field, from one adapted frame.
 
     A3 from the off-diagonal block is checked per point against the coarser
-    bound max(|lam_1|, |lam_max|) of the full form relative to gamma.
+    bound max(|lam_1|, |lam_max|) of the full form relative to gamma.  One
+    factorization of gamma serves the frames and those bounds, and each
+    quantity is one stacked solve over the forms and points; the forms are
+    checked in order.
     """
     gamma = _gamma_stack(field, gamma)
-    BV, BW = _adapted_frames(field, gamma, q)
+    BV, BW, W = _adapted_frames(field, gamma, q)
     BVh = np.conj(np.swapaxes(BV, -1, -2))
     BWh = np.conj(np.swapaxes(BW, -1, -2))
+    H = np.stack([field.form_stack(form) for form in forms])  # (forms, N, d, d)
+    A1_pts = np.linalg.eigvalsh(BVh @ H @ BV)[..., 0]
+    A2s = A3s = np.zeros(len(forms))
+    loose = np.zeros(len(forms), dtype=bool)
+    if BW.shape[-1]:
+        A2s = np.max(np.abs(np.linalg.eigvalsh(BWh @ H @ BW)), axis=(1, 2))
+        off = np.linalg.svd(BWh @ H @ BV, compute_uv=False)[..., 0]
+        A3s = np.max(off, axis=1)
+        lam_full = pencil_eigvalsh(H, gamma, W)
+        coarse = np.maximum(np.abs(lam_full[..., 0]), np.abs(lam_full[..., -1]))
+        loose = np.any(off > coarse + 1e-8 * np.maximum(1.0, coarse), axis=1)
     constants = {}
-    for form in forms:
-        H = field.form_stack(form)
-        A1_pts = np.linalg.eigvalsh(BVh @ H @ BV)[:, 0]
-        A1 = float(np.min(A1_pts))
+    for f, form in enumerate(forms):
+        A1 = float(np.min(A1_pts[f]))
         if A1 <= 0:
-            i = int(np.argmin(A1_pts))
+            i = int(np.argmin(A1_pts[f]))
             raise NotPositiveOnV(
                 f"form {form!r} is not positive definite on V at {field.ids[i]!r} "
                 f"(smallest restricted eigenvalue {A1:.3e})")
-        if BW.shape[-1] == 0:
-            A2 = A3 = 0.0
-        else:
-            A2 = float(np.max(np.abs(np.linalg.eigvalsh(BWh @ H @ BW))))
-            off = np.linalg.svd(BWh @ H @ BV, compute_uv=False)[:, 0]
-            lam_full = pencil_eigvalsh(H, gamma)
-            coarse = np.maximum(np.abs(lam_full[:, 0]), np.abs(lam_full[:, -1]))
-            if np.any(off > coarse + 1e-8 * np.maximum(1.0, coarse)):
-                raise QposError("off-diagonal block norm exceeded its coarse bound")
-            A3 = float(np.max(off))
+        if loose[f]:
+            raise QposError("off-diagonal block norm exceeded its coarse bound")
+        A2, A3 = float(A2s[f]), float(A3s[f])
         C = choose_C(A1, A2, A3, q)
         constants[form] = PenaltyConstants(A1=A1, A2=A2, A3=A3, C=C, kappa=C, q=q)
     return constants
@@ -174,6 +185,6 @@ def synthesize_subbundle(field: FormField, forms, q: int, gamma=None,
     kappa = safety * max(c.C for c in constants.values())
     constants = {name: replace(c, kappa=kappa) for name, c in constants.items()}
     h = build_penalty_metric(gamma, field.subspace, kappa)
-    certificates = {name: certify(field, name, q, h, "penalty_metric") for name in forms}
+    certificates = certify_forms(field, forms, q, h, "penalty_metric")
     require_passed(certificates, f"strict {q}-positivity")
     return h, certificates, constants

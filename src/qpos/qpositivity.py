@@ -18,7 +18,7 @@ from .errors import AmbientMismatch, BasisNotOrthonormal, DimensionMismatch, QOu
 from .hermitian import (TAU_HERM, TAU_PD, ZERO_REL, _counts_beyond, _spectral_scale, as_form,
                         as_metric, pencil_eigh, pencil_eigvalsh)
 
-TAU_ORTH = 1e-10
+TAU_ORTH = 1e-10  # see metric_subbundle.TAU_ORTH for why that one is 1e-8
 
 
 def _pencil(H, g, tau_herm, tau_pd, q=None):

@@ -251,19 +251,23 @@ def _complex_stack(objs, paths, keys, shape, what) -> np.ndarray:
     """``o[re] + 1j * o[im]`` over the JSON objects ``objs`` as one (N, *shape) stack.
 
     ``keys = (re, im)``; an absent ``im`` reads as zero.  One conversion and
-    one finite check serve the whole stack.  A defect raises SchemaError
-    naming the path of the first bad object; the objects are checked one at
-    a time only after the stacked check has failed.
+    one finite check serve the whole stack.  The parts are read by numpy's
+    type inference and must come out as floats or integers, so that a string
+    or null entry (or a part of booleans only) is a defect.  A defect raises
+    SchemaError naming the path of the first bad object; the objects are
+    checked one at a time only after the stacked check has failed.
     """
     if not objs:
         return np.zeros((0, *shape), dtype=complex)
     re_key, im_key = keys
     try:
         zero = np.zeros(shape)
-        re = np.array([o[re_key] for o in objs], dtype=float)
-        im = np.array([o[im_key] if im_key in o else zero for o in objs], dtype=float)
+        re = np.array([o[re_key] for o in objs])
+        im = np.array([o[im_key] if im_key in o else zero for o in objs])
         problem = None if re.shape == im.shape == (len(objs), *shape) else \
             f"{what} shape {re.shape[1:]} (imaginary part {im.shape[1:]}) is not {shape}"
+        if problem is None and {re.dtype.kind, im.dtype.kind} - set("fiu"):
+            problem = f"bad {what} fields: entries must be numbers"
     except BAD_VALUE as e:
         problem = f"bad {what} fields: {e}"
     if problem is None:

@@ -42,7 +42,7 @@ import warnings
 import numpy as np
 
 from .errors import CertificateFailed, LevelNotReached, NoCommonDirection, QposError
-from .fields import FormField, certify, require_passed
+from .fields import FormField, certify_forms, require_passed
 from .hermitian import congruence, reduce_form, row_norm
 
 TAU_LEVEL = 1e-10
@@ -444,8 +444,7 @@ def field_metric_top_degree(field: FormField, names):
     gamma_points, _, _, _ = _midpoints(Q1t, Q2t, field.ids)
     metrics = _deformed_metrics(g0, Q1, Q2, gamma_points)
 
-    certificates = {name: certify(field, name, field.dim, metrics, "two_form_midpoint")
-                    for name in (n1, n2)}
+    certificates = certify_forms(field, (n1, n2), field.dim, metrics, "two_form_midpoint")
     require_passed(certificates, "the trace certificate")
 
     continuity = {}

@@ -267,3 +267,36 @@ def test_stereographic_round_trip(rng):
 def test_stereographic_rejects_zero():
     with pytest.raises(ZeroRepresentative):
         stereographic(0.0, 0.0)
+
+
+@pytest.mark.parametrize("chunk", [1, 97, 4096])
+def test_scan_in_slices_equals_one_stacked_scan(monkeypatch, chunk):
+    # slices of SCAN_CHUNK points bound the temporaries; the worst point (with
+    # its tie rule across slice ends), the value and the errors stay the same
+    from qpos.geometry import counterexample
+
+    field = counterexample_build(R=R, grid_n=16)
+    whole = [counterexample_scan(field, v) for _, v in standard_test_fields(R)]
+    monkeypatch.setattr(counterexample, "SCAN_CHUNK", chunk)
+    for (point, value), (_, v) in zip(whole, standard_test_fields(R)):
+        sliced = counterexample_scan(field, v)
+        assert np.array_equal(sliced[0], point) and sliced[1] == value
+    assert counterexample_scan(field, lambda x: np.array([1.0, 0.0]))[1] == \
+        counterexample_scan(field, lambda X: np.tile([1.0 + 0j, 0.0], (len(X), 1)))[1]
+
+    # a vanishing point in an early slice and a non-finite one in a later
+    # slice: NotFinite first, as one stacked check raised it
+    X = field.points
+    vanish, bad = 5, len(X) - 3
+
+    def v(P):
+        V = np.tile([1.0 + 0j, 0.0], (len(P), 1))
+        V[np.all(P == X[vanish], axis=1)] = 0.0
+        V[np.all(P == X[bad], axis=1), 1] = np.nan
+        return V
+
+    with pytest.raises(NotFinite, match=re.escape(str(X[bad]))):
+        counterexample_scan(field, v)
+    with pytest.raises(VanishingField):
+        counterexample_scan(field, lambda P: np.where(np.all(P == X[bad], axis=1)[:, None],
+                                                      0.0, v(P)))

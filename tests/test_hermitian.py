@@ -102,6 +102,27 @@ def test_field_checks_g0_stack_and_names_first_bad_point(rng):
     FormField(dim=3, points=good)
 
 
+@pytest.mark.parametrize("tau", [1e-10, 1e-3])
+def test_pd_screening_at_the_threshold_names_the_row_and_eigenvalue(rng, monkeypatch, tau):
+    # the screen factors A - tau I; an eigensolve runs only when that fails.
+    # The spectra {tau (1 -+ 1e-6), 2 tau, 3 tau} are 1e-6 tau from the
+    # threshold, far beyond Cholesky's backward error at their scale
+    from qpos import hermitian
+
+    U = random_unitary(rng, 3)
+    stack = np.stack([U @ np.diag(np.array([1.0 + 1e-6, 2.0, 3.0]) * tau) @ U.conj().T,
+                      random_metric(rng, 3),
+                      U @ np.diag(np.array([1.0 - 1e-6, 2.0, 3.0]) * tau) @ U.conj().T,
+                      U @ np.diag(np.array([0.5, 2.0, 3.0]) * tau) @ U.conj().T])
+    eigvalsh, calls = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+    assert hermitian.first_invalid(stack[:2], tau_pd=tau) is None
+    assert calls == []
+    row, error = hermitian.first_invalid(stack, tau_pd=tau)
+    assert row == 2 and isinstance(error, NotPositiveDefinite) and len(calls) == 1
+    assert f"smallest metric eigenvalue {tau * (1 - 1e-6):.3e} <= {tau:.1e}" in str(error)
+
+
 def test_rayleigh_bounds(rng):
     H = random_hermitian(rng, 5)
     g = random_metric(rng, 5)

@@ -225,3 +225,23 @@ def test_certificate_survives_metric_perturbation(rng):
         hp = h[i] + E
         for name in ("Q1", "Q2", "Q3"):
             assert q_min_sum(field.points[i].forms[name], hp, 2) > 0
+
+
+def test_certificates_from_one_congruence_equal_one_pencil_solve_per_form(rng):
+    # every form is certified against the one factorization of its metric
+    # stack; each certificate is bitwise the per-form solve it replaced
+    from qpos.fields import MARGIN_FLOOR_SCALE, certify, certify_forms
+
+    field, gamma = planted_subbundle_field(rng, 40, 5, 2)
+    names = ["Q1", "Q2", "Q3"]
+    h, certs, _ = synthesize_subbundle(field, names, 2, gamma=gamma)
+    for metrics, q in ((h, 2), (gamma, 4), (np.eye(5), 1)):
+        shared = certify_forms(field, names, q, metrics, "shared")
+        for name in names:
+            S = field.form_stack(name)
+            sums = np.sum(pencil_eigvalsh(S, metrics)[:, :q], axis=1)
+            margins = sums - MARGIN_FLOOR_SCALE * np.linalg.norm(S, axis=(1, 2))
+            made = [shared[name], certify(field, name, q, metrics, "shared")]
+            for cert in made + ([certs[name]] if metrics is h else []):
+                assert np.array_equal(cert.min_sum, sums)
+                assert np.array_equal(cert.margin, margins)

@@ -287,3 +287,80 @@ def test_projector_takes_at_most_two_dense_solves(rng, monkeypatch):
         per_projector.append(sum(systems))
     assert per_projector[0] <= 2
     assert per_projector == [per_projector[0]] * 3
+
+
+def _unblocked_tridiagonalize(M):
+    """The column-at-a-time Householder reduction the blocked one replaced
+    (Golub & Van Loan, Matrix Computations, 8.3.1), kept as its reference."""
+    A = 0.5 * (M + M.conj().T)
+    d = A.shape[0]
+    reflectors = []
+    for j in range(d - 2):
+        x = A[j + 1:, j]
+        tail = np.vdot(x[1:], x[1:]).real
+        if tail == 0:
+            continue
+        x0 = complex(x[0])
+        norm = np.sqrt(tail + abs(x0) ** 2)
+        s = x0 / abs(x0) if x0 != 0 else 1.0
+        v = x.copy()
+        v[0] += s * norm
+        tau = 1.0 / (norm * (norm + abs(x0)))
+        B = A[j + 1:, j + 1:]
+        p = tau * (B @ v)
+        w = p - (0.5 * tau * np.vdot(v, p).real) * v
+        B -= v[:, None] * w.conj() + w[:, None] * v.conj()
+        A[j + 1, j] = -s * norm
+        reflectors.append((j, v, tau))
+    Q = np.eye(d, dtype=complex)
+    for j, v, tau in reversed(reflectors):
+        Qj = Q[j + 1:, j + 1:]
+        Qj -= (tau * v)[:, None] * (v.conj() @ Qj)
+    e = A.diagonal(-1)
+    b = np.abs(e)
+    unit = np.ones(d, dtype=complex)
+    unit[1:] = np.divide(e, b, out=np.ones_like(e), where=b > 0)
+    return Q * np.cumprod(unit), A.diagonal().real.copy(), b
+
+
+NB = riesz.PANEL
+
+
+@pytest.mark.parametrize("d", [NB - 1, NB, NB + 1, 2 * NB + 3, 192])
+def test_blocked_tridiagonalize_matches_the_unblocked_loop(rng, d):
+    H = random_hermitian(rng, d)
+    # split after column j = NB + 3 (in the second panel where d allows): the
+    # tail of column j is zero once the first block is reduced, with x0 = 0
+    # (two blocks) or x0 != 0 (coupled through the entry (j + 1, j) only)
+    j = min(NB + 3, d - 3)
+    split = H.copy()
+    split[j + 1:, :j + 1] = split[:j + 1, j + 1:] = 0
+    coupled = split.copy()
+    coupled[j + 1, j] = 0.7 - 0.2j
+    coupled[j, j + 1] = 0.7 + 0.2j
+    for M, bj in ((H, None), (split, 0.0), (coupled, None)):
+        Q, a, b = riesz._tridiagonalize(M)
+        Q0, a0, b0 = _unblocked_tridiagonalize(M)
+        if bj is not None:
+            assert b[j] == b0[j] == bj  # nothing to reflect: the split stays exact
+        scale = np.linalg.norm(M, 2)
+        # J and Q depend on M as conditioned as its Krylov basis, so the two
+        # orders of rounding agree less closely than each reconstructs M
+        assert_allclose(a, a0, rtol=0, atol=1e-14 * d * scale)
+        assert_allclose(b, b0, rtol=0, atol=1e-14 * d * scale)
+        assert_allclose(Q, Q0, rtol=0, atol=1e-10)
+        assert np.linalg.norm(Q.conj().T @ Q - np.eye(d), 2) <= 1e-13 * d
+        J = np.diag(a) + np.diag(b, 1) + np.diag(b, -1)
+        assert np.linalg.norm(Q @ J @ Q.conj().T - 0.5 * (M + M.conj().T), 2) <= 1e-14 * d * scale
+
+
+@pytest.mark.parametrize("nodes", [64.5, np.float64(64.0), True, "64"])
+def test_projector_rejects_a_node_count_that_is_not_an_integer(rng, nodes):
+    # 64.5 nodes used to give quad_nodes 64.5 and a projector 0.023 from the oracle
+    T = hermitian_with_eigs(rng, np.array([-2.5, -2.0, -1.5, 0.5, 1.0, 1.5, 2.0, 3.0]))
+    disc = Disc(center=-2.0, radius=1.5)
+    with pytest.raises(ValueError, match="integer count"):
+        riesz_projector(T, disc, nodes=nodes)
+    P = riesz_projector(T, disc, nodes=np.int64(64))
+    assert P.quad_nodes == 64 and type(P.quad_nodes) is not float
+    assert np.linalg.norm(P.matrix - oracle_projector(T, disc), 2) <= 1e-10

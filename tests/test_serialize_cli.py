@@ -1116,6 +1116,52 @@ def test_cli_io_call_counts_do_not_grow_with_size(tmp_path, rng, monkeypatch):
     assert reads[30]["first_invalid"] == 1 and subs[30]["first_invalid"] == 4, (reads, subs)
 
 
+def test_cli_factors_each_metric_stack_once(tmp_path, rng, monkeypatch):
+    # subbundle: gamma once (its frames and coarse bounds), h once (every
+    # form's certificate); it factored them 7 times.  two-forms: g0 and the
+    # metrics.  check screens its metrics by Cholesky: its two eigensolves are
+    # the certificate and the inertia columns (g0 and the metrics file used two more)
+    from qpos import metric_subbundle, two_forms
+    from qpos.synthetic import random_pair_with_common_direction
+
+    sub, gamma = planted_subbundle_field(rng, 20, 5, 2)
+    path = tmp_path / "sub.json"
+    path.write_text(dumps_canonical(field_to_json(FormField.from_stacks(
+        sub.ids, sub.forms, subspace=sub.subspace, g0=gamma))))
+    factors = [(hermitian, "congruence"), (metric_subbundle, "congruence"),
+               (two_forms, "congruence")]
+    assert _calls(monkeypatch, ["synthesize", "subbundle", "--input", path,
+                                "--forms", "Q1,Q2,Q3", "--q", 2], factors)["congruence"] == 2
+    pairs = FormField(dim=3, points=[
+        FieldPoint(id=i, forms=dict(zip(("Q1", "Q2"), random_pair_with_common_direction(rng, 3))),
+                   g0=random_metric(rng, 3)) for i in range(5)])
+    path = tmp_path / "pairs.json"
+    path.write_text(dumps_canonical(field_to_json(pairs)))
+    assert _calls(monkeypatch, ["synthesize", "two-forms", "--input", path, "--forms", "Q1,Q2"],
+                  factors)["congruence"] == 2
+
+    field = planted_inertia_field(rng, 40, 4, 2, nu_choices=[0], n_anchor=5)
+    path, metric = tmp_path / "field.json", tmp_path / "metric.json"
+    path.write_text(dumps_canonical(field_to_json(field)))
+    metric.write_text(dumps_canonical(metrics_to_json(field.ids, random_metric(rng, 4)[None]
+                                                      .repeat(40, axis=0))))
+    assert _eigvalsh_calls(monkeypatch, ["check", "--input", path, "--form", "S", "--q", 2,
+                                         "--metric", metric, "--out", tmp_path / "c.json"]) == 2
+
+
+@pytest.mark.parametrize("entry", ["1.5", None])
+def test_cli_rejects_matrix_entries_that_are_not_numbers(tmp_path, rng, entry):
+    # a string "1.5" was read as 1.5 and passed check with exit 0 (a boolean
+    # among numbers still reads as 0 or 1)
+    doc = field_to_json(planted_inertia_field(rng, 4, 2, 1, nu_choices=[0]))
+    doc["points"][2]["forms"]["S"]["re"] = [[entry, 0.0], [0.0, entry]]
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps(doc))
+    r = run_cli("check", "--input", path, "--form", "S", "--q", 1)
+    assert r.returncode == 1, r.stderr
+    assert f"{path}.points[2].forms.S" in r.stderr and "must be numbers" in r.stderr, r.stderr
+
+
 def test_field_rejects_neighbor_ids_that_name_no_point():
     # a mistyped id used to drop out of the 1-ring of F, where the metric is pinned
     S = np.eye(2, dtype=complex)

@@ -695,15 +695,27 @@ def test_field_equals_per_point_pair_metrics_bit_for_bit(rng, monkeypatch):
 
 
 @pytest.mark.filterwarnings("ignore:forms are nearly proportional")
+def _with_interior_pair(field, pair):
+    """The field with the pair ``(Q1, Q2)`` as one more point, with g0 = I."""
+    extra = FieldPoint(id="interior", forms=dict(zip(("Q1", "Q2"), pair)), g0=np.eye(3))
+    return FormField(dim=3, points=[*field.points, extra])
+
+
+@pytest.mark.filterwarnings("ignore:forms are nearly proportional")
 def test_field_eigensolve_count_does_not_grow_with_points(rng, monkeypatch):
     # the arc ends and midpoints iterate until each point has converged, so a count is a
     # maximum over points: 30 points that repeat 3 take the 3 points' count, and any
-    # field stays within the step caps
-    few = _mixed_field(rng, 3)
+    # field stays within the step caps.  Golden section runs only for a pair whose
+    # minimum over t is interior, so both fields carry the same planted interior pair
+    while True:
+        Q1, Q2, _ = random_pair_with_common_direction(rng, 3)
+        if 0 < common_direction(Q1[None], Q2[None])[1][0] < 1:
+            break
+    few = _with_interior_pair(_mixed_field(rng, 3), (Q1, Q2))
     repeated = FormField(dim=3, points=[FieldPoint(id=f"{p.id}.{k}", forms=p.forms, g0=p.g0)
                                         for k in range(10) for p in few.points])
     counts = []
-    for field in (few, repeated, _mixed_field(rng, 30)):
+    for field in (few, repeated, _with_interior_pair(_mixed_field(rng, 30), (Q1, Q2))):
         calls = {"eigh": 0, "eigvalsh": 0}
         with monkeypatch.context() as m:
             for name in calls:
@@ -714,7 +726,7 @@ def test_field_eigensolve_count_does_not_grow_with_points(rng, monkeypatch):
             field_metric_top_degree(field, ("Q1", "Q2"))
         counts.append(calls)
     assert counts[0] == counts[1], counts
-    assert counts[2]["eigvalsh"] == counts[0]["eigvalsh"], counts
+    assert counts[2]["eigvalsh"] == counts[0]["eigvalsh"] >= two_forms.GOLDEN_STEPS, counts
     # the end grid, the bracket steps, L, the Newton steps, gamma's ray and its recheck
     assert counts[2]["eigh"] <= 1 + two_forms.MAX_STEPS + 1 + two_forms.MAX_STEPS + 2, counts
 
