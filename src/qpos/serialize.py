@@ -17,17 +17,24 @@ formats all rows with one ``%`` over the columns interleaved row by row.
 A field is read as one (N, d, d) stack per form name, one for g0 and one
 for subspaces, and a metrics file as one stack; each stack is converted and
 checked at once, and only when a check fails are its entries visited one by
-one, to name the JSON path of the first bad one.  The cyclic garbage
-collector is paused while ``json.load`` builds a document and until the
-document has been converted and dropped (``read_json``).
+one, to name the JSON path of the first bad one.
+
+Every file is parsed in ``read_json``: by orjson if it has at least
+``FAST_PARSE_BYTES`` (a large field or metrics file) and orjson gives the
+document ``json.load`` gives, else by ``json.load``.  An integer literal of
+19 or more digits, which orjson turns into a float, sends a file to the
+stdlib.  The cyclic garbage collector is paused while a document is built
+and until it has been converted and dropped.
 """
 
 from __future__ import annotations
 
 import functools
 import gc
+import io
 import json
 import math
+import os
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -38,6 +45,20 @@ from .fields import FormField, PositivityCertificate, fiber_rank
 SCHEMA_VERSION = 1
 # what a JSON value of the wrong type or size raises when read as a number
 BAD_VALUE = (KeyError, TypeError, ValueError, OverflowError)
+
+# Files of at least this size are parsed by orjson (``read_json``).  It reads
+# 3-4 times faster than ``json.load``, but importing it costs about 3 ms, so
+# the stdlib is faster below about 0.5 MB.
+FAST_PARSE_BYTES = 1 << 20
+# digits as "0" and the bytes that can stand before a number as " ": an
+# integer literal of 19 or more digits then shows as a space and 19 zeros
+_NUMERALS = bytes.maketrans(b"0123456789-,:[ \t\n\r", b"0" * 10 + b" " * 8)
+_LONG_INTEGER = b" " + b"0" * 19
+# a depth that ``json.loads`` reaches from any shallow call stack, and far
+# past the few levels of every qpos schema
+_FAST_PARSE_DEPTH = 100
+_NOT_STRUCTURE = bytes(sorted(set(range(256)) - set(b'[]{}"\\')))
+_NESTING_STEPS = bytes.maketrans(b"[{]}", b"\x01\x01\xff\xff")
 
 
 # ---------------------------------------------------------------------------
@@ -443,9 +464,22 @@ def read_json(path, convert):
     not JSON or not UTF-8, or nests too deeply to parse, raises SchemaError
     naming the file; an error that ``convert`` raises propagates unchanged.
 
+    A file of at least ``FAST_PARSE_BYTES`` is parsed by orjson (imported
+    then) when a scan of its bytes shows that orjson reads it as
+    ``json.load`` does; every other file, and every text that orjson
+    refuses (NaN, ``1e400``, a lone surrogate, bad UTF-8, bad JSON), is
+    parsed by ``json.load``, so the document and every error message are
+    the stdlib's.  The scan exists because orjson reads an integer literal
+    outside [-2**63, 2**64) as a float, so a 20-digit id would lose its
+    digits, and because orjson 3.8 recurses through nested containers
+    without a limit (150,000 levels crash the process): a text with an
+    integer literal of 19 or more digits, a nesting deeper than
+    ``_FAST_PARSE_DEPTH``, or a string holding a backslash or a bracket
+    (the nesting is then not read from the bytes alone) goes to the stdlib.
+
     The cyclic garbage collector is paused (and its previous state restored)
     from the start of the parse until ``convert`` has returned and the
-    document is dropped: the decoder makes only acyclic containers, so a
+    document is dropped: the decoders make only acyclic containers, so a
     collection could free nothing, yet the first one after the pause would
     walk every container of a document still alive.
     """
@@ -460,11 +494,45 @@ def read_json(path, convert):
 
 def _parsed(path):
     with open(path, encoding="utf-8") as fh:
+        if os.fstat(fh.fileno()).st_size < FAST_PARSE_BYTES:
+            return _stdlib_parsed(fh, path)
+        data = fh.buffer.read()
+    if _orjson_reads_as_stdlib(data):
+        import orjson
         try:
-            return json.load(fh)
-        except (ValueError, RecursionError) as e:  # JSONDecodeError, UnicodeDecodeError
-            what = "not UTF-8 text" if isinstance(e, UnicodeDecodeError) else "invalid JSON"
-            raise SchemaError(str(path), f"{what}: {e}") from e
+            return orjson.loads(data)
+        except orjson.JSONDecodeError:
+            pass  # the stdlib reads or rejects the text, with its own message
+    return _stdlib_parsed(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), path)
+
+
+def _stdlib_parsed(fh, path):
+    try:
+        return json.load(fh)
+    except (ValueError, RecursionError) as e:  # JSONDecodeError, UnicodeDecodeError
+        what = "not UTF-8 text" if isinstance(e, UnicodeDecodeError) else "invalid JSON"
+        raise SchemaError(str(path), f"{what}: {e}") from e
+
+
+def _orjson_reads_as_stdlib(data: bytes) -> bool:
+    """Whether a document orjson accepts from ``data`` is the one ``json.loads``
+    gives: no integer literal of 19 or more digits, no string holding a
+    backslash or a bracket, and no container nested deeper than
+    ``_FAST_PARSE_DEPTH``.  Three passes over the bytes in C and a prefix
+    sum over the brackets alone."""
+    numerals = data.translate(_NUMERALS)
+    # rfind, not find: its skip test reads the needle's first byte, which is
+    # rarer here than the last, and it takes half the time
+    if numerals.startswith(_LONG_INTEGER[1:]) or numerals.rfind(_LONG_INTEGER) >= 0:
+        return False
+    structure = data.translate(None, _NOT_STRUCTURE)
+    # without escapes, quotes pair left to right, and a string without a
+    # bracket leaves its two quotes side by side
+    brackets = structure.replace(b'""', b"")
+    if b'"' in brackets or b"\\" in brackets:
+        return False
+    steps = np.frombuffer(brackets.translate(_NESTING_STEPS), dtype=np.int8)
+    return not steps.size or int(np.cumsum(steps, dtype=np.int64).max()) <= _FAST_PARSE_DEPTH
 
 
 def load_field(path) -> FormField:

@@ -7,6 +7,7 @@ import gc
 import importlib
 import io
 import json
+import math
 import re
 import subprocess
 import sys
@@ -14,6 +15,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -51,13 +53,14 @@ def run_cli(*argv, cwd=None):
 COMMAND_LAYERS = ("qpos.riesz", "qpos.metric_single", "qpos.metric_subbundle", "qpos.two_forms",
                   "qpos.synthetic", "qpos.geometry.domains", "qpos.geometry.levi",
                   "qpos.geometry.bump", "qpos.geometry.counterexample")
-# Library APIs that no command imports, and numpy modules that no command needs.
-NEVER_LOADED = ("qpos.pair", "qpos.qpositivity", "numpy.ma", "numpy.polynomial")
+# Library APIs that no command imports, numpy modules that no command needs,
+# and orjson, which parses only files of at least FAST_PARSE_BYTES.
+NEVER_LOADED = ("qpos.pair", "qpos.qpositivity", "numpy.ma", "numpy.polynomial", "orjson")
 
 
 def test_cli_import_loads_no_scipy():
-    # the runtime depends on numpy only, and scipy is a test oracle; nor does
-    # loading the CLI load a layer that only some commands run
+    # scipy is a test oracle, and orjson is loaded only to parse a large file;
+    # nor does loading the CLI load a layer that only some commands run
     code = ("import sys, qpos.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
             f" or m in {COMMAND_LAYERS + NEVER_LOADED!r}))")
@@ -103,7 +106,8 @@ def _command_argvs(tmp_path):
                                   "levi", "zq", "pipeline", "bump", "counterexample"])
 def test_cli_commands_load_no_library_only_module(tmp_path, kind):
     # each command in a fresh interpreter: numpy.ma (which np.setdiff1d and
-    # np.unique import) and the single-matrix and single-pair APIs stay unloaded
+    # np.unique import), the single-matrix and single-pair APIs, and orjson on
+    # these small inputs stay unloaded
     argv = [str(a) for a in _command_argvs(tmp_path)[kind]]
     code = ("import sys, qpos.cli; code = qpos.cli.main(sys.argv[1:]); "
             f"print(code, sorted(m for m in {NEVER_LOADED!r} if m in sys.modules))")
@@ -464,14 +468,21 @@ def test_read_json_restores_gc_state(tmp_path, monkeypatch, enabled):
     good, bad = tmp_path / "good.json", tmp_path / "bad.json"
     good.write_text('{"a": [1, {"b": null}]}')
     bad.write_text('{"a": [')
-    during = []
+    during, parsers = [], []
 
     def load(fh):
         during.append(gc.isenabled())
+        parsers.append("json")
         return json_load(fh)
 
-    json_load = json.load
+    def loads(data):
+        during.append(gc.isenabled())
+        parsers.append("orjson")
+        return orjson_loads(data)
+
+    json_load, orjson_loads = json.load, orjson.loads
     monkeypatch.setattr(json, "load", load)
+    monkeypatch.setattr(orjson, "loads", loads)
     converting = []
 
     def converted(doc):
@@ -505,10 +516,32 @@ def test_read_json_restores_gc_state(tmp_path, monkeypatch, enabled):
         with pytest.raises(RecursionError, match="deep"):
             serialize.read_json(good, too_deep)
         assert gc.isenabled() is enabled
+        assert parsers == ["json"] * 5
+        # past the threshold: orjson's document, its refusal of a malformed
+        # text and of NaN (each then parsed by the stdlib), and a long integer
+        # that skips orjson, each before a conversion that returns or raises
+        for text, reads in (('{"a": [1, {"b": null}]}', ["orjson"]),
+                            ('{"a": [', ["orjson", "json"]),
+                            ('{"a": [NaN]}', ["orjson", "json"]),
+                            ('{"a": [12345678901234567890]}', ["json"])):
+            big = tmp_path / "big.json"
+            big.write_text(_padded(text))
+            del parsers[:]
+            if text.endswith("["):
+                with pytest.raises(SchemaError, match="invalid JSON"):
+                    serialize.read_json(big, converted)
+            else:
+                assert serialize.read_json(big, len) == 1
+                assert gc.isenabled() is enabled
+                with pytest.raises(SchemaError, match="matrix"):
+                    serialize.read_json(big, rejected)
+                reads = reads * 2
+            assert gc.isenabled() is enabled
+            assert parsers == reads
     finally:
         (gc.enable if was else gc.disable)()
-    assert during == [False] * 5
-    assert converting == [False] * 3  # not called for the malformed file
+    assert during == [False] * 15
+    assert converting == [False] * 6  # not called for the malformed files
 
 
 def test_read_json_drops_the_document_before_the_collector_resumes(tmp_path, monkeypatch):
@@ -532,13 +565,147 @@ def test_read_json_drops_the_document_before_the_collector_resumes(tmp_path, mon
     assert alive == [False]
 
 
+def _padded(text):
+    """``text`` with trailing spaces that take it past FAST_PARSE_BYTES."""
+    return text + " " * serialize.FAST_PARSE_BYTES
+
+
+def _canonical(doc):
+    """``doc`` as nested tuples that tell int from float and bool, -0.0 from
+    0.0 and NaN from every number, and keep the order of object keys."""
+    if isinstance(doc, dict):
+        return ("object", tuple((k, _canonical(v)) for k, v in doc.items()))
+    if isinstance(doc, list):
+        return ("array", tuple(_canonical(v) for v in doc))
+    if isinstance(doc, float):
+        return ("float", "nan" if math.isnan(doc) else doc.hex())
+    return (type(doc).__name__, doc)
+
+
+def _stdlib_reading(path):
+    """The canonical form of what ``json.load`` reads from the file as UTF-8
+    text, or the text of the SchemaError that ``read_json`` makes of its error."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return _canonical(json.load(fh))
+    except (ValueError, RecursionError) as e:
+        what = "not UTF-8 text" if isinstance(e, UnicodeDecodeError) else "invalid JSON"
+        return str(SchemaError(str(path), f"{what}: {e}"))
+
+
+def _reading(path):
+    try:
+        return serialize.read_json(path, _canonical)
+    except SchemaError as e:
+        return str(e)
+
+
+# integers orjson reads as floats (outside [-2**63, 2**64)) and those it reads exactly
+LONG_INTEGERS = st.integers(10**17, 10**25) | st.sampled_from([2**63 - 1, 2**63, 2**64 - 1, 2**64])
+JSON_SCALARS = (st.none() | st.booleans() | st.integers() | LONG_INTEGERS | LONG_INTEGERS.map(
+    lambda n: -n) | st.floats() | st.text(max_size=6)
+    | st.sampled_from(["\ud800", "\udfff", "[[{", "]}", '\\"', "é€😀"]))
+JSON_DOCS = st.recursive(JSON_SCALARS, lambda inner: st.lists(inner, max_size=4)
+                         | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+                         max_leaves=16)
+# bytes an edit writes: structure, parts of numbers and literals, invalid UTF-8
+EDIT_BYTES = st.sampled_from(list(b'[]{}",:\\-+.eE019 \tNIa') + [0x00, 0x80, 0xc0, 0xed, 0xff])
+
+
+@settings(max_examples=150, deadline=None)
+@given(JSON_DOCS, st.booleans(), st.sampled_from([None, 1]),
+       st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 2), EDIT_BYTES), max_size=2),
+       st.sampled_from([b" ", b"\n", b"\r\n", b"\t"]), st.booleans())
+def test_read_json_past_threshold_reads_as_stdlib(doc, ascii, indent, edits, pad, pad_first):
+    # NaN and infinities, lone surrogates (escaped, or as invalid UTF-8 when
+    # not ascii), and edits that insert, overwrite or delete a byte
+    text = bytearray(json.dumps(doc, ensure_ascii=ascii, indent=indent).encode(
+        "utf-8", "surrogatepass"))
+    for at, how, byte in edits:
+        at %= len(text) + 1
+        text[at:at + (how > 0)] = bytes([byte] * (how < 2))
+    padding = pad * (serialize.FAST_PARSE_BYTES // len(pad))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_bytes(padding + text if pad_first else text + padding)
+        assert _reading(path) == _stdlib_reading(path)
+
+
+DEEP = "[" * 1025 + "]" * 1025
+LARGE_TEXT_CASES = {
+    **{f"integer_{n}_digits{sign}": f'{{"id": {sign}{"9" * n}}}'
+       for n in range(18, 26) for sign in ("", "-")},
+    **{f"integer_{name}_first": str(n) for name, n in (
+        ("2**63-1", 2**63 - 1), ("2**64", 2**64), ("-2**63-1", -2**63 - 1),
+        ("23_digits", 12345678901234567890123))},
+    "integer_in_a_float": "[12345678901234567890.5, 0.00012345678901234567, 1e-1234567890123456789]",
+    "nan": '{"a": NaN}', "minus_infinity": "[-Infinity]", "overflow": "[1e400]",
+    "lone_surrogate": '["\\ud800"]', "not_utf8": b'["\xff"]', "utf8_surrogate": b'["\xed\xa0\x80"]',
+    "byte_order_mark": b"\xef\xbb\xbf[]",
+    "nested_1025": DEEP, "nested_1025_after_brackets_in_a_string": f'["{"]" * 1100}", {DEEP}]',
+    "nested_1025_after_an_escape": f'["\\\\", "\\"]]", {DEEP}]',
+    "nested_200": "[" * 200 + "]" * 200,
+    "trailing_garbage": '{"a": 1} x', "trailing_comma": "[1, 2,]", "empty": "",
+    "duplicate_keys": '{"b": 1, "a": 2, "b": -0.0}', "control_character": '["\x01"]',
+}
+
+
+@pytest.mark.parametrize("case", sorted(LARGE_TEXT_CASES))
+def test_read_json_past_threshold_reads_cases_as_stdlib(tmp_path, case):
+    text = LARGE_TEXT_CASES[case]
+    path = tmp_path / "doc.json"
+    data = text if isinstance(text, bytes) else text.encode()
+    path.write_bytes(data + b" \r\n\t" * (serialize.FAST_PARSE_BYTES // 4))
+    reading = _reading(path)
+    assert reading == _stdlib_reading(path)
+    if case.startswith("integer_") and "float" not in case:
+        assert "float" not in repr(reading)
+
+
+def test_read_json_opens_a_file_once_and_scans_only_large_ones(tmp_path, monkeypatch):
+    opened, scanned = [], []
+    real_open, scan = open, serialize._orjson_reads_as_stdlib
+
+    def counted_open(*args, **kwargs):
+        opened.append(args[0])
+        return real_open(*args, **kwargs)
+
+    def counted_scan(data):
+        scanned.append(len(data))
+        return scan(data)
+
+    monkeypatch.setattr(serialize, "open", counted_open, raising=False)
+    monkeypatch.setattr(serialize, "_orjson_reads_as_stdlib", counted_scan)
+    small, big = tmp_path / "small.json", tmp_path / "big.json"
+    small.write_text("[" + " " * (serialize.FAST_PARSE_BYTES - 3) + "]")
+    big.write_text("[" + " " * (serialize.FAST_PARSE_BYTES - 2) + "]")
+    assert serialize.read_json(small, len) == serialize.read_json(big, len) == 0
+    assert opened == [small, big]
+    assert scanned == [serialize.FAST_PARSE_BYTES]
+
+
+def test_cli_check_echoes_a_long_integer_id_from_a_large_field(tmp_path, rng):
+    # orjson would read this id as the float 1.2345678901234568e+22
+    doc = field_to_json(planted_inertia_field(rng, 1200, 4, 2))
+    doc["points"][7]["id"] = 12345678901234567890123
+    path, out = tmp_path / "field.json", tmp_path / "check.json"
+    path.write_text(dumps_canonical(doc))
+    assert path.stat().st_size >= serialize.FAST_PARSE_BYTES
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(["check", "--input", str(path), "--form", "S", "--q", "2",
+                  "--out", str(out)])
+    assert '"id": 12345678901234567890123,\n' in out.read_text()
+
+
 @pytest.mark.parametrize("route", ["check_input", "check_metric", "levi_domain",
                                    "project_input"])
-@pytest.mark.parametrize("defect", ["not_utf8", "nested_too_deeply"])
+@pytest.mark.parametrize("defect", ["not_utf8", "nested_too_deeply", "nested_too_deeply_large"])
 def test_cli_rejects_unreadable_json_with_exit_1(tmp_path, route, defect):
-    # both used to end in a UnicodeDecodeError or RecursionError traceback
+    # these used to end in a UnicodeDecodeError or RecursionError traceback; a
+    # nesting this deep past FAST_PARSE_BYTES crashes orjson 3.8, which recurses through it
     bad = tmp_path / "bad.json"
-    bad.write_bytes(b"\xff\xfe{" if defect == "not_utf8" else b"[" * 100_000 + b"]" * 100_000)
+    depth = 600_000 if defect.endswith("large") else 100_000
+    bad.write_bytes(b"\xff\xfe{" if defect == "not_utf8" else b"[" * depth + b"]" * depth)
     field = tmp_path / "field.json"
     field.write_text(dumps_canonical(field_to_json(_layout_field())))
     argv = {"check_input": ("check", "--input", bad, "--form", "S", "--q", 1),
@@ -736,6 +903,7 @@ def test_cli_geometry_counterexample(tmp_path):
 BAD_INPUT_CASES = [
     "check_q_above_dim", "check_q_zero", "single_q_above_dim", "metric_missing_id",
     "metric_malformed_json", "nan_form_entry",
+    "metric_malformed_json_large", "nan_form_entry_large", "field_id_nan_large",
     "zq_q_above_range", "zq_q_zero", "bump_q_above_range",
     "domain_quadric_without_mu", "domain_not_an_object", "domain_unknown_type",
     "domain_custom_bad_params",
@@ -821,7 +989,10 @@ SYNTHESIS_OPTIONS = {
 
 @pytest.mark.parametrize("case", BAD_INPUT_CASES)
 def test_cli_rejects_bad_input_with_exit_1(tmp_path, case):
-    # each case used to pass, fail with exit 2 or end in a traceback
+    # each case used to pass, fail with exit 2 or end in a traceback; a
+    # "_large" case is its base case in a file padded past FAST_PARSE_BYTES
+    large = case.endswith("_large")
+    case = case.removesuffix("_large")
     S = np.diag([1.0, 2.0]).astype(complex)
     path = tmp_path / "field.json"
     path.write_text(dumps_canonical(field_to_json(
@@ -920,6 +1091,9 @@ def test_cli_rejects_bad_input_with_exit_1(tmp_path, case):
         argv, named = ("--seed", -1, "geometry", "bump", "--domain", quad, "--q", 2), "--seed"
     else:
         argv, named = ("geometry", "counterexample", "--radius", -1), "--radius"
+    if large:
+        padded = metric if case.startswith("metric") else path
+        padded.write_text(_padded(padded.read_text()))
     r = run_cli(*argv)
     assert r.returncode == 1, r.stdout + r.stderr
     assert named in r.stderr
