@@ -16,10 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CertificateFailed, DimensionMismatch, QOutOfRange, QposError
-from .hermitian import TAU_PD, first_invalid, pencil_eigvalsh
-
-MARGIN_FLOOR_SCALE = 1e-9
+from .errors import CertificateFailed, DimensionMismatch, QposError
+from .hermitian import TAU_PD, first_invalid, q_margins
 
 
 @dataclass(frozen=True)
@@ -218,7 +216,7 @@ class PositivityCertificate:
 
     ``min_sum``, ``margin`` and ``provenance`` (one string for every point or
     one per point) become read-only (N,) arrays in the order of ``ids``, with
-    ``margin = min_sum - MARGIN_FLOOR_SCALE * ||form||_F``; a point fails iff
+    ``min_sum, margin`` from ``hermitian.q_margins``; a point fails iff
     ``not margin > 0``.  ``entries`` are per-point ``CertificateEntry`` views, built once.
     """
 
@@ -257,8 +255,8 @@ class PositivityCertificate:
 def certify(field: FormField, form: str, q: int, metrics, provenance) -> PositivityCertificate:
     """Certificate that ``metrics`` make the named form strictly q-positive: at each
     point the sum of the q smallest eigenvalues of the form relative to its metric
-    (one (d, d) matrix or an (N, d, d) stack, else DimensionMismatch) must exceed
-    the floor ``MARGIN_FLOOR_SCALE * ||form||_F``.  QOutOfRange unless 1 <= q <= d.
+    (one (d, d) matrix or an (N, d, d) stack, else DimensionMismatch) must pass the
+    rule of ``hermitian.q_margins``.  QOutOfRange unless 1 <= q <= d.
     """
     return certify_forms(field, [form], q, metrics, provenance)[form]
 
@@ -267,13 +265,10 @@ def certify_forms(field: FormField, forms, q: int, metrics, provenance) -> dict:
     """``{name: certify(field, name, q, metrics, provenance)}`` over the named forms,
     bit for bit, from one pencil solve: every form stack is reduced by the one
     factorization of ``metrics``."""
-    if not 1 <= q <= field.dim:
-        raise QOutOfRange(f"q = {q} not in [1, {field.dim}]")
     S = np.stack([field.form_stack(form) for form in forms])
     if np.shape(metrics) not in (S.shape[1:], S.shape[2:]):
         raise DimensionMismatch(f"metrics of shape {np.shape(metrics)} for forms {S.shape[1:]}")
-    sums = np.sum(pencil_eigvalsh(S, metrics)[..., :q], axis=-1)
-    margins = sums - MARGIN_FLOOR_SCALE * np.linalg.norm(S, axis=(-2, -1))
+    sums, margins = q_margins(S, metrics, q)
     return {form: PositivityCertificate(form, q, field.ids, sums[f], margins[f], provenance)
             for f, form in enumerate(forms)}
 

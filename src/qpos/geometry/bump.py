@@ -61,7 +61,7 @@ import numpy as np
 
 from ..errors import BoundNotFound, QOutOfRange, QposError
 from ..fields import FormField
-from ..hermitian import congruence, pencil_eigvalsh, reduce_form, sign_counts
+from ..hermitian import congruence, q_margins, q_sums, reduce_form, sign_counts
 from ..metric_subbundle import synthesize_subbundle
 from ..synthetic import random_g_orthonormal_frames
 from ..two_forms import common_witnesses
@@ -112,15 +112,9 @@ class WeightBumpReport:
     claim3_min: np.ndarray
     trace_identity_max_err: float
     large_eps_claim3_failures: int
+    all_claims_pass: bool      # claims 2 and 3 by the rule of hermitian.q_margins
     subbundle_constants: dict = dc_field(default_factory=dict)
-    boundary_metrics: np.ndarray = dc_field(repr=False, default=None)
     g0: np.ndarray = dc_field(repr=False, default=None)
-
-    @property
-    def all_claims_pass(self) -> bool:
-        return (bool(np.all(self.claim1_pass))
-                and float(np.min(self.claim2_min)) > 0
-                and float(np.min(self.claim3_min)) > 0)
 
 
 def _common_positive_subbundle(Lv, Hv, rank: int) -> np.ndarray:
@@ -226,16 +220,13 @@ def weight_bump(domain: Domain, q: int, samples: BoundarySamples,
     G0 = 0.5 * (G0 + np.conj(np.swapaxes(G0, -1, -2)))
 
     delta0 = _find_delta0(Mphi, Mrho, n - q + 1)
-
-    def q_sums(M, G, part=slice(None, q)):
-        return np.sum(pencil_eigvalsh(M, G)[:, part], axis=1)
+    W0, _ = congruence(G0)  # the one factorization of G0
 
     # two-sided trace bounds over q-planes, relative to g0
-    B1, B2 = (float(max(np.max(q_sums(M, G0, slice(-q, None))), np.max(-q_sums(M, G0))))
+    B1, B2 = (float(max(np.max(q_sums(M, G0, q, W0, top=True)), np.max(-q_sums(M, G0, q, W0))))
               for M in (Mphi, Mrho))
 
     # eta from the dual form, in g0-orthonormal coordinates
-    W0, _ = congruence(G0)
     A_form = Mphi + delta0 * Mrho
     Nrm_form = np.conj(ws)[:, :, None] * ws[:, None, :]
     u = np.conj(np.swapaxes(W0, 1, 2) @ ws[:, :, None])[:, :, 0]   # W0* conj(w)
@@ -251,14 +242,15 @@ def weight_bump(domain: Domain, q: int, samples: BoundarySamples,
 
     M_eps = bumped(epsilon)
     claim1 = sign_counts(np.linalg.eigvalsh(M_eps))[0] >= n - q + 1
-    claim2 = q_sums(Hv + delta0 * Lv, h)
-    claim3 = q_sums(M_eps, G0)
+    claim2, margin2 = q_margins(Hv + delta0 * Lv, h, q)
+    claim3, margin3 = q_margins(M_eps, G0, q, W0)
+    all_pass = bool(claim1.all() and (margin2 > 0).all() and (margin3 > 0).all())
 
     # restricted-trace decomposition on random g0-orthonormal frames: the traces of
     # M_eps, Mphi, Mrho and the normal mass (the trace of Nrm_form) from one product
     sel = np.linspace(0, n_samp - 1, min(TRACE_CHECK_SAMPLES, n_samp)).astype(int)
     T = random_g_orthonormal_frames(np.random.default_rng(seed), G0[sel],
-                                    TRACE_CHECK_FRAMES, q)
+                                    TRACE_CHECK_FRAMES, q, W0[sel])
     cols = np.moveaxis(T, -3, -1).reshape(len(sel), 1, n, -1)  # (s, 1, n, q * frames)
     forms = np.stack([M[sel] for M in (M_eps, Mphi, Mrho, Nrm_form)], axis=1)
     traces = np.sum((np.conj(cols) * (forms @ cols)).real, axis=-2).reshape(len(sel), 4, q, -1)
@@ -267,7 +259,7 @@ def weight_bump(domain: Domain, q: int, samples: BoundarySamples,
     max_err = float(np.max(np.abs(direct - recomposed) / np.maximum(1.0, np.abs(direct))))
 
     # observational negative control at 10x the bound
-    large_fail = (int(np.sum(q_sums(bumped(10.0 * eps_bound), G0) <= 0))
+    large_fail = (int(np.sum(~(q_margins(bumped(10.0 * eps_bound), G0, q, W0)[1] > 0)))
                   if np.isfinite(eps_bound) else 0)
 
     return WeightBumpReport(
@@ -275,6 +267,7 @@ def weight_bump(domain: Domain, q: int, samples: BoundarySamples,
         epsilon_bound=float(eps_bound), B1=B1, B2=B2, kappa=float(kappa),
         claim1_pass=claim1, claim2_min=claim2, claim3_min=claim3,
         trace_identity_max_err=max_err, large_eps_claim3_failures=large_fail,
+        all_claims_pass=all_pass,
         subbundle_constants={name: {"A1": c.A1, "A2": c.A2, "A3": c.A3, "C": c.C}
                              for name, c in consts.items()},
-        boundary_metrics=h, g0=G0)
+        g0=G0)

@@ -9,10 +9,10 @@ positive-definite Hermitian form.  Eigenvalues of ``H`` relative to a metric
 ``g`` are the (real) solutions of the pencil problem ``M v = lam G v``; the
 eigenvectors are g-orthonormal.
 
-This module holds what every command shares: validation (one matrix or a
-stack), sign counts, and the batched pencil solve.  The single-matrix API
-built on it (spectra, inertia, traces, q-sums and subspaces as records) is
-``qpos.qpositivity``, which no command imports.
+This module holds what every command shares: validation, the batched pencil
+solve, and the two decisions: ``sign_counts``, and ``q_sums`` with the one pass
+rule of every certificate and bump claim, ``q_margins``.  The single-matrix API
+built on it is ``qpos.qpositivity``, which no command imports.
 
 All operations are pure functions of their inputs.  Tolerances are explicit
 keyword parameters; the library works in ordinary float64 and the defaults
@@ -23,11 +23,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotFinite, NotHermitian, NotPositiveDefinite
+from .errors import DimensionMismatch, NotFinite, NotHermitian, NotPositiveDefinite, QOutOfRange
 
 TAU_HERM = 1e-12
 TAU_PD = 1e-10
 ZERO_REL = 1e-10
+MARGIN_FLOOR_SCALE = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -99,21 +100,18 @@ def row_norm(x) -> np.ndarray:
     return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
 
 
-def sign_counts(lam, rel: float = ZERO_REL):
-    """``(n_plus, n_minus)`` of spectra along the last axis; supports stacks.
+def sign_counts(lam):
+    """``(n_plus, n_minus)`` of spectra along the last axis, zero within ``zero_tolerance``."""
+    return _counts_beyond(lam, zero_tolerance(lam)[..., None])
 
-    An eigenvalue is zero within ``rel * max(1, max |lam|)`` of its spectrum.
-    """
-    return _counts_beyond(lam, rel * _spectral_scale(lam)[..., None])
+
+def zero_tolerance(lam):
+    """``ZERO_REL * max(1, max |lam|)`` along the last axis: the zero rule of sign decisions."""
+    return ZERO_REL * np.maximum(1.0, np.max(np.abs(lam), axis=-1, initial=0.0))
 
 
 def _counts_beyond(lam, thr):
     return np.sum(lam > thr, axis=-1), np.sum(lam < -thr, axis=-1)
-
-
-def _spectral_scale(lam):
-    return np.maximum(1.0, np.max(np.abs(lam), axis=-1, initial=0.0))
-
 
 
 # ---------------------------------------------------------------------------
@@ -169,3 +167,20 @@ def pencil_eigvalsh(H, G, W=None):
     if W is None:
         W, _ = congruence(np.asarray(G, dtype=complex))
     return np.linalg.eigvalsh(reduce_form(np.asarray(H, dtype=complex), W))
+
+
+def q_sums(H, G, q: int, W=None, top: bool = False):
+    """Sums of the q smallest (``top``: largest) pencil eigenvalues along the last axis,
+    added in ascending order; stacks and ``W`` as in ``pencil_eigvalsh``.  QOutOfRange
+    unless 1 <= q <= d."""
+    if not 1 <= q <= np.shape(H)[-1]:
+        raise QOutOfRange(f"q = {q} not in [1, {np.shape(H)[-1]}]")
+    lam = pencil_eigvalsh(H, G, W)
+    return np.sum(lam[..., -q:] if top else lam[..., :q], axis=-1)
+
+
+def q_margins(H, G, q: int, W=None):
+    """``(q_sums(H, G, q, W), margins)`` under the one pass rule: a q-sum passes iff its
+    margin, the sum less the rounding floor ``MARGIN_FLOOR_SCALE * ||H||_F``, is > 0."""
+    sums = q_sums(H, G, q, W)
+    return sums, sums - MARGIN_FLOOR_SCALE * np.linalg.norm(H, axis=(-2, -1))

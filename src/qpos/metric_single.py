@@ -54,12 +54,12 @@ from .hermitian import (
     pencil_eigh,
     reduce_form,
     sign_counts,
+    zero_tolerance,
 )
 from .riesz import Disc, riesz_projector
 
 DEFAULT_THETA = 0.1
 RIESZ_CHECK_COUNT = 4
-TAU_GAP = 1e-10  # relative to max(1, |lam|_max): a smaller eigenvalue counts as zero
 
 
 def negative_projector(S, g, r: int, nodes: int | None = None) -> np.ndarray:
@@ -68,7 +68,7 @@ def negative_projector(S, g, r: int, nodes: int | None = None) -> np.ndarray:
     Computed from the pencil eigenvectors, and cross-checked against a Riesz
     projector of the congruence-reduced operator; the two routes must agree
     to 1e-8, else ProjectorRoutesDisagree.  An eigenvalue within
-    TAU_GAP * max(1, |lam|_max) of 0 counts as zero.  The disc is centered at
+    ``hermitian.zero_tolerance`` of 0 counts as zero.  The disc is centered at
     (lam_1 + lam_r) / 2; with a = (lam_r - lam_1) / 2 > 0 and r < d its radius
     sqrt(a (a + lam_(r+1) - lam_r)) makes the largest inner ratio
     |lam - center| / radius equal the largest outer ratio
@@ -88,7 +88,7 @@ def negative_projector(S, g, r: int, nodes: int | None = None) -> np.ndarray:
     W, W_inv = congruence(G)
     T = reduce_form(M, W)
     lam, Y = np.linalg.eigh(T)
-    tau_gap = TAU_GAP * max(1.0, float(np.max(np.abs(lam))))
+    tau_gap = zero_tolerance(lam)
     if abs(lam[r - 1]) <= tau_gap and (r >= d or abs(lam[r]) <= tau_gap):
         raise NoSpectralGap(f"lam_r = {lam[r - 1]:.3e} and lam_(r+1) both near zero")
     if lam[r - 1] >= 0:

@@ -15,19 +15,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AmbientMismatch, BasisNotOrthonormal, DimensionMismatch, QOutOfRange
-from .hermitian import (TAU_HERM, TAU_PD, ZERO_REL, _counts_beyond, _spectral_scale, as_form,
-                        as_metric, pencil_eigh, pencil_eigvalsh)
+from .hermitian import (TAU_HERM, TAU_PD, _counts_beyond, as_form, as_metric, pencil_eigh,
+                        q_sums, zero_tolerance)
 
 TAU_ORTH = 1e-10  # see metric_subbundle.TAU_ORTH for why that one is 1e-8
 
 
-def _pencil(H, g, tau_herm, tau_pd, q=None):
-    """The validated form and metric of one pencil; with ``q``, also check 1 <= q <= d."""
+def _pencil(H, g, tau_herm, tau_pd):
+    """The validated form and metric of one pencil."""
     M, G = as_form(H, tau_herm=tau_herm), as_metric(g, tau_herm=tau_herm, tau_pd=tau_pd)
     if M.shape != G.shape:
         raise DimensionMismatch(f"dimension mismatch: {sorted({len(M), len(G)})}")
-    if q is not None and not 1 <= q <= len(M):
-        raise QOutOfRange(f"q = {q} not in [1, {len(M)}]")
     return M, G
 
 
@@ -132,7 +130,7 @@ def inertia(H, zero_threshold: float | None = None, tau_herm: float = TAU_HERM) 
     M = as_form(H, tau_herm=tau_herm)
     w = np.linalg.eigvalsh(M)
     if zero_threshold is None:
-        zero_threshold = ZERO_REL * float(_spectral_scale(w))
+        zero_threshold = float(zero_tolerance(w))
     if zero_threshold < 0:
         raise ValueError("zero_threshold must be nonnegative")
     n_plus, n_minus = (int(n) for n in _counts_beyond(w, zero_threshold))
@@ -155,9 +153,7 @@ def q_min_sum(H, g, q: int, tau_herm: float = TAU_HERM, tau_pd: float = TAU_PD) 
     Strict q-positivity of H with respect to g is equivalent to this value
     being positive.
     """
-    M, G = _pencil(H, g, tau_herm, tau_pd, q)
-    lam = pencil_eigvalsh(M, G)
-    return float(np.sum(lam[:q]))
+    return float(q_sums(*_pencil(H, g, tau_herm, tau_pd), q))
 
 
 def max_subspace_trace(H, g, q: int, tau_herm: float = TAU_HERM, tau_pd: float = TAU_PD) -> float:
@@ -166,9 +162,7 @@ def max_subspace_trace(H, g, q: int, tau_herm: float = TAU_HERM, tau_pd: float =
     By the extremal characterization this is the sum of the q largest
     eigenvalues of H relative to g.
     """
-    M, G = _pencil(H, g, tau_herm, tau_pd, q)
-    lam = pencil_eigvalsh(M, G)
-    return float(np.sum(lam[len(M) - q:]))
+    return float(q_sums(*_pencil(H, g, tau_herm, tau_pd), q, top=True))
 
 
 def restricted_trace(H, g, W: Subspace, tau_orth: float = TAU_ORTH,

@@ -36,7 +36,8 @@ def random_metric(rng: np.random.Generator, d: int, cond: float = 10.0) -> np.nd
     return hermitian_with_eigs(rng, eigs / eigs.min())
 
 
-def random_g_orthonormal_frames(rng: np.random.Generator, G, count: int, q: int) -> np.ndarray:
+def random_g_orthonormal_frames(rng: np.random.Generator, G, count: int, q: int,
+                                W=None) -> np.ndarray:
     """Stack of ``count`` g-orthonormal q-frames, shape (count, d, q).
 
     Each frame is W Q with W* G W = I and Q Haar distributed: the Gram-Schmidt
@@ -44,10 +45,11 @@ def random_g_orthonormal_frames(rng: np.random.Generator, G, count: int, q: int)
     All columns are held as one (..., d, q, count) array, which W multiplies in
     one product; the result is a view of it.  A stack of metrics (..., d, d)
     gives (..., count, d, q) from the same random numbers as one call per
-    metric in turn.
+    metric in turn.  ``W`` is ``congruence(G)[0]`` when the caller has made it.
     """
     G = np.asarray(G, dtype=complex)
-    W, _ = congruence(G)
+    if W is None:
+        W, _ = congruence(G)
     Z = rng.standard_normal(G.shape[:-2] + (G.shape[-1], q, count, 2)).view(complex)[..., 0]
     Q = np.empty(Z.shape, dtype=complex)
     for j in range(q):

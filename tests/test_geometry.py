@@ -572,6 +572,40 @@ def test_weight_bump_negative_control_probes_larger_eps():
     assert rep.large_eps_claim3_failures >= 0
 
 
+def test_certificates_and_bump_claims_share_one_pass_rule(tmp_path, monkeypatch, quadric,
+                                                          quadric_samples):
+    # under a floor that no sum clears, a certificate, bump claims 2 and 3 and the
+    # bump's control all fail; the bump passed its claims on a bare sum > 0
+    from qpos import cli, hermitian, metric_subbundle
+    from qpos.fields import FormField, certify
+
+    monkeypatch.setattr(hermitian, "MARGIN_FLOOR_SCALE", 1e200)
+    field = FormField.from_stacks(range(3), {"S": np.broadcast_to(np.eye(3), (3, 3, 3))})
+    assert certify(field, "S", 2, np.eye(3), "floor").failed_ids() == [0, 1, 2]
+    # the kernel metric's own certificates fail too: let the bump go on to its claims
+    monkeypatch.setattr(metric_subbundle, "require_passed", lambda certs, what: None)
+    rep = weight_bump(quadric, 2, quadric_samples)
+    assert np.all(rep.claim1_pass) and min(rep.claim2_min.min(), rep.claim3_min.min()) > 0
+    assert not rep.all_claims_pass
+
+    class IndefWeight:  # the finite-eta weight above: its control runs
+        def __call__(self, z):
+            return float(np.sum(np.abs(np.asarray(z)) ** 2 * [1.0, 1.0, -3.0]))
+
+        def hessian(self, z):
+            return np.diag([1.0, 1.0, -3.0]).astype(complex)
+
+    dom = CustomDomain(n=3, rho=lambda z: float(np.sum(np.abs(z) ** 2) - 1.0),
+                       weight=IndefWeight(), seed_box=0.8)
+    samples = sample_boundary(dom, 60, seed=7)
+    assert weight_bump(dom, 2, samples).large_eps_claim3_failures == len(samples)
+    quad = tmp_path / "quadric.json"
+    quad.write_text('{"type": "quadric", "n": 3, "q": 2, "mu": [2.0, 2.0, -0.5, -0.5]}')
+    assert cli.main(["geometry", "bump", "--domain", str(quad), "--q", "2",
+                     "--samples", "40", "--out", str(tmp_path / "bump.json")]) == 2
+    assert '"all_claims_pass": false' in (tmp_path / "bump.json").read_text()
+
+
 # ------------------------------------------------------------------- factory
 
 def test_domain_from_spec_roundtrip():

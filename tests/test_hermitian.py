@@ -25,6 +25,7 @@ from qpos import (
     spectrum_wrt,
     trace_wrt,
 )
+from qpos.hermitian import congruence, q_sums
 from qpos.synthetic import (
     random_g_orthonormal_frames,
     random_hermitian,
@@ -245,6 +246,33 @@ def test_q_min_sum_enumerated_eigenvector_spans(rng):
             W = Subspace(s.eigenvectors[:, list(idx)])
             vals.append(restricted_trace(H, g, W))
         assert abs(min(vals) - q_min_sum(H, g, q)) <= 1e-8
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 4), st.integers(0, 10**6))
+def test_q_sums_match_scipy_for_every_q(d, log_cond, seed):
+    # the one q-sum kernel against scipy's generalized eigensolver, both ends; a
+    # forms axis is bitwise one call per form, and a given congruence is bitwise
+    # the one q_sums makes
+    rng = np.random.default_rng(seed)
+    cond = 10.0 ** log_cond
+    H = np.stack([[random_hermitian(rng, d) for _ in range(3)] for _ in range(2)])
+    G = np.stack([random_metric(rng, d, cond=cond) for _ in range(3)])
+    W = congruence(G)[0]
+    for q in range(1, d + 1):
+        low, top = q_sums(H, G, q), q_sums(H, G, q, top=True)
+        assert low.shape == top.shape == (2, 3)
+        assert np.array_equal(q_sums(H, G, q, W=W), low)
+        for f in range(2):
+            assert np.array_equal(q_sums(H[f], G, q), low[f])
+            for i in range(3):
+                lam = scipy.linalg.eigh(H[f, i], G[i], eigvals_only=True)
+                tol = 1e-12 * cond * q * max(1.0, np.max(np.abs(lam)))
+                assert abs(low[f, i] - np.sum(lam[:q])) <= tol
+                assert abs(top[f, i] - np.sum(lam[d - q:])) <= tol
+    for q in (0, d + 1):
+        with pytest.raises(QOutOfRange):
+            q_sums(H, G, q)
 
 
 def test_q_min_sum_superadditivity(rng):

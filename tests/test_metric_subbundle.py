@@ -230,7 +230,8 @@ def test_certificate_survives_metric_perturbation(rng):
 def test_certificates_from_one_congruence_equal_one_pencil_solve_per_form(rng):
     # every form is certified against the one factorization of its metric
     # stack; each certificate is bitwise the per-form solve it replaced
-    from qpos.fields import MARGIN_FLOOR_SCALE, certify, certify_forms
+    from qpos.fields import certify, certify_forms
+    from qpos.hermitian import MARGIN_FLOOR_SCALE
 
     field, gamma = planted_subbundle_field(rng, 40, 5, 2)
     names = ["Q1", "Q2", "Q3"]

@@ -24,7 +24,8 @@ from numpy.testing import assert_allclose
 
 from qpos import (DimensionMismatch, FieldPoint, FormField, PositivityCertificate, QposError,
                   SchemaError, cli, fields, hermitian, serialize, spectrum_wrt)
-from qpos.fields import MARGIN_FLOOR_SCALE, CertificateEntry, certify
+from qpos.fields import CertificateEntry, certify
+from qpos.hermitian import MARGIN_FLOOR_SCALE
 from qpos.serialize import (
     certificate_to_json,
     dumps_canonical,
@@ -1321,6 +1322,19 @@ def test_cli_factors_each_metric_stack_once(tmp_path, rng, monkeypatch):
                                                       .repeat(40, axis=0))))
     assert _eigvalsh_calls(monkeypatch, ["check", "--input", path, "--form", "S", "--q", 2,
                                          "--metric", metric, "--out", tmp_path / "c.json"]) == 2
+
+    # bump on the benchmark quadric: one congruence of its (N, n, n) g0 stack serves the
+    # trace bounds, the eta dual, claim 3, the control and the trace-check frames (it
+    # factored that stack six times)
+    quad = tmp_path / "quadric.json"
+    quad.write_text(json.dumps({"type": "quadric", "n": 3, "q": 2,
+                                "mu": [2.0, 2.0, -0.5, -0.5]}))
+    shapes, cholesky = [], np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky",
+                        lambda a, *args, **kw: shapes.append(np.shape(a)) or cholesky(a, *args, **kw))
+    _calls(monkeypatch, ["--seed", 1, "geometry", "bump", "--domain", quad, "--q", 2,
+                         "--samples", 250], [])
+    assert shapes.count((250, 3, 3)) == 1 and (100, 3, 3) not in shapes, shapes
 
 
 @pytest.mark.parametrize("entry", ["1.5", None])
