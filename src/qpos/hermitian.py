@@ -75,8 +75,9 @@ def first_invalid(A, tau_herm: float = TAU_HERM, tau_pd: float | None = None):
     if not finite.all():
         A = np.where(finite[:, None, None], A, 0.0)
     # the defect ||A - A*||_F, against tau_herm * max(1, ||A||_F)
-    defect = np.linalg.norm(A - np.conj(np.swapaxes(A, -1, -2)), axis=(-2, -1))
-    not_hermitian = defect > tau_herm * np.maximum(1.0, np.linalg.norm(A, axis=(-2, -1)))
+    with np.errstate(over="ignore"):
+        defect = frobenius_norm(A - np.conj(np.swapaxes(A, -1, -2)))
+    not_hermitian = defect > tau_herm * np.maximum(1.0, frobenius_norm(A))
     bad = ~finite | not_hermitian
     if tau_pd is not None:
         try:
@@ -118,20 +119,45 @@ def _counts_beyond(lam, thr):
 # batched pencil solver (shared by the field-level modules)
 # ---------------------------------------------------------------------------
 
+def identity_rows(G) -> np.ndarray:
+    """The mask of the matrices of a (..., d, d) stack that are bitwise I: entries
+    equal to I's, and no zero of them negative."""
+    G = np.asarray(G)
+    return np.all((G == np.eye(G.shape[-1])) & ~np.signbit(G.real) & ~np.signbit(G.imag),
+                  axis=(-2, -1))
+
+
 def congruence(G):
     """Congruence ``(W, W_inv)`` with ``W* G W = I`` for a stack of metrics.
 
     From the Cholesky factor ``G = L L*``: ``W = L^{-*}`` and ``W_inv = L*``
     (Golub & Van Loan, Matrix Computations, section 8.7; LAPACK ``*hegv``
-    reduces the same way).  Raises NotPositiveDefinite when the factorization
-    fails.
+    reduces the same way).  Rows of G that are exactly I (``identity_rows``)
+    are not factored: their L is I, and their W is I as LAPACK inverts it
+    (W_inv = I* carries negative imaginary zeros, and the inverse then some
+    negative real ones), so every row is bitwise what factoring it gives.
+    Raises NotPositiveDefinite when a factorization fails.
     """
+    G = np.asarray(G)
+    ident = identity_rows(G)
+    if not ident.any():
+        L = _cholesky(G)
+        W_inv = np.conj(np.swapaxes(L, -1, -2))
+        return np.linalg.inv(W_inv), W_inv
+    factored, eye = ~ident, np.eye(G.shape[-1], dtype=np.result_type(G, 1.0))
+    L, W = np.broadcast_to(eye, G.shape).copy(), np.empty(G.shape, eye.dtype)
+    W[ident] = np.linalg.inv(np.conj(eye))
+    if factored.any():
+        L[factored] = _cholesky(G[factored])
+        W[factored] = np.linalg.inv(np.conj(np.swapaxes(L[factored], -1, -2)))
+    return W, np.conj(np.swapaxes(L, -1, -2))
+
+
+def _cholesky(G):
     try:
-        L = np.linalg.cholesky(G)
+        return np.linalg.cholesky(G)
     except np.linalg.LinAlgError as e:
         raise NotPositiveDefinite("matrix in stack is not positive definite") from e
-    W_inv = np.conj(np.swapaxes(L, -1, -2))
-    return np.linalg.inv(W_inv), W_inv
 
 
 def reduce_form(H, W):
@@ -169,18 +195,34 @@ def pencil_eigvalsh(H, G, W=None):
     return np.linalg.eigvalsh(reduce_form(np.asarray(H, dtype=complex), W))
 
 
-def q_sums(H, G, q: int, W=None, top: bool = False):
+def q_sums(H, G, q: int, W=None, top: bool = False, both: bool = False):
     """Sums of the q smallest (``top``: largest) pencil eigenvalues along the last axis,
-    added in ascending order; stacks and ``W`` as in ``pencil_eigvalsh``.  QOutOfRange
-    unless 1 <= q <= d."""
+    added in ascending order; ``both``: the pair (smallest, largest) from one eigensolve.
+    Stacks and ``W`` as in ``pencil_eigvalsh``.  QOutOfRange unless 1 <= q <= d."""
     if not 1 <= q <= np.shape(H)[-1]:
         raise QOutOfRange(f"q = {q} not in [1, {np.shape(H)[-1]}]")
     lam = pencil_eigvalsh(H, G, W)
-    return np.sum(lam[..., -q:] if top else lam[..., :q], axis=-1)
+    low, high = lam[..., :q], lam[..., -q:]
+    if both:
+        return np.sum(low, axis=-1), np.sum(high, axis=-1)
+    return np.sum(high if top else low, axis=-1)
 
 
 def q_margins(H, G, q: int, W=None):
     """``(q_sums(H, G, q, W), margins)`` under the one pass rule: a q-sum passes iff its
     margin, the sum less the rounding floor ``MARGIN_FLOOR_SCALE * ||H||_F``, is > 0."""
     sums = q_sums(H, G, q, W)
-    return sums, sums - MARGIN_FLOOR_SCALE * np.linalg.norm(H, axis=(-2, -1))
+    return sums, sums - MARGIN_FLOOR_SCALE * frobenius_norm(H)
+
+
+def frobenius_norm(H):
+    """``np.linalg.norm(H, axis=(-2, -1))``, bit for bit where it is finite; where its
+    squares overflow, the norm of H scaled by its largest entry, scaled back."""
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(H, axis=(-2, -1))
+    if not np.isinf(norm).any():
+        return norm
+    scale = np.max(np.abs(H), axis=(-2, -1), keepdims=True)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rescaled = scale[..., 0, 0] * np.linalg.norm(H / scale, axis=(-2, -1))
+    return np.where(np.isinf(norm) & np.isfinite(rescaled), rescaled, norm)

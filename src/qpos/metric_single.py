@@ -51,6 +51,7 @@ from .hermitian import (
     as_form,
     as_metric,
     congruence,
+    identity_rows,
     pencil_eigh,
     reduce_form,
     sign_counts,
@@ -123,11 +124,17 @@ def synthesize_single(field: FormField, form: str, q_tilde: int,
     else HypothesisViolated names the first point that has fewer.  Each point
     that is not anchored (F and its 1-ring under adjacency keep g0 exactly)
     gets the spectral inflation of the module docstring, with margin factor
-    ``theta`` (finite and positive, else ValueError), from one pencil
-    eigendecomposition.  The first RIESZ_CHECK_COUNT inflated points with no
-    eigenvalue in (-delta, 0) apply f times the projector onto their
-    eigenvalues <= -delta, which must agree with ``negative_projector`` to
-    1e-8, else ProjectorRoutesDisagree.
+    ``theta`` (finite and positive, else ValueError).  One pencil
+    eigendecomposition against g0 at every point serves both: where g0 is
+    exactly I its spectrum is the Euclidean one of herm(S), which gives the
+    counts there, and only the other points get a Euclidean ``eigvalsh``.  The
+    counts stay against the identity because the zero rule
+    (``hermitian.zero_tolerance``) scales with the largest eigenvalue, which a
+    metric rescales: against g0 = diag(1, 1e3, 1e-3) the point
+    S = diag(-1, 1e-9, 1) would count one positive eigenvalue, not two.  The
+    first RIESZ_CHECK_COUNT inflated points with no eigenvalue in (-delta, 0)
+    apply f times the projector onto their eigenvalues <= -delta, which must
+    agree with ``negative_projector`` to 1e-8, else ProjectorRoutesDisagree.
 
     Returns ``(metrics, certificate)`` with ``metrics`` of shape (N, d, d).
     Raises CertificateFailed (with the certificate attached) if any point
@@ -139,7 +146,13 @@ def synthesize_single(field: FormField, form: str, q_tilde: int,
     if not 1 <= q_tilde <= d:
         raise QOutOfRange(f"q_tilde = {q_tilde} not in [1, {d}]")
     S = field.form_stack(form)
-    n_plus, n_minus = sign_counts(np.linalg.eigvalsh(S))
+    metrics = field.g0_stack()
+    lam, V = pencil_eigh(S, metrics)
+    euclid = np.array(lam)
+    weighted = ~identity_rows(metrics)
+    if weighted.any():
+        euclid[weighted] = np.linalg.eigvalsh(S[weighted])
+    n_plus, n_minus = sign_counts(euclid)
     bad = np.where(n_plus < d - q_tilde + 1)[0]
     if bad.size:
         i = int(bad[0])
@@ -147,9 +160,8 @@ def synthesize_single(field: FormField, form: str, q_tilde: int,
         raise HypothesisViolated(ids[i], tup)
 
     anchored = field.anchored_mask()
-    metrics = field.g0_stack()
     free = np.where(~anchored)[0]
-    lam, V = pencil_eigh(S[free], metrics[free])
+    lam, V = lam[free], V[free]
     head = lam[:, :q_tilde]
     N = -np.sum(np.minimum(head, 0.0), axis=1)
     P = np.sum(np.maximum(head, 0.0), axis=1)

@@ -308,8 +308,16 @@ def matrices_from_json(objs, paths, dim=None) -> np.ndarray:
     """JSON matrices as one complex (N, dim, dim) stack, with ``paths`` naming them.
 
     ``dim`` defaults to the first matrix's own ``"dim"``; every matrix must
-    declare it.
+    declare it.  One pass over a set accepts the common case, every matrix
+    declaring the same int; any other case is read one matrix at a time.
     """
+    try:
+        dims = [o["dim"] for o in objs]
+    except (KeyError, TypeError):
+        dims = None
+    if dims and set(map(type, dims)) == {int} and len(set(dims)) == 1 \
+            and dim in (None, dims[0]):
+        return _complex_stack(objs, paths, ("re", "im"), (dims[0], dims[0]), "matrix")
     dims = []
     for o, path in zip(objs, paths):
         if not isinstance(o, dict):
@@ -410,21 +418,23 @@ def field_from_json(obj, path="field") -> FormField:
             raise SchemaError(f"{ppath}.id", f"expected a string or finite number, got {pid!r}")
         for key, kind, name in (("forms", dict, "object"), ("neighbors", list, "array"),
                                 ("in_F", bool, "boolean")):
-            if not isinstance(rp.get(key, kind()), kind):
+            if key in rp and not isinstance(rp[key], kind):
                 raise SchemaError(f"{ppath}.{key}", f"expected a JSON {name}")
-        if not all(isinstance(n, (str, int, float)) for n in rp.get("neighbors", [])):
+        nbrs = rp.get("neighbors")
+        if nbrs and not all(isinstance(n, (str, int, float)) for n in nbrs):
             raise SchemaError(f"{ppath}.neighbors", "entries must be string or number ids")
-        sub = rp.get("subspace", {"basis_re": []})
-        if not (isinstance(sub, dict) and isinstance(sub.get("basis_re"), list)):
+        sub = rp.get("subspace")
+        if "subspace" in rp and not (isinstance(sub, dict)
+                                     and isinstance(sub.get("basis_re"), list)):
             raise SchemaError(f"{ppath}.subspace", "expected an object with a basis_re list")
         try:
             coords.append(np.asarray(rp["coords"], dtype=float) if "coords" in rp else None)
         except BAD_VALUE as e:
             raise SchemaError(f"{ppath}.coords", f"expected numbers: {e}") from e
         ids.append(pid)
-        neighbors.append(rp.get("neighbors"))
+        neighbors.append(nbrs)
         in_F.append(rp.get("in_F", False))
-        ranks.append(len(sub["basis_re"]) if "subspace" in rp else None)
+        ranks.append(None if sub is None else len(sub["basis_re"]))
         for name, m in rp["forms"].items():
             at, objs = forms.setdefault(name, ([], []))
             at.append(i)

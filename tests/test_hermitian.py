@@ -25,7 +25,7 @@ from qpos import (
     spectrum_wrt,
     trace_wrt,
 )
-from qpos.hermitian import congruence, q_sums
+from qpos.hermitian import congruence, first_invalid, frobenius_norm, q_margins, q_sums
 from qpos.synthetic import (
     random_g_orthonormal_frames,
     random_hermitian,
@@ -270,9 +270,49 @@ def test_q_sums_match_scipy_for_every_q(d, log_cond, seed):
                 tol = 1e-12 * cond * q * max(1.0, np.max(np.abs(lam)))
                 assert abs(low[f, i] - np.sum(lam[:q])) <= tol
                 assert abs(top[f, i] - np.sum(lam[d - q:])) <= tol
+        assert all(np.array_equal(a, b) for a, b in zip(q_sums(H, G, q, both=True), (low, top)))
     for q in (0, d + 1):
         with pytest.raises(QOutOfRange):
             q_sums(H, G, q)
+
+
+def test_margins_of_huge_forms_do_not_overflow(rng):
+    # ||1e200 I||_F squares past the float range: the margin was -inf and a
+    # positive form failed.  Where the plain norm is finite it is kept bit for bit
+    H = np.stack([1e200 * np.eye(3), random_hermitian(rng, 3), np.zeros((3, 3))]).astype(complex)
+    with np.errstate(over="raise"):
+        sums, margins = q_margins(H, np.eye(3), 1)
+        norms = frobenius_norm(H)
+    assert margins[0] > 0 and np.isclose(norms[0], np.sqrt(3) * 1e200, rtol=1e-15)
+    assert np.array_equal(norms[1:], np.linalg.norm(H[1:], axis=(-2, -1)))
+    assert np.array_equal(margins[1:], sums[1:] - 1e-9 * np.linalg.norm(H[1:], axis=(-2, -1)))
+    # a huge form far from Hermitian is no longer accepted by an infinite tolerance
+    A = np.array([[1e300, 1e300], [-1e300, 1.0]], dtype=complex)
+    with np.errstate(over="raise"):
+        assert first_invalid(A[None])[0] == 0 and first_invalid(A[None, :1, :1]) is None
+
+
+# an identity row in three, and metrics up to condition 1e4
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.lists(st.integers(0, 2), min_size=1, max_size=12),
+       st.integers(0, 10**6))
+def test_congruence_skips_identity_rows_bitwise(d, kinds, seed):
+    # rows that are exactly I get W = W_inv = I unfactored; every row, identity
+    # or not, is bitwise what a per-row Cholesky and inverse give
+    rng = np.random.default_rng(seed)
+    G = np.stack([np.eye(d, dtype=complex) if k == 0 else
+                  random_metric(rng, d, cond=10.0 ** (2 * k)) for k in kinds])
+    W, W_inv = congruence(G)
+    for r in range(len(kinds)):
+        L = np.linalg.cholesky(G[r])
+        assert W_inv[r].tobytes() == L.conj().T.tobytes()
+        assert W[r].tobytes() == np.linalg.inv(L.conj().T).tobytes()
+    W1, W1_inv = congruence(G[0])
+    assert W1.tobytes() == W[0].tobytes() and W1_inv.tobytes() == W_inv[0].tobytes()
+    bad = G.copy()
+    bad[-1] = -np.eye(d)
+    with pytest.raises(NotPositiveDefinite):
+        congruence(bad)
 
 
 def test_q_min_sum_superadditivity(rng):

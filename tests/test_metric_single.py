@@ -17,7 +17,8 @@ from qpos import (
     negative_projector,
     synthesize_single,
 )
-from qpos.hermitian import pencil_eigh, pencil_eigvalsh, sign_counts
+from qpos.hermitian import (MARGIN_FLOOR_SCALE, pencil_eigh, pencil_eigvalsh,
+                            reduce_form, sign_counts)
 from qpos.synthetic import (
     hermitian_with_eigs,
     planted_inertia_field,
@@ -330,3 +331,94 @@ def test_synthesize_certificate_failure_is_honest():
     with pytest.raises(CertificateFailed) as exc:
         synthesize_single(field, "S", 2)
     assert "bad" in exc.value.failed_ids
+
+
+# ------------------------------------ one eigendecomposition, against the old route
+
+def lapack_congruence(G):
+    """W = L^{-*} from LAPACK's Cholesky factor of every row, identity rows too."""
+    return np.linalg.inv(np.conj(np.swapaxes(np.linalg.cholesky(G), -1, -2)))
+
+
+def two_solve_route(field, q, theta=0.1):
+    """``synthesize_single`` as it was when the hypothesis had its own full
+    ``eigvalsh(S)`` and the pencil was solved at the free points only, with every
+    metric factored: ``(metrics, min_sum, margin, provenance)``.  Its checks that
+    only raise (the denominator and the Riesz routes) are left out."""
+    d, ids = field.dim, field.ids
+    S = field.form_stack("S")
+    n_plus, n_minus = sign_counts(np.linalg.eigvalsh(S))
+    bad = np.where(n_plus < d - q + 1)[0]
+    if bad.size:
+        i = int(bad[0])
+        raise HypothesisViolated(ids[i], (int(n_plus[i]), int(n_minus[i]),
+                                          d - int(n_plus[i]) - int(n_minus[i])))
+    anchored = field.anchored_mask()
+    metrics = field.g0_stack()
+    free = np.where(~anchored)[0]
+    W = lapack_congruence(metrics[free])
+    lam, Y = np.linalg.eigh(reduce_form(S[free], W))
+    V = W @ Y
+    N = -np.sum(np.minimum(lam[:, :q], 0.0), axis=1)
+    P = np.sum(np.maximum(lam[:, :q], 0.0), axis=1)
+    grow = N > P
+    idx, lam, V, N, P = free[grow], lam[grow], V[grow], N[grow], P[grow]
+    G = metrics[idx]
+    f = (1.0 + theta) * (N - P) / P
+    delta = theta * P * (N - P) / (N + theta * (N - P)) / (2 * (q - 1))
+    Z = G @ V
+    fw = f[:, None] * np.clip(-lam / delta[:, None], 0.0, 1.0)
+    upd = G + (Z * fw[:, None, :]) @ np.conj(np.swapaxes(Z, -1, -2))
+    metrics[idx] = 0.5 * (upd + np.conj(np.swapaxes(upd, -1, -2)))
+    provenance = np.where(anchored, "g0_anchor", "g0_default").astype(object)
+    provenance[idx] = "inflated"
+    forms = S[None]  # the certificate's forms axis
+    lam = np.linalg.eigvalsh(reduce_form(forms, lapack_congruence(metrics)))
+    sums = np.sum(lam[..., :q], axis=-1)
+    margin = sums - MARGIN_FLOOR_SCALE * np.linalg.norm(forms, axis=(-2, -1))
+    return metrics, sums[0], margin[0], provenance
+
+
+@pytest.mark.parametrize("g0_kind", ["none", "identity", "mixed"])
+def test_synthesize_single_matches_the_two_solve_route_bitwise(rng, g0_kind):
+    # one pencil eigendecomposition serves the counts (where g0 is exactly I) and
+    # the inflation, and identity metrics are not factored: the metrics and the
+    # certificate are bitwise those of the old route, and a field that breaks the
+    # hypothesis fails at the same point with the same counts
+    for d, q in ((3, 2), (5, 3), (6, 4)):
+        n = 60
+        S = np.array(planted_inertia_field(rng, n, d, q).form_stack("S"))
+        in_F = np.arange(n) % 11 == 3
+        if g0_kind == "none":
+            g0, in_F, weighted = None, None, np.zeros(n, bool)
+        else:
+            weighted = (rng.random(n) < 0.5) if g0_kind == "mixed" else np.zeros(n, bool)
+            g0 = np.array([random_metric(rng, d, cond=1e3) if w else np.eye(d) for w in weighted])
+        # anchors (F and its 1-ring) keep g0, so their forms are positive there
+        neighbors = [[f"p{(i + 1) % n}"] if i % 3 == 0 else [] for i in range(n)]
+        field = FormField.from_stacks([f"p{i}" for i in range(n)], {"S": S}, g0=g0, in_F=in_F,
+                                      neighbors=neighbors)
+        for r in np.flatnonzero(field.anchored_mask()):
+            S[r] = hermitian_with_eigs(rng, rng.uniform(0.5, 2.0, d))
+        field = FormField.from_stacks(field.ids, {"S": S}, g0=g0, in_F=in_F, neighbors=neighbors)
+        metrics, cert = synthesize_single(field, "S", q)
+        ref, min_sum, margin, provenance = two_solve_route(field, q)
+        assert metrics.tobytes() == ref.tobytes()
+        assert cert.min_sum.tobytes() == min_sum.tobytes()
+        assert cert.margin.tobytes() == margin.tobytes()
+        assert list(cert.provenance) == list(provenance)
+        assert "inflated" in list(provenance)
+
+        # a point with too few positive eigenvalues; with mixed g0 one of each kind
+        rows = [int(np.argmax(~weighted[5:])) + 5, int(np.argmax(weighted[5:])) + 5]
+        broken = np.array(S)
+        for r in rows[:1 + (g0_kind == "mixed")]:
+            broken[r] = hermitian_with_eigs(rng, [-1.0] * q + [1.0] * (d - q))
+        field = FormField.from_stacks(field.ids, {"S": broken}, g0=g0, in_F=in_F)
+        with pytest.raises(HypothesisViolated) as ours:
+            synthesize_single(field, "S", q)
+        with pytest.raises(HypothesisViolated) as theirs:
+            two_solve_route(field, q)
+        assert (ours.value.point_id, ours.value.inertia) == \
+            (theirs.value.point_id, theirs.value.inertia)
+        assert ours.value.point_id == f"p{min(rows[:1 + (g0_kind == 'mixed')])}"

@@ -1183,6 +1183,8 @@ def mutated_documents(draw, template):
     return doc
 
 
+# an overflow is an error here: a margin that overflows to -inf fails a positive form
+@pytest.mark.filterwarnings("error:overflow encountered:RuntimeWarning")
 @settings(max_examples=80, deadline=None)
 @given(mutated_documents(FIELD_TEMPLATE), st.none() | mutated_documents(METRIC_TEMPLATE),
        st.sampled_from([("check", "--q", "1"), ("check", "--q", "2"),
@@ -1335,6 +1337,89 @@ def test_cli_factors_each_metric_stack_once(tmp_path, rng, monkeypatch):
     _calls(monkeypatch, ["--seed", 1, "geometry", "bump", "--domain", quad, "--q", 2,
                          "--samples", 250], [])
     assert shapes.count((250, 3, 3)) == 1 and (100, 3, 3) not in shapes, shapes
+
+
+def test_cli_synthesize_single_solves_each_stack_once(tmp_path, rng, monkeypatch):
+    # without g0 every metric is I: one pencil eigendecomposition gives the
+    # hypothesis counts and the inflation (the counts had an eigvalsh of their
+    # own), the certificate is one eigvalsh, and no identity metric is factored
+    # (the inflation and the certificate factored all of them)
+    seen = {}
+    for n in (30, 300):
+        path = tmp_path / f"field{n}.json"
+        path.write_text(dumps_canonical(field_to_json(planted_inertia_field(rng, n, 4, 2))))
+        shapes, identity_rows = [], []
+
+        def recorded(name, fn):
+            def call(a, *args, **kwargs):
+                shapes.append((name, np.ndim(a)))
+                if name == "cholesky":
+                    identity_rows.append(int(np.sum(hermitian.identity_rows(a))))
+                return fn(a, *args, **kwargs)
+            return call
+
+        with monkeypatch.context() as m:
+            for name in ("eigh", "eigvalsh", "cholesky"):
+                m.setattr(np.linalg, name, recorded(name, getattr(np.linalg, name)))
+            _calls(m, ["synthesize", "single", "--input", path, "--q", 2,
+                       "--out", tmp_path / "metric.json"], [])
+        stacked = [name for name, ndim in shapes if ndim >= 3 and name != "cholesky"]
+        assert sorted(stacked) == ["eigh", "eigvalsh"], shapes
+        assert sum(identity_rows) == 0, identity_rows
+        # the rest are the Riesz check's one-matrix solves and metric screens
+        seen[n] = sorted(shapes)
+    assert seen[30] == seen[300], seen
+
+
+def test_cli_bump_solves_each_hessian_stack_once(tmp_path, monkeypatch):
+    # B1 and B2 take both q-sum ends of the weight and rho Hessians from one
+    # spectrum each: five (N, n, n) eigensolves, where the two ends took seven
+    quad = tmp_path / "quadric.json"
+    quad.write_text(json.dumps({"type": "quadric", "n": 3, "q": 2,
+                                "mu": [2.0, 2.0, -0.5, -0.5]}))
+    shapes, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a, *args, **kw: shapes.append(np.shape(a)) or eigvalsh(a))
+    _calls(monkeypatch, ["--seed", 1, "geometry", "bump", "--domain", quad, "--q", 2,
+                         "--samples", 250], [])
+    assert shapes.count((250, 3, 3)) == 5, shapes
+
+
+def test_field_reader_takes_integral_float_dims_and_rejects_boolean_ones(tmp_path, rng):
+    # all dims the same int are checked in one pass; any other mix falls back
+    # to one check per matrix, which reads 2.0 as 2 and refuses True, even where
+    # True equals (and hashes as) the field's dim 1
+    doc = field_to_json(planted_inertia_field(rng, 5, 2, 1, nu_choices=[0]))
+    doc["points"][3]["forms"]["S"]["dim"] = 2.0
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["check", "--input", str(path), "--form", "S", "--q", "1",
+                     "--out", str(tmp_path / "c.json")]) == 0
+    for dims in ([1, True, 1], [True, True, True]):
+        doc = field_to_json(planted_inertia_field(rng, 3, 1, 1, nu_choices=[0]))
+        for point, dim in zip(doc["points"], dims):
+            point["forms"]["S"]["dim"] = dim
+        path.write_text(json.dumps(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(["check", "--input", str(path), "--form", "S", "--q", "1"])
+        row = next(r for r, dim in enumerate(dims) if dim is True)  # 1 == True
+        assert code == 1 and f"{path}.points[{row}].forms.S.dim" in err.getvalue(), err.getvalue()
+
+
+@pytest.mark.filterwarnings("error:overflow encountered:RuntimeWarning")
+def test_cli_check_passes_a_huge_positive_form(tmp_path):
+    # ||1e200 I||_F overflowed to inf, so the margin was -inf: check failed a
+    # positive form (exit 2) with numpy's overflow warning
+    S = 1e200 * np.eye(2, dtype=complex)
+    path, out = tmp_path / "field.json", tmp_path / "check.json"
+    path.write_text(dumps_canonical(field_to_json(FormField(
+        dim=2, points=[FieldPoint(id="p0", forms={"S": S})]))))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["check", "--input", str(path), "--form", "S", "--q", "1",
+                         "--out", str(out)]) == 0
+    point = json.loads(out.read_text())["points"][0]
+    assert point["margin"] == pytest.approx(1e200 * (1 - MARGIN_FLOOR_SCALE * np.sqrt(2)))
 
 
 @pytest.mark.parametrize("entry", ["1.5", None])
