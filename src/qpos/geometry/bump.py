@@ -224,7 +224,7 @@ def weight_bump(domain: Domain, q: int, samples: BoundarySamples,
 
     # two-sided trace bounds over q-planes, relative to g0
     B1, B2 = (float(max(np.max(high), np.max(-low)))
-              for low, high in (q_sums(M, G0, q, W0, both=True) for M in (Mphi, Mrho)))
+              for low, high in (q_sums(M, G0, q, W0) for M in (Mphi, Mrho)))
 
     # eta from the dual form, in g0-orthonormal coordinates
     A_form = Mphi + delta0 * Mrho

@@ -74,10 +74,11 @@ def first_invalid(A, tau_herm: float = TAU_HERM, tau_pd: float | None = None):
     finite = np.all(np.isfinite(A), axis=(-2, -1))
     if not finite.all():
         A = np.where(finite[:, None, None], A, 0.0)
-    # the defect ||A - A*||_F, against tau_herm * max(1, ||A||_F)
+    # the defect ||A - A*||_F, against tau_herm * max(1, ||A||_F); a defect past the
+    # float range is inf, and so above every tolerance, which stays finite
     with np.errstate(over="ignore"):
         defect = frobenius_norm(A - np.conj(np.swapaxes(A, -1, -2)))
-    not_hermitian = defect > tau_herm * np.maximum(1.0, frobenius_norm(A))
+    not_hermitian = defect > np.maximum(tau_herm, frobenius_norm(A, tau_herm))
     bad = ~finite | not_hermitian
     if tau_pd is not None:
         try:
@@ -121,10 +122,10 @@ def _counts_beyond(lam, thr):
 
 def identity_rows(G) -> np.ndarray:
     """The mask of the matrices of a (..., d, d) stack that are bitwise I: entries
-    equal to I's, and no zero of them negative."""
-    G = np.asarray(G)
-    return np.all((G == np.eye(G.shape[-1])) & ~np.signbit(G.real) & ~np.signbit(G.imag),
-                  axis=(-2, -1))
+    equal to I's, and no zero of them negative.  Compared as unsigned integers."""
+    G = np.ascontiguousarray(G)
+    bits = np.dtype(f"u{G.real.itemsize}")
+    return np.all(G.view(bits) == np.eye(G.shape[-1], dtype=G.dtype).view(bits), axis=(-2, -1))
 
 
 def congruence(G):
@@ -139,18 +140,12 @@ def congruence(G):
     Raises NotPositiveDefinite when a factorization fails.
     """
     G = np.asarray(G)
-    ident = identity_rows(G)
-    if not ident.any():
-        L = _cholesky(G)
-        W_inv = np.conj(np.swapaxes(L, -1, -2))
-        return np.linalg.inv(W_inv), W_inv
-    factored, eye = ~ident, np.eye(G.shape[-1], dtype=np.result_type(G, 1.0))
-    L, W = np.broadcast_to(eye, G.shape).copy(), np.empty(G.shape, eye.dtype)
-    W[ident] = np.linalg.inv(np.conj(eye))
-    if factored.any():
-        L[factored] = _cholesky(G[factored])
-        W[factored] = np.linalg.inv(np.conj(np.swapaxes(L[factored], -1, -2)))
-    return W, np.conj(np.swapaxes(L, -1, -2))
+    factored, eye = ~identity_rows(G), np.eye(G.shape[-1], dtype=np.result_type(G, 1.0))
+    W_inv = np.broadcast_to(np.conj(eye), G.shape).copy()
+    W = np.broadcast_to(np.linalg.inv(np.conj(eye)), G.shape).copy()
+    W_inv[factored] = L_star = np.conj(np.swapaxes(_cholesky(G[factored]), -1, -2))
+    W[factored] = np.linalg.inv(L_star)
+    return W, W_inv
 
 
 def _cholesky(G):
@@ -195,34 +190,36 @@ def pencil_eigvalsh(H, G, W=None):
     return np.linalg.eigvalsh(reduce_form(np.asarray(H, dtype=complex), W))
 
 
-def q_sums(H, G, q: int, W=None, top: bool = False, both: bool = False):
-    """Sums of the q smallest (``top``: largest) pencil eigenvalues along the last axis,
-    added in ascending order; ``both``: the pair (smallest, largest) from one eigensolve.
+def q_sums(H, G, q: int, W=None):
+    """Sums of the q smallest and of the q largest pencil eigenvalues along the last
+    axis, each added in ascending order, as the pair (low, high) from one eigensolve.
     Stacks and ``W`` as in ``pencil_eigvalsh``.  QOutOfRange unless 1 <= q <= d."""
     if not 1 <= q <= np.shape(H)[-1]:
         raise QOutOfRange(f"q = {q} not in [1, {np.shape(H)[-1]}]")
     lam = pencil_eigvalsh(H, G, W)
-    low, high = lam[..., :q], lam[..., -q:]
-    if both:
-        return np.sum(low, axis=-1), np.sum(high, axis=-1)
-    return np.sum(high if top else low, axis=-1)
+    return np.sum(lam[..., :q], axis=-1), np.sum(lam[..., -q:], axis=-1)
 
 
 def q_margins(H, G, q: int, W=None):
-    """``(q_sums(H, G, q, W), margins)`` under the one pass rule: a q-sum passes iff its
-    margin, the sum less the rounding floor ``MARGIN_FLOOR_SCALE * ||H||_F``, is > 0."""
-    sums = q_sums(H, G, q, W)
-    return sums, sums - MARGIN_FLOOR_SCALE * frobenius_norm(H)
+    """``(low, margins)`` with ``low = q_sums(H, G, q, W)[0]`` under the one pass rule: a
+    q-sum passes iff its margin, the sum less the rounding floor
+    ``MARGIN_FLOOR_SCALE * ||H||_F``, is > 0."""
+    sums = q_sums(H, G, q, W)[0]
+    return sums, sums - frobenius_norm(H, MARGIN_FLOOR_SCALE)
 
 
-def frobenius_norm(H):
-    """``np.linalg.norm(H, axis=(-2, -1))``, bit for bit where it is finite; where its
-    squares overflow, the norm of H scaled by its largest entry, scaled back."""
-    with np.errstate(over="ignore"):
-        norm = np.linalg.norm(H, axis=(-2, -1))
+def frobenius_norm(H, factor: float = 1.0):
+    """``factor * np.linalg.norm(H, axis=(-2, -1))``, bit for bit where that is finite.
+    Where it overflows, ``(factor * s) * ||H / s||_F`` with s the largest real or
+    imaginary part of an entry, finite wherever factor * ||H||_F is; inf where H
+    has an infinite entry or factor * ||H||_F exceeds the float range."""
+    H = np.asarray(H)
+    # an infinite entry makes its square's imaginary part NaN, which norm drops
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = factor * np.linalg.norm(H, axis=(-2, -1))
     if not np.isinf(norm).any():
         return norm
-    scale = np.max(np.abs(H), axis=(-2, -1), keepdims=True)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        rescaled = scale[..., 0, 0] * np.linalg.norm(H / scale, axis=(-2, -1))
+    s = np.maximum(np.max(np.abs(H.real), axis=(-2, -1)), np.max(np.abs(H.imag), axis=(-2, -1)))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        rescaled = (factor * s) * np.linalg.norm(H / s[..., None, None], axis=(-2, -1))
     return np.where(np.isinf(norm) & np.isfinite(rescaled), rescaled, norm)

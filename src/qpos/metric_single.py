@@ -125,10 +125,14 @@ def synthesize_single(field: FormField, form: str, q_tilde: int,
     that is not anchored (F and its 1-ring under adjacency keep g0 exactly)
     gets the spectral inflation of the module docstring, with margin factor
     ``theta`` (finite and positive, else ValueError).  One pencil
-    eigendecomposition against g0 at every point serves both: where g0 is
-    exactly I its spectrum is the Euclidean one of herm(S), which gives the
-    counts there, and only the other points get a Euclidean ``eigvalsh``.  The
-    counts stay against the identity because the zero rule
+    eigendecomposition against g0 serves the free points and the points where
+    g0 is exactly I and S exactly Hermitian: its spectrum there is the
+    Euclidean one of S, which gives their counts.  Every other point gets a
+    Euclidean ``eigvalsh`` of S, which reads S's lower triangle, as at every
+    point before.  The two eigensolvers round differently (a few units in the
+    last place of max |lam|), so an eigenvalue that close to the zero rule's
+    threshold may be counted otherwise than ``eigvalsh`` alone would count it.
+    The counts stay against the identity because the zero rule
     (``hermitian.zero_tolerance``) scales with the largest eigenvalue, which a
     metric rescales: against g0 = diag(1, 1e3, 1e-3) the point
     S = diag(-1, 1e-9, 1) would count one positive eigenvalue, not two.  The
@@ -147,11 +151,14 @@ def synthesize_single(field: FormField, form: str, q_tilde: int,
         raise QOutOfRange(f"q_tilde = {q_tilde} not in [1, {d}]")
     S = field.form_stack(form)
     metrics = field.g0_stack()
-    lam, V = pencil_eigh(S, metrics)
-    euclid = np.array(lam)
-    weighted = ~identity_rows(metrics)
-    if weighted.any():
-        euclid[weighted] = np.linalg.eigvalsh(S[weighted])
+    anchored = field.anchored_mask()
+    counted = identity_rows(metrics) & np.all(S == np.conj(np.swapaxes(S, -1, -2)), axis=(-2, -1))
+    solved = ~anchored | counted
+    lam, V = pencil_eigh(S[solved], metrics[solved])
+    euclid = np.empty(S.shape[:-1])
+    euclid[counted] = lam[counted[solved]]
+    if not counted.all():
+        euclid[~counted] = np.linalg.eigvalsh(S[~counted])
     n_plus, n_minus = sign_counts(euclid)
     bad = np.where(n_plus < d - q_tilde + 1)[0]
     if bad.size:
@@ -159,9 +166,8 @@ def synthesize_single(field: FormField, form: str, q_tilde: int,
         tup = (int(n_plus[i]), int(n_minus[i]), d - int(n_plus[i]) - int(n_minus[i]))
         raise HypothesisViolated(ids[i], tup)
 
-    anchored = field.anchored_mask()
     free = np.where(~anchored)[0]
-    lam, V = lam[free], V[free]
+    lam, V = lam[~anchored[solved]], V[~anchored[solved]]
     head = lam[:, :q_tilde]
     N = -np.sum(np.minimum(head, 0.0), axis=1)
     P = np.sum(np.maximum(head, 0.0), axis=1)

@@ -153,7 +153,7 @@ def q_min_sum(H, g, q: int, tau_herm: float = TAU_HERM, tau_pd: float = TAU_PD) 
     Strict q-positivity of H with respect to g is equivalent to this value
     being positive.
     """
-    return float(q_sums(*_pencil(H, g, tau_herm, tau_pd), q))
+    return float(q_sums(*_pencil(H, g, tau_herm, tau_pd), q)[0])
 
 
 def max_subspace_trace(H, g, q: int, tau_herm: float = TAU_HERM, tau_pd: float = TAU_PD) -> float:
@@ -162,7 +162,7 @@ def max_subspace_trace(H, g, q: int, tau_herm: float = TAU_HERM, tau_pd: float =
     By the extremal characterization this is the sum of the q largest
     eigenvalues of H relative to g.
     """
-    return float(q_sums(*_pencil(H, g, tau_herm, tau_pd), q, top=True))
+    return float(q_sums(*_pencil(H, g, tau_herm, tau_pd), q)[1])
 
 
 def restricted_trace(H, g, W: Subspace, tau_orth: float = TAU_ORTH,

@@ -25,7 +25,8 @@ from qpos import (
     spectrum_wrt,
     trace_wrt,
 )
-from qpos.hermitian import congruence, first_invalid, frobenius_norm, q_margins, q_sums
+from qpos.hermitian import (congruence, first_invalid, frobenius_norm, identity_rows, q_margins,
+                            q_sums)
 from qpos.synthetic import (
     random_g_orthonormal_frames,
     random_hermitian,
@@ -260,17 +261,16 @@ def test_q_sums_match_scipy_for_every_q(d, log_cond, seed):
     G = np.stack([random_metric(rng, d, cond=cond) for _ in range(3)])
     W = congruence(G)[0]
     for q in range(1, d + 1):
-        low, top = q_sums(H, G, q), q_sums(H, G, q, top=True)
+        low, top = q_sums(H, G, q)
         assert low.shape == top.shape == (2, 3)
-        assert np.array_equal(q_sums(H, G, q, W=W), low)
+        assert all(np.array_equal(a, b) for a, b in zip(q_sums(H, G, q, W=W), (low, top)))
         for f in range(2):
-            assert np.array_equal(q_sums(H[f], G, q), low[f])
+            assert all(np.array_equal(a, b[f]) for a, b in zip(q_sums(H[f], G, q), (low, top)))
             for i in range(3):
                 lam = scipy.linalg.eigh(H[f, i], G[i], eigvals_only=True)
                 tol = 1e-12 * cond * q * max(1.0, np.max(np.abs(lam)))
                 assert abs(low[f, i] - np.sum(lam[:q])) <= tol
                 assert abs(top[f, i] - np.sum(lam[d - q:])) <= tol
-        assert all(np.array_equal(a, b) for a, b in zip(q_sums(H, G, q, both=True), (low, top)))
     for q in (0, d + 1):
         with pytest.raises(QOutOfRange):
             q_sums(H, G, q)
@@ -286,10 +286,29 @@ def test_margins_of_huge_forms_do_not_overflow(rng):
     assert margins[0] > 0 and np.isclose(norms[0], np.sqrt(3) * 1e200, rtol=1e-15)
     assert np.array_equal(norms[1:], np.linalg.norm(H[1:], axis=(-2, -1)))
     assert np.array_equal(margins[1:], sums[1:] - 1e-9 * np.linalg.norm(H[1:], axis=(-2, -1)))
-    # a huge form far from Hermitian is no longer accepted by an infinite tolerance
-    A = np.array([[1e300, 1e300], [-1e300, 1.0]], dtype=complex)
+    # a huge form far from Hermitian is no longer accepted by an infinite tolerance,
+    # also where ||A||_F and the defect exceed the float range themselves
+    for big in (1e300, 1.5e308):
+        A = np.array([[big, big], [-big, 1.0]], dtype=complex)
+        with np.errstate(over="raise"):
+            assert first_invalid(A[None])[0] == 0 and first_invalid(A[None, :1, :1]) is None
+    # past the float range a norm is inf, and a margin floor of it stays finite
+    H = np.full((2, 4, 4), 1e308, dtype=complex)
+    H[1] = 1e308 * np.eye(4)
     with np.errstate(over="raise"):
-        assert first_invalid(A[None])[0] == 0 and first_invalid(A[None, :1, :1]) is None
+        assert np.all(np.isinf(frobenius_norm(H)))
+        assert np.allclose(frobenius_norm(H, 1e-9), [4e299, 2e299], rtol=1e-15)
+        assert first_invalid(H) is None
+
+
+def test_identity_rows_are_bitwise_identities():
+    # equal to I is not enough: a negative zero, real or imaginary, is not I
+    eye = np.eye(3, dtype=complex)
+    G = np.stack([eye, eye, eye, eye, 2 * eye, np.full((3, 3), np.nan, dtype=complex)])
+    G[1, 0, 1], G[2, 2, 2], G[3] = -0.0, complex(1.0, -0.0), np.eye(3)
+    assert identity_rows(G).tolist() == [True, False, False, True, False, False]
+    assert identity_rows(G.real).tolist() == [True, False, True, True, False, False]
+    assert identity_rows(np.broadcast_to(np.eye(2), (2, 3, 2, 2))).all()
 
 
 # an identity row in three, and metrics up to condition 1e4

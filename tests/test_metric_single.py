@@ -1,5 +1,7 @@
 """Single-form metric synthesis: spectral inflation, projectors, certificates."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -381,11 +383,12 @@ def two_solve_route(field, q, theta=0.1):
 
 @pytest.mark.parametrize("g0_kind", ["none", "identity", "mixed"])
 def test_synthesize_single_matches_the_two_solve_route_bitwise(rng, g0_kind):
-    # one pencil eigendecomposition serves the counts (where g0 is exactly I) and
-    # the inflation, and identity metrics are not factored: the metrics and the
-    # certificate are bitwise those of the old route, and a field that breaks the
-    # hypothesis fails at the same point with the same counts
-    for d, q in ((3, 2), (5, 3), (6, 4)):
+    # one pencil eigendecomposition serves the counts (where g0 is exactly I and
+    # S exactly Hermitian) and the inflation, and identity metrics are not
+    # factored: the metrics and the certificate are bitwise those of the old
+    # route, and a field that breaks the hypothesis fails at the same point with
+    # the same counts.  Planted forms are Hermitian within tolerance only
+    for (d, q), exact in itertools.product(((3, 2), (5, 3), (6, 4)), (False, True)):
         n = 60
         S = np.array(planted_inertia_field(rng, n, d, q).form_stack("S"))
         in_F = np.arange(n) % 11 == 3
@@ -400,6 +403,8 @@ def test_synthesize_single_matches_the_two_solve_route_bitwise(rng, g0_kind):
                                       neighbors=neighbors)
         for r in np.flatnonzero(field.anchored_mask()):
             S[r] = hermitian_with_eigs(rng, rng.uniform(0.5, 2.0, d))
+        if exact:
+            S = 0.5 * (S + np.conj(np.swapaxes(S, -1, -2)))
         field = FormField.from_stacks(field.ids, {"S": S}, g0=g0, in_F=in_F, neighbors=neighbors)
         metrics, cert = synthesize_single(field, "S", q)
         ref, min_sum, margin, provenance = two_solve_route(field, q)
@@ -414,6 +419,8 @@ def test_synthesize_single_matches_the_two_solve_route_bitwise(rng, g0_kind):
         broken = np.array(S)
         for r in rows[:1 + (g0_kind == "mixed")]:
             broken[r] = hermitian_with_eigs(rng, [-1.0] * q + [1.0] * (d - q))
+            if exact:
+                broken[r] = 0.5 * (broken[r] + broken[r].conj().T)
         field = FormField.from_stacks(field.ids, {"S": broken}, g0=g0, in_F=in_F)
         with pytest.raises(HypothesisViolated) as ours:
             synthesize_single(field, "S", q)
@@ -422,3 +429,23 @@ def test_synthesize_single_matches_the_two_solve_route_bitwise(rng, g0_kind):
         assert (ours.value.point_id, ours.value.inertia) == \
             (theirs.value.point_id, theirs.value.inertia)
         assert ours.value.point_id == f"p{min(rows[:1 + (g0_kind == 'mixed')])}"
+
+
+def test_synthesize_single_counts_near_hermitian_forms_from_their_lower_triangle():
+    # S is Hermitian within tolerance only, with an eigenvalue just above the zero
+    # rule's threshold (1e-10 here) as eigvalsh reads S, from its lower triangle,
+    # and just below it in herm(S).  The hypothesis is counted as the old route
+    # counts it, so it holds, and the point fails only its certificate's margin
+    d = 3
+    U = np.exp(2j * np.pi * np.outer(np.arange(d), np.arange(d)) / d) / np.sqrt(d)
+    S = (U * np.array([-1.0, 1e-10 + 2e-14, 1.0])) @ U.conj().T
+    S = 0.5 * (S + S.conj().T)
+    S += np.triu(-0.6e-12 * np.outer(U[:, 1], U[:, 1].conj()), 1)
+    herm = 0.5 * (S + S.conj().T)
+    assert sign_counts(np.linalg.eigvalsh(S)) == (2, 1)
+    assert sign_counts(np.linalg.eigvalsh(herm)) == sign_counts(np.linalg.eigh(herm)[0]) == (1, 1)
+    field = FormField.from_stacks(["a", "b"], {"S": np.stack([S, np.eye(d)])})
+    two_solve_route(field, 2)
+    with pytest.raises(CertificateFailed) as exc:
+        synthesize_single(field, "S", 2)
+    assert exc.value.failed_ids == ["a"]

@@ -1340,14 +1340,20 @@ def test_cli_factors_each_metric_stack_once(tmp_path, rng, monkeypatch):
 
 
 def test_cli_synthesize_single_solves_each_stack_once(tmp_path, rng, monkeypatch):
-    # without g0 every metric is I: one pencil eigendecomposition gives the
-    # hypothesis counts and the inflation (the counts had an eigvalsh of their
-    # own), the certificate is one eigvalsh, and no identity metric is factored
-    # (the inflation and the certificate factored all of them)
+    # without g0 every metric is I: for exactly Hermitian forms one pencil
+    # eigendecomposition gives the hypothesis counts and the inflation (the
+    # counts had an eigvalsh of their own), the certificate is one eigvalsh, and
+    # no identity metric is factored (the inflation and the certificate
+    # factored all of them).  Forms Hermitian only within tolerance, as
+    # planted, keep the counts' own eigvalsh of S
     seen = {}
-    for n in (30, 300):
+    for n, exact in ((30, True), (300, True), (30, False), (300, False)):
+        S = planted_inertia_field(rng, n, 4, 2).form_stack("S")
+        if exact:
+            S = 0.5 * (S + np.conj(np.swapaxes(S, -1, -2)))
         path = tmp_path / f"field{n}.json"
-        path.write_text(dumps_canonical(field_to_json(planted_inertia_field(rng, n, 4, 2))))
+        path.write_text(dumps_canonical(field_to_json(
+            FormField.from_stacks([f"p{i}" for i in range(n)], {"S": S}))))
         shapes, identity_rows = [], []
 
         def recorded(name, fn):
@@ -1364,11 +1370,11 @@ def test_cli_synthesize_single_solves_each_stack_once(tmp_path, rng, monkeypatch
             _calls(m, ["synthesize", "single", "--input", path, "--q", 2,
                        "--out", tmp_path / "metric.json"], [])
         stacked = [name for name, ndim in shapes if ndim >= 3 and name != "cholesky"]
-        assert sorted(stacked) == ["eigh", "eigvalsh"], shapes
+        assert sorted(stacked) == ["eigh", "eigvalsh"] + ["eigvalsh"] * (not exact), shapes
         assert sum(identity_rows) == 0, identity_rows
         # the rest are the Riesz check's one-matrix solves and metric screens
-        seen[n] = sorted(shapes)
-    assert seen[30] == seen[300], seen
+        seen[n, exact] = sorted(shapes)
+    assert seen[30, True] == seen[300, True] and seen[30, False] == seen[300, False], seen
 
 
 def test_cli_bump_solves_each_hessian_stack_once(tmp_path, monkeypatch):
