@@ -399,6 +399,9 @@ def main(argv=None) -> int:
     except QOutOfRange as e:
         print(f"input error: --q: {e}", file=sys.stderr)
         return 1
+    except MemoryError as e:  # an option sized past memory, such as --nodes
+        print(f"input error: out of memory: {e}", file=sys.stderr)
+        return 1
     except CertificateFailed as e:
         ids = ", ".join(str(i) for i in e.failed_ids[:10])
         print(f"certificate failed: {e} (points: {ids})", file=sys.stderr)

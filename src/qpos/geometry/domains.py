@@ -67,19 +67,12 @@ def fd_complex_hessian(f, z, step: float = FD_STEP) -> np.ndarray:
     return A.T  # form-matrix convention
 
 
-def complex_hessian(phi, p, mode: str = "auto", step: float = FD_STEP) -> np.ndarray:
-    """Complex Hessian of a scalar function at p, analytic or finite-difference.
-
-    ``phi`` may be a plain callable (finite differences) or an object with a
-    ``hessian(z)`` method (analytic mode).  ``mode`` is "analytic", "fd", or
-    "auto" (analytic when available).
-    """
-    has_analytic = hasattr(phi, "hessian")
-    if mode == "analytic" or (mode == "auto" and has_analytic):
-        if not has_analytic:
-            raise QposError("analytic mode requested but phi has no hessian()")
+def complex_hessian(phi, p) -> np.ndarray:
+    """Complex Hessian of a scalar function at p: analytic when ``phi`` has a
+    ``hessian(z)`` method, else by finite differences with step FD_STEP."""
+    if hasattr(phi, "hessian"):
         return np.asarray(phi.hessian(p), dtype=complex)
-    return fd_complex_hessian(phi, p, step=step)
+    return fd_complex_hessian(phi, p)
 
 
 # ---------------------------------------------------------------------------
@@ -382,14 +375,13 @@ class CustomDomain(Domain):
     """
 
     def __init__(self, n: int, rho, weight=None, seed_box: float = 1.5,
-                 scale: float = 1.0, fd_step: float = FD_STEP):
+                 scale: float = 1.0):
         self.n = n
         self._rho = rho
         self._weight = weight
         self.charts = ("affine",)
         self.seed_box = seed_box
         self.scale = scale
-        self.fd_step = fd_step
 
     @staticmethod
     def _rows(fn, z, shape=(), dtype=complex) -> np.ndarray:
@@ -404,11 +396,10 @@ class CustomDomain(Domain):
         return self._rows(self._rho, z, dtype=float)
 
     def rho_dz(self, z, chart=0):
-        return self._rows(partial(fd_complex_gradient, self._rho, step=self.fd_step), z, (self.n,))
+        return self._rows(partial(fd_complex_gradient, self._rho), z, (self.n,))
 
     def rho_hessian(self, z, chart=0):
-        return self._rows(partial(fd_complex_hessian, self._rho, step=self.fd_step), z,
-                          (self.n, self.n))
+        return self._rows(partial(fd_complex_hessian, self._rho), z, (self.n, self.n))
 
     def weight_fn(self, chart=0):
         if self._weight is None:
@@ -416,9 +407,7 @@ class CustomDomain(Domain):
         return self._weight
 
     def weight_hessian(self, z, chart=0):
-        w = self.weight_fn(chart)
-        return self._rows(lambda x: complex_hessian(w, x, step=self.fd_step),
-                          z, (self.n, self.n))
+        return self._rows(partial(complex_hessian, self.weight_fn(chart)), z, (self.n, self.n))
 
     def seed_points(self, rng, count):
         Z = self.seed_box * (rng.standard_normal((count, self.n))

@@ -14,9 +14,10 @@ solve, and the two decisions: ``sign_counts``, and ``q_sums`` with the one pass
 rule of every certificate and bump claim, ``q_margins``.  The single-matrix API
 built on it is ``qpos.qpositivity``, which no command imports.
 
-All operations are pure functions of their inputs.  Tolerances are explicit
-keyword parameters; the library works in ordinary float64 and the defaults
-below state the floating-point contract for each check.
+All operations are pure functions of their inputs.  The library works in
+ordinary float64, and the module constants below state the floating-point
+contract of each check: every check uses its constant, and no caller sets
+another value.
 """
 
 from __future__ import annotations
@@ -35,35 +36,36 @@ MARGIN_FLOOR_SCALE = 1e-9
 # validation helpers
 # ---------------------------------------------------------------------------
 
-def as_form(M, tau_herm: float = TAU_HERM) -> np.ndarray:
+def as_form(M) -> np.ndarray:
     """Validate and return a Hermitian form matrix as a complex ndarray.
 
     Entries must be finite; hermiticity is checked relative to
-    max(1, ||M||_F) with tolerance ``tau_herm``.
+    max(1, ||M||_F) with tolerance TAU_HERM.
     """
-    return _checked(M, tau_herm, None)
+    return _checked(M, None)
 
 
-def as_metric(G, tau_herm: float = TAU_HERM, tau_pd: float = TAU_PD) -> np.ndarray:
-    """Validate a metric: Hermitian with all eigenvalues > tau_pd."""
-    return _checked(G, tau_herm, tau_pd)
+def as_metric(G) -> np.ndarray:
+    """Validate a metric: Hermitian with all eigenvalues > TAU_PD."""
+    return _checked(G, TAU_PD)
 
 
-def _checked(M, tau_herm, tau_pd):
+def _checked(M, tau_pd):
     """One matrix through ``first_invalid``: the matrix, or the error it finds."""
     A = np.asarray(M, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {A.shape}")
-    found = first_invalid(A[None], tau_herm, tau_pd)
+    found = first_invalid(A[None], tau_pd)
     if found:
         raise found[1]
     return A
 
 
-def first_invalid(A, tau_herm: float = TAU_HERM, tau_pd: float | None = None):
+def first_invalid(A, tau_pd: float | None = None):
     """``(row, error)`` for the first matrix of a complex (N, d, d) stack that
     ``as_form`` (``as_metric`` when ``tau_pd`` is given) rejects, with the
     error it raises; None if all pass.  One test of each kind serves the stack.
+    Hermiticity is checked with tolerance TAU_HERM.
 
     Positive definiteness is screened by one Cholesky factorization of the
     stack A - tau_pd I, so it decides lambda_min > tau_pd up to Cholesky's
@@ -74,11 +76,11 @@ def first_invalid(A, tau_herm: float = TAU_HERM, tau_pd: float | None = None):
     finite = np.all(np.isfinite(A), axis=(-2, -1))
     if not finite.all():
         A = np.where(finite[:, None, None], A, 0.0)
-    # the defect ||A - A*||_F, against tau_herm * max(1, ||A||_F); a defect past the
+    # the defect ||A - A*||_F, against TAU_HERM * max(1, ||A||_F); a defect past the
     # float range is inf, and so above every tolerance, which stays finite
     with np.errstate(over="ignore"):
         defect = frobenius_norm(A - np.conj(np.swapaxes(A, -1, -2)))
-    not_hermitian = defect > np.maximum(tau_herm, frobenius_norm(A, tau_herm))
+    not_hermitian = defect > np.maximum(TAU_HERM, frobenius_norm(A, TAU_HERM))
     bad = ~finite | not_hermitian
     if tau_pd is not None:
         try:
@@ -104,16 +106,13 @@ def row_norm(x) -> np.ndarray:
 
 def sign_counts(lam):
     """``(n_plus, n_minus)`` of spectra along the last axis, zero within ``zero_tolerance``."""
-    return _counts_beyond(lam, zero_tolerance(lam)[..., None])
+    thr = zero_tolerance(lam)[..., None]
+    return np.sum(lam > thr, axis=-1), np.sum(lam < -thr, axis=-1)
 
 
 def zero_tolerance(lam):
     """``ZERO_REL * max(1, max |lam|)`` along the last axis: the zero rule of sign decisions."""
     return ZERO_REL * np.maximum(1.0, np.max(np.abs(lam), axis=-1, initial=0.0))
-
-
-def _counts_beyond(lam, thr):
-    return np.sum(lam > thr, axis=-1), np.sum(lam < -thr, axis=-1)
 
 
 # ---------------------------------------------------------------------------

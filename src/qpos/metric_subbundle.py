@@ -124,17 +124,16 @@ def compute_constants(field: FormField, forms, gamma, q: int) -> dict:
     return constants
 
 
-def choose_C(A1: float, A2: float, A3: float, q: int,
-             eta_margin: float = ETA_MARGIN) -> float:
-    """Smallest penalty C >= 0 with margin eta_margin * A1 in the inequality.
+def choose_C(A1: float, A2: float, A3: float, q: int) -> float:
+    """Smallest penalty C >= 0 with margin ETA_MARGIN * A1 in the inequality.
 
-    With s = 1 / sqrt(1 + C), solves q A2 s^2 + 2 q A3 s = A1 (1 - eta) for
+    With s = 1 / sqrt(1 + C), solves q A2 s^2 + 2 q A3 s = A1 (1 - ETA_MARGIN) for
     the positive root and returns C = s^{-2} - 1, clamped at 0 when even the
     unpenalized metric satisfies the inequality with margin.
     """
     if A1 <= 0:
         raise NotPositiveOnV("A1 must be positive")
-    target = A1 * (1.0 - eta_margin)
+    target = A1 * (1.0 - ETA_MARGIN)
     if A2 <= 0 and A3 <= 0:
         return 0.0
     if A2 <= 0:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotFinite, QposError
 from .hermitian import as_form, as_metric, congruence, reduce_form
-from .two_forms import (TAU_PROP, _arc_bounds, _deformed_metrics, _gram, _gram_spectra, _midpoints,
+from .two_forms import (_arc_bounds, _deformed_metrics, _gram, _gram_spectra, _midpoints,
                         _ray_level_hits, _unit, _worst, common_direction, common_witnesses)
 
 
@@ -121,16 +121,15 @@ def _ensure_witness(pair: PairState) -> None:
         pair.witness = pair._W @ common_witnesses(pair._Q1t[None], pair._Q2t[None], [None])[0]
 
 
-def trace_level_curve(pair: PairState, n_angles: int = 512,
-                      level: float = 1.0) -> list[LevelCurveSample]:
-    """Sample the level curve xi = level on n_angles rays of the open first quadrant,
-    marking the samples in the positive-gradient arc [theta_a, theta_b].  Requires a
-    verified common positive direction (which bounds the positive quadrant of O)."""
+def trace_level_curve(pair: PairState, n_angles: int = 512) -> list[LevelCurveSample]:
+    """Sample the level curve xi = ``two_forms.LEVEL`` on n_angles rays of the open first
+    quadrant, marking the samples in the positive-gradient arc [theta_a, theta_b].  Requires
+    a verified common positive direction (which bounds the positive quadrant of O)."""
     _ensure_witness(pair)
     thetas = (np.arange(n_angles) + 0.5) * (np.pi / 2.0) / n_angles
     Q1t, Q2t, dirs = pair._Q1t[None], pair._Q2t[None], _unit(thetas)
-    t, xi, traces = _ray_level_hits(Q1t, Q2t, dirs[None], level)
-    (lo, hi), = _arc_bounds(Q1t, Q2t, level)
+    t, xi, traces = _ray_level_hits(Q1t, Q2t, dirs[None])
+    (lo, hi), = _arc_bounds(Q1t, Q2t)
     return [
         LevelCurveSample(theta=float(thetas[i]), t=float(t[0, i]), x=t[0, i] * dirs[i],
                          xi=float(xi[0, i]), grad=traces[0, i].copy(),
@@ -139,18 +138,16 @@ def trace_level_curve(pair: PairState, n_angles: int = 512,
     ]
 
 
-def pair_metric(pair: PairState, level: float = 1.0,
-                tau_prop: float = TAU_PROP) -> PairMetricResult:
+def pair_metric(pair: PairState) -> PairMetricResult:
     """The midpoint metric for a pair sharing a positive direction.
 
-    Proportional pairs (Q1 = mu Q2 within ``tau_prop`` relative) take the
-    closed-form point (c / 2 mu, c / 2) with xi = level on the segment
-    mu x1 + x2 = c; the others the arclength midpoint of the positive-gradient
-    arc.  xi there and both output traces are re-verified.
+    Proportional pairs (Q1 = mu Q2 within ``two_forms.TAU_PROP`` relative) take
+    the closed-form point (c / 2 mu, c / 2) with xi = ``two_forms.LEVEL`` on the
+    segment mu x1 + x2 = c; the others the arclength midpoint of the
+    positive-gradient arc.  xi there and both output traces are re-verified.
     """
     _ensure_witness(pair)
-    gamma, traces, mu, prop = _midpoints(pair._Q1t[None], pair._Q2t[None], [None], level,
-                                         tau_prop)
+    gamma, traces, mu, prop = _midpoints(pair._Q1t[None], pair._Q2t[None], [None])
     return PairMetricResult(gamma_point=gamma[0], metric=pair.metric_at(gamma[0]),
                             traces=(float(traces[0, 0]), float(traces[0, 1])),
                             proportional=bool(prop[0]),

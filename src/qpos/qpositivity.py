@@ -4,8 +4,10 @@ The one-matrix API over the kernels of ``qpos.hermitian``, with its results
 as records: ``SpectrumWrt``, ``Inertia`` and ``Subspace``.  A form is
 strictly q-positive relative to a metric when ``q_min_sum`` is positive;
 ``restricted_trace`` and ``max_subspace_trace`` give the subspace-trace side
-of that equivalence.  The conventions are those of ``qpos.hermitian``.  No
-command imports this module: the command-line path works on stacks.
+of that equivalence.  The conventions are those of ``qpos.hermitian``, and
+the tolerances are module constants: ``hermitian.TAU_HERM`` and ``TAU_PD``
+for the inputs, ``TAU_ORTH`` below for bases.  No command imports this
+module: the command-line path works on stacks.
 """
 
 from __future__ import annotations
@@ -15,15 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AmbientMismatch, BasisNotOrthonormal, DimensionMismatch, QOutOfRange
-from .hermitian import (TAU_HERM, TAU_PD, _counts_beyond, as_form, as_metric, pencil_eigh,
-                        q_sums, zero_tolerance)
+from .hermitian import as_form, as_metric, pencil_eigh, q_sums, sign_counts, zero_tolerance
 
 TAU_ORTH = 1e-10  # see metric_subbundle.TAU_ORTH for why that one is 1e-8
 
 
-def _pencil(H, g, tau_herm, tau_pd):
+def _pencil(H, g):
     """The validated form and metric of one pencil."""
-    M, G = as_form(H, tau_herm=tau_herm), as_metric(g, tau_herm=tau_herm, tau_pd=tau_pd)
+    M, G = as_form(H), as_metric(g)
     if M.shape != G.shape:
         raise DimensionMismatch(f"dimension mismatch: {sorted({len(M), len(G)})}")
     return M, G
@@ -97,91 +98,86 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.shape[1]
 
-    def check_orthonormal(self, G=None, tau_orth: float = TAU_ORTH) -> None:
-        """Raise BasisNotOrthonormal unless basis* G basis = I within tau."""
+    def check_orthonormal(self, G=None) -> None:
+        """Raise BasisNotOrthonormal unless basis* G basis = I within TAU_ORTH."""
         B = self.basis
         gram = B.conj().T @ B if G is None else B.conj().T @ np.asarray(G) @ B
         defect = np.linalg.norm(gram - np.eye(self.dim))
-        if defect > tau_orth:
-            raise BasisNotOrthonormal(f"Gram defect {defect:.3e} exceeds {tau_orth:.1e}")
+        if defect > TAU_ORTH:
+            raise BasisNotOrthonormal(f"Gram defect {defect:.3e} exceeds {TAU_ORTH:.1e}")
 
 
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
 
-def spectrum_wrt(H, g, tau_herm: float = TAU_HERM, tau_pd: float = TAU_PD) -> SpectrumWrt:
+def spectrum_wrt(H, g) -> SpectrumWrt:
     """Eigenpairs of the form H relative to the metric g.
 
     Solves ``H v = lam g v`` with real eigenvalues in ascending order and
     g-orthonormal eigenvectors.
     """
-    M, G = _pencil(H, g, tau_herm, tau_pd)
+    M, G = _pencil(H, g)
     lam, V = pencil_eigh(M, G)
     return SpectrumWrt(eigenvalues=lam, eigenvectors=V)
 
 
-def inertia(H, zero_threshold: float | None = None, tau_herm: float = TAU_HERM) -> Inertia:
+def inertia(H) -> Inertia:
     """Signature of H: eigenvalue counts above / below / within the threshold.
 
-    The default threshold is ``1e-10 * max(1, ||H||_2)`` (``sign_counts``);
+    The threshold is the rule of ``sign_counts``, ``ZERO_REL * max(1, ||H||_2)``
+    with the module constant ``hermitian.ZERO_REL``, and the result records it;
     the signature is congruence-invariant, so no metric argument is needed.
     """
-    M = as_form(H, tau_herm=tau_herm)
-    w = np.linalg.eigvalsh(M)
-    if zero_threshold is None:
-        zero_threshold = float(zero_tolerance(w))
-    if zero_threshold < 0:
-        raise ValueError("zero_threshold must be nonnegative")
-    n_plus, n_minus = (int(n) for n in _counts_beyond(w, zero_threshold))
-    return Inertia(n_plus, n_minus, len(w) - n_plus - n_minus, zero_threshold)
+    w = np.linalg.eigvalsh(as_form(H))
+    n_plus, n_minus = (int(n) for n in sign_counts(w))
+    return Inertia(n_plus, n_minus, len(w) - n_plus - n_minus, float(zero_tolerance(w)))
 
 
-def trace_wrt(H, g, tau_herm: float = TAU_HERM, tau_pd: float = TAU_PD) -> float:
+def trace_wrt(H, g) -> float:
     """Trace of H relative to g: the sum of all pencil eigenvalues.
 
     Computed as tr(G^-1 M), which equals the eigenvalue sum and the value of
     sum_k H(t_k, t_k) over any g-orthonormal basis {t_k}.
     """
-    M, G = _pencil(H, g, tau_herm, tau_pd)
+    M, G = _pencil(H, g)
     return float(np.trace(np.linalg.solve(G, M)).real)
 
 
-def q_min_sum(H, g, q: int, tau_herm: float = TAU_HERM, tau_pd: float = TAU_PD) -> float:
+def q_min_sum(H, g, q: int) -> float:
     """Sum of the q smallest eigenvalues of H relative to g.
 
     Strict q-positivity of H with respect to g is equivalent to this value
     being positive.
     """
-    return float(q_sums(*_pencil(H, g, tau_herm, tau_pd), q)[0])
+    return float(q_sums(*_pencil(H, g), q)[0])
 
 
-def max_subspace_trace(H, g, q: int, tau_herm: float = TAU_HERM, tau_pd: float = TAU_PD) -> float:
+def max_subspace_trace(H, g, q: int) -> float:
     """Maximum of the restricted trace over q-dimensional subspaces.
 
     By the extremal characterization this is the sum of the q largest
     eigenvalues of H relative to g.
     """
-    return float(q_sums(*_pencil(H, g, tau_herm, tau_pd), q)[1])
+    return float(q_sums(*_pencil(H, g), q)[1])
 
 
-def restricted_trace(H, g, W: Subspace, tau_orth: float = TAU_ORTH,
-                     tau_herm: float = TAU_HERM) -> float:
+def restricted_trace(H, g, W: Subspace) -> float:
     """Trace of H restricted to the subspace W (basis g-orthonormal).
 
     The value sum_k H(t_k, t_k) does not depend on which g-orthonormal basis
     of W is supplied.
     """
-    M = as_form(H, tau_herm=tau_herm)
+    M = as_form(H)
     G = np.asarray(g, dtype=complex)
     if W.ambient_dim != M.shape[0]:
         raise DimensionMismatch("subspace ambient dimension does not match the form")
-    W.check_orthonormal(G, tau_orth=tau_orth)
+    W.check_orthonormal(G)
     B = W.basis
     return float(np.trace(B.conj().T @ M @ B).real)
 
 
-def projection_dim_sum(V: Subspace, W: Subspace, tau_orth: float = TAU_ORTH) -> float:
+def projection_dim_sum(V: Subspace, W: Subspace) -> float:
     """sum_k ||pi_V t_k||^2 over an orthonormal basis {t_k} of W.
 
     Both subspaces must be orthonormal in the same ambient (standard) inner
@@ -191,8 +187,8 @@ def projection_dim_sum(V: Subspace, W: Subspace, tau_orth: float = TAU_ORTH) -> 
     if V.ambient_dim != W.ambient_dim:
         raise AmbientMismatch(
             f"ambient dims differ: {V.ambient_dim} vs {W.ambient_dim}")
-    V.check_orthonormal(tau_orth=tau_orth)
-    W.check_orthonormal(tau_orth=tau_orth)
+    V.check_orthonormal()
+    W.check_orthonormal()
     return float(np.linalg.norm(V.basis.conj().T @ W.basis) ** 2)
 
 

@@ -292,7 +292,8 @@ def _complex_stack(objs, paths, keys, shape, what) -> np.ndarray:
     except BAD_VALUE as e:
         problem = f"bad {what} fields: {e}"
     if problem is None:
-        A = re + 1j * im
+        with np.errstate(invalid="ignore"):  # 1j * inf is (nan + inf j): the finite test decides
+            A = re + 1j * im
         finite = np.isfinite(A).all(axis=(-2, -1))
         if finite.all():
             return A

@@ -63,9 +63,8 @@ def random_g_orthonormal_frames(rng: np.random.Generator, G, count: int, q: int,
 
 
 def planted_inertia_field(rng: np.random.Generator, n_points: int, d: int, q_tilde: int,
-                          form_name: str = "S", nu_choices=None,
-                          n_anchor: int = 0, neg_scale: float = 5.0) -> FormField:
-    """Field of forms with planted negative-eigenvalue counts.
+                          nu_choices=None, n_anchor: int = 0) -> FormField:
+    """Field of one form ``S`` with planted negative-eigenvalue counts.
 
     Each point gets ``nu`` negative eigenvalues drawn from ``nu_choices``
     (default 0..q_tilde-1) and ``d - nu`` positive ones, so the synthesis
@@ -79,16 +78,16 @@ def planted_inertia_field(rng: np.random.Generator, n_points: int, d: int, q_til
     for i in range(n_points):
         nu = 0 if i < n_anchor else int(rng.choice(nu_choices))
         pos = rng.uniform(0.5, 2.0, size=d - nu)
-        neg = -rng.uniform(0.5, neg_scale, size=nu)
+        neg = -rng.uniform(0.5, 5.0, size=nu)
         S[i] = hermitian_with_eigs(rng, np.concatenate([neg, pos]))
     in_F = np.arange(n_points) < n_anchor
-    return FormField.from_stacks([f"p{i}" for i in range(n_points)], {form_name: S},
+    return FormField.from_stacks([f"p{i}" for i in range(n_points)], {"S": S},
                                  g0=np.broadcast_to(np.eye(d), (n_anchor, d, d)),
                                  in_F=in_F, has_g0=in_F)
 
 
 def planted_subbundle_field(rng: np.random.Generator, n_points: int, d: int, q: int,
-                            form_names=("Q1", "Q2", "Q3"), neg_scale: float = 8.0):
+                            form_names=("Q1", "Q2", "Q3")):
     """Subbundle field: rank d-q+1 subspace V with all forms PD on V.
 
     Returns ``(field, gamma)`` where ``gamma`` is the per-point metric stack
@@ -106,7 +105,7 @@ def planted_subbundle_field(rng: np.random.Generator, n_points: int, d: int, q: 
         Finv = U.conj().T @ W_inv
         for name in form_names:
             vv = hermitian_with_eigs(rng, rng.uniform(0.4, 2.0, size=k))
-            ww = hermitian_with_eigs(rng, rng.uniform(-neg_scale, 1.0, size=q - 1)) \
+            ww = hermitian_with_eigs(rng, rng.uniform(-8.0, 1.0, size=q - 1)) \
                 if q > 1 else np.zeros((0, 0))
             vw = 0.5 * (rng.standard_normal((k, q - 1)) + 1j * rng.standard_normal((k, q - 1)))
             QF = np.block([[vv, vw], [vw.conj().T, ww]]) if q > 1 else vv

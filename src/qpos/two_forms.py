@@ -9,7 +9,7 @@ let O be the (starlike, convex) set where this stays positive definite, and
 put xi(x) = -log det of its Gram matrix.  The gradient of xi at x is exactly
 the pair of traces (Tr_x Q1, Tr_x Q2), and xi is convex (strictly, unless
 Q1 and Q2 are proportional).  When the pair shares a positive direction the
-positive quadrant piece of O is bounded, the level curve xi = 1 crosses it,
+positive quadrant piece of O is bounded, the level curve xi = LEVEL = 1 crosses it,
 and the arc where both gradient components are positive is nonempty and
 connected; its arclength midpoint gamma gives the metric <., .>_gamma with
 both traces positive.  Proportional pairs (Q1 = mu Q2, mu > 0) use the
@@ -45,6 +45,7 @@ from .errors import CertificateFailed, LevelNotReached, NoCommonDirection, QposE
 from .fields import FormField, certify_forms, require_passed
 from .hermitian import congruence, reduce_form, row_norm
 
+LEVEL = 1.0  # the level curve xi = LEVEL of every midpoint
 TAU_LEVEL = 1e-10
 TAU_PROP = 1e-10
 NEAR_PROP_WARN = 1e-6
@@ -213,8 +214,8 @@ def common_witnesses(Q1, Q2, ids):
     return V
 
 
-def _ray_level_hits(Q1t, Q2t, dirs, level):
-    """Crossings t of xi(t * dir) = level for k rays of each of n pairs.
+def _ray_level_hits(Q1t, Q2t, dirs):
+    """Crossings t of xi(t * dir) = LEVEL for k rays of each of n pairs.
 
     ``Q1t``, ``Q2t``: (n, d, d) stacks in base-orthonormal coordinates;
     ``dirs``: (n, k, 2).  Along a ray the Gram matrix is I - t M with
@@ -237,7 +238,7 @@ def _ray_level_hits(Q1t, Q2t, dirs, level):
         M += u[..., 1, None, None] * B
         mu, U = np.linalg.eigh(M)
         del M
-        tc = _newton(mu.reshape(-1, mu.shape[-1]), level).reshape(mu.shape[:-1])
+        tc = _newton(mu.reshape(-1, mu.shape[-1]), LEVEL).reshape(mu.shape[:-1])
         w = 1.0 - tc[..., None] * mu  # eigenvalues of the Gram matrix at the crossing
         t[p], xi[p], traces[p] = tc, -np.sum(np.log(w), axis=-1), _traces(A, B, U, w)
     return t, xi, traces
@@ -295,7 +296,7 @@ def _unit(theta):
     return np.stack([np.cos(theta), np.sin(theta)], axis=-1)
 
 
-def _arc_bounds(Q1t, Q2t, level):
+def _arc_bounds(Q1t, Q2t):
     """The ends (theta_a, theta_b) of each pair's arc: where f_a = Tr Q2 / |g| and
     f_b = -Tr Q1 / |g| turn nonnegative.  Each end is 0 or pi / 2, or its bracket
     [0, pi / 2] is closed by regula falsi with the Illinois modification (halve the value
@@ -303,7 +304,7 @@ def _arc_bounds(Q1t, Q2t, level):
     n = len(Q1t)
 
     def values(rows, theta):  # (f_a, f_b) at the angles theta[:, 0] and theta[:, 1]
-        _, _, g = _ray_level_hits(Q1t[rows], Q2t[rows], _unit(theta), level)
+        _, _, g = _ray_level_hits(Q1t[rows], Q2t[rows], _unit(theta))
         return g[..., ::-1] * [1.0, -1.0] / np.linalg.norm(g, axis=-1, keepdims=True)
 
     a, b, moved = np.zeros((n, 2)), np.full((n, 2), np.pi / 2.0), np.zeros((n, 2))
@@ -346,7 +347,7 @@ def _interpolant_midpoint(v):
     return y
 
 
-def _midpoint_angles(Q1t, Q2t, ends, level):
+def _midpoint_angles(Q1t, Q2t, ends):
     """The polar angle theta_m of each arc's arclength midpoint, s(theta_m) = L / 2.
 
     L's call gives ds / dtheta at the GL_NODES nodes; Newton's method starts where the
@@ -359,7 +360,7 @@ def _midpoint_angles(Q1t, Q2t, ends, level):
     def length(rows, to):  # the arclength from lo to ``to``, ds / dtheta at its nodes and at ``to``
         half = (to - lo[rows]) / 2.0
         u = _unit(np.column_stack([lo[rows, None] + half[:, None] * (GL_X + 1.0), to]))
-        t, _, g = _ray_level_hits(Q1t[rows], Q2t[rows], u, level)
+        t, _, g = _ray_level_hits(Q1t[rows], Q2t[rows], u)
         v = t * np.hypot(1.0, (g[..., 1] * u[..., 0] - g[..., 0] * u[..., 1]) / np.vecdot(g, u))
         return half * np.sum(v[:, :-1] * GL_W, axis=1), v[:, :-1], v[:, -1]
 
@@ -384,11 +385,11 @@ def _proportionality(Q1t, Q2t):
     return mu, row_norm(a - mu[:, None] * b) / row_norm(a)
 
 
-def _midpoints(Q1t, Q2t, ids, level=1.0, tau_prop=TAU_PROP):
-    """The midpoint gamma of every pair's positive-gradient arc on xi = level.
+def _midpoints(Q1t, Q2t, ids):
+    """The midpoint gamma of every pair's positive-gradient arc on xi = LEVEL.
 
-    Proportional pairs (Q1 = mu Q2 within ``tau_prop`` relative) take the
-    closed-form point (c / 2 mu, c / 2) with xi = level on the segment
+    Proportional pairs (Q1 = mu Q2 within TAU_PROP relative) take the
+    closed-form point (c / 2 mu, c / 2) with xi = LEVEL on the segment
     mu x1 + x2 = c, the crossing of the ray (1 / 2 mu, 1 / 2); the others the
     crossing of the ray at their arclength midpoint angle.  At gamma, xi must
     be within TAU_LEVEL of the level and both traces positive, else the first
@@ -397,7 +398,7 @@ def _midpoints(Q1t, Q2t, ids, level=1.0, tau_prop=TAU_PROP):
     pair (mu NaN where not proportional).
     """
     mu, defect = _proportionality(Q1t, Q2t)
-    prop = defect <= tau_prop
+    prop = defect <= TAU_PROP
     errors = {i: NoCommonDirection(ids[i]) for i in np.flatnonzero(prop & (mu <= 0))}
     swept = np.flatnonzero(~prop)
     if np.any(defect[swept] <= NEAR_PROP_WARN):
@@ -406,14 +407,14 @@ def _midpoints(Q1t, Q2t, ids, level=1.0, tau_prop=TAU_PROP):
     dirs = np.zeros((len(mu), 2))
     dirs[prop, 0], dirs[prop, 1] = 0.5 / mu[prop], 0.5
     A, B = Q1t[swept], Q2t[swept]
-    dirs[swept] = _unit(_midpoint_angles(A, B, _arc_bounds(A, B, level), level))
-    t, _, _ = _ray_level_hits(Q1t, Q2t, dirs[:, None], level)
+    dirs[swept] = _unit(_midpoint_angles(A, B, _arc_bounds(A, B)))
+    t, _, _ = _ray_level_hits(Q1t, Q2t, dirs[:, None])
     gamma, hit = t * dirs, ~np.isnan(t[:, 0])  # a ray misses only without a common direction
     xi, traces, radius = np.full(len(t), np.inf), np.full((len(t), 2), np.nan), row_norm(gamma)
     w, _, traces[hit] = _gram_spectra(Q1t[hit], Q2t[hit], gamma[hit])
     with np.errstate(invalid="ignore", divide="ignore"):  # log w outside O
         xi[hit] = -np.sum(np.log(w), axis=1)
-    for i in np.flatnonzero(~(np.abs(xi - level) <= TAU_LEVEL)):
+    for i in np.flatnonzero(~(np.abs(xi - LEVEL) <= TAU_LEVEL)):
         errors.setdefault(i, LevelNotReached(float(np.arctan2(dirs[i, 1], dirs[i, 0])),
                                              float(radius[i] if hit[i] else np.inf), ids[i]))
     for i in np.flatnonzero(~np.all(traces > 0, axis=1)):

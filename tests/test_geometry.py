@@ -62,7 +62,7 @@ def test_hessian_of_squared_norm_is_identity_block():
 
 def test_hessian_of_pluriharmonic_is_zero():
     f = lambda z: float(np.real(z[0]))
-    M = complex_hessian(f, np.array([0.4 + 0.2j, -0.1j]), mode="fd")
+    M = complex_hessian(f, np.array([0.4 + 0.2j, -0.1j]))
     assert np.max(np.abs(M)) < 1e-7
 
 

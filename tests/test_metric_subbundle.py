@@ -83,7 +83,7 @@ def test_constants_a3_sampling_oracle(rng):
 
 def test_choose_c_edge_cases():
     assert choose_C(1.0, 0.0, 0.0, 2) == 0.0
-    c = choose_C(1.0, 1.0, 0.0, 2, eta_margin=ETA)
+    c = choose_C(1.0, 1.0, 0.0, 2)
     assert_allclose(c, 2.0 / 0.95 - 1.0, rtol=1e-12)
 
 
@@ -93,7 +93,7 @@ def test_choose_c_plugback_random(rng):
         A2 = float(rng.uniform(0.0, 5.0))
         A3 = float(rng.uniform(0.0, 5.0))
         q = int(rng.integers(1, 5))
-        C = choose_C(A1, A2, A3, q, eta_margin=ETA)
+        C = choose_C(A1, A2, A3, q)
         assert C >= 0.0
         lhs = A1 - q * A2 / (1.0 + C) - 2.0 * q * A3 / np.sqrt(1.0 + C)
         assert lhs > 0.0

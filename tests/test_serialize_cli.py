@@ -5,6 +5,7 @@ import copy
 import dataclasses
 import gc
 import importlib
+import inspect
 import io
 import json
 import math
@@ -173,6 +174,42 @@ def test_package_exports_resolve_to_their_defining_modules(package):
             assert name in listed, name
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         pkg.no_such_name
+
+
+# The parameters of the functions whose tolerances, finite-difference step, penalty
+# margin and level xi = 1 are module constants: a keyword that only restates one of
+# those constants is a knob that no caller turns.  ``_newton`` keeps its level, which
+# its test varies, and ``first_invalid`` its tau_pd, which selects the metric screen.
+SIGNATURES = {
+    "qpos.hermitian": {"as_form": "M", "as_metric": "G", "first_invalid": "A tau_pd"},
+    "qpos.qpositivity": {
+        "_pencil": "H g", "spectrum_wrt": "H g", "trace_wrt": "H g", "q_min_sum": "H g q",
+        "max_subspace_trace": "H g q", "inertia": "H", "restricted_trace": "H g W",
+        "projection_dim_sum": "V W", "Subspace.check_orthonormal": "self G"},
+    "qpos.two_forms": {
+        "_ray_level_hits": "Q1t Q2t dirs", "_newton": "mu level", "_arc_bounds": "Q1t Q2t",
+        "_midpoint_angles": "Q1t Q2t ends", "_midpoints": "Q1t Q2t ids"},
+    "qpos.pair": {"trace_level_curve": "pair n_angles", "pair_metric": "pair"},
+    "qpos.metric_subbundle": {"choose_C": "A1 A2 A3 q"},
+    "qpos.geometry.domains": {"complex_hessian": "phi p",
+                              "CustomDomain": "n rho weight seed_box scale"},
+    "qpos.synthetic": {
+        "planted_inertia_field": "rng n_points d q_tilde nu_choices n_anchor",
+        "planted_subbundle_field": "rng n_points d q form_names"},
+}
+
+
+def test_constants_are_not_parameters():
+    wrong = {}
+    for module, table in SIGNATURES.items():
+        for name, params in table.items():
+            fn = importlib.import_module(module)
+            for part in name.split("."):
+                fn = getattr(fn, part)
+            got = " ".join(inspect.signature(fn).parameters)
+            if got != params:
+                wrong[f"{module}.{name}"] = got
+    assert not wrong, wrong
 
 
 def test_package_exports_load_on_first_access():
@@ -903,7 +940,7 @@ def test_cli_geometry_counterexample(tmp_path):
 
 BAD_INPUT_CASES = [
     "check_q_above_dim", "check_q_zero", "single_q_above_dim", "metric_missing_id",
-    "metric_malformed_json", "nan_form_entry",
+    "metric_malformed_json", "nan_form_entry", "inf_imaginary_form_entry",
     "metric_malformed_json_large", "nan_form_entry_large", "field_id_nan_large",
     "zq_q_above_range", "zq_q_zero", "bump_q_above_range",
     "domain_quadric_without_mu", "domain_not_an_object", "domain_unknown_type",
@@ -916,7 +953,8 @@ BAD_INPUT_CASES = [
     "levi_zero_samples", "field_neighbor_not_scalar",
     "field_in_F_string", "field_dim_fractional", "field_dim_bool", "field_dim_string",
     "field_form_dim_fractional", "field_form_dim_bool",
-    "project_nodes_4", "project_nodes_0", "project_radius_0", "project_radius_negative",
+    "project_nodes_4", "project_nodes_0", "project_nodes_huge",
+    "project_radius_0", "project_radius_negative",
     "project_radius_nan", "project_radius_inf", "project_center_nan",
     "field_g0_not_positive_definite", "field_g0_not_hermitian", "field_subspace_rank_mismatch",
     "field_subspace_at_some_points", "field_neighbor_names_no_point",
@@ -971,6 +1009,8 @@ FIELD_DEFECTS = {
 }
 PROJECT_OPTIONS = {
     "project_nodes_4": ("--nodes", 4), "project_nodes_0": ("--nodes", 0),
+    # 3.55 PiB of quadrature angles: numpy refuses the size before allocating anything
+    "project_nodes_huge": ("--nodes", 10**15),
     "project_radius_0": ("--radius", 0), "project_radius_negative": ("--radius", -1),
     "project_radius_nan": ("--radius", "nan"), "project_radius_inf": ("--radius", "inf"),
     "project_center_nan": ("--center", "nan"),
@@ -1021,6 +1061,12 @@ def test_cli_rejects_bad_input_with_exit_1(tmp_path, case):
     elif case == "nan_form_entry":
         doc = json.loads(path.read_text())
         doc["points"][1]["forms"]["S"]["re"][0][0] = float("nan")
+        path.write_text(json.dumps(doc))
+        argv, named = check + ("--q", 1), f"{path}.points[1].forms.S"
+    elif case == "inf_imaginary_form_entry":
+        # 1j * inf is NaN + inf j, and numpy used to warn on stderr before the error
+        doc = json.loads(path.read_text())
+        doc["points"][1]["forms"]["S"]["im"] = [[0.0, float("inf")], [0.0, 0.0]]
         path.write_text(json.dumps(doc))
         argv, named = check + ("--q", 1), f"{path}.points[1].forms.S"
     elif case == "zq_q_above_range":
@@ -1078,7 +1124,7 @@ def test_cli_rejects_bad_input_with_exit_1(tmp_path, case):
         option = dict([("--center", -2.0), ("--radius", 1.5), ("--nodes", 16),
                        PROJECT_OPTIONS[case]])
         argv = ("project", "--input", matrix, *(x for kv in option.items() for x in kv))
-        named = PROJECT_OPTIONS[case][0]
+        named = "out of memory" if case == "project_nodes_huge" else PROJECT_OPTIONS[case][0]
     elif case in SYNTHESIS_OPTIONS:
         mode, option, value = SYNTHESIS_OPTIONS[case]
         forms = ("--form", "S") if mode == "single" else ("--forms", "S,Q1")
@@ -1098,6 +1144,7 @@ def test_cli_rejects_bad_input_with_exit_1(tmp_path, case):
     r = run_cli(*argv)
     assert r.returncode == 1, r.stdout + r.stderr
     assert named in r.stderr
+    assert r.stderr.startswith("input error: ") and r.stderr.count("\n") == 1, r.stderr
     assert "Traceback" not in r.stderr
 
 

@@ -283,7 +283,7 @@ def test_ray_level_hits_on_the_level_set(rng):
     dirs = np.column_stack([np.cos(thetas), np.sin(thetas)])
     pairs = [PairState(*random_pair_with_common_direction(rng, 3)[:2]) for _ in range(24)]
     Q1t, Q2t = (np.stack([getattr(p, name) for p in pairs]) for name in ("_Q1t", "_Q2t"))
-    T, _, _ = two_forms._ray_level_hits(Q1t, Q2t, np.broadcast_to(dirs, (24, 64, 2)), 1.0)
+    T, _, _ = two_forms._ray_level_hits(Q1t, Q2t, np.broadcast_to(dirs, (24, 64, 2)))
     for pair, t in zip(pairs, T):
         # independent path: eigenvalues of the Gram matrix at each crossing
         w = np.linalg.eigvalsh(pair.gram(t[:, None] * dirs))
@@ -321,7 +321,7 @@ def test_newton_rows_equal_the_shrinking_loop(rng):
 def _speed(Q1t, Q2t, theta):
     """ds / dtheta of xi = 1 at the angles theta (n, k): on x = t u, t' = -t g.u_perp / g.u."""
     u = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-    t, _, g = two_forms._ray_level_hits(Q1t, Q2t, u, 1.0)
+    t, _, g = two_forms._ray_level_hits(Q1t, Q2t, u)
     return np.hypot(t, t * (g[..., 1] * u[..., 0] - g[..., 0] * u[..., 1]) / np.sum(g * u, -1))
 
 
@@ -333,7 +333,7 @@ def test_midpoint_agrees_with_a_fine_polyline(rng):
     thetas = (np.arange(2 ** 14) + 0.5) * (np.pi / 2) / 2 ** 14
     dirs = np.column_stack([np.cos(thetas), np.sin(thetas)])
     for pair in pairs:
-        t, _, g = two_forms._ray_level_hits(pair._Q1t[None], pair._Q2t[None], dirs[None], 1.0)
+        t, _, g = two_forms._ray_level_hits(pair._Q1t[None], pair._Q2t[None], dirs[None])
         pts = (t[0, :, None] * dirs)[(g[0, :, 0] > 0) & (g[0, :, 1] > 0)]
         cum = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(pts, axis=0), axis=1))])
         want = np.array([np.interp(cum[-1] / 2.0, cum, pts[:, k]) for k in range(2)])
@@ -347,7 +347,7 @@ def test_midpoint_halves_the_arclength(rng):
     for d in range(2, 6):
         pairs = [PairState(*random_pair_with_common_direction(rng, d)[:2]) for _ in range(10)]
         Q1t, Q2t = np.stack([p._Q1t for p in pairs]), np.stack([p._Q2t for p in pairs])
-        ends = two_forms._arc_bounds(Q1t, Q2t, 1.0)
+        ends = two_forms._arc_bounds(Q1t, Q2t)
         gamma = np.stack([pair_metric(p).gamma_point for p in pairs])
         mid = np.arctan2(gamma[:, 1], gamma[:, 0])
 
@@ -378,11 +378,11 @@ def test_midpoint_starts_at_the_interpolant_root(monkeypatch):
     # L's call and one Newton step: the interpolant's root is already within MID_TOL
     x96, w96 = np.polynomial.legendre.leggauss(96)
     Q1t, Q2t = _searches_pairs()
-    ends = two_forms._arc_bounds(Q1t, Q2t, 1.0)
+    ends = two_forms._arc_bounds(Q1t, Q2t)
     calls = []
     hits = two_forms._ray_level_hits
     monkeypatch.setattr(two_forms, "_ray_level_hits", lambda *a: calls.append(1) or hits(*a))
-    mid = two_forms._midpoint_angles(Q1t, Q2t, ends, 1.0)
+    mid = two_forms._midpoint_angles(Q1t, Q2t, ends)
     assert len(calls) <= 3, len(calls)
 
     def length(lo, hi):
@@ -407,7 +407,7 @@ def test_narrow_arc_is_found(rng):
     a = 0.99
     U = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
     pair = PairState(*(U @ np.diag(v) @ U.conj().T for v in ([1.0, -a], [-a, 1.0])))
-    (lo, hi), = two_forms._arc_bounds(pair._Q1t[None], pair._Q2t[None], 1.0)
+    (lo, hi), = two_forms._arc_bounds(pair._Q1t[None], pair._Q2t[None])
     assert 0.0 < hi - lo < np.pi / 1024
     rays = (np.arange(512) + 0.5) * np.pi / 1024
     assert not np.any((lo <= rays) & (rays <= hi))
@@ -424,11 +424,11 @@ def test_trace_signs_are_monotone_along_the_level_curve(d, seed):
     pair = PairState(Q1, Q2)
     thetas = np.linspace(0.0, np.pi / 2, 257)
     dirs = np.column_stack([np.cos(thetas), np.sin(thetas)])
-    _, _, g = two_forms._ray_level_hits(pair._Q1t[None], pair._Q2t[None], dirs[None], 1.0)
+    _, _, g = two_forms._ray_level_hits(pair._Q1t[None], pair._Q2t[None], dirs[None])
     pos1, pos2 = g[0, :, 0] > 0, g[0, :, 1] > 0
     assert not np.any(pos1[1:] & ~pos1[:-1])  # Tr Q1 > 0 on [0, theta_b)
     assert not np.any(pos2[:-1] & ~pos2[1:])  # Tr Q2 > 0 on (theta_a, pi / 2]
-    (lo, hi), = two_forms._arc_bounds(pair._Q1t[None], pair._Q2t[None], 1.0)
+    (lo, hi), = two_forms._arc_bounds(pair._Q1t[None], pair._Q2t[None])
     far = 1e-9
     assert np.all(pos2[thetas > lo + far]) and not np.any(pos2[thetas < lo - far])
     assert np.all(pos1[thetas < hi - far]) and not np.any(pos1[thetas > hi + far])
@@ -603,7 +603,7 @@ COARSE = (np.diag([1.0, -3.0]).astype(complex), np.diag([-0.1, 1.0]).astype(comp
 def test_coarse_pair_passes_with_interior_arc_ends():
     # one ray at theta = pi / 4 missed this arc, and the pair failed as "n_angles too coarse"
     pair = PairState(*COARSE)
-    (lo, hi), = two_forms._arc_bounds(pair._Q1t[None], pair._Q2t[None], 1.0)
+    (lo, hi), = two_forms._arc_bounds(pair._Q1t[None], pair._Q2t[None])
     assert 0.0 < lo < hi < np.pi / 2
     assert not lo <= np.pi / 4 <= hi
     res = pair_metric(pair)
