@@ -24,7 +24,7 @@ v = find_common_direction(Q1, Q2)
 print("witness direction:", np.round(v, 4), "values:",
       float(np.real(v.conj() @ Q1 @ v)), float(np.real(v.conj() @ Q2 @ v)))
 
-pair = PairState(Q1, Q2, witness=v)
+pair = PairState(Q1, Q2)
 samples = trace_level_curve(pair, n_angles=64)
 members = [s for s in samples if s.in_gamma_tilde]
 print(f"level-curve samples: {len(samples)}, positive-gradient arc: {len(members)}")

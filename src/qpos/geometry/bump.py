@@ -155,7 +155,7 @@ def _find_delta0(Mphi: np.ndarray, Mrho: np.ndarray, need: int) -> float:
                 / max(np.max(np.linalg.norm(Mrho, axis=(1, 2))), 1e-30))
     delta0 = 0.5 * min(cap, 1.0 / r if r > 0 else np.inf)
     if delta0 < BOUND_FLOOR:
-        raise BoundNotFound("delta0 collapsed below 1e-8")
+        raise BoundNotFound(f"delta0 collapsed below {BOUND_FLOOR:g}")
     return float(delta0)
 
 
@@ -187,7 +187,7 @@ def _eta_dual(A: np.ndarray, u: np.ndarray, q: int) -> float:
         lo, hi = np.where(rising, t, lo), np.where(rising, hi, t)
     eta = ETA_FACTOR * float(np.min(best))
     if eta < BOUND_FLOOR:
-        raise BoundNotFound(f"eta = {eta:.3e} below the 1e-8 floor")
+        raise BoundNotFound(f"eta = {eta:.3e} below the {BOUND_FLOOR:g} floor")
     return eta
 
 

@@ -34,6 +34,7 @@ from ..errors import DimensionMismatch, NotFinite, VanishingField, ZeroRepresent
 
 TIE_ULPS = 4  # scan values this close to the minimum tie; the first in grid order is worst
 SCAN_CHUNK = 8192  # grid points per slice of the scan
+RESIDUAL_MAX = 1e-12  # largest unit-eigenvector residual of a passing counterexample run
 
 
 def form_entries(x: np.ndarray) -> np.ndarray:
@@ -140,18 +141,19 @@ def sphere_eigenvalue_residuals(R: float, count: int = 2000, seed: int = 0) -> n
 def counterexample_scan(field: CounterexampleField, v) -> tuple[np.ndarray, float]:
     """Worst normalized value of H_x(v(x), v(x)) over the grid.
 
-    ``v`` maps a stack of points (K, 3) to vectors (K, 2) (a per-point
-    callable is also accepted: it is called point by point when the stacked
-    call raises TypeError, ValueError or IndexError, or returns another
-    shape).  The field must be finite on the grid, else NotFinite, and
-    nonvanishing: min |v| >= 1e-8, else VanishingField.  Returns (worst
-    point, min of H_x(v,v) / |v|^2); the family is built so this minimum is
-    negative for every continuous nonvanishing field once R >= 2.  The worst
-    point is the first point in grid order whose value is within TIE_ULPS
-    units in the last place of the minimum, so that of points the family
-    makes equal (mirror images) the same one is reported whichever rounds
-    lower.  ``v`` and the kernel run on slices of SCAN_CHUNK points, so the
-    temporaries stay small whatever the grid.
+    ``v`` maps a stack of points (K, 3) to vectors (K, 2); another shape
+    raises DimensionMismatch, and an error that v raises propagates
+    unchanged.  A per-point function u is stacked as
+    ``lambda X: np.stack([u(x) for x in X])``.  The field must be finite on
+    the grid, else NotFinite, and nonvanishing: min |v| >= 1e-8, else
+    VanishingField.  Returns (worst point, min of H_x(v,v) / |v|^2); the
+    family is built so this minimum is negative for every continuous
+    nonvanishing field once R >= 2.  The worst point is the first point in
+    grid order whose value is within TIE_ULPS units in the last place of the
+    minimum, so that of points the family makes equal (mirror images) the
+    same one is reported whichever rounds lower.  ``v`` and the kernel run
+    on slices of SCAN_CHUNK points, so the temporaries stay small whatever
+    the grid.
     """
     X, (a, b, c) = field.points, field._columns
     values = np.empty(len(field))
@@ -178,15 +180,10 @@ def counterexample_scan(field: CounterexampleField, v) -> tuple[np.ndarray, floa
 
 
 def _field_values(v, X):
-    """v on the points X as a (len(X), 2) complex array, stacked or point by point."""
-    try:
-        V = np.asarray(v(X), dtype=complex)
-        if V.shape != (len(X), 2):
-            raise TypeError
-    except (TypeError, ValueError, IndexError):
-        V = np.stack([np.asarray(v(x), dtype=complex) for x in X])
-        if V.shape != (len(X), 2):
-            raise DimensionMismatch(f"field values have shape {V.shape[1:]}, expected (2,)")
+    """v on the points X as a (len(X), 2) complex array; v's own errors propagate."""
+    V = np.asarray(v(X), dtype=complex)
+    if V.shape != (len(X), 2):
+        raise DimensionMismatch(f"field values have shape {V.shape}, expected ({len(X)}, 2)")
     return V
 
 

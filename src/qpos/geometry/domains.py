@@ -457,14 +457,15 @@ class MqnManifold:
         return list(zip(chart.tolist(), z))
 
 
-def domain_from_spec(spec, path: str = "domain") -> Domain | MqnManifold:
+def domain_from_spec(spec, path: str = "domain") -> Domain:
     """Build a domain from its JSON description {"type": ..., params...}.
 
     A malformed description raises SchemaError naming the JSON path below
     ``path`` (for example ``quad.json.mu``): a missing or mistyped key, an
     integer out of range (n >= 2, 1 <= q <= n, product q >= 2), a
     nonpositive radius, a ``mu`` the quadric rejects, or an unknown type.
-    There is no custom type: a data file never names code to run.
+    There is no custom type: a data file never names code to run; nor an
+    ``MqnManifold`` one, as no command can use that manifold.
     """
     if not isinstance(spec, dict):
         raise SchemaError(path, 'expected an object with a "type"')
@@ -500,8 +501,5 @@ def domain_from_spec(spec, path: str = "domain") -> Domain | MqnManifold:
     if kind == "product":
         n = integer("n", 2)
         return ProductDomain(n=n, q=integer("q", 2, n), radius=radius())
-    if kind == "mqn":
-        n = integer("n", 2)
-        return MqnManifold(n=n, q=integer("q", 1, n))
     raise SchemaError(f"{path}.type", f"unknown domain type {kind!r}; expected ball, "
-                      "quadric, product or mqn")
+                      "quadric or product")

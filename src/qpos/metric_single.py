@@ -61,6 +61,7 @@ from .riesz import Disc, riesz_projector
 
 DEFAULT_THETA = 0.1
 RIESZ_CHECK_COUNT = 4
+ROUTES_AGREE = 1e-8  # 2-norm distance within which the pencil and Riesz projectors agree
 
 
 def negative_projector(S, g, r: int, nodes: int | None = None) -> np.ndarray:
@@ -68,7 +69,7 @@ def negative_projector(S, g, r: int, nodes: int | None = None) -> np.ndarray:
 
     Computed from the pencil eigenvectors, and cross-checked against a Riesz
     projector of the congruence-reduced operator; the two routes must agree
-    to 1e-8, else ProjectorRoutesDisagree.  An eigenvalue within
+    to ROUTES_AGREE, else ProjectorRoutesDisagree.  An eigenvalue within
     ``hermitian.zero_tolerance`` of 0 counts as zero.  The disc is centered at
     (lam_1 + lam_r) / 2; with a = (lam_r - lam_1) / 2 > 0 and r < d its radius
     sqrt(a (a + lam_(r+1) - lam_r)) makes the largest inner ratio
@@ -110,7 +111,7 @@ def negative_projector(S, g, r: int, nodes: int | None = None) -> np.ndarray:
         nodes = int(min(max(32, np.ceil(np.log(1e-11) / np.log(rho))), 8192))
     PT = riesz_projector(T, disc, nodes=nodes).matrix
     distance = np.linalg.norm(W @ PT @ W_inv - P, 2)
-    if distance > 1e-8:
+    if distance > ROUTES_AGREE:
         raise ProjectorRoutesDisagree(distance)
     return P
 
@@ -138,7 +139,8 @@ def synthesize_single(field: FormField, form: str, q_tilde: int,
     S = diag(-1, 1e-9, 1) would count one positive eigenvalue, not two.  The
     first RIESZ_CHECK_COUNT inflated points with no eigenvalue in (-delta, 0)
     apply f times the projector onto their eigenvalues <= -delta, which must
-    agree with ``negative_projector`` to 1e-8, else ProjectorRoutesDisagree.
+    agree with ``negative_projector`` to ROUTES_AGREE, else
+    ProjectorRoutesDisagree.
 
     Returns ``(metrics, certificate)`` with ``metrics`` of shape (N, d, d).
     Raises CertificateFailed (with the certificate attached) if any point
@@ -187,7 +189,7 @@ def synthesize_single(field: FormField, form: str, q_tilde: int,
         Vr = V[i, :, :int(np.sum(lam[i] <= -delta[i]))]
         distance = np.linalg.norm(
             negative_projector(S[idx[i]], G[i], Vr.shape[1]) - Vr @ Vr.conj().T @ G[i], 2)
-        if distance > 1e-8:
+        if distance > ROUTES_AGREE:
             raise ProjectorRoutesDisagree(distance)
 
     Z = G @ V  # W^{-*} Y, as G W = W^{-*}

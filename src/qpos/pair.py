@@ -6,8 +6,11 @@ log-determinant potential xi with its gradient (the two traces) and Hessian;
 stacked kernels of ``qpos.two_forms`` on the pair as a one-point stack, so a
 pair's results equal its point's in a field bit for bit: the arc's ends and
 its arclength midpoint are exact, and ``trace_level_curve`` marks the samples
-between the ends.  No command imports this module: the command-line path
-works on whole fields through ``two_forms.field_metric_top_degree``.
+between the ends.  The latter two first decide, by the exact
+``two_forms.common_witnesses``, that the pair shares a positive direction,
+and raise NoCommonDirection otherwise.  No command imports this module: the
+command-line path works on whole fields through
+``two_forms.field_metric_top_degree``.
 """
 
 from __future__ import annotations
@@ -16,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotFinite, QposError
+from .errors import DimensionMismatch, NotFinite
 from .hermitian import as_form, as_metric, congruence, reduce_form
 from .two_forms import (_arc_bounds, _deformed_metrics, _gram, _gram_spectra, _midpoints,
-                        _ray_level_hits, _unit, _worst, common_direction, common_witnesses)
+                        _ray_level_hits, _unit, common_direction, common_witnesses)
 
 
 @dataclass(frozen=True)
@@ -58,7 +61,7 @@ class PairState:
     reported back in the original coordinates.
     """
 
-    def __init__(self, Q1, Q2, base=None, witness=None):
+    def __init__(self, Q1, Q2, base=None):
         self.Q1 = as_form(Q1)
         self.Q2 = as_form(Q2)
         if self.Q1.shape != self.Q2.shape:
@@ -69,12 +72,6 @@ class PairState:
         self._W, _ = congruence(self.base)
         self._Q1t = reduce_form(self.Q1, self._W)
         self._Q2t = reduce_form(self.Q2, self._W)
-        self.witness = None
-        if witness is not None:
-            v = np.asarray(witness, dtype=complex)
-            if _worst(self.Q1[None], self.Q2[None], v[None])[0] <= 0:
-                raise QposError("the witness is not positive for both forms")
-            self.witness = v / np.sqrt(float(np.real(v.conj() @ self.base @ v)))
 
     def gram(self, X) -> np.ndarray:
         """Deformed Gram matrices I - x1 Q1 - x2 Q2 at the rows of X (base-orthonormal)."""
@@ -116,16 +113,12 @@ def find_common_direction(Q1, Q2, base=None):
     return None if np.isnan(V[0, 0]) else pair._W @ V[0]
 
 
-def _ensure_witness(pair: PairState) -> None:
-    if pair.witness is None:
-        pair.witness = pair._W @ common_witnesses(pair._Q1t[None], pair._Q2t[None], [None])[0]
-
-
 def trace_level_curve(pair: PairState, n_angles: int = 512) -> list[LevelCurveSample]:
     """Sample the level curve xi = ``two_forms.LEVEL`` on n_angles rays of the open first
     quadrant, marking the samples in the positive-gradient arc [theta_a, theta_b].  Requires
-    a verified common positive direction (which bounds the positive quadrant of O)."""
-    _ensure_witness(pair)
+    a common positive direction (which bounds the positive quadrant of O), else
+    NoCommonDirection."""
+    common_witnesses(pair._Q1t[None], pair._Q2t[None], [None])
     thetas = (np.arange(n_angles) + 0.5) * (np.pi / 2.0) / n_angles
     Q1t, Q2t, dirs = pair._Q1t[None], pair._Q2t[None], _unit(thetas)
     t, xi, traces = _ray_level_hits(Q1t, Q2t, dirs[None])
@@ -146,7 +139,7 @@ def pair_metric(pair: PairState) -> PairMetricResult:
     segment mu x1 + x2 = c; the others the arclength midpoint of the
     positive-gradient arc.  xi there and both output traces are re-verified.
     """
-    _ensure_witness(pair)
+    common_witnesses(pair._Q1t[None], pair._Q2t[None], [None])
     gamma, traces, mu, prop = _midpoints(pair._Q1t[None], pair._Q2t[None], [None])
     return PairMetricResult(gamma_point=gamma[0], metric=pair.metric_at(gamma[0]),
                             traces=(float(traces[0, 0]), float(traces[0, 1])),

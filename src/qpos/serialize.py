@@ -1,10 +1,9 @@
 """JSON schemas and a canonical writer with reproducible bytes.
 
-Matrices travel as {"dim": d, "re": [[...]], "im": [[...]]}, spectra as
-{"eigenvalues": [...], "eigenvectors_re": [...], "eigenvectors_im": [...]};
-every file this package writes carries "qpos_schema": 1.  The writer sorts
-object keys and prints floats with 17 significant digits, so identical data
-always serializes to identical bytes.
+Matrices travel as {"dim": d, "re": [[...]], "im": [[...]]}; every file this
+package writes carries "qpos_schema": 1.  The writer sorts object keys and
+prints floats with 17 significant digits, so identical data always
+serializes to identical bytes.
 
 Both directions work on whole arrays.  A float ndarray in a report is
 written in one pass: one finite check, then one printf-style ``%`` over all
@@ -257,7 +256,7 @@ def write_report(path, obj) -> None:
 
 
 # ---------------------------------------------------------------------------
-# matrices, spectra, subspaces
+# matrices and subspaces
 # ---------------------------------------------------------------------------
 
 def _integer(value, path) -> int:
@@ -349,15 +348,6 @@ def matrix_from_json(obj, path="matrix") -> np.ndarray:
     return matrices_from_json([obj], [path])[0]
 
 
-def spectrum_to_json(spectrum) -> dict:
-    V = np.asarray(spectrum.eigenvectors)
-    return {
-        "eigenvalues": np.asarray(spectrum.eigenvalues).tolist(),
-        "eigenvectors_re": V.real.tolist(),
-        "eigenvectors_im": V.imag.tolist(),
-    }
-
-
 def basis_to_json(B) -> dict:
     B = np.asarray(B, dtype=complex)
     # rows of the JSON arrays are the basis vectors
@@ -414,15 +404,17 @@ def field_from_json(obj, path="field") -> FormField:
         ppath = f"{path}.points[{i}]"
         if not isinstance(rp, dict) or "id" not in rp or "forms" not in rp:
             raise SchemaError(ppath, "every point needs id and forms")
-        pid = rp["id"]
-        if isinstance(pid, (list, dict)) or (isinstance(pid, float) and not math.isfinite(pid)):
+        pid = rp["id"]  # a bool is no id: True == 1 would name the point with id 1
+        if isinstance(pid, (bool, list, dict)) or (
+                isinstance(pid, float) and not math.isfinite(pid)):
             raise SchemaError(f"{ppath}.id", f"expected a string or finite number, got {pid!r}")
         for key, kind, name in (("forms", dict, "object"), ("neighbors", list, "array"),
                                 ("in_F", bool, "boolean")):
             if key in rp and not isinstance(rp[key], kind):
                 raise SchemaError(f"{ppath}.{key}", f"expected a JSON {name}")
         nbrs = rp.get("neighbors")
-        if nbrs and not all(isinstance(n, (str, int, float)) for n in nbrs):
+        if nbrs and not all(isinstance(n, (str, int, float)) and not isinstance(n, bool)
+                            for n in nbrs):
             raise SchemaError(f"{ppath}.neighbors", "entries must be string or number ids")
         sub = rp.get("subspace")
         if "subspace" in rp and not (isinstance(sub, dict)
@@ -574,10 +566,16 @@ def metrics_from_json(obj, dim, path="metrics"):
     the row of each id in it (the last, where an id repeats)."""
     try:
         entries = obj["metrics"]
-        rows = {e["id"]: k for k, e in enumerate(entries)}
+        ids = [e["id"] for e in entries]
+        rows = {i: k for k, i in enumerate(ids)}
         mats = [e["matrix"] for e in entries]
     except (KeyError, TypeError) as e:
         raise SchemaError(path, f"bad metrics file: {e}") from e
+    types = [type(i) for i in ids]
+    if bool in types:  # True == 1 would serve the point with id 1
+        k = types.index(bool)
+        raise SchemaError(f"{path}.metrics[{k}].id", f"expected a string or number, "
+                          f"got {ids[k]!r}")
     where = [f"{path}.metrics[{k}].matrix" for k in range(len(mats))]
     return rows, matrices_from_json(mats, where, dim)
 

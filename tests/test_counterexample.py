@@ -91,48 +91,29 @@ def test_scan_rejects_vanishing_field():
         counterexample_scan(field, bad)
 
 
-def test_scan_accepts_per_point_callable():
-    field = counterexample_build(R=R, grid_n=12)
-    point, value = counterexample_scan(field, lambda x: np.array([1.0, 0.0]))
-    assert value < 0
-
-
-def test_scan_falls_back_to_per_point_when_stacked_call_raises_value_error():
-    # on a stack, stereographic_inverse's `abs(1.0 + x[2]) < 1e-15` is an
-    # array whose truth value is ambiguous
-    field = counterexample_build(R=R, grid_n=12)
-
-    def v(x):
-        return np.array(stereographic_inverse(x))
-
-    point, value = counterexample_scan(field, v)
-    stacked = counterexample_scan(field, lambda X: np.stack([v(x) for x in X]))
-    assert np.array_equal(point, stacked[0]) and value == stacked[1]
-    assert value < 0
-
-
 @pytest.mark.parametrize("error", [ValueError, IndexError])
-def test_scan_falls_back_to_per_point_on_error(error):
+def test_scan_propagates_field_error(error):
+    # the scan used to catch these and call the field again point by point
     field = counterexample_build(R=R, grid_n=12)
+    raised = error("the field's own error")
+    calls = []
 
-    def v(x):
-        if np.ndim(x) != 1:
-            raise error("one point at a time")
-        return np.array([1.0, 0.0])
+    def v(X):
+        calls.append(np.shape(X))
+        raise raised
 
-    assert counterexample_scan(field, v)[1] < 0
-
-    def fails_per_point(x):
-        raise error("fails everywhere")
-
-    with pytest.raises(error, match="fails everywhere"):
-        counterexample_scan(field, fails_per_point)
+    with pytest.raises(error) as info:
+        counterexample_scan(field, v)
+    assert info.value is raised and calls == [(len(field), 3)]
 
 
 def test_scan_rejects_per_point_values_of_wrong_length():
+    # a per-point function is not stacked for the caller: its one vector has the wrong shape
     field = counterexample_build(R=R, grid_n=8)
     with pytest.raises(DimensionMismatch):
         counterexample_scan(field, lambda x: np.array([1.0, 0.0, 0.0]))
+    with pytest.raises(DimensionMismatch):
+        counterexample_scan(field, lambda x: np.array([1.0, 0.0]))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
@@ -281,8 +262,8 @@ def test_scan_in_slices_equals_one_stacked_scan(monkeypatch, chunk):
     for (point, value), (_, v) in zip(whole, standard_test_fields(R)):
         sliced = counterexample_scan(field, v)
         assert np.array_equal(sliced[0], point) and sliced[1] == value
-    assert counterexample_scan(field, lambda x: np.array([1.0, 0.0]))[1] == \
-        counterexample_scan(field, lambda X: np.tile([1.0 + 0j, 0.0], (len(X), 1)))[1]
+    assert counterexample_scan(field, lambda X: np.stack([np.array([1.0, 0.0]) for x in X]))[1] \
+        == counterexample_scan(field, lambda X: np.tile([1.0 + 0j, 0.0], (len(X), 1)))[1]
 
     # a vanishing point in an early slice and a non-finite one in a later
     # slice: NotFinite first, as one stacked check raised it

@@ -613,4 +613,3 @@ def test_domain_from_spec_roundtrip():
     assert isinstance(domain_from_spec({"type": "quadric", "n": 3, "q": 2, "mu": MU}),
                       QuadricDomain)
     assert isinstance(domain_from_spec({"type": "product", "n": 3, "q": 2}), ProductDomain)
-    assert isinstance(domain_from_spec({"type": "mqn", "n": 3, "q": 2}), MqnManifold)

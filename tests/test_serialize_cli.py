@@ -24,7 +24,7 @@ from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 from qpos import (DimensionMismatch, FieldPoint, FormField, PositivityCertificate, QposError,
-                  SchemaError, cli, fields, hermitian, serialize, spectrum_wrt)
+                  SchemaError, cli, fields, hermitian, serialize)
 from qpos.fields import CertificateEntry, certify
 from qpos.hermitian import MARGIN_FLOOR_SCALE
 from qpos.serialize import (
@@ -35,7 +35,6 @@ from qpos.serialize import (
     matrix_from_json,
     matrix_to_json,
     metrics_to_json,
-    spectrum_to_json,
 )
 from qpos.geometry import QuadricDomain
 from qpos.synthetic import (
@@ -189,7 +188,8 @@ SIGNATURES = {
     "qpos.two_forms": {
         "_ray_level_hits": "Q1t Q2t dirs", "_newton": "mu level", "_arc_bounds": "Q1t Q2t",
         "_midpoint_angles": "Q1t Q2t ends", "_midpoints": "Q1t Q2t ids"},
-    "qpos.pair": {"trace_level_curve": "pair n_angles", "pair_metric": "pair"},
+    "qpos.pair": {"PairState": "Q1 Q2 base", "trace_level_curve": "pair n_angles",
+                  "pair_metric": "pair"},
     "qpos.metric_subbundle": {"choose_C": "A1 A2 A3 q"},
     "qpos.geometry.domains": {"complex_hessian": "phi p",
                               "CustomDomain": "n rho weight seed_box scale"},
@@ -310,13 +310,6 @@ def test_matrix_schema_errors():
         with pytest.raises(SchemaError, match=r"m\.dim"):
             matrix_from_json({"dim": dim, "re": [[1.0, 0.0], [0.0, 1.0]]}, "m")
     assert matrix_from_json({"dim": 2.0, "re": [[1.0, 0.0], [0.0, 1.0]]}).shape == (2, 2)
-
-
-def test_spectrum_serialization(rng):
-    s = spectrum_wrt(random_hermitian(rng, 3), random_metric(rng, 3))
-    obj = spectrum_to_json(s)
-    assert list(obj) == ["eigenvalues", "eigenvectors_re", "eigenvectors_im"]
-    assert len(obj["eigenvalues"]) == 3
 
 
 def test_field_round_trip(rng):
@@ -958,7 +951,8 @@ BAD_INPUT_CASES = [
     "project_radius_nan", "project_radius_inf", "project_center_nan",
     "field_g0_not_positive_definite", "field_g0_not_hermitian", "field_subspace_rank_mismatch",
     "field_subspace_at_some_points", "field_neighbor_names_no_point",
-    "field_id_nan", "field_id_array", "field_id_object",
+    "field_id_nan", "field_id_array", "field_id_object", "field_id_bool", "field_neighbor_bool",
+    "metric_id_bool", "domain_mqn",
     "levi_seed_negative", "bump_seed_negative",
     "single_margin_inf", "single_margin_nan", "single_margin_0", "single_margin_negative",
     "subbundle_safety_nan", "subbundle_safety_inf", "subbundle_safety_negative",
@@ -1006,6 +1000,12 @@ FIELD_DEFECTS = {
     "field_id_array": (lambda doc: doc["points"][0].__setitem__("id", [1]), ".points[0].id"),
     "field_id_object": (lambda doc: doc["points"][1].__setitem__("id", {"a": 1}),
                         ".points[1].id"),
+    # True == 1, so a true id or neighbor used to name the point with id 1
+    "field_id_bool": (lambda doc: doc["points"][1].__setitem__("id", True), ".points[1].id"),
+    "field_neighbor_bool": (
+        lambda doc: [doc["points"][0].__setitem__("id", 1),
+                     doc["points"][1].__setitem__("neighbors", [True])],
+        ".points[1].neighbors"),
 }
 PROJECT_OPTIONS = {
     "project_nodes_4": ("--nodes", 4), "project_nodes_0": ("--nodes", 0),
@@ -1055,6 +1055,15 @@ def test_cli_rejects_bad_input_with_exit_1(tmp_path, case):
     elif case == "metric_missing_id":
         metric.write_text(dumps_canonical(metrics_to_json(["p0"], [np.eye(2)])))
         argv, named = check + ("--q", 1, "--metric", metric), f"{metric}.metrics"
+    elif case == "metric_id_bool":
+        # a true id used to serve as the metric of the point with id 1
+        doc = json.loads(path.read_text())
+        doc["points"][1]["id"] = 1
+        path.write_text(json.dumps(doc))
+        metric.write_text(json.dumps({"metrics": [
+            {"id": "p0", "matrix": matrix_to_json(np.eye(2))},
+            {"id": True, "matrix": matrix_to_json(np.eye(2))}]}))
+        argv, named = check + ("--q", 1, "--metric", metric), f"{metric}.metrics[1].id"
     elif case == "metric_malformed_json":
         metric.write_text('{"metrics": [')
         argv, named = check + ("--q", 1, "--metric", metric), str(metric)
@@ -1080,12 +1089,14 @@ def test_cli_rejects_bad_input_with_exit_1(tmp_path, case):
                 "domain_not_an_object": [1, 2],
                 "domain_unknown_type": {"type": "torus", "n": 3},
                 "domain_custom_bad_params": {"type": "custom", "params": {"x": 1},
-                                             "target": "qpos.geometry:BallDomain"}}[case]
+                                             "target": "qpos.geometry:BallDomain"},
+                "domain_mqn": {"type": "mqn", "n": 3, "q": 2}}[case]
         quad.write_text(json.dumps(spec))
         named = {"domain_quadric_without_mu": f"{quad}.mu", "domain_not_an_object": str(quad),
                  "domain_unknown_type": f"{quad}.type",
-                 "domain_custom_bad_params": f"{quad}.type"}[case]
-        argv = geo + ("--q", 1)
+                 "domain_custom_bad_params": f"{quad}.type", "domain_mqn": f"{quad}.type"}[case]
+        argv = (("geometry", "levi", "--domain", quad) if case == "domain_mqn"
+                else geo + ("--q", 1))
     elif case == "two_forms_unknown_form":
         argv, named = two + ("--forms", "Q1,Qx"), "--forms"
     elif case == "two_forms_zero_angles":

@@ -435,7 +435,7 @@ def test_trace_signs_are_monotone_along_the_level_curve(d, seed):
 
 
 def test_level_curve_identity_pair_closed_form():
-    pair = PairState(np.eye(2), np.eye(2), witness=np.array([1.0, 0.0]))
+    pair = PairState(np.eye(2), np.eye(2))
     samples = trace_level_curve(pair, n_angles=64)
     for s in samples:
         assert s.x[0] + s.x[1] == pytest.approx(C_HALF, abs=1e-10)
@@ -448,9 +448,7 @@ def test_level_curve_identity_pair_closed_form():
 
 def test_level_curve_crossed_pair_has_members():
     Q1, Q2 = np.diag([1.0, -0.5]), np.diag([-0.5, 1.0])
-    pair = PairState(Q1, Q2)
-    pair.witness = find_common_direction(Q1, Q2)
-    samples = trace_level_curve(pair, n_angles=128)
+    samples = trace_level_curve(PairState(Q1, Q2), n_angles=128)
     members = [s for s in samples if s.in_gamma_tilde]
     assert members  # guaranteed nonempty when a common direction exists
     idx = [i for i, s in enumerate(samples) if s.in_gamma_tilde]
