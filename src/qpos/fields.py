@@ -4,9 +4,12 @@ A :class:`FormField` is the discrete stand-in for a Hermitian form on a
 vector bundle over a manifold: N sample points of one dimension d, kept as
 stacks over the points: an (N, d, d) stack per named Hermitian form, the
 reference metrics ``g0``, optionally (N, d, k) subbundle fibers, the mask of
-the anchor set F where the output metric must coincide with g0, adjacency
-as index arrays, and coordinates as given.  Each stack is validated once,
-when the field is built; ``points`` are read-only per-point views of it.
+the anchor set F where the output metric must coincide with g0, and adjacency
+as index arrays.  ``FormField.from_stacks`` builds every field, from JSON or
+Python, and enforces the per-point rules once: ids are hashable, unique, and
+no boolean (True == 1 would name id 1), NaN or infinity; each neighbor list
+names points (a boolean or None names none); forms are Hermitian, g0 positive
+definite, subspace bases of one shape, all finite; a point in F has a g0.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CertificateFailed, DimensionMismatch, QposError
+from .errors import CertificateFailed, DimensionMismatch, NotFinite, QposError
 from .hermitian import TAU_PD, first_invalid, q_margins
 
 
@@ -26,7 +29,6 @@ class FieldPoint:
 
     id: object
     forms: dict
-    coords: np.ndarray | None = None
     neighbors: list | None = None
     g0: np.ndarray | None = None
     subspace: np.ndarray | None = None  # (d, k) basis columns
@@ -40,7 +42,7 @@ class FormField:
     lacks is validated, then dropped); ``g0`` is the identity where
     ``has_g0`` is False; ``subspace`` is None or (N, d, k); ``in_F`` is the
     anchor mask; ``edges = (src, dst)`` holds one index pair per neighbor, in
-    point order; ``coords`` is one array (or None) per point, as given.
+    point order.
     """
 
     def __init__(self, dim: int, points: list[FieldPoint]):
@@ -57,26 +59,24 @@ class FormField:
         vars(self).update(vars(type(self).from_stacks(  # become the field it builds
             ids, forms, g0=g0, has_g0=has_g0, has_forms=has_forms, dim=d,
             subspace=None if k is None else _gathered(bases, (d, k), ids, "subspace")[0],
-            in_F=[p.in_F for p in points], neighbors=[p.neighbors for p in points],
-            coords=[None if p.coords is None else np.asarray(p.coords, float) for p in points])))
+            in_F=[p.in_F for p in points], neighbors=[p.neighbors for p in points])))
 
     @classmethod
     def from_stacks(cls, ids, forms: dict, subspace=None, g0=None, in_F=None,
-                    neighbors=None, coords=None, has_g0=None, has_forms=None,
-                    dim=None) -> "FormField":
+                    neighbors=None, has_g0=None, has_forms=None, dim=None) -> "FormField":
         """A field from (N, d, d) form stacks by name (``dim``: their last axis by default)
         and, optionally, (N, d, k) ``subspace``, ``g0`` matrices, an (N,) ``in_F`` mask and
-        per point a neighbor id list and a coordinate array.  ``has_g0`` (an (N,) mask, all
-        points by default) marks the points whose matrices ``g0`` stacks, and ``has_forms``
-        by name those of a form some point lacks.  Each stack is copied and validated
-        once; a defect at a point raises a ``_defect``."""
+        per point a neighbor id list.  ``has_g0`` (an (N,) mask, all points by default)
+        marks the points whose matrices ``g0`` stacks, and ``has_forms`` by name those of
+        a form some point lacks.  Each stack is copied and checked once against the
+        rules the module docstring lists; a defect at a point raises a ``_defect``."""
         field, ids = cls.__new__(cls), list(ids)
         n, d = len(ids), int(next(iter(forms.values())).shape[-1] if dim is None else dim)
-        field.dim, field.ids, field.coords = d, ids, coords
-        index = dict(zip(ids, range(n)))
-        if len(index) < n:
-            row = next(r for r, i in enumerate(ids) if index[i] != r)
-            raise _defect(QposError, "duplicate point id", ids, row, "id")
+        field.dim, field.ids, index = d, ids, {}
+        for row, i in enumerate(ids):
+            if not is_point_id(i) or index.setdefault(i, row) != row:
+                raise _defect(QposError, "duplicate point id" if is_point_id(i) else
+                              "expected a hashable, finite, non-boolean id", ids, row, "id")
         field.forms, field._missing = {}, {}
         for name in sorted(forms, key=str):
             given = (has_forms or {}).get(name, np.ones(n, bool))
@@ -98,10 +98,16 @@ class FormField:
         field.subspace = None if subspace is None else _frozen(np.array(subspace, dtype=complex))
         if subspace is not None and field.subspace.shape != (n, d, field.subspace.shape[-1]):
             raise DimensionMismatch(f"subspace stack of shape {field.subspace.shape}")
+        finite = subspace is None or np.isfinite(field.subspace).all(axis=(-2, -1))
+        if not np.all(finite):
+            raise _defect(NotFinite, "basis has non-finite entries", ids, int(np.argmin(finite)),
+                          "subspace")
         src, dst = [], []
         for row, nbrs in enumerate(neighbors or ()):
+            if not isinstance(nbrs, (list, tuple, type(None))):
+                raise _defect(QposError, f"expected a list, got {nbrs!r}", ids, row, "neighbors")
             for i in nbrs or ():
-                if i not in index:
+                if i is None or not is_point_id(i) or i not in index:
                     raise _defect(QposError, f"neighbor {i!r} names no point", ids, row,
                                   "neighbors")
                 src.append(row)
@@ -117,7 +123,6 @@ class FormField:
         """Per-point views, built once: their arrays are read-only rows of the stacks."""
         nbrs = self.neighbor_indices()
         return [FieldPoint(id=i, forms={name: S[r] for name, S in self.forms.items()},
-                           coords=None if self.coords is None else self.coords[r],
                            neighbors=[self.ids[j] for j in nbrs[r]] or None,
                            g0=self.g0[r] if self.has_g0[r] else None,
                            subspace=None if self.subspace is None else self.subspace[r],
@@ -151,6 +156,16 @@ class FormField:
         mask = self.in_F.copy()
         mask[dst[self.in_F[src]]] = True
         return mask
+
+
+def is_point_id(i) -> bool:
+    """Whether ``i`` can name a point: hashable, not a boolean (True == 1 would name
+    the point with id 1) and not a NaN or infinite number."""
+    try:
+        hash(i)
+    except TypeError:
+        return False
+    return not isinstance(i, (bool, np.bool_)) and i == i and i not in (np.inf, -np.inf)
 
 
 def fiber_rank(ranks, ids):

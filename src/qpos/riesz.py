@@ -78,7 +78,12 @@ def resolvent(T, zeta: complex) -> np.ndarray:
 
 
 def _separation(lam, disc: Disc) -> float:
-    return float(np.min(disc.boundary_distance(lam)))
+    """The distance of the eigenvalues ``lam`` from the contour; EigenvalueOnContour
+    when it is below ``TAU_SEP_CONTOUR * radius``."""
+    sep, threshold = float(np.min(disc.boundary_distance(lam))), TAU_SEP_CONTOUR * disc.radius
+    if sep < threshold:
+        raise EigenvalueOnContour(sep, threshold)
+    return sep
 
 
 def riesz_projector(T, disc: Disc, nodes: int = DEFAULT_NODES) -> ProjectorResult:
@@ -99,9 +104,6 @@ def riesz_projector(T, disc: Disc, nodes: int = DEFAULT_NODES) -> ProjectorResul
                          f"got {nodes!r}")
     lam = np.linalg.eigvalsh(M)
     sep = _separation(lam, disc)
-    threshold = TAU_SEP_CONTOUR * disc.radius
-    if sep < threshold:
-        raise EigenvalueOnContour(sep, threshold)
     real, paired = _quadrature_sums(M, disc, nodes)
     P = (disc.radius / nodes) * (real + paired)
     idem = float(np.linalg.norm(P @ P - P, 2))
@@ -240,10 +242,7 @@ def oracle_projector(T, disc: Disc) -> np.ndarray:
     """Projector by eigendecomposition: sum of v v* over eigenvalues in the disc."""
     M = as_form(T)
     lam, V = np.linalg.eigh(M)
-    sep = _separation(lam, disc)
-    threshold = TAU_SEP_CONTOUR * disc.radius
-    if sep < threshold:
-        raise EigenvalueOnContour(sep, threshold)
+    _separation(lam, disc)
     inside = disc.contains(lam)
     Vi = V[:, inside]
     return Vi @ Vi.conj().T

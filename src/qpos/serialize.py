@@ -39,7 +39,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .errors import DimensionMismatch, QposError, SchemaError
-from .fields import FormField, PositivityCertificate, fiber_rank
+from .fields import FormField, PositivityCertificate, fiber_rank, is_point_id
 
 SCHEMA_VERSION = 1
 # what a JSON value of the wrong type or size raises when read as a number
@@ -364,8 +364,6 @@ def field_to_json(field: FormField) -> dict:
     points = []
     for r, i in enumerate(field.ids):
         entry = {"id": i, "forms": {k: matrix_to_json(S[r]) for k, S in field.forms.items()}}
-        if field.coords is not None and field.coords[r] is not None:
-            entry["coords"] = np.asarray(field.coords[r]).tolist()
         if nbrs[r]:
             entry["neighbors"] = [field.ids[j] for j in nbrs[r]]
         if field.has_g0[r]:
@@ -381,10 +379,10 @@ def field_to_json(field: FormField) -> dict:
 def field_from_json(obj, path="field") -> FormField:
     """A field document as a FormField, read as whole stacks.
 
-    The points' matrices are read as one stack per form name, one for g0 and
-    one for subspaces, each converted at once, and ``FormField.from_stacks``
-    checks each stack once; a defect it finds at one point is reported at
-    that point's JSON path.
+    This reader checks JSON types only.  The points' matrices are read as one
+    stack per form name, one for g0 and one for subspaces, each converted at
+    once, and ``FormField.from_stacks`` enforces every per-point rule; a
+    defect it finds at one point is reported at that point's JSON path.
     """
     if not isinstance(obj, dict):
         raise SchemaError(path, "expected a top-level object")
@@ -398,34 +396,22 @@ def field_from_json(obj, path="field") -> FormField:
     if not isinstance(raw_points, list) or not raw_points:
         raise SchemaError(f"{path}.points", "need a nonempty list of points")
     n_points = len(raw_points)
-    ids, coords, neighbors, in_F, ranks = [], [], [], [], []
+    ids, neighbors, in_F, ranks = [], [], [], []
     forms, g0, subspace = {}, ([], []), ([], [])  # (point indices, JSON objects)
     for i, rp in enumerate(raw_points):
         ppath = f"{path}.points[{i}]"
         if not isinstance(rp, dict) or "id" not in rp or "forms" not in rp:
             raise SchemaError(ppath, "every point needs id and forms")
-        pid = rp["id"]  # a bool is no id: True == 1 would name the point with id 1
-        if isinstance(pid, (bool, list, dict)) or (
-                isinstance(pid, float) and not math.isfinite(pid)):
-            raise SchemaError(f"{ppath}.id", f"expected a string or finite number, got {pid!r}")
         for key, kind, name in (("forms", dict, "object"), ("neighbors", list, "array"),
                                 ("in_F", bool, "boolean")):
             if key in rp and not isinstance(rp[key], kind):
                 raise SchemaError(f"{ppath}.{key}", f"expected a JSON {name}")
-        nbrs = rp.get("neighbors")
-        if nbrs and not all(isinstance(n, (str, int, float)) and not isinstance(n, bool)
-                            for n in nbrs):
-            raise SchemaError(f"{ppath}.neighbors", "entries must be string or number ids")
         sub = rp.get("subspace")
         if "subspace" in rp and not (isinstance(sub, dict)
                                      and isinstance(sub.get("basis_re"), list)):
             raise SchemaError(f"{ppath}.subspace", "expected an object with a basis_re list")
-        try:
-            coords.append(np.asarray(rp["coords"], dtype=float) if "coords" in rp else None)
-        except BAD_VALUE as e:
-            raise SchemaError(f"{ppath}.coords", f"expected numbers: {e}") from e
-        ids.append(pid)
-        neighbors.append(nbrs)
+        ids.append(rp["id"])
+        neighbors.append(rp.get("neighbors"))
         in_F.append(rp.get("in_F", False))
         ranks.append(None if sub is None else len(sub["basis_re"]))
         for name, m in rp["forms"].items():
@@ -452,7 +438,7 @@ def field_from_json(obj, path="field") -> FormField:
         G, has_g0 = stack("g0", *g0)
         return FormField.from_stacks(
             ids, {name: S for name, (S, _) in stacks.items()}, subspace=B, g0=G, in_F=in_F,
-            neighbors=neighbors, coords=coords, has_g0=has_g0,
+            neighbors=neighbors, has_g0=has_g0,
             has_forms={name: given for name, (_, given) in stacks.items()}, dim=dim)
     except SchemaError:
         raise
@@ -571,11 +557,9 @@ def metrics_from_json(obj, dim, path="metrics"):
         mats = [e["matrix"] for e in entries]
     except (KeyError, TypeError) as e:
         raise SchemaError(path, f"bad metrics file: {e}") from e
-    types = [type(i) for i in ids]
-    if bool in types:  # True == 1 would serve the point with id 1
-        k = types.index(bool)
-        raise SchemaError(f"{path}.metrics[{k}].id", f"expected a string or number, "
-                          f"got {ids[k]!r}")
+    bad = [k for k, i in enumerate(ids) if not is_point_id(i)]
+    if bad:
+        raise SchemaError(f"{path}.metrics[{bad[0]}].id", f"{ids[bad[0]]!r} is no point id")
     where = [f"{path}.metrics[{k}].matrix" for k in range(len(mats))]
     return rows, matrices_from_json(mats, where, dim)
 

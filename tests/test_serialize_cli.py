@@ -193,6 +193,8 @@ SIGNATURES = {
     "qpos.metric_subbundle": {"choose_C": "A1 A2 A3 q"},
     "qpos.geometry.domains": {"complex_hessian": "phi p",
                               "CustomDomain": "n rho weight seed_box scale"},
+    "qpos.fields": {
+        "FormField.from_stacks": "ids forms subspace g0 in_F neighbors has_g0 has_forms dim"},
     "qpos.synthetic": {
         "planted_inertia_field": "rng n_points d q_tilde nu_choices n_anchor",
         "planted_subbundle_field": "rng n_points d q form_names"},
@@ -940,8 +942,8 @@ BAD_INPUT_CASES = [
     "domain_custom_bad_params",
     "two_forms_unknown_form", "two_forms_zero_angles",
     "counterexample_grid_1", "counterexample_negative_radius",
-    "field_point_not_object", "field_forms_not_object", "field_coords_not_numbers",
-    "field_neighbors_not_list", "field_dim_zero", "check_form_missing_at_a_point",
+    "field_point_not_object", "field_forms_not_object", "field_neighbors_not_list",
+    "field_dim_zero", "check_form_missing_at_a_point",
     "single_form_missing_at_a_point", "metric_not_hermitian", "metric_not_positive_definite",
     "levi_zero_samples", "field_neighbor_not_scalar",
     "field_in_F_string", "field_dim_fractional", "field_dim_bool", "field_dim_string",
@@ -952,7 +954,7 @@ BAD_INPUT_CASES = [
     "field_g0_not_positive_definite", "field_g0_not_hermitian", "field_subspace_rank_mismatch",
     "field_subspace_at_some_points", "field_neighbor_names_no_point",
     "field_id_nan", "field_id_array", "field_id_object", "field_id_bool", "field_neighbor_bool",
-    "metric_id_bool", "domain_mqn",
+    "metric_id_bool", "metric_id_nan", "domain_mqn",
     "levi_seed_negative", "bump_seed_negative",
     "single_margin_inf", "single_margin_nan", "single_margin_0", "single_margin_negative",
     "subbundle_safety_nan", "subbundle_safety_inf", "subbundle_safety_negative",
@@ -961,8 +963,6 @@ FIELD_DEFECTS = {
     "field_point_not_object": (lambda doc: doc["points"].__setitem__(0, 5), ".points[0]"),
     "field_forms_not_object": (lambda doc: doc["points"][0].__setitem__("forms", [1]),
                                ".points[0].forms"),
-    "field_coords_not_numbers": (lambda doc: doc["points"][1].__setitem__("coords", ["x"]),
-                                 ".points[1].coords"),
     "field_neighbors_not_list": (lambda doc: doc["points"][0].__setitem__("neighbors", 5),
                                  ".points[0].neighbors"),
     "field_dim_zero": (lambda doc: doc.__setitem__("dim", 0), ".dim"),
@@ -1055,14 +1055,16 @@ def test_cli_rejects_bad_input_with_exit_1(tmp_path, case):
     elif case == "metric_missing_id":
         metric.write_text(dumps_canonical(metrics_to_json(["p0"], [np.eye(2)])))
         argv, named = check + ("--q", 1, "--metric", metric), f"{metric}.metrics"
-    elif case == "metric_id_bool":
-        # a true id used to serve as the metric of the point with id 1
+    elif case in ("metric_id_bool", "metric_id_nan"):
+        # a true id used to serve as the metric of the point with id 1, and a NaN
+        # id to be ignored
         doc = json.loads(path.read_text())
         doc["points"][1]["id"] = 1
         path.write_text(json.dumps(doc))
         metric.write_text(json.dumps({"metrics": [
             {"id": "p0", "matrix": matrix_to_json(np.eye(2))},
-            {"id": True, "matrix": matrix_to_json(np.eye(2))}]}))
+            {"id": True if case == "metric_id_bool" else float("nan"),
+             "matrix": matrix_to_json(np.eye(2))}]}))
         argv, named = check + ("--q", 1, "--metric", metric), f"{metric}.metrics[1].id"
     elif case == "metric_malformed_json":
         metric.write_text('{"metrics": [')
@@ -1202,7 +1204,7 @@ def test_cli_domain_spec_fuzz_exits_cleanly(spec, command):
 FIELD_TEMPLATE = {"dim": 2, "points": [
     {"id": "p0", "forms": {"S": {"dim": 2, "re": [[1.0, 0.0], [0.0, 2.0]],
                                  "im": [[0.0, 0.5], [-0.5, 0.0]]}},
-     "coords": [0.0, 1.0], "neighbors": ["p1"], "in_F": True,
+     "neighbors": ["p1"], "in_F": True,
      "g0": {"dim": 2, "re": [[2.0, 0.5], [0.5, 1.0]]}},
     {"id": "p1", "forms": {"S": {"dim": 2, "re": [[1.0, 0.5], [0.5, -0.2]]}},
      "neighbors": ["p0"]},
@@ -1505,6 +1507,52 @@ def test_field_rejects_neighbor_ids_that_name_no_point():
     with pytest.raises(QposError, match="'p1'.*'px'"):
         FormField(dim=2, points=[FieldPoint(id="p0", forms={"S": S}, in_F=True, g0=S),
                                  FieldPoint(id="p1", forms={"S": S}, neighbors=["p0", "px"])])
+
+
+S2 = np.eye(2, dtype=complex)
+
+
+@pytest.mark.parametrize("points, part, at", [
+    # True == 1, so a true neighbor used to name the point with id 1, and a true id
+    # to be named by a neighbor 1
+    ([FieldPoint(id=1, forms={"S": S2}), FieldPoint(id="p1", forms={"S": S2}, neighbors=[True])],
+     "neighbors", "'p1'"),
+    ([FieldPoint(id="p0", forms={"S": S2}, neighbors=[1]), FieldPoint(id=True, forms={"S": S2})],
+     "id", "True"),
+    # NaN != NaN, so two NaN ids (two objects, unlike math.nan twice) used to pass
+    ([FieldPoint(id=float("nan"), forms={"S": S2}), FieldPoint(id=float("nan"), forms={"S": S2})],
+     "id", "nan"),
+    ([FieldPoint(id=[1], forms={"S": S2}), FieldPoint(id="p1", forms={"S": S2})], "id", r"\[1\]"),
+    # a NaN basis used to reach synthesize_subbundle, which raised numpy's LinAlgError
+    ([FieldPoint(id="p0", forms={"S": S2}, subspace=np.eye(2)[:, :1]),
+      FieldPoint(id="p1", forms={"S": S2}, subspace=np.array([[math.nan], [1.0]]))],
+     "subspace", "'p1'"),
+], ids=["neighbor_true", "id_true", "ids_nan", "id_list", "subspace_nan"])
+def test_field_built_in_python_keeps_the_per_point_rules(points, part, at):
+    with pytest.raises(QposError, match=f"^{part} at {at}: ") as info:
+        FormField(dim=2, points=points)
+    assert info.value.part == part
+
+
+def _points_of(doc):
+    """A field document's points as FieldPoints, with its ids and neighbors as given."""
+    return [FieldPoint(id=p["id"], neighbors=p.get("neighbors"),
+                       forms={k: matrix_from_json(m) for k, m in p["forms"].items()})
+            for p in doc["points"]]
+
+
+@pytest.mark.parametrize("case", [c for c in FIELD_DEFECTS if "_id_" in c or "neighbor" in c])
+def test_json_and_python_fields_refuse_ids_and_neighbors_at_one_part(case):
+    doc = field_to_json(FormField(dim=2, points=[FieldPoint(id="p0", forms={"S": S2}),
+                                                 FieldPoint(id="p1", forms={"S": S2})]))
+    mutate, suffix = FIELD_DEFECTS[case]
+    mutate(doc)
+    with pytest.raises(SchemaError) as from_json:
+        field_from_json(doc, path="f")
+    with pytest.raises(QposError) as from_points:
+        FormField(dim=2, points=_points_of(doc))
+    assert from_json.value.path == "f" + suffix
+    assert f".points[{from_points.value.row}].{from_points.value.part}" == suffix
 
 
 def test_field_rejects_subspaces_of_mixed_rank_or_presence():
