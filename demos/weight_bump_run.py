@@ -33,17 +33,20 @@ report(weight_bump(quadric, 2, samples), "projective quadric, q = 2")
 
 
 class IndefiniteWeight:
-    """|z1|^2 + |z2|^2 - 3 |z3|^2: two positive directions, one negative."""
+    """|z1|^2 + |z2|^2 - 3 |z3|^2: two positive directions, one negative.
+
+    Like every CustomDomain callback it takes a stack of points (..., 3); its
+    one constant Hessian serves every point.
+    """
 
     def __call__(self, z):
-        z = np.asarray(z, dtype=complex)
-        return float(abs(z[0]) ** 2 + abs(z[1]) ** 2 - 3.0 * abs(z[2]) ** 2)
+        return np.sum(np.abs(z) ** 2 * [1.0, 1.0, -3.0], axis=-1)
 
     def hessian(self, z):
         return np.diag([1.0, 1.0, -3.0]).astype(complex)
 
 
-ball = CustomDomain(n=3, rho=lambda z: float(np.sum(np.abs(z) ** 2) - 1.0),
+ball = CustomDomain(n=3, rho=lambda z: np.sum(np.abs(z) ** 2, axis=-1) - 1.0,
                     weight=IndefiniteWeight(), seed_box=0.8)
 samples = sample_boundary(ball, 200, seed=8)
 report(weight_bump(ball, 2, samples), "ball in C^3 with indefinite weight, q = 2")

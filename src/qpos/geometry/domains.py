@@ -6,8 +6,12 @@ charts, plus an optional scalar weight function.  Complex Hessians are the
 matrices of second Wirtinger derivatives d^2 f / dz_j dz_k-bar; they are
 returned in the package's form-matrix convention (H(u, v) = v* M u, so
 M is the transpose of the raw derivative array).  Built-in domains carry
-hand-derived analytic Hessians; a central finite-difference fallback over
-the 2n real coordinates serves custom callbacks and cross-checks.
+hand-derived analytic Hessians; central finite differences over the 2n real
+coordinates serve custom callbacks and cross-checks, at the steps where
+truncation and rounding balance: FD_STEP = 1e-5 ~ eps^(1/3) for first and
+FD_HESSIAN_STEP = 1e-4 ~ eps^(1/4) for second differences.  Every function
+here, callbacks included, maps a point (n,) or a stack (..., n) to values
+with the same leading axes, so one finite difference is one callback call.
 
 Projective-space domains work in the n + 1 affine charts; points embed
 chart-independently through the rank-one projector w w* / |w|^2 of their
@@ -16,62 +20,63 @@ homogeneous representative, which is what boundary adjacency is built on.
 
 from __future__ import annotations
 
-from functools import partial
-
 import numpy as np
 
 from ..errors import QposError, SchemaError
 from ..hermitian import row_norm
 
 FD_STEP = 1e-5
+FD_HESSIAN_STEP = 1e-4
 
 
 # ---------------------------------------------------------------------------
 # finite-difference Wirtinger calculus
 # ---------------------------------------------------------------------------
 
-def fd_complex_gradient(f, z, step: float = FD_STEP) -> np.ndarray:
-    """d f / d z_j by central differences: (d/dx - i d/dy) / 2."""
+def _shifts(n: int, h: float) -> np.ndarray:
+    """Rows h u_0 .. h u_(2n-1) along the 2n real directions of C^n, then their negatives."""
+    d = h * np.concatenate([np.eye(n), 1j * np.eye(n)])
+    return np.concatenate([d, -d])
+
+
+def fd_complex_gradient(f, z) -> np.ndarray:
+    """d f / d z_j by central differences at step FD_STEP: (d/dx - i d/dy) / 2, with
+    ``f`` called once, on the 4n shifted copies of every point of ``z`` (..., n)."""
     z = np.asarray(z, dtype=complex)
-    n = z.size
-    out = np.empty(n, dtype=complex)
-    for j in range(n):
-        ex = np.zeros(n, dtype=complex)
-        ex[j] = step
-        dx = (f(z + ex) - f(z - ex)) / (2 * step)
-        dy = (f(z + 1j * ex) - f(z - 1j * ex)) / (2 * step)
-        out[j] = 0.5 * (dx - 1j * dy)
-    return out
+    n = z.shape[-1]
+    F = f(z[..., None, :] + _shifts(n, FD_STEP))
+    d = (F[..., :2 * n] - F[..., 2 * n:]) / (2 * FD_STEP)
+    return 0.5 * (d[..., :n] - 1j * d[..., n:])
 
 
-def fd_complex_hessian(f, z, step: float = FD_STEP) -> np.ndarray:
-    """Form matrix of d^2 f / dz_j dz_k-bar by second central differences."""
+def fd_complex_hessian(f, z) -> np.ndarray:
+    """Form matrix of d^2 f / dz_j dz_k-bar by central differences at step h = FD_HESSIAN_STEP.
+
+    Along real directions u, v: (f(z+u) - 2 f(z) + f(z-u)) / h^2 for u = v, else
+    (f(z+u+v) - f(z+u-v) - f(z-u+v) + f(z-u-v)) / 4h^2; ``f`` is called once, on
+    the 1 + 4n + 16n^2 shifted copies of every point of ``z`` (..., n).
+    """
     z = np.asarray(z, dtype=complex)
-    n = z.size
-    f0 = f(z)
-
-    def d2(u, v):
-        # second mixed derivative along real directions u, v
-        if u is v or np.array_equal(u, v):
-            return (f(z + u) - 2.0 * f0 + f(z - u)) / (step * step)
-        return (f(z + u + v) - f(z + u - v) - f(z - u + v) + f(z - u - v)) / (4 * step * step)
-
-    ex = [np.eye(n, dtype=complex)[j] * step for j in range(n)]
-    ey = [1j * e for e in ex]
-    A = np.empty((n, n), dtype=complex)
-    for j in range(n):
-        for k in range(n):
-            re = d2(ex[j], ex[k]) + d2(ey[j], ey[k])
-            im = d2(ex[j], ey[k]) - d2(ey[j], ex[k])
-            A[j, k] = 0.25 * (re + 1j * im)
-    return A.T  # form-matrix convention
+    n, h = z.shape[-1], FD_HESSIAN_STEP
+    u, m = _shifts(n, h), 2 * n
+    F = f(z[..., None, :] + np.concatenate([np.zeros((1, n)), u,
+                                            (u[:, None] + u).reshape(-1, n)]))
+    Fu, P = F[..., 1:2 * m + 1], F[..., 2 * m + 1:].reshape(F.shape[:-1] + (2 * m, 2 * m))
+    pure = (Fu[..., :m] - 2.0 * F[..., :1] + Fu[..., m:]) / (h * h)
+    mixed = (P[..., :m, :m] - P[..., :m, m:] - P[..., m:, :m] + P[..., m:, m:]) / (4 * h * h)
+    D = np.where(np.eye(m, dtype=bool), pure[..., None], mixed)
+    A = 0.25 * ((D[..., :n, :n] + D[..., n:, n:]) + 1j * (D[..., :n, n:] - D[..., n:, :n]))
+    return np.swapaxes(A, -1, -2)  # form-matrix convention
 
 
 def complex_hessian(phi, p) -> np.ndarray:
-    """Complex Hessian of a scalar function at p: analytic when ``phi`` has a
-    ``hessian(z)`` method, else by finite differences with step FD_STEP."""
+    """Complex Hessian of a scalar function at a point or stack p: analytic when
+    ``phi`` has a ``hessian(z)`` method (one (n, n) matrix it returns serves
+    every point), else ``fd_complex_hessian``."""
+    p = np.asarray(p, dtype=complex)
     if hasattr(phi, "hessian"):
-        return np.asarray(phi.hessian(p), dtype=complex)
+        return np.broadcast_to(np.asarray(phi.hessian(p), dtype=complex),
+                               p.shape + p.shape[-1:])
     return fd_complex_hessian(phi, p)
 
 
@@ -368,10 +373,13 @@ class ProductDomain(Domain):
 
 
 class CustomDomain(Domain):
-    """Domain from plain one-point callbacks; all derivatives by finite differences.
+    """Domain from Python callbacks on stacks; derivatives of rho by finite differences.
 
-    ``rho`` and ``weight`` (which may carry an analytic ``hessian``) take
-    one point of C^n; ``_rows`` applies them to every point of a stack.
+    ``rho`` and ``weight`` map chart points (..., n) to values (...), a whole
+    stack in one call; ``weight`` may carry an analytic ``hessian(z)``,
+    whose one (n, n) matrix, if that is what it returns, serves every point.
+    A one-point function u becomes such a callback as
+    ``lambda z: np.apply_along_axis(u, -1, z)``.
     """
 
     def __init__(self, n: int, rho, weight=None, seed_box: float = 1.5,
@@ -383,23 +391,14 @@ class CustomDomain(Domain):
         self.seed_box = seed_box
         self.scale = scale
 
-    @staticmethod
-    def _rows(fn, z, shape=(), dtype=complex) -> np.ndarray:
-        """``fn`` applied to each point of the stack z: the one per-point loop."""
-        z = np.asarray(z, dtype=complex)
-        out = np.empty(z.shape[:-1] + shape, dtype=dtype)
-        for i in np.ndindex(z.shape[:-1]):
-            out[i] = fn(z[i])
-        return out
-
     def rho(self, z, chart=0):
-        return self._rows(self._rho, z, dtype=float)
+        return self._rho(np.asarray(z, dtype=complex))
 
     def rho_dz(self, z, chart=0):
-        return self._rows(partial(fd_complex_gradient, self._rho), z, (self.n,))
+        return fd_complex_gradient(self._rho, z)
 
     def rho_hessian(self, z, chart=0):
-        return self._rows(partial(fd_complex_hessian, self._rho), z, (self.n, self.n))
+        return fd_complex_hessian(self._rho, z)
 
     def weight_fn(self, chart=0):
         if self._weight is None:
@@ -407,7 +406,7 @@ class CustomDomain(Domain):
         return self._weight
 
     def weight_hessian(self, z, chart=0):
-        return self._rows(partial(complex_hessian, self.weight_fn(chart)), z, (self.n, self.n))
+        return complex_hessian(self.weight_fn(chart), z)
 
     def seed_points(self, rng, count):
         Z = self.seed_box * (rng.standard_normal((count, self.n))
@@ -437,7 +436,8 @@ class MqnManifold:
         return rank_split_weight(self.n, self.k, chart)
 
     def sample_chart_points(self, rng: np.random.Generator, count: int, on_S: bool = False):
-        """(chart, z) samples; ``on_S`` restricts to the center submanifold.
+        """(chart, z) stacks of ``count`` samples; ``on_S`` restricts to the center
+        submanifold.
 
         Candidates are drawn ``count`` at a time and kept in draw order.
         """
@@ -453,8 +453,7 @@ class MqnManifold:
             ok = (nmi > npl) & (nmi >= 1e-12) & (on_S | (npl >= 1e-3 * nmi))
             kept = np.concatenate([kept, w[ok]])
         w = kept[:count]
-        chart, z = _to_chart(w, k + np.argmax(np.abs(w[:, k:]), axis=1))  # a minus-block chart
-        return list(zip(chart.tolist(), z))
+        return _to_chart(w, k + np.argmax(np.abs(w[:, k:]), axis=1))  # a minus-block chart
 
 
 def domain_from_spec(spec, path: str = "domain") -> Domain:

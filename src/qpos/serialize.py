@@ -553,7 +553,6 @@ def metrics_from_json(obj, dim, path="metrics"):
     try:
         entries = obj["metrics"]
         ids = [e["id"] for e in entries]
-        rows = {i: k for k, i in enumerate(ids)}
         mats = [e["matrix"] for e in entries]
     except (KeyError, TypeError) as e:
         raise SchemaError(path, f"bad metrics file: {e}") from e
@@ -561,7 +560,7 @@ def metrics_from_json(obj, dim, path="metrics"):
     if bad:
         raise SchemaError(f"{path}.metrics[{bad[0]}].id", f"{ids[bad[0]]!r} is no point id")
     where = [f"{path}.metrics[{k}].matrix" for k in range(len(mats))]
-    return rows, matrices_from_json(mats, where, dim)
+    return {i: k for k, i in enumerate(ids)}, matrices_from_json(mats, where, dim)
 
 
 def certificate_arrays(cert: PositivityCertificate) -> dict:

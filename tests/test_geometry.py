@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from qpos import BoundNotFound, ZqViolated, inertia
+from qpos import BoundNotFound, QposError, ZqViolated, inertia
 from qpos.geometry import (
     BallDomain,
     BoundarySamples,
@@ -31,11 +31,26 @@ from qpos.geometry import (
     zq_metric_pipeline,
 )
 from qpos.geometry.bump import ETA_FACTOR, ETA_STEPS, _eta_dual, _find_delta0
+from qpos.geometry.domains import FD_HESSIAN_STEP, FD_STEP
 from qpos.geometry.levi import KNN, MIN_GRADIENT, NEWTON_MAX_ITER, NEWTON_TOL, newton_project
 from qpos.hermitian import sign_counts
 from qpos.synthetic import random_unitary
 
 MU = [2.0, 2.0, -0.5, -0.5]
+
+
+def _unit_sphere(z):
+    return np.sum(np.abs(z) ** 2, axis=-1) - 1.0
+
+
+class IndefWeight:
+    """|z1|^2 + |z2|^2 - 3 |z3|^2, with its one constant Hessian for every point."""
+
+    def __call__(self, z):
+        return np.sum(np.abs(z) ** 2 * [1.0, 1.0, -3.0], axis=-1)
+
+    def hessian(self, z):
+        return np.diag([1.0, 1.0, -3.0]).astype(complex)
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +76,7 @@ def test_hessian_of_squared_norm_is_identity_block():
 
 
 def test_hessian_of_pluriharmonic_is_zero():
-    f = lambda z: float(np.real(z[0]))
+    f = lambda z: np.real(z[..., 0])
     M = complex_hessian(f, np.array([0.4 + 0.2j, -0.1j]))
     assert np.max(np.abs(M)) < 1e-7
 
@@ -82,12 +97,13 @@ def test_quadric_analytic_hessians_match_fd(quadric, rng):
 
 def test_mqn_inertia_profile(rng):
     m = MqnManifold(3, 2)
-    for chart, z in m.sample_chart_points(rng, 60):
-        assert inertia(m.weight_fn(chart).hessian(z)).as_tuple() == (2, 1, 0)
-    for chart, z in m.sample_chart_points(rng, 30, on_S=True):
-        lam = np.linalg.eigvalsh(m.weight_fn(chart).hessian(z))
-        assert lam[0] >= -1e-8  # the q - 1 negative eigenvalues vanish on S
-        assert np.sum(lam > 1e-8) == 2
+    chart, z = m.sample_chart_points(rng, 60)
+    n_plus, n_minus = sign_counts(np.linalg.eigvalsh(m.weight_fn(chart).hessian(z)))
+    assert n_plus.tolist() == [2] * 60 and n_minus.tolist() == [1] * 60
+    chart, z = m.sample_chart_points(rng, 30, on_S=True)
+    lam = np.linalg.eigvalsh(m.weight_fn(chart).hessian(z))
+    assert np.all(lam[:, 0] >= -1e-8)  # the q - 1 negative eigenvalues vanish on S
+    assert np.all(np.sum(lam > 1e-8, axis=1) == 2)
 
 
 # ------------------------------------------------------------------ Levi forms
@@ -100,11 +116,9 @@ def test_ball_levi_is_positive():
 
 
 def test_levi_scaling_by_defining_function():
-    base = CustomDomain(n=2, rho=lambda z: float(np.sum(np.abs(z) ** 2) - 1.0))
-    doubled = CustomDomain(n=2, rho=lambda z: 2.0 * (float(np.sum(np.abs(z) ** 2)) - 1.0))
-    fancy = CustomDomain(
-        n=2, rho=lambda z: (1.0 + float(np.sum(np.abs(z) ** 2)))
-        * (float(np.sum(np.abs(z) ** 2)) - 1.0))
+    base = CustomDomain(n=2, rho=_unit_sphere)
+    doubled = CustomDomain(n=2, rho=lambda z: 2.0 * _unit_sphere(z))
+    fancy = CustomDomain(n=2, rho=lambda z: (2.0 + _unit_sphere(z)) * _unit_sphere(z))
     s = sample_boundary(base, 10, seed=2)
     L0 = levi_forms(base, s)
     L2 = levi_forms(doubled, replace(s, w=doubled.rho_dz(s.z, s.chart)))
@@ -169,13 +183,6 @@ def _chart_points(domain, rng, count):
     return z, chart
 
 
-def _fd_hessian_reference(f, z):
-    # step 1e-4 ~ eps^(1/4), the usual step for central second differences:
-    # rounding eps |terms| / h^2 and truncation h^2 |f^(4)| are both about 1e-8;
-    # at the default step 1e-5 the rounding alone exceeds 1e-5 on the product domain
-    return fd_complex_hessian(f, z, step=1e-4)
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.sampled_from([QuadricDomain(mu=MU, n=3, q=2),
                         QuadricDomain(mu=[2.0, 2.0, 2.0, -0.5, -0.5], n=4, q=2),
@@ -198,30 +205,92 @@ def test_batched_domain_matches_rows_and_fd(domain, seed):
 
         weight = domain.weight_fn(chart[i])
         for f, fd, an in ((rho, fd_complex_gradient, batched["rho_dz"][i]),
-                          (rho, _fd_hessian_reference, batched["rho_hessian"][i]),
-                          (weight, _fd_hessian_reference, batched["weight_hessian"][i])):
+                          (rho, fd_complex_hessian, batched["rho_hessian"][i]),
+                          (weight, fd_complex_hessian, batched["weight_hessian"][i])):
             scale = max(1.0, abs(float(f(z[i]))), np.max(np.abs(an)))
             assert np.max(np.abs(fd(f, z[i]) - an)) <= 1e-5 * scale
 
 
-def test_custom_domain_rows_match_callbacks(rng):
+def _fd_gradient_loop(f, z, step):
+    """Reference: one point's central differences, one coordinate at a time."""
+    n = z.size
+    out = np.empty(n, dtype=complex)
+    for j in range(n):
+        ex = np.zeros(n, dtype=complex)
+        ex[j] = step
+        dx = (f(z + ex) - f(z - ex)) / (2 * step)
+        dy = (f(z + 1j * ex) - f(z - 1j * ex)) / (2 * step)
+        out[j] = 0.5 * (dx - 1j * dy)
+    return out
+
+
+def _fd_hessian_loop(f, z, step):
+    """Reference: one point's second differences, one pair of real directions at a time."""
+    n = z.size
+    f0 = f(z)
+
+    def d2(u, v):
+        if u is v or np.array_equal(u, v):
+            return (f(z + u) - 2.0 * f0 + f(z - u)) / (step * step)
+        return (f(z + u + v) - f(z + u - v) - f(z - u + v) + f(z - u - v)) / (4 * step * step)
+
+    ex = [np.eye(n, dtype=complex)[j] * step for j in range(n)]
+    ey = [1j * e for e in ex]
+    A = np.empty((n, n), dtype=complex)
+    for j in range(n):
+        for k in range(n):
+            re = d2(ex[j], ex[k]) + d2(ey[j], ey[k])
+            im = d2(ex[j], ey[k]) - d2(ey[j], ex[k])
+            A[j, k] = 0.25 * (re + 1j * im)
+    return A.T
+
+
+def test_fd_derivatives_match_per_point_loops(quadric, rng):
+    # one callback call per stack, with the loops' arithmetic: equal bit for bit
     def rho(z):
-        return float(np.sum(np.abs(z) ** 2) - 1.0 + 0.3 * np.real(z[0] * np.conj(z[1])))
+        return quadric.rho(z, 1)
 
-    def weight(z):
-        return float(np.sum(np.abs(z) ** 2) ** 2)
-
-    dom = CustomDomain(n=3, rho=rho, weight=weight)
-    z = rng.standard_normal((2, 4, 3)) + 1j * rng.standard_normal((2, 4, 3))
-    values = (dom.rho(z), dom.rho_dz(z), dom.rho_hessian(z), dom.weight_hessian(z))
+    z = rng.standard_normal((200, 3)) + 1j * rng.standard_normal((200, 3))
+    grad, hess = fd_complex_gradient(rho, z), fd_complex_hessian(rho, z)
+    for i in range(len(z)):
+        assert_array_equal(grad[i], _fd_gradient_loop(rho, z[i], FD_STEP))
+        assert_array_equal(hess[i], _fd_hessian_loop(rho, z[i], FD_HESSIAN_STEP))
+    # one point in, one point out
+    assert_array_equal(fd_complex_gradient(rho, z[0]), grad[0])
+    assert_array_equal(fd_complex_hessian(rho, z[0]), hess[0])
+    # a CustomDomain hands its stacks to the same functions; one analytic (n, n)
+    # weight Hessian serves every point
+    zz = z[:8].reshape(2, 4, 3)
+    dom = CustomDomain(n=3, rho=rho, weight=lambda x: rho(x) ** 2)
+    values = (dom.rho(zz), dom.rho_dz(zz), dom.rho_hessian(zz), dom.weight_hessian(zz))
     assert [v.shape for v in values] == [(2, 4), (2, 4, 3), (2, 4, 3, 3), (2, 4, 3, 3)]
-    for i in np.ndindex(2, 4):
-        assert values[0][i] == rho(z[i])
-        assert_array_equal(values[1][i], fd_complex_gradient(rho, z[i]))
-        assert_array_equal(values[2][i], fd_complex_hessian(rho, z[i]))
-        assert_array_equal(values[3][i], fd_complex_hessian(weight, z[i]))
-    assert dom.rho(z[0, 0]) == rho(z[0, 0])  # one point stays one point
-    assert_array_equal(dom.rho_hessian(z[0, 0]), fd_complex_hessian(rho, z[0, 0]))
+    assert_array_equal(values[1].reshape(8, 3), grad[:8])
+    assert_array_equal(values[2].reshape(8, 3, 3), hess[:8])
+    assert_array_equal(values[3], fd_complex_hessian(lambda x: rho(x) ** 2, zz))
+    assert dom.rho(z[0]) == rho(z[0])
+    indef = CustomDomain(n=3, rho=rho, weight=IndefWeight())
+    assert_array_equal(indef.weight_hessian(zz),
+                       np.broadcast_to(np.diag([1.0, 1.0, -3.0]), (2, 4, 3, 3)))
+    with pytest.raises(QposError, match="no weight function"):
+        CustomDomain(n=3, rho=rho).weight_hessian(zz)
+
+
+def test_custom_domain_callback_calls_do_not_grow_with_samples():
+    # rho takes stacks: sampling and the Levi forms call it once per Newton step
+    # and per derivative, whatever the sample count
+    counts = []
+    for count in (10, 100):
+        calls = []
+        dom = CustomDomain(n=3, rho=lambda z: calls.append(z.shape) or _unit_sphere(z))
+        levi_forms(dom, sample_boundary(dom, count, seed=1))
+        counts.append(len(calls))
+    assert counts[0] == counts[1], counts
+
+
+def test_sample_boundary_reports_an_empty_zero_set():
+    dom = CustomDomain(n=2, rho=lambda z: np.sum(np.abs(z) ** 2, axis=-1) + 1.0)
+    with pytest.raises(BoundNotFound, match="only 0 of 5 boundary samples converged"):
+        sample_boundary(dom, 5, seed=1)
 
 
 def test_quadric_inclusion_in_model_manifold(quadric, rng):
@@ -308,7 +377,7 @@ def test_zq_product_domain():
 
 def test_zq_fails_on_levi_flat():
     # tube-like domain |z1| = 1 in C^2: the Levi form vanishes identically
-    dom = CustomDomain(n=2, rho=lambda z: float(abs(z[0]) ** 2 - 1.0))
+    dom = CustomDomain(n=2, rho=lambda z: np.abs(z[..., 0]) ** 2 - 1.0)
 
     def seeds(rng, count):
         Z = rng.standard_normal((count, 2)) + 1j * rng.standard_normal((count, 2))
@@ -351,8 +420,7 @@ def test_pipeline_product_domain():
 def test_pipeline_branch_ii_negative_levi():
     # reversed ball: rho = 1 - |z|^2 makes the Levi form negative definite;
     # with n = 3, q = 1 that is branch (ii) and the pipeline runs on -L
-    dom = CustomDomain(n=3, rho=lambda z: 1.0 - float(np.sum(np.abs(z) ** 2)),
-                       seed_box=1.0)
+    dom = CustomDomain(n=3, rho=lambda z: -_unit_sphere(z), seed_box=1.0)
     samples = sample_boundary(dom, 25, seed=6)
     rep = zq_check(dom, 1, samples)
     assert set(rep.branch) == {"ii"}
@@ -391,16 +459,7 @@ def test_weight_bump_quadric(quadric, quadric_samples):
 
 
 def test_weight_bump_finite_eta_regime():
-    class IndefWeight:
-        def __call__(self, z):
-            z = np.asarray(z, dtype=complex)
-            return float(abs(z[0]) ** 2 + abs(z[1]) ** 2 - 3.0 * abs(z[2]) ** 2)
-
-        def hessian(self, z):
-            return np.diag([1.0, 1.0, -3.0]).astype(complex)
-
-    dom = CustomDomain(n=3, rho=lambda z: float(np.sum(np.abs(z) ** 2) - 1.0),
-                       weight=IndefWeight(), seed_box=0.8)
+    dom = CustomDomain(n=3, rho=_unit_sphere, weight=IndefWeight(), seed_box=0.8)
     samples = sample_boundary(dom, 60, seed=7)
     rep = weight_bump(dom, 2, samples)
     assert np.isfinite(rep.eta) and rep.eta > 1e-8
@@ -557,16 +616,7 @@ def test_delta0_needs_no_fallback_for_singular_weight_hessian():
 def test_weight_bump_negative_control_probes_larger_eps():
     # observational only: at 10x the bound the third claim may fail; the
     # report records the count rather than asserting it
-    class IndefWeight:
-        def __call__(self, z):
-            z = np.asarray(z, dtype=complex)
-            return float(abs(z[0]) ** 2 + abs(z[1]) ** 2 - 3.0 * abs(z[2]) ** 2)
-
-        def hessian(self, z):
-            return np.diag([1.0, 1.0, -3.0]).astype(complex)
-
-    dom = CustomDomain(n=3, rho=lambda z: float(np.sum(np.abs(z) ** 2) - 1.0),
-                       weight=IndefWeight(), seed_box=0.8)
+    dom = CustomDomain(n=3, rho=_unit_sphere, weight=IndefWeight(), seed_box=0.8)
     samples = sample_boundary(dom, 60, seed=7)
     rep = weight_bump(dom, 2, samples)
     assert rep.large_eps_claim3_failures >= 0
@@ -588,15 +638,8 @@ def test_certificates_and_bump_claims_share_one_pass_rule(tmp_path, monkeypatch,
     assert np.all(rep.claim1_pass) and min(rep.claim2_min.min(), rep.claim3_min.min()) > 0
     assert not rep.all_claims_pass
 
-    class IndefWeight:  # the finite-eta weight above: its control runs
-        def __call__(self, z):
-            return float(np.sum(np.abs(np.asarray(z)) ** 2 * [1.0, 1.0, -3.0]))
-
-        def hessian(self, z):
-            return np.diag([1.0, 1.0, -3.0]).astype(complex)
-
-    dom = CustomDomain(n=3, rho=lambda z: float(np.sum(np.abs(z) ** 2) - 1.0),
-                       weight=IndefWeight(), seed_box=0.8)
+    # the finite-eta weight: its control runs
+    dom = CustomDomain(n=3, rho=_unit_sphere, weight=IndefWeight(), seed_box=0.8)
     samples = sample_boundary(dom, 60, seed=7)
     assert weight_bump(dom, 2, samples).large_eps_claim3_failures == len(samples)
     quad = tmp_path / "quadric.json"

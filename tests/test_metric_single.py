@@ -14,6 +14,7 @@ from qpos import (
     FieldPoint,
     FormField,
     HypothesisViolated,
+    NoSpectralGap,
     ProjectorRoutesDisagree,
     inertia,
     negative_projector,
@@ -231,6 +232,17 @@ def test_negative_projector_diagonal():
 def test_negative_projector_r_zero():
     P = negative_projector(np.eye(3), np.eye(3), 0)
     assert_allclose(P, np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("eigs, r, message", [
+    ([-1.0, 0.0, 0.0], 2, "both near zero"),          # lam_r and lam_(r+1) vanish
+    ([-1.0, 0.0], 2, "both near zero"),               # r = d with lam_r zero
+    ([-1.0, 1.0, 2.0], 2, "is not negative"),
+    ([-2.0, -1.0, 3.0], 1, "r does not split the spectrum"),
+])
+def test_negative_projector_needs_a_gap_at_r(eigs, r, message):
+    with pytest.raises(NoSpectralGap, match=message):
+        negative_projector(np.diag(eigs), np.eye(len(eigs)), r)
 
 
 def test_negative_projector_dual_route_random(rng):

@@ -191,7 +191,8 @@ SIGNATURES = {
     "qpos.pair": {"PairState": "Q1 Q2 base", "trace_level_curve": "pair n_angles",
                   "pair_metric": "pair"},
     "qpos.metric_subbundle": {"choose_C": "A1 A2 A3 q"},
-    "qpos.geometry.domains": {"complex_hessian": "phi p",
+    "qpos.geometry.domains": {"complex_hessian": "phi p", "fd_complex_gradient": "f z",
+                              "fd_complex_hessian": "f z",
                               "CustomDomain": "n rho weight seed_box scale"},
     "qpos.fields": {
         "FormField.from_stacks": "ids forms subspace g0 in_F neighbors has_g0 has_forms dim"},
@@ -954,7 +955,7 @@ BAD_INPUT_CASES = [
     "field_g0_not_positive_definite", "field_g0_not_hermitian", "field_subspace_rank_mismatch",
     "field_subspace_at_some_points", "field_neighbor_names_no_point",
     "field_id_nan", "field_id_array", "field_id_object", "field_id_bool", "field_neighbor_bool",
-    "metric_id_bool", "metric_id_nan", "domain_mqn",
+    "metric_id_bool", "metric_id_nan", "metric_id_unhashable", "domain_mqn",
     "levi_seed_negative", "bump_seed_negative",
     "single_margin_inf", "single_margin_nan", "single_margin_0", "single_margin_negative",
     "subbundle_safety_nan", "subbundle_safety_inf", "subbundle_safety_negative",
@@ -1055,15 +1056,16 @@ def test_cli_rejects_bad_input_with_exit_1(tmp_path, case):
     elif case == "metric_missing_id":
         metric.write_text(dumps_canonical(metrics_to_json(["p0"], [np.eye(2)])))
         argv, named = check + ("--q", 1, "--metric", metric), f"{metric}.metrics"
-    elif case in ("metric_id_bool", "metric_id_nan"):
-        # a true id used to serve as the metric of the point with id 1, and a NaN
-        # id to be ignored
+    elif case in ("metric_id_bool", "metric_id_nan", "metric_id_unhashable"):
+        # a true id used to serve as the metric of the point with id 1, a NaN
+        # id to be ignored, and a list id to be named by the file alone
         doc = json.loads(path.read_text())
         doc["points"][1]["id"] = 1
         path.write_text(json.dumps(doc))
         metric.write_text(json.dumps({"metrics": [
             {"id": "p0", "matrix": matrix_to_json(np.eye(2))},
-            {"id": True if case == "metric_id_bool" else float("nan"),
+            {"id": {"metric_id_bool": True, "metric_id_nan": float("nan"),
+                    "metric_id_unhashable": [1]}[case],
              "matrix": matrix_to_json(np.eye(2))}]}))
         argv, named = check + ("--q", 1, "--metric", metric), f"{metric}.metrics[1].id"
     elif case == "metric_malformed_json":
