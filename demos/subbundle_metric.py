@@ -12,7 +12,8 @@ from qpos.hermitian import pencil_eigvalsh
 from qpos.synthetic import planted_subbundle_field
 
 rng = np.random.default_rng(3)
-field, gamma = planted_subbundle_field(rng, 200, 5, 2)
+field = planted_subbundle_field(rng, 200, 5, 2)  # gamma is each point's g0
+gamma = field.g0
 
 print("before: 2-smallest eigenvalue sums relative to gamma")
 for name in ("Q1", "Q2", "Q3"):
@@ -20,7 +21,7 @@ for name in ("Q1", "Q2", "Q3"):
     print(f"  {name}: min {lam[:, :2].sum(axis=1).min():+.4f}"
           f"  (negative somewhere -> not 2-positive yet)")
 
-h, certs, consts = synthesize_subbundle(field, ["Q1", "Q2", "Q3"], 2, gamma=gamma)
+h, certs, consts = synthesize_subbundle(field, ["Q1", "Q2", "Q3"], 2)
 
 print("\npenalty constants per form (A1 min on V, A2 complement, A3 coupling):")
 for name, c in consts.items():

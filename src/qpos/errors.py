@@ -104,7 +104,7 @@ class NoCommonDirection(QposError):
     on the unit sphere.
     """
 
-    def __init__(self, point_id=None, t=None, lam_max=None):
+    def __init__(self, point_id, t=None, lam_max=None):
         msg = "no common positive direction"
         if point_id is not None:
             msg += f" at point {point_id!r}"
@@ -117,7 +117,7 @@ class NoCommonDirection(QposError):
 
 
 class LevelNotReached(QposError):
-    def __init__(self, theta, radius, point_id=None):
+    def __init__(self, theta, radius, point_id):
         where = "" if point_id is None else f" at point {point_id!r}"
         super().__init__(
             f"level set not reached{where} along the ray at angle {theta:.6f} "

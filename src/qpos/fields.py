@@ -71,6 +71,8 @@ class FormField:
         a form some point lacks.  Each stack is copied and checked once against the
         rules the module docstring lists; a defect at a point raises a ``_defect``."""
         field, ids = cls.__new__(cls), list(ids)
+        if dim is None and not forms:
+            raise DimensionMismatch("a field without forms needs its dim")
         n, d = len(ids), int(next(iter(forms.values())).shape[-1] if dim is None else dim)
         field.dim, field.ids, index = d, ids, {}
         for row, i in enumerate(ids):

@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import QposError, SchemaError
+from ..errors import DimensionMismatch, QposError, SchemaError
 from ..hermitian import row_norm
 
 FD_STEP = 1e-5
 FD_HESSIAN_STEP = 1e-4
+RADIUS_MAX = 1e100  # a Newton step multiplies rho ~ R^2 by d rho ~ R, so R^3 stays finite
 
 
 # ---------------------------------------------------------------------------
@@ -39,12 +40,22 @@ def _shifts(n: int, h: float) -> np.ndarray:
     return np.concatenate([d, -d])
 
 
+def _values(f, z) -> np.ndarray:
+    """``f(z)`` for points z (..., n): values of a shape other than (...) raise."""
+    F = np.asarray(f(z))
+    if F.shape != z.shape[:-1]:
+        raise DimensionMismatch(f"callback maps points {z.shape} to values {F.shape}, not "
+                                f"{z.shape[:-1]}; a one-point u is lambda z: "
+                                "np.apply_along_axis(u, -1, z)")
+    return F
+
+
 def fd_complex_gradient(f, z) -> np.ndarray:
     """d f / d z_j by central differences at step FD_STEP: (d/dx - i d/dy) / 2, with
     ``f`` called once, on the 4n shifted copies of every point of ``z`` (..., n)."""
     z = np.asarray(z, dtype=complex)
     n = z.shape[-1]
-    F = f(z[..., None, :] + _shifts(n, FD_STEP))
+    F = _values(f, z[..., None, :] + _shifts(n, FD_STEP))
     d = (F[..., :2 * n] - F[..., 2 * n:]) / (2 * FD_STEP)
     return 0.5 * (d[..., :n] - 1j * d[..., n:])
 
@@ -59,8 +70,8 @@ def fd_complex_hessian(f, z) -> np.ndarray:
     z = np.asarray(z, dtype=complex)
     n, h = z.shape[-1], FD_HESSIAN_STEP
     u, m = _shifts(n, h), 2 * n
-    F = f(z[..., None, :] + np.concatenate([np.zeros((1, n)), u,
-                                            (u[:, None] + u).reshape(-1, n)]))
+    F = _values(f, z[..., None, :] + np.concatenate([np.zeros((1, n)), u,
+                                                     (u[:, None] + u).reshape(-1, n)]))
     Fu, P = F[..., 1:2 * m + 1], F[..., 2 * m + 1:].reshape(F.shape[:-1] + (2 * m, 2 * m))
     pure = (Fu[..., :m] - 2.0 * F[..., :1] + Fu[..., m:]) / (h * h)
     mixed = (P[..., :m, :m] - P[..., :m, m:] - P[..., m:, :m] + P[..., m:, m:]) / (4 * h * h)
@@ -379,17 +390,15 @@ class CustomDomain(Domain):
     stack in one call; ``weight`` may carry an analytic ``hessian(z)``,
     whose one (n, n) matrix, if that is what it returns, serves every point.
     A one-point function u becomes such a callback as
-    ``lambda z: np.apply_along_axis(u, -1, z)``.
+    ``lambda z: np.apply_along_axis(u, -1, z)``; the finite differences refuse other shapes.
     """
 
-    def __init__(self, n: int, rho, weight=None, seed_box: float = 1.5,
-                 scale: float = 1.0):
+    def __init__(self, n: int, rho, weight=None, seed_box: float = 1.5):
         self.n = n
         self._rho = rho
         self._weight = weight
         self.charts = ("affine",)
         self.seed_box = seed_box
-        self.scale = scale
 
     def rho(self, z, chart=0):
         return self._rho(np.asarray(z, dtype=complex))
@@ -461,8 +470,8 @@ def domain_from_spec(spec, path: str = "domain") -> Domain:
 
     A malformed description raises SchemaError naming the JSON path below
     ``path`` (for example ``quad.json.mu``): a missing or mistyped key, an
-    integer out of range (n >= 2, 1 <= q <= n, product q >= 2), a
-    nonpositive radius, a ``mu`` the quadric rejects, or an unknown type.
+    integer out of range (n >= 2, 1 <= q <= n, product q >= 2), a radius
+    outside (0, RADIUS_MAX], a ``mu`` the quadric rejects, or an unknown type.
     There is no custom type: a data file never names code to run; nor an
     ``MqnManifold`` one, as no command can use that manifold.
     """
@@ -482,8 +491,8 @@ def domain_from_spec(spec, path: str = "domain") -> Domain:
                    f"an integer >= {low}" + (f" and <= {high}" if high else ""))
 
     def radius():
-        return float(get("radius", lambda v: isinstance(v, (int, float)) and 0 < v < np.inf,
-                         "a positive number", 1.0))
+        return float(get("radius", lambda v: isinstance(v, (int, float)) and 0 < v <= RADIUS_MAX,
+                         f"a positive number at most {RADIUS_MAX:g}", 1.0))
 
     kind = spec.get("type")
     if kind == "ball":

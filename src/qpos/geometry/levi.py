@@ -95,7 +95,7 @@ def kernel_frame(w) -> tuple[np.ndarray, np.ndarray]:
     return L, nu
 
 
-def sample_boundary(domain: Domain, count: int, seed: int = 0) -> BoundarySamples:
+def sample_boundary(domain: Domain, count: int, seed: int) -> BoundarySamples:
     """Newton-projected boundary samples with valid frames.
 
     Draws ``count`` seed points per round, for at most MAX_ROUNDS rounds,

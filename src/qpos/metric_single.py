@@ -64,7 +64,7 @@ RIESZ_CHECK_COUNT = 4
 ROUTES_AGREE = 1e-8  # 2-norm distance within which the pencil and Riesz projectors agree
 
 
-def negative_projector(S, g, r: int, nodes: int | None = None) -> np.ndarray:
+def negative_projector(S, g, r: int) -> np.ndarray:
     """g-orthogonal projector onto the span of the r negative eigenvectors.
 
     Computed from the pencil eigenvectors, and cross-checked against a Riesz
@@ -74,10 +74,9 @@ def negative_projector(S, g, r: int, nodes: int | None = None) -> np.ndarray:
     (lam_1 + lam_r) / 2; with a = (lam_r - lam_1) / 2 > 0 and r < d its radius
     sqrt(a (a + lam_(r+1) - lam_r)) makes the largest inner ratio
     |lam - center| / radius equal the largest outer ratio
-    radius / |lam - center|, otherwise it is -lam_1 / 2.  With
-    ``nodes=None`` the quadrature node count is chosen from the trapezoid
-    error law |u|^N so the comparison is meaningful at any spectral
-    separation.
+    radius / |lam - center|, otherwise it is -lam_1 / 2.  The quadrature node
+    count is chosen from the trapezoid error law |u|^N so the comparison is
+    meaningful at any spectral separation.
     """
     M = as_form(S)
     G = as_metric(g)
@@ -105,10 +104,9 @@ def negative_projector(S, g, r: int, nodes: int | None = None) -> np.ndarray:
     else:
         radius = -lam[0] / 2.0
     disc = Disc(center=(lam[0] + lam[r - 1]) / 2.0, radius=radius)
-    if nodes is None:
-        u = np.abs(lam - disc.center) / disc.radius
-        rho = max(np.max(u[:r]), np.max(1.0 / u[r:], initial=0.0))
-        nodes = int(min(max(32, np.ceil(np.log(1e-11) / np.log(rho))), 8192))
+    u = np.abs(lam - disc.center) / disc.radius
+    rho = max(np.max(u[:r]), np.max(1.0 / u[r:], initial=0.0))
+    nodes = int(min(max(32, np.ceil(np.log(1e-11) / np.log(rho))), 8192))
     PT = riesz_projector(T, disc, nodes=nodes).matrix
     distance = np.linalg.norm(W @ PT @ W_inv - P, 2)
     if distance > ROUTES_AGREE:

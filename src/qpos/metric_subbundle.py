@@ -6,7 +6,8 @@ inflating lengths transverse to V:
 
     h(z, w) = gamma(z, w) + kappa * gamma(P_perp z, P_perp w),
 
-where P_perp is the gamma-orthogonal projection onto the complement of V.
+where gamma is each point's g0 (the identity where a point gives none) and
+P_perp is the gamma-orthogonal projection onto the complement of V.
 The required penalty kappa is controlled by three constants per form:
 
     A1 = min over points of the smallest eigenvalue of the restriction to V,
@@ -57,9 +58,9 @@ class PenaltyConstants:
             - 2.0 * self.q * self.A3 / np.sqrt(1.0 + self.C)
 
 
-def _adapted_frames(field: FormField, gamma: np.ndarray, q: int):
+def _adapted_frames(field: FormField, q: int):
     """Per-point gamma-orthonormal frames [B_V | B_W], batched, and the
-    congruence W of gamma (W* gamma W = I) that completes them.
+    congruence W of gamma = ``field.g0`` (W* gamma W = I) that completes them.
 
     Validates that the stored subspace bases are gamma-orthonormal of rank
     d - q + 1 and completes them with the gamma-orthogonal complement.
@@ -69,14 +70,14 @@ def _adapted_frames(field: FormField, gamma: np.ndarray, q: int):
     if BV is None or BV.shape[-1] != k:
         raise QposError(f"the field carries no subbundle fibers of rank {k}" + (
             "" if BV is None else f"; its fibers have rank {BV.shape[-1]}"))
-    gram = np.conj(np.swapaxes(BV, -1, -2)) @ gamma @ BV
+    gram = np.conj(np.swapaxes(BV, -1, -2)) @ field.g0 @ BV
     defect = np.linalg.norm(gram - np.eye(k), axis=(1, 2))
     if np.any(defect > TAU_ORTH):
         i = int(np.argmax(defect))
         raise BasisNotOrthonormal(
             f"subspace basis at {field.ids[i]!r} is not gamma-orthonormal "
             f"(defect {defect[i]:.3e})")
-    W, W_inv = congruence(gamma)         # W* gamma W = I
+    W, W_inv = congruence(field.g0)      # W* gamma W = I
     Vt = W_inv @ BV                      # orthonormal in standard coords
     Ufull, _, _ = np.linalg.svd(Vt)
     Wt = Ufull[:, :, k:]                 # orthocomplement of range(Vt)
@@ -84,17 +85,16 @@ def _adapted_frames(field: FormField, gamma: np.ndarray, q: int):
     return BV, BW, W
 
 
-def compute_constants(field: FormField, forms, gamma, q: int) -> dict:
+def compute_constants(field: FormField, forms, q: int) -> dict:
     """``{name: PenaltyConstants}`` (kappa = C) over the field, from one adapted frame.
 
     A3 from the off-diagonal block is checked per point against the coarser
-    bound max(|lam_1|, |lam_max|) of the full form relative to gamma.  One
-    factorization of gamma serves the frames and those bounds, and each
+    bound max(|lam_1|, |lam_max|) of the full form relative to gamma = ``field.g0``.
+    One factorization of gamma serves the frames and those bounds, and each
     quantity is one stacked solve over the forms and points; the forms are
     checked in order.
     """
-    gamma = _gamma_stack(field, gamma)
-    BV, BW, W = _adapted_frames(field, gamma, q)
+    BV, BW, W = _adapted_frames(field, q)
     BVh = np.conj(np.swapaxes(BV, -1, -2))
     BWh = np.conj(np.swapaxes(BW, -1, -2))
     H = np.stack([field.form_stack(form) for form in forms])  # (forms, N, d, d)
@@ -105,7 +105,7 @@ def compute_constants(field: FormField, forms, gamma, q: int) -> dict:
         A2s = np.max(np.abs(np.linalg.eigvalsh(BWh @ H @ BW)), axis=(1, 2))
         off = np.linalg.svd(BWh @ H @ BV, compute_uv=False)[..., 0]
         A3s = np.max(off, axis=1)
-        lam_full = pencil_eigvalsh(H, gamma, W)
+        lam_full = pencil_eigvalsh(H, field.g0, W)
         coarse = np.maximum(np.abs(lam_full[..., 0]), np.abs(lam_full[..., -1]))
         loose = np.any(off > coarse + 1e-8 * np.maximum(1.0, coarse), axis=1)
     constants = {}
@@ -160,16 +160,10 @@ def build_penalty_metric(gamma, V_basis, kappa: float) -> np.ndarray:
     return 0.5 * (H + np.conj(np.swapaxes(H, -1, -2)))
 
 
-def _gamma_stack(field: FormField, gamma) -> np.ndarray:
-    """The (N, d, d) base metrics: ``gamma`` (one or per point), else g0; read-only."""
-    return field.g0 if gamma is None else \
-        np.broadcast_to(np.asarray(gamma, dtype=complex), field.g0.shape)
-
-
-def synthesize_subbundle(field: FormField, forms, q: int, gamma=None,
-                         safety: float = 1.0):
+def synthesize_subbundle(field: FormField, forms, q: int, safety: float = 1.0):
     """Penalty metric making every named form strictly q-positive at once.
 
+    gamma is each point's checked ``g0``, the identity where a point gives none.
     kappa is the maximum of the per-form constants C (times ``safety``, an
     inflation factor for unseen points, finite and nonnegative, else
     ValueError; the sampled constants are exact only on the sample).  Returns
@@ -179,11 +173,10 @@ def synthesize_subbundle(field: FormField, forms, q: int, gamma=None,
         raise ValueError("need at least one form name")
     if not 0 <= safety < np.inf:
         raise ValueError(f"safety must be nonnegative and finite, got {safety}")
-    gamma = _gamma_stack(field, gamma)
-    constants = compute_constants(field, forms, gamma, q)
+    constants = compute_constants(field, forms, q)
     kappa = safety * max(c.C for c in constants.values())
     constants = {name: replace(c, kappa=kappa) for name, c in constants.items()}
-    h = build_penalty_metric(gamma, field.subspace, kappa)
+    h = build_penalty_metric(field.g0, field.subspace, kappa)
     certificates = certify_forms(field, forms, q, h, "penalty_metric")
     require_passed(certificates, f"strict {q}-positivity")
     return h, certificates, constants

@@ -106,9 +106,9 @@ def xi_eval(pair: PairState, x) -> XiEvaluation:
                                           for Rr in R]))
 
 
-def find_common_direction(Q1, Q2, base=None):
-    """Single-pair ``common_direction``: a base-unit witness, or None (proved up to the floor)."""
-    pair = PairState(Q1, Q2, base=base)
+def find_common_direction(Q1, Q2):
+    """Single-pair ``common_direction``: a unit witness, or None (proved up to the floor)."""
+    pair = PairState(Q1, Q2)
     _, _, V = common_direction(pair._Q1t[None], pair._Q2t[None])
     return None if np.isnan(V[0, 0]) else pair._W @ V[0]
 

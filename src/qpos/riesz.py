@@ -28,7 +28,6 @@ import numpy as np
 from .errors import EigenvalueOnContour, NearSingularResolvent
 from .hermitian import as_form
 
-DEFAULT_NODES = 64
 MIN_NODES = 8
 TAU_SEP_RESOLVENT = 1e-8
 TAU_SEP_CONTOUR = 1e-6  # times radius
@@ -86,7 +85,7 @@ def _separation(lam, disc: Disc) -> float:
     return sep
 
 
-def riesz_projector(T, disc: Disc, nodes: int = DEFAULT_NODES) -> ProjectorResult:
+def riesz_projector(T, disc: Disc, nodes: int) -> ProjectorResult:
     """Spectral projector for eigenvalues of T inside the disc, by quadrature.
 
     Uses the N-point trapezoid rule on the circle (N = ``nodes``) but solves

@@ -547,7 +547,7 @@ def metrics_to_json(ids, metrics) -> dict:
     }
 
 
-def metrics_from_json(obj, dim, path="metrics"):
+def metrics_from_json(obj, dim, path):
     """A metrics file as ``(rows, G)``: its matrices as one (N, dim, dim) stack and
     the row of each id in it (the last, where an id repeats)."""
     try:

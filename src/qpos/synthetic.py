@@ -18,9 +18,9 @@ def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
     return Q * (np.diag(R) / np.abs(np.diag(R)))
 
 
-def random_hermitian(rng: np.random.Generator, d: int, scale: float = 1.0) -> np.ndarray:
+def random_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
     Z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return scale * 0.5 * (Z + Z.conj().T)
+    return 0.5 * (Z + Z.conj().T)
 
 
 def hermitian_with_eigs(rng: np.random.Generator, eigs) -> np.ndarray:
@@ -90,8 +90,8 @@ def planted_subbundle_field(rng: np.random.Generator, n_points: int, d: int, q: 
                             form_names=("Q1", "Q2", "Q3")):
     """Subbundle field: rank d-q+1 subspace V with all forms PD on V.
 
-    Returns ``(field, gamma)`` where ``gamma`` is the per-point metric stack
-    the subspace bases are orthonormal against.
+    Each point's ``g0`` is the random metric gamma its subspace basis is
+    orthonormal against.
     """
     k = d - q + 1
     forms = {name: np.empty((n_points, d, d), dtype=complex) for name in form_names}
@@ -112,14 +112,13 @@ def planted_subbundle_field(rng: np.random.Generator, n_points: int, d: int, q: 
             # form with prescribed blocks in the gamma-orthonormal frame
             forms[name][i] = Finv.conj().T @ QF @ Finv
         gammas[i], BV[i] = gamma, frame[:, :k]
-    return FormField.from_stacks([f"p{i}" for i in range(n_points)], forms, subspace=BV), gammas
+    return FormField.from_stacks([f"p{i}" for i in range(n_points)], forms, subspace=BV, g0=gammas)
 
 
-def random_pair_with_common_direction(rng: np.random.Generator, d: int,
-                                      margin: float = 0.3):
+def random_pair_with_common_direction(rng: np.random.Generator, d: int):
     """Pair of Hermitian forms guaranteed to share a positive direction.
 
-    Both forms are given value >= margin on a common random unit vector, with
+    Both forms are given value >= 0.3 on a common random unit vector, with
     otherwise arbitrary (possibly very indefinite) structure.
     """
     v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
@@ -128,6 +127,6 @@ def random_pair_with_common_direction(rng: np.random.Generator, d: int,
     for _ in range(2):
         Q = random_hermitian(rng, d)
         val = float(np.real(v.conj() @ Q @ v))
-        want = rng.uniform(margin, 1.0)
+        want = rng.uniform(0.3, 1.0)
         out.append(Q + (want - val) * np.outer(v, v.conj()))
     return out[0], out[1], v

@@ -142,19 +142,18 @@ def test_04_subbundle_synthesis():
     rng = np.random.default_rng(404)
     with budget("4 subbundle-synthesis", 60):
         for _ in range(20):
-            field, gamma = planted_subbundle_field(rng, 100, 5, 2)
-            h, certs, consts = synthesize_subbundle(
-                field, ["Q1", "Q2", "Q3"], 2, gamma=gamma)
+            field = planted_subbundle_field(rng, 100, 5, 2)
+            h, certs, consts = synthesize_subbundle(field, ["Q1", "Q2", "Q3"], 2)
             for c in consts.values():
                 assert c.margin() >= 0.05 * c.A1 - 1e-12
             assert all(cert.passed for cert in certs.values())
             kappa = consts["Q1"].kappa
             margin = min(cert.min_margin() for cert in certs.values())
             BV = np.stack([p.subspace for p in field.points])
-            P_perp = np.eye(5) - BV @ np.conj(np.swapaxes(BV, -1, -2)) @ gamma
-            penalty = np.conj(np.swapaxes(P_perp, -1, -2)) @ gamma @ P_perp
+            P_perp = np.eye(5) - BV @ np.conj(np.swapaxes(BV, -1, -2)) @ field.g0
+            penalty = np.conj(np.swapaxes(P_perp, -1, -2)) @ field.g0 @ P_perp
             for mult in (2.0, 10.0):
-                h_big = gamma + mult * kappa * penalty
+                h_big = field.g0 + mult * kappa * penalty
                 for name in ("Q1", "Q2", "Q3"):
                     lam = pencil_eigvalsh(field.form_stack(name), h_big)
                     assert np.all(np.sum(lam[:, :2], axis=1) > 0)

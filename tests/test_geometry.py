@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from qpos import BoundNotFound, QposError, ZqViolated, inertia
+from qpos import BoundNotFound, DimensionMismatch, QposError, SchemaError, ZqViolated, inertia
 from qpos.geometry import (
     BallDomain,
     BoundarySamples,
@@ -31,7 +31,7 @@ from qpos.geometry import (
     zq_metric_pipeline,
 )
 from qpos.geometry.bump import ETA_FACTOR, ETA_STEPS, _eta_dual, _find_delta0
-from qpos.geometry.domains import FD_HESSIAN_STEP, FD_STEP
+from qpos.geometry.domains import FD_HESSIAN_STEP, FD_STEP, RADIUS_MAX
 from qpos.geometry.levi import KNN, MIN_GRADIENT, NEWTON_MAX_ITER, NEWTON_TOL, newton_project
 from qpos.hermitian import sign_counts
 from qpos.synthetic import random_unitary
@@ -273,6 +273,20 @@ def test_fd_derivatives_match_per_point_loops(quadric, rng):
                        np.broadcast_to(np.diag([1.0, 1.0, -3.0]), (2, 4, 3, 3)))
     with pytest.raises(QposError, match="no weight function"):
         CustomDomain(n=3, rho=rho).weight_hessian(zz)
+
+
+def test_custom_domain_rejects_one_point_callbacks():
+    # a callback that maps the stack to one value is named, with the migration,
+    # before its value is indexed
+    def one_point(z):
+        return float(np.sum(np.abs(z) ** 2) - 1.0)
+
+    for run in (lambda: sample_boundary(CustomDomain(n=3, rho=one_point), 5, seed=1),
+                lambda: CustomDomain(n=3, rho=_unit_sphere, weight=one_point)
+                .weight_hessian(np.zeros((4, 3), dtype=complex))):
+        with pytest.raises(DimensionMismatch, match=r"to values \(\), not \(") as err:
+            run()
+        assert "np.apply_along_axis(u, -1, z)" in str(err.value)
 
 
 def test_custom_domain_callback_calls_do_not_grow_with_samples():
@@ -656,3 +670,12 @@ def test_domain_from_spec_roundtrip():
     assert isinstance(domain_from_spec({"type": "quadric", "n": 3, "q": 2, "mu": MU}),
                       QuadricDomain)
     assert isinstance(domain_from_spec({"type": "product", "n": 3, "q": 2}), ProductDomain)
+
+
+@pytest.mark.parametrize("kind", ["ball", "product"])
+def test_domain_from_spec_bounds_the_radius(kind):
+    # a radius whose cube overflows would overflow the Newton step of the sampler
+    spec = {"type": kind, "n": 3, "q": 2, "radius": RADIUS_MAX}
+    assert domain_from_spec(spec).radius == RADIUS_MAX
+    with pytest.raises(SchemaError, match="dom.radius"):
+        domain_from_spec({**spec, "radius": 1e150}, "dom")

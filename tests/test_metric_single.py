@@ -20,8 +20,10 @@ from qpos import (
     negative_projector,
     synthesize_single,
 )
+from qpos import metric_single
 from qpos.hermitian import (MARGIN_FLOOR_SCALE, pencil_eigh, pencil_eigvalsh,
                             reduce_form, sign_counts)
+from qpos.riesz import riesz_projector
 from qpos.synthetic import (
     hermitian_with_eigs,
     planted_inertia_field,
@@ -257,16 +259,18 @@ def test_negative_projector_dual_route_random(rng):
         assert abs(np.trace(P).real - 2.0) < 1e-9
 
 
-def test_negative_projector_crowded_negative_spectrum():
+def test_negative_projector_crowded_negative_spectrum(monkeypatch):
     # lam_r = -0.005 lies 0.1 % inside a disc of radius -lam_1 / 2, beyond what
-    # the 8192-node cap resolves; the balanced disc needs 150 nodes
+    # the 8192-node cap resolves; the balanced disc needs 150 nodes, so 32 disagree
     S = np.diag([-5.0, -0.005, 1.0, 1.0, 1.0, 1.0]).astype(complex)
     P = negative_projector(S, np.eye(6), 2)
     assert_allclose(P, np.diag([1.0, 1.0, 0, 0, 0, 0]), atol=1e-12)
     metrics, cert = synthesize_single(field_of([S]), "S", 4)
     assert cert.passed
+    monkeypatch.setattr(metric_single, "riesz_projector",
+                        lambda T, disc, nodes: riesz_projector(T, disc, nodes=32))
     with pytest.raises(ProjectorRoutesDisagree):
-        negative_projector(S, np.eye(6), 2, nodes=32)
+        negative_projector(S, np.eye(6), 2)
 
 
 # ------------------------------------------------------------- synthesize

@@ -5,8 +5,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qpos import (
+    DimensionMismatch,
     FieldPoint,
     FormField,
+    NotFinite,
+    NotPositiveDefinite,
     NotPositiveOnV,
     build_penalty_metric,
     choose_C,
@@ -35,7 +38,7 @@ def test_constants_identity_form():
     d, q = 3, 2
     V = np.eye(d, dtype=complex)[:, : d - q + 1]
     field = one_point_field(np.eye(d, dtype=complex), V)
-    c = compute_constants(field, ["Q"], None, q)["Q"]
+    c = compute_constants(field, ["Q"], q)["Q"]
     assert_allclose([c.A1, c.A2, c.A3], [1.0, 1.0, 0.0], atol=1e-12)
 
 
@@ -43,7 +46,7 @@ def test_constants_block_diagonal():
     d, q = 3, 2
     V = np.eye(d, dtype=complex)[:, :2]
     field = one_point_field(np.diag([2.0, 3.0, -1.0]).astype(complex), V)
-    c = compute_constants(field, ["Q"], None, q)["Q"]
+    c = compute_constants(field, ["Q"], q)["Q"]
     assert_allclose([c.A1, c.A2, c.A3], [2.0, 1.0, 0.0], atol=1e-12)
 
 
@@ -52,17 +55,17 @@ def test_constants_not_positive_on_v():
     V = np.eye(d, dtype=complex)[:, :2]
     field = one_point_field(np.diag([-2.0, 3.0, 1.0]).astype(complex), V)
     with pytest.raises(NotPositiveOnV):
-        compute_constants(field, ["Q"], None, q)["Q"]
+        compute_constants(field, ["Q"], q)["Q"]
 
 
 def test_constants_a3_sampling_oracle(rng):
-    field, gamma = planted_subbundle_field(rng, 6, 5, 2, form_names=("Q",))
-    c = compute_constants(field, ["Q"], gamma, 2)["Q"]
+    field = planted_subbundle_field(rng, 6, 5, 2, form_names=("Q",))
+    c = compute_constants(field, ["Q"], 2)["Q"]
     worst = -np.inf
     for i, p in enumerate(field.points):
         H = p.forms["Q"]
         BV = p.subspace
-        G = gamma[i]
+        G = field.g0[i]
         # gamma-orthonormal basis of the complement
         w, U = np.linalg.eigh(G)
         Gh = (U * np.sqrt(w)) @ U.conj().T
@@ -77,6 +80,19 @@ def test_constants_a3_sampling_oracle(rng):
             worst = max(worst, abs(np.vdot(v, H @ z)))
     assert worst <= c.A3 + 1e-9
     assert worst >= 0.5 * c.A3  # sampling gets within a factor of the sup
+
+
+@pytest.mark.parametrize("bad, error", [
+    (-np.eye(5), NotPositiveDefinite), (np.full((5, 5), np.nan), NotFinite),
+    (np.eye(4), DimensionMismatch)])
+def test_bad_gamma_is_refused_as_g0_at_its_point(rng, bad, error):
+    # gamma reaches the synthesis only as g0, which the field checks per point
+    field = planted_subbundle_field(rng, 5, 5, 2)
+    points = [FieldPoint(id=i, forms={name: S[row] for name, S in field.forms.items()},
+                         g0=bad if i == "p2" else field.g0[row], subspace=field.subspace[row])
+              for row, i in enumerate(field.ids)]
+    with pytest.raises(error, match="g0 at 'p2'"):
+        FormField(dim=5, points=points)
 
 
 # ----------------------------------------------------------------- choose_C
@@ -109,25 +125,25 @@ def test_build_penalty_metric_trivial(rng):
 
 
 def test_build_penalty_metric_stack_matches_points(rng):
-    field, gamma = planted_subbundle_field(rng, 6, 5, 2, form_names=("Q",))
+    field = planted_subbundle_field(rng, 6, 5, 2, form_names=("Q",))
     BV = np.stack([p.subspace for p in field.points])
-    h = build_penalty_metric(gamma, BV, 2.5)
+    h = build_penalty_metric(field.g0, BV, 2.5)
     for i in range(len(field)):
-        assert_allclose(h[i], build_penalty_metric(gamma[i], BV[i], 2.5), atol=1e-13)
+        assert_allclose(h[i], build_penalty_metric(field.g0[i], BV[i], 2.5), atol=1e-13)
 
 
 def test_constants_of_several_forms_match_one_at_a_time(rng):
-    field, gamma = planted_subbundle_field(rng, 8, 5, 2)
-    both = compute_constants(field, ["Q1", "Q3"], gamma, 2)
+    field = planted_subbundle_field(rng, 8, 5, 2)
+    both = compute_constants(field, ["Q1", "Q3"], 2)
     assert list(both) == ["Q1", "Q3"]
     for name, c in both.items():
-        assert c == compute_constants(field, [name], gamma, 2)[name]
+        assert c == compute_constants(field, [name], 2)[name]
 
 
 def test_penalty_metric_unit_vector_decomposition(rng):
     # h-unit vectors split as u + v with gamma(u,u) <= 1, gamma(v,v) <= 1/(1+kappa)
-    field, gamma = planted_subbundle_field(rng, 1, 5, 2, form_names=("Q",))
-    G = gamma[0]
+    field = planted_subbundle_field(rng, 1, 5, 2, form_names=("Q",))
+    G = field.g0[0]
     BV = field.points[0].subspace
     kappa = 3.7
     h = build_penalty_metric(G, BV, kappa)
@@ -162,8 +178,8 @@ def test_synthesize_strong_negative_complement():
 
 
 def test_synthesize_multiform_field(rng):
-    field, gamma = planted_subbundle_field(rng, 30, 5, 2)
-    h, certs, consts = synthesize_subbundle(field, ["Q1", "Q2", "Q3"], 2, gamma=gamma)
+    field = planted_subbundle_field(rng, 30, 5, 2)
+    h, certs, consts = synthesize_subbundle(field, ["Q1", "Q2", "Q3"], 2)
     kappa = consts["Q1"].kappa
     assert kappa == pytest.approx(max(c.C for c in consts.values()))
     for name, cert in certs.items():
@@ -176,19 +192,19 @@ def test_synthesize_multiform_field(rng):
 @pytest.mark.parametrize("safety", [np.nan, np.inf, -1.0])
 def test_synthesize_rejects_unusable_safety(rng, safety):
     # rejected at the argument, not deep in the metric build
-    field, gamma = planted_subbundle_field(rng, 20, 5, 2)
+    field = planted_subbundle_field(rng, 20, 5, 2)
     with pytest.raises(ValueError, match="safety"):
-        synthesize_subbundle(field, ["Q1", "Q2", "Q3"], 2, gamma=gamma, safety=safety)
+        synthesize_subbundle(field, ["Q1", "Q2", "Q3"], 2, safety=safety)
 
 
 def test_synthesize_monotone_in_kappa(rng):
-    field, gamma = planted_subbundle_field(rng, 10, 5, 2)
-    _, _, consts = synthesize_subbundle(field, ["Q1", "Q2", "Q3"], 2, gamma=gamma)
+    field = planted_subbundle_field(rng, 10, 5, 2)
+    _, _, consts = synthesize_subbundle(field, ["Q1", "Q2", "Q3"], 2)
     kappa = consts["Q1"].kappa
     for mult in (2.0, 10.0):
         BV = np.stack([p.subspace for p in field.points])
-        P_perp = np.eye(5) - BV @ np.conj(np.swapaxes(BV, -1, -2)) @ gamma
-        h = gamma + mult * kappa * (np.conj(np.swapaxes(P_perp, -1, -2)) @ gamma @ P_perp)
+        P_perp = np.eye(5) - BV @ np.conj(np.swapaxes(BV, -1, -2)) @ field.g0
+        h = field.g0 + mult * kappa * (np.conj(np.swapaxes(P_perp, -1, -2)) @ field.g0 @ P_perp)
         for name in ("Q1", "Q2", "Q3"):
             lam = pencil_eigvalsh(field.form_stack(name), h)
             assert np.all(np.sum(lam[:, :2], axis=1) > 0)
@@ -197,13 +213,13 @@ def test_synthesize_monotone_in_kappa(rng):
 def test_frame_trace_chain_inequality(rng):
     # for h-orthonormal q-frames: sum H(t_k,t_k) >= A1 * sum gamma(Pv t, Pv t)
     #   - q A2/(1+C) - 2 q A3/sqrt(1+C), and the projection mass is >= 1
-    field, gamma = planted_subbundle_field(rng, 4, 5, 2, form_names=("Q",))
-    h, certs, consts = synthesize_subbundle(field, ["Q"], 2, gamma=gamma)
+    field = planted_subbundle_field(rng, 4, 5, 2, form_names=("Q",))
+    h, certs, consts = synthesize_subbundle(field, ["Q"], 2)
     c = consts["Q"]
     q = 2
     for i, p in enumerate(field.points):
         H = p.forms["Q"]
-        G = gamma[i]
+        G = field.g0[i]
         PV = p.subspace @ p.subspace.conj().T @ G
         frames = random_g_orthonormal_frames(rng, h[i], 100, q)
         for T in frames:
@@ -216,8 +232,8 @@ def test_frame_trace_chain_inequality(rng):
 
 
 def test_certificate_survives_metric_perturbation(rng):
-    field, gamma = planted_subbundle_field(rng, 10, 5, 2)
-    h, certs, _ = synthesize_subbundle(field, ["Q1", "Q2", "Q3"], 2, gamma=gamma)
+    field = planted_subbundle_field(rng, 10, 5, 2)
+    h, certs, _ = synthesize_subbundle(field, ["Q1", "Q2", "Q3"], 2)
     margin = min(cert.min_margin() for cert in certs.values())
     for i in range(len(field)):
         E = random_hermitian(rng, 5)
@@ -233,10 +249,10 @@ def test_certificates_from_one_congruence_equal_one_pencil_solve_per_form(rng):
     from qpos.fields import certify, certify_forms
     from qpos.hermitian import MARGIN_FLOOR_SCALE
 
-    field, gamma = planted_subbundle_field(rng, 40, 5, 2)
+    field = planted_subbundle_field(rng, 40, 5, 2)
     names = ["Q1", "Q2", "Q3"]
-    h, certs, _ = synthesize_subbundle(field, names, 2, gamma=gamma)
-    for metrics, q in ((h, 2), (gamma, 4), (np.eye(5), 1)):
+    h, certs, _ = synthesize_subbundle(field, names, 2)
+    for metrics, q in ((h, 2), (field.g0, 4), (np.eye(5), 1)):
         shared = certify_forms(field, names, q, metrics, "shared")
         for name in names:
             S = field.form_stack(name)

@@ -40,7 +40,7 @@ def test_resolvent_rejects_near_spectrum():
 
 def test_projector_diagonal_case():
     T = np.diag([-2.0, -1.0, 3.0])
-    res = riesz_projector(T, Disc(center=-1.75, radius=1.25))
+    res = riesz_projector(T, Disc(center=-1.75, radius=1.25), nodes=64)
     assert_allclose(res.matrix, np.diag([1.0, 1.0, 0.0]), atol=1e-12)
     assert res.separation == pytest.approx(0.5)
     assert res.idempotency_defect < 1e-12
@@ -49,7 +49,7 @@ def test_projector_diagonal_case():
 
 def test_projector_empty_disc_is_zero():
     T = np.diag([1.0, 2.0])
-    res = riesz_projector(T, Disc(center=-5.0, radius=1.0))
+    res = riesz_projector(T, Disc(center=-5.0, radius=1.0), nodes=64)
     assert np.linalg.norm(res.matrix, 2) < 1e-10
     assert np.linalg.norm(oracle_projector(T, Disc(center=-5.0, radius=1.0)), 2) == 0.0
 
@@ -140,7 +140,7 @@ def test_projector_rank_counts_eigenvalues_inside(rng):
 def test_projector_rejects_contour_hit():
     T = np.diag([0.0, 1.0])
     with pytest.raises(EigenvalueOnContour):
-        riesz_projector(T, Disc(center=0.0, radius=1.0))
+        riesz_projector(T, Disc(center=0.0, radius=1.0), nodes=64)
 
 
 def test_quadrature_convergence_decay(rng):
@@ -162,7 +162,7 @@ def test_projector_continuity_under_perturbation(rng):
     T = hermitian_with_eigs(rng, np.array([-2.0, -1.0, 1.0, 2.0]))
     disc = Disc(center=-1.5, radius=1.0)
     P0 = oracle_projector(T, disc)
-    sep = riesz_projector(T, disc).separation
+    sep = riesz_projector(T, disc, nodes=64).separation
     E = random_hermitian(rng, 4)
     E /= np.linalg.norm(E, 2)
     ratios = []

@@ -1,5 +1,6 @@
 """JSON schemas, canonical bytes, and the command-line interface."""
 
+import ast
 import contextlib
 import copy
 import dataclasses
@@ -80,9 +81,7 @@ def _command_argvs(tmp_path):
         FieldPoint(id=i, forms={"Q1": np.eye(2, dtype=complex),
                                 "Q2": np.diag([2.0, 1.0]).astype(complex)})
         for i in range(3)]))))
-    field, gamma = planted_subbundle_field(rng, 6, 4, 2)
-    sub.write_text(dumps_canonical(field_to_json(FormField.from_stacks(
-        field.ids, field.forms, subspace=field.subspace, g0=gamma))))
+    sub.write_text(dumps_canonical(field_to_json(planted_subbundle_field(rng, 6, 4, 2))))
     matrix.write_text(dumps_canonical(matrix_to_json(np.diag([-2.0, -1.0, 3.0]))))
     quad.write_text(json.dumps({"type": "quadric", "n": 3, "q": 2,
                                 "mu": [2.0, 2.0, -0.5, -0.5]}))
@@ -179,6 +178,8 @@ def test_package_exports_resolve_to_their_defining_modules(package):
 # margin and level xi = 1 are module constants: a keyword that only restates one of
 # those constants is a knob that no caller turns.  ``_newton`` keeps its level, which
 # its test varies, and ``first_invalid`` its tau_pd, which selects the metric screen.
+# The subbundle synthesis takes gamma only as the field's validated g0, and the
+# options that no caller set are gone.
 SIGNATURES = {
     "qpos.hermitian": {"as_form": "M", "as_metric": "G", "first_invalid": "A tau_pd"},
     "qpos.qpositivity": {
@@ -189,16 +190,27 @@ SIGNATURES = {
         "_ray_level_hits": "Q1t Q2t dirs", "_newton": "mu level", "_arc_bounds": "Q1t Q2t",
         "_midpoint_angles": "Q1t Q2t ends", "_midpoints": "Q1t Q2t ids"},
     "qpos.pair": {"PairState": "Q1 Q2 base", "trace_level_curve": "pair n_angles",
-                  "pair_metric": "pair"},
-    "qpos.metric_subbundle": {"choose_C": "A1 A2 A3 q"},
+                  "pair_metric": "pair", "find_common_direction": "Q1 Q2"},
+    "qpos.metric_subbundle": {
+        "choose_C": "A1 A2 A3 q", "_adapted_frames": "field q",
+        "compute_constants": "field forms q", "synthesize_subbundle": "field forms q safety"},
+    "qpos.metric_single": {"negative_projector": "S g r"},
+    "qpos.riesz": {"riesz_projector": "T disc nodes"},
+    "qpos.serialize": {"metrics_from_json": "obj dim path"},
+    "qpos.errors": {"NoCommonDirection": "point_id t lam_max",
+                    "LevelNotReached": "theta radius point_id"},
     "qpos.geometry.domains": {"complex_hessian": "phi p", "fd_complex_gradient": "f z",
                               "fd_complex_hessian": "f z",
-                              "CustomDomain": "n rho weight seed_box scale"},
+                              "CustomDomain": "n rho weight seed_box"},
+    "qpos.geometry.levi": {"sample_boundary": "domain count seed"},
+    "qpos.geometry.counterexample": {"counterexample_build": "R grid_n",
+                                     "sphere_eigenvalue_residuals": "R count"},
     "qpos.fields": {
         "FormField.from_stacks": "ids forms subspace g0 in_F neighbors has_g0 has_forms dim"},
     "qpos.synthetic": {
         "planted_inertia_field": "rng n_points d q_tilde nu_choices n_anchor",
-        "planted_subbundle_field": "rng n_points d q form_names"},
+        "planted_subbundle_field": "rng n_points d q form_names",
+        "random_hermitian": "rng d", "random_pair_with_common_direction": "rng d"},
 }
 
 
@@ -213,6 +225,28 @@ def test_constants_are_not_parameters():
             if got != params:
                 wrong[f"{module}.{name}"] = got
     assert not wrong, wrong
+
+
+KNOB_CEILING = 56
+
+
+def test_defaulted_parameters_do_not_grow():
+    # positional and keyword-only defaults under src/qpos, counted by AST: a new
+    # keyword default must raise the ceiling in the same change
+    root = Path(importlib.import_module("qpos").__file__).parent
+    count = 0
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                count += len(args.defaults) + sum(d is not None for d in args.kw_defaults)
+    assert count <= KNOB_CEILING, count
+
+
+def test_from_stacks_without_forms_needs_dim():
+    with pytest.raises(DimensionMismatch, match="without forms needs its dim"):
+        FormField.from_stacks(["a"], {})
+    assert FormField.from_stacks(["a"], {}, dim=2).g0.shape == (1, 2, 2)
 
 
 def test_package_exports_load_on_first_access():
@@ -856,9 +890,7 @@ def test_cli_geometry_zq_and_bump_determinism(tmp_path):
 def test_cli_synthesize_subbundle_and_two_forms(tmp_path, rng):
     from qpos.synthetic import planted_subbundle_field
 
-    field, gamma = planted_subbundle_field(rng, 10, 5, 2)
-    # gamma travels as the per-point g0 in the file
-    field = FormField.from_stacks(field.ids, field.forms, subspace=field.subspace, g0=gamma)
+    field = planted_subbundle_field(rng, 10, 5, 2)  # gamma travels as the per-point g0
     fpath = tmp_path / "sub.json"
     fpath.write_text(dumps_canonical(field_to_json(field)))
     rep = tmp_path / "constants.json"
@@ -915,8 +947,7 @@ def test_write_report_formats_before_opening(tmp_path):
 def test_cli_synthesize_subbundle_names_the_fiber_rank_it_found(tmp_path, rng):
     from qpos.synthetic import planted_subbundle_field
 
-    field, gamma = planted_subbundle_field(rng, 6, 5, 2)  # fibers of rank 5 - 2 + 1 = 4
-    field = FormField.from_stacks(field.ids, field.forms, subspace=field.subspace, g0=gamma)
+    field = planted_subbundle_field(rng, 6, 5, 2)  # fibers of rank 5 - 2 + 1 = 4
     fpath = tmp_path / "sub.json"
     fpath.write_text(dumps_canonical(field_to_json(field)))
     r = run_cli("synthesize", "subbundle", "--input", fpath, "--forms", "Q1,Q2,Q3", "--q", 3)
@@ -1304,8 +1335,7 @@ def test_cli_eigensolve_count_does_not_grow_with_points(tmp_path, rng, monkeypat
             "--out", tmp_path / "check.json"])
     for n in (30, 300):
         # every point carries its g0, which FormField validates
-        field, gamma = planted_subbundle_field(rng, n, 4, 2)
-        field = FormField.from_stacks(field.ids, field.forms, subspace=field.subspace, g0=gamma)
+        field = planted_subbundle_field(rng, n, 4, 2)
         path = tmp_path / f"sub{n}.json"
         path.write_text(dumps_canonical(field_to_json(field)))
         counts["subbundle", n] = _eigvalsh_calls(monkeypatch, [
@@ -1342,10 +1372,8 @@ def test_cli_io_call_counts_do_not_grow_with_size(tmp_path, rng, monkeypatch):
         reads[n] = _calls(monkeypatch, ["check", "--input", field, "--form", "S", "--q", 2],
                           targets)
         # g0 and a subspace at every point, as the benchmark's subbundle file
-        sub, gamma = planted_subbundle_field(rng, n, 4, 2)
         field = tmp_path / f"sub{n}.json"
-        field.write_text(dumps_canonical(field_to_json(FormField.from_stacks(
-            sub.ids, sub.forms, subspace=sub.subspace, g0=gamma))))
+        field.write_text(dumps_canonical(field_to_json(planted_subbundle_field(rng, n, 4, 2))))
         subs[n] = _calls(monkeypatch, ["synthesize", "subbundle", "--input", field,
                                        "--forms", "Q1,Q2,Q3", "--q", 2], targets)
     assert writes[4] == writes[16], writes
@@ -1363,10 +1391,8 @@ def test_cli_factors_each_metric_stack_once(tmp_path, rng, monkeypatch):
     from qpos import metric_subbundle, two_forms
     from qpos.synthetic import random_pair_with_common_direction
 
-    sub, gamma = planted_subbundle_field(rng, 20, 5, 2)
     path = tmp_path / "sub.json"
-    path.write_text(dumps_canonical(field_to_json(FormField.from_stacks(
-        sub.ids, sub.forms, subspace=sub.subspace, g0=gamma))))
+    path.write_text(dumps_canonical(field_to_json(planted_subbundle_field(rng, 20, 5, 2))))
     factors = [(hermitian, "congruence"), (metric_subbundle, "congruence"),
                (two_forms, "congruence")]
     assert _calls(monkeypatch, ["synthesize", "subbundle", "--input", path,
@@ -1691,10 +1717,8 @@ def test_cli_builds_no_per_point_certificate_entries(tmp_path, rng, monkeypatch)
     single.write_text(dumps_canonical(field_to_json(planted_inertia_field(rng, 20, 4, 2))))
     check.write_text(dumps_canonical(field_to_json(
         planted_inertia_field(rng, 20, 4, 2, nu_choices=[0]))))
-    sub, gamma = planted_subbundle_field(rng, 20, 4, 2)
     subbundle = tmp_path / "sub.json"
-    subbundle.write_text(dumps_canonical(field_to_json(FormField.from_stacks(
-        sub.ids, sub.forms, subspace=sub.subspace, g0=gamma))))
+    subbundle.write_text(dumps_canonical(field_to_json(planted_subbundle_field(rng, 20, 4, 2))))
     pairs = tmp_path / "pairs.json"
     pairs.write_text(dumps_canonical(field_to_json(FormField(dim=2, points=[
         FieldPoint(id=i, forms={"Q1": np.eye(2, dtype=complex),
