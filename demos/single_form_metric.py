@@ -6,21 +6,20 @@ field with planted negative-eigenvalue counts and verify the certificate.
 
 import numpy as np
 
-from qpos import FieldPoint, FormField, spectrum_wrt, synthesize_single
+from qpos import FormField, spectrum_wrt, synthesize_single
 from qpos.hermitian import pencil_eigvalsh, sign_counts
 from qpos.synthetic import planted_inertia_field
 
 print("== worked example: S = diag(-5, 1, 2), target sum length 2 ==")
 S = np.diag([-5.0, 1.0, 2.0]).astype(complex)
-field = FormField(dim=3, points=[FieldPoint(id="p", forms={"S": S})])
+field = FormField.from_stacks(["p"], {"S": S[None]})
 print("eigenvalues at the identity metric:", spectrum_wrt(S, np.eye(3)).eigenvalues)
 print("2-smallest sum before:", -5.0 + 1.0)
 
 metrics, cert = synthesize_single(field, "S", 2, theta=0.1)
-entry = cert.entries[0]
 print("inflation rescales the negative eigenvalue by 1/(1+f) with f = 4.4:")
 print("eigenvalues after:", spectrum_wrt(S, metrics[0]).eigenvalues)
-print(f"2-smallest sum after: {entry.min_sum:.12f}  (exactly 2/27 = {2/27:.12f})")
+print(f"2-smallest sum after: {cert.min_sum[0]:.12f}  (exactly 2/27 = {2/27:.12f})")
 
 print("\n== 1000-point field, d = 6, planted counts 0..2, target 3 ==")
 rng = np.random.default_rng(42)
@@ -36,4 +35,4 @@ print("certificate passed:", cert.passed)
 print("inflated points:", int(np.sum(cert.provenance == "inflated")))
 print(f"smallest 3-sum over the field: {sums.min():.6f}")
 print("anchored metric equals g0 bitwise:",
-      metrics[0].tobytes() == field.points[0].g0.tobytes())
+      metrics[0].tobytes() == field.g0[0].tobytes())

@@ -33,7 +33,7 @@ for name, cert in certs.items():
     print(f"  {name}: passed {cert.passed}, min 2-sum {cert.min_sum.min():+.4f}")
 
 print("\nraising kappa never hurts (2x and 10x stay positive):")
-BV = np.stack([p.subspace for p in field.points])
+BV = field.subspace
 P_perp = np.eye(5) - BV @ np.conj(np.swapaxes(BV, -1, -2)) @ gamma
 penalty = np.conj(np.swapaxes(P_perp, -1, -2)) @ gamma @ P_perp
 for mult in (2.0, 10.0):

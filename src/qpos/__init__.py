@@ -27,7 +27,7 @@ _EXPORTS = {name: module for module, names in {
                "NotPositiveDefinite", "NotPositiveOnV", "ProjectorRoutesDisagree",
                "QOutOfRange", "QposError", "SchemaError", "VanishingField",
                "ZeroRepresentative", "ZqViolated"),
-    "fields": ("FieldPoint", "FormField", "PositivityCertificate"),
+    "fields": ("FormField", "PositivityCertificate"),
     "hermitian": ("pencil_eigh", "pencil_eigvalsh"),
     "metric_single": ("negative_projector", "synthesize_single"),
     "metric_subbundle": ("PenaltyConstants", "build_penalty_metric", "choose_C",

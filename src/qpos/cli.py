@@ -103,7 +103,7 @@ def _inertia_columns(lam):
 def cmd_check(args):
     field = load_field(args.input)
     _form_names(field, "--form", [args.form])
-    G = _load_metrics(args.metric, field) if args.metric else field.g0_stack()
+    G = _load_metrics(args.metric, field) if args.metric else field.g0
     cert = certify(field, args.form, args.q, G, "check")
     if args.out:
         inertia = _inertia_columns(np.linalg.eigvalsh(field.form_stack(args.form)))

@@ -9,30 +9,20 @@ as index arrays.  ``FormField.from_stacks`` builds every field, from JSON or
 Python, and enforces the per-point rules once: ids are hashable, unique, and
 no boolean (True == 1 would name id 1), NaN or infinity; each neighbor list
 names points (a boolean or None names none); forms are Hermitian, g0 positive
-definite, subspace bases of one shape, all finite; a point in F has a g0.
+definite, subspace bases of one shape, all finite; a point in F has a g0; masks
+and neighbor lists have N entries.  A point's values are rows: ``field.g0[r]``.
 """
 
 from __future__ import annotations
 
 import functools
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CertificateFailed, DimensionMismatch, NotFinite, QposError
 from .hermitian import TAU_PD, first_invalid, q_margins
-
-
-@dataclass(frozen=True)
-class FieldPoint:
-    """One sample point: what ``FormField(dim, points)`` gathers and ``points`` gives back."""
-
-    id: object
-    forms: dict
-    neighbors: list | None = None
-    g0: np.ndarray | None = None
-    subspace: np.ndarray | None = None  # (d, k) basis columns
-    in_F: bool = False
 
 
 class FormField:
@@ -44,22 +34,6 @@ class FormField:
     anchor mask; ``edges = (src, dst)`` holds one index pair per neighbor, in
     point order.
     """
-
-    def __init__(self, dim: int, points: list[FieldPoint]):
-        points = list(points)
-        d, ids = int(dim), [p.id for p in points]
-        forms, has_forms = {}, {}
-        for name in {name for p in points for name in p.forms}:
-            forms[name], has_forms[name] = _gathered(
-                [p.forms.get(name) for p in points], (d, d), ids, f"forms.{name}")
-        g0, has_g0 = _gathered([p.g0 for p in points], (d, d), ids, "g0")
-        bases = [p.subspace for p in points]
-        k = fiber_rank([None if B is None else np.ndim(B) and np.shape(B)[-1] for B in bases],
-                       ids)
-        vars(self).update(vars(type(self).from_stacks(  # become the field it builds
-            ids, forms, g0=g0, has_g0=has_g0, has_forms=has_forms, dim=d,
-            subspace=None if k is None else _gathered(bases, (d, k), ids, "subspace")[0],
-            in_F=[p.in_F for p in points], neighbors=[p.neighbors for p in points])))
 
     @classmethod
     def from_stacks(cls, ids, forms: dict, subspace=None, g0=None, in_F=None,
@@ -81,19 +55,18 @@ class FormField:
                               "expected a hashable, finite, non-boolean id", ids, row, "id")
         field.forms, field._missing = {}, {}
         for name in sorted(forms, key=str):
-            given = (has_forms or {}).get(name, np.ones(n, bool))
+            given = _mask((has_forms or {}).get(name), n, f"has_forms.{name}", True)
             S = _validated(forms[name], d, given, ids, f"forms.{name}")
             if given.all():
                 field.forms[name] = S
             else:
                 field._missing[name] = int(np.argmin(given))
-        field.has_g0 = _frozen(np.zeros(n, bool) if g0 is None else
-                               np.ones(n, bool) if has_g0 is None else np.array(has_g0, bool))
+        field.has_g0 = _frozen(_mask(has_g0, n, "has_g0", g0 is not None))
         field.g0 = np.array(np.broadcast_to(np.eye(d, dtype=complex), (n, d, d)))
         if field.has_g0.any():
             field.g0[field.has_g0] = _validated(g0, d, field.has_g0, ids, "g0", TAU_PD)
         _frozen(field.g0)
-        field.in_F = _frozen(np.zeros(n, bool) if in_F is None else np.array(in_F, dtype=bool))
+        field.in_F = _frozen(_mask(in_F, n, "in_F", False))
         if (field.in_F & ~field.has_g0).any():
             row = int(np.argmax(field.in_F & ~field.has_g0))
             raise _defect(QposError, "in F but has no g0", ids, row, "in_F")
@@ -104,6 +77,8 @@ class FormField:
         if not np.all(finite):
             raise _defect(NotFinite, "basis has non-finite entries", ids, int(np.argmin(finite)),
                           "subspace")
+        if neighbors is not None and len(neighbors) != n:
+            raise DimensionMismatch(f"neighbors of length {len(neighbors)} for {n} points")
         src, dst = [], []
         for row, nbrs in enumerate(neighbors or ()):
             if not isinstance(nbrs, (list, tuple, type(None))):
@@ -120,27 +95,12 @@ class FormField:
     def __len__(self):
         return len(self.ids)
 
-    @functools.cached_property
-    def points(self) -> list[FieldPoint]:
-        """Per-point views, built once: their arrays are read-only rows of the stacks."""
-        nbrs = self.neighbor_indices()
-        return [FieldPoint(id=i, forms={name: S[r] for name, S in self.forms.items()},
-                           neighbors=[self.ids[j] for j in nbrs[r]] or None,
-                           g0=self.g0[r] if self.has_g0[r] else None,
-                           subspace=None if self.subspace is None else self.subspace[r],
-                           in_F=bool(self.in_F[r]))
-                for r, i in enumerate(self.ids)]
-
     def form_stack(self, name: str) -> np.ndarray:
         """All points' matrices for one named form, shape (N, d, d), read-only."""
         if name not in self.forms:
             row = self._missing.get(name, 0)
             raise QposError(f"form {name!r} missing at point {self.ids[row]!r}")
         return self.forms[name]
-
-    def g0_stack(self) -> np.ndarray:
-        """Per-point g0, the identity where absent, as a writable copy."""
-        return np.array(self.g0)
 
     def neighbor_indices(self) -> list[list[int]]:
         """Adjacency as index lists; empty lists where no neighbor data."""
@@ -181,15 +141,12 @@ def fiber_rank(ranks, ids):
     return ranks[0] if ranks else None
 
 
-def _gathered(mats, shape, ids, part):
-    """Per-point matrices, None where absent: those given as one complex stack,
-    and the (N,) mask of the points that give one."""
-    given = np.array([M is not None for M in mats], dtype=bool)
-    for r in np.flatnonzero(given):
-        if np.shape(mats[r]) != shape:
-            raise _defect(DimensionMismatch, f"shape {np.shape(mats[r])} is not {shape}", ids,
-                          r, part)
-    return np.array([M for M in mats if M is not None], dtype=complex).reshape(-1, *shape), given
+def _mask(value, n, part, default):
+    """``value`` as an (N,) boolean mask, all ``default`` if None; else DimensionMismatch."""
+    mask = np.full(n, default) if value is None else np.array(value, dtype=bool)
+    if mask.shape != (n,):
+        raise DimensionMismatch(f"{part} of shape {mask.shape} for {n} points")
+    return mask
 
 
 def _validated(A, d, given, ids, part, tau_pd=None):
@@ -217,14 +174,7 @@ def _defect(error_type, detail, ids, row, part):
     return error
 
 
-@dataclass(frozen=True)
-class CertificateEntry:
-    point_id: object
-    form: str
-    q: int
-    min_sum: float
-    margin: float
-    provenance: str
+CertificateEntry = namedtuple("CertificateEntry", "point_id form q min_sum margin provenance")
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,7 +184,7 @@ class PositivityCertificate:
     ``min_sum``, ``margin`` and ``provenance`` (one string for every point or
     one per point) become read-only (N,) arrays in the order of ``ids``, with
     ``min_sum, margin`` from ``hermitian.q_margins``; a point fails iff
-    ``not margin > 0``.  ``entries`` are per-point ``CertificateEntry`` views, built once.
+    ``not margin > 0``.  ``entries`` (per-point tuples, built once) feed perfbench's layer trace.
     """
 
     form: str

@@ -150,7 +150,7 @@ def synthesize_single(field: FormField, form: str, q_tilde: int,
     if not 1 <= q_tilde <= d:
         raise QOutOfRange(f"q_tilde = {q_tilde} not in [1, {d}]")
     S = field.form_stack(form)
-    metrics = field.g0_stack()
+    metrics = np.array(field.g0)
     anchored = field.anchored_mask()
     counted = identity_rows(metrics) & np.all(S == np.conj(np.swapaxes(S, -1, -2)), axis=(-2, -1))
     solved = ~anchored | counted

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import BasisNotOrthonormal, NotPositiveOnV, QposError
+from .errors import BasisNotOrthonormal, NotPositiveOnV, QOutOfRange, QposError
 from .fields import FormField, certify_forms, require_passed
 from .hermitian import congruence, pencil_eigvalsh
 
@@ -92,8 +92,10 @@ def compute_constants(field: FormField, forms, q: int) -> dict:
     bound max(|lam_1|, |lam_max|) of the full form relative to gamma = ``field.g0``.
     One factorization of gamma serves the frames and those bounds, and each
     quantity is one stacked solve over the forms and points; the forms are
-    checked in order.
+    checked in order.  QOutOfRange unless 1 <= q <= d.
     """
+    if not 1 <= q <= field.dim:
+        raise QOutOfRange(f"q = {q} not in [1, {field.dim}]")
     BV, BW, W = _adapted_frames(field, q)
     BVh = np.conj(np.swapaxes(BV, -1, -2))
     BWh = np.conj(np.swapaxes(BW, -1, -2))

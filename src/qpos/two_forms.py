@@ -438,7 +438,7 @@ def field_metric_top_degree(field: FormField, names):
     samples, if any.
     """
     n1, n2 = names
-    Q1, Q2, g0 = field.form_stack(n1), field.form_stack(n2), field.g0_stack()
+    Q1, Q2, g0 = field.form_stack(n1), field.form_stack(n2), field.g0
     W, _ = congruence(g0)
     Q1t, Q2t = reduce_form(Q1, W), reduce_form(Q2, W)
     common_witnesses(Q1t, Q2t, field.ids)

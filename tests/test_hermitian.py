@@ -89,19 +89,18 @@ def test_spectrum_rejects_bad_inputs(rng):
 def test_field_checks_g0_stack_and_names_first_bad_point(rng):
     # all g0 are checked by one stacked test; the first bad point raises what
     # as_metric raises for its matrix, with its id
-    from qpos import FieldPoint, FormField, NotHermitian
+    from qpos import FormField, NotHermitian
 
-    good = [FieldPoint(id=f"p{i}", forms={}, g0=random_metric(rng, 3)) for i in range(4)]
+    ids, good = [f"p{i}" for i in range(4)], np.array([random_metric(rng, 3) for _ in range(4)])
     for bad, error in ((np.diag([1.0, -1.0, 2.0]), NotPositiveDefinite),
                        (np.triu(np.ones((3, 3))), NotHermitian),
                        (np.diag([np.nan, 1.0, 1.0]), NotFinite)):
-        points = good[:2] + [FieldPoint(id="bad", forms={}, g0=bad),
-                             FieldPoint(id="also_bad", forms={}, g0=-np.eye(3))] + good[2:]
+        g0 = np.concatenate([good[:2], [bad, -np.eye(3)], good[2:]])
         with pytest.raises(error, match="'bad'"):
-            FormField(dim=3, points=points)
+            FormField.from_stacks(ids[:2] + ["bad", "also_bad"] + ids[2:], {}, g0=g0, dim=3)
     with pytest.raises(DimensionMismatch):
-        FormField(dim=3, points=[FieldPoint(id="p", forms={}, g0=np.eye(2))])
-    FormField(dim=3, points=good)
+        FormField.from_stacks(["p"], {}, g0=np.eye(2)[None], dim=3)
+    FormField.from_stacks(ids, {}, g0=good, dim=3)
 
 
 @pytest.mark.parametrize("tau", [1e-10, 1e-3])

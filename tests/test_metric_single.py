@@ -11,7 +11,6 @@ from numpy.testing import assert_allclose
 from qpos import (
     CertificateFailed,
     DenominatorNonpositive,
-    FieldPoint,
     FormField,
     HypothesisViolated,
     NoSpectralGap,
@@ -32,11 +31,8 @@ from qpos.synthetic import (
 )
 
 
-def field_of(mats, **kw):
-    d = np.asarray(mats[0]).shape[0]
-    pts = [FieldPoint(id=i, forms={"S": np.asarray(m, dtype=complex)}, **kw)
-           for i, m in enumerate(mats)]
-    return FormField(dim=d, points=pts)
+def field_of(mats):
+    return FormField.from_stacks(range(len(mats)), {"S": np.array(mats, dtype=complex)})
 
 
 def spectral_terms(S, g0, q, theta=0.1):
@@ -52,7 +48,7 @@ def staged_reference(field, q, theta=0.1):
     """The stratified inflation that the spectral function replaced: at stage r,
     points with r negative eigenvalues grow by 1 + f along their negative
     eigenvectors.  The two agree where no eigenvalue lies in (-delta, 0)."""
-    S, metrics = field.form_stack("S"), field.g0_stack()
+    S, metrics = field.form_stack("S"), np.array(field.g0)
     nu = sign_counts(np.linalg.eigvalsh(S))[1]
     for r in range(1, q):
         stage = np.where((nu == r) & ~field.anchored_mask())[0]
@@ -73,7 +69,7 @@ def test_stratify_positive_definite_everywhere():
     assert list(sign_counts(np.linalg.eigvalsh(f.form_stack("S")))[1]) == [0, 0]
     metrics, cert = synthesize_single(f, "S", 2)
     assert "inflated" not in list(cert.provenance)
-    assert_allclose(metrics, f.g0_stack())
+    assert_allclose(metrics, f.g0)
 
 
 def test_synthesize_inflates_a_point_with_a_negative_eigenvalue():
@@ -100,19 +96,19 @@ def test_choose_f_zero_when_already_positive(rng):
     g0 = random_metric(rng, 3)
     L = np.linalg.cholesky(g0)
     S = (L * np.array([-0.5, 1.0, 2.0])) @ L.conj().T
-    field = FormField(dim=3, points=[FieldPoint(id="x", forms={"S": S}, g0=g0)])
+    field = FormField.from_stacks(["x"], {"S": S[None]}, g0=g0[None])
     metrics, cert = synthesize_single(field, "S", 2)
-    assert metrics[0].tobytes() == field.g0_stack()[0].tobytes()
+    assert metrics[0].tobytes() == field.g0[0].tobytes()
     assert list(cert.provenance) == ["g0_default"]
 
 
 def test_choose_f_degenerate_denominator():
     # against g0 the eigenvalues are -1, 1e-12 and 1e3: the tail sum P = 1e-12
     # is within 1e-12 * max|lam| of zero, so f = 1.1 * (N - P) / P is unusable
-    pts = [FieldPoint(id="p7", forms={"S": np.diag([-1.0, 1e-9, 1.0]).astype(complex)},
-                      g0=np.diag([1.0, 1e3, 1e-3]).astype(complex))]
+    field = FormField.from_stacks(["p7"], {"S": np.diag([-1.0, 1e-9, 1.0])[None]},
+                                  g0=np.diag([1.0, 1e3, 1e-3])[None])
     with pytest.raises(DenominatorNonpositive, match="'p7'"):
-        synthesize_single(FormField(dim=3, points=pts), "S", 2)
+        synthesize_single(field, "S", 2)
 
 
 @pytest.mark.parametrize("theta", [0.0, -1.0, np.nan, np.inf])
@@ -167,8 +163,8 @@ def crossing_families(draw):
 
 def family_metric(U, g0, neg, pos, q, s):
     S = (U * np.concatenate([neg, [s], pos])) @ U.conj().T
-    pts = [FieldPoint(id="x", forms={"S": S}, g0=g0)]
-    return synthesize_single(FormField(dim=len(g0), points=pts), "S", q)[0][0], S
+    field = FormField.from_stacks(["x"], {"S": S[None]}, g0=g0[None])
+    return synthesize_single(field, "S", q)[0][0], S
 
 
 @settings(max_examples=40, deadline=None)
@@ -199,7 +195,7 @@ def test_every_inflated_q_sum_is_at_least_half_the_margin(case):
     rng = np.random.default_rng(seed)
     eigs = np.concatenate([-10.0 ** np.array(exponents[:nu]), rng.uniform(0.1, 2.0, size=d - nu)])
     S, g0 = hermitian_with_eigs(rng, eigs), random_metric(rng, d)
-    field = FormField(dim=d, points=[FieldPoint(id="x", forms={"S": S}, g0=g0)])
+    field = FormField.from_stacks(["x"], {"S": S[None]}, g0=g0[None])
     lam, N, P, m, delta = spectral_terms(S, g0, q)
     if N <= P:
         return
@@ -287,7 +283,7 @@ def test_synthesize_worked_example():
     f = field_of([np.diag([-5.0, 1.0, 2.0])])
     metrics, cert = synthesize_single(f, "S", 2, theta=0.1)
     assert cert.passed
-    assert_allclose(cert.entries[0].min_sum, 2.0 / 27.0, atol=1e-9)
+    assert_allclose(cert.min_sum[0], 2.0 / 27.0, atol=1e-9)
 
 
 def test_synthesize_random_field_end_to_end(rng):
@@ -298,7 +294,7 @@ def test_synthesize_random_field_end_to_end(rng):
     lam = pencil_eigvalsh(S, metrics)
     assert np.all(np.sum(lam[:, :3], axis=1) > 0)
     # metric monotonicity: the update only ever adds a PSD term
-    base = field.g0_stack()
+    base = field.g0
     for i in range(0, 200, 17):
         diff = metrics[i] - base[i]
         assert np.linalg.eigvalsh(diff)[0] > -1e-10
@@ -313,39 +309,31 @@ def test_synthesize_anchors_f_points(rng):
     metrics, cert = synthesize_single(field, "S", 3)
     assert cert.passed
     for i in range(7):
-        assert metrics[i].tobytes() == field.points[i].g0.tobytes()
-        assert cert.entries[i].provenance == "g0_anchor"
+        assert metrics[i].tobytes() == field.g0[i].tobytes()
+        assert cert.provenance[i] == "g0_anchor"
 
 
 def test_synthesize_anchor_ring_with_adjacency(rng):
     # in_F point plus its 1-ring keep g0; the ring neighbor is chosen benign
     d = 3
-    pts = [
-        FieldPoint(id="f0", forms={"S": np.eye(d, dtype=complex)},
-                   g0=np.eye(d, dtype=complex), in_F=True, neighbors=["n1"]),
-        FieldPoint(id="n1", forms={"S": np.diag([-0.1, 1.0, 2.0]).astype(complex)},
-                   neighbors=["f0"]),
-        FieldPoint(id="far", forms={"S": np.diag([-5.0, 1.0, 2.0]).astype(complex)},
-                   neighbors=[]),
-    ]
-    field = FormField(dim=d, points=pts)
+    S = np.array([np.eye(d), np.diag([-0.1, 1.0, 2.0]), np.diag([-5.0, 1.0, 2.0])])
+    field = FormField.from_stacks(["f0", "n1", "far"], {"S": S}, g0=np.eye(d)[None],
+                                  has_g0=[True, False, False], in_F=[True, False, False],
+                                  neighbors=[["n1"], ["f0"], []])
     metrics, cert = synthesize_single(field, "S", 2)
     assert cert.passed
     assert_allclose(metrics[0], np.eye(d))
     assert_allclose(metrics[1], np.eye(d))  # anchored by the 1-ring
-    assert cert.entries[2].provenance == "inflated"
+    assert cert.provenance[2] == "inflated"
 
 
 def test_synthesize_certificate_failure_is_honest():
     # anchored neighbor whose form is NOT q-positive at g0: must fail loudly
     d = 3
-    pts = [
-        FieldPoint(id="f0", forms={"S": np.eye(d, dtype=complex)},
-                   g0=np.eye(d, dtype=complex), in_F=True, neighbors=["bad"]),
-        FieldPoint(id="bad", forms={"S": np.diag([-5.0, 1.0, 2.0]).astype(complex)},
-                   neighbors=["f0"]),
-    ]
-    field = FormField(dim=d, points=pts)
+    S = np.array([np.eye(d), np.diag([-5.0, 1.0, 2.0])])
+    field = FormField.from_stacks(["f0", "bad"], {"S": S}, g0=np.eye(d)[None],
+                                  has_g0=[True, False], in_F=[True, False],
+                                  neighbors=[["bad"], ["f0"]])
     with pytest.raises(CertificateFailed) as exc:
         synthesize_single(field, "S", 2)
     assert "bad" in exc.value.failed_ids
@@ -372,7 +360,7 @@ def two_solve_route(field, q, theta=0.1):
         raise HypothesisViolated(ids[i], (int(n_plus[i]), int(n_minus[i]),
                                           d - int(n_plus[i]) - int(n_minus[i])))
     anchored = field.anchored_mask()
-    metrics = field.g0_stack()
+    metrics = np.array(field.g0)
     free = np.where(~anchored)[0]
     W = lapack_congruence(metrics[free])
     lam, Y = np.linalg.eigh(reduce_form(S[free], W))

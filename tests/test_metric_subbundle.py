@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose
 
 from qpos import (
     DimensionMismatch,
-    FieldPoint,
     FormField,
     NotFinite,
     NotPositiveDefinite,
@@ -28,8 +27,7 @@ ETA = 0.05
 
 
 def one_point_field(H, V, name="Q"):
-    d = H.shape[0]
-    return FormField(dim=d, points=[FieldPoint(id=0, forms={name: H}, subspace=V)])
+    return FormField.from_stacks([0], {name: H[None]}, subspace=V[None])
 
 
 # ----------------------------------------------------------------- constants
@@ -62,9 +60,9 @@ def test_constants_a3_sampling_oracle(rng):
     field = planted_subbundle_field(rng, 6, 5, 2, form_names=("Q",))
     c = compute_constants(field, ["Q"], 2)["Q"]
     worst = -np.inf
-    for i, p in enumerate(field.points):
-        H = p.forms["Q"]
-        BV = p.subspace
+    for i in range(len(field)):
+        H = field.form_stack("Q")[i]
+        BV = field.subspace[i]
         G = field.g0[i]
         # gamma-orthonormal basis of the complement
         w, U = np.linalg.eigh(G)
@@ -88,11 +86,13 @@ def test_constants_a3_sampling_oracle(rng):
 def test_bad_gamma_is_refused_as_g0_at_its_point(rng, bad, error):
     # gamma reaches the synthesis only as g0, which the field checks per point
     field = planted_subbundle_field(rng, 5, 5, 2)
-    points = [FieldPoint(id=i, forms={name: S[row] for name, S in field.forms.items()},
-                         g0=bad if i == "p2" else field.g0[row], subspace=field.subspace[row])
-              for row, i in enumerate(field.ids)]
-    with pytest.raises(error, match="g0 at 'p2'"):
-        FormField(dim=5, points=points)
+    g0 = np.array(field.g0)
+    if bad.shape == g0.shape[1:]:
+        g0[2], named = bad, "g0 at 'p2'"
+    else:  # a matrix of another shape cannot sit in the stack: the stack is refused
+        g0, named = np.broadcast_to(bad, (5, *bad.shape)), r"g0 stack has shape \(5, 4, 4\)"
+    with pytest.raises(error, match=named):
+        FormField.from_stacks(field.ids, field.forms, subspace=field.subspace, g0=g0)
 
 
 # ----------------------------------------------------------------- choose_C
@@ -126,7 +126,7 @@ def test_build_penalty_metric_trivial(rng):
 
 def test_build_penalty_metric_stack_matches_points(rng):
     field = planted_subbundle_field(rng, 6, 5, 2, form_names=("Q",))
-    BV = np.stack([p.subspace for p in field.points])
+    BV = field.subspace
     h = build_penalty_metric(field.g0, BV, 2.5)
     for i in range(len(field)):
         assert_allclose(h[i], build_penalty_metric(field.g0[i], BV[i], 2.5), atol=1e-13)
@@ -144,7 +144,7 @@ def test_penalty_metric_unit_vector_decomposition(rng):
     # h-unit vectors split as u + v with gamma(u,u) <= 1, gamma(v,v) <= 1/(1+kappa)
     field = planted_subbundle_field(rng, 1, 5, 2, form_names=("Q",))
     G = field.g0[0]
-    BV = field.points[0].subspace
+    BV = field.subspace[0]
     kappa = 3.7
     h = build_penalty_metric(G, BV, kappa)
     PV = BV @ BV.conj().T @ G
@@ -174,7 +174,7 @@ def test_synthesize_strong_negative_complement():
     field = one_point_field(np.diag([1.0, 1.0, -10.0]).astype(complex), V)
     h, certs, consts = synthesize_subbundle(field, ["Q"], q)
     assert certs["Q"].passed
-    assert q_min_sum(field.points[0].forms["Q"], h[0], q) > 0
+    assert q_min_sum(field.form_stack("Q")[0], h[0], q) > 0
 
 
 def test_synthesize_multiform_field(rng):
@@ -202,7 +202,7 @@ def test_synthesize_monotone_in_kappa(rng):
     _, _, consts = synthesize_subbundle(field, ["Q1", "Q2", "Q3"], 2)
     kappa = consts["Q1"].kappa
     for mult in (2.0, 10.0):
-        BV = np.stack([p.subspace for p in field.points])
+        BV = field.subspace
         P_perp = np.eye(5) - BV @ np.conj(np.swapaxes(BV, -1, -2)) @ field.g0
         h = field.g0 + mult * kappa * (np.conj(np.swapaxes(P_perp, -1, -2)) @ field.g0 @ P_perp)
         for name in ("Q1", "Q2", "Q3"):
@@ -217,10 +217,9 @@ def test_frame_trace_chain_inequality(rng):
     h, certs, consts = synthesize_subbundle(field, ["Q"], 2)
     c = consts["Q"]
     q = 2
-    for i, p in enumerate(field.points):
-        H = p.forms["Q"]
-        G = field.g0[i]
-        PV = p.subspace @ p.subspace.conj().T @ G
+    for i in range(len(field)):
+        H, BV, G = field.form_stack("Q")[i], field.subspace[i], field.g0[i]
+        PV = BV @ BV.conj().T @ G
         frames = random_g_orthonormal_frames(rng, h[i], 100, q)
         for T in frames:
             tr = float(np.trace(T.conj().T @ H @ T).real)
@@ -240,7 +239,7 @@ def test_certificate_survives_metric_perturbation(rng):
         E *= (margin / 10.0) / np.linalg.norm(E, 2)
         hp = h[i] + E
         for name in ("Q1", "Q2", "Q3"):
-            assert q_min_sum(field.points[i].forms[name], hp, 2) > 0
+            assert q_min_sum(field.form_stack(name)[i], hp, 2) > 0
 
 
 def test_certificates_from_one_congruence_equal_one_pencil_solve_per_form(rng):

@@ -24,8 +24,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
-from qpos import (DimensionMismatch, FieldPoint, FormField, PositivityCertificate, QposError,
-                  SchemaError, cli, fields, hermitian, serialize)
+from qpos import (DimensionMismatch, FormField, PositivityCertificate, QposError, SchemaError,
+                  cli, fields, hermitian, serialize)
 from qpos.fields import CertificateEntry, certify
 from qpos.hermitian import MARGIN_FLOOR_SCALE
 from qpos.serialize import (
@@ -49,6 +49,17 @@ from qpos.synthetic import (
 def run_cli(*argv, cwd=None):
     return subprocess.run([sys.executable, "-m", "qpos.cli", *map(str, argv)],
                           capture_output=True, text=True, cwd=cwd)
+
+
+def _field(ids, forms, **kw):
+    """``FormField.from_stacks`` with each form given as one matrix per point."""
+    return FormField.from_stacks(
+        ids, {name: np.array(mats, dtype=complex) for name, mats in forms.items()}, **kw)
+
+
+def _constant_pairs():
+    """Three points with Q1 = I and Q2 = diag(2, 1)."""
+    return _field(range(3), {"Q1": [np.eye(2)] * 3, "Q2": [np.diag([2.0, 1.0])] * 3})
 
 
 # Layers that a command imports only when it runs them.
@@ -77,10 +88,7 @@ def _command_argvs(tmp_path):
     single, pairs, sub, matrix, quad = (tmp_path / f"{name}.json" for name in (
         "single", "pairs", "sub", "matrix", "quadric"))
     single.write_text(dumps_canonical(field_to_json(planted_inertia_field(rng, 6, 4, 2))))
-    pairs.write_text(dumps_canonical(field_to_json(FormField(dim=2, points=[
-        FieldPoint(id=i, forms={"Q1": np.eye(2, dtype=complex),
-                                "Q2": np.diag([2.0, 1.0]).astype(complex)})
-        for i in range(3)]))))
+    pairs.write_text(dumps_canonical(field_to_json(_constant_pairs())))
     sub.write_text(dumps_canonical(field_to_json(planted_subbundle_field(rng, 6, 4, 2))))
     matrix.write_text(dumps_canonical(matrix_to_json(np.diag([-2.0, -1.0, 3.0]))))
     quad.write_text(json.dumps({"type": "quadric", "n": 3, "q": 2,
@@ -128,7 +136,7 @@ PACKAGE_EXPORTS = {
                    "NotHermitian", "NotPositiveDefinite", "NotPositiveOnV",
                    "ProjectorRoutesDisagree", "QOutOfRange", "QposError", "SchemaError",
                    "VanishingField", "ZeroRepresentative", "ZqViolated"],
-        "fields": ["FieldPoint", "FormField", "PositivityCertificate"],
+        "fields": ["FormField", "PositivityCertificate"],
         "hermitian": ["pencil_eigh", "pencil_eigvalsh"],
         "metric_single": ["negative_projector", "synthesize_single"],
         "metric_subbundle": ["PenaltyConstants", "build_penalty_metric", "choose_C",
@@ -271,14 +279,11 @@ def test_cli_process_writes_what_main_writes(tmp_path, command):
     # heap and ends the process with os._exit after flushing the streams; the
     # process must write the same bytes, streams and code as `main(argv)`.
     # Under cProfile it exits through sys.exit, so the profiler's table follows.
-    pts = [FieldPoint(id="good", forms={"S": np.eye(3, dtype=complex),
-                                        "Q1": np.eye(3, dtype=complex),
-                                        "Q2": np.diag([2.0, 1.0, 0.5]).astype(complex)}),
-           FieldPoint(id="viol", forms={"S": np.diag([-5.0, 1.0, 2.0]).astype(complex),
-                                        "Q1": np.diag([1.0, -0.5, 1.0]).astype(complex),
-                                        "Q2": np.diag([-0.5, 1.0, 1.0]).astype(complex)})]
     field = tmp_path / "field.json"
-    field.write_text(dumps_canonical(field_to_json(FormField(dim=3, points=pts))))
+    field.write_text(dumps_canonical(field_to_json(_field(["good", "viol"], {
+        "S": [np.eye(3), np.diag([-5.0, 1.0, 2.0])],
+        "Q1": [np.eye(3), np.diag([1.0, -0.5, 1.0])],
+        "Q2": [np.diag([2.0, 1.0, 0.5]), np.diag([-0.5, 1.0, 1.0])]}))))
     outputs = {}
     for route in ("process", "main"):
         d = tmp_path / route
@@ -354,7 +359,7 @@ def test_field_round_trip(rng):
     field2 = field_from_json(field_to_json(field))
     assert field2.ids == field.ids
     assert_allclose(field2.form_stack("S"), field.form_stack("S"), atol=0)
-    assert field2.points[0].in_F and not field2.points[-1].in_F
+    assert field2.in_F[0] and not field2.in_F[-1]
 
 
 def test_canonical_bytes_are_stable():
@@ -812,10 +817,9 @@ def test_cli_check_passes_on_positive_field(tmp_path, rng):
 
 
 def test_cli_check_flags_violation(tmp_path):
-    pts = [FieldPoint(id="good", forms={"S": np.eye(3, dtype=complex)}),
-           FieldPoint(id="viol", forms={"S": np.diag([-5.0, 1.0, 2.0]).astype(complex)})]
     path = tmp_path / "field.json"
-    path.write_text(dumps_canonical(field_to_json(FormField(dim=3, points=pts))))
+    path.write_text(dumps_canonical(field_to_json(
+        _field(["good", "viol"], {"S": [np.eye(3), np.diag([-5.0, 1.0, 2.0])]}))))
     out = tmp_path / "report.json"
     r = run_cli("check", "--input", path, "--q", 2, "--form", "S", "--out", out)
     assert r.returncode == 2
@@ -901,11 +905,8 @@ def test_cli_synthesize_subbundle_and_two_forms(tmp_path, rng):
     assert set(consts) == {"Q1", "Q2", "Q3"}
     assert all(c["kappa"] >= c["C"] - 1e-15 for c in consts.values())
 
-    pts = [FieldPoint(id=i, forms={"Q1": np.eye(2, dtype=complex),
-                                   "Q2": np.diag([2.0, 1.0]).astype(complex)})
-           for i in range(3)]
     tpath = tmp_path / "pairs.json"
-    tpath.write_text(dumps_canonical(field_to_json(FormField(dim=2, points=pts))))
+    tpath.write_text(dumps_canonical(field_to_json(_constant_pairs())))
     cert = tmp_path / "tf_cert.json"
     r = run_cli("synthesize", "two-forms", "--input", tpath, "--forms", "Q1,Q2",
                 "--angles", 128, "--cert", cert)
@@ -920,11 +921,10 @@ def test_cli_two_forms_ignores_angles(tmp_path, rng):
     # exits 1 (two_forms_zero_angles)
     from qpos.synthetic import random_pair_with_common_direction
 
-    pts = [FieldPoint(id=f"p{i}", forms=dict(zip(("Q1", "Q2"),
-                                                 random_pair_with_common_direction(rng, 3))))
-           for i in range(4)]
+    Q1, Q2 = zip(*(random_pair_with_common_direction(rng, 3)[:2] for _ in range(4)))
     path = tmp_path / "pairs.json"
-    path.write_text(dumps_canonical(field_to_json(FormField(dim=3, points=pts))))
+    path.write_text(dumps_canonical(field_to_json(
+        _field([f"p{i}" for i in range(4)], {"Q1": Q1, "Q2": Q2}))))
     reports = []
     for k, angles in enumerate(((), ("--angles", 64), ("--angles", 512))):
         out, cert = tmp_path / f"metric{k}.json", tmp_path / f"cert{k}.json"
@@ -966,7 +966,8 @@ def test_cli_geometry_counterexample(tmp_path):
 
 
 BAD_INPUT_CASES = [
-    "check_q_above_dim", "check_q_zero", "single_q_above_dim", "metric_missing_id",
+    "check_q_above_dim", "check_q_zero", "single_q_above_dim", "subbundle_q_zero",
+    "subbundle_q_above_dim", "metric_missing_id",
     "metric_malformed_json", "nan_form_entry", "inf_imaginary_form_entry",
     "metric_malformed_json_large", "nan_form_entry_large", "field_id_nan_large",
     "zq_q_above_range", "zq_q_zero", "bump_q_above_range",
@@ -1069,8 +1070,7 @@ def test_cli_rejects_bad_input_with_exit_1(tmp_path, case):
     S = np.diag([1.0, 2.0]).astype(complex)
     path = tmp_path / "field.json"
     path.write_text(dumps_canonical(field_to_json(
-        FormField(dim=2, points=[FieldPoint(id="p0", forms={"S": S, "Q1": S}),
-                                 FieldPoint(id="p1", forms={"S": S, "Q1": S})]))))
+        _field(["p0", "p1"], {"S": [S, S], "Q1": [S, S]}))))
     metric = tmp_path / "metric.json"
     quad = tmp_path / "quad.json"
     quad.write_text(json.dumps({"type": "quadric", "n": 3, "q": 2,
@@ -1084,6 +1084,11 @@ def test_cli_rejects_bad_input_with_exit_1(tmp_path, case):
         argv, named = check + ("--q", 0), "--q"
     elif case == "single_q_above_dim":
         argv, named = ("synthesize", "single", "--input", path, "--q", 9), "--q"
+    elif case in ("subbundle_q_zero", "subbundle_q_above_dim"):
+        # q outside [1, d] used to exit 2, as a field without fibers of rank d - q + 1
+        q = 0 if case == "subbundle_q_zero" else 3
+        argv = ("synthesize", "subbundle", "--input", path, "--forms", "S,Q1", "--q", q)
+        named = "--q"
     elif case == "metric_missing_id":
         metric.write_text(dumps_canonical(metrics_to_json(["p0"], [np.eye(2)])))
         argv, named = check + ("--q", 1, "--metric", metric), f"{metric}.metrics"
@@ -1397,9 +1402,10 @@ def test_cli_factors_each_metric_stack_once(tmp_path, rng, monkeypatch):
                (two_forms, "congruence")]
     assert _calls(monkeypatch, ["synthesize", "subbundle", "--input", path,
                                 "--forms", "Q1,Q2,Q3", "--q", 2], factors)["congruence"] == 2
-    pairs = FormField(dim=3, points=[
-        FieldPoint(id=i, forms=dict(zip(("Q1", "Q2"), random_pair_with_common_direction(rng, 3))),
-                   g0=random_metric(rng, 3)) for i in range(5)])
+    rows = [(*random_pair_with_common_direction(rng, 3)[:2], random_metric(rng, 3))
+            for _ in range(5)]
+    Q1, Q2, g0 = zip(*rows)
+    pairs = _field(range(5), {"Q1": Q1, "Q2": Q2}, g0=np.array(g0))
     path = tmp_path / "pairs.json"
     path.write_text(dumps_canonical(field_to_json(pairs)))
     assert _calls(monkeypatch, ["synthesize", "two-forms", "--input", path, "--forms", "Q1,Q2"],
@@ -1507,8 +1513,7 @@ def test_cli_check_passes_a_huge_positive_form(tmp_path):
     # positive form (exit 2) with numpy's overflow warning
     S = 1e200 * np.eye(2, dtype=complex)
     path, out = tmp_path / "field.json", tmp_path / "check.json"
-    path.write_text(dumps_canonical(field_to_json(FormField(
-        dim=2, points=[FieldPoint(id="p0", forms={"S": S})]))))
+    path.write_text(dumps_canonical(field_to_json(_field(["p0"], {"S": [S]}))))
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["check", "--input", str(path), "--form", "S", "--q", "1",
                          "--out", str(out)]) == 0
@@ -1533,75 +1538,77 @@ def test_field_rejects_neighbor_ids_that_name_no_point():
     # a mistyped id used to drop out of the 1-ring of F, where the metric is pinned
     S = np.eye(2, dtype=complex)
     with pytest.raises(QposError, match="'p1'.*'px'"):
-        FormField(dim=2, points=[FieldPoint(id="p0", forms={"S": S}, in_F=True, g0=S),
-                                 FieldPoint(id="p1", forms={"S": S}, neighbors=["p0", "px"])])
+        _field(["p0", "p1"], {"S": [S, S]}, g0=S[None], has_g0=[True, False],
+               in_F=[True, False], neighbors=[None, ["p0", "px"]])
 
 
 S2 = np.eye(2, dtype=complex)
 
 
-@pytest.mark.parametrize("points, part, at", [
+@pytest.mark.parametrize("ids, given, part, at", [
     # True == 1, so a true neighbor used to name the point with id 1, and a true id
     # to be named by a neighbor 1
-    ([FieldPoint(id=1, forms={"S": S2}), FieldPoint(id="p1", forms={"S": S2}, neighbors=[True])],
-     "neighbors", "'p1'"),
-    ([FieldPoint(id="p0", forms={"S": S2}, neighbors=[1]), FieldPoint(id=True, forms={"S": S2})],
-     "id", "True"),
+    ([1, "p1"], {"neighbors": [None, [True]]}, "neighbors", "'p1'"),
+    (["p0", True], {"neighbors": [[1], None]}, "id", "True"),
     # NaN != NaN, so two NaN ids (two objects, unlike math.nan twice) used to pass
-    ([FieldPoint(id=float("nan"), forms={"S": S2}), FieldPoint(id=float("nan"), forms={"S": S2})],
-     "id", "nan"),
-    ([FieldPoint(id=[1], forms={"S": S2}), FieldPoint(id="p1", forms={"S": S2})], "id", r"\[1\]"),
+    ([float("nan"), float("nan")], {}, "id", "nan"),
+    ([[1], "p1"], {}, "id", r"\[1\]"),
     # a NaN basis used to reach synthesize_subbundle, which raised numpy's LinAlgError
-    ([FieldPoint(id="p0", forms={"S": S2}, subspace=np.eye(2)[:, :1]),
-      FieldPoint(id="p1", forms={"S": S2}, subspace=np.array([[math.nan], [1.0]]))],
-     "subspace", "'p1'"),
+    (["p0", "p1"], {"subspace": [np.eye(2)[:, :1], [[math.nan], [1.0]]]}, "subspace", "'p1'"),
 ], ids=["neighbor_true", "id_true", "ids_nan", "id_list", "subspace_nan"])
-def test_field_built_in_python_keeps_the_per_point_rules(points, part, at):
+def test_field_built_in_python_keeps_the_per_point_rules(ids, given, part, at):
     with pytest.raises(QposError, match=f"^{part} at {at}: ") as info:
-        FormField(dim=2, points=points)
+        _field(ids, {"S": [S2, S2]}, **given)
     assert info.value.part == part
 
 
-def _points_of(doc):
-    """A field document's points as FieldPoints, with its ids and neighbors as given."""
-    return [FieldPoint(id=p["id"], neighbors=p.get("neighbors"),
-                       forms={k: matrix_from_json(m) for k, m in p["forms"].items()})
-            for p in doc["points"]]
+@pytest.mark.parametrize("ids, given, said", [
+    # each was accepted, or ended in numpy's IndexError or broadcast ValueError, in
+    # from_stacks or later in synthesize_single, certify or anchored_mask
+    ("abc", {"in_F": [True]}, r"in_F of shape \(1,\) for 3 points"),
+    ("abc", {"in_F": [True, False]}, r"in_F of shape \(2,\) for 3 points"),
+    ("abc", {"in_F": True}, r"in_F of shape \(\) for 3 points"),
+    ("abc", {"g0": [S2], "has_g0": [True]}, r"has_g0 of shape \(1,\) for 3 points"),
+    ("abc", {"forms": {"S": [S2]}, "has_forms": {"S": [True]}},
+     r"has_forms\.S of shape \(1,\) for 3 points"),
+    ("a", {"neighbors": [[], ["a"]]}, "neighbors of length 2 for 1 points"),
+], ids=["in_F_short", "in_F_long", "in_F_scalar", "has_g0_short", "has_forms_short",
+        "neighbors_long"])
+def test_from_stacks_refuses_per_point_arguments_of_another_length(ids, given, said):
+    given = {"forms": {"S": [S2] * len(ids)}, **given}
+    with pytest.raises(DimensionMismatch, match=f"^{said}$"):
+        _field(list(ids), **given)
+
+
+def _stacks_of(doc):
+    """A field document's forms as stacks, with its ids and neighbors as given."""
+    pts = doc["points"]
+    return {"ids": [p["id"] for p in pts], "neighbors": [p.get("neighbors") for p in pts],
+            "forms": {k: [matrix_from_json(p["forms"][k]) for p in pts] for k in pts[0]["forms"]}}
 
 
 @pytest.mark.parametrize("case", [c for c in FIELD_DEFECTS if "_id_" in c or "neighbor" in c])
 def test_json_and_python_fields_refuse_ids_and_neighbors_at_one_part(case):
-    doc = field_to_json(FormField(dim=2, points=[FieldPoint(id="p0", forms={"S": S2}),
-                                                 FieldPoint(id="p1", forms={"S": S2})]))
+    doc = field_to_json(_field(["p0", "p1"], {"S": [S2, S2]}))
     mutate, suffix = FIELD_DEFECTS[case]
     mutate(doc)
     with pytest.raises(SchemaError) as from_json:
         field_from_json(doc, path="f")
-    with pytest.raises(QposError) as from_points:
-        FormField(dim=2, points=_points_of(doc))
+    with pytest.raises(QposError) as from_stacks:
+        _field(**_stacks_of(doc))
     assert from_json.value.path == "f" + suffix
-    assert f".points[{from_points.value.row}].{from_points.value.part}" == suffix
-
-
-def test_field_rejects_subspaces_of_mixed_rank_or_presence():
-    S, B = np.eye(3, dtype=complex), np.eye(3, dtype=complex)
-    for second, said in ((B[:, :1], "rank-1"), (None, "no subspace")):
-        with pytest.raises(QposError, match=f"'p1'.*{said}.*'p0'.*rank-2"):
-            FormField(dim=3, points=[FieldPoint(id="p0", forms={"S": S}, subspace=B[:, :2]),
-                                     FieldPoint(id="p1", forms={"S": S}, subspace=second)])
+    assert f".points[{from_stacks.value.row}].{from_stacks.value.part}" == suffix
 
 
 def test_field_points_are_read_only_views(rng):
+    # a point's values are rows of the field's read-only stacks
     field = planted_inertia_field(rng, 5, 3, 2, n_anchor=2)
-    p = field.points[0]
-    assert p.forms["S"].base is field.form_stack("S") and p.g0.base is field.g0
-    assert field.points[4].g0 is None and p.in_F and not field.points[4].in_F
-    assert field.points is field.points  # built once, from stacks that cannot change
-    for stack in (p.forms["S"], field.in_F, field.has_g0, *field.edges):
+    assert field.has_g0[0] and not field.has_g0[4] and field.in_F[0] and not field.in_F[4]
+    assert field.g0[4].tobytes() == np.eye(3, dtype=complex).tobytes()  # I where no g0
+    for stack in (field.form_stack("S")[0], field.g0[0], field.in_F, field.has_g0,
+                  *field.edges):
         with pytest.raises(ValueError):
             stack[...] = 1
-    with pytest.raises(AttributeError):
-        p.g0 = np.eye(3)
 
 
 def test_cli_geometry_decompositions_do_not_grow_with_samples(tmp_path, monkeypatch):
@@ -1624,7 +1631,7 @@ def test_cli_geometry_decompositions_do_not_grow_with_samples(tmp_path, monkeypa
 def test_certify_rejects_provenance_and_metrics_of_another_length():
     S = np.stack([np.eye(3)] * 2 + [np.diag([-5.0, 1.0, 2.0])] * 3).astype(complex)
     field = FormField.from_stacks([f"p{i}" for i in range(5)], {"S": S})
-    G = field.g0_stack()
+    G = field.g0
     # zip() over ids and a one-entry provenance list used to cut this 5-point
     # certificate to its first point, which passes: a passing certificate that
     # covered 1 of 5 points while 3 of them fail
@@ -1677,8 +1684,7 @@ LAYOUT_ROWS = [("a", 3.0, 3.0 - MARGIN_FLOOR_SCALE * np.sqrt(21.0)),
 
 
 def _layout_field():
-    return FormField(dim=3, points=[FieldPoint(id=i, forms={"S": np.diag(w).astype(complex)})
-                                    for i, w in LAYOUT_DIAGS.items()])
+    return _field(list(LAYOUT_DIAGS), {"S": [np.diag(w) for w in LAYOUT_DIAGS.values()]})
 
 
 def test_certificate_json_layout():
@@ -1720,10 +1726,7 @@ def test_cli_builds_no_per_point_certificate_entries(tmp_path, rng, monkeypatch)
     subbundle = tmp_path / "sub.json"
     subbundle.write_text(dumps_canonical(field_to_json(planted_subbundle_field(rng, 20, 4, 2))))
     pairs = tmp_path / "pairs.json"
-    pairs.write_text(dumps_canonical(field_to_json(FormField(dim=2, points=[
-        FieldPoint(id=i, forms={"Q1": np.eye(2, dtype=complex),
-                                "Q2": np.diag([2.0, 1.0]).astype(complex)})
-        for i in range(3)]))))
+    pairs.write_text(dumps_canonical(field_to_json(_constant_pairs())))
     quad = tmp_path / "quadric.json"
     quad.write_text(json.dumps({"type": "quadric", "n": 3, "q": 2,
                                 "mu": [2.0, 2.0, -0.5, -0.5]}))

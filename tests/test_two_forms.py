@@ -8,7 +8,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from qpos import (
     CertificateFailed,
-    FieldPoint,
     FormField,
     LevelNotReached,
     NoCommonDirection,
@@ -523,10 +522,14 @@ def test_pair_metric_empirical_continuity(rng):
 
 # ------------------------------------------------------------- field level
 
+def _pair_field(ids, pairs, **kw):
+    """The field with the pairs ``(Q1, Q2)`` at the points ``ids``."""
+    Q1, Q2 = (np.array(Q, dtype=complex) for Q in zip(*pairs))
+    return FormField.from_stacks(ids, {"Q1": Q1, "Q2": Q2}, **kw)
+
+
 def test_field_constant_identity_pair():
-    pts = [FieldPoint(id=i, forms={"Q1": np.eye(2, dtype=complex),
-                                   "Q2": np.eye(2, dtype=complex)}) for i in range(5)]
-    field = FormField(dim=2, points=pts)
+    field = _pair_field(range(5), [(np.eye(2), np.eye(2))] * 5)
     metrics, certs, gammas, cont = field_metric_top_degree(field, ("Q1", "Q2"))
     assert certs["Q1"].passed and certs["Q2"].passed
     assert np.ptp(gammas, axis=0).max() < 1e-12  # identical gamma at all points
@@ -537,12 +540,9 @@ def test_field_varying_pair_with_adjacency(rng):
         return np.diag([1.0, -a]).astype(complex), np.diag([-a, 1.0]).astype(complex)
 
     for n in (8, 16):
-        pts = []
-        for i, a in enumerate(np.linspace(0.1, 0.5, n)):
-            Q1, Q2 = pair_at(a)
-            nbrs = [f"p{i-1}"] if i else []
-            pts.append(FieldPoint(id=f"p{i}", forms={"Q1": Q1, "Q2": Q2}, neighbors=nbrs))
-        field = FormField(dim=2, points=pts)
+        field = _pair_field([f"p{i}" for i in range(n)],
+                            [pair_at(a) for a in np.linspace(0.1, 0.5, n)],
+                            neighbors=[[f"p{i-1}"] if i else [] for i in range(n)])
         metrics, certs, gammas, cont = field_metric_top_degree(field, ("Q1", "Q2"))
         assert certs["Q1"].passed and certs["Q2"].passed
         neigh = field.neighbor_indices()  # the per-neighbour comprehension, exactly
@@ -554,13 +554,7 @@ def test_field_varying_pair_with_adjacency(rng):
 
 
 def test_field_flags_missing_common_direction():
-    pts = [
-        FieldPoint(id="ok", forms={"Q1": np.eye(2, dtype=complex),
-                                   "Q2": np.eye(2, dtype=complex)}),
-        FieldPoint(id="bad", forms={"Q1": np.eye(2, dtype=complex),
-                                    "Q2": -np.eye(2, dtype=complex)}),
-    ]
-    field = FormField(dim=2, points=pts)
+    field = _pair_field(["ok", "bad"], [(np.eye(2), np.eye(2)), (np.eye(2), -np.eye(2))])
     with pytest.raises(NoCommonDirection) as exc:
         field_metric_top_degree(field, ("Q1", "Q2"))
     assert exc.value.point_id == "bad"
@@ -581,13 +575,10 @@ def _midpoint_at_zero(monkeypatch, row):
 
 def test_field_certificate_failure_names_the_point(monkeypatch):
     # theta = 0 lies before the arc of "coarse" (theta_a > 0), where Tr Q2 < 0
-    pts = [FieldPoint(id="ok", forms={"Q1": np.eye(2, dtype=complex),
-                                      "Q2": np.eye(2, dtype=complex)}),
-           FieldPoint(id="coarse", forms={"Q1": np.diag([1.0, -3.0]).astype(complex),
-                                          "Q2": np.diag([-0.1, 1.0]).astype(complex)})]
+    field = _pair_field(["ok", "coarse"], [(np.eye(2), np.eye(2)), COARSE])
     _midpoint_at_zero(monkeypatch, 0)  # "ok" is proportional: "coarse" is the only row
     with pytest.raises(CertificateFailed, match="output traces not positive") as exc:
-        field_metric_top_degree(FormField(dim=2, points=pts), ("Q1", "Q2"))
+        field_metric_top_degree(field, ("Q1", "Q2"))
     assert exc.value.failed_ids == ["coarse"]
 
 
@@ -612,9 +603,8 @@ def test_coarse_pair_passes_with_interior_arc_ends():
 def _crossed_field(special=()):
     """Five crossed pairs p0 ... p4; ``special`` maps a point index to its own pair."""
     special = dict(special)
-    return FormField(dim=2, points=[
-        FieldPoint(id=f"p{i}", forms=dict(zip(("Q1", "Q2"), special.get(i, _crossed(a)))))
-        for i, a in enumerate(np.linspace(0.1, 0.5, 5))])
+    return _pair_field([f"p{i}" for i in range(5)], [
+        special.get(i, _crossed(a)) for i, a in enumerate(np.linspace(0.1, 0.5, 5))])
 
 
 def _planted_at_gamma(monkeypatch, off_level=(), negated=()):
@@ -663,7 +653,7 @@ def test_field_raises_for_the_first_failing_point(monkeypatch):
 
 def _mixed_field(rng, n, d=3):
     """General, proportional (Q1 = mu Q2) and near-proportional pairs, each with its own g0."""
-    pts = []
+    pairs, g0 = [], []
     for i in range(n):
         Q1, Q2, _ = random_pair_with_common_direction(rng, d)
         if i % 4 == 1:
@@ -671,17 +661,17 @@ def _mixed_field(rng, n, d=3):
         elif i % 4 == 2:
             Q1 = 0.8 * Q2 + 1e-8 * random_hermitian(rng, d)
         A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        pts.append(FieldPoint(id=f"p{i}", forms={"Q1": Q1, "Q2": Q2},
-                              g0=A @ A.conj().T + d * np.eye(d)))
-    return FormField(dim=d, points=pts)
+        pairs.append((Q1, Q2))
+        g0.append(A @ A.conj().T + d * np.eye(d))
+    return _pair_field([f"p{i}" for i in range(n)], pairs, g0=np.array(g0))
 
 
 @pytest.mark.filterwarnings("ignore:forms are nearly proportional")
 def test_field_equals_per_point_pair_metrics_bit_for_bit(rng, monkeypatch):
     field = _mixed_field(rng, 40)
     metrics, _, gammas, _ = field_metric_top_degree(field, ("Q1", "Q2"))
-    single = [pair_metric(PairState(p.forms["Q1"], p.forms["Q2"], base=p.g0))
-              for p in field.points]
+    single = [pair_metric(PairState(Q1, Q2, base=g0)) for Q1, Q2, g0 in
+              zip(field.form_stack("Q1"), field.form_stack("Q2"), field.g0)]
     assert sum(r.proportional for r in single) == 10
     assert_array_equal(gammas, np.stack([r.gamma_point for r in single]))
     assert_array_equal(metrics, np.stack([r.metric for r in single]))
@@ -695,8 +685,9 @@ def test_field_equals_per_point_pair_metrics_bit_for_bit(rng, monkeypatch):
 @pytest.mark.filterwarnings("ignore:forms are nearly proportional")
 def _with_interior_pair(field, pair):
     """The field with the pair ``(Q1, Q2)`` as one more point, with g0 = I."""
-    extra = FieldPoint(id="interior", forms=dict(zip(("Q1", "Q2"), pair)), g0=np.eye(3))
-    return FormField(dim=3, points=[*field.points, extra])
+    return _pair_field([*field.ids, "interior"],
+                       [*zip(field.form_stack("Q1"), field.form_stack("Q2")), pair],
+                       g0=np.concatenate([field.g0, np.eye(3)[None]]))
 
 
 @pytest.mark.filterwarnings("ignore:forms are nearly proportional")
@@ -710,8 +701,10 @@ def test_field_eigensolve_count_does_not_grow_with_points(rng, monkeypatch):
         if 0 < common_direction(Q1[None], Q2[None])[1][0] < 1:
             break
     few = _with_interior_pair(_mixed_field(rng, 3), (Q1, Q2))
-    repeated = FormField(dim=3, points=[FieldPoint(id=f"{p.id}.{k}", forms=p.forms, g0=p.g0)
-                                        for k in range(10) for p in few.points])
+    rows = np.tile(np.arange(len(few)), 10)
+    repeated = FormField.from_stacks([f"{i}.{k}" for k in range(10) for i in few.ids],
+                                     {name: S[rows] for name, S in few.forms.items()},
+                                     g0=few.g0[rows])
     counts = []
     for field in (few, repeated, _with_interior_pair(_mixed_field(rng, 30), (Q1, Q2))):
         calls = {"eigh": 0, "eigvalsh": 0}
@@ -735,11 +728,8 @@ def test_field_level_curve_working_set_does_not_grow_with_d():
     import tracemalloc
 
     rng = np.random.default_rng(8)
-    pts = []
-    for i in range(200):
-        Q1, Q2, _ = random_pair_with_common_direction(rng, 8)
-        pts.append(FieldPoint(id=i, forms={"Q1": Q1, "Q2": Q2}))
-    field = FormField(dim=8, points=pts)
+    field = _pair_field(range(200), [random_pair_with_common_direction(rng, 8)[:2]
+                                     for _ in range(200)])
     tracemalloc.start()
     try:
         field_metric_top_degree(field, ("Q1", "Q2"))
