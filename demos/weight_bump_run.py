@@ -20,8 +20,8 @@ def report(rep, label):
     print(f"   eps bound     : {rep.epsilon_bound if np.isfinite(rep.epsilon_bound) else 'inf'}")
     print(f"   eps chosen    : {rep.epsilon:.4g}")
     print(f"   claim 1 (count): {'all pass' if rep.claim1_pass.all() else 'FAIL'}")
-    print(f"   claim 2 (kernel q-sum) min: {rep.claim2_min.min():+.4g}")
-    print(f"   claim 3 (full q-sum)   min: {rep.claim3_min.min():+.4g}")
+    print(f"   claim 2 (kernel q-sum) min: {rep.claim2_min_sums.min():+.4g}")
+    print(f"   claim 3 (full q-sum)   min: {rep.claim3_min_sums.min():+.4g}")
     print(f"   trace-identity max err    : {rep.trace_identity_max_err:.2e}")
     print(f"   claim-3 failures at 10x eps bound: {rep.large_eps_claim3_failures}")
     print(f"   verdict: {'PASS' if rep.all_claims_pass else 'FAIL'}\n")

@@ -60,6 +60,12 @@ def _load_samples(args):
     return domain, sample_boundary(domain, args.samples, seed=args.seed)
 
 
+def _record(result, *dropped):
+    """A result record's fields by name, less ``dropped``: the report layout of
+    the bump, the projector and the penalty constants."""
+    return {k: v for k, v in vars(result).items() if k not in dropped}
+
+
 def _form_names(field, option, names, count=None):
     """The form names given by ``option``, each present at every point of the field."""
     if count is not None and len(names) != count:
@@ -130,17 +136,11 @@ def cmd_project(args):
     T = load_matrix(args.input)
     res = riesz_projector(T, Disc(center=args.center, radius=args.radius),
                           nodes=args.nodes)
-    report = {
-        "config": _config_echo(args, center=args.center, radius=args.radius,
-                               nodes=args.nodes),
-        "projector": matrix_arrays(res.matrix),
-        "quad_nodes": res.quad_nodes,
-        "separation": res.separation,
-        "idempotency_defect": res.idempotency_defect,
-        "hermiticity_defect": res.hermiticity_defect,
-    }
     if args.out:
-        write_report(args.out, report)
+        write_report(args.out, {
+            "config": _config_echo(args, center=args.center, radius=args.radius,
+                                   nodes=args.nodes),
+            "projector": matrix_arrays(res.matrix), **_record(res, "matrix")})
     print(f"project: separation {res.separation:.3e}, "
           f"idempotency defect {res.idempotency_defect:.3e}")
     return 0
@@ -181,9 +181,7 @@ def cmd_synthesize_subbundle(args):
     if args.report:
         write_report(args.report, {
             "config": _config_echo(args, forms=names, q=args.q, safety=args.safety),
-            "constants": {name: {"A1": c.A1, "A2": c.A2, "A3": c.A3,
-                                 "C": c.C, "kappa": c.kappa, "q": c.q}
-                          for name, c in consts.items()},
+            "constants": {name: _record(c) for name, c in consts.items()},
         })
     kappa = next(iter(consts.values())).kappa
     print(f"synthesize subbundle: PASS (kappa {kappa:.6g})")
@@ -255,21 +253,12 @@ def cmd_geometry_bump(args):
     domain, samples = _load_samples(args)
     rep = weight_bump(domain, args.q, samples, seed=args.seed)
     if args.out:
-        write_report(args.out, {
-            "config": _config_echo(args, q=args.q, samples=args.samples),
-            "delta0": rep.delta0, "eta": (rep.eta if np.isfinite(rep.eta) else "inf"),
-            "epsilon": rep.epsilon,
-            "epsilon_bound": (rep.epsilon_bound if np.isfinite(rep.epsilon_bound)
-                              else "inf"),
-            "B1": rep.B1, "B2": rep.B2, "kappa": rep.kappa,
-            "subbundle_constants": rep.subbundle_constants,
-            "claim1_pass": rep.claim1_pass.tolist(),
-            "claim2_min_sums": rep.claim2_min,
-            "claim3_min_sums": rep.claim3_min,
-            "trace_identity_max_err": rep.trace_identity_max_err,
-            "large_eps_claim3_failures": rep.large_eps_claim3_failures,
-            "all_claims_pass": rep.all_claims_pass,
-        })
+        report = _record(rep, "g0")
+        for bound in ("eta", "epsilon_bound"):
+            if not np.isfinite(report[bound]):
+                report[bound] = "inf"
+        write_report(args.out, {"config": _config_echo(args, q=args.q, samples=args.samples),
+                                **report})
     ok = rep.all_claims_pass
     print(f"geometry bump: {'PASS' if ok else 'FAIL'} "
           f"(delta0 {rep.delta0:.4g}, epsilon {rep.epsilon:.4g})")

@@ -10,7 +10,8 @@ Python, and enforces the per-point rules once: ids are hashable, unique, and
 no boolean (True == 1 would name id 1), NaN or infinity; each neighbor list
 names points (a boolean or None names none); forms are Hermitian, g0 positive
 definite, subspace bases of one shape, all finite; a point in F has a g0; masks
-and neighbor lists have N entries.  A point's values are rows: ``field.g0[r]``.
+hold N booleans and neighbor lists N entries.  A point's values are rows:
+``field.g0[r]``.
 """
 
 from __future__ import annotations
@@ -142,11 +143,16 @@ def fiber_rank(ranks, ids):
 
 
 def _mask(value, n, part, default):
-    """``value`` as an (N,) boolean mask, all ``default`` if None; else DimensionMismatch."""
-    mask = np.full(n, default) if value is None else np.array(value, dtype=bool)
+    """``value`` as an (N,) boolean mask, all ``default`` if None; DimensionMismatch
+    for another shape, QposError for entries that are not booleans."""
+    mask = np.full(n, default) if value is None else np.array(value)
     if mask.shape != (n,):
         raise DimensionMismatch(f"{part} of shape {mask.shape} for {n} points")
-    return mask
+    bad = [] if mask.dtype == bool else [
+        v for v in mask.tolist() if not isinstance(v, (bool, np.bool_))]
+    if bad:
+        raise QposError(f"{part} holds {bad[0]!r}, not a boolean")
+    return mask.astype(bool, copy=False)
 
 
 def _validated(A, d, given, ids, part, tau_pd=None):

@@ -98,8 +98,10 @@ def chi_double_prime(t):
 
 @dataclass
 class WeightBumpReport:
-    n: int
-    q: int
+    """The bump's constants and per-sample claim checks, under the names of the
+    ``geometry bump`` report: the report is this record less ``g0`` (h extended
+    by the unit normal), with an infinite ``eta`` or ``epsilon_bound`` as "inf"."""
+
     delta0: float
     eta: float
     epsilon: float
@@ -108,28 +110,26 @@ class WeightBumpReport:
     B2: float
     kappa: float
     claim1_pass: np.ndarray
-    claim2_min: np.ndarray
-    claim3_min: np.ndarray
+    claim2_min_sums: np.ndarray
+    claim3_min_sums: np.ndarray
     trace_identity_max_err: float
     large_eps_claim3_failures: int
     all_claims_pass: bool      # claims 2 and 3 by the rule of hermitian.q_margins
-    subbundle_constants: dict = dc_field(default_factory=dict)
-    g0: np.ndarray = dc_field(repr=False, default=None)
+    subbundle_constants: dict
+    g0: np.ndarray = dc_field(repr=False)
 
 
 def _common_positive_subbundle(Lv, Hv, rank: int) -> np.ndarray:
     """Per-sample rank-``rank`` frames on which both forms are positive definite.
 
-    Supported: full-rank (both forms PD on the whole kernel) and rank one
-    (one exact common-direction decision over all samples).  Intermediate
-    ranks would need a genuine subbundle optimizer and are rejected.
+    Supported: full rank (the identity; the A1 check of ``compute_constants``
+    decides it, NotPositiveOnV naming a form and sample) and rank one (one
+    exact common-direction decision over all samples).  Intermediate ranks
+    would need a genuine subbundle optimizer and are rejected.
     """
     n_samples, d, _ = Lv.shape
     if rank == d:
-        if min(np.linalg.eigvalsh(F)[:, 0].min() for F in (Lv, Hv)) <= 0:
-            raise QposError("boundary Levi form or weight Hessian is not positive definite "
-                            "on the full tangent")
-        return np.broadcast_to(np.eye(d, dtype=complex), (n_samples, d, d)).copy()
+        return np.broadcast_to(np.eye(d, dtype=complex), (n_samples, d, d))
     if rank == 1:
         return common_witnesses(Lv, Hv, range(n_samples))[:, :, None]
     raise QposError(f"common positive subbundle of rank {rank} (1 < rank < {d}) "
@@ -208,7 +208,7 @@ def weight_bump(domain: Domain, q: int, samples: BoundarySamples,
     # boundary metric h from the common positive subbundle of both forms
     V = _common_positive_subbundle(Lv, Hv, n - q)
     kernel_field = FormField.from_stacks(range(n_samp), {"levi": Lv, "hess": Hv}, subspace=V)
-    h, certs, consts = synthesize_subbundle(kernel_field, ["levi", "hess"], q)
+    h, _, consts = synthesize_subbundle(kernel_field, ["levi", "hess"], q)
     kappa = consts["levi"].kappa
 
     # g0: h on the kernel, the unit normal orthogonal and unit
@@ -263,9 +263,9 @@ def weight_bump(domain: Domain, q: int, samples: BoundarySamples,
                   if np.isfinite(eps_bound) else 0)
 
     return WeightBumpReport(
-        n=n, q=q, delta0=delta0, eta=eta, epsilon=float(epsilon),
+        delta0=delta0, eta=eta, epsilon=float(epsilon),
         epsilon_bound=float(eps_bound), B1=B1, B2=B2, kappa=float(kappa),
-        claim1_pass=claim1, claim2_min=claim2, claim3_min=claim3,
+        claim1_pass=claim1, claim2_min_sums=claim2, claim3_min_sums=claim3,
         trace_identity_max_err=max_err, large_eps_claim3_failures=large_fail,
         all_claims_pass=all_pass,
         subbundle_constants={name: {"A1": c.A1, "A2": c.A2, "A3": c.A3, "C": c.C}

@@ -234,8 +234,8 @@ def test_08_weight_bump():
         samples = sample_boundary(domain, 1000, seed=8)
         rep = weight_bump(domain, 2, samples)
         assert bool(np.all(rep.claim1_pass))
-        assert float(np.min(rep.claim2_min)) > 0
-        assert float(np.min(rep.claim3_min)) > 0
+        assert float(np.min(rep.claim2_min_sums)) > 0
+        assert float(np.min(rep.claim3_min_sums)) > 0
         assert rep.trace_identity_max_err <= 1e-8
         assert rep.delta0 >= 1e-8
         assert rep.epsilon > 0

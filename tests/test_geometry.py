@@ -405,6 +405,18 @@ def test_zq_fails_on_levi_flat():
         zq_check(dom, 1, samples)
 
 
+def test_zq_refuses_a_component_whose_samples_fit_different_branches():
+    # rho = (|z|^2 - 1)(|z|^2 - 4) in C^3: the Levi form is (2|z|^2 - 5) I, so
+    # -3 I (branch ii) on |z| = 1 and 3 I (branch i) on |z| = 2; two samples
+    # are each other's nearest neighbor, so they make one component
+    dom = CustomDomain(n=3, rho=lambda z: _unit_sphere(z) * (_unit_sphere(z) - 3.0))
+    samples = BoundarySamples.at(dom, np.array([[1, 0, 0], [2, 0, 0]], dtype=complex),
+                                 np.zeros(2, dtype=int))
+    with pytest.raises(ZqViolated, match=r"^Z\(q\) violated at sample 0: component 0 mixes "
+                                         r"branches \['i', 'ii'\]$"):
+        zq_check(dom, 1, samples)
+
+
 def test_pipeline_ball_trivial():
     dom = BallDomain(n=2)
     samples = sample_boundary(dom, 30, seed=3)
@@ -649,7 +661,8 @@ def test_certificates_and_bump_claims_share_one_pass_rule(tmp_path, monkeypatch,
     # the kernel metric's own certificates fail too: let the bump go on to its claims
     monkeypatch.setattr(metric_subbundle, "require_passed", lambda certs, what: None)
     rep = weight_bump(quadric, 2, quadric_samples)
-    assert np.all(rep.claim1_pass) and min(rep.claim2_min.min(), rep.claim3_min.min()) > 0
+    assert np.all(rep.claim1_pass)
+    assert min(rep.claim2_min_sums.min(), rep.claim3_min_sums.min()) > 0
     assert not rep.all_claims_pass
 
     # the finite-eta weight: its control runs

@@ -103,6 +103,14 @@ def test_choose_c_edge_cases():
     assert_allclose(c, 2.0 / 0.95 - 1.0, rtol=1e-12)
 
 
+def test_choose_c_with_no_transverse_eigenvalue_solves_for_the_coupling():
+    # A2 = 0 < A3: s = 0.95 A1 / (2 q A3), which leaves the margin exactly ETA * A1
+    C = choose_C(1.0, 0.0, 1.0, 1)
+    assert_allclose(C, 1.0 / 0.475 ** 2 - 1.0, rtol=1e-12)
+    assert_allclose(1.0 - 2.0 / np.sqrt(1.0 + C), ETA, rtol=1e-12)
+    assert choose_C(1.0, 0.0, 0.1, 1) == 0.0  # s = 4.75 >= 1: no penalty needed
+
+
 def test_choose_c_plugback_random(rng):
     for _ in range(200):
         A1 = float(rng.uniform(0.1, 5.0))

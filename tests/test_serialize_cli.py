@@ -71,6 +71,33 @@ COMMAND_LAYERS = ("qpos.riesz", "qpos.metric_single", "qpos.metric_subbundle", "
 NEVER_LOADED = ("qpos.pair", "qpos.qpositivity", "numpy.ma", "numpy.polynomial", "orjson")
 
 
+def test_reports_are_their_result_records(tmp_path):
+    # the bump report is its record less g0, the projector report its record
+    # with the matrix written as "projector", and each constants block a record
+    from qpos.geometry.bump import WeightBumpReport
+    from qpos.metric_subbundle import PenaltyConstants
+    from qpos.riesz import ProjectorResult
+
+    argvs = _command_argvs(tmp_path)
+
+    def written(kind, option):
+        out = tmp_path / f"{kind}_report.json"
+        r = run_cli(*argvs[kind], option, out)
+        assert r.returncode == 0, r.stderr
+        return json.loads(out.read_text())
+
+    def keys(record):
+        return {f.name for f in dataclasses.fields(record)}
+
+    envelope = {"config", "qpos_schema"}
+    assert set(written("bump", "--out")) == keys(WeightBumpReport) - {"g0"} | envelope
+    assert set(written("project", "--out")) == (keys(ProjectorResult) - {"matrix"}
+                                                 | {"projector"} | envelope)
+    constants = written("subbundle", "--report")["constants"]
+    assert set(constants) == {"Q1", "Q2", "Q3"}
+    assert all(set(c) == keys(PenaltyConstants) for c in constants.values())
+
+
 def test_cli_import_loads_no_scipy():
     # scipy is a test oracle, and orjson is loaded only to parse a large file;
     # nor does loading the CLI load a layer that only some commands run
@@ -201,9 +228,12 @@ SIGNATURES = {
                   "pair_metric": "pair", "find_common_direction": "Q1 Q2"},
     "qpos.metric_subbundle": {
         "choose_C": "A1 A2 A3 q", "_adapted_frames": "field q",
-        "compute_constants": "field forms q", "synthesize_subbundle": "field forms q safety"},
+        "compute_constants": "field forms q", "synthesize_subbundle": "field forms q safety",
+        "PenaltyConstants": "A1 A2 A3 C kappa q"},
     "qpos.metric_single": {"negative_projector": "S g r"},
-    "qpos.riesz": {"riesz_projector": "T disc nodes"},
+    "qpos.riesz": {
+        "riesz_projector": "T disc nodes",
+        "ProjectorResult": "matrix quad_nodes separation idempotency_defect hermiticity_defect"},
     "qpos.serialize": {"metrics_from_json": "obj dim path"},
     "qpos.errors": {"NoCommonDirection": "point_id t lam_max",
                     "LevelNotReached": "theta radius point_id"},
@@ -211,6 +241,11 @@ SIGNATURES = {
                               "fd_complex_hessian": "f z",
                               "CustomDomain": "n rho weight seed_box"},
     "qpos.geometry.levi": {"sample_boundary": "domain count seed"},
+    # a record's fields are its report's keys (test_reports_are_their_result_records)
+    "qpos.geometry.bump": {
+        "WeightBumpReport": "delta0 eta epsilon epsilon_bound B1 B2 kappa claim1_pass "
+                            "claim2_min_sums claim3_min_sums trace_identity_max_err "
+                            "large_eps_claim3_failures all_claims_pass subbundle_constants g0"},
     "qpos.geometry.counterexample": {"counterexample_build": "R grid_n",
                                      "sphere_eigenvalue_residuals": "R count"},
     "qpos.fields": {
@@ -360,6 +395,15 @@ def test_field_round_trip(rng):
     assert field2.ids == field.ids
     assert_allclose(field2.form_stack("S"), field.form_stack("S"), atol=0)
     assert field2.in_F[0] and not field2.in_F[-1]
+
+
+def test_field_round_trip_keeps_neighbors():
+    field = _field(["a", "b", "c"], {"S": [S2] * 3}, neighbors=[["b", "c"], ["a"], None])
+    doc = field_to_json(field)
+    assert [p.get("neighbors") for p in doc["points"]] == [["b", "c"], ["a"], None]
+    back = field_from_json(doc)
+    assert back.neighbor_indices() == field.neighbor_indices() == [[1, 2], [0], []]
+    assert dumps_canonical(field_to_json(back)) == dumps_canonical(doc)
 
 
 def test_canonical_bytes_are_stable():
@@ -955,6 +999,30 @@ def test_cli_synthesize_subbundle_names_the_fiber_rank_it_found(tmp_path, rng):
     assert "no subbundle fibers of rank 3; its fibers have rank 4" in r.stderr, r.stderr
 
 
+def test_cli_names_the_points_a_certificate_failed_at(tmp_path):
+    # --safety 0 takes the penalty to 0, so h is the planted gamma, on which
+    # the planted forms are not strictly 2-positive at most points
+    fpath = tmp_path / "sub.json"
+    fpath.write_text(dumps_canonical(field_to_json(
+        planted_subbundle_field(np.random.default_rng(0), 10, 5, 2))))
+    r = run_cli("synthesize", "subbundle", "--input", fpath, "--forms", "Q1,Q2,Q3", "--q", 2,
+                "--safety", 0)
+    assert r.returncode == 2, r.stderr
+    assert re.fullmatch(r"certificate failed: \d+ entries failed strict 2-positivity "
+                        r"\(points: (p\d, ){9}p\d\)\n", r.stderr), r.stderr
+
+
+def test_cli_bump_names_a_kernel_form_that_is_not_positive_definite(tmp_path):
+    # at q = 1 both kernel forms must be positive definite, and the product
+    # domain's Levi form is flat in one direction
+    domain = tmp_path / "product.json"
+    domain.write_text(json.dumps({"type": "product", "n": 3, "q": 2}))
+    r = run_cli("geometry", "bump", "--domain", domain, "--q", 1, "--samples", 20)
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("NotPositiveOnV: form 'levi' is not positive definite on V "
+                               "at 0 (smallest restricted eigenvalue "), r.stderr
+
+
 def test_cli_geometry_counterexample(tmp_path):
     out = tmp_path / "ce.json"
     r = run_cli("geometry", "counterexample", "--radius", 2, "--grid", 16,
@@ -971,8 +1039,8 @@ BAD_INPUT_CASES = [
     "metric_malformed_json", "nan_form_entry", "inf_imaginary_form_entry",
     "metric_malformed_json_large", "nan_form_entry_large", "field_id_nan_large",
     "zq_q_above_range", "zq_q_zero", "bump_q_above_range",
-    "domain_quadric_without_mu", "domain_not_an_object", "domain_unknown_type",
-    "domain_custom_bad_params",
+    "domain_quadric_without_mu", "domain_quadric_mu_refused", "domain_not_an_object",
+    "domain_unknown_type", "domain_custom_bad_params",
     "two_forms_unknown_form", "two_forms_zero_angles",
     "counterexample_grid_1", "counterexample_negative_radius",
     "field_point_not_object", "field_forms_not_object", "field_neighbors_not_list",
@@ -1126,13 +1194,17 @@ def test_cli_rejects_bad_input_with_exit_1(tmp_path, case):
         argv, named = ("geometry", "bump", "--domain", quad, "--q", 5), "--q"
     elif case.startswith("domain_"):
         spec = {"domain_quadric_without_mu": {"type": "quadric", "n": 3},
+                # well-typed, but QuadricDomain needs mu_j > 1 on the plus block
+                "domain_quadric_mu_refused": {"type": "quadric", "n": 3, "q": 2,
+                                              "mu": [0.5, 2.0, -0.5, -0.5]},
                 "domain_not_an_object": [1, 2],
                 "domain_unknown_type": {"type": "torus", "n": 3},
                 "domain_custom_bad_params": {"type": "custom", "params": {"x": 1},
                                              "target": "qpos.geometry:BallDomain"},
                 "domain_mqn": {"type": "mqn", "n": 3, "q": 2}}[case]
         quad.write_text(json.dumps(spec))
-        named = {"domain_quadric_without_mu": f"{quad}.mu", "domain_not_an_object": str(quad),
+        named = {"domain_quadric_without_mu": f"{quad}.mu",
+                 "domain_quadric_mu_refused": f"{quad}.mu", "domain_not_an_object": str(quad),
                  "domain_unknown_type": f"{quad}.type",
                  "domain_custom_bad_params": f"{quad}.type", "domain_mqn": f"{quad}.type"}[case]
         argv = (("geometry", "levi", "--domain", quad) if case == "domain_mqn"
@@ -1555,7 +1627,10 @@ S2 = np.eye(2, dtype=complex)
     ([[1], "p1"], {}, "id", r"\[1\]"),
     # a NaN basis used to reach synthesize_subbundle, which raised numpy's LinAlgError
     (["p0", "p1"], {"subspace": [np.eye(2)[:, :1], [[math.nan], [1.0]]]}, "subspace", "'p1'"),
-], ids=["neighbor_true", "id_true", "ids_nan", "id_list", "subspace_nan"])
+    # the output metric is pinned to g0 on F
+    (["p0", "p1"], {"g0": [S2], "has_g0": [True, False], "in_F": [False, True]}, "in_F",
+     "'p1'"),
+], ids=["neighbor_true", "id_true", "ids_nan", "id_list", "subspace_nan", "in_F_without_g0"])
 def test_field_built_in_python_keeps_the_per_point_rules(ids, given, part, at):
     with pytest.raises(QposError, match=f"^{part} at {at}: ") as info:
         _field(ids, {"S": [S2, S2]}, **given)
@@ -1578,6 +1653,24 @@ def test_from_stacks_refuses_per_point_arguments_of_another_length(ids, given, s
     given = {"forms": {"S": [S2] * len(ids)}, **given}
     with pytest.raises(DimensionMismatch, match=f"^{said}$"):
         _field(list(ids), **given)
+
+
+@pytest.mark.parametrize("given, said", [
+    # each used to be read as True: "no" and 0.5 put the point in F
+    ({"in_F": ["no"]}, "in_F holds 'no', not a boolean"),
+    ({"in_F": [0.5]}, "in_F holds 0.5, not a boolean"),
+    ({"g0": [S2], "has_g0": [1]}, "has_g0 holds 1, not a boolean"),
+    ({"has_forms": {"S": ["yes"]}}, "has_forms.S holds 'yes', not a boolean"),
+], ids=["in_F_string", "in_F_float", "has_g0_int", "has_forms_string"])
+def test_from_stacks_refuses_masks_of_other_than_booleans(given, said):
+    with pytest.raises(QposError, match=f"^{re.escape(said)}$"):
+        _field(["a"], {"S": [S2]}, **given)
+
+
+def test_from_stacks_takes_empty_masks():
+    # [] is a float array to numpy, but with no points it is a mask all the same
+    empty = FormField.from_stacks([], {"S": np.zeros((0, 2, 2))}, in_F=[], has_g0=[])
+    assert empty.in_F.shape == empty.has_g0.shape == (0,) and empty.in_F.dtype == bool
 
 
 def _stacks_of(doc):
