@@ -5,10 +5,13 @@ Boundary points are produced by Newton projection of ambient seeds onto
 (1,0)-differential of rho is completed to a unitary frame; the Levi form is
 the complex Hessian of rho restricted to that kernel.  The Z(q) check
 classifies every sample by the Levi inertia and requires one branch per
-connected component (components of a k-nearest-neighbor graph on a
-chart-free embedding, labelled by breadth-first search).  The metric
-pipeline then runs the single-form synthesis on the Levi field of each
-component, with the sign and the target q-sum dictated by the branch.
+connected component of the symmetric KNN-nearest-neighbor graph on a
+chart-free embedding.  That graph is found ADJACENCY_CHUNK squared distances
+at a time, in row blocks, so it takes O(ADJACENCY_CHUNK + KNN m) memory for m
+samples, not m x m; its components are numbered in order of their lowest
+sample index.  The metric pipeline then runs the single-form synthesis on the
+Levi field of each component, with the sign and the target q-sum dictated by
+the branch.
 """
 
 from __future__ import annotations
@@ -27,6 +30,9 @@ NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 40
 MAX_ROUNDS = 60
 KNN = 8
+# distance entries per row block: 128 KB of float64.  Larger blocks were slower
+# at 800 samples, since each block array past about 128 KB is freshly paged in.
+ADJACENCY_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -121,27 +127,38 @@ def adjacency_components(X):
 
     ``X`` holds one embedding per row.  Returns ``(labels, n_components)``;
     components are numbered in order of their lowest sample index.
+
+    Squared distances ``(|x_i|^2 + |x_j|^2) - 2 x_i.x_j`` are formed in blocks of
+    ADJACENCY_CHUNK // m rows (one at least), and each row's KNN nearest samples
+    are taken by argpartition within its block, so that the memory beyond ``X``
+    and one transposed copy of it is O(ADJACENCY_CHUNK + KNN m), never m x m.
+    Over the KNN m edges every sample then comes to point at the lowest index in
+    its component: each edge hooks the higher of its two roots onto the lower,
+    and pointer jumping takes every sample to its root, until both ends of every
+    edge share a root.
     """
     X = np.asarray(X, dtype=float)
-    n = len(X)
+    m = len(X)
+    k = min(KNN, m - 1)
+    if k < 1:
+        return np.arange(m), m
     sq = np.sum(X * X, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
-    np.fill_diagonal(d2, np.inf)
-    k = min(KNN, n - 1)
-    A = np.zeros((n, n), dtype=bool)
-    if k > 0:
-        nbr = np.argpartition(d2, k - 1, axis=1)[:, :k]
-        A[np.arange(n)[:, None], nbr] = True
-    A |= A.T
-    labels = np.full(n, -1)
-    n_comp = 0
-    while np.any(labels < 0):  # breadth-first search from the lowest unlabelled sample
-        frontier = np.arange(n) == np.argmax(labels < 0)
-        while frontier.any():
-            labels[frontier] = n_comp
-            frontier = A[frontier].any(axis=0) & (labels < 0)
-        n_comp += 1
-    return labels, n_comp
+    XT = np.ascontiguousarray(X.T)  # X[block] @ X.T is up to 3x slower on few rows
+    rows = max(1, ADJACENCY_CHUNK // m)
+    nbr = np.empty((m, k), dtype=np.intp)
+    for start in range(0, m, rows):
+        block = slice(start, min(start + rows, m))
+        d2 = sq[block, None] + sq[None, :] - 2.0 * (X[block] @ XT)
+        np.fill_diagonal(d2[:, start:], np.inf)
+        nbr[block] = np.argpartition(d2, k - 1, axis=1)[:, :k]
+    src, dst = np.repeat(np.arange(m), k), nbr.ravel()
+    root = np.arange(m)
+    while not np.array_equal(a := root[src], b := root[dst]):
+        np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+        while not np.array_equal(root[root], root):
+            root = root[root]
+    is_root = root == np.arange(m)
+    return (np.cumsum(is_root) - 1)[root], int(is_root.sum())
 
 
 def levi_forms(domain: Domain, samples: BoundarySamples) -> np.ndarray:
@@ -181,13 +198,13 @@ def zq_check(domain: Domain, q: int, samples: BoundarySamples) -> ZqReport:
         i = int(bad[0])
         raise ZqViolated(i, f"Levi inertia ({n_plus[i]}, {n_minus[i]}) fits neither branch")
     labels, n_comp = adjacency_components(samples.embedding)
-    component_branch = {}
-    for c in range(n_comp):
-        branches = set(branch[labels == c])
-        if len(branches) != 1:
-            i = int(np.where(labels == c)[0][0])
-            raise ZqViolated(i, f"component {c} mixes branches {sorted(branches)}")
-        component_branch[c] = branches.pop()
+    size = np.bincount(labels, minlength=n_comp)
+    n_ii = np.bincount(labels[branch == "ii"], minlength=n_comp)
+    mixed = np.flatnonzero((n_ii > 0) & (n_ii < size))
+    if mixed.size:
+        c = int(mixed[0])
+        raise ZqViolated(int(np.argmax(labels == c)), f"component {c} mixes branches ['i', 'ii']")
+    component_branch = {c: "ii" if n_ii[c] else "i" for c in range(n_comp)}
     return ZqReport(n=n, q=q, n_plus=n_plus, n_minus=n_minus, branch=branch,
                     component=labels, component_branch=component_branch, levi=levis)
 

@@ -1,5 +1,6 @@
 """Domains, Levi forms, Z(q) pipeline, and the weight bump."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -30,6 +31,7 @@ from qpos.geometry import (
     zq_check,
     zq_metric_pipeline,
 )
+from qpos.geometry import levi
 from qpos.geometry.bump import ETA_FACTOR, ETA_STEPS, _eta_dual, _find_delta0
 from qpos.geometry.domains import FD_HESSIAN_STEP, FD_STEP, RADIUS_MAX
 from qpos.geometry.levi import KNN, MIN_GRADIENT, NEWTON_MAX_ITER, NEWTON_TOL, newton_project
@@ -335,12 +337,51 @@ def _scipy_components(X):
     return labels, n_comp
 
 
-def _assert_components_match_scipy(X):
+def _dense_components(X):
+    """Reference labelling as the module once did it: the full m x m squared
+    distances, a dense boolean adjacency and breadth-first search."""
+    X = np.asarray(X, dtype=float)
+    n = len(X)
+    sq = np.sum(X * X, axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
+    np.fill_diagonal(d2, np.inf)
+    k = min(KNN, n - 1)
+    A = np.zeros((n, n), dtype=bool)
+    if k > 0:
+        nbr = np.argpartition(d2, k - 1, axis=1)[:, :k]
+        A[np.arange(n)[:, None], nbr] = True
+    A |= A.T
+    labels = np.full(n, -1)
+    n_comp = 0
+    while np.any(labels < 0):  # breadth-first search from the lowest unlabelled sample
+        frontier = np.arange(n) == np.argmax(labels < 0)
+        while frontier.any():
+            labels[frontier] = n_comp
+            frontier = A[frontier].any(axis=0) & (labels < 0)
+        n_comp += 1
+    return labels, n_comp
+
+
+def _assert_components_match_dense(X):
     labels, n_comp = adjacency_components(X)
+    labels_ref, n_ref = _dense_components(X)
+    assert n_comp == n_ref
+    assert_array_equal(labels, labels_ref)
+    return labels, n_comp
+
+
+def _assert_components_match_scipy(X):
+    labels, n_comp = _assert_components_match_dense(X)
     labels_ref, n_ref = _scipy_components(X)
     assert n_comp == n_ref
-    np.testing.assert_array_equal(labels, labels_ref)
+    assert_array_equal(labels, labels_ref)
     return n_comp
+
+
+def _clusters(rng, m, dim=6):
+    """m points in up to 7 well-separated Gaussian clusters, shuffled."""
+    centres = 10.0 * rng.standard_normal((rng.integers(1, 8), dim))
+    return centres[rng.integers(0, len(centres), m)] + 0.3 * rng.standard_normal((m, dim))
 
 
 def test_adjacency_components_match_scipy_on_clusters(rng):
@@ -351,9 +392,34 @@ def test_adjacency_components_match_scipy_on_clusters(rng):
         _assert_components_match_scipy(X[rng.permutation(len(X))])
 
 
+def test_adjacency_components_match_dense_on_duplicated_points(rng):
+    # exact copies tie their distances to every other point; up to KNN + 1
+    # copies of a point are all each other's neighbors
+    for copies in (2, 3, KNN + 1):
+        for _ in range(10):
+            X = _clusters(rng, int(rng.integers(10, 60)))
+            dup = np.repeat(X, rng.integers(1, copies + 1, len(X)), axis=0)
+            _assert_components_match_dense(dup[rng.permutation(len(dup))])
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, KNN, KNN + 1])
 def test_adjacency_components_match_scipy_small(rng, n):
     _assert_components_match_scipy(rng.standard_normal((n, 4)))
+    _assert_components_match_dense(np.repeat(rng.standard_normal((1, 4)), n, axis=0))
+
+
+ROWS = 16
+
+
+@pytest.mark.parametrize("m", [ROWS - 1, ROWS, ROWS + 1, 2 * ROWS + 5])
+def test_adjacency_components_match_scipy_across_row_blocks(rng, monkeypatch, m):
+    # an entry budget of ROWS * m gives blocks of ROWS rows: one short block,
+    # exactly one, one and a row, two and a remainder
+    monkeypatch.setattr(levi, "ADJACENCY_CHUNK", ROWS * m)
+    for _ in range(10):
+        X = _clusters(rng, m)
+        _assert_components_match_scipy(X)
+        _assert_components_match_dense(X[rng.integers(0, m, m)])
 
 
 def test_adjacency_components_match_scipy_on_chain(rng):
@@ -363,6 +429,21 @@ def test_adjacency_components_match_scipy_on_chain(rng):
         t[cut:] += 100.0
     X = np.stack([t, np.sin(t), np.zeros_like(t)], axis=1)
     assert _assert_components_match_scipy(X) == 5
+    # the same chain numbered from one end, the far end first: the lowest index
+    # of each component must reach samples at the other end of its piece
+    assert _assert_components_match_scipy(X[np.r_[0, 1999:0:-1]]) == 5
+
+
+def test_adjacency_components_memory_stays_under_32_mb(rng):
+    # the dense labelling peaks near 290 MB here: m x m distances and adjacency
+    X = rng.standard_normal((4000, 32))
+    tracemalloc.start()
+    try:
+        adjacency_components(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6, f"peak {peak / 1e6:.1f} MB"
 
 
 # ------------------------------------------------------------------- Z(q)
@@ -415,6 +496,23 @@ def test_zq_refuses_a_component_whose_samples_fit_different_branches():
     with pytest.raises(ZqViolated, match=r"^Z\(q\) violated at sample 0: component 0 mixes "
                                          r"branches \['i', 'ii'\]$"):
         zq_check(dom, 1, samples)
+
+
+def test_zq_names_the_lowest_mixed_component_at_its_first_sample(monkeypatch):
+    # on the two spheres of the test above, radius 1 is branch ii and radius 2
+    # branch i; with the components below, component 1 mixes first in sample
+    # order (at sample 2), but component 0 is the lowest that mixes
+    dom = CustomDomain(n=3, rho=lambda z: _unit_sphere(z) * (_unit_sphere(z) - 3.0))
+    radius = np.array([1.0, 2.0, 1.0, 2.0, 2.0, 2.0])
+    z = radius[:, None] * np.eye(3)[[0, 1, 2, 0, 1, 2]]
+    samples = BoundarySamples.at(dom, z.astype(complex), np.zeros(6, dtype=int))
+    monkeypatch.setattr(levi, "adjacency_components", lambda X: (np.array([0, 1, 1, 0, 2, 2]), 3))
+    with pytest.raises(ZqViolated, match=r"^Z\(q\) violated at sample 0: component 0 mixes "
+                                         r"branches \['i', 'ii'\]$"):
+        zq_check(dom, 1, samples)
+    monkeypatch.setattr(levi, "adjacency_components", lambda X: (np.array([0, 1, 0, 2, 1, 2]), 3))
+    rep = zq_check(dom, 1, samples)
+    assert rep.component_branch == {0: "ii", 1: "i", 2: "i"}
 
 
 def test_pipeline_ball_trivial():
