@@ -5,16 +5,13 @@ geometry {levi|zq|pipeline|bump|counterexample}.  Inputs and reports are
 JSON; reports are written canonically (sorted keys, 17-significant-digit
 floats) so a fixed seed yields byte-identical bytes run over run.  Exit
 codes: 0 when every certificate/check passes, 2 on a certificate or check
-failure, 1 on input errors.
+failure, 1 on an input error, reported on one line that names the option or
+path: a usage error, an option outside what its type in `build_parser`
+accepts or sized past memory, a malformed file or a path that cannot be used.
 
 A process loads only the layers its command runs: each command imports them
 from their defining submodules when it runs, and this module imports at
-load time only what every command shares.  The console entry point `run`
-freezes the import-time heap (`gc.freeze`) before the command, and after it
-flushes the standard streams and ends the process with `os._exit`, skipping
-the interpreter's teardown (module cleanup and its collections), which
-frees nothing a finished command needs.  Under a profiler, tracer or
-coverage tool it exits through `sys.exit`, so that their exit hooks run.
+load time only what every command shares.
 """
 
 from __future__ import annotations
@@ -53,10 +50,6 @@ def _load_samples(args):
     from .geometry.levi import sample_boundary
 
     domain = read_json(args.domain, lambda doc: domain_from_spec(doc, str(args.domain)))
-    if args.samples < 1:
-        raise SchemaError("--samples", f"needs at least one sample, got {args.samples}")
-    if args.seed < 0:
-        raise SchemaError("--seed", f"must be non-negative, got {args.seed}")
     return domain, sample_boundary(domain, args.samples, seed=args.seed)
 
 
@@ -125,17 +118,10 @@ def cmd_check(args):
 
 
 def cmd_project(args):
-    from .riesz import MIN_NODES, Disc, riesz_projector
+    from .riesz import Disc, riesz_projector
 
-    if not np.isfinite(args.center):
-        raise SchemaError("--center", f"must be finite, got {args.center}")
-    if not 0 < args.radius < np.inf:
-        raise SchemaError("--radius", f"must be positive and finite, got {args.radius}")
-    if args.nodes < MIN_NODES:
-        raise SchemaError("--nodes", f"must be at least {MIN_NODES}, got {args.nodes}")
     T = load_matrix(args.input)
-    res = riesz_projector(T, Disc(center=args.center, radius=args.radius),
-                          nodes=args.nodes)
+    res = riesz_projector(T, Disc(center=args.center, radius=args.radius), nodes=args.nodes)
     if args.out:
         write_report(args.out, {
             "config": _config_echo(args, center=args.center, radius=args.radius,
@@ -159,8 +145,6 @@ def _write_outputs(args, ids, metrics, certs, **cert_extra):
 def cmd_synthesize_single(args):
     from .metric_single import synthesize_single
 
-    if not 0 < args.margin < np.inf:
-        raise SchemaError("--margin", f"must be positive and finite, got {args.margin}")
     field = load_field(args.input)
     _form_names(field, "--form", [args.form])
     metrics, cert = synthesize_single(field, args.form, args.q, theta=args.margin)
@@ -172,8 +156,6 @@ def cmd_synthesize_single(args):
 def cmd_synthesize_subbundle(args):
     from .metric_subbundle import synthesize_subbundle
 
-    if not 0 <= args.safety < np.inf:
-        raise SchemaError("--safety", f"must be nonnegative and finite, got {args.safety}")
     field = load_field(args.input)
     names = _form_names(field, "--forms", args.forms.split(","))
     metrics, certs, consts = synthesize_subbundle(field, names, args.q, safety=args.safety)
@@ -193,8 +175,6 @@ def cmd_synthesize_two_forms(args):
 
     field = load_field(args.input)
     names = _form_names(field, "--forms", args.forms.split(","), 2)
-    if args.angles < 1:
-        raise SchemaError("--angles", f"needs at least one ray, got {args.angles}")
     metrics, certs, gammas, cont = field_metric_top_degree(field, names)
     _write_outputs(args, field.ids, metrics, certs,
                    gamma_points=RowTable({"id": object_column(field.ids), "gamma": gammas}),
@@ -270,10 +250,6 @@ def cmd_geometry_counterexample(args):
                                           counterexample_scan, standard_test_fields,
                                           unit_eigenvector_residuals)
 
-    if not 0 < args.radius < np.inf:
-        raise SchemaError("--radius", f"must be positive and finite, got {args.radius}")
-    if args.grid < 8:
-        raise SchemaError("--grid", f"must be at least 8, got {args.grid}")
     field = counterexample_build(R=args.radius, grid_n=args.grid)
     residual = float(np.max(unit_eigenvector_residuals(field)))
     results = []
@@ -298,9 +274,32 @@ def cmd_geometry_counterexample(args):
 
 # ---------------------------------------------------------------- parser
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # an input error (exit 1), in subparsers too; not argparse's 2
+        raise SchemaError(self.prog, message)
+
+
+def _option_type(kind, fault):
+    """An option's type: ``kind(text)``, unless ``fault(value)`` returns the rule it breaks."""
+    def parse(text):
+        value = kind(text)
+        if rule := fault(value):
+            raise argparse.ArgumentTypeError(f"{rule}, got {text}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value: ..."
+    return parse
+
+
+def _too_few_nodes(nodes):
+    from .riesz import MIN_NODES  # imported here, so that only `project` loads riesz
+    return nodes < MIN_NODES and f"must be at least {MIN_NODES}"
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="qpos", description=__doc__)
-    p.add_argument("--seed", type=int, default=0, help="seed recorded in reports")
+    positive = _option_type(float, lambda x: not 0 < x < np.inf and "must be positive and finite")
+    p = _Parser(prog="qpos", description=__doc__)
+    p.add_argument("--seed", default=0, help="seed recorded in reports",
+                   type=_option_type(int, lambda n: n < 0 and "must be non-negative"))
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("check", help="verify strict q-positivity of a form field")
@@ -313,9 +312,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("project", help="Riesz spectral projector by quadrature")
     c.add_argument("--input", required=True)
-    c.add_argument("--center", type=float, required=True)
-    c.add_argument("--radius", type=float, required=True)
-    c.add_argument("--nodes", type=int, default=64)
+    c.add_argument("--center", required=True,
+                   type=_option_type(float, lambda x: not np.isfinite(x) and "must be finite"))
+    c.add_argument("--radius", type=positive, required=True)
+    c.add_argument("--nodes", type=_option_type(int, _too_few_nodes), default=64)
     c.add_argument("--out")
     c.set_defaults(fn=cmd_project)
 
@@ -326,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--input", required=True)
     c.add_argument("--form", default="S")
     c.add_argument("--q", type=int, required=True)
-    c.add_argument("--margin", type=float, default=0.1)
+    c.add_argument("--margin", type=positive, default=0.1)
     c.add_argument("--out")
     c.add_argument("--cert")
     c.set_defaults(fn=cmd_synthesize_single)
@@ -335,7 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--input", required=True)
     c.add_argument("--forms", required=True, help="comma-separated form names")
     c.add_argument("--q", type=int, required=True)
-    c.add_argument("--safety", type=float, default=1.0)
+    c.add_argument("--safety", default=1.0, type=_option_type(
+        float, lambda x: not 0 <= x < np.inf and "must be nonnegative and finite"))
     c.add_argument("--out")
     c.add_argument("--cert")
     c.add_argument("--report")
@@ -344,8 +345,9 @@ def build_parser() -> argparse.ArgumentParser:
     c = syn.add_parser("two-forms")
     c.add_argument("--input", required=True)
     c.add_argument("--forms", required=True)
-    c.add_argument("--angles", type=int, default=512,
-                   help="ignored: the arc ends and midpoint are exact (must be at least 1)")
+    c.add_argument("--angles", default=512,
+                   help="ignored: the arc ends and midpoint are exact (must be at least 1)",
+                   type=_option_type(int, lambda n: n < 1 and "needs at least one ray"))
     c.add_argument("--out")
     c.add_argument("--cert")
     c.set_defaults(fn=cmd_synthesize_two_forms)
@@ -361,15 +363,17 @@ def build_parser() -> argparse.ArgumentParser:
         c.add_argument("--domain", required=True)
         if "--q" in extra:
             c.add_argument("--q", type=int, required=True)
-        c.add_argument("--samples", type=int, default=200)
+        c.add_argument("--samples", default=200, type=_option_type(
+            int, lambda n: n < 1 and "needs at least one sample"))
         c.add_argument("--out")
         if "--cert" in extra:
             c.add_argument("--cert")
         c.set_defaults(fn=fn)
 
     c = geo.add_parser("counterexample")
-    c.add_argument("--radius", type=float, default=2.0)
-    c.add_argument("--grid", type=int, default=64)
+    c.add_argument("--radius", type=positive, default=2.0)
+    c.add_argument("--grid", default=64,
+                   type=_option_type(int, lambda n: n < 8 and "must be at least 8"))
     c.add_argument("--out")
     c.set_defaults(fn=cmd_geometry_counterexample)
 
@@ -377,17 +381,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
-    except (SchemaError, FileNotFoundError, IsADirectoryError) as e:
-        print(f"input error: {e}", file=sys.stderr)
-        return 1
-    except QOutOfRange as e:
-        print(f"input error: --q: {e}", file=sys.stderr)
-        return 1
-    except MemoryError as e:  # an option sized past memory, such as --nodes
-        print(f"input error: out of memory: {e}", file=sys.stderr)
+    except (SchemaError, OSError, QOutOfRange, MemoryError) as e:
+        named = ("--q: " if isinstance(e, QOutOfRange) else
+                 "out of memory: " if isinstance(e, MemoryError) else "")
+        print(f"input error: {named}{e}", file=sys.stderr)
         return 1
     except CertificateFailed as e:
         ids = ", ".join(str(i) for i in e.failed_ids[:10])

@@ -153,9 +153,8 @@ def _log_quad_A(a, c0, z):
 class QuadExhaustion:
     """|z_1|^2 + ... + |z_m|^2 on C^n (zeros beyond the first m slots)."""
 
-    def __init__(self, n: int, m: int | None = None):
-        self.n = n
-        self.m = n if m is None else m
+    def __init__(self, n: int, m: int):
+        self.n, self.m = n, m
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
@@ -219,8 +218,9 @@ class Domain:
     real embedding used for adjacency) and ``seed_points(rng, count)``
     (``(chart, z)`` stacks of points near the boundary for Newton
     projection).  The methods take chart coordinates ``z`` of shape
-    (..., n), one point or a stack, with ``chart`` indices into ``charts``
-    that broadcast against the leading axes; values keep the leading axes.
+    (..., n), one point or a stack, and ``chart`` indices into ``charts``
+    that broadcast against the leading axes (a one-chart domain takes 0);
+    values keep the leading axes.
     """
 
     n: int
@@ -228,30 +228,46 @@ class Domain:
     scale: float = 1.0
 
     def weight_hessian(self, z, chart):
-        return np.asarray(self.weight_fn(chart).hessian(z), dtype=complex)
+        return complex_hessian(self.weight_fn(chart), z)
 
 
-class BallDomain(Domain):
+def _flat_embedding(z) -> np.ndarray:
+    """(Re z, Im z): the embedding of points of C^n, the same in every chart."""
+    z = np.asarray(z, dtype=complex)
+    return np.concatenate([z.real, z.imag], axis=-1)
+
+
+class _FlatBall(Domain):
+    """|z_1|^2 + ... + |z_m|^2 < radius^2 over the first m chart coordinates, with
+    that sum as the weight, so rho is the weight minus radius^2."""
+
+    m: int
+    radius: float
+
+    def rho(self, z, chart):
+        return self.weight_fn(chart)(z) - self.radius ** 2
+
+    def rho_dz(self, z, chart):
+        z = np.asarray(z, dtype=complex)
+        out = np.zeros(z.shape, dtype=complex)
+        out[..., : self.m] = np.conj(z[..., : self.m])
+        return out
+
+    def rho_hessian(self, z, chart):
+        return self.weight_fn(chart).hessian(z)
+
+    def weight_fn(self, chart):
+        return QuadExhaustion(self.n, self.m)
+
+
+class BallDomain(_FlatBall):
     """The ball |z| < radius in C^n with weight |z|^2."""
 
     def __init__(self, n: int, radius: float = 1.0):
-        self.n = n
+        self.n = self.m = n
         self.radius = float(radius)
         self.charts = ("affine",)
         self.scale = self.radius
-
-    def rho(self, z, chart=0):
-        z = np.asarray(z, dtype=complex)
-        return np.sum(np.abs(z) ** 2, axis=-1) - self.radius ** 2
-
-    def rho_dz(self, z, chart=0):
-        return np.conj(np.asarray(z, dtype=complex))
-
-    def rho_hessian(self, z, chart=0):
-        return self.weight_fn(chart).hessian(z)  # rho is the weight minus a constant
-
-    def weight_fn(self, chart=0):
-        return QuadExhaustion(self.n)
 
     def seed_points(self, rng, count):
         Z = rng.standard_normal((count, self.n)) + 1j * rng.standard_normal((count, self.n))
@@ -259,9 +275,8 @@ class BallDomain(Domain):
               / np.linalg.norm(Z, axis=1, keepdims=True))
         return np.zeros(count, dtype=int), Z
 
-    def embed(self, z, chart=0):
-        z = np.asarray(z, dtype=complex)
-        return np.concatenate([z.real, z.imag], axis=-1)
+    def embed(self, z, chart):
+        return _flat_embedding(z)
 
 
 class QuadricDomain(Domain):
@@ -334,7 +349,7 @@ class QuadricDomain(Domain):
         return _embed_projective(_homogeneous(z, chart))
 
 
-class ProductDomain(Domain):
+class ProductDomain(_FlatBall):
     """Ball in C^(n-q+1) times CP^(q-1), with weight |z|^2 on the flat factor.
 
     Chart coordinates are (z_1 .. z_{n-q+1}, zeta_1 .. zeta_{q-1}) where the
@@ -352,21 +367,6 @@ class ProductDomain(Domain):
         self.charts = tuple(range(q))  # chart slot of CP^(q-1)
         self.scale = self.radius
 
-    def rho(self, z, chart):
-        return self.weight_fn(chart)(z) - self.radius ** 2
-
-    def rho_dz(self, z, chart):
-        z = np.asarray(z, dtype=complex)
-        out = np.zeros(z.shape, dtype=complex)
-        out[..., : self.m] = np.conj(z[..., : self.m])
-        return out
-
-    def rho_hessian(self, z, chart):
-        return self.weight_fn(chart).hessian(z)  # rho is the weight minus a constant
-
-    def weight_fn(self, chart):
-        return QuadExhaustion(self.n, self.m)
-
     def seed_points(self, rng, count):
         m, q = self.m, self.q
         R = rng.standard_normal((count, 2 * m + 1 + 2 * q))
@@ -377,8 +377,7 @@ class ProductDomain(Domain):
 
     def embed(self, z, chart):
         z = np.asarray(z, dtype=complex)
-        flat = z[..., : self.m]
-        return np.concatenate([flat.real, flat.imag,
+        return np.concatenate([_flat_embedding(z[..., : self.m]),
                                _embed_projective(_homogeneous(z[..., self.m:], chart))],
                               axis=-1)
 
@@ -400,31 +399,27 @@ class CustomDomain(Domain):
         self.charts = ("affine",)
         self.seed_box = seed_box
 
-    def rho(self, z, chart=0):
+    def rho(self, z, chart):
         return self._rho(np.asarray(z, dtype=complex))
 
-    def rho_dz(self, z, chart=0):
+    def rho_dz(self, z, chart):
         return fd_complex_gradient(self._rho, z)
 
-    def rho_hessian(self, z, chart=0):
+    def rho_hessian(self, z, chart):
         return fd_complex_hessian(self._rho, z)
 
-    def weight_fn(self, chart=0):
+    def weight_fn(self, chart):
         if self._weight is None:
             raise QposError("custom domain has no weight function")
         return self._weight
-
-    def weight_hessian(self, z, chart=0):
-        return complex_hessian(self.weight_fn(chart), z)
 
     def seed_points(self, rng, count):
         Z = self.seed_box * (rng.standard_normal((count, self.n))
                              + 1j * rng.standard_normal((count, self.n)))
         return np.zeros(count, dtype=int), Z
 
-    def embed(self, z, chart=0):
-        z = np.asarray(z, dtype=complex)
-        return np.concatenate([z.real, z.imag], axis=-1)
+    def embed(self, z, chart):
+        return _flat_embedding(z)
 
 
 class MqnManifold:

@@ -264,17 +264,18 @@ def test_fd_derivatives_match_per_point_loops(quadric, rng):
     # weight Hessian serves every point
     zz = z[:8].reshape(2, 4, 3)
     dom = CustomDomain(n=3, rho=rho, weight=lambda x: rho(x) ** 2)
-    values = (dom.rho(zz), dom.rho_dz(zz), dom.rho_hessian(zz), dom.weight_hessian(zz))
+    values = (dom.rho(zz, 0), dom.rho_dz(zz, 0), dom.rho_hessian(zz, 0),
+              dom.weight_hessian(zz, 0))
     assert [v.shape for v in values] == [(2, 4), (2, 4, 3), (2, 4, 3, 3), (2, 4, 3, 3)]
     assert_array_equal(values[1].reshape(8, 3), grad[:8])
     assert_array_equal(values[2].reshape(8, 3, 3), hess[:8])
     assert_array_equal(values[3], fd_complex_hessian(lambda x: rho(x) ** 2, zz))
-    assert dom.rho(z[0]) == rho(z[0])
+    assert dom.rho(z[0], 0) == rho(z[0])
     indef = CustomDomain(n=3, rho=rho, weight=IndefWeight())
-    assert_array_equal(indef.weight_hessian(zz),
+    assert_array_equal(indef.weight_hessian(zz, 0),
                        np.broadcast_to(np.diag([1.0, 1.0, -3.0]), (2, 4, 3, 3)))
     with pytest.raises(QposError, match="no weight function"):
-        CustomDomain(n=3, rho=rho).weight_hessian(zz)
+        CustomDomain(n=3, rho=rho).weight_hessian(zz, 0)
 
 
 def test_custom_domain_rejects_one_point_callbacks():
@@ -285,7 +286,7 @@ def test_custom_domain_rejects_one_point_callbacks():
 
     for run in (lambda: sample_boundary(CustomDomain(n=3, rho=one_point), 5, seed=1),
                 lambda: CustomDomain(n=3, rho=_unit_sphere, weight=one_point)
-                .weight_hessian(np.zeros((4, 3), dtype=complex))):
+                .weight_hessian(np.zeros((4, 3), dtype=complex), 0)):
         with pytest.raises(DimensionMismatch, match=r"to values \(\), not \(") as err:
             run()
         assert "np.apply_along_axis(u, -1, z)" in str(err.value)

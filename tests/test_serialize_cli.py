@@ -1,5 +1,6 @@
 """JSON schemas, canonical bytes, and the command-line interface."""
 
+import argparse
 import ast
 import contextlib
 import copy
@@ -270,7 +271,7 @@ def test_constants_are_not_parameters():
     assert not wrong, wrong
 
 
-KNOB_CEILING = 56
+KNOB_CEILING = 44
 
 
 def test_defaulted_parameters_do_not_grow():
@@ -980,6 +981,40 @@ def test_cli_two_forms_ignores_angles(tmp_path, rng):
     assert "ignored" in run_cli("synthesize", "two-forms", "--help").stdout
 
 
+def test_cli_usage_errors_return_1_in_process_and_help_exits_0(tmp_path):
+    # main returns 1 where argparse used to raise SystemExit(2); help still exits 0
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert cli.main(["check", "--input", str(tmp_path / "field.json")]) == 1
+    assert err.getvalue() == ("input error: qpos check: the following arguments are required: "
+                              "--form, --q\n")
+    r = run_cli("synthesize", "single", "--help")
+    assert r.returncode == 0 and "--margin" in r.stdout and not r.stderr, r.stderr
+
+
+def _parser_actions(parser):
+    """Every argument action of ``parser`` and of its subparsers, by parser name."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _parser_actions(sub)
+        else:
+            yield parser.prog, action
+
+
+def test_numeric_options_state_their_range_in_the_parser():
+    # a numeric option's rule lives in its type (cli._option_type), so no command
+    # body checks it; --q alone is a bare int, as its range depends on the input
+    actions = list(_parser_actions(cli.build_parser()))
+    bare = [(prog, a.option_strings) for prog, a in actions
+            if a.type in (int, float) and a.option_strings != ["--q"]]
+    assert not bare, bare
+    # and the walk reached every subparser
+    typed = {opt for _, a in actions if a.type is not None for opt in a.option_strings}
+    assert typed == {"--seed", "--q", "--center", "--radius", "--nodes", "--margin", "--safety",
+                     "--angles", "--samples", "--grid"}
+
+
 def test_write_report_formats_before_opening(tmp_path):
     # a report that cannot be formatted used to leave an empty file
     out = tmp_path / "report.json"
@@ -997,6 +1032,18 @@ def test_cli_synthesize_subbundle_names_the_fiber_rank_it_found(tmp_path, rng):
     r = run_cli("synthesize", "subbundle", "--input", fpath, "--forms", "Q1,Q2,Q3", "--q", 3)
     assert r.returncode == 2
     assert "no subbundle fibers of rank 3; its fibers have rank 4" in r.stderr, r.stderr
+
+
+def test_cli_synthesize_subbundle_names_a_basis_that_is_not_orthonormal(tmp_path):
+    # g0 = I at both points; the rank-1 basis at p1 has norm 2
+    fpath = tmp_path / "sub.json"
+    fpath.write_text(dumps_canonical(field_to_json(FormField.from_stacks(
+        ["p0", "p1"], {"Q1": np.array([np.eye(2)] * 2, dtype=complex)},
+        subspace=np.array([[[1.0], [0.0]], [[2.0], [0.0]]]), g0=np.array([np.eye(2)] * 2)))))
+    r = run_cli("synthesize", "subbundle", "--input", fpath, "--forms", "Q1", "--q", 2)
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("BasisNotOrthonormal: subspace basis at 'p1' is not "
+                               "gamma-orthonormal") and r.stderr.count("\n") == 1, r.stderr
 
 
 def test_cli_names_the_points_a_certificate_failed_at(tmp_path):
@@ -1027,6 +1074,18 @@ def test_cli_bump_names_a_kernel_form_that_is_not_positive_definite(tmp_path):
     assert r.returncode == 2, r.stderr
     assert r.stderr.startswith("NotPositiveOnV: form 'levi' is not positive definite on V "
                                "at 0 (smallest restricted eigenvalue "), r.stderr
+
+
+def test_cli_bump_names_the_subbundle_rank_it_cannot_construct(tmp_path):
+    # at n = 4, q = 2 the bump needs a common positive subbundle of rank n - q = 2
+    # of the 3-dimensional kernel, and only ranks 1 and 3 are constructed
+    quad = tmp_path / "quad.json"
+    quad.write_text(json.dumps({"type": "quadric", "n": 4, "q": 2,
+                                "mu": [2.0, 2.0, 2.0, -0.5, -0.5]}))
+    r = run_cli("geometry", "bump", "--domain", quad, "--q", 2, "--samples", 20)
+    assert r.returncode == 2, r.stderr
+    assert ("common positive subbundle of rank 2 (1 < rank < 3) is not constructed"
+            in r.stderr and r.stderr.count("\n") == 1), r.stderr
 
 
 def test_cli_geometry_counterexample(tmp_path):
@@ -1065,6 +1124,10 @@ BAD_INPUT_CASES = [
     "levi_seed_negative", "bump_seed_negative",
     "single_margin_inf", "single_margin_nan", "single_margin_0", "single_margin_negative",
     "subbundle_safety_nan", "subbundle_safety_inf", "subbundle_safety_negative",
+    # usage errors used to exit 2 with argparse's usage text, and a path under a
+    # regular file to end in a NotADirectoryError traceback
+    "check_without_form", "check_q_not_an_integer", "unknown_command", "unrecognised_option",
+    "check_seed_negative", "input_under_a_file", "out_under_a_file",
 ]
 FIELD_DEFECTS = {
     "field_point_not_object": (lambda doc: doc["points"].__setitem__(0, 5), ".points[0]"),
@@ -1265,6 +1328,21 @@ def test_cli_rejects_bad_input_with_exit_1(tmp_path, case):
         argv, named = ("--seed", -1, "geometry", "levi", "--domain", quad), "--seed"
     elif case == "bump_seed_negative":
         argv, named = ("--seed", -1, "geometry", "bump", "--domain", quad, "--q", 2), "--seed"
+    elif case == "check_seed_negative":
+        argv, named = ("--seed", -1) + check + ("--q", 1), "--seed"
+    elif case == "check_without_form":
+        argv, named = ("check", "--input", path, "--q", 1), "--form"
+    elif case == "check_q_not_an_integer":
+        argv, named = check + ("--q", "two"), "--q"
+    elif case == "unknown_command":
+        argv, named = ("frobnicate", "--input", path), "frobnicate"
+    elif case == "unrecognised_option":
+        argv, named = check + ("--q", 1, "--forms", "S"), "--forms"
+    elif case == "input_under_a_file":
+        argv = ("check", "--input", path / "field.json", "--form", "S", "--q", 1)
+        named = str(path / "field.json")
+    elif case == "out_under_a_file":
+        argv, named = check + ("--q", 1, "--out", path / "report.json"), str(path / "report.json")
     else:
         argv, named = ("geometry", "counterexample", "--radius", -1), "--radius"
     if large:
